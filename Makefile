@@ -57,6 +57,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzShard -fuzztime=$(FUZZTIME) ./internal/ids/
 	$(GO) test -run='^$$' -fuzz=FuzzShardPartition -fuzztime=$(FUZZTIME) ./internal/itemset/
 	$(GO) test -run='^$$' -fuzz=FuzzPlanEquivalence -fuzztime=$(FUZZTIME) ./internal/plan/
+	$(GO) test -run='^$$' -fuzz=FuzzVectorKernel -fuzztime=$(FUZZTIME) ./internal/index/
 
 # Focused race pass over the parallel pipeline: the internal/par pool
 # stress tests and every serial-vs-parallel equivalence/determinism test.

@@ -23,7 +23,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 //
 //	go test ./internal/analysis -run Golden -update
 func TestGoldenPipeline(t *testing.T) {
-	fixtures := []string{"floateq", "frozen", "hotalloc", "lockflow", "unusedignore"}
+	fixtures := []string{"floateq", "frozen", "hotalloc", "lockflow", "mapiter", "unusedignore"}
 	l, err := NewLoader(filepath.Join("testdata", "src"))
 	if err != nil {
 		t.Fatalf("NewLoader: %v", err)
@@ -36,7 +36,7 @@ func TestGoldenPipeline(t *testing.T) {
 		}
 		pkgs = append(pkgs, pkg)
 	}
-	diags := Run(pkgs, []*Analyzer{FloatEq(), HotAlloc(), Frozen(), LockFlow()})
+	diags := Run(pkgs, []*Analyzer{FloatEq(), HotAlloc(), Frozen(), LockFlow(), MapIter()})
 	if len(diags) == 0 {
 		t.Fatal("golden run produced no diagnostics")
 	}

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 )
@@ -12,10 +13,16 @@ import (
 // followed, somewhere later in the same function, by a sort of that slice.
 // Go randomizes map iteration order, so an unsorted accumulation leaks
 // nondeterminism straight into rendered or ranked output.
+//
+// A second rule covers float sums: a `+=` or `-=` of a float variable
+// declared outside a `range` over a map adds its terms in iteration order.
+// Float addition is not associative, so the sum's low bits change from run
+// to run, and any ranking or equality test on it can flip. Such sums must
+// run in a fixed order (sorted keys, or dense rows in ID order).
 func MapIter() *Analyzer {
 	a := &Analyzer{
 		Name: "map-iter-determinism",
-		Doc:  "slices accumulated from map iteration must be sorted before use",
+		Doc:  "slices accumulated from map iteration must be sorted before use; float sums must not follow map order",
 	}
 	a.Run = func(pass *Pass) {
 		for _, f := range pass.Files() {
@@ -37,6 +44,7 @@ func runMapIterFunc(pass *Pass, fd *ast.FuncDecl) {
 		obj types.Object
 	}
 	var accums []accum
+	floatSums := make(map[*ast.AssignStmt]bool) // reported once under nested map ranges
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		rng, ok := n.(*ast.RangeStmt)
 		if !ok {
@@ -46,7 +54,8 @@ func runMapIterFunc(pass *Pass, fd *ast.FuncDecl) {
 			return true
 		}
 		// Find `x = append(x, ...)` in the loop body where x is a plain
-		// variable.
+		// variable, and float `x += ...` / `x -= ...` into a variable
+		// declared outside the loop.
 		ast.Inspect(rng.Body, func(m ast.Node) bool {
 			as, ok := m.(*ast.AssignStmt)
 			if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
@@ -54,6 +63,14 @@ func runMapIterFunc(pass *Pass, fd *ast.FuncDecl) {
 			}
 			lhs, ok := as.Lhs[0].(*ast.Ident)
 			if !ok {
+				return true
+			}
+			if as.Tok == token.ADD_ASSIGN || as.Tok == token.SUB_ASSIGN {
+				if obj := pass.Pkg.Info.ObjectOf(lhs); obj != nil && isFloat(obj.Type()) &&
+					(obj.Pos() < rng.Pos() || obj.Pos() >= rng.End()) && !floatSums[as] {
+					floatSums[as] = true
+					pass.Reportf(as.Pos(), "float %q summed in map iteration order; map order is random, so the sum's low bits vary run to run — sum in a fixed order", lhs.Name)
+				}
 				return true
 			}
 			call, ok := as.Rhs[0].(*ast.CallExpr)

@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"magnet/internal/blackboard"
-	"magnet/internal/index"
 	"magnet/internal/query"
 	"magnet/internal/rdf"
 )
@@ -48,8 +47,8 @@ func (s *Session) softRefine(p query.Predicate, mode blackboard.RefineMode, prev
 		score float64
 	}
 	ranked := make([]scored, 0, len(prev))
-	for _, it := range prev {
-		ranked = append(ranked, scored{it, index.Dot(centroid, s.m.model.Vector(it))})
+	for i, score := range s.m.model.Scores(centroid, prev) {
+		ranked = append(ranked, scored{prev[i], score})
 	}
 	asc := mode == blackboard.Exclude
 	sort.Slice(ranked, func(i, j int) bool {

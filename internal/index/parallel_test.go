@@ -29,7 +29,7 @@ func tieStore(ndocs int) *VectorStore {
 func TestSimilarToSerialParallelEquivalence(t *testing.T) {
 	serialStore := tieStore(500)
 	query := serialStore.Vector("doc0000")
-	exclude := func(id string) bool { return id == "doc0000" }
+	exclude := []string{"doc0000"}
 	for _, k := range []int{1, 3, 10, 50, 499, 1000} {
 		want := serialStore.SimilarTo(query, k, exclude)
 		for _, width := range []int{1, 2, 4, 8} {

@@ -556,7 +556,7 @@ func (v *VectorStore) Columns() VectorColumns {
 }
 
 // FromVectorColumns returns a read-only vector store over a columnar image.
-// Construction is O(1) in the corpus size; the tf·idf vector cache starts
+// Construction is O(1) in the corpus size; the tf·idf row cache starts
 // empty and grows lazily off the open path.
 func FromVectorColumns(c VectorColumns) (*VectorStore, error) {
 	docs, err := ids.FromColumns[string](c.Docs)

@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -22,14 +23,24 @@ import (
 	"magnet/internal/par"
 )
 
-// Vector-store observability: hit/miss on the generation-counter vector
-// cache (a miss means buildVectorLocked actually rebuilt) plus similarity
-// retrieval timing.
+// Vector-store observability: hit/miss on the generation-counter row cache
+// (a miss means buildRowLocked actually rebuilt), counted once per row
+// consulted but added once per call, plus similarity retrieval timing.
 var (
 	vectorCacheHit  = obs.NewCounter("index.vector.cache.hit")
 	vectorCacheMiss = obs.NewCounter("index.vector.cache.miss")
 	vectorSearchObs = opObs{obs.NewCounter("index.vector.search.count"), obs.NewHistogram("index.vector.search.ns")}
 )
+
+// countRows adds one call's row-cache lookups to the hit/miss counters.
+func countRows(hits, misses int) {
+	if hits > 0 {
+		vectorCacheHit.Add(uint64(hits))
+	}
+	if misses > 0 {
+		vectorCacheMiss.Add(uint64(misses))
+	}
+}
 
 // Scored pairs a document ID with a similarity or retrieval score.
 type Scored struct {
@@ -63,11 +74,14 @@ func sortScored(s []Scored) {
 //
 // followed by normalization of each document vector to length one, "to give
 // objects equal importance rather than giving more importance to items with
-// more metadata". Derived vectors are cached with generation-counter
-// invalidation: a cached vector is rebuilt only when something it actually
-// depends on changed — its own frequencies, the document count, or the
-// document frequency of one of its terms — so replacing one document's
-// vector no longer discards every other document's cache.
+// more metadata". Derived vectors are cached as rows (termnums ascending,
+// weights parallel) with generation-counter invalidation: a cached row is
+// rebuilt only when something it actually depends on changed — its own
+// frequencies, the document count, or the document frequency of one of its
+// terms — so replacing one document's vector no longer discards every other
+// document's cache. Similarity and centroid kernels work on rows and dense
+// termnum-indexed arrays and sum in ascending termnum order, so every
+// result is deterministic to the bit.
 type VectorStore struct {
 	// PinnedPrefix, when non-empty, marks terms whose stored frequency is
 	// used directly as the (pre-normalization) weight, bypassing the
@@ -97,15 +111,15 @@ type VectorStore struct {
 	// Generation counters. gen bumps on every mutation; nGen records when
 	// the live document count last changed (idf depends on it globally);
 	// termGen[t] when df[t] last changed; docGen[d] when d's own
-	// frequencies last changed. A vector cached at generation g is valid
-	// iff none of its dependencies moved past g.
+	// frequencies last changed. A row cached at generation g is valid iff
+	// none of its dependencies moved past g.
 	gen     uint64
 	nGen    uint64
 	termGen []uint64
 	docGen  []uint64
 
-	cache    []map[string]float64 // docnum → normalized tf·idf vector
-	cacheGen []uint64             // docnum → generation the vector was built at
+	rows   []*vecRow // docnum → normalized tf·idf row; nil until built
+	rowGen []uint64  // docnum → generation the row was built at
 
 	// post: termnum → sorted docnum posting list, rebuilt lazily for
 	// retrieval (SimilarTo) when stale.
@@ -118,9 +132,21 @@ type VectorStore struct {
 
 	// seg, when non-nil, makes the store a read-only view over a columnar
 	// segment image: accessors branch to it, the per-document and per-term
-	// columns above stay nil, and mutations panic. The tf·idf vector cache
-	// still applies — it is grown lazily, off the open path. See segcols.go.
+	// columns above stay nil, and mutations panic. The row cache still
+	// applies — it is grown lazily, off the open path. See segcols.go.
 	seg *segVec
+
+	// scratch recycles the termnum-indexed accumulators of similarity and
+	// centroid scans (*dense).
+	scratch sync.Pool
+}
+
+// vecRow is one document's normalized tf·idf vector: termnums ascending,
+// weights parallel. A row never changes once built — invalidation builds a
+// new one — so a row snapshotted under mu may be read after unlocking.
+type vecRow struct {
+	terms []uint32
+	w     []float64
 }
 
 // NewVectorStore returns an empty vector store.
@@ -155,8 +181,8 @@ func (v *VectorStore) docnum(docID string) uint32 {
 		v.docTerms = append(v.docTerms, nil)
 		v.docFreqs = append(v.docFreqs, nil)
 		v.docGen = append(v.docGen, 0)
-		v.cache = append(v.cache, nil)
-		v.cacheGen = append(v.cacheGen, 0)
+		v.rows = append(v.rows, nil)
+		v.rowGen = append(v.rowGen, 0)
 	}
 	return dn
 }
@@ -229,7 +255,7 @@ func (v *VectorStore) Add(docID string, freqs map[string]float64) {
 	v.docTerms[dn] = newTerms
 	v.docFreqs[dn] = newFreqs
 	v.docGen[dn] = v.gen
-	v.cache[dn] = nil
+	v.rows[dn] = nil
 }
 
 // Remove deletes docID from the store, reporting whether it was present.
@@ -249,7 +275,7 @@ func (v *VectorStore) Remove(docID string) bool {
 	v.docTerms[dn] = nil
 	v.docFreqs[dn] = nil
 	v.docGen[dn] = v.gen
-	v.cache[dn] = nil
+	v.rows[dn] = nil
 	v.live--
 	v.nGen = v.gen
 	return true
@@ -330,12 +356,12 @@ func (v *VectorStore) idfLocked(t uint32) float64 {
 	return math.Log(float64(v.live) / float64(df))
 }
 
-// validLocked reports whether the vector cached for dn is still correct:
+// validLocked reports whether the row cached for dn is still correct:
 // nothing it depends on may have moved past its build generation.
 //
 //magnet:hot
 func (v *VectorStore) validLocked(dn uint32) bool {
-	g := v.cacheGen[dn]
+	g := v.rowGen[dn]
 	if g == v.gen {
 		return true
 	}
@@ -350,58 +376,102 @@ func (v *VectorStore) validLocked(dn uint32) bool {
 	return true
 }
 
-// Vector returns the normalized tf·idf vector of docID (nil if absent).
-// The returned map must not be mutated.
-func (v *VectorStore) Vector(docID string) map[string]float64 {
-	v.mu.RLock()
-	dn, ok := v.docs.Lookup(docID)
-	if !ok {
-		v.mu.RUnlock()
+// cachedRowLocked returns dn's cached row when it is still valid, else nil.
+// Caller holds mu, read or write. On a segment view the row columns start
+// empty and grow on first build, hence the bounds check.
+func (v *VectorStore) cachedRowLocked(dn uint32) *vecRow {
+	if int(dn) >= len(v.rows) {
 		return nil
 	}
-	if vec := v.cachedLocked(dn); vec != nil && v.validLocked(dn) {
-		v.mu.RUnlock()
-		vectorCacheHit.Inc()
-		return vec
+	if r := v.rows[dn]; r != nil && v.validLocked(dn) {
+		return r
+	}
+	return nil
+}
+
+// ensureRowsLocked grows the row columns over the full document range. A
+// no-op on the mutable store (docnum grows them per Add); on a segment view
+// this is the one O(docs) allocation, paid on first use rather than at open.
+func (v *VectorStore) ensureRowsLocked() {
+	if n := v.docs.Len(); len(v.rows) < n {
+		v.rows = append(v.rows, make([]*vecRow, n-len(v.rows))...)
+		v.rowGen = append(v.rowGen, make([]uint64, n-len(v.rowGen))...)
+	}
+}
+
+// rowLocked returns dn's row (nil for an absent document), building and
+// caching it on a miss, and reports whether the cache hit. Caller holds the
+// write lock and has called ensureRowsLocked.
+func (v *VectorStore) rowLocked(dn uint32) (*vecRow, bool) {
+	if r := v.rows[dn]; r != nil && v.validLocked(dn) {
+		v.rowGen[dn] = v.gen // refresh so the next check is O(1)
+		return r, true
+	}
+	r := v.buildRowLocked(dn)
+	v.rows[dn] = r
+	v.rowGen[dn] = v.gen
+	return r, false
+}
+
+// row returns docID's row, or nil when docID is absent.
+func (v *VectorStore) row(docID string) *vecRow {
+	rows, _ := v.rowsFor([]string{docID})
+	return rows[0]
+}
+
+// rowsFor snapshots the rows of ids into a slice parallel to ids (nil for
+// absent IDs) and returns the docnums of the present ones. Cached rows are
+// read under the read lock; only misses take the write lock.
+func (v *VectorStore) rowsFor(ids []string) ([]*vecRow, []uint32) {
+	rows := make([]*vecRow, len(ids))
+	dns := make([]uint32, len(ids))
+	known := make([]bool, len(ids))
+	hits, missing := 0, 0
+	v.mu.RLock()
+	for i, id := range ids {
+		dn, ok := v.docs.Lookup(id)
+		if !ok {
+			continue
+		}
+		dns[i], known[i] = dn, true
+		if rows[i] = v.cachedRowLocked(dn); rows[i] != nil {
+			hits++
+		} else {
+			missing++
+		}
 	}
 	v.mu.RUnlock()
-
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.ensureCacheLocked()
-	if vec := v.cache[dn]; vec != nil && v.validLocked(dn) {
-		v.cacheGen[dn] = v.gen // refresh so the next check is O(1)
-		vectorCacheHit.Inc()
-		return vec
+	misses := 0
+	if missing > 0 {
+		v.mu.Lock()
+		v.ensureRowsLocked()
+		for i := range ids {
+			if !known[i] || rows[i] != nil {
+				continue
+			}
+			var hit bool
+			if rows[i], hit = v.rowLocked(dns[i]); hit {
+				hits++
+			} else {
+				misses++
+			}
+		}
+		v.mu.Unlock()
 	}
-	vectorCacheMiss.Inc()
-	vec := v.buildVectorLocked(dn)
-	v.cache[dn] = vec
-	v.cacheGen[dn] = v.gen
-	return vec
+	countRows(hits, misses)
+	present := dns[:0]
+	for i, dn := range dns {
+		if rows[i] != nil {
+			present = append(present, dn)
+		}
+	}
+	return rows, present
 }
 
-// cachedLocked bounds-checks the cache lookup: on a segment view the cache
-// columns start empty and grow on first build.
-func (v *VectorStore) cachedLocked(dn uint32) map[string]float64 {
-	if int(dn) >= len(v.cache) {
-		return nil
-	}
-	return v.cache[dn]
-}
-
-// ensureCacheLocked grows the cache columns over the full document range.
-// A no-op on the mutable store (docnum grows them per Add); on a segment
-// view this is the one O(docs) allocation, paid on first Vector call
-// rather than at open.
-func (v *VectorStore) ensureCacheLocked() {
-	if n := v.docs.Len(); len(v.cache) < n {
-		v.cache = append(v.cache, make([]map[string]float64, n-len(v.cache))...)
-		v.cacheGen = append(v.cacheGen, make([]uint64, n-len(v.cacheGen))...)
-	}
-}
-
-func (v *VectorStore) buildVectorLocked(dn uint32) map[string]float64 {
+// buildRowLocked derives dn's normalized tf·idf row from its raw
+// frequencies; nil when dn holds no document. Weights are normalized by the
+// row's length, summed in ascending termnum order.
+func (v *VectorStore) buildRowLocked(dn uint32) *vecRow {
 	var ts []uint32
 	var fs []float64
 	if v.seg != nil {
@@ -416,7 +486,7 @@ func (v *VectorStore) buildVectorLocked(dn uint32) map[string]float64 {
 		}
 		fs = v.docFreqs[dn]
 	}
-	vec := make(map[string]float64, len(ts))
+	r := &vecRow{terms: make([]uint32, 0, len(ts)), w: make([]float64, 0, len(ts))}
 	var norm float64
 	for i, t := range ts {
 		var w float64
@@ -428,34 +498,148 @@ func (v *VectorStore) buildVectorLocked(dn uint32) map[string]float64 {
 		if w == 0 {
 			continue
 		}
-		vec[v.terms.Key(t)] = w
+		r.terms = append(r.terms, t)
+		r.w = append(r.w, w)
 		norm += w * w
 	}
 	if norm > 0 {
 		norm = math.Sqrt(norm)
-		for t := range vec {
-			vec[t] /= norm
+		for i := range r.w {
+			r.w[i] /= norm
 		}
 	}
-	return vec
+	return r
+}
+
+// rowMap renders a row as the term-keyed map the string-level API returns.
+func (v *VectorStore) rowMap(r *vecRow) map[string]float64 {
+	m := make(map[string]float64, len(r.terms))
+	for i, t := range r.terms {
+		m[v.terms.Key(t)] = r.w[i]
+	}
+	return m
+}
+
+// Vector returns the normalized tf·idf vector of docID (nil if absent).
+// The map is built from the cached row on every call; callers own it.
+func (v *VectorStore) Vector(docID string) map[string]float64 {
+	r := v.row(docID)
+	if r == nil {
+		return nil
+	}
+	return v.rowMap(r)
+}
+
+// Weights returns docID's normalized tf·idf vector as (term, weight) pairs
+// in the store's term order — the order every kernel sums in, so a sum over
+// the pairs is deterministic. Nil when docID is absent.
+func (v *VectorStore) Weights(docID string) []TermWeight {
+	r := v.row(docID)
+	if r == nil {
+		return nil
+	}
+	out := make([]TermWeight, len(r.terms))
+	for i, t := range r.terms {
+		out[i] = TermWeight{v.terms.Key(t), r.w[i]}
+	}
+	return out
 }
 
 // Similarity returns the dot product of the two documents' normalized
 // vectors (cosine similarity); zero when either is absent.
 func (v *VectorStore) Similarity(a, b string) float64 {
-	return Dot(v.Vector(a), v.Vector(b))
+	ra, rb := v.row(a), v.row(b)
+	if ra == nil || rb == nil {
+		return 0
+	}
+	return dotRows(ra, rb)
 }
 
-// Dot returns the sparse dot product of two vectors.
-func Dot(a, b map[string]float64) float64 {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
+// dotRows merges two rows, summing the shared terms' products in ascending
+// termnum order.
+//
+//magnet:hot
+func dotRows(a, b *vecRow) float64 {
 	var s float64
-	for t, w := range a {
-		s += w * b[t]
+	i, j := 0, 0
+	for i < len(a.terms) && j < len(b.terms) {
+		switch {
+		case a.terms[i] < b.terms[j]:
+			i++
+		case a.terms[i] > b.terms[j]:
+			j++
+		default:
+			s += a.w[i] * b.w[j]
+			i++
+			j++
+		}
 	}
 	return s
+}
+
+// dense is a termnum-indexed scratch vector. seen marks the termnums listed
+// in touched, so resetting costs O(touched), not O(terms).
+type dense struct {
+	acc     []float64
+	seen    []bool
+	touched []uint32
+}
+
+// set stores w at termnum t.
+func (d *dense) set(t uint32, w float64) {
+	if !d.seen[t] {
+		d.seen[t] = true
+		d.touched = append(d.touched, t)
+	}
+	d.acc[t] = w
+}
+
+// grow extends d to cover n termnums.
+func (d *dense) grow(n int) {
+	if n > len(d.acc) {
+		d.acc = append(d.acc, make([]float64, n-len(d.acc))...)
+		d.seen = append(d.seen, make([]bool, n-len(d.seen))...)
+	}
+}
+
+// getDense returns a zeroed scratch vector covering n termnums.
+func (v *VectorStore) getDense(n int) *dense {
+	d, _ := v.scratch.Get().(*dense)
+	if d == nil {
+		d = &dense{}
+	}
+	d.grow(n)
+	return d
+}
+
+// putDense zeroes d's touched entries and recycles it.
+func (v *VectorStore) putDense(d *dense) {
+	for _, t := range d.touched {
+		d.acc[t] = 0
+		d.seen[t] = false
+	}
+	d.touched = d.touched[:0]
+	v.scratch.Put(d)
+}
+
+// accumulateRows adds each row into acc, in row order, recording in touched
+// every termnum seen for the first time.
+//
+//magnet:hot
+func accumulateRows(rows []*vecRow, acc []float64, seen []bool, touched []uint32) []uint32 {
+	for _, r := range rows {
+		if r == nil {
+			continue
+		}
+		for j, t := range r.terms {
+			if !seen[t] {
+				seen[t] = true
+				touched = append(touched, t)
+			}
+			acc[t] += r.w[j]
+		}
+	}
+	return touched
 }
 
 // centroidChunk is the fixed reduction shape for Centroid: ids are summed
@@ -466,48 +650,61 @@ func Dot(a, b map[string]float64) float64 {
 // serial loop.
 const centroidChunk = 256
 
-// Centroid returns the normalized sum of the documents' vectors — the
-// "average member" of the collection the paper dots against (§5.3). Absent
-// IDs are skipped. The result has unit length unless empty.
-func (v *VectorStore) Centroid(ids []string) map[string]float64 {
-	nchunks := (len(ids) + centroidChunk - 1) / centroidChunk
-	parts := make([]map[string]float64, nchunks)
-	err := par.ForChunks(context.Background(), v.getPool(), len(ids), centroidChunk, func(lo, hi int) {
-		part := make(map[string]float64)
-		for _, id := range ids[lo:hi] {
-			for t, w := range v.Vector(id) {
-				part[t] += w
-			}
+// centroid sums the rows of ids into a dense vector with the fixed chunk
+// shape and normalizes it, summing squares in ascending termnum order. It
+// returns the vector (its touched list sorted; the caller recycles it with
+// putDense) and the docnums of the present ids.
+func (v *VectorStore) centroid(ids []string) (*dense, []uint32) {
+	rows, dns := v.rowsFor(ids)
+	nterms := v.terms.Len() // after rowsFor: covers every termnum in rows
+	pool := v.getPool()
+
+	// Each chunk's partial sum becomes a row of its own (termnums sorted),
+	// and the partials are added in chunk order: per term, the same
+	// additions in the same order as a map-per-chunk reduction.
+	parts := make([]*vecRow, (len(ids)+centroidChunk-1)/centroidChunk)
+	err := par.ForChunks(context.Background(), pool, len(ids), centroidChunk, func(lo, hi int) {
+		d := v.getDense(nterms)
+		d.touched = accumulateRows(rows[lo:hi], d.acc, d.seen, d.touched)
+		slices.Sort(d.touched)
+		part := &vecRow{terms: slices.Clone(d.touched), w: make([]float64, len(d.touched))}
+		for i, t := range part.terms {
+			part.w[i] = d.acc[t]
 		}
+		v.putDense(d)
 		parts[lo/centroidChunk] = part
 	})
 	var pe *par.PanicError
 	if errors.As(err, &pe) {
 		panic(pe)
 	}
-	sum := make(map[string]float64)
-	for _, part := range parts {
-		for t, w := range part {
-			sum[t] += w
+	sum := v.getDense(nterms)
+	sum.touched = accumulateRows(parts, sum.acc, sum.seen, sum.touched)
+	slices.Sort(sum.touched)
+	var norm float64
+	for _, t := range sum.touched {
+		norm += sum.acc[t] * sum.acc[t]
+	}
+	if norm > 0 {
+		norm = math.Sqrt(norm)
+		for _, t := range sum.touched {
+			sum.acc[t] /= norm
 		}
 	}
-	Normalize(sum)
-	return sum
+	return sum, dns
 }
 
-// Normalize scales vec to unit length in place (no-op for zero vectors).
-func Normalize(vec map[string]float64) {
-	var norm float64
-	for _, w := range vec {
-		norm += w * w
+// Centroid returns the normalized sum of the documents' vectors — the
+// "average member" of the collection the paper dots against (§5.3). Absent
+// IDs are skipped. The result has unit length unless empty.
+func (v *VectorStore) Centroid(ids []string) map[string]float64 {
+	sum, _ := v.centroid(ids)
+	out := make(map[string]float64, len(sum.touched))
+	for _, t := range sum.touched {
+		out[v.terms.Key(t)] = sum.acc[t]
 	}
-	if norm == 0 {
-		return
-	}
-	norm = math.Sqrt(norm)
-	for t := range vec {
-		vec[t] /= norm
-	}
+	v.putDense(sum)
+	return out
 }
 
 // postingsLocked returns the dense docnum posting lists, rebuilding them
@@ -526,35 +723,52 @@ func (v *VectorStore) postingsLocked() [][]uint32 {
 	return v.post
 }
 
-// SimilarTo returns up to k documents most similar to the query vector, in
-// descending score order, skipping documents for which exclude returns true
-// and documents with zero score. exclude may be nil; when the store has a
-// pool it may be called from multiple workers at once, so it must be safe
-// for concurrent use (reading pre-built state is fine).
-func (v *VectorStore) SimilarTo(query map[string]float64, k int, exclude func(string) bool) []Scored {
-	if k <= 0 || len(query) == 0 {
-		return nil
-	}
-	defer vectorSearchObs.observe(time.Now())
-	// Accumulate via postings so only candidate documents sharing at least
-	// one query term are touched. Segment views read their precomputed
-	// posting column; the mutable store rebuilds lazily when stale.
-	v.mu.Lock()
+// candidatesLocked snapshots the rows of every live document sharing one
+// of terms, in docnum order, skipping the docnums in exclude (may be nil).
+// Segment views read their precomputed posting column; the mutable store
+// rebuilds lazily when stale. Caller holds the write lock.
+func (v *VectorStore) candidatesLocked(terms []uint32, exclude *itemset.Bits) ([]*vecRow, []uint32) {
 	var post [][]uint32
 	if v.seg == nil {
 		post = v.postingsLocked()
 	}
 	b := itemset.NewBits(v.docs.Len())
-	for t := range query {
-		if tn, ok := v.terms.Lookup(t); ok {
-			if v.seg != nil {
-				b.AddSlice(v.seg.postingFor(tn))
-			} else {
-				b.AddSlice(post[tn])
-			}
+	for _, t := range terms {
+		if v.seg != nil {
+			b.AddSlice(v.seg.postingFor(t))
+		} else if int(t) < len(post) {
+			b.AddSlice(post[t])
 		}
 	}
-	cands := b.Extract()
+	cands := b.Extract().Slice()
+	v.ensureRowsLocked()
+	rows := make([]*vecRow, 0, len(cands))
+	dns := make([]uint32, 0, len(cands))
+	hits, misses := 0, 0
+	for _, dn := range cands {
+		if exclude != nil && exclude.Has(dn) {
+			continue
+		}
+		r, hit := v.rowLocked(dn)
+		if hit {
+			hits++
+		} else {
+			misses++
+		}
+		rows = append(rows, r)
+		dns = append(dns, dn)
+	}
+	countRows(hits, misses)
+	return rows, dns
+}
+
+// search scores the candidates of the dense query q (its nonzero termnums
+// listed in q.touched) and returns the top k, skipping excluded docnums.
+func (v *VectorStore) search(q *dense, k int, exclude *itemset.Bits) []Scored {
+	defer vectorSearchObs.observe(time.Now())
+	v.mu.Lock()
+	q.grow(v.terms.Len())
+	rows, dns := v.candidatesLocked(q.touched, exclude)
 	pool := v.pool
 	v.mu.Unlock()
 
@@ -562,25 +776,13 @@ func (v *VectorStore) SimilarTo(query map[string]float64, k int, exclude func(st
 	// local top-k, and the merged list re-sorts under the same total order
 	// (score desc, ID asc). IDs are unique, so the order is total and the
 	// global top-k is identical however the candidates were chunked.
-	docIDs := v.docs.AppendKeys(make([]string, 0, cands.Len()), cands.Slice())
-	chunk := par.ChunkFor(pool, len(docIDs))
-	nchunks := (len(docIDs) + chunk - 1) / chunk
+	chunk := par.ChunkFor(pool, len(rows))
+	nchunks := (len(rows) + chunk - 1) / chunk
 	parts := make([][]Scored, nchunks)
-	err := par.ForChunks(context.Background(), pool, len(docIDs), chunk, func(lo, hi int) {
-		local := make([]Scored, 0, hi-lo)
-		for _, docID := range docIDs[lo:hi] {
-			if exclude != nil && exclude(docID) {
-				continue
-			}
-			if s := Dot(query, v.Vector(docID)); s > 0 {
-				local = append(local, Scored{docID, s})
-			}
-		}
-		if len(local) > k {
-			sortScored(local)
-			local = local[:k]
-		}
-		parts[lo/chunk] = local
+	err := par.ForChunks(context.Background(), pool, len(rows), chunk, func(lo, hi int) {
+		scores := make([]float64, hi-lo)
+		scoreRows(q.acc, rows[lo:hi], scores)
+		parts[lo/chunk] = v.topScored(scores, dns[lo:hi], k)
 	})
 	var pe *par.PanicError
 	if errors.As(err, &pe) {
@@ -598,6 +800,137 @@ func (v *VectorStore) SimilarTo(query map[string]float64, k int, exclude func(st
 	if len(scores) > k {
 		scores = scores[:k]
 	}
+	return scores
+}
+
+// scoreRows dots each row against the dense query q, summing in ascending
+// termnum order. Terms the query lacks add a zero product, which leaves the
+// sum unchanged, so each score equals the sum over shared terms alone. A
+// nil row (absent document) scores zero.
+//
+//magnet:hot
+func scoreRows(q []float64, rows []*vecRow, out []float64) {
+	for i, r := range rows {
+		var s float64
+		if r == nil {
+			out[i] = s
+			continue
+		}
+		for j, t := range r.terms {
+			s += r.w[j] * q[t]
+		}
+		out[i] = s
+	}
+}
+
+// topScored returns the positively scored documents that can still reach
+// the top k: every score below the k-th largest is dropped before its ID is
+// looked up, and ties at the cut are kept for the ID tie-break.
+func (v *VectorStore) topScored(scores []float64, dns []uint32, k int) []Scored {
+	cut := kthLargest(scores, k)
+	var local []Scored
+	for i, s := range scores {
+		if s > 0 && s >= cut {
+			local = append(local, Scored{v.docs.Key(dns[i]), s})
+		}
+	}
+	if len(local) > k {
+		sortScored(local)
+		local = local[:k]
+	}
+	return local
+}
+
+// kthLargest returns the k-th largest positive score, or 0 when fewer than
+// k scores are positive.
+func kthLargest(scores []float64, k int) float64 {
+	top := make([]float64, 0, min(k, len(scores))) // descending
+	for _, s := range scores {
+		if s <= 0 || (len(top) == k && s <= top[k-1]) {
+			continue
+		}
+		i := len(top)
+		if i < k {
+			top = append(top, s)
+		} else {
+			i = k - 1
+		}
+		for ; i > 0 && top[i-1] < s; i-- {
+			top[i] = top[i-1]
+		}
+		top[i] = s
+	}
+	if len(top) < k {
+		return 0
+	}
+	return top[k-1]
+}
+
+// docnumSet resolves docIDs to a docnum set; nil when none is known.
+func (v *VectorStore) docnumSet(docIDs []string) *itemset.Bits {
+	var b *itemset.Bits
+	for _, id := range docIDs {
+		if dn, ok := v.docs.Lookup(id); ok {
+			if b == nil {
+				b = itemset.NewBits(v.docs.Len())
+			}
+			b.Add(dn)
+		}
+	}
+	return b
+}
+
+// SimilarTo returns up to k documents most similar to the query vector, in
+// descending score order (ties by ascending ID), skipping the documents in
+// exclude and documents with zero score.
+func (v *VectorStore) SimilarTo(query map[string]float64, k int, exclude []string) []Scored {
+	if k <= 0 || len(query) == 0 {
+		return nil
+	}
+	q := v.getDense(v.terms.Len())
+	defer v.putDense(q)
+	for t, w := range query {
+		if tn, ok := v.terms.Lookup(t); ok {
+			q.set(tn, w)
+		}
+	}
+	return v.search(q, k, v.docnumSet(exclude))
+}
+
+// SimilarToCentroid returns up to k documents most similar to the centroid
+// of ids (see Centroid), excluding the members themselves when
+// excludeMembers is set: SimilarTo(Centroid(ids), ...) on the dense
+// centroid, without the map round trip or a string set of members.
+func (v *VectorStore) SimilarToCentroid(ids []string, k int, excludeMembers bool) []Scored {
+	if k <= 0 {
+		return nil
+	}
+	q, members := v.centroid(ids)
+	defer v.putDense(q)
+	if len(q.touched) == 0 {
+		return nil
+	}
+	var excl *itemset.Bits
+	if excludeMembers && len(members) > 0 {
+		excl = itemset.NewBits(v.docs.Len())
+		excl.AddSlice(members)
+	}
+	return v.search(q, k, excl)
+}
+
+// ScoreDocs returns the dot product of the query vector with each of ids'
+// vectors (zero for absent IDs), summed like SimilarTo's scores.
+func (v *VectorStore) ScoreDocs(query map[string]float64, ids []string) []float64 {
+	rows, _ := v.rowsFor(ids)
+	q := v.getDense(v.terms.Len()) // after rowsFor: covers every row termnum
+	defer v.putDense(q)
+	for t, w := range query {
+		if tn, ok := v.terms.Lookup(t); ok {
+			q.set(tn, w)
+		}
+	}
+	scores := make([]float64, len(ids))
+	scoreRows(q.acc, rows, scores)
 	return scores
 }
 

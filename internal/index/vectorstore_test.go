@@ -132,7 +132,7 @@ func TestCentroidIsUnitAndAveragesMembership(t *testing.T) {
 	}
 	// A doc sharing the common term c should be more similar to the
 	// centroid than the unrelated d3.
-	if Dot(c, v.Vector("d1")) <= Dot(c, v.Vector("d3")) {
+	if s := v.ScoreDocs(c, []string{"d1", "d3"}); s[0] <= s[1] {
 		t.Error("centroid should prefer members over non-members")
 	}
 	if len(v.Centroid(nil)) != 0 {
@@ -147,7 +147,7 @@ func TestSimilarToRankingAndExclude(t *testing.T) {
 	v.Add("far", map[string]float64{"a": 1, "z": 5})
 	v.Add("none", map[string]float64{"z": 1})
 
-	got := v.SimilarTo(v.Vector("q"), 10, func(id string) bool { return id == "q" })
+	got := v.SimilarTo(v.Vector("q"), 10, []string{"q"})
 	if len(got) < 2 || got[0].ID != "close" {
 		t.Fatalf("SimilarTo = %v, want close first", got)
 	}
@@ -306,39 +306,43 @@ func TestQuickSimilarityBounds(t *testing.T) {
 
 // TestGenerationCacheSurvivesReplacement pins the generation-counter
 // invalidation: replacing one document's frequencies (same term set) must
-// not discard other documents' cached vectors, while genuinely affected
-// vectors are rebuilt correctly.
+// not discard other documents' cached rows, while genuinely affected rows
+// are rebuilt correctly.
 func TestGenerationCacheSurvivesReplacement(t *testing.T) {
 	v := NewVectorStore()
 	v.Add("d1", map[string]float64{"a": 1, "b": 2})
 	v.Add("d2", map[string]float64{"b": 1, "c": 3})
 	v.Add("d3", map[string]float64{"c": 2})
 
-	d1 := v.Vector("d1")
-	d3 := v.Vector("d3")
+	d1 := v.row("d1")
+	d3 := v.row("d3")
 
 	// Replace d2 with the same term set but new frequencies: N unchanged,
-	// df(b)/df(c) unchanged, so d1 and d3's cached maps must survive
+	// df(b)/df(c) unchanged, so d1 and d3's cached rows must survive
 	// untouched (pointer identity), while d2 is rebuilt.
-	d2old := v.Vector("d2")
+	d2old := v.row("d2")
 	v.Add("d2", map[string]float64{"b": 5, "c": 1})
-	if got := v.Vector("d1"); !same(got, d1) {
-		t.Error("d1's cached vector was invalidated by an unrelated replacement")
+	if got := v.row("d1"); got != d1 {
+		t.Error("d1's cached row was invalidated by an unrelated replacement")
 	}
-	if got := v.Vector("d3"); !same(got, d3) {
-		t.Error("d3's cached vector was invalidated by an unrelated replacement")
+	if got := v.row("d3"); got != d3 {
+		t.Error("d3's cached row was invalidated by an unrelated replacement")
 	}
-	if got := v.Vector("d2"); same(got, d2old) {
-		t.Error("d2's own vector was not rebuilt")
+	if got := v.row("d2"); got == d2old {
+		t.Error("d2's own row was not rebuilt")
 	}
 
 	// Replace d2 dropping term c: df(c) 2→1, so d3 (contains c) must be
-	// rebuilt; d1 (a, b only... df(b) unchanged? b stays in d2, so yes)
+	// rebuilt; d1 (a, b only; b stays in d2, so df(b) is unchanged)
 	// survives.
-	d1 = v.Vector("d1")
+	d1 = v.row("d1")
+	d3 = v.row("d3")
 	v.Add("d2", map[string]float64{"b": 5})
-	if got := v.Vector("d1"); !same(got, d1) {
+	if got := v.row("d1"); got != d1 {
 		t.Error("d1 invalidated though none of its term dfs changed")
+	}
+	if got := v.row("d3"); got == d3 {
+		t.Error("d3 not rebuilt though df(c) changed")
 	}
 
 	// Correctness against a store built from scratch in the final state.
@@ -359,19 +363,9 @@ func TestGenerationCacheSurvivesReplacement(t *testing.T) {
 	}
 
 	// Adding a brand-new document changes N and must invalidate everything.
-	d1 = v.Vector("d1")
+	d1 = v.row("d1")
 	v.Add("d4", map[string]float64{"a": 1})
-	if got := v.Vector("d1"); same(got, d1) {
+	if got := v.row("d1"); got == d1 {
 		t.Error("d1 not rebuilt after document count changed")
 	}
-}
-
-// same reports map pointer identity (not equality).
-func same(a, b map[string]float64) bool {
-	if len(a) == 0 || len(b) == 0 {
-		return len(a) == len(b)
-	}
-	ka := reflect.ValueOf(a).Pointer()
-	kb := reflect.ValueOf(b).Pointer()
-	return ka == kb
 }

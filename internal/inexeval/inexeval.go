@@ -174,13 +174,13 @@ func (s *System) runCAS(t inex.Topic) []rdf.IRI {
 // among the query tokens, over all property paths.
 func wordScore(m *vsm.Model, item rdf.IRI, tokens map[string]bool) float64 {
 	var sum float64
-	for key, w := range m.Vector(item) {
-		c, ok := vsm.ParseCoord(key)
+	for _, tw := range m.Weights(item) {
+		c, ok := vsm.ParseCoord(tw.Term)
 		if !ok || c.Kind != vsm.CoordWord {
 			continue
 		}
 		if tokens[c.Word] {
-			sum += w
+			sum += tw.Weight
 		}
 	}
 	return sum

@@ -447,20 +447,13 @@ type ScoredItem struct {
 // SimilarToItem returns up to k items most similar to item, excluding the
 // item itself.
 func (m *Model) SimilarToItem(item rdf.IRI, k int) []ScoredItem {
-	self := string(item)
-	return toScoredItems(m.store.SimilarTo(m.Vector(item), k, func(id string) bool {
-		return id == self
-	}))
+	return toScoredItems(m.store.SimilarTo(m.Vector(item), k, []string{string(item)}))
 }
 
 // Centroid returns the normalized "average member" vector of a collection
 // (§5.3).
 func (m *Model) Centroid(items []rdf.IRI) map[string]float64 {
-	ids := make([]string, len(items))
-	for i, it := range items {
-		ids[i] = string(it)
-	}
-	return m.store.Centroid(ids)
+	return m.store.Centroid(itemIDs(items))
 }
 
 // SimilarToCollection returns up to k items most similar to the collection
@@ -468,15 +461,28 @@ func (m *Model) Centroid(items []rdf.IRI) map[string]float64 {
 // This backs the "Similar by Content (Overall)" advisor's collection
 // analyst (§4.1).
 func (m *Model) SimilarToCollection(items []rdf.IRI, k int, excludeMembers bool) []ScoredItem {
-	var exclude func(string) bool
-	if excludeMembers {
-		member := make(map[string]bool, len(items))
-		for _, it := range items {
-			member[string(it)] = true
-		}
-		exclude = func(id string) bool { return member[id] }
+	return toScoredItems(m.store.SimilarToCentroid(itemIDs(items), k, excludeMembers))
+}
+
+// Scores returns the dot product of query with each item's vector (zero
+// for unindexed items), summed in the same fixed order as the similarity
+// rankings, so equal inputs always rank alike.
+func (m *Model) Scores(query map[string]float64, items []rdf.IRI) []float64 {
+	return m.store.ScoreDocs(query, itemIDs(items))
+}
+
+// Weights returns the item's normalized tf·idf vector as (coordinate key,
+// weight) pairs in the vector store's fixed term order.
+func (m *Model) Weights(item rdf.IRI) []index.TermWeight {
+	return m.store.Weights(string(item))
+}
+
+func itemIDs(items []rdf.IRI) []string {
+	ids := make([]string, len(items))
+	for i, it := range items {
+		ids[i] = string(it)
 	}
-	return toScoredItems(m.store.SimilarTo(m.Centroid(items), k, exclude))
+	return ids
 }
 
 func toScoredItems(scored []index.Scored) []ScoredItem {
