@@ -13,20 +13,13 @@
 //	magnet-build -out segments/recipes [-dataset recipes] [-recipes 2000] [-seed 1]
 //	magnet-build -out segments/mail -dataset inbox
 //	magnet-build -out segments/custom -file data.nt
-//	magnet-build -out shards/recipes -shards 4
 //	magnet-build -verify segments/recipes
-//
-// With -shards N the output is a shard layout: N complete per-shard segment
-// directories (shard-000 … shard-NNN) sharing the full index columns with
-// the item universe partitioned by ids.Shard — the distribution unit for
-// scatter-gather serving, reassembled by core.OpenSegmentShards.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"time"
 
 	"magnet/internal/core"
@@ -40,7 +33,6 @@ func main() {
 	nRecipes := flag.Int("recipes", 2000, "recipe corpus size")
 	seed := flag.Int64("seed", 1, "recipe corpus seed")
 	out := flag.String("out", "", "output segment directory (required unless -verify)")
-	shards := flag.Int("shards", 0, "write an N-way shard layout instead of a single segment set")
 	verify := flag.String("verify", "", "verify an existing segment directory and exit")
 	flag.Parse()
 
@@ -57,13 +49,13 @@ func main() {
 		os.Exit(2)
 	}
 
-	if err := build(*dataset, *file, *nRecipes, *seed, *out, *shards); err != nil {
+	if err := build(*dataset, *file, *nRecipes, *seed, *out); err != nil {
 		fmt.Fprintf(os.Stderr, "magnet-build: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func build(dataset, file string, nRecipes int, seed int64, out string, shards int) error {
+func build(dataset, file string, nRecipes int, seed int64, out string) error {
 	spec := dataload.Spec{Dataset: dataset, File: file, Recipes: nRecipes, Seed: seed}
 	start := time.Now()
 	g, allSubjects, err := dataload.Load(spec)
@@ -76,10 +68,6 @@ func build(dataset, file string, nRecipes int, seed int64, out string, shards in
 	m := core.Open(g, core.Options{IndexAllSubjects: allSubjects})
 	defer m.Close()
 	indexDur := time.Since(start)
-
-	if shards > 0 {
-		return buildShards(m, spec, out, shards, loadDur, indexDur)
-	}
 
 	start = time.Now()
 	man, err := m.WriteSegments(out, spec.Name(), spec.Params())
@@ -102,37 +90,6 @@ func build(dataset, file string, nRecipes int, seed int64, out string, shards in
 	}
 	fmt.Printf("%s: dataset=%s items=%d triples=%d bytes=%d files=%d\n",
 		out, man.Dataset, man.Items, man.Triples, total, len(man.Files))
-	fmt.Printf("  load=%s index=%s write=%s verify=%s\n", loadDur, indexDur, writeDur, verifyDur)
-	return nil
-}
-
-// buildShards writes and verifies an n-way shard layout. Each shard
-// directory is a complete segment set, so the same checksum verification
-// runs per shard.
-func buildShards(m *core.Magnet, spec dataload.Spec, out string, n int, loadDur, indexDur time.Duration) error {
-	start := time.Now()
-	mans, err := m.WriteSegmentShards(out, spec.Name(), spec.Params(), n)
-	if err != nil {
-		return fmt.Errorf("write shards: %w", err)
-	}
-	writeDur := time.Since(start)
-
-	start = time.Now()
-	items := 0
-	var total int64
-	for i, man := range mans {
-		if err := verifyDir(filepath.Join(out, fmt.Sprintf("shard-%03d", i))); err != nil {
-			return fmt.Errorf("post-write verify shard %d: %w", i, err)
-		}
-		items += man.Items
-		for _, f := range man.Files {
-			total += f.Bytes
-		}
-	}
-	verifyDur := time.Since(start)
-
-	fmt.Printf("%s: dataset=%s shards=%d items=%d triples=%d bytes=%d\n",
-		out, mans[0].Dataset, n, items, mans[0].Triples, total)
 	fmt.Printf("  load=%s index=%s write=%s verify=%s\n", loadDur, indexDur, writeDur, verifyDur)
 	return nil
 }

@@ -271,87 +271,6 @@ func TestBaselineConfigurationLacksSimilarity(t *testing.T) {
 	}
 }
 
-func TestReindexAfterMutation(t *testing.T) {
-	g := recipes.Build(recipes.Config{Recipes: 100, Seed: 1})
-	m := core.Open(g, core.Options{})
-	before := len(m.Items())
-	it := rdf.IRI(recipes.NS + "recipe/extra")
-	g.Add(it, rdf.Type, recipes.ClassRecipe)
-	g.Add(it, recipes.PropTitle, rdf.NewString("Extra Unobtainium Pie"))
-	m.Reindex()
-	if len(m.Items()) != before+1 {
-		t.Errorf("items after reindex = %d, want %d", len(m.Items()), before+1)
-	}
-	s := m.NewSession()
-	s.Search("unobtainium")
-	if len(s.Items()) != 1 || s.Items()[0] != it {
-		t.Errorf("new item not searchable: %v", s.Items())
-	}
-}
-
-func TestIncrementalIndexItem(t *testing.T) {
-	g := recipes.Build(recipes.Config{Recipes: 150, Seed: 1})
-	m := core.Open(g, core.Options{})
-	before := len(m.Items())
-
-	// A new recipe arrives.
-	it := rdf.IRI(recipes.NS + "recipe/incremental")
-	g.Add(it, rdf.Type, recipes.ClassRecipe)
-	g.Add(it, recipes.PropTitle, rdf.NewString("Incremental Kumquat Tart"))
-	g.Add(it, recipes.PropCuisine, recipes.Cuisine("Greek"))
-	m.IndexItem(it)
-
-	if len(m.Items()) != before+1 {
-		t.Fatalf("items = %d, want %d", len(m.Items()), before+1)
-	}
-	s := m.NewSession()
-	s.Search("kumquat")
-	if len(s.Items()) != 1 || s.Items()[0] != it {
-		t.Fatalf("new item not searchable: %v", s.Items())
-	}
-	// Vector exists and similarity works against the existing corpus.
-	if len(m.Model().Vector(it)) == 0 {
-		t.Error("new item has no vector")
-	}
-	if sims := m.Model().SimilarToItem(it, 5); len(sims) == 0 {
-		t.Error("new item has no neighbours despite shared cuisine")
-	}
-
-	// Update in place: title change is re-indexed, old tokens gone.
-	g.Remove(it, recipes.PropTitle, rdf.NewString("Incremental Kumquat Tart"))
-	g.Add(it, recipes.PropTitle, rdf.NewString("Renamed Quandong Tart"))
-	m.IndexItem(it)
-	s.Search("kumquat")
-	if len(s.Items()) != 0 {
-		t.Error("old tokens survived reindex")
-	}
-	s.Search("quandong")
-	if len(s.Items()) != 1 {
-		t.Error("new tokens missing after reindex")
-	}
-
-	// Removal takes it out of everything.
-	m.RemoveItem(it)
-	if len(m.Items()) != before {
-		t.Errorf("items after remove = %d", len(m.Items()))
-	}
-	s.Search("quandong")
-	if len(s.Items()) != 0 {
-		t.Error("removed item still searchable")
-	}
-	// Removing an absent item is a no-op.
-	m.RemoveItem(it)
-	if len(m.Items()) != before {
-		t.Error("double remove changed the index")
-	}
-	// IndexItem on an existing item must not duplicate.
-	existing := m.Items()[0]
-	m.IndexItem(existing)
-	if len(m.Items()) != before {
-		t.Error("reindexing an existing item duplicated it")
-	}
-}
-
 func TestIndexAllSubjectsOption(t *testing.T) {
 	g := rdf.NewGraph()
 	// Schemaless import: no rdf:type anywhere (the 50-states CSV case).

@@ -3,11 +3,15 @@
 // model, the query engine, and the analyst/advisor machinery, and exposes
 // the session abstraction applications drive. This is the public face of
 // the reproduction; examples and the CLI build exclusively on it.
+//
+// An instance indexes its repository once, in Open or OpenSegments, and
+// then serves that one item universe unchanged: there is no incremental
+// indexing after open. To serve new data, rebuild (magnet-build) and
+// reopen.
 package core
 
 import (
 	"context"
-	"sort"
 	"sync"
 	"time"
 
@@ -69,23 +73,16 @@ type Options struct {
 	// results would have been returned otherwise").
 	SoftEmptyResults bool
 	// Parallelism sizes the instance's shared worker pool: analyst waves,
-	// facet sharding, similarity scans and batch indexing all fan out on
+	// facet summarizing, similarity scans and batch indexing all fan out on
 	// this one pool, so concurrent sessions (magnet-server) compose with
 	// per-request parallelism instead of oversubscribing. 0 means
 	// runtime.GOMAXPROCS(0); 1 runs the whole pipeline serially.
 	Parallelism int
-	// Shards enables scatter-gather serving: the dense-ID space is
-	// partitioned into this many shards by ids.Shard, and every session
-	// step's query evaluation, facet summarization and advisor member
-	// counting scatter one task per shard on the pool before an exact
-	// merge. Output is byte-identical to unsharded serving at any shard
-	// count (shard_equiv_test.go); 0 or 1 serves unsharded.
-	Shards int
-	// PlanCache sizes the per-shard navigation-delta cache behind the
-	// cost-based query planner (internal/plan): cached result sets keyed
-	// by the canonical query key, invalidated whenever the graph or the
-	// item universe changes. 0 means plan.DefaultCacheSize entries per
-	// shard; a negative value disables planning and caching entirely,
+	// PlanCache sizes the navigation-delta cache behind the cost-based
+	// query planner (internal/plan): cached result sets keyed by the
+	// canonical query key, invalidated whenever the graph changes. 0 means
+	// plan.DefaultCacheSize entries; a negative value disables planning and
+	// caching entirely,
 	// restoring the naive evaluation path (output is byte-identical
 	// either way — the planner only changes evaluation order and reuse).
 	PlanCache int
@@ -106,27 +103,17 @@ type Magnet struct {
 	// pool is the instance's one concurrency budget (Options.Parallelism),
 	// shared by every session.
 	pool *par.Pool
-	// sharding is the scatter-gather layout (Options.Shards > 1): the item
-	// universe partitioned per shard. Rebuilt whenever itemIDs changes and
-	// read by every session step; nil serves unsharded.
-	sharding *query.Sharding
 	// planner is the cost-based conjunction planner and navigation-delta
 	// cache every session step's query evaluation routes through; nil
 	// when Options.PlanCache is negative (the naive path).
 	planner *plan.Planner
 
 	// set is the backing segment set when the instance was opened with
-	// OpenSegments; nil for in-memory instances. readOnly guards the
-	// mutation paths (Reindex, IndexItem, RemoveItem), and itemsOnce defers
+	// OpenSegments; nil for in-memory instances. itemsOnce defers
 	// materializing the []rdf.IRI item slice — the segment open path must
 	// stay O(1) in the corpus, so items rehydrate on first use.
 	set       *segment.Set
-	readOnly  bool
 	itemsOnce sync.Once
-	// shardSets holds the remaining per-shard segment sets when the
-	// instance was opened with OpenSegmentShards (set holds shard 0, whose
-	// columns back the indexes); Close unmaps them all.
-	shardSets []*segment.Set
 }
 
 // Open builds a Magnet over the graph: it chooses the item universe,
@@ -149,84 +136,33 @@ func OpenContext(ctx context.Context, g *rdf.Graph, opts Options) *Magnet {
 		opts: opts,
 		pool: par.New(opts.Parallelism),
 	}
-	m.reindexContext(ctx)
+	m.buildIndexes(ctx)
 	component(ctx, "startup.engine", startupEngineNS, m.buildEngine)
 	sp.End()
 	startupLoadNS.Set(time.Since(start).Nanoseconds())
 	return m
 }
 
-// buildEngine (re)creates the query engine over the current indexes, plus
-// the planner and its delta caches (fresh caches: a rebuilt engine means
-// rebuilt indexes, so nothing cached remains valid).
+// buildEngine creates the query engine over the indexes, installs the
+// item universe on the dense-ID plane, and builds the planner.
 func (m *Magnet) buildEngine() {
 	m.eng = query.NewEngine(m.g, m.sch, m.text, m.itemsSlice)
-	m.reshard()
-	shards := 1
-	if m.sharding != nil {
-		shards = m.sharding.N
-	}
-	m.planner = plan.New(shards, m.opts.PlanCache)
-}
-
-// reshard rebuilds the scatter-gather layout from the current item
-// universe and re-installs the engine's universe source. Called wherever
-// itemIDs changes (open, reindex, incremental index/remove); the
-// re-installation bumps the engine's universe epoch, which is what
-// invalidates the planner's delta caches on universe changes that leave
-// the graph untouched (RemoveItem, text-only reindexing).
-func (m *Magnet) reshard() {
 	m.eng.SetUniverseIDs(func() itemset.Set { return m.itemIDs })
-	if m.opts.Shards > 1 {
-		m.sharding = query.BuildSharding(m.opts.Shards, m.itemIDs)
-	} else {
-		m.sharding = nil
-	}
+	m.planner = plan.New(m.opts.PlanCache)
 }
 
-// evalQuery evaluates q through the instance's configured serving path:
-// scatter-gather over the shard layout when Options.Shards > 1, the plain
-// instrumented evaluation otherwise, each routed through the planner when
-// enabled. The second return is the result's per-shard partition (nil
-// when unsharded) for downstream stages to reuse.
-func (m *Magnet) evalQuery(ctx context.Context, q query.Query) (query.Set, []itemset.Set) {
-	if sh := m.sharding; sh != nil {
-		if m.planner != nil {
-			return m.planner.EvalShardedParts(ctx, m.eng, q, sh, m.pool)
-		}
-		return m.eng.EvalShardedParts(ctx, q, sh, m.pool)
-	}
+// evalQuery evaluates q through the planner when enabled, the plain
+// instrumented evaluation otherwise.
+func (m *Magnet) evalQuery(ctx context.Context, q query.Query) query.Set {
 	if m.planner != nil {
-		return m.planner.EvalContext(ctx, m.eng, q), nil
+		return m.planner.EvalContext(ctx, m.eng, q)
 	}
-	return m.eng.EvalContext(ctx, q), nil
+	return m.eng.EvalContext(ctx, q)
 }
 
-// Reindex recomputes the item universe, the text index and all vectors;
-// call after bulk-mutating the graph. Reindex replaces the text index and
-// query engine, so sessions created *before* the call keep consulting the
-// old ones inside their analysts — create sessions after reindexing. For
-// incremental updates that keep live sessions current, use IndexItem and
-// RemoveItem instead. Panics on a segment-backed (read-only) instance.
-func (m *Magnet) Reindex() {
-	m.mutable()
-	m.reindexContext(context.Background())
-	if m.eng != nil {
-		// The engine closes over the instance; only the text index pointer
-		// needs refreshing.
-		m.buildEngine()
-	}
-}
-
-// mutable panics when the instance is segment-backed: its indexes are
-// read-only views into mapped files and cannot absorb mutations.
-func (m *Magnet) mutable() {
-	if m.readOnly {
-		panic("core: mutation of read-only segment-backed Magnet (rebuild segments with magnet-build instead)")
-	}
-}
-
-func (m *Magnet) reindexContext(ctx context.Context) {
+// buildIndexes chooses the item universe and builds the text index and all
+// vectors from the graph.
+func (m *Magnet) buildIndexes(ctx context.Context) {
 	component(ctx, "startup.items", startupItemsNS, func() {
 		m.items = m.chooseItems()
 	})
@@ -252,55 +188,6 @@ func (m *Magnet) reindexContext(ctx context.Context) {
 		m.model.SetPool(m.pool)
 		m.model.IndexAll(m.items)
 	})
-}
-
-// IndexItem incrementally indexes (or reindexes) a single item without the
-// full Reindex sweep — the paper's "indexing the data in advance (as it
-// arrives)" (§5.2). Text fields are rebuilt from the item's current literal
-// attributes and the vector is recomputed against existing corpus
-// statistics (numeric values beyond the previously observed ranges clamp
-// until the next full Reindex).
-func (m *Magnet) IndexItem(item rdf.IRI) {
-	m.mutable()
-	m.text.Remove(string(item))
-	for _, p := range m.g.PredicatesOf(item) {
-		if m.sch.Hidden(p) {
-			continue
-		}
-		for _, o := range m.g.Objects(item, p) {
-			lit, ok := o.(rdf.Literal)
-			if !ok || (lit.Datatype != "" && lit.Datatype != rdf.XSDString) {
-				continue
-			}
-			m.text.Index(string(item), string(p), lit.Lexical)
-		}
-	}
-	m.model.IndexItem(item)
-	i := sort.Search(len(m.items), func(i int) bool { return m.items[i] >= item })
-	if i == len(m.items) || m.items[i] != item {
-		m.items = append(m.items, "")
-		copy(m.items[i+1:], m.items[i:])
-		m.items[i] = item
-		id := m.g.Interner().Intern(item)
-		m.itemIDs = m.itemIDs.Union(itemset.FromSorted([]uint32{id}))
-		m.reshard()
-	}
-}
-
-// RemoveItem removes an item from every index (the graph's triples are the
-// caller's to remove).
-func (m *Magnet) RemoveItem(item rdf.IRI) {
-	m.mutable()
-	m.text.Remove(string(item))
-	m.model.RemoveItem(item)
-	i := sort.Search(len(m.items), func(i int) bool { return m.items[i] >= item })
-	if i < len(m.items) && m.items[i] == item {
-		m.items = append(m.items[:i], m.items[i+1:]...)
-		if id, ok := m.g.SubjectID(item); ok {
-			m.itemIDs = m.itemIDs.Minus(itemset.FromSorted([]uint32{id}))
-			m.reshard()
-		}
-	}
 }
 
 // chooseItems selects the indexed information objects: subjects with an
@@ -329,15 +216,6 @@ func (m *Magnet) chooseItems() []rdf.IRI {
 // Pool returns the instance's shared worker pool.
 func (m *Magnet) Pool() *par.Pool { return m.pool }
 
-// Shards returns the scatter-gather shard count the instance serves with
-// (0 when unsharded).
-func (m *Magnet) Shards() int {
-	if m.sharding == nil {
-		return 0
-	}
-	return m.sharding.N
-}
-
 // Close releases the instance's worker pool and, for segment-backed
 // instances, unmaps the segment files. Sessions keep working after Close —
 // every parallel seam degrades to its serial path — but segment-backed
@@ -346,9 +224,6 @@ func (m *Magnet) Close() {
 	m.pool.Close()
 	if m.set != nil {
 		_ = m.set.Close()
-	}
-	for _, s := range m.shardSets {
-		_ = s.Close()
 	}
 }
 

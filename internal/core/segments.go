@@ -13,12 +13,8 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"path/filepath"
 	"sort"
 	"time"
-
-	"magnet/internal/ids"
 
 	"magnet/internal/index"
 	"magnet/internal/itemset"
@@ -49,28 +45,11 @@ func OpenSegmentsContext(ctx context.Context, dir string, opts Options) (*Magnet
 	if err != nil {
 		return nil, err
 	}
-	m, err := openFromSet(ctx, set, opts, itemset.FromSorted(set.Data.Items))
-	if err != nil {
-		return nil, err
-	}
-	sp.End()
-	startupLoadNS.Set(time.Since(start).Nanoseconds())
-	return m, nil
-}
-
-// openFromSet assembles a read-only Magnet from an opened segment set with
-// the given item universe (the set's own Items for a whole-corpus open;
-// the merged partition for a shard-layout open). Takes ownership of set:
-// on error it is closed.
-func openFromSet(ctx context.Context, set *segment.Set, opts Options, items itemset.Set) (*Magnet, error) {
 	opts.IndexAllSubjects = set.Data.IndexAllSubjects
-
-	var err error
 	m := &Magnet{
-		opts:     opts,
-		pool:     par.New(opts.Parallelism),
-		set:      set,
-		readOnly: true,
+		opts: opts,
+		pool: par.New(opts.Parallelism),
+		set:  set,
 	}
 	fail := func(err error) (*Magnet, error) {
 		_ = set.Close()
@@ -107,92 +86,9 @@ func openFromSet(ctx context.Context, set *segment.Set, opts Options, items item
 		return fail(err)
 	}
 	component(ctx, "startup.items", startupItemsNS, func() {
-		m.itemIDs = items
+		m.itemIDs = itemset.FromSorted(set.Data.Items)
 	})
 	component(ctx, "startup.engine", startupEngineNS, m.buildEngine)
-	return m, nil
-}
-
-// shardDirName names shard s's directory inside a shard-layout root.
-func shardDirName(s int) string { return fmt.Sprintf("shard-%03d", s) }
-
-// OpenSegmentShards opens a shard-layout directory — one per-shard segment
-// set per subdirectory, as written by WriteSegmentShards — as a single
-// read-only Magnet serving in scatter-gather mode (Options.Shards is
-// forced to the on-disk shard count). Every shard carries the full graph,
-// text and vector columns (the dense ID space must agree across shards);
-// only the item universe is partitioned, and the open validates that the
-// partition matches ids.Shard exactly before merging it.
-func OpenSegmentShards(dir string, opts Options) (*Magnet, error) {
-	return OpenSegmentShardsContext(context.Background(), dir, opts)
-}
-
-// OpenSegmentShardsContext is OpenSegmentShards with startup tracing.
-func OpenSegmentShardsContext(ctx context.Context, dir string, opts Options) (*Magnet, error) {
-	start := time.Now()
-	ctx, sp := obs.StartSpan(ctx, "startup.load")
-	first, err := segment.OpenDir(filepath.Join(dir, shardDirName(0)))
-	if err != nil {
-		return nil, fmt.Errorf("core: open shard layout %s: %w", dir, err)
-	}
-	n := first.Data.Shards
-	if n < 1 {
-		_ = first.Close()
-		return nil, fmt.Errorf("core: %s is not a shard layout (manifest has no shard count)", dir)
-	}
-	sets := make([]*segment.Set, 0, n)
-	sets = append(sets, first)
-	closeAll := func() {
-		for _, s := range sets {
-			_ = s.Close()
-		}
-	}
-	for i := 1; i < n; i++ {
-		s, err := segment.OpenDir(filepath.Join(dir, shardDirName(i)))
-		if err != nil {
-			closeAll()
-			return nil, err
-		}
-		sets = append(sets, s)
-	}
-	parts := make([]itemset.Set, n)
-	for i, s := range sets {
-		d := s.Data
-		if d.Shard != i || d.Shards != n {
-			closeAll()
-			return nil, fmt.Errorf("core: %s claims shard %d of %d, want %d of %d",
-				s.Dir, d.Shard, d.Shards, i, n)
-		}
-		if d.Dataset != first.Data.Dataset || d.IndexAllSubjects != first.Data.IndexAllSubjects ||
-			d.Graph.Triples != first.Data.Graph.Triples {
-			closeAll()
-			return nil, fmt.Errorf("core: %s disagrees with shard 0 about the corpus", s.Dir)
-		}
-		parts[i] = itemset.FromSorted(d.Items)
-		bad := uint32(0)
-		ok := true
-		parts[i].ForEach(func(id uint32) bool {
-			if ids.Shard(id, n) != i {
-				bad, ok = id, false
-			}
-			return ok
-		})
-		if !ok {
-			closeAll()
-			return nil, fmt.Errorf("core: %s holds item %d, which ids.Shard assigns to shard %d",
-				s.Dir, bad, ids.Shard(bad, n))
-		}
-	}
-	opts.Shards = n
-	m, err := openFromSet(ctx, first, opts, itemset.MergeDisjoint(parts))
-	if err != nil {
-		// openFromSet closed first; release the rest.
-		for _, s := range sets[1:] {
-			_ = s.Close()
-		}
-		return nil, err
-	}
-	m.shardSets = sets[1:]
 	sp.End()
 	startupLoadNS.Set(time.Since(start).Nanoseconds())
 	return m, nil
@@ -207,19 +103,13 @@ func (m *Magnet) Segments() *segment.Set { return m.set }
 // expected. Works on any instance, including one that was itself opened
 // from segments (a copy).
 func (m *Magnet) WriteSegments(dir, dataset string, params map[string]int64) (segment.Manifest, error) {
-	return segment.BuildDir(dir, m.segmentData(dataset, params))
-}
-
-// segmentData assembles the instance's indexes as segment columns with the
-// full item universe; shard builds override Items per directory.
-func (m *Magnet) segmentData(dataset string, params map[string]int64) segment.Data {
 	ranges := m.model.Ranges()
 	nr := make([]segment.NumericRange, 0, len(ranges))
 	for k, r := range ranges {
 		nr = append(nr, segment.NumericRange{Key: k, Min: r.Min, Max: r.Max, Count: r.Count})
 	}
 	sort.Slice(nr, func(i, j int) bool { return nr[i].Key < nr[j].Key })
-	return segment.Data{
+	return segment.BuildDir(dir, segment.Data{
 		Dataset:          dataset,
 		Params:           params,
 		IndexAllSubjects: m.opts.IndexAllSubjects,
@@ -228,33 +118,5 @@ func (m *Magnet) segmentData(dataset string, params map[string]int64) segment.Da
 		Text:             m.text.Columns(),
 		Vectors:          m.model.Store().Columns(),
 		Ranges:           nr,
-	}
-}
-
-// WriteSegmentShards compiles the instance into an n-way shard layout
-// under dir: one segment directory per shard (shard-000 … shard-NNN),
-// each carrying the full graph/text/vector columns — so every shard
-// agrees on the dense ID space — with the item universe restricted to the
-// shard's ids.Shard partition. The layout is the distribution unit for
-// scatter-gather serving: a shard directory is a complete, independently
-// verifiable segment set, and OpenSegmentShards reassembles the universe
-// exactly.
-func (m *Magnet) WriteSegmentShards(dir, dataset string, params map[string]int64, n int) ([]segment.Manifest, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("core: shard count %d must be >= 1", n)
-	}
-	data := m.segmentData(dataset, params)
-	parts := m.itemIDs.Partition(n, func(id uint32) int { return ids.Shard(id, n) })
-	manifests := make([]segment.Manifest, 0, n)
-	for i, part := range parts {
-		d := data
-		d.Items = part.Slice()
-		d.Shard, d.Shards = i, n
-		man, err := segment.BuildDir(filepath.Join(dir, shardDirName(i)), d)
-		if err != nil {
-			return nil, fmt.Errorf("core: build shard %d of %d: %w", i, n, err)
-		}
-		manifests = append(manifests, man)
-	}
-	return manifests, nil
+	})
 }

@@ -82,7 +82,7 @@ type Options struct {
 	// IncludeUnshared keeps facets where every value is distinct (normally
 	// useless for refinement and skipped).
 	IncludeUnshared bool
-	// Pool shards per-property aggregation across workers; nil aggregates
+	// Pool spreads per-property aggregation across workers; nil aggregates
 	// serially. Output is identical either way: properties are
 	// index-addressed into per-predicate slots, so the facet table never
 	// depends on schedule.
@@ -109,18 +109,8 @@ func summarize(ctx context.Context, g *rdf.Graph, sch *schema.Store, items []rdf
 			collIDs = append(collIDs, id)
 		}
 	}
-	facets := summarizeSet(ctx, g, sch, itemset.FromUnsorted(collIDs), opts)
-	summarizeCount.Inc()
-	summarizeNS.ObserveSince(start)
-	summarizeFacets.Observe(int64(len(facets)))
-	return facets
-}
+	coll := itemset.FromUnsorted(collIDs)
 
-// summarizeSet is the dense-ID core of Summarize: aggregation over an
-// already-interned collection. The sharded path calls it once per shard
-// (with raw options) and once here for the whole collection; it records no
-// metrics so entry points stay comparable.
-func summarizeSet(ctx context.Context, g *rdf.Graph, sch *schema.Store, coll itemset.Set, opts Options) []Facet {
 	// Every intersection result is a subset of coll, so coll's max ID bounds
 	// each worker's epoch-stamp array.
 	var maxID uint32
@@ -128,7 +118,7 @@ func summarizeSet(ctx context.Context, g *rdf.Graph, sch *schema.Store, coll ite
 		maxID, _ = coll.Select(n - 1)
 	}
 
-	// Shard per-predicate aggregation across the pool. Predicates() is
+	// Spread per-predicate aggregation across the pool. Predicates() is
 	// sorted, results are index-addressed per predicate, and each chunk
 	// carries its own scratch (stamp array + intersection buffer), so the
 	// collected table is identical to a serial pass. With a nil/serial
@@ -157,15 +147,17 @@ func summarizeSet(ctx context.Context, g *rdf.Graph, sch *schema.Store, coll ite
 		}
 	}
 	sortFacets(facets)
+	summarizeCount.Inc()
+	summarizeNS.ObserveSince(start)
+	summarizeFacets.Observe(int64(len(facets)))
 	return facets
 }
 
-// sortFacets applies the display order shared by the unsharded and
-// shard-merged paths: preferred (annotated) facets first, then by
-// descending Score, ties alphabetical. Callers must present facets in
-// property order (Predicates() is sorted; MergeShards re-sorts by Prop) so
-// equal-key elements enter the unstable sort in the same sequence on both
-// paths and the output stays byte-identical.
+// sortFacets applies the display order: preferred (annotated) facets
+// first, then by descending Score, ties alphabetical. Callers must present
+// facets in property order (Predicates() is sorted) so equal-key elements
+// always enter the unstable sort in the same sequence and the output stays
+// byte-identical.
 func sortFacets(facets []Facet) {
 	sort.Slice(facets, func(i, j int) bool {
 		if facets[i].Preferred != facets[j].Preferred {

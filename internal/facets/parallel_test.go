@@ -68,7 +68,7 @@ func TestSummarizeSerialParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestSummarizeParallelSmallCollections checks the sharded path on the
+// TestSummarizeParallelSmallCollections checks the pooled path on the
 // degenerate shapes: empty collection, single item, items absent from the
 // graph.
 func TestSummarizeParallelSmallCollections(t *testing.T) {

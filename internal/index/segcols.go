@@ -527,9 +527,7 @@ func (v *VectorStore) Columns() VectorColumns {
 	c.Terms = v.terms.Columns()
 	c.DocStart = append(c.DocStart, 0)
 	for dn, ts := range v.docTerms {
-		if ts != nil {
-			c.LiveDNS = append(c.LiveDNS, uint32(dn))
-		}
+		c.LiveDNS = append(c.LiveDNS, uint32(dn))
 		c.DocTerm = append(c.DocTerm, ts...)
 		c.DocFreq = append(c.DocFreq, v.docFreqs[dn]...)
 		c.DocStart = append(c.DocStart, uint32(len(c.DocTerm)))

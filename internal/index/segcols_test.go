@@ -5,8 +5,7 @@ import (
 	"testing"
 )
 
-// segTestIndex indexes a handful of docs across two fields, with a removal
-// so a dead docnum row must survive serialization.
+// segTestIndex indexes a handful of docs across two fields.
 func segTestIndex(t *testing.T) *TextIndex {
 	t.Helper()
 	ix := NewTextIndex(nil)
@@ -16,10 +15,6 @@ func segTestIndex(t *testing.T) *TextIndex {
 	ix.Index("d2", "body", "tomato basil parsley")
 	ix.Index("d3", "title", "Walnut cake")
 	ix.Index("d3", "body", "walnuts sugar butter")
-	ix.Index("gone", "title", "doomed document")
-	if !ix.Remove("gone") {
-		t.Fatal("Remove(gone) = false")
-	}
 	return ix
 }
 
@@ -65,7 +60,7 @@ func TestTextColumnsRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	for _, doc := range []string{"d1", "d2", "d3", "gone", "never"} {
+	for _, doc := range []string{"d1", "d2", "d3", "never"} {
 		gf, wf := r.Fields(doc), ix.Fields(doc)
 		if len(gf) != len(wf) {
 			t.Errorf("Fields(%q) = %v, want %v", doc, gf, wf)
@@ -102,8 +97,8 @@ func TestTextColumnsReadOnly(t *testing.T) {
 	r.Index("d9", "title", "new doc")
 }
 
-// segTestVectors builds a store with overlapping docs, a removal, and a
-// pinned numeric prefix.
+// segTestVectors builds a store with overlapping docs and a pinned numeric
+// prefix.
 func segTestVectors(t *testing.T) *VectorStore {
 	t.Helper()
 	v := NewVectorStore()
@@ -111,10 +106,6 @@ func segTestVectors(t *testing.T) *VectorStore {
 	v.Add("d1", map[string]float64{"parsley": 2, "feta": 1, "olive": 3})
 	v.Add("d2", map[string]float64{"parsley": 1, "basil": 2, "tomato": 2})
 	v.Add("d3", map[string]float64{"walnut": 4, "sugar": 1})
-	v.Add("gone", map[string]float64{"doom": 1})
-	if !v.Remove("gone") {
-		t.Fatal("Remove(gone) = false")
-	}
 	// A doc carrying a pinned coordinate term: its stored frequency is the
 	// final weight and must survive serialization via the pinned bitset.
 	v.Add("d4", map[string]float64{"num|servings=4": 0.5, "parsley": 1})
@@ -148,7 +139,7 @@ func TestVectorColumnsRoundTrip(t *testing.T) {
 			t.Errorf("IDF(%q) = %g, want %g", term, got, want)
 		}
 	}
-	for _, doc := range []string{"d1", "d2", "d3", "d4", "gone", "never"} {
+	for _, doc := range []string{"d1", "d2", "d3", "d4", "never"} {
 		if got, want := r.Has(doc), v.Has(doc); got != want {
 			t.Errorf("Has(%q) = %v, want %v", doc, got, want)
 		}

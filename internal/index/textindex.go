@@ -59,16 +59,6 @@ func (p *posting) add(dn uint32, c int) {
 	p.tfs[i] = c
 }
 
-// remove deletes docnum dn, reporting whether the posting is now empty.
-func (p *posting) remove(dn uint32) bool {
-	i := searchPost(p.dns, dn)
-	if i < len(p.dns) && p.dns[i] == dn {
-		p.dns = append(p.dns[:i], p.dns[i+1:]...)
-		p.tfs = append(p.tfs[:i], p.tfs[i+1:]...)
-	}
-	return len(p.dns) == 0
-}
-
 //magnet:hot
 func searchPost(dns []uint32, dn uint32) int {
 	lo, hi := 0, len(dns)
@@ -99,7 +89,7 @@ type TextIndex struct {
 
 	// postings: term → field → posting list.
 	postings map[string]map[string]*posting
-	// docTerms: docID → field → term → tf (for existence and removal).
+	// docTerms: docID → field → term → tf (for existence and Columns).
 	docTerms map[string]map[string]map[string]int
 	// df: term → sorted docnums containing it in any field.
 	df map[string][]uint32
@@ -214,39 +204,6 @@ func insertDF(dns []uint32, dn uint32) []uint32 {
 	copy(dns[i+1:], dns[i:])
 	dns[i] = dn
 	return dns
-}
-
-// Remove deletes every field of docID from the index.
-func (ix *TextIndex) Remove(docID string) bool {
-	ix.mutable()
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	fields, ok := ix.docTerms[docID]
-	if !ok {
-		return false
-	}
-	dn, _ := ix.docs.Lookup(docID)
-	for field, terms := range fields {
-		for t := range terms {
-			if p := ix.postings[t][field]; p != nil && p.remove(dn) {
-				delete(ix.postings[t], field)
-			}
-			if len(ix.postings[t]) == 0 {
-				delete(ix.postings, t)
-			}
-			if dns := ix.df[t]; dns != nil {
-				i := searchPost(dns, dn)
-				if i < len(dns) && dns[i] == dn {
-					ix.df[t] = append(dns[:i], dns[i+1:]...)
-				}
-				if len(ix.df[t]) == 0 {
-					delete(ix.df, t)
-				}
-			}
-		}
-	}
-	delete(ix.docTerms, docID)
-	return true
 }
 
 // Len returns the number of indexed documents.

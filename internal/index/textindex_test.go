@@ -94,22 +94,6 @@ func TestSearchPartialMatchRanked(t *testing.T) {
 	}
 }
 
-func TestTextIndexRemove(t *testing.T) {
-	ix := sampleTextIndex()
-	if !ix.Remove("r3") || ix.Remove("r3") {
-		t.Fatal("Remove semantics wrong")
-	}
-	if got := ix.Matching("walnut", AnyField); !reflect.DeepEqual(got, []string{"r2"}) {
-		t.Errorf("after remove = %v", got)
-	}
-	if ix.Len() != 2 {
-		t.Errorf("Len = %d", ix.Len())
-	}
-	if ix.DocFreq("walnut") != 1 {
-		t.Errorf("DocFreq = %d", ix.DocFreq("walnut"))
-	}
-}
-
 func TestFieldsAndTermCounts(t *testing.T) {
 	ix := sampleTextIndex()
 	if got := ix.Fields("r1"); !reflect.DeepEqual(got, []string{"body", "title"}) {

@@ -23,8 +23,8 @@ import (
 	"magnet/internal/par"
 )
 
-// Vector-store observability: hit/miss on the generation-counter row cache
-// (a miss means buildRowLocked actually rebuilt), counted once per row
+// Vector-store observability: hit/miss on the row cache (a miss means
+// buildRowLocked actually built), counted once per row
 // consulted but added once per call, plus similarity retrieval timing.
 var (
 	vectorCacheHit  = obs.NewCounter("index.vector.cache.hit")
@@ -75,13 +75,11 @@ func sortScored(s []Scored) {
 // followed by normalization of each document vector to length one, "to give
 // objects equal importance rather than giving more importance to items with
 // more metadata". Derived vectors are cached as rows (termnums ascending,
-// weights parallel) with generation-counter invalidation: a cached row is
-// rebuilt only when something it actually depends on changed — its own
-// frequencies, the document count, or the document frequency of one of its
-// terms — so replacing one document's vector no longer discards every other
-// document's cache. Similarity and centroid kernels work on rows and dense
-// termnum-indexed arrays and sum in ascending termnum order, so every
-// result is deterministic to the bit.
+// weights parallel). Add drops the row cache and the retrieval postings in
+// O(1); both regrow lazily on the next read, the same growth rule the
+// read-only segment view uses. Similarity and centroid kernels work on rows
+// and dense termnum-indexed arrays and sum in ascending termnum order, so
+// every result is deterministic to the bit.
 type VectorStore struct {
 	// PinnedPrefix, when non-empty, marks terms whose stored frequency is
 	// used directly as the (pre-normalization) weight, bypassing the
@@ -97,9 +95,8 @@ type VectorStore struct {
 	docs  *ids.Interner[string] // docID → dense docnum, append-only
 	terms *ids.Interner[string] // term → dense termnum, append-only
 
-	// Per-document state, indexed by docnum. docTerms is nil for absent
-	// documents (never stored, or removed); live documents keep sorted
-	// termnums with parallel raw frequencies.
+	// Per-document state, indexed by docnum: sorted termnums with parallel
+	// raw frequencies.
 	docTerms [][]uint32
 	docFreqs [][]float64
 	live     int // number of present documents
@@ -108,23 +105,13 @@ type VectorStore struct {
 	df     []int  // document frequency
 	pinned []bool // term carries PinnedPrefix
 
-	// Generation counters. gen bumps on every mutation; nGen records when
-	// the live document count last changed (idf depends on it globally);
-	// termGen[t] when df[t] last changed; docGen[d] when d's own
-	// frequencies last changed. A row cached at generation g is valid iff
-	// none of its dependencies moved past g.
-	gen     uint64
-	nGen    uint64
-	termGen []uint64
-	docGen  []uint64
+	// rows: docnum → normalized tf·idf row, nil until built. Add nils the
+	// whole column; ensureRowsLocked regrows it.
+	rows []*vecRow
 
-	rows   []*vecRow // docnum → normalized tf·idf row; nil until built
-	rowGen []uint64  // docnum → generation the row was built at
-
-	// post: termnum → sorted docnum posting list, rebuilt lazily for
-	// retrieval (SimilarTo) when stale.
-	post    [][]uint32
-	postGen uint64
+	// post: termnum → sorted docnum posting list for retrieval (SimilarTo),
+	// built on first use after the last Add.
+	post [][]uint32
 
 	// pool chunks similarity/centroid scans across workers; nil scans
 	// serially. Guarded by mu.
@@ -142,8 +129,9 @@ type VectorStore struct {
 }
 
 // vecRow is one document's normalized tf·idf vector: termnums ascending,
-// weights parallel. A row never changes once built — invalidation builds a
-// new one — so a row snapshotted under mu may be read after unlocking.
+// weights parallel. A row never changes once built — Add drops rows rather
+// than editing them — so a row snapshotted under mu may be read after
+// unlocking.
 type vecRow struct {
 	terms []uint32
 	w     []float64
@@ -152,9 +140,8 @@ type vecRow struct {
 // NewVectorStore returns an empty vector store.
 func NewVectorStore() *VectorStore {
 	return &VectorStore{
-		docs:    ids.NewInterner[string](),
-		terms:   ids.NewInterner[string](),
-		postGen: ^uint64(0), // force first postings build
+		docs:  ids.NewInterner[string](),
+		terms: ids.NewInterner[string](),
 	}
 }
 
@@ -174,25 +161,11 @@ func (v *VectorStore) getPool() *par.Pool {
 	return v.pool
 }
 
-// docnum interns docID and grows the per-document columns to cover it.
-func (v *VectorStore) docnum(docID string) uint32 {
-	dn := v.docs.Intern(docID)
-	for int(dn) >= len(v.docTerms) {
-		v.docTerms = append(v.docTerms, nil)
-		v.docFreqs = append(v.docFreqs, nil)
-		v.docGen = append(v.docGen, 0)
-		v.rows = append(v.rows, nil)
-		v.rowGen = append(v.rowGen, 0)
-	}
-	return dn
-}
-
 // termnum interns term and grows the per-term columns to cover it.
 func (v *VectorStore) termnum(term string) uint32 {
 	t := v.terms.Intern(term)
 	for int(t) >= len(v.df) {
 		v.df = append(v.df, 0)
-		v.termGen = append(v.termGen, 0)
 		v.pinned = append(v.pinned, pinnedFromPrefix(v.PinnedPrefix, v.terms.Key(uint32(len(v.pinned)))))
 	}
 	return t
@@ -205,80 +178,51 @@ func (v *VectorStore) mutable() {
 	}
 }
 
-// Add stores (or replaces) the raw term-frequency vector for docID.
-// Frequencies must be positive; non-positive entries are dropped.
+// Add stores the raw term-frequency vector for a new docID; adding an ID
+// the store already holds panics. Frequencies must be positive;
+// non-positive entries are dropped. Every row depends on the document
+// count through idf, so Add drops the row cache and the retrieval postings
+// in O(1); both regrow lazily on the next read.
 func (v *VectorStore) Add(docID string, freqs map[string]float64) {
 	v.mutable()
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	v.gen++
-	dn := v.docnum(docID)
+	if _, ok := v.docs.Lookup(docID); ok {
+		panic("index: vector store already holds document " + docID)
+	}
+	v.docs.Intern(docID)
 
-	newTerms := make([]uint32, 0, len(freqs))
+	terms := make([]uint32, 0, len(freqs))
+	var fresh []string
 	for term, f := range freqs {
 		if f <= 0 {
 			continue
 		}
-		newTerms = append(newTerms, v.termnum(term))
-	}
-	sort.Slice(newTerms, func(i, j int) bool { return newTerms[i] < newTerms[j] })
-	newFreqs := make([]float64, len(newTerms))
-	for i, t := range newTerms {
-		newFreqs[i] = freqs[v.terms.Key(t)]
-	}
-
-	// Document-frequency bookkeeping: merge the old and new sorted term
-	// lists; only terms entering or leaving the document move df (and so
-	// invalidate other documents containing them). Shared terms don't.
-	old := v.docTerms[dn]
-	i, j := 0, 0
-	for i < len(old) || j < len(newTerms) {
-		switch {
-		case j >= len(newTerms) || (i < len(old) && old[i] < newTerms[j]):
-			v.df[old[i]]--
-			v.termGen[old[i]] = v.gen
-			i++
-		case i >= len(old) || newTerms[j] < old[i]:
-			v.df[newTerms[j]]++
-			v.termGen[newTerms[j]] = v.gen
-			j++
-		default:
-			i++
-			j++
+		if t, ok := v.terms.Lookup(term); ok {
+			terms = append(terms, t)
+		} else {
+			fresh = append(fresh, term)
 		}
 	}
-
-	if old == nil {
-		v.live++
-		v.nGen = v.gen
+	// New terms intern in lexical order, so the numbering — and with it
+	// every kernel's summation order — depends only on the sequence of
+	// Adds, never on map iteration.
+	sort.Strings(fresh)
+	for _, term := range fresh {
+		terms = append(terms, v.termnum(term))
 	}
-	v.docTerms[dn] = newTerms
-	v.docFreqs[dn] = newFreqs
-	v.docGen[dn] = v.gen
-	v.rows[dn] = nil
-}
-
-// Remove deletes docID from the store, reporting whether it was present.
-func (v *VectorStore) Remove(docID string) bool {
-	v.mutable()
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	dn, ok := v.docs.Lookup(docID)
-	if !ok || v.docTerms[dn] == nil {
-		return false
+	for _, t := range terms {
+		v.df[t]++
 	}
-	v.gen++
-	for _, t := range v.docTerms[dn] {
-		v.df[t]--
-		v.termGen[t] = v.gen
+	sort.Slice(terms, func(i, j int) bool { return terms[i] < terms[j] })
+	fs := make([]float64, len(terms))
+	for i, t := range terms {
+		fs[i] = freqs[v.terms.Key(t)]
 	}
-	v.docTerms[dn] = nil
-	v.docFreqs[dn] = nil
-	v.docGen[dn] = v.gen
-	v.rows[dn] = nil
-	v.live--
-	v.nGen = v.gen
-	return true
+	v.docTerms = append(v.docTerms, terms)
+	v.docFreqs = append(v.docFreqs, fs)
+	v.live++
+	v.rows, v.post = nil, nil
 }
 
 // Len returns the number of documents stored.
@@ -293,13 +237,10 @@ func (v *VectorStore) Has(docID string) bool {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
 	dn, ok := v.docs.Lookup(docID)
-	if !ok {
-		return false
-	}
-	if v.seg != nil {
+	if ok && v.seg != nil {
 		return v.seg.liveAt(dn)
 	}
-	return v.docTerms[dn] != nil
+	return ok
 }
 
 // DocFreq returns the number of documents containing term.
@@ -356,46 +297,21 @@ func (v *VectorStore) idfLocked(t uint32) float64 {
 	return math.Log(float64(v.live) / float64(df))
 }
 
-// validLocked reports whether the row cached for dn is still correct:
-// nothing it depends on may have moved past its build generation.
-//
-//magnet:hot
-func (v *VectorStore) validLocked(dn uint32) bool {
-	g := v.rowGen[dn]
-	if g == v.gen {
-		return true
-	}
-	if v.docGen[dn] > g || v.nGen > g {
-		return false
-	}
-	for _, t := range v.docTerms[dn] {
-		if v.termGen[t] > g {
-			return false
-		}
-	}
-	return true
-}
-
-// cachedRowLocked returns dn's cached row when it is still valid, else nil.
-// Caller holds mu, read or write. On a segment view the row columns start
-// empty and grow on first build, hence the bounds check.
+// cachedRowLocked returns dn's cached row, or nil when it is not built.
+// Caller holds mu, read or write. The row column starts empty after Add
+// and on a segment view, hence the bounds check.
 func (v *VectorStore) cachedRowLocked(dn uint32) *vecRow {
 	if int(dn) >= len(v.rows) {
 		return nil
 	}
-	if r := v.rows[dn]; r != nil && v.validLocked(dn) {
-		return r
-	}
-	return nil
+	return v.rows[dn]
 }
 
-// ensureRowsLocked grows the row columns over the full document range. A
-// no-op on the mutable store (docnum grows them per Add); on a segment view
-// this is the one O(docs) allocation, paid on first use rather than at open.
+// ensureRowsLocked grows the row column over the full document range: the
+// one O(docs) allocation, paid on the first read after open or after Add.
 func (v *VectorStore) ensureRowsLocked() {
 	if n := v.docs.Len(); len(v.rows) < n {
 		v.rows = append(v.rows, make([]*vecRow, n-len(v.rows))...)
-		v.rowGen = append(v.rowGen, make([]uint64, n-len(v.rowGen))...)
 	}
 }
 
@@ -403,13 +319,11 @@ func (v *VectorStore) ensureRowsLocked() {
 // caching it on a miss, and reports whether the cache hit. Caller holds the
 // write lock and has called ensureRowsLocked.
 func (v *VectorStore) rowLocked(dn uint32) (*vecRow, bool) {
-	if r := v.rows[dn]; r != nil && v.validLocked(dn) {
-		v.rowGen[dn] = v.gen // refresh so the next check is O(1)
+	if r := v.rows[dn]; r != nil {
 		return r, true
 	}
 	r := v.buildRowLocked(dn)
 	v.rows[dn] = r
-	v.rowGen[dn] = v.gen
 	return r, false
 }
 
@@ -480,11 +394,7 @@ func (v *VectorStore) buildRowLocked(dn uint32) *vecRow {
 		}
 		ts, fs = v.seg.docRow(dn)
 	} else {
-		ts = v.docTerms[dn]
-		if ts == nil {
-			return nil
-		}
-		fs = v.docFreqs[dn]
+		ts, fs = v.docTerms[dn], v.docFreqs[dn]
 	}
 	r := &vecRow{terms: make([]uint32, 0, len(ts)), w: make([]float64, 0, len(ts))}
 	var norm float64
@@ -707,10 +617,10 @@ func (v *VectorStore) Centroid(ids []string) map[string]float64 {
 	return out
 }
 
-// postingsLocked returns the dense docnum posting lists, rebuilding them
-// when stale. Caller holds the write lock.
+// postingsLocked returns the dense docnum posting lists, building them on
+// the first call after Add. Caller holds the write lock.
 func (v *VectorStore) postingsLocked() [][]uint32 {
-	if v.postGen != v.gen {
+	if v.post == nil {
 		post := make([][]uint32, v.terms.Len())
 		for dn, ts := range v.docTerms {
 			for _, t := range ts {
@@ -718,15 +628,14 @@ func (v *VectorStore) postingsLocked() [][]uint32 {
 			}
 		}
 		v.post = post
-		v.postGen = v.gen
 	}
 	return v.post
 }
 
 // candidatesLocked snapshots the rows of every live document sharing one
 // of terms, in docnum order, skipping the docnums in exclude (may be nil).
-// Segment views read their precomputed posting column; the mutable store
-// rebuilds lazily when stale. Caller holds the write lock.
+// Segment views read their precomputed posting column; the in-memory store
+// builds its postings lazily. Caller holds the write lock.
 func (v *VectorStore) candidatesLocked(terms []uint32, exclude *itemset.Bits) ([]*vecRow, []uint32) {
 	var post [][]uint32
 	if v.seg == nil {
@@ -986,11 +895,9 @@ func (v *VectorStore) liveDocnumsLocked() []uint32 {
 	if v.seg != nil {
 		return v.seg.c.LiveDNS
 	}
-	live := make([]uint32, 0, v.live)
-	for dn, ts := range v.docTerms {
-		if ts != nil {
-			live = append(live, uint32(dn))
-		}
+	live := make([]uint32, v.live)
+	for dn := range live {
+		live[dn] = uint32(dn)
 	}
 	return live
 }

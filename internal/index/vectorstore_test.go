@@ -14,7 +14,7 @@ const eps = 1e-9
 
 func almostEqual(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
-func TestVectorStoreAddRemove(t *testing.T) {
+func TestVectorStoreAdd(t *testing.T) {
 	v := NewVectorStore()
 	v.Add("d1", map[string]float64{"a": 1, "b": 2})
 	v.Add("d2", map[string]float64{"b": 1, "c": 1})
@@ -24,23 +24,23 @@ func TestVectorStoreAddRemove(t *testing.T) {
 	if v.DocFreq("b") != 2 || v.DocFreq("a") != 1 || v.DocFreq("z") != 0 {
 		t.Errorf("DocFreq wrong: b=%d a=%d z=%d", v.DocFreq("b"), v.DocFreq("a"), v.DocFreq("z"))
 	}
-	if !v.Remove("d1") || v.Remove("d1") {
-		t.Error("Remove semantics wrong")
-	}
-	if v.DocFreq("a") != 0 || v.DocFreq("b") != 1 {
-		t.Errorf("DocFreq after remove: a=%d b=%d", v.DocFreq("a"), v.DocFreq("b"))
-	}
 }
 
-func TestVectorStoreAddReplaces(t *testing.T) {
+// The store is add-only: storing an ID a second time panics and leaves the
+// first vector in place.
+func TestVectorStoreAddTwicePanics(t *testing.T) {
 	v := NewVectorStore()
 	v.Add("d", map[string]float64{"a": 1})
-	v.Add("d", map[string]float64{"b": 1})
-	if v.DocFreq("a") != 0 {
-		t.Error("re-Add should replace, dropping old terms")
-	}
-	if v.Len() != 1 {
-		t.Errorf("Len = %d", v.Len())
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("second Add of the same ID did not panic")
+			}
+		}()
+		v.Add("d", map[string]float64{"b": 1})
+	}()
+	if v.Len() != 1 || v.DocFreq("a") != 1 || v.DocFreq("b") != 0 {
+		t.Errorf("after the rejected Add: Len=%d df(a)=%d df(b)=%d", v.Len(), v.DocFreq("a"), v.DocFreq("b"))
 	}
 }
 
@@ -229,7 +229,7 @@ func TestVectorStoreConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				id := fmt.Sprintf("d%d", (w*100+i)%30)
+				id := fmt.Sprintf("d%d", w*100+i)
 				v.Add(id, map[string]float64{fmt.Sprintf("t%d", i%7): 1, "common": 1})
 				v.Vector(id)
 				v.SimilarTo(map[string]float64{"common": 1}, 3, nil)
@@ -304,68 +304,78 @@ func TestQuickSimilarityBounds(t *testing.T) {
 	}
 }
 
-// TestGenerationCacheSurvivesReplacement pins the generation-counter
-// invalidation: replacing one document's frequencies (same term set) must
-// not discard other documents' cached rows, while genuinely affected rows
-// are rebuilt correctly.
-func TestGenerationCacheSurvivesReplacement(t *testing.T) {
-	v := NewVectorStore()
-	v.Add("d1", map[string]float64{"a": 1, "b": 2})
-	v.Add("d2", map[string]float64{"b": 1, "c": 3})
-	v.Add("d3", map[string]float64{"c": 2})
+// TestAddAfterQueryMatchesBatchBuild pins the row-cache rule: Add drops
+// the cached rows and postings, so querying, adding a document, and
+// querying again gives rows, SimilarTo, Centroid and IDF bit-identical to
+// a store built with every document up front.
+func TestAddAfterQueryMatchesBatchBuild(t *testing.T) {
+	docs := []struct {
+		id    string
+		freqs map[string]float64
+	}{
+		{"d1", map[string]float64{"a": 1, "b": 2, "num|x": 0.5}},
+		{"d2", map[string]float64{"b": 1, "c": 3}},
+		{"d3", map[string]float64{"c": 2, "d": 1}},
+		{"d4", map[string]float64{"a": 3, "c": 1, "e": 2, "num|x": 0.25}},
+	}
+	build := func(n int) *VectorStore {
+		v := NewVectorStore()
+		v.PinnedPrefix = "num|"
+		for _, d := range docs[:n] {
+			v.Add(d.id, d.freqs)
+		}
+		return v
+	}
+	query := map[string]float64{"a": 0.6, "c": 0.8}
+	ids := []string{"d1", "d2", "d3", "d4"}
 
-	d1 := v.row("d1")
-	d3 := v.row("d3")
+	grown := build(len(docs) - 1)
+	// Warm every cache the later reads consult: rows, postings, centroid.
+	for _, id := range ids {
+		grown.Weights(id)
+	}
+	grown.SimilarTo(query, 3, nil)
+	grown.Centroid(ids)
+	last := docs[len(docs)-1]
+	grown.Add(last.id, last.freqs)
 
-	// Replace d2 with the same term set but new frequencies: N unchanged,
-	// df(b)/df(c) unchanged, so d1 and d3's cached rows must survive
-	// untouched (pointer identity), while d2 is rebuilt.
-	d2old := v.row("d2")
-	v.Add("d2", map[string]float64{"b": 5, "c": 1})
-	if got := v.row("d1"); got != d1 {
-		t.Error("d1's cached row was invalidated by an unrelated replacement")
+	want := build(len(docs))
+	same := func(what string, got, exp float64) {
+		t.Helper()
+		if math.Float64bits(got) != math.Float64bits(exp) {
+			t.Errorf("%s = %v, want %v (bit-identical)", what, got, exp)
+		}
 	}
-	if got := v.row("d3"); got != d3 {
-		t.Error("d3's cached row was invalidated by an unrelated replacement")
-	}
-	if got := v.row("d2"); got == d2old {
-		t.Error("d2's own row was not rebuilt")
-	}
-
-	// Replace d2 dropping term c: df(c) 2→1, so d3 (contains c) must be
-	// rebuilt; d1 (a, b only; b stays in d2, so df(b) is unchanged)
-	// survives.
-	d1 = v.row("d1")
-	d3 = v.row("d3")
-	v.Add("d2", map[string]float64{"b": 5})
-	if got := v.row("d1"); got != d1 {
-		t.Error("d1 invalidated though none of its term dfs changed")
-	}
-	if got := v.row("d3"); got == d3 {
-		t.Error("d3 not rebuilt though df(c) changed")
-	}
-
-	// Correctness against a store built from scratch in the final state.
-	want := NewVectorStore()
-	want.Add("d1", map[string]float64{"a": 1, "b": 2})
-	want.Add("d2", map[string]float64{"b": 5})
-	want.Add("d3", map[string]float64{"c": 2})
-	for _, id := range []string{"d1", "d2", "d3"} {
-		got, exp := v.Vector(id), want.Vector(id)
+	for _, id := range ids {
+		got, exp := grown.Weights(id), want.Weights(id)
 		if len(got) != len(exp) {
-			t.Fatalf("%s: vector %v, want %v", id, got, exp)
+			t.Fatalf("%s: row %v, want %v", id, got, exp)
 		}
-		for term, w := range exp {
-			if math.Abs(got[term]-w) > 1e-12 {
-				t.Fatalf("%s[%s] = %v, want %v", id, term, got[term], w)
+		for i := range exp {
+			if got[i].Term != exp[i].Term {
+				t.Fatalf("%s: row terms %v, want %v", id, got, exp)
 			}
+			same(id+"["+exp[i].Term+"]", got[i].Weight, exp[i].Weight)
 		}
 	}
-
-	// Adding a brand-new document changes N and must invalidate everything.
-	d1 = v.row("d1")
-	v.Add("d4", map[string]float64{"a": 1})
-	if got := v.row("d1"); got == d1 {
-		t.Error("d1 not rebuilt after document count changed")
+	gotSim, expSim := grown.SimilarTo(query, 3, nil), want.SimilarTo(query, 3, nil)
+	if len(gotSim) != len(expSim) {
+		t.Fatalf("SimilarTo = %v, want %v", gotSim, expSim)
+	}
+	for i := range expSim {
+		if gotSim[i].ID != expSim[i].ID {
+			t.Fatalf("SimilarTo = %v, want %v", gotSim, expSim)
+		}
+		same("SimilarTo["+expSim[i].ID+"]", gotSim[i].Score, expSim[i].Score)
+	}
+	gotC, expC := grown.Centroid(ids), want.Centroid(ids)
+	if len(gotC) != len(expC) {
+		t.Fatalf("Centroid = %v, want %v", gotC, expC)
+	}
+	for term, w := range expC {
+		same("Centroid["+term+"]", gotC[term], w)
+	}
+	for _, term := range []string{"a", "b", "c", "d", "e", "num|x"} {
+		same("IDF("+term+")", grown.IDF(term), want.IDF(term))
 	}
 }

@@ -1,6 +1,6 @@
 // Package par is Magnet's bounded worker pool: the one place in internal/
 // allowed to spawn goroutines (the gohygiene analyzer enforces this). The
-// blackboard's analyst waves, the facet summarizer's per-attribute shards
+// blackboard's analyst waves, the facet summarizer's per-attribute chunks
 // and the vector store's similarity scans all fan out through it, so the
 // whole navigation pipeline shares a single concurrency budget instead of
 // oversubscribing the machine when many sessions run at once.

@@ -6,16 +6,6 @@ import (
 	"magnet/internal/itemset"
 )
 
-// epoch stamps a cache generation. A cached result set is valid exactly
-// while the graph is unmutated (its Version) and the engine's universe is
-// unchanged (its UniverseEpoch — core.Magnet re-installs the universe
-// source on every reshard, so item additions and removals bump it even
-// when they do not touch the graph).
-type epoch struct {
-	graph    uint64
-	universe uint64
-}
-
 // entry is one cached query result on the cache's intrusive recency list.
 type entry struct {
 	key        string
@@ -28,13 +18,15 @@ type entry struct {
 // repo's freeze discipline (posting views are copy-on-write, evaluation
 // outputs are freshly built), so handing a cached set to many concurrent
 // sessions is safe without copying. A whole generation is dropped the
-// moment a lookup arrives under a newer epoch: navigation caches are
+// moment a lookup arrives under a newer graph version (the item universe
+// is fixed once the instance opens, so the version is the whole validity
+// stamp): navigation caches are
 // cheap to refill and a stale result is a correctness bug, not a
 // performance one.
 type cache struct {
 	mu         sync.Mutex
 	cap        int
-	ep         epoch
+	version    uint64
 	items      map[string]*entry
 	head, tail *entry // head = most recently used
 }
@@ -43,23 +35,23 @@ func newCache(capacity int) *cache {
 	return &cache{cap: capacity, items: make(map[string]*entry, capacity)}
 }
 
-// refreshLocked clears the cache when ep is newer than the resident
+// refreshLocked clears the cache when version is newer than the resident
 // generation. Callers hold c.mu.
-func (c *cache) refreshLocked(ep epoch) {
-	if ep == c.ep {
+func (c *cache) refreshLocked(version uint64) {
+	if version == c.version {
 		return
 	}
-	c.ep = ep
+	c.version = version
 	c.items = make(map[string]*entry, c.cap)
 	c.head, c.tail = nil, nil
 }
 
-// get returns the cached result for key under ep, promoting it to most
-// recently used.
-func (c *cache) get(ep epoch, key string) (itemset.Set, bool) {
+// get returns the cached result for key under version, promoting it to
+// most recently used.
+func (c *cache) get(version uint64, key string) (itemset.Set, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.refreshLocked(ep)
+	c.refreshLocked(version)
 	en, ok := c.items[key]
 	if !ok {
 		return itemset.Set{}, false
@@ -68,12 +60,12 @@ func (c *cache) get(ep epoch, key string) (itemset.Set, bool) {
 	return en.result, true
 }
 
-// put stores a result under ep and returns how many entries were evicted
-// to stay within capacity.
-func (c *cache) put(ep epoch, key string, result itemset.Set) int {
+// put stores a result under version and returns how many entries were
+// evicted to stay within capacity.
+func (c *cache) put(version uint64, key string, result itemset.Set) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.refreshLocked(ep)
+	c.refreshLocked(version)
 	if en, ok := c.items[key]; ok {
 		en.result = result
 		c.promoteLocked(en)

@@ -10,7 +10,7 @@ func idset(xs ...uint32) itemset.Set { return itemset.FromSorted(xs) }
 
 func TestCacheLRUEviction(t *testing.T) {
 	c := newCache(2)
-	ep := epoch{graph: 1, universe: 1}
+	const ep = 1
 	if ev := c.put(ep, "a", idset(1)); ev != 0 {
 		t.Fatalf("put a evicted %d", ev)
 	}
@@ -36,7 +36,7 @@ func TestCacheLRUEviction(t *testing.T) {
 
 func TestCacheOverwriteDoesNotGrow(t *testing.T) {
 	c := newCache(4)
-	ep := epoch{graph: 1}
+	const ep = 1
 	c.put(ep, "a", idset(1))
 	c.put(ep, "a", idset(1, 2))
 	if n := c.len(); n != 1 {
@@ -48,47 +48,35 @@ func TestCacheOverwriteDoesNotGrow(t *testing.T) {
 	}
 }
 
-// A lookup under a newer (graph version, universe epoch) stamp drops the
-// whole resident generation — stale navigation results must never
-// survive a mutation or a universe change.
+// A lookup under a newer graph version drops the whole resident
+// generation — stale navigation results must never survive a mutation.
 func TestCacheEpochInvalidation(t *testing.T) {
 	c := newCache(8)
-	ep := epoch{graph: 1, universe: 1}
-	c.put(ep, "a", idset(1))
-	c.put(ep, "b", idset(2))
+	c.put(1, "a", idset(1))
+	c.put(1, "b", idset(2))
 
-	bumps := []epoch{
-		{graph: 2, universe: 1}, // graph mutation
-		{graph: 2, universe: 2}, // universe change (reshard)
-	}
-	for _, next := range bumps {
+	for _, next := range []uint64{2, 3} {
 		if _, ok := c.get(next, "a"); ok {
-			t.Errorf("epoch %+v: stale entry served across generations", next)
+			t.Errorf("version %d: stale entry served across generations", next)
 		}
 		if n := c.len(); n != 0 {
-			t.Errorf("epoch %+v: %d stale entries resident, want 0", next, n)
+			t.Errorf("version %d: %d stale entries resident, want 0", next, n)
 		}
 		c.put(next, "a", idset(3))
 		if res, ok := c.get(next, "a"); !ok || !res.Equal(idset(3)) {
-			t.Errorf("epoch %+v: refill not served back", next)
+			t.Errorf("version %d: refill not served back", next)
 		}
 	}
 }
 
 func TestNewPlannerCapacityModes(t *testing.T) {
-	if pl := New(1, -1); pl != nil {
+	if pl := New(-1); pl != nil {
 		t.Error("negative capacity should disable the planner (nil)")
 	}
-	if pl := New(0, 0); pl == nil || len(pl.caches) != 1 {
-		t.Error("shards<1 should still build one unsharded cache")
+	if pl := New(0); pl == nil || pl.cache.cap != DefaultCacheSize {
+		t.Error("zero capacity should build a DefaultCacheSize cache")
 	}
-	pl := New(4, 7)
-	if len(pl.caches) != 4 {
-		t.Fatalf("4-shard planner has %d caches", len(pl.caches))
-	}
-	for _, c := range pl.caches {
-		if c.cap != 7 {
-			t.Errorf("cache capacity %d, want 7", c.cap)
-		}
+	if pl := New(7); pl.cache.cap != 7 {
+		t.Errorf("cache capacity %d, want 7", pl.cache.cap)
 	}
 }

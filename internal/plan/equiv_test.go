@@ -1,8 +1,7 @@
 // Planned-vs-naive byte-identity: the planner's contract is that cache
 // hits, parent deltas, and cost-ordered candidate-first evaluation all
 // return exactly the set the unplanned engine returns — on the in-memory
-// backing, on frozen segments, and under every shard count the
-// scatter-gather path serves with. These tests drive both paths over the
+// backing and on frozen segments. These tests drive both paths over the
 // same corpus and compare item-for-item.
 package plan_test
 
@@ -14,13 +13,10 @@ import (
 	"magnet/internal/core"
 	"magnet/internal/dataload"
 	"magnet/internal/datasets/recipes"
-	"magnet/internal/par"
 	"magnet/internal/plan"
 	"magnet/internal/query"
 	"magnet/internal/rdf"
 )
-
-var planShardCounts = []int{1, 2, 4, 7}
 
 // planQueries covers every planner decision point: single terms (no
 // reordering, no parent probe), selective and unselective conjunctions,
@@ -82,7 +78,7 @@ func wantItems(e *query.Engine, q query.Query) []rdf.IRI {
 
 func TestPlanEquivalenceInMemory(t *testing.T) {
 	eng := openPlanCorpus(t).Engine()
-	pl := plan.New(1, 0)
+	pl := plan.New(0)
 	ctx := context.Background()
 	for name, q := range planQueries() {
 		want := wantItems(eng, q)
@@ -102,7 +98,7 @@ func TestPlanEquivalenceInMemory(t *testing.T) {
 // step is then a pure hit. Every answer must equal the naive one.
 func TestPlanEquivalenceRefineDeltas(t *testing.T) {
 	eng := openPlanCorpus(t).Engine()
-	pl := plan.New(1, 0)
+	pl := plan.New(0)
 	ctx := context.Background()
 
 	steps := []query.Predicate{
@@ -129,38 +125,6 @@ func TestPlanEquivalenceRefineDeltas(t *testing.T) {
 	}
 }
 
-func TestPlanEquivalenceSharded(t *testing.T) {
-	eng := openPlanCorpus(t).Engine()
-	ctx := context.Background()
-	pool := par.New(2)
-	defer pool.Close()
-
-	for name, q := range planQueries() {
-		want := wantItems(eng, q)
-		for _, n := range planShardCounts {
-			pl := plan.New(n, 0)
-			sh := query.BuildSharding(n, eng.Universe().IDs())
-			for round := 0; round < 2; round++ {
-				merged, parts := pl.EvalShardedParts(ctx, eng, q, sh, pool)
-				if got := merged.Items(); !reflect.DeepEqual(got, want) {
-					t.Errorf("%s shards=%d round %d: merged %d items, naive %d",
-						name, n, round, len(got), len(want))
-				}
-				if len(parts) != n {
-					t.Errorf("%s shards=%d: %d parts", name, n, len(parts))
-				}
-				total := 0
-				for _, p := range parts {
-					total += p.Len()
-				}
-				if total != len(want) {
-					t.Errorf("%s shards=%d: parts sum to %d, want %d", name, n, total, len(want))
-				}
-			}
-		}
-	}
-}
-
 func TestPlanEquivalenceSegments(t *testing.T) {
 	mem := openPlanCorpus(t)
 	dir := t.TempDir()
@@ -174,7 +138,7 @@ func TestPlanEquivalenceSegments(t *testing.T) {
 	t.Cleanup(seg.Close)
 
 	eng := seg.Engine()
-	pl := plan.New(1, 0)
+	pl := plan.New(0)
 	ctx := context.Background()
 	for name, q := range planQueries() {
 		want := wantItems(mem.Engine(), q)
@@ -201,7 +165,7 @@ func TestPlanCacheInvalidatedByMutation(t *testing.T) {
 	m := core.Open(g, core.Options{IndexAllSubjects: allSubjects, PlanCache: -1})
 	t.Cleanup(m.Close)
 	eng := m.Engine()
-	pl := plan.New(1, 0)
+	pl := plan.New(0)
 	ctx := context.Background()
 
 	q := query.NewQuery(

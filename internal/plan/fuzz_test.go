@@ -1,7 +1,7 @@
 // FuzzPlanEquivalence decodes arbitrary bytes into a conjunction over the
 // recipes vocabulary and checks the planner's answer is byte-identical to
-// the naive engine's on every backing: in-memory, frozen segments, and
-// 3-way sharded scatter-gather. The planners persist across runs, so the
+// the naive engine's on both backings: in-memory and frozen segments. The
+// planners persist across runs, so the
 // fuzzer also exercises hit and parent-delta paths against a warm cache.
 package plan_test
 
@@ -26,8 +26,6 @@ type fuzzWorld struct {
 	mem, seg *core.Magnet
 	memPl    *plan.Planner
 	segPl    *plan.Planner
-	shPl     *plan.Planner
-	sharding *query.Sharding
 	err      error
 }
 
@@ -56,10 +54,8 @@ func fuzzSetup() *fuzzWorld {
 		if world.seg, world.err = core.OpenSegments(dir, core.Options{PlanCache: -1}); world.err != nil {
 			return
 		}
-		world.memPl = plan.New(1, 64)
-		world.segPl = plan.New(1, 64)
-		world.shPl = plan.New(3, 64)
-		world.sharding = query.BuildSharding(3, world.mem.Engine().Universe().IDs())
+		world.memPl = plan.New(64)
+		world.segPl = plan.New(64)
 	})
 	return &world
 }
@@ -147,10 +143,6 @@ func FuzzPlanEquivalence(f *testing.F) {
 		}
 		if got := w.segPl.EvalContext(ctx, w.seg.Engine(), q).Items(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("segment planned %d items, naive %d (query %s)", len(got), len(want), q.Key())
-		}
-		merged, _ := w.shPl.EvalShardedParts(ctx, w.mem.Engine(), q, w.sharding, nil)
-		if got := merged.Items(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("sharded planned %d items, naive %d (query %s)", len(got), len(want), q.Key())
 		}
 	})
 }

@@ -158,13 +158,8 @@ type Engine struct {
 	// objects); Not and empty queries resolve against it.
 	universe func() []rdf.IRI
 	// universeIDs, when set, supplies the universe directly on the ID
-	// plane, skipping the IRI round-trip (core.Magnet maintains it).
+	// plane, skipping the IRI round-trip (core.Magnet installs it once).
 	universeIDs func() itemset.Set
-	// epoch counts universe installations. Owners re-install the universe
-	// source whenever its *content* changes (core.Magnet does so on every
-	// reshard), so caches keyed on (graph version, epoch) — the plan
-	// package's delta cache — invalidate exactly when results could move.
-	epoch uint64
 }
 
 // NewEngine returns an engine. text may be nil (keyword predicates then
@@ -174,26 +169,9 @@ func NewEngine(g *rdf.Graph, sch *schema.Store, text *index.TextIndex, universe 
 }
 
 // SetUniverseIDs installs a dense-ID universe source; when present it takes
-// precedence over the IRI-level universe function. Each installation bumps
-// the engine's universe epoch (see UniverseEpoch).
+// precedence over the IRI-level universe function.
 func (e *Engine) SetUniverseIDs(f func() itemset.Set) {
 	e.universeIDs = f
-	e.epoch++
-}
-
-// UniverseEpoch returns the universe-installation counter. Together with
-// the graph's Version it forms the validity stamp for caches of query
-// results: a cached set is reusable while both are unchanged.
-func (e *Engine) UniverseEpoch() uint64 { return e.epoch }
-
-// WithUniverse returns a shallow copy of the engine whose universe is the
-// given dense-ID set; the copy shares graph, schema and text index.
-// Sharded planning evaluates each shard under its own universe slice this
-// way, mirroring EvalShardedParts' per-shard engine copies.
-func (e *Engine) WithUniverse(u itemset.Set) *Engine {
-	se := *e
-	se.universeIDs = func() itemset.Set { return u }
-	return &se
 }
 
 // FromIDs wraps a dense-ID itemset from the engine's ID space as a Set

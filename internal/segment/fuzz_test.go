@@ -57,6 +57,7 @@ func FuzzSegmentHeader(f *testing.F) {
 func FuzzManifest(f *testing.F) {
 	f.Add([]byte(`{"format":1,"tool":"magnet-build","dataset":"recipes","params":{"recipes":200,"seed":1},"indexAllSubjects":false,"items":495,"triples":3731,"files":[{"name":"graph.seg","bytes":143744,"crc32c":4012441468}]}`))
 	f.Add([]byte(`{"format":1,"files":[]}`))
+	f.Add(shardManifest)
 	f.Add([]byte(`{"format":99}`))
 	f.Add([]byte(`{`))
 	f.Add([]byte(``))

@@ -180,12 +180,6 @@ type Manifest struct {
 	// IndexAllSubjects mirrors core.Options.IndexAllSubjects at build time;
 	// open applies it so the item universe matches the build.
 	IndexAllSubjects bool `json:"indexAllSubjects"`
-	// Shard and Shards mark a per-shard set in a scatter-gather layout
-	// (this directory serves shard Shard of Shards); both zero for a
-	// whole-corpus set. The assignment function is ids.Shard and is
-	// frozen, so any reader can validate the partition.
-	Shard  int `json:"shard,omitempty"`
-	Shards int `json:"shards,omitempty"`
 	// Items and Triples are corpus statistics for display and sanity checks.
 	Items   int `json:"items"`
 	Triples int `json:"triples"`
@@ -207,6 +201,10 @@ func ParseManifest(b []byte) (Manifest, error) {
 	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&m); err != nil {
+		if partitionManifest(b) {
+			return Manifest{}, fmt.Errorf("segment: parse manifest: this set is one shard of a shard layout, "+
+				"and shard layouts are no longer supported; rebuild the whole corpus with magnet-build: %w", err)
+		}
 		return Manifest{}, fmt.Errorf("segment: parse manifest: %w", err)
 	}
 	if m.Format != Version {
@@ -214,9 +212,6 @@ func ParseManifest(b []byte) (Manifest, error) {
 	}
 	if m.Items < 0 || m.Triples < 0 {
 		return Manifest{}, fmt.Errorf("segment: manifest has negative counts (items=%d triples=%d)", m.Items, m.Triples)
-	}
-	if m.Shards < 0 || m.Shard < 0 || (m.Shards > 0 && m.Shard >= m.Shards) {
-		return Manifest{}, fmt.Errorf("segment: manifest shard %d of %d invalid", m.Shard, m.Shards)
 	}
 	seen := make(map[string]bool, len(m.Files))
 	for _, f := range m.Files {
@@ -229,6 +224,17 @@ func ParseManifest(b []byte) (Manifest, error) {
 		seen[f.Name] = true
 	}
 	return m, nil
+}
+
+// partitionManifest reports whether manifest JSON carries the fields older
+// builds wrote for one directory of a shard layout. Such a directory holds
+// only part of the item universe, so it must not open as a whole corpus.
+func partitionManifest(b []byte) bool {
+	var probe struct {
+		Shard  json.RawMessage `json:"shard"`
+		Shards json.RawMessage `json:"shards"`
+	}
+	return json.Unmarshal(b, &probe) == nil && (probe.Shard != nil || probe.Shards != nil)
 }
 
 // ReadManifest loads and validates dir's manifest.

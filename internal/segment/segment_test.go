@@ -194,6 +194,36 @@ func TestParseManifestRejects(t *testing.T) {
 	}
 }
 
+// shardManifest is the manifest older builds wrote into each directory of
+// a 4-way shard layout (here shard 1). Such a directory holds a quarter of
+// the item universe; it is also a FuzzManifest seed.
+var shardManifest = []byte(`{"format":1,"tool":"magnet-build","dataset":"recipes","params":{"recipes":200,"seed":1},"indexAllSubjects":false,"shard":1,"shards":4,"items":124,"triples":3731,"files":[{"name":"graph.seg","bytes":143744,"crc32c":4012441468}]}`)
+
+// TestParseManifestRejectsShardLayout: one shard directory must not open
+// as a whole corpus, and the error must say how to recover.
+func TestParseManifestRejectsShardLayout(t *testing.T) {
+	check := func(what string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s accepted a shard-layout manifest", what)
+		}
+		for _, want := range []string{"shard layouts are no longer supported", "magnet-build"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s error %q does not mention %q", what, err, want)
+			}
+		}
+	}
+	_, err := ParseManifest(shardManifest)
+	check("ParseManifest", err)
+
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, ManifestName), shardManifest, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = OpenDir(dir)
+	check("OpenDir", err)
+}
+
 // TestBuildDirMissingFile: a set with a data file deleted must fail OpenDir.
 func TestOpenDirMissingFile(t *testing.T) {
 	if _, err := OpenDir(t.TempDir()); err == nil {

@@ -50,11 +50,6 @@ type Data struct {
 	Dataset          string
 	Params           map[string]int64
 	IndexAllSubjects bool
-	// Shard and Shards identify a per-shard set in a scatter-gather
-	// layout: this directory holds shard Shard of Shards (by ids.Shard
-	// over the dense ID space). Shards == 0 marks a whole-corpus set.
-	Shard  int
-	Shards int
 	Items            []uint32 // sorted item universe (graph subject IDs)
 	Graph            rdf.GraphColumns
 	Text             index.TextColumns
@@ -85,8 +80,6 @@ func BuildDir(dir string, d Data) (Manifest, error) {
 		Dataset:          d.Dataset,
 		Params:           d.Params,
 		IndexAllSubjects: d.IndexAllSubjects,
-		Shard:            d.Shard,
-		Shards:           d.Shards,
 		Items:            len(d.Items),
 		Triples:          int(d.Graph.Triples),
 	}
@@ -237,8 +230,6 @@ func OpenDir(dir string) (*Set, error) {
 	s.Data.Dataset = man.Dataset
 	s.Data.Params = man.Params
 	s.Data.IndexAllSubjects = man.IndexAllSubjects
-	s.Data.Shard = man.Shard
-	s.Data.Shards = man.Shards
 	s.Data.Graph.Triples = uint64(man.Triples)
 
 	open := func(name string) (*sectionReader, error) {

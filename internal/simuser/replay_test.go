@@ -16,7 +16,7 @@ import (
 // level (the core-level stress test lives in internal/core).
 func TestReplayDeterministicAndConcurrent(t *testing.T) {
 	g := recipes.Build(recipes.Config{Recipes: 400, Seed: 1})
-	m := core.Open(g, core.Options{Parallelism: 2, Shards: 4})
+	m := core.Open(g, core.Options{Parallelism: 2})
 	defer m.Close()
 
 	r := NewReplay(m)

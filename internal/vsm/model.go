@@ -70,7 +70,7 @@ func (r *Range) observe(v float64) {
 }
 
 // theta maps v into [0, π/2], clamping values outside the observed range
-// (items indexed after IndexAll may exceed it).
+// (items vectorized outside the IndexAll set may exceed it).
 func (r *Range) theta(v float64) float64 {
 	if r.Max <= r.Min {
 		return 0
@@ -101,8 +101,9 @@ type Model struct {
 }
 
 // SetPool sets the worker pool for batch indexing and hands it to the
-// vector store for similarity/centroid scans. Call before IndexAll; a nil
-// pool (the default) keeps everything serial.
+// vector store for similarity/centroid scans. Call before IndexAll (whose
+// fresh store inherits it); a nil pool (the default) keeps everything
+// serial.
 func (m *Model) SetPool(p *par.Pool) {
 	m.pool = p
 	m.store.SetPool(p)
@@ -114,22 +115,28 @@ func New(g *rdf.Graph, sch *schema.Store, opts Options) *Model {
 	if an == nil {
 		an = text.DefaultAnalyzer
 	}
-	store := index.NewVectorStore()
-	store.PinnedPrefix = PinnedPrefix
 	return &Model{
 		g:     g,
 		sch:   sch,
-		store: store,
+		store: newStore(nil),
 		an:    an,
 		opts:  opts,
 		stats: make(map[string]*Range),
 	}
 }
 
+// newStore returns an empty vector store configured for the model's
+// coordinates.
+func newStore(pool *par.Pool) *index.VectorStore {
+	store := index.NewVectorStore()
+	store.PinnedPrefix = PinnedPrefix
+	store.SetPool(pool)
+	return store
+}
+
 // FromStore returns a model over an existing vector store — typically a
 // read-only segment view — with precomputed numeric range statistics in
-// place of an IndexAll pass. IndexAll/IndexItem/RemoveItem must not be
-// called when the store is read-only.
+// place of an IndexAll pass.
 func FromStore(g *rdf.Graph, sch *schema.Store, store *index.VectorStore, ranges map[string]Range, opts Options) *Model {
 	an := opts.Analyzer
 	if an == nil {
@@ -167,12 +174,12 @@ func (m *Model) NumericRange(path []rdf.IRI) (Range, bool) {
 	return *r, true
 }
 
-// IndexAll (re)indexes the given items: a first pass gathers numeric range
-// statistics (the unit-circle encoding needs each attribute's observed
-// range), a second pass builds and stores each item's vector in parallel —
-// vectorization only reads the graph and the completed statistics. This is
-// the paper's "indexing the data in advance (as it arrives)" (§5.2) in
-// batch form.
+// IndexAll indexes the given items into a fresh vector store, replacing
+// the previous one: a first pass gathers numeric range statistics (the
+// unit-circle encoding needs each attribute's observed range), a second
+// pass builds each item's vector in parallel — vectorization only reads
+// the graph and the completed statistics — and stores it. This is the
+// paper's "indexing the data in advance" (§5.2). items must not repeat.
 func (m *Model) IndexAll(items []rdf.IRI) {
 	m.stats = make(map[string]*Range)
 	for _, it := range items {
@@ -190,20 +197,11 @@ func (m *Model) IndexAll(items []rdf.IRI) {
 	if errors.As(err, &pe) {
 		panic(pe)
 	}
+	store := newStore(m.pool)
 	for i, it := range items {
-		m.store.Add(string(it), vecs[i])
+		store.Add(string(it), vecs[i])
 	}
-}
-
-// IndexItem indexes (or reindexes) a single item using the statistics from
-// the last IndexAll; numeric values outside the observed range clamp.
-func (m *Model) IndexItem(item rdf.IRI) {
-	m.store.Add(string(item), m.Vectorize(item))
-}
-
-// RemoveItem removes an item from the store.
-func (m *Model) RemoveItem(item rdf.IRI) bool {
-	return m.store.Remove(string(item))
+	m.store = store
 }
 
 // visitor receives each coordinate contribution during a traversal.

@@ -418,7 +418,7 @@ func TestRefinementCoords(t *testing.T) {
 	}
 }
 
-func TestIndexItemAfterIndexAllClampsRange(t *testing.T) {
+func TestVectorizeBeyondIndexAllClampsRange(t *testing.T) {
 	g := rdf.NewGraph()
 	sch := schema.NewStore(g)
 	pN := rdf.IRI(ex + "n")
@@ -428,11 +428,11 @@ func TestIndexItemAfterIndexAllClampsRange(t *testing.T) {
 	m := New(g, sch, Options{})
 	m.IndexAll([]rdf.IRI{a, b})
 
-	// New item beyond the observed range: clamps to θ = π/2.
+	// An item outside the indexed set, beyond the observed range: clamps
+	// to θ = π/2.
 	c := rdf.IRI(ex + "c")
 	g.Add(c, pN, rdf.NewInteger(1000))
-	m.IndexItem(c)
-	vec := m.Vector(c)
+	vec := m.Vectorize(c)
 	sinKey := Coord{Kind: CoordNumeric, Path: []rdf.IRI{pN}, Axis: "sin"}.Key()
 	cosKey := Coord{Kind: CoordNumeric, Path: []rdf.IRI{pN}, Axis: "cos"}.Key()
 	if vec[sinKey] == 0 {
@@ -440,9 +440,6 @@ func TestIndexItemAfterIndexAllClampsRange(t *testing.T) {
 	}
 	if math.Abs(vec[cosKey]) > 1e-9 {
 		t.Errorf("cos component should be ~0 at clamp, got %v", vec[cosKey])
-	}
-	if !m.RemoveItem(c) || m.RemoveItem(c) {
-		t.Error("RemoveItem semantics")
 	}
 }
 

@@ -80,6 +80,15 @@ func TestSegmentEquivalenceRecipes(t *testing.T) {
 		),
 		// Figure 2: unrefined overview of the whole collection.
 		"fig2": query.NewQuery(query.TypeIs(recipes.ClassRecipe)),
+		// Keyword scoring combined with Not: text-index postings and the
+		// lazy complement over the item universe on both backings.
+		"negation": query.NewQuery(
+			query.Keyword{Text: "chicken"},
+			query.Not{P: query.Property{
+				Prop:  recipes.PropIngredient,
+				Value: recipes.Ingredient("Walnuts"),
+			}},
+		),
 	}
 	for name, q := range queries {
 		want := renderScenario(mem, q)
@@ -126,22 +135,6 @@ func TestSegmentEquivalenceInbox(t *testing.T) {
 	if want, got := renderHist(mem), renderHist(seg); got != want {
 		t.Errorf("fig5: segment-backed render differs from in-memory\n%s", firstDiff(want, got))
 	}
-}
-
-// TestSegmentReadOnly: mutation of a segment-backed instance must panic
-// loudly rather than corrupt shared mapped state.
-func TestSegmentReadOnly(t *testing.T) {
-	_, seg := openBoth(t, dataload.Spec{Dataset: "recipes", Recipes: 50, Seed: 1})
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("IndexItem on a segment-backed Magnet did not panic")
-		}
-		if !strings.Contains(fmt.Sprint(r), "read-only") {
-			t.Fatalf("panic message %v does not mention read-only", r)
-		}
-	}()
-	seg.Reindex()
 }
 
 // firstDiff locates the first differing line of two renders, with context.
