@@ -1,8 +1,8 @@
-// Parallel-pipeline benchmarks: the tentpole fan-out seams (facet
-// overview, similarity scan, batch indexing, navigation pane) measured at
-// fixed worker counts. Run via `make bench-parallel` or:
+// Parallel-pipeline benchmarks: the fan-out seams (facet overview,
+// similarity scan, batch indexing, navigation pane) measured at fixed
+// worker counts. Run with:
 //
-//	go test -bench='^BenchmarkParallel' -benchmem
+//	go test -bench='^BenchmarkParallel' -benchmem .
 //
 // Worker counts cover the serial oracle (1), the EXPERIMENTS.md reference
 // point (4), and the machine width (GOMAXPROCS, when distinct). One graph
@@ -12,9 +12,8 @@
 // Caveat for reading committed snapshots: on a single-core container
 // (GOMAXPROCS=1) the workers axis measures coordination overhead, not
 // speedup — workers=4 cannot beat workers=1 without a second core. Every
-// sub-benchmark therefore reports gomaxprocs as a metric, so
-// BENCH_<date>.json entries are self-describing about the machine shape
-// they ran on.
+// sub-benchmark therefore reports gomaxprocs as a metric, so its result
+// line records the machine shape it ran on.
 package magnet_test
 
 import (
@@ -30,8 +29,8 @@ import (
 	"magnet/internal/query"
 )
 
-// reportEnv records the machine shape on the sub-benchmark, so snapshot
-// entries carry their own context.
+// reportEnv records the machine shape on the sub-benchmark, so its result
+// line carries its own context.
 func reportEnv(b *testing.B) {
 	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
 }

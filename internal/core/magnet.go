@@ -96,9 +96,8 @@ type Magnet struct {
 	model *vsm.Model
 	eng   *query.Engine
 	opts  Options
-	items []rdf.IRI
-	// itemIDs mirrors items on the dense-ID plane; the query engine's
-	// universe (Not, empty queries) reads it without rehydration.
+	// itemIDs is the item universe on the dense-ID plane; the query
+	// engine's universe (Not, empty queries) reads it without rehydration.
 	itemIDs itemset.Set
 	// pool is the instance's one concurrency budget (Options.Parallelism),
 	// shared by every session.
@@ -109,11 +108,12 @@ type Magnet struct {
 	planner *plan.Planner
 
 	// set is the backing segment set when the instance was opened with
-	// OpenSegments; nil for in-memory instances. itemsOnce defers
-	// materializing the []rdf.IRI item slice — the segment open path must
-	// stay O(1) in the corpus, so items rehydrate on first use.
-	set       *segment.Set
+	// OpenSegments; nil for in-memory instances.
+	set *segment.Set
+	// items is itemIDs rehydrated to sorted IRIs, once, on first use: the
+	// segment open path must stay O(1) in the corpus.
 	itemsOnce sync.Once
+	items     []rdf.IRI
 }
 
 // Open builds a Magnet over the graph: it chooses the item universe,
@@ -163,12 +163,14 @@ func (m *Magnet) evalQuery(ctx context.Context, q query.Query) query.Set {
 // buildIndexes chooses the item universe and builds the text index and all
 // vectors from the graph.
 func (m *Magnet) buildIndexes(ctx context.Context) {
+	var items []rdf.IRI
 	component(ctx, "startup.items", startupItemsNS, func() {
-		m.items = m.chooseItems()
+		m.itemIDs = m.chooseItems()
+		items = m.itemsSlice()
 	})
 	component(ctx, "startup.text", startupTextNS, func() {
 		m.text = index.NewTextIndex(m.opts.VSM.Analyzer)
-		for _, it := range m.items {
+		for _, it := range items {
 			for _, p := range m.g.PredicatesOf(it) {
 				if m.sch.Hidden(p) {
 					continue
@@ -186,15 +188,15 @@ func (m *Magnet) buildIndexes(ctx context.Context) {
 	component(ctx, "startup.vectors", startupVectorsNS, func() {
 		m.model = vsm.New(m.g, m.sch, m.opts.VSM)
 		m.model.SetPool(m.pool)
-		m.model.IndexAll(m.items)
+		m.model.IndexAll(items)
 	})
 }
 
-// chooseItems selects the indexed information objects: subjects with an
-// rdf:type, or every subject when none carry types (or when configured).
-// It also records the universe on the dense-ID plane (m.itemIDs); the class
-// union runs entirely over subject-ID postings via one bitmap accumulator.
-func (m *Magnet) chooseItems() []rdf.IRI {
+// chooseItems selects the indexed information objects on the dense-ID
+// plane: subjects with an rdf:type, or every subject when none carry types
+// (or when configured). The class union runs entirely over subject-ID
+// postings via one bitmap accumulator.
+func (m *Magnet) chooseItems() itemset.Set {
 	if !m.opts.IndexAllSubjects {
 		b := itemset.NewBits(m.g.Interner().Len())
 		for _, t := range m.g.ObjectsOf(rdf.Type) {
@@ -205,12 +207,10 @@ func (m *Magnet) chooseItems() []rdf.IRI {
 			b.AddSet(m.g.SubjectIDSet(rdf.Type, cls))
 		}
 		if b.Count() > 0 {
-			m.itemIDs = b.Extract()
-			return m.g.SubjectsFromIDs(m.itemIDs.Slice())
+			return b.Extract()
 		}
 	}
-	m.itemIDs = m.g.AllSubjectIDs()
-	return m.g.AllSubjects()
+	return m.g.AllSubjectIDs()
 }
 
 // Pool returns the instance's shared worker pool.
@@ -242,15 +242,12 @@ func (m *Magnet) Engine() *query.Engine { return m.eng }
 // TextIndex returns the external text index.
 func (m *Magnet) TextIndex() *index.TextIndex { return m.text }
 
-// itemsSlice returns the item universe as IRIs, materializing it on first
-// use for segment-backed instances (the open path only carries the dense-ID
-// posting; rehydrating N IRIs would break the O(1) open budget).
+// itemsSlice returns the item universe as sorted IRIs, rehydrating itemIDs
+// on first use.
 func (m *Magnet) itemsSlice() []rdf.IRI {
-	if m.set != nil {
-		m.itemsOnce.Do(func() {
-			m.items = m.g.SubjectsFromIDs(m.itemIDs.Slice())
-		})
-	}
+	m.itemsOnce.Do(func() {
+		m.items = m.g.SubjectsFromIDs(m.itemIDs.Slice())
+	})
 	return m.items
 }
 

@@ -10,14 +10,15 @@ import (
 	"magnet/internal/query"
 )
 
-// TestConcurrentSessions stresses the serving contract behind magnet-load:
-// one shared Magnet (with its one worker pool), many concurrent Sessions
-// each doing a full
-// navigation loop — search, refine, pane, overview, back. Sessions are
-// single-user, but distinct sessions must be freely concurrent: all shared
-// engine state is read-only after Open. Run under -race this is the
-// harness-level data-race check; the correctness side also asserts every
-// session sees identical results regardless of interleaving.
+// TestConcurrentSessions stresses the serving contract below the web
+// layer (internal/web's TestReplaySessions covers it through the
+// handlers): one shared Magnet (with its one worker pool), many concurrent
+// Sessions each doing a full navigation loop — search, refine, pane,
+// overview, back. Sessions are single-user, but distinct sessions must be
+// freely concurrent: all shared engine state is read-only after Open. Run
+// under -race this is the session-level data-race check; the correctness
+// side also asserts every session sees identical results regardless of
+// interleaving.
 func TestConcurrentSessions(t *testing.T) {
 	g := recipes.Build(recipes.Config{Recipes: 300, Seed: 1})
 	m := Open(g, Options{Parallelism: 4})

@@ -9,9 +9,9 @@ import (
 
 // Replay drives the study's simulated users against an externally provided
 // core.Magnet instance — the serving-side counterpart of Study, which owns
-// its corpus and systems. cmd/magnet-load uses it to replay hundreds of
-// concurrent navigation sessions against one shared instance (in-memory or
-// segment-backed).
+// its corpus and systems. The plan-cache hit-rate test in internal/core
+// replays its sessions concurrently against one shared instance; the
+// benchmark of record, clickbench, replays the same tasks over HTTP.
 //
 // A Replay is safe for concurrent use: the study environment is read-only
 // after preparation, each Session call creates its own core.Session and
@@ -50,8 +50,8 @@ func (r *Replay) Session(task int, seed int64) int {
 		n = r.env.task2(u, s, true)
 	}
 	// The user looks at the final result: render the navigation pane and
-	// the facet overview, so a load run exercises (and times) all three
-	// session step paths, not just query evaluation.
+	// the facet overview, so a replay exercises all three session step
+	// paths, not just query evaluation.
 	_ = s.Pane()
 	_ = s.Overview(10)
 	return n

@@ -87,7 +87,7 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 // with the request ID as its trace ID — so access-log lines, error pages,
 // histogram exemplars and flight-recorder captures all join on one key.
 // Session handlers install the request context on the session (under the
-// server mutex, via lockSession) so a navigation step's spans land in the
+// server mutex, via withSession) so a navigation step's spans land in the
 // request's tree; the completed root is handed to the flight recorder
 // after the response is gone.
 func (s *Server) observe(h http.Handler) http.Handler {

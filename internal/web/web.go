@@ -106,31 +106,34 @@ func (s *Server) session(w http.ResponseWriter, r *http.Request) (*core.Session,
 	return sess, nil
 }
 
-// lockSession acquires the server mutex and installs the request context on
-// the session, so the navigation step's spans attach to the request's trace
-// root. The returned unlock resets the session context before releasing —
-// session state must not outlive the request that set it.
-func (s *Server) lockSession(r *http.Request, sess *core.Session) (unlock func()) {
-	s.mu.Lock()
-	sess.SetContext(r.Context())
-	return func() {
-		sess.SetContext(nil)
-		s.mu.Unlock()
+// withSession runs fn on the request's session under the server lock, with
+// the request context installed on the session so the navigation step's
+// spans attach to the request's trace root. The deferred unlock resets the
+// session context (session state must not outlive the request that set it)
+// and releases the lock even when fn panics, so one failing step cannot
+// wedge every later request. It reports false, after writing the error
+// response, when the session cannot be had. Handlers render outside fn,
+// once the lock is released.
+func (s *Server) withSession(w http.ResponseWriter, r *http.Request, fn func(*core.Session)) bool {
+	sess, err := s.session(w, r)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return false
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sess.SetContext(r.Context())
+	defer sess.SetContext(nil)
+	fn(sess)
+	return true
 }
 
 // navigate runs fn under the server lock and redirects to the collection
 // page afterwards.
 func (s *Server) navigate(w http.ResponseWriter, r *http.Request, fn func(*core.Session)) {
-	sess, err := s.session(w, r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
+	if s.withSession(w, r, fn) {
+		http.Redirect(w, r, "/", http.StatusSeeOther)
 	}
-	unlock := s.lockSession(r, sess)
-	fn(sess)
-	unlock()
-	http.Redirect(w, r, "/", http.StatusSeeOther)
 }
 
 // handleSearch accepts plain keywords or, when the input carries structured
@@ -162,16 +165,13 @@ func (s *Server) handleOpen(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	sess, err := s.session(w, r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
+	var data itemView
+	if s.withSession(w, r, func(sess *core.Session) {
+		sess.OpenItem(item)
+		data = s.itemData(sess, item)
+	}) {
+		s.render(w, r, itemTemplate, data)
 	}
-	unlock := s.lockSession(r, sess)
-	sess.OpenItem(item)
-	data := s.itemData(sess, item)
-	unlock()
-	s.render(w, r, itemTemplate, data)
 }
 
 func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
@@ -203,14 +203,17 @@ func (s *Server) handleHome(w http.ResponseWriter, r *http.Request) {
 // handleGo applies a pane suggestion identified by its stable key, with an
 // optional mode (filter/exclude/expand) — the context-menu operations.
 func (s *Server) handleGo(w http.ResponseWriter, r *http.Request) {
-	key := r.FormValue("k")
-	mode := r.FormValue("mode")
-	sess, err := s.session(w, r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
+	var respond func()
+	if s.withSession(w, r, func(sess *core.Session) { respond = s.applySuggestion(w, r, sess) }) {
+		respond()
 	}
-	unlock := s.lockSession(r, sess)
+}
+
+// applySuggestion is /go's locked section: it finds the suggestion on the
+// session's board and applies its action. It returns the response to write
+// once the lock is released.
+func (s *Server) applySuggestion(w http.ResponseWriter, r *http.Request, sess *core.Session) (respond func()) {
+	key := r.FormValue("k")
 	var found *blackboard.Suggestion
 	for _, sg := range sess.Board().Suggestions() {
 		if sg.Key == key {
@@ -219,43 +222,30 @@ func (s *Server) handleGo(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if found == nil {
-		unlock()
-		http.Error(w, "suggestion expired; go back and retry", http.StatusGone)
-		return
+		return func() { http.Error(w, "suggestion expired; go back and retry", http.StatusGone) }
 	}
 	action := found.Action
-	if ref, ok := action.(blackboard.Refine); ok {
-		switch mode {
+	switch act := action.(type) {
+	case blackboard.Refine:
+		switch r.FormValue("mode") {
 		case "exclude":
-			ref.Mode = blackboard.Exclude
+			act.Mode = blackboard.Exclude
 		case "expand":
-			ref.Mode = blackboard.Expand
+			act.Mode = blackboard.Expand
 		}
-		action = ref
+		action = act
+	case blackboard.ShowRange:
+		data := s.rangeData(found.Title, act)
+		return func() { s.render(w, r, rangeTemplate, data) }
+	case blackboard.ShowSearch:
+		return func() { http.Redirect(w, r, "/#search", http.StatusSeeOther) }
+	case blackboard.ShowOverview:
+		return func() { http.Redirect(w, r, "/overview", http.StatusSeeOther) }
 	}
-	if rng, ok := action.(blackboard.ShowRange); ok {
-		data := s.rangeData(found.Title, rng)
-		unlock()
-		s.render(w, r, rangeTemplate, data)
-		return
+	if err := sess.Apply(action); err != nil {
+		return func() { http.Error(w, err.Error(), http.StatusBadRequest) }
 	}
-	if _, ok := action.(blackboard.ShowSearch); ok {
-		unlock()
-		http.Redirect(w, r, "/#search", http.StatusSeeOther)
-		return
-	}
-	if _, ok := action.(blackboard.ShowOverview); ok {
-		unlock()
-		http.Redirect(w, r, "/overview", http.StatusSeeOther)
-		return
-	}
-	err = sess.Apply(action)
-	unlock()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	http.Redirect(w, r, "/", http.StatusSeeOther)
+	return func() { http.Redirect(w, r, "/", http.StatusSeeOther) }
 }
 
 func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
@@ -304,15 +294,10 @@ func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleOverview(w http.ResponseWriter, r *http.Request) {
-	sess, err := s.session(w, r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
+	var data overviewView
+	if s.withSession(w, r, func(sess *core.Session) { data = s.overviewData(sess) }) {
+		s.render(w, r, overviewTemplate, data)
 	}
-	unlock := s.lockSession(r, sess)
-	data := s.overviewData(sess)
-	unlock()
-	s.render(w, r, overviewTemplate, data)
 }
 
 func (s *Server) handleCollection(w http.ResponseWriter, r *http.Request) {
@@ -320,15 +305,10 @@ func (s *Server) handleCollection(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	sess, err := s.session(w, r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
+	var data collectionView
+	if s.withSession(w, r, func(sess *core.Session) { data = s.collectionData(sess) }) {
+		s.render(w, r, collectionTemplate, data)
 	}
-	unlock := s.lockSession(r, sess)
-	data := s.collectionData(sess)
-	unlock()
-	s.render(w, r, collectionTemplate, data)
 }
 
 // ------------------------------------------------------------ view data --
