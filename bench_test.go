@@ -146,6 +146,22 @@ func BenchmarkFig2FacetOverview(b *testing.B) {
 	b.ReportMetric(float64(nf), "facets")
 }
 
+// BenchmarkPaneAllItems: the navigation pane over all 6,444 recipes, the
+// broadest collection a click shows. Every Refine Collections "n of N"
+// count and every range-widget preview sees the whole corpus here.
+func BenchmarkPaneAllItems(b *testing.B) {
+	m := recipeMagnet()
+	s := m.NewSession()
+	s.Apply(blackboard.ReplaceQuery{Query: query.NewQuery(query.TypeIs(recipes.ClassRecipe))})
+	b.ReportAllocs()
+	b.ResetTimer()
+	var suggestions int
+	for i := 0; i < b.N; i++ {
+		suggestions = len(s.Pane().AllSuggestions())
+	}
+	b.ReportMetric(float64(suggestions), "suggestions")
+}
+
 // BenchmarkFig4Vectorize (E3): building one item's semistructured vector
 // (Figure 3's graph → Figure 4's vector).
 func BenchmarkFig4Vectorize(b *testing.B) {
@@ -164,11 +180,10 @@ func BenchmarkFig4Vectorize(b *testing.B) {
 func BenchmarkFig5RangeQuery(b *testing.B) {
 	m := inboxMagnet()
 	s := m.NewSession()
-	items := s.Items()
 	b.ResetTimer()
 	var matched int
 	for i := 0; i < b.N; i++ {
-		h, ok := facets.NumericHistogram(m.Graph(), items, inbox.PropSent, 24)
+		h, ok := facets.NumericHistogram(m.Graph(), s.Current().IDs, inbox.PropSent, 24)
 		if !ok {
 			b.Fatal("no histogram")
 		}
@@ -226,7 +241,7 @@ func BenchmarkFig8AreaOutliers(b *testing.B) {
 	b.ResetTimer()
 	var outliers int
 	for i := 0; i < b.N; i++ {
-		if _, ok := facets.NumericHistogram(m.Graph(), items, states.PropArea, 12); !ok {
+		if _, ok := facets.NumericHistogram(m.Graph(), m.Graph().SubjectIDsOf(items), states.PropArea, 12); !ok {
 			b.Fatal("no histogram")
 		}
 		outliers = len(facets.Outliers(m.Graph(), items, states.PropArea, 3))

@@ -291,7 +291,7 @@ func fig5(int, int64) {
 	apply(s, blackboard.ReplaceQuery{Query: query.NewQuery(query.Or{Ps: []query.Predicate{
 		query.TypeIs(inbox.ClassMessage), query.TypeIs(inbox.ClassNewsItem),
 	}})})
-	h, ok := facets.NumericHistogram(m.Graph(), s.Items(), inbox.PropSent, 24)
+	h, ok := facets.NumericHistogram(m.Graph(), s.Current().IDs, inbox.PropSent, 24)
 	if !ok {
 		fmt.Println("CHECK fig5 histogram=MISSING")
 		return

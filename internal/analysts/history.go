@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"magnet/internal/blackboard"
+	"magnet/internal/itemset"
 )
 
 // History is the History advisor's analyst (§4.1): "Previous" suggestions
@@ -51,7 +52,7 @@ func (h *History) Suggest(v blackboard.View, b *blackboard.Board) {
 	posted := 0
 	for i := len(trail) - 2; i >= 0 && posted < h.k; i-- {
 		q := trail[i]
-		dest := blackboard.CollectionView(q, nil)
+		dest := blackboard.CollectionView(q, nil, itemset.Set{})
 		title, _ := describeDestination(h.env, dest)
 		b.Post(blackboard.Suggestion{
 			Advisor: blackboard.AdvisorHistory,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"magnet/internal/blackboard"
+	"magnet/internal/itemset"
 	"magnet/internal/query"
 	"magnet/internal/rdf"
 	"magnet/internal/vsm"
@@ -40,13 +41,6 @@ func (r *Refinement) Suggest(v blackboard.View, b *blackboard.Board) {
 	if len(coords) == 0 {
 		return
 	}
-	// Counts for detail display: how many collection members match each
-	// direct attribute/value pair.
-	counts := r.memberCounts(v.Collection)
-	members := make(map[rdf.IRI]bool, len(v.Collection))
-	for _, it := range v.Collection {
-		members[it] = true
-	}
 	n := len(v.Collection)
 	maxW := coords[0].Weight
 
@@ -55,30 +49,28 @@ func (r *Refinement) Suggest(v blackboard.View, b *blackboard.Board) {
 		weight := wc.Weight / maxW
 		switch c.Kind {
 		case vsm.CoordObject:
-			r.suggestObject(b, c, weight, counts, members, n)
+			r.suggestObject(b, c, weight, v.IDs, n)
 		case vsm.CoordWord:
 			r.suggestWord(b, c, weight)
 		}
 	}
 }
 
-func (r *Refinement) suggestObject(b *blackboard.Board, c vsm.Coord, weight float64, counts map[string]int, members map[rdf.IRI]bool, n int) {
+// suggestObject posts one attribute/value refinement with its "n of N"
+// detail: the coordinate's posting intersected with the collection.
+func (r *Refinement) suggestObject(b *blackboard.Board, c vsm.Coord, weight float64, coll itemset.Set, n int) {
 	var pred query.Predicate
 	cnt := 0
 	if len(c.Path) == 1 {
 		pred = query.Property{Prop: c.Path[0], Value: c.Value}
-		cnt = counts[countKey(c.Path[0], c.Value)]
+		if !r.env.Schema.Hidden(c.Path[0]) {
+			cnt = postingCount(r.env.Graph, c.Path[0], c.Value, coll)
+		}
 	} else {
 		pp := query.PathProperty{Path: c.Path, Value: c.Value}
 		pred = pp
-		// Composed coordinates need a real evaluation to learn how many
-		// collection members they match.
-		pp.Eval(r.env.Engine).ForEach(func(it rdf.IRI) bool {
-			if members[it] {
-				cnt++
-			}
-			return true
-		})
+		// Composed coordinates have no single posting; evaluate the path.
+		cnt = pp.Eval(r.env.Engine).IDs().IntersectCount(coll)
 	}
 	if cnt == 0 || cnt == n {
 		// Matches nothing or everything: no refinement value.
@@ -95,6 +87,14 @@ func (r *Refinement) suggestObject(b *blackboard.Board, c vsm.Coord, weight floa
 		Key:     "refine:" + pred.Key(),
 		Analyst: r.Name(),
 	})
+}
+
+// postingCount returns how many collection members carry value v of
+// property p: the (p, v) posting intersected with the collection.
+//
+//magnet:hot
+func postingCount(g *rdf.Graph, p rdf.IRI, v rdf.Term, coll itemset.Set) int {
+	return g.SubjectIDSet(p, v).IntersectCount(coll)
 }
 
 func (r *Refinement) suggestWord(b *blackboard.Board, c vsm.Coord, weight float64) {
@@ -118,22 +118,4 @@ func (r *Refinement) suggestWord(b *blackboard.Board, c vsm.Coord, weight float6
 		Key:     "refine:" + pred.Key(),
 		Analyst: r.Name(),
 	})
-}
-
-func countKey(p rdf.IRI, v rdf.Term) string { return string(p) + "\x00" + v.Key() }
-
-func (r *Refinement) memberCounts(items []rdf.IRI) map[string]int {
-	g := r.env.Graph
-	counts := make(map[string]int)
-	for _, it := range items {
-		for _, p := range g.PredicatesOf(it) {
-			if r.env.Schema.Hidden(p) {
-				continue
-			}
-			for _, v := range g.Objects(it, p) {
-				counts[countKey(p, v)]++
-			}
-		}
-	}
-	return counts
 }

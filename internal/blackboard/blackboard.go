@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"magnet/internal/facets"
+	"magnet/internal/itemset"
 	"magnet/internal/obs"
 	"magnet/internal/par"
 	"magnet/internal/query"
@@ -51,6 +52,10 @@ type View struct {
 	Item rdf.IRI
 	// Collection is set for collection views (may be empty but non-nil).
 	Collection []rdf.IRI
+	// IDs is Collection on the graph's dense-ID plane, built once when the
+	// view is entered, so analysts and the overview count and intersect
+	// postings without re-interning the members.
+	IDs itemset.Set
 	// Query is the query whose evaluation produced Collection (empty for
 	// fixed collections).
 	Query query.Query
@@ -63,21 +68,23 @@ type View struct {
 // ItemView returns a view of a single item.
 func ItemView(item rdf.IRI) View { return View{Item: item} }
 
-// CollectionView returns a view of a query's result collection.
-func CollectionView(q query.Query, items []rdf.IRI) View {
+// CollectionView returns a view of a query's result collection; ids holds
+// the same members as dense item IDs.
+func CollectionView(q query.Query, items []rdf.IRI, ids itemset.Set) View {
 	if items == nil {
 		items = []rdf.IRI{}
 	}
-	return View{Collection: items, Query: q}
+	return View{Collection: items, IDs: ids, Query: q}
 }
 
 // FixedView returns a view of a materialized collection (e.g. the output of
-// a similarity analyst's "arbitrary action").
-func FixedView(name string, items []rdf.IRI) View {
+// a similarity analyst's "arbitrary action"); ids holds the same members as
+// dense item IDs.
+func FixedView(name string, items []rdf.IRI, ids itemset.Set) View {
 	if items == nil {
 		items = []rdf.IRI{}
 	}
-	return View{Collection: items, Fixed: true, Name: name}
+	return View{Collection: items, IDs: ids, Fixed: true, Name: name}
 }
 
 // IsItem reports whether the view shows a single item.

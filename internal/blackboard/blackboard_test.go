@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"magnet/internal/itemset"
 	"magnet/internal/query"
 	"magnet/internal/rdf"
 )
@@ -20,7 +21,7 @@ func TestViewShapes(t *testing.T) {
 	if iv.Key() != "item:"+ex+"a" {
 		t.Errorf("item key = %q", iv.Key())
 	}
-	cv := CollectionView(query.NewQuery(), nil)
+	cv := CollectionView(query.NewQuery(), nil, itemset.Set{})
 	if cv.IsItem() || !cv.IsCollection() {
 		t.Error("collection view shape wrong")
 	}
@@ -99,7 +100,7 @@ func TestRegistryTriggering(t *testing.T) {
 	if len(b.Suggestions()) != 1 {
 		t.Errorf("suggestions = %v", b.Suggestions())
 	}
-	r.Run(CollectionView(query.NewQuery(), []rdf.IRI{}))
+	r.Run(CollectionView(query.NewQuery(), []rdf.IRI{}, itemset.Set{}))
 	if collCount != 1 {
 		t.Errorf("collection analyst not triggered")
 	}

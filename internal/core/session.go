@@ -163,9 +163,10 @@ func (s *Session) goTo(v blackboard.View) {
 
 func (s *Session) goToQuery(q query.Query) {
 	ctx, st := s.startStep("session.query")
-	items := s.m.evalQuery(ctx, q).Items()
+	set := s.m.evalQuery(ctx, q)
+	items := set.Items()
 	s.tracker.PushQuery(q)
-	s.goTo(blackboard.CollectionView(q, items))
+	s.goTo(blackboard.CollectionView(q, items, s.m.eng.Rebase(set)))
 	st.sp.SetInt("items", len(items))
 	st.finish(stepQueryCount, stepQueryNS)
 }
@@ -241,7 +242,13 @@ func (s *Session) refineFixed(p query.Predicate, mode blackboard.RefineMode) {
 		}
 	}
 	name := s.current.Name + " · " + p.Describe(s.m.Labeler())
-	s.goTo(blackboard.FixedView(name, items))
+	s.goTo(s.fixedView(name, items))
+}
+
+// fixedView returns the view of a materialized collection, putting its
+// members on the ID plane once, as the view is entered.
+func (s *Session) fixedView(name string, items []rdf.IRI) blackboard.View {
+	return blackboard.FixedView(name, items, s.m.g.SubjectIDsOf(items))
 }
 
 // RemoveConstraint drops the i-th query constraint (the '✕' of §3.2).
@@ -268,7 +275,8 @@ func (s *Session) Back() bool {
 	if !ok {
 		return false
 	}
-	s.goTo(blackboard.CollectionView(q, s.m.evalQuery(s.ctx, q).Items()))
+	set := s.m.evalQuery(s.ctx, q)
+	s.goTo(blackboard.CollectionView(q, set.Items(), s.m.eng.Rebase(set)))
 	return true
 }
 
@@ -283,7 +291,7 @@ func (s *Session) Apply(a blackboard.Action) error {
 	case blackboard.Refine:
 		s.Refine(act.Add, act.Mode)
 	case blackboard.GoToCollection:
-		s.goTo(blackboard.FixedView(act.Title, act.Items))
+		s.goTo(s.fixedView(act.Title, act.Items))
 	case blackboard.GoToItem:
 		s.OpenItem(act.Item)
 	case blackboard.ReplaceQuery:
@@ -331,7 +339,11 @@ func (s *Session) Overview(maxValues int) []facets.Facet {
 		ByCount:   true,
 		Pool:      s.m.pool,
 	}
-	fs := facets.SummarizeContext(ctx, s.m.g, s.m.sch, s.Items(), opts)
+	coll := s.current.IDs
+	if s.current.IsItem() {
+		coll = s.m.g.SubjectIDsOf([]rdf.IRI{s.current.Item})
+	}
+	fs := facets.SummarizeContext(ctx, s.m.g, s.m.sch, coll, opts)
 	st.sp.SetInt("facets", len(fs))
 	st.finish(stepOverviewCount, stepOverviewNS)
 	return fs

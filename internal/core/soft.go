@@ -71,7 +71,7 @@ func (s *Session) softRefine(p query.Predicate, mode blackboard.RefineMode, prev
 		items[i] = ranked[i].item
 	}
 	name := "closest matches · " + describeMode(mode) + " " + p.Describe(s.m.Labeler())
-	s.goTo(blackboard.FixedView(name, items))
+	s.goTo(s.fixedView(name, items))
 	return true
 }
 

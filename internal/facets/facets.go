@@ -97,20 +97,11 @@ type Options struct {
 // sorted itemset, and each property's per-value histogram is a sequence of
 // posting-list intersections — no per-item hashing, no per-value maps.
 func Summarize(g *rdf.Graph, sch *schema.Store, items []rdf.IRI, opts Options) []Facet {
-	return summarize(context.Background(), g, sch, items, opts)
+	return summarize(context.Background(), g, sch, g.SubjectIDsOf(items), opts)
 }
 
-func summarize(ctx context.Context, g *rdf.Graph, sch *schema.Store, items []rdf.IRI, opts Options) []Facet {
+func summarize(ctx context.Context, g *rdf.Graph, sch *schema.Store, coll itemset.Set, opts Options) []Facet {
 	start := time.Now()
-	collIDs := make([]uint32, 0, len(items))
-	for _, it := range items {
-		// Items absent from the graph carry no properties.
-		if id, ok := g.SubjectID(it); ok {
-			collIDs = append(collIDs, id)
-		}
-	}
-	coll := itemset.FromUnsorted(collIDs)
-
 	// Every intersection result is a subset of coll, so coll's max ID bounds
 	// each worker's epoch-stamp array.
 	var maxID uint32
@@ -247,13 +238,14 @@ func countCoverage(members, seen []uint32, epoch uint32) int {
 	return n
 }
 
-// SummarizeContext is Summarize with tracing: when ctx carries a trace
-// (obs.StartTrace) the aggregation appears as a facets.summarize span
-// annotated with collection size and facet count.
-func SummarizeContext(ctx context.Context, g *rdf.Graph, sch *schema.Store, items []rdf.IRI, opts Options) []Facet {
+// SummarizeContext is Summarize over a collection already on the ID plane
+// (a view's IDs), with tracing: when ctx carries a trace (obs.StartTrace)
+// the aggregation appears as a facets.summarize span annotated with
+// collection size and facet count.
+func SummarizeContext(ctx context.Context, g *rdf.Graph, sch *schema.Store, coll itemset.Set, opts Options) []Facet {
 	ctx, sp := obs.StartSpan(ctx, "facets.summarize")
-	facets := summarize(ctx, g, sch, items, opts)
-	sp.SetInt("items", len(items))
+	facets := summarize(ctx, g, sch, coll, opts)
+	sp.SetInt("items", coll.Len())
 	sp.SetInt("facets", len(facets))
 	sp.End()
 	return facets
@@ -283,48 +275,47 @@ type Histogram struct {
 }
 
 // NumericHistogram summarizes prop's numeric values over the collection in
-// nbuckets equal-width buckets. Items without a parseable numeric value are
-// skipped; ok is false when fewer than two items contribute (no range to
-// select).
-func NumericHistogram(g *rdf.Graph, items []rdf.IRI, prop rdf.IRI, nbuckets int) (Histogram, bool) {
+// nbuckets equal-width buckets. Each item contributes its first parseable
+// numeric value by key (see firstNumeric); items without one are skipped.
+// ok is false when fewer than two items contribute (no range to select).
+func NumericHistogram(g *rdf.Graph, coll itemset.Set, prop rdf.IRI, nbuckets int) (Histogram, bool) {
 	if nbuckets <= 0 {
 		nbuckets = 10
 	}
-	var vals []float64
-	for _, it := range items {
-		for _, o := range g.Objects(it, prop) {
-			lit, ok := o.(rdf.Literal)
-			if !ok {
-				continue
-			}
-			if f, ok := lit.Float(); ok {
-				vals = append(vals, f)
-				break // one value per item in the preview
-			}
-		}
+	// The histogram depends only on min, max and per-bucket counts, so each
+	// value is kept once with the number of items it reaches.
+	type run struct {
+		v float64
+		n int
 	}
-	if len(vals) < 2 {
+	var runs []run
+	count := 0
+	firstNumeric(g, coll, prop, func(v float64, members []uint32) {
+		runs = append(runs, run{v, len(members)})
+		count += len(members)
+	})
+	if count < 2 {
 		return Histogram{Prop: prop}, false
 	}
-	h := Histogram{Prop: prop, Min: vals[0], Max: vals[0], Buckets: make([]int, nbuckets), Count: len(vals)}
-	for _, v := range vals {
-		if v < h.Min {
-			h.Min = v
+	h := Histogram{Prop: prop, Min: runs[0].v, Max: runs[0].v, Buckets: make([]int, nbuckets), Count: count}
+	for _, r := range runs {
+		if r.v < h.Min {
+			h.Min = r.v
 		}
-		if v > h.Max {
-			h.Max = v
+		if r.v > h.Max {
+			h.Max = r.v
 		}
 	}
 	if h.Max == h.Min {
-		h.Buckets[0] = len(vals)
+		h.Buckets[0] = count
 		return h, true
 	}
-	for _, v := range vals {
-		b := int(float64(nbuckets) * (v - h.Min) / (h.Max - h.Min))
+	for _, r := range runs {
+		b := int(float64(nbuckets) * (r.v - h.Min) / (h.Max - h.Min))
 		if b == nbuckets {
 			b--
 		}
-		h.Buckets[b]++
+		h.Buckets[b] += r.n
 	}
 	return h, true
 }
@@ -332,8 +323,20 @@ func NumericHistogram(g *rdf.Graph, items []rdf.IRI, prop rdf.IRI, nbuckets int)
 // Outliers returns values more than k standard deviations from the mean of
 // prop over the collection (how the Figure 8 walkthrough "clearly shows one
 // state (Alaska) having a much larger area than the rest"). Items without
-// numeric values are skipped.
+// numeric values are skipped. Output follows the input order, and the
+// mean and variance sum in that order too.
 func Outliers(g *rdf.Graph, items []rdf.IRI, prop rdf.IRI, k float64) []rdf.IRI {
+	coll := g.SubjectIDsOf(items)
+	// value[i] is the numeric value of coll's i-th member; has marks the
+	// members that have one.
+	value := make([]float64, coll.Len())
+	has := make([]bool, coll.Len())
+	firstNumeric(g, coll, prop, func(v float64, members []uint32) {
+		for _, id := range members {
+			i := coll.Rank(id)
+			value[i], has[i] = v, true
+		}
+	})
 	type pair struct {
 		item rdf.IRI
 		v    float64
@@ -341,16 +344,13 @@ func Outliers(g *rdf.Graph, items []rdf.IRI, prop rdf.IRI, k float64) []rdf.IRI 
 	var pairs []pair
 	var sum float64
 	for _, it := range items {
-		for _, o := range g.Objects(it, prop) {
-			lit, ok := o.(rdf.Literal)
-			if !ok {
-				continue
-			}
-			if f, ok := lit.Float(); ok {
-				pairs = append(pairs, pair{it, f})
-				sum += f
-				break
-			}
+		id, ok := g.SubjectID(it)
+		if !ok {
+			continue
+		}
+		if i := coll.Rank(id); has[i] {
+			pairs = append(pairs, pair{it, value[i]})
+			sum += value[i]
 		}
 	}
 	if len(pairs) < 3 {
@@ -373,7 +373,55 @@ func Outliers(g *rdf.Graph, items []rdf.IRI, prop rdf.IRI, k float64) []rdf.IRI 
 			out = append(out, p.item)
 		}
 	}
-	// Output follows the input order; callers pass sorted collections, so
-	// re-sorting here would be redundant.
 	return out
+}
+
+// firstNumeric is the one reader of items' numeric values. It walks prop's
+// values in key order, the order Objects returns an item's values in, and
+// calls f with each parseable numeric value and the collection members it
+// is the first such value of. An item with several numeric values is
+// handed only its least one by key, and each member is handed at most
+// once. The members slice is reused and valid only during the call.
+func firstNumeric(g *rdf.Graph, coll itemset.Set, prop rdf.IRI, f func(v float64, members []uint32)) {
+	n := coll.Len()
+	if n == 0 {
+		return
+	}
+	maxID, _ := coll.Select(n - 1)
+	claimed := itemset.NewBits(int(maxID) + 1)
+	var buf []uint32
+	g.ForEachValuePosting(prop, func(o rdf.Term, subjects itemset.Set) bool {
+		lit, ok := o.(rdf.Literal)
+		if !ok {
+			return true
+		}
+		v, ok := lit.Float()
+		if !ok {
+			return true
+		}
+		fresh := unclaimed(buf, subjects, coll, claimed)
+		buf = fresh[:0]
+		if len(fresh) > 0 {
+			claimed.AddSlice(fresh)
+			f(v, fresh)
+		}
+		return claimed.Count() < n
+	})
+}
+
+// unclaimed returns the members of subjects ∩ coll not yet in claimed,
+// written into dst's backing array: the per-value inner loop of
+// firstNumeric. The caller claims them.
+//
+//magnet:hot
+func unclaimed(dst []uint32, subjects, coll itemset.Set, claimed *itemset.Bits) []uint32 {
+	ids := itemset.IntersectInto(dst, subjects, coll).Buffer()
+	n := 0
+	for _, id := range ids {
+		if !claimed.Has(id) {
+			ids[n] = id
+			n++
+		}
+	}
+	return ids[:n]
 }

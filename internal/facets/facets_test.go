@@ -152,7 +152,7 @@ func TestFacetLabeledFlag(t *testing.T) {
 
 func TestNumericHistogram(t *testing.T) {
 	g, _, items := fixture()
-	h, ok := NumericHistogram(g, items, pArea, 5)
+	h, ok := NumericHistogram(g, g.SubjectIDsOf(items), pArea, 5)
 	if !ok {
 		t.Fatal("histogram failed")
 	}
@@ -178,16 +178,16 @@ func TestNumericHistogramDegenerate(t *testing.T) {
 	p := rdf.IRI(ex + "n")
 	g.Add(a, p, rdf.NewInteger(7))
 	g.Add(b, p, rdf.NewInteger(7))
-	h, ok := NumericHistogram(g, []rdf.IRI{a, b}, p, 4)
+	h, ok := NumericHistogram(g, g.SubjectIDsOf([]rdf.IRI{a, b}), p, 4)
 	if !ok || h.Buckets[0] != 2 {
 		t.Errorf("degenerate histogram = %+v, %v", h, ok)
 	}
 	// One item only → not enough for a range.
-	if _, ok := NumericHistogram(g, []rdf.IRI{a}, p, 4); ok {
+	if _, ok := NumericHistogram(g, g.SubjectIDsOf([]rdf.IRI{a}), p, 4); ok {
 		t.Error("single item should not produce a histogram")
 	}
 	// Non-numeric property.
-	if _, ok := NumericHistogram(g, []rdf.IRI{a}, rdf.IRI(ex+"absent"), 4); ok {
+	if _, ok := NumericHistogram(g, g.SubjectIDsOf([]rdf.IRI{a}), rdf.IRI(ex+"absent"), 4); ok {
 		t.Error("absent property should not produce a histogram")
 	}
 }

@@ -230,57 +230,6 @@ func (s HistSnapshot) Quantile(q float64) int64 {
 	return int64(s.Buckets[len(s.Buckets)-1].Le)
 }
 
-// Sub returns the histogram delta since prev: the distribution of only the
-// observations recorded between the two snapshots, with empty buckets
-// elided like Snapshot. Both snapshots must come from the same histogram
-// with prev taken first (histograms only grow); a load harness uses the
-// delta to report run-only quantiles from process-global metrics.
-// Exemplars are dropped — they are point-in-time trace links, not
-// interval data.
-func (s HistSnapshot) Sub(prev HistSnapshot) HistSnapshot {
-	prevCount := make(map[uint64]uint64, len(prev.Buckets))
-	for _, b := range prev.Buckets {
-		prevCount[b.Le] = b.Count
-	}
-	out := HistSnapshot{}
-	if s.Count > prev.Count {
-		out.Count = s.Count - prev.Count
-	}
-	out.Sum = s.Sum - prev.Sum
-	for _, b := range s.Buckets {
-		n := b.Count - prevCount[b.Le]
-		if n == 0 || n > b.Count { // unchanged, or mismatched snapshots
-			continue
-		}
-		out.Buckets = append(out.Buckets, HistBucket{Le: b.Le, Count: n})
-	}
-	return out
-}
-
-// Add returns the bucket-wise sum of two snapshots — the combined
-// distribution of two disjoint observation streams (e.g. the per-stage
-// step histograms a load harness folds into one step-latency figure).
-// Exemplars are dropped.
-func (s HistSnapshot) Add(t HistSnapshot) HistSnapshot {
-	out := HistSnapshot{Count: s.Count + t.Count, Sum: s.Sum + t.Sum}
-	counts := make(map[uint64]uint64, len(s.Buckets)+len(t.Buckets))
-	for _, b := range s.Buckets {
-		counts[b.Le] += b.Count
-	}
-	for _, b := range t.Buckets {
-		counts[b.Le] += b.Count
-	}
-	les := make([]uint64, 0, len(counts))
-	for le := range counts {
-		les = append(les, le)
-	}
-	sort.Slice(les, func(i, j int) bool { return les[i] < les[j] })
-	for _, le := range les {
-		out.Buckets = append(out.Buckets, HistBucket{Le: le, Count: counts[le]})
-	}
-	return out
-}
-
 // Registry is a named-metric namespace. Metric constructors are
 // get-or-create and idempotent: the first call for a name wins, later
 // calls return the same instance, so package-level instrument variables

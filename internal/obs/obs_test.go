@@ -154,69 +154,3 @@ func TestHandler(t *testing.T) {
 		t.Errorf("query.eval.count = %v, want 1", m["query.eval.count"])
 	}
 }
-
-// TestHistSnapshotSub: the delta between two snapshots of a growing
-// histogram is exactly the distribution of the observations in between.
-func TestHistSnapshotSub(t *testing.T) {
-	var h Histogram
-	h.Observe(3)
-	h.Observe(100)
-	before := h.Snapshot()
-	h.Observe(3)
-	h.Observe(5000)
-	h.Observe(5001)
-	delta := h.Snapshot().Sub(before)
-	var want Histogram
-	want.Observe(3)
-	want.Observe(5000)
-	want.Observe(5001)
-	ws := want.Snapshot()
-	if delta.Count != ws.Count || delta.Sum != ws.Sum {
-		t.Fatalf("delta count/sum = %d/%d, want %d/%d", delta.Count, delta.Sum, ws.Count, ws.Sum)
-	}
-	if len(delta.Buckets) != len(ws.Buckets) {
-		t.Fatalf("delta buckets = %+v, want %+v", delta.Buckets, ws.Buckets)
-	}
-	for i := range ws.Buckets {
-		if delta.Buckets[i] != ws.Buckets[i] {
-			t.Fatalf("delta bucket %d = %+v, want %+v", i, delta.Buckets[i], ws.Buckets[i])
-		}
-	}
-	// Sub of a snapshot with itself is empty.
-	s := h.Snapshot()
-	if z := s.Sub(s); z.Count != 0 || z.Sum != 0 || len(z.Buckets) != 0 {
-		t.Fatalf("self-Sub not empty: %+v", z)
-	}
-}
-
-// TestHistSnapshotAdd: the bucket-wise sum of two snapshots matches one
-// histogram observing both streams, and quantiles agree.
-func TestHistSnapshotAdd(t *testing.T) {
-	var a, b, both Histogram
-	for _, v := range []int64{1, 10, 200} {
-		a.Observe(v)
-		both.Observe(v)
-	}
-	for _, v := range []int64{7, 9, 4000, 4001} {
-		b.Observe(v)
-		both.Observe(v)
-	}
-	sum := a.Snapshot().Add(b.Snapshot())
-	ws := both.Snapshot()
-	if sum.Count != ws.Count || sum.Sum != ws.Sum {
-		t.Fatalf("sum count/sum = %d/%d, want %d/%d", sum.Count, sum.Sum, ws.Count, ws.Sum)
-	}
-	if len(sum.Buckets) != len(ws.Buckets) {
-		t.Fatalf("sum buckets = %+v, want %+v", sum.Buckets, ws.Buckets)
-	}
-	for i := range ws.Buckets {
-		if sum.Buckets[i] != ws.Buckets[i] {
-			t.Fatalf("sum bucket %d = %+v, want %+v", i, sum.Buckets[i], ws.Buckets[i])
-		}
-	}
-	for _, q := range []float64{0.5, 0.99} {
-		if sum.Quantile(q) != ws.Quantile(q) {
-			t.Fatalf("q%.2f: sum %d, want %d", q, sum.Quantile(q), ws.Quantile(q))
-		}
-	}
-}

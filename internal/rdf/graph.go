@@ -47,6 +47,14 @@ type Graph struct {
 	size    int
 	version uint64
 
+	// valuesMu guards valuesMemo: each predicate's values in key order, as
+	// ForEachValuePosting walks them, stamped with the version they were
+	// read at. An entry from an older version is rebuilt on its next read,
+	// so a mutation drops the memo. Filled lazily, one predicate at a time.
+	valuesMu sync.Mutex
+	// guarded by valuesMu
+	valuesMemo map[IRI]sortedValues
+
 	// seg, when non-nil, makes the graph a read-only view over a columnar
 	// segment image: read accessors branch to it, the maps above stay nil,
 	// and mutations panic. See segcols.go.
@@ -484,26 +492,67 @@ func (g *Graph) ForEachValuePosting(p IRI, f func(o Term, subjects itemset.Set) 
 		g.seg.forEachValuePosting(p, f)
 		return
 	}
-	g.mu.RLock()
-	os := g.pos[p]
-	type valuePosting struct {
-		key  string // the term's serialized key — the pos map key, precomputed
-		o    Term
-		subs []uint32
-	}
-	vals := make([]valuePosting, 0, len(os))
-	for k, subs := range os {
-		vals = append(vals, valuePosting{k, g.terms[k], subs})
-	}
-	g.mu.RUnlock()
-	// Sorting by the stored key avoids re-serializing every term O(n log n)
-	// times in the comparator.
-	sort.Slice(vals, func(i, j int) bool { return vals[i].key < vals[j].key })
-	for _, v := range vals {
+	for _, v := range g.sortedValues(p) {
 		if !f(v.o, itemset.FromSorted(v.subs)) {
 			return
 		}
 	}
+}
+
+// valuePosting is one value of a predicate with its subject posting.
+type valuePosting struct {
+	key  string // the term's serialized key — the pos map key, precomputed
+	o    Term
+	subs []uint32
+}
+
+// sortedValues is one predicate's memoized value list (see valuesMemo).
+type sortedValues struct {
+	version uint64
+	vals    []valuePosting
+}
+
+// sortedValues returns p's values sorted by key, from the memo while the
+// graph is unchanged since it was filled. The returned slice is shared and
+// never written after it is memoized. Concurrent first readers may each
+// build the list; they build the same one and the last store wins.
+func (g *Graph) sortedValues(p IRI) []valuePosting {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	g.valuesMu.Lock()
+	memo, ok := g.valuesMemo[p]
+	g.valuesMu.Unlock()
+	if ok && memo.version == g.version {
+		return memo.vals
+	}
+	os := g.pos[p]
+	vals := make([]valuePosting, 0, len(os))
+	for k, subs := range os {
+		vals = append(vals, valuePosting{k, g.terms[k], subs})
+	}
+	// Sorting by the stored key avoids re-serializing every term O(n log n)
+	// times in the comparator.
+	sort.Slice(vals, func(i, j int) bool { return vals[i].key < vals[j].key })
+	g.valuesMu.Lock()
+	if g.valuesMemo == nil {
+		g.valuesMemo = make(map[IRI]sortedValues)
+	}
+	g.valuesMemo[p] = sortedValues{version: g.version, vals: vals}
+	g.valuesMu.Unlock()
+	return vals
+}
+
+// SubjectIDsOf returns the dense IDs of items as a set, skipping items the
+// graph has never seen (they carry no triples). It is how a collection
+// held as IRIs enters the ID plane.
+func (g *Graph) SubjectIDsOf(items []IRI) itemset.Set {
+	ids := make([]uint32, 0, len(items))
+	for _, it := range items {
+		if id, ok := g.in.Lookup(it); ok {
+			ids = append(ids, id)
+		}
+	}
+	return itemset.FromUnsorted(ids)
 }
 
 // SubjectsFromIDs rehydrates a slice of item IDs to IRIs, sorted lexically

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"magnet/internal/itemset"
 )
 
 const ex = "http://example.org/"
@@ -263,4 +265,66 @@ func TestQuickGraphIndexesAgree(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
 	}
+}
+
+// valuePostings lists p's values as ForEachValuePosting walks them, each
+// with its posting.
+func valuePostings(g *Graph, p IRI) []string {
+	var out []string
+	g.ForEachValuePosting(p, func(o Term, subjects itemset.Set) bool {
+		out = append(out, fmt.Sprint(o.Key(), subjects.Slice()))
+		return true
+	})
+	return out
+}
+
+// TestForEachValuePostingMemoFollowsMutation: the memoized value list is
+// dropped by every mutation, so a walk after Add or Remove sees the new
+// values and postings, in key order.
+func TestForEachValuePostingMemoFollowsMutation(t *testing.T) {
+	g := testGraph()
+	p := IRI(ex + "ingredient")
+	want := func() []string {
+		var out []string
+		for _, o := range g.ObjectsOf(p) {
+			out = append(out, fmt.Sprint(o.Key(), g.SubjectIDSet(p, o).Slice()))
+		}
+		return out
+	}
+	if got := valuePostings(g, p); !reflect.DeepEqual(got, want()) {
+		t.Fatalf("walk = %v, want %v", got, want())
+	}
+	g.Add(IRI(ex+"r2"), p, IRI(ex+"Anise"))
+	g.Add(IRI(ex+"r1"), p, IRI(ex+"Olive"))
+	if got := valuePostings(g, p); !reflect.DeepEqual(got, want()) || len(got) != 4 {
+		t.Fatalf("walk after Add = %v, want %v", got, want())
+	}
+	g.Remove(IRI(ex+"r2"), p, IRI(ex+"Anise"))
+	if got := valuePostings(g, p); !reflect.DeepEqual(got, want()) {
+		t.Fatalf("walk after Remove = %v, want %v", got, want())
+	}
+}
+
+// TestForEachValuePostingConcurrentReaders: first readers of a predicate
+// fill the memo concurrently (run under -race).
+func TestForEachValuePostingConcurrentReaders(t *testing.T) {
+	g := testGraph()
+	preds := g.Predicates()
+	want := make([][]string, len(preds))
+	for i, p := range preds {
+		want[i] = valuePostings(testGraph(), p)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, p := range preds {
+				if got := valuePostings(g, p); !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("%s: walk = %v, want %v", p, got, want[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

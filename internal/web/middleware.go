@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"runtime/debug"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -90,6 +91,12 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 // server mutex, via withSession) so a navigation step's spans land in the
 // request's tree; the completed root is handed to the flight recorder
 // after the response is gone.
+//
+// A panicking handler is recovered here and answered with a 500 that
+// carries the request ID, and it is counted, logged and traced like any
+// other request. Left to net/http, the panic would drop the connection
+// unlogged, and the client's transport would retry the GET, running the
+// failing step a second time.
 func (s *Server) observe(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := nextRequestID()
@@ -99,25 +106,47 @@ func (s *Server) observe(h http.Handler) http.Handler {
 		sp.SetAttr("path", r.URL.Path)
 		sw := &statusWriter{ResponseWriter: w}
 		start := time.Now()
+		defer func() {
+			p := recover()
+			sent := sw.status != 0
+			if p != nil {
+				s.log.LogAttrs(ctx, slog.LevelError, "handler panic",
+					slog.String("id", id),
+					slog.String("path", r.URL.Path),
+					slog.Any("panic", p),
+					slog.String("stack", string(debug.Stack())),
+				)
+				if !sent {
+					http.Error(sw, "internal error (request "+id+")", http.StatusInternalServerError)
+				}
+				sw.status = http.StatusInternalServerError
+			}
+			sp.End()
+			if sw.status == 0 {
+				sw.status = http.StatusOK
+			}
+			reqCount.Inc()
+			reqNS.ObserveSinceExemplar(start, id)
+			if c := sw.status / 100; c >= 1 && c <= 5 {
+				reqStatusClass[c].Inc()
+			}
+			obs.Records.Record(sp)
+			s.log.LogAttrs(ctx, slog.LevelInfo, "request",
+				slog.String("id", id),
+				slog.String("method", r.Method),
+				slog.String("path", r.URL.Path),
+				slog.Int("status", sw.status),
+				slog.Int("bytes", sw.bytes),
+				slog.Duration("dur", time.Since(start)),
+				slog.Int("spans", sp.Count()),
+			)
+			if p != nil && sent {
+				// The status line is already out, so a 500 cannot follow;
+				// abort the response rather than let a truncated page
+				// pass as complete.
+				panic(http.ErrAbortHandler)
+			}
+		}()
 		h.ServeHTTP(sw, r.WithContext(ctx))
-		sp.End()
-		if sw.status == 0 {
-			sw.status = http.StatusOK
-		}
-		reqCount.Inc()
-		reqNS.ObserveSinceExemplar(start, id)
-		if c := sw.status / 100; c >= 1 && c <= 5 {
-			reqStatusClass[c].Inc()
-		}
-		obs.Records.Record(sp)
-		s.log.LogAttrs(ctx, slog.LevelInfo, "request",
-			slog.String("id", id),
-			slog.String("method", r.Method),
-			slog.String("path", r.URL.Path),
-			slog.Int("status", sw.status),
-			slog.Int("bytes", sw.bytes),
-			slog.Duration("dur", time.Since(start)),
-			slog.Int("spans", sp.Count()),
-		)
 	})
 }

@@ -121,7 +121,7 @@ func TestSegmentEquivalenceInbox(t *testing.T) {
 		if err := s.Apply(blackboard.ReplaceQuery{Query: q}); err != nil {
 			t.Fatalf("apply: %v", err)
 		}
-		h, ok := facets.NumericHistogram(m.Graph(), s.Items(), inbox.PropSent, 24)
+		h, ok := facets.NumericHistogram(m.Graph(), s.Current().IDs, inbox.PropSent, 24)
 		if !ok {
 			t.Fatal("no sent-date histogram")
 		}
