@@ -55,14 +55,17 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzItemSetOps -fuzztime=$(FUZZTIME) ./internal/itemset/
 	$(GO) test -run='^$$' -fuzz=FuzzSegmentHeader -fuzztime=$(FUZZTIME) ./internal/segment/
 	$(GO) test -run='^$$' -fuzz=FuzzManifest -fuzztime=$(FUZZTIME) ./internal/segment/
+	$(GO) test -run='^$$' -fuzz=FuzzColumnImage -fuzztime=$(FUZZTIME) ./internal/segment/
 	$(GO) test -run='^$$' -fuzz=FuzzPlanEquivalence -fuzztime=$(FUZZTIME) ./internal/plan/
 	$(GO) test -run='^$$' -fuzz=FuzzVectorKernel -fuzztime=$(FUZZTIME) ./internal/index/
 
 # Focused race pass over the parallel pipeline: the internal/par pool
-# stress tests and every serial-vs-parallel equivalence/determinism test.
+# stress tests, every serial-vs-parallel equivalence/determinism test, and
+# concurrent first reads of freshly frozen stores (lazy key strings, term
+# table and row cache).
 race-par:
-	$(GO) test -race -run 'Pool|Submit|Batch|Panic|Cancel|Nested|Parallel|Equiv|Determinism|Merge|ByAdvisor|Centroid' \
-		./internal/par/ ./internal/blackboard/ ./internal/facets/ ./internal/index/ ./internal/vsm/
+	$(GO) test -race -run 'Pool|Submit|Batch|Panic|Cancel|Nested|Parallel|Equiv|Determinism|Merge|ByAdvisor|Centroid|ConcurrentReaders' \
+		./internal/par/ ./internal/blackboard/ ./internal/facets/ ./internal/index/ ./internal/vsm/ ./internal/rdf/
 
 # Observability gate: the flight-recorder and exposition goldens (ring
 # retention, Prometheus text format, /debug/traces JSON) plus the

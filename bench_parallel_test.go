@@ -61,8 +61,8 @@ func parallelRecipeMagnet(w int) *core.Magnet {
 	}
 	m, ok := parRecipes[w]
 	if !ok {
-		g := recipes.Build(recipes.Config{Recipes: benchCorpusSize, Seed: 1})
-		m = core.Open(g, core.Options{Parallelism: w})
+		gb := recipes.Build(recipes.Config{Recipes: benchCorpusSize, Seed: 1})
+		m = core.Open(gb, core.Options{Parallelism: w})
 		parRecipes[w] = m
 	}
 	return m

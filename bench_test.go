@@ -59,8 +59,8 @@ var (
 
 func recipeMagnet() *core.Magnet {
 	recipeOnce.Do(func() {
-		g := recipes.Build(recipes.Config{Recipes: benchCorpusSize, Seed: 1})
-		recipeM = core.Open(g, core.Options{})
+		gb := recipes.Build(recipes.Config{Recipes: benchCorpusSize, Seed: 1})
+		recipeM = core.Open(gb, core.Options{})
 	})
 	return recipeM
 }
@@ -74,12 +74,12 @@ func inboxMagnet() *core.Magnet {
 
 func statesMagnet() *core.Magnet {
 	statesOnce.Do(func() {
-		g, err := states.Build()
+		gb, err := states.Build()
 		if err != nil {
 			panic(err) // test-only helper outside any *testing.B
 		}
-		states.Annotate(g)
-		statesM = core.Open(g, core.Options{IndexAllSubjects: true})
+		states.Annotate(gb)
+		statesM = core.Open(gb, core.Options{IndexAllSubjects: true})
 	})
 	return statesM
 }
@@ -252,9 +252,9 @@ func BenchmarkFig8AreaOutliers(b *testing.B) {
 // BenchmarkFactbookSharedProperty (E8): shared-currency/-independence-day
 // suggestions from a country item view.
 func BenchmarkFactbookSharedProperty(b *testing.B) {
-	g := factbook.Build(factbook.Config{})
-	factbook.Annotate(g)
-	m := core.Open(g, core.Options{})
+	gb := factbook.Build(factbook.Config{})
+	factbook.Annotate(gb)
+	m := core.Open(gb, core.Options{})
 	b.ResetTimer()
 	var shared int
 	for i := 0; i < b.N; i++ {
@@ -421,8 +421,9 @@ func BenchmarkRenderPane(b *testing.B) {
 // ------------------------------------------------------------ ablations --
 
 func ablationCorpus() (*rdf.Graph, []rdf.IRI) {
-	g := recipes.Build(recipes.Config{Recipes: 500, Seed: 1})
-	m := core.Open(g, core.Options{})
+	gb := recipes.Build(recipes.Config{Recipes: 500, Seed: 1})
+	m := core.Open(gb, core.Options{})
+	g := m.Graph()
 	return g, m.Items()
 }
 
@@ -552,10 +553,11 @@ func schemaOf(g *rdf.Graph) *schema.Store { return schema.NewStore(g) }
 // BenchmarkAutoAnnotate (E13): the §7 future-work annotation advisor over
 // the raw 50-states CSV.
 func BenchmarkAutoAnnotate(b *testing.B) {
-	g, err := states.Build()
+	gb, err := states.Build()
 	if err != nil {
 		b.Fatal(err)
 	}
+	g := gb.Freeze()
 	b.ResetTimer()
 	var n int
 	for i := 0; i < b.N; i++ {
@@ -567,8 +569,8 @@ func BenchmarkAutoAnnotate(b *testing.B) {
 // BenchmarkSoftRefine (E14): the fuzzy fallback on the study's
 // contradictory walnut ∧ NOT-nuts refinement.
 func BenchmarkSoftRefine(b *testing.B) {
-	g := recipes.Build(recipes.Config{Recipes: 600, Seed: 1})
-	m := core.Open(g, core.Options{SoftEmptyResults: true})
+	gb := recipes.Build(recipes.Config{Recipes: 600, Seed: 1})
+	m := core.Open(gb, core.Options{SoftEmptyResults: true})
 	walnuts := query.NewQuery(
 		query.TypeIs(recipes.ClassRecipe),
 		query.Property{Prop: recipes.PropIngredient, Value: recipes.Ingredient("Walnuts")},

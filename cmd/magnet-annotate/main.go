@@ -31,11 +31,12 @@ func main() {
 	apply := flag.String("apply", "", "apply proposals and write the annotated graph to this N-Triples file")
 	flag.Parse()
 
-	g, err := load(*dataset, *file)
+	b, err := load(*dataset, *file)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "magnet-annotate: %v\n", err)
 		os.Exit(1)
 	}
+	g := b.Freeze()
 
 	proposals := annotate.Advise(g, annotate.Config{})
 	kept := proposals[:0]
@@ -52,22 +53,22 @@ func main() {
 	if *apply == "" {
 		return
 	}
-	annotate.Apply(g, kept)
+	annotate.Apply(b, kept)
 	out, err := os.Create(*apply)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "magnet-annotate: %v\n", err)
 		os.Exit(1)
 	}
 	defer out.Close()
-	if err := rdf.WriteNTriples(g, out); err != nil {
+	if err := rdf.WriteNTriples(b.Freeze(), out); err != nil {
 		fmt.Fprintf(os.Stderr, "magnet-annotate: writing %s: %v\n", *apply, err)
 		os.Exit(1)
 	}
 	fmt.Printf("\napplied %d proposals; annotated graph written to %s (%d triples)\n",
-		len(kept), *apply, g.Len())
+		len(kept), *apply, b.Len())
 }
 
-func load(dataset, file string) (*rdf.Graph, error) {
+func load(dataset, file string) (*rdf.Builder, error) {
 	if file != "" {
 		f, err := os.Open(file)
 		if err != nil {

@@ -49,7 +49,7 @@ import (
 // step below depends on the resulting view.
 // statesGraph builds the embedded 50-states dataset, exiting on the
 // (compile-time-impossible) parse failure rather than panicking.
-func statesGraph() *rdf.Graph {
+func statesGraph() *rdf.Builder {
 	g, err := states.Build()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "magnet-eval: %v\n", err)
@@ -74,7 +74,7 @@ var (
 )
 
 // open builds a Magnet with the run's parallelism setting applied.
-func open(g *rdf.Graph, opts core.Options) *core.Magnet {
+func open(g *rdf.Builder, opts core.Options) *core.Magnet {
 	opts.Parallelism = parallelism
 	return core.Open(g, opts)
 }
@@ -393,10 +393,10 @@ func fig8(int, int64) {
 			render.Histogram(os.Stdout, "area", act.Histogram)
 		}
 	}
-	outliers := facets.Outliers(g, m.Items(), states.PropArea, 3)
+	outliers := facets.Outliers(m.Graph(), m.Items(), states.PropArea, 3)
 	names := make([]string, len(outliers))
 	for i, o := range outliers {
-		if v, ok := g.Object(o, states.PropName); ok {
+		if v, ok := m.Graph().Object(o, states.PropName); ok {
 			names[i] = v.(rdf.Literal).Lexical
 		}
 	}
@@ -412,7 +412,7 @@ func factbookExp(int, int64) {
 	m := open(g, core.Options{})
 	s := m.NewSession()
 	s.OpenItem(factbook.Country(0))
-	render.Item(os.Stdout, g, factbook.Country(0))
+	render.Item(os.Stdout, m.Graph(), factbook.Country(0))
 	pane := s.Pane()
 	render.Pane(os.Stdout, pane, false)
 
@@ -472,7 +472,7 @@ func coursesExp(int, int64) {
 	// accession code is machine-opaque, and the annotation advisor flags it
 	// for hiding with full confidence while leaving the curated columns
 	// alone.
-	g := artstor.Build(artstor.Config{})
+	g := artstor.Build(artstor.Config{}).Freeze()
 	var hideAccession, falsePositives int
 	for _, pr := range annotate.Advise(g, annotate.Config{}) {
 		if pr.Kind != annotate.Hide {
@@ -493,14 +493,15 @@ func coursesExp(int, int64) {
 // interface automatically — no schema expert in the loop.
 func autoAnnotateExp(int, int64) {
 	header("E13 — automated annotation inference (§7 future work)")
-	g := statesGraph()
+	b := statesGraph()
+	g := b.Freeze()
 	proposals := annotate.Advise(g, annotate.Config{})
 	for _, p := range proposals {
 		fmt.Printf("  [%-10s] %s\n", p.Kind, p.Describe(g.Label))
 	}
-	annotate.Apply(g, proposals)
+	annotate.Apply(b, proposals)
 
-	m := open(g, core.Options{IndexAllSubjects: true})
+	m := open(b, core.Options{IndexAllSubjects: true})
 	s := m.NewSession()
 	var areaRange bool
 	for _, sg := range s.Board().Suggestions() {
@@ -514,7 +515,7 @@ func autoAnnotateExp(int, int64) {
 			labeled++
 		}
 	}
-	outliers := facets.Outliers(g, m.Items(), states.PropArea, 3)
+	outliers := facets.Outliers(m.Graph(), m.Items(), states.PropArea, 3)
 	fmt.Printf("CHECK autoann proposals=%d areaRange=%v labeledFacets=%d outliers=%d\n",
 		len(proposals), areaRange, labeled, len(outliers))
 }

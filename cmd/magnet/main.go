@@ -63,7 +63,7 @@ func main() {
 	repl(m, s)
 }
 
-func load(dataset, file string, nRecipes int, seed int64, annotate bool) (*rdf.Graph, bool, error) {
+func load(dataset, file string, nRecipes int, seed int64, annotate bool) (*rdf.Builder, bool, error) {
 	if file != "" {
 		f, err := os.Open(file)
 		if err != nil {

@@ -38,7 +38,7 @@ func main() {
 		query.TypeIs(inbox.ClassNewsItem),
 	}})})
 	fmt.Println("=== Inbox (Figure 6) ===")
-	render.Collection(os.Stdout, g, s.Items(), 8)
+	render.Collection(os.Stdout, m.Graph(), s.Items(), 8)
 	fmt.Println()
 	render.Pane(os.Stdout, s.Pane(), false)
 
@@ -60,11 +60,11 @@ func main() {
 	// Keyword refinement within the window.
 	s.SearchWithin("seminar")
 	fmt.Printf("... mentioning 'seminar': %d\n", len(s.Items()))
-	render.Collection(os.Stdout, g, s.Items(), 5)
+	render.Collection(os.Stdout, m.Graph(), s.Items(), 5)
 
 	// Open one message and look at its composed body attributes.
 	if items := s.Items(); len(items) > 0 {
 		fmt.Println()
-		render.Item(os.Stdout, g, items[0])
+		render.Item(os.Stdout, m.Graph(), items[0])
 	}
 }

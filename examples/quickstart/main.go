@@ -19,7 +19,7 @@ import (
 const ns = "http://example.org/books#"
 
 func main() {
-	g := rdf.NewGraph()
+	g := rdf.NewBuilder()
 
 	class := rdf.IRI(ns + "Book")
 	author := rdf.IRI(ns + "author")
@@ -58,13 +58,13 @@ func main() {
 	//    books mentioning James anywhere.
 	s.Search("james")
 	fmt.Println("Keyword search: james")
-	render.Collection(os.Stdout, g, s.Items(), 10)
+	render.Collection(os.Stdout, m.Graph(), s.Items(), 10)
 
 	// 2. Add the structured constraint distinguishing by-James from
 	//    about-James.
 	s.Refine(query.Property{Prop: author, Value: james}, blackboard.Filter)
 	fmt.Println("\nRefined: author = Henry James")
-	render.Collection(os.Stdout, g, s.Items(), 10)
+	render.Collection(os.Stdout, m.Graph(), s.Items(), 10)
 
 	// 3. The navigation pane with advisor suggestions.
 	fmt.Println()
@@ -74,6 +74,6 @@ func main() {
 	turn := rdf.IRI(ns + "turn-of-the-screw")
 	fmt.Println("\nSimilar to The Turn of the Screw:")
 	for _, sc := range m.Model().SimilarToItem(turn, 3) {
-		fmt.Printf("  %.3f %s\n", sc.Score, g.Label(sc.Item))
+		fmt.Printf("  %.3f %s\n", sc.Score, m.Label(sc.Item))
 	}
 }

@@ -39,7 +39,7 @@ func main() {
 		query.Property{Prop: recipes.PropIngredient, Value: recipes.Ingredient("Parsley")},
 	)})
 	fmt.Println("=== Figure 1 walkthrough: Greek recipes with parsley ===")
-	render.Collection(os.Stdout, g, s.Items(), 6)
+	render.Collection(os.Stdout, m.Graph(), s.Items(), 6)
 	fmt.Println()
 	render.Pane(os.Stdout, s.Pane(), false)
 
@@ -62,9 +62,9 @@ func main() {
 
 	// The study's walnut flow: a walnut recipe, its similar recipes, nuts
 	// excluded.
-	walnutRecipes := g.Subjects(recipes.PropIngredient, recipes.Ingredient("Walnuts"))
+	walnutRecipes := m.Graph().Subjects(recipes.PropIngredient, recipes.Ingredient("Walnuts"))
 	target := walnutRecipes[0]
-	fmt.Printf("\n=== Walnut-allergy flow from %q ===\n", g.Label(target))
+	fmt.Printf("\n=== Walnut-allergy flow from %q ===\n", m.Label(target))
 	s.OpenItem(target)
 	for _, sg := range s.Board().Suggestions() {
 		if sg.Group == "Similar by Content" {
@@ -78,5 +78,5 @@ func main() {
 		Value: recipes.Group("Nuts"),
 	}, blackboard.Exclude)
 	fmt.Printf("after excluding the Nuts group: %d\n", len(s.Items()))
-	render.Collection(os.Stdout, g, s.Items(), 5)
+	render.Collection(os.Stdout, m.Graph(), s.Items(), 5)
 }

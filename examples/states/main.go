@@ -52,7 +52,7 @@ func main() {
 		}
 	}
 	fmt.Printf("\nStates with 'cardinal' in their bird names: %d\n", len(s.Items()))
-	render.Collection(os.Stdout, g, s.Items(), 10)
+	render.Collection(os.Stdout, m.Graph(), s.Items(), 10)
 
 	// --- Annotated (Figure 8). ---
 	states.Annotate(g)
@@ -68,9 +68,9 @@ func main() {
 			render.Histogram(os.Stdout, "Area (sq mi)", act.Histogram)
 		}
 	}
-	outliers := facets.Outliers(g, m.Items(), states.PropArea, 3)
+	outliers := facets.Outliers(m.Graph(), m.Items(), states.PropArea, 3)
 	for _, o := range outliers {
-		name, _ := g.Object(o, states.PropName)
+		name, _ := m.Graph().Object(o, states.PropName)
 		fmt.Printf("area outlier: %s\n", name.(rdf.Literal).Lexical)
 	}
 
@@ -78,5 +78,5 @@ func main() {
 	lo := 100000.0
 	s.ApplyRange(states.PropArea, &lo, nil)
 	fmt.Printf("\nStates over 100,000 sq mi: %d\n", len(s.Items()))
-	render.Collection(os.Stdout, g, s.Items(), 10)
+	render.Collection(os.Stdout, m.Graph(), s.Items(), 10)
 }

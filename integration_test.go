@@ -97,12 +97,12 @@ func TestJourneyRecipes(t *testing.T) {
 // TestJourneyStatesAutoAnnotate goes raw CSV → automatic annotations →
 // range navigation, the E6+E13 path end to end.
 func TestJourneyStatesAutoAnnotate(t *testing.T) {
-	g, err := states.Build()
+	gb, err := states.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	annotate.Apply(g, annotate.Advise(g, annotate.Config{}))
-	m := core.Open(g, core.Options{IndexAllSubjects: true})
+	annotate.Apply(gb, annotate.Advise(gb.Freeze(), annotate.Config{}))
+	m := core.Open(gb, core.Options{IndexAllSubjects: true})
 	s := m.NewSession()
 
 	// The 'cardinal' refinement still works post-annotation.
@@ -141,8 +141,8 @@ func TestJourneyStatesAutoAnnotate(t *testing.T) {
 // TestJourneyInboxComposition exercises Figure 6 end to end: composed
 // body·creator refinement through an actual suggestion.
 func TestJourneyInboxComposition(t *testing.T) {
-	g := inbox.Build(inbox.Config{})
-	m := core.Open(g, core.Options{})
+	gb := inbox.Build(inbox.Config{})
+	m := core.Open(gb, core.Options{})
 	s := m.NewSession()
 	s.Apply(blackboard.ReplaceQuery{Query: query.NewQuery(query.Or{Ps: []query.Predicate{
 		query.TypeIs(inbox.ClassMessage), query.TypeIs(inbox.ClassNewsItem),
@@ -183,8 +183,9 @@ func TestJourneyInboxComposition(t *testing.T) {
 // TestJourneyNTriplesRoundTrip serializes a dataset, re-reads it, and
 // verifies navigation still works identically (persistence path).
 func TestJourneyNTriplesRoundTrip(t *testing.T) {
-	g := recipes.Build(recipes.Config{Recipes: 120, Seed: 1})
+	gb := recipes.Build(recipes.Config{Recipes: 120, Seed: 1})
 	var buf bytes.Buffer
+	g := gb.Freeze()
 	if err := rdf.WriteNTriples(g, &buf); err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +196,7 @@ func TestJourneyNTriplesRoundTrip(t *testing.T) {
 	if g2.Len() != g.Len() {
 		t.Fatalf("round trip %d → %d triples", g.Len(), g2.Len())
 	}
-	m1 := core.Open(g, core.Options{})
+	m1 := core.Open(gb, core.Options{})
 	m2 := core.Open(g2, core.Options{})
 	q := query.NewQuery(
 		query.TypeIs(recipes.ClassRecipe),
@@ -222,7 +223,7 @@ func TestJourneyXMLNavigation(t *testing.T) {
   <book genre="cyberpunk"><title>Neuromancer</title><author><name>William Gibson</name></author></book>
 </library>`
 	const ns = "http://e/xml#"
-	g := rdf.NewGraph()
+	g := rdf.NewBuilder()
 	if _, err := xmlconv.Convert(g, strings.NewReader(doc), xmlconv.Options{NS: ns}); err != nil {
 		t.Fatal(err)
 	}

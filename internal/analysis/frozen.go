@@ -8,8 +8,9 @@ import (
 // FrozenDirective marks a publish point: on a function or method, every
 // slice-typed result is published read-only (itemset.Set.Slice); on a
 // struct field, every slice reachable through the field is a copy-on-write
-// posting that must be replaced, never mutated in place (rdf.Graph.pos,
-// rdf.Graph.subjIDs, and the mmap-backed segment columns to come).
+// posting that must be replaced, never mutated in place (the columnar
+// images the frozen graph, text index and vector store serve from, which
+// may alias mapped segment files).
 const FrozenDirective = "//magnet:frozen"
 
 // Facts the frozen analyzer derives and shares through the store. Producer
@@ -368,6 +369,12 @@ func frozenOrigin(mp *ModulePass, pkg *Package, e ast.Expr, t *frozenTaint) stri
 			}
 			if origin, ok := mp.Facts.Get(pkg.Info.Uses[x.Sel], FrozenFieldFact); ok {
 				return origin.(string)
+			}
+			// A column of a frozen struct-valued field (a columnar image)
+			// is frozen with it.
+			if _, ok := typeUnder(pkg.Info.TypeOf(x.X)).(*types.Struct); ok {
+				e = x.X
+				continue
 			}
 			return ""
 		case *ast.Ident:

@@ -22,8 +22,9 @@ const HotFact = "hot"
 // interprocedurally: starting from every function marked //magnet:hot, it
 // walks the static call graph and reports any allocation it can prove in a
 // reachable body — function literals that capture variables (captured
-// closures are heap-allocated), interface boxing at call and conversion
-// sites, fmt calls, string concatenation, map/slice/new allocations, and
+// closures are heap-allocated), interface boxing at call, conversion and
+// return sites, string⇄byte-slice conversions, fmt calls, string
+// concatenation, map/slice/new allocations, and
 // append growth on slices not rooted in a caller-provided parameter (the
 // amortized-buffer pattern the engine's *Into operations use). Diagnostics
 // name the call chain from the hot seed to the allocation.
@@ -68,12 +69,28 @@ func checkHotFunc(mp *ModulePass, n *FuncNode, reach *Reach) {
 		mp.Reportf(pkg, pos, "%s [hot path: %s]", fmt.Sprintf(format, args...), chain)
 	}
 	params := paramObjects(pkg, n.Decl)
+	// sigs holds the signature each return statement fills: the
+	// declaration's, or that of the innermost enclosing function literal.
+	sigs := []*types.Signature{n.Fn.Type().(*types.Signature)}
+	var stack []ast.Node
 	ast.Inspect(n.Decl.Body, func(node ast.Node) bool {
+		if node == nil {
+			if _, ok := stack[len(stack)-1].(*ast.FuncLit); ok {
+				sigs = sigs[:len(sigs)-1]
+			}
+			stack = stack[:len(stack)-1]
+			return true
+		}
+		stack = append(stack, node)
 		switch e := node.(type) {
 		case *ast.FuncLit:
 			if caps := capturedVars(pkg, n.Decl, e); len(caps) > 0 {
 				report(e.Pos(), "function literal captures %s; capturing closures allocate", strings.Join(caps, ", "))
 			}
+			sig, _ := pkg.Info.TypeOf(e).(*types.Signature)
+			sigs = append(sigs, sig)
+		case *ast.ReturnStmt:
+			checkReturnBoxing(report, pkg, e, sigs[len(sigs)-1])
 		case *ast.CompositeLit:
 			switch typeUnder(pkg.Info.TypeOf(e)).(type) {
 			case *types.Map:
@@ -170,12 +187,18 @@ func checkHotCall(report func(token.Pos, string, ...any), pkg *Package, call *as
 			return
 		}
 	}
-	// Conversion to an interface type boxes its operand.
+	// Conversion to an interface type boxes its operand; between strings
+	// and byte or rune slices it copies into a new allocation.
 	if tv, ok := pkg.Info.Types[call.Fun]; ok && tv.IsType() {
-		if types.IsInterface(tv.Type) && len(call.Args) == 1 {
-			if at := pkg.Info.TypeOf(call.Args[0]); boxes(at) {
-				report(call.Pos(), "conversion boxes %s into %s", typeName(pkg, at), typeName(pkg, tv.Type))
-			}
+		if len(call.Args) != 1 {
+			return
+		}
+		at := pkg.Info.TypeOf(call.Args[0])
+		switch {
+		case interfaceTarget(tv.Type) && boxes(at):
+			report(call.Pos(), "conversion boxes %s into %s", typeName(pkg, at), typeName(pkg, tv.Type))
+		case stringish(tv.Type) && isByteOrRuneSlice(at), isByteOrRuneSlice(tv.Type) && stringish(at):
+			report(call.Pos(), "conversion from %s to %s copies into a new allocation", typeName(pkg, at), typeName(pkg, tv.Type))
 		}
 		return
 	}
@@ -211,13 +234,74 @@ func checkBoxingArgs(report func(token.Pos, string, ...any), pkg *Package, call 
 		case i < np:
 			pt = sig.Params().At(i).Type()
 		}
-		if pt == nil || !types.IsInterface(pt) {
+		if pt == nil || !interfaceTarget(pt) {
 			continue
 		}
 		if at := pkg.Info.TypeOf(arg); boxes(at) {
 			report(arg.Pos(), "argument boxes %s into %s", typeName(pkg, at), typeName(pkg, pt))
 		}
 	}
+}
+
+// checkReturnBoxing flags concrete, non-pointer-shaped results returned
+// into interface-typed result positions of sig.
+func checkReturnBoxing(report func(token.Pos, string, ...any), pkg *Package, ret *ast.ReturnStmt, sig *types.Signature) {
+	if sig == nil || len(ret.Results) != sig.Results().Len() {
+		return // naked return, or a multi-value call spread over the results
+	}
+	for i, res := range ret.Results {
+		rt := sig.Results().At(i).Type()
+		if at := pkg.Info.TypeOf(res); interfaceTarget(rt) && boxes(at) {
+			report(res.Pos(), "return boxes %s into %s", typeName(pkg, at), typeName(pkg, rt))
+		}
+	}
+}
+
+// stringish reports whether t is a string type, or a type parameter whose
+// constraint admits only string types (~string).
+func stringish(t types.Type) bool {
+	tp, ok := t.(*types.TypeParam)
+	if !ok {
+		return isStringType(t)
+	}
+	iface, _ := tp.Constraint().Underlying().(*types.Interface)
+	if iface == nil || iface.NumEmbeddeds() == 0 {
+		return false
+	}
+	for i := 0; i < iface.NumEmbeddeds(); i++ {
+		u, ok := iface.EmbeddedType(i).(*types.Union)
+		if !ok {
+			return false
+		}
+		for j := 0; j < u.Len(); j++ {
+			if !isStringType(u.Term(j).Type()) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// isByteOrRuneSlice reports whether t is a []byte or []rune type.
+func isByteOrRuneSlice(t types.Type) bool {
+	sl, ok := typeUnder(t).(*types.Slice)
+	if !ok {
+		return false
+	}
+	b, ok := sl.Elem().Underlying().(*types.Basic)
+	return ok && (b.Kind() == types.Byte || b.Kind() == types.Rune)
+}
+
+// interfaceTarget reports whether a value converted or passed to type t is
+// stored as an interface. A type parameter counts unless its constraint
+// lists concrete types (~string): its type arguments are then never
+// interfaces, so the conversion is a plain value conversion.
+func interfaceTarget(t types.Type) bool {
+	if tp, ok := t.(*types.TypeParam); ok {
+		iface, _ := tp.Constraint().Underlying().(*types.Interface)
+		return iface == nil || iface.IsMethodSet()
+	}
+	return types.IsInterface(t)
 }
 
 // boxes reports whether converting a value of type t to an interface

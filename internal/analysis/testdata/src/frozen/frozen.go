@@ -70,3 +70,17 @@ func read(s *store, k string) uint32 {
 	}
 	return n
 }
+
+// image is a columnar image: every column of the frozen field is frozen.
+type image struct {
+	cols []uint32
+}
+
+type reader struct {
+	//magnet:frozen
+	img image
+}
+
+func mutateColumn(r *reader) {
+	r.img.cols[0] = 1 // want "index assignment writes into a slice published by frozen.reader.img"
+}

@@ -167,3 +167,25 @@ func Cold(xs []uint32) map[uint32]bool {
 	}
 	return out
 }
+
+// GenericKey converts to a type parameter constrained to ~string: a plain
+// value conversion, never boxing.
+//
+//magnet:hot
+func GenericKey[K ~string](s string) K {
+	return K(s)
+}
+
+// BadBytesToString copies the bytes into a new string on every call.
+//
+//magnet:hot
+func BadBytesToString(b []byte) string {
+	return string(b) // want "conversion from []byte to string copies into a new allocation"
+}
+
+// BadReturnBox boxes its int result into an interface on every call.
+//
+//magnet:hot
+func BadReturnBox(n int) any {
+	return n // want "return boxes int into any"
+}

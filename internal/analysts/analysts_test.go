@@ -15,8 +15,8 @@ import (
 
 func session(t *testing.T, n int) (*core.Magnet, *core.Session) {
 	t.Helper()
-	g := recipes.Build(recipes.Config{Recipes: n, Seed: 1})
-	m := core.Open(g, core.Options{})
+	gb := recipes.Build(recipes.Config{Recipes: n, Seed: 1})
+	m := core.Open(gb, core.Options{})
 	return m, m.NewSession()
 }
 

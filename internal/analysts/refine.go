@@ -60,12 +60,10 @@ func (r *Refinement) Suggest(v blackboard.View, b *blackboard.Board) {
 // detail: the coordinate's posting intersected with the collection.
 func (r *Refinement) suggestObject(b *blackboard.Board, c vsm.Coord, weight float64, coll itemset.Set, n int) {
 	var pred query.Predicate
-	cnt := 0
+	var cnt int
 	if len(c.Path) == 1 {
 		pred = query.Property{Prop: c.Path[0], Value: c.Value}
-		if !r.env.Schema.Hidden(c.Path[0]) {
-			cnt = postingCount(r.env.Graph, c.Path[0], c.Value, coll)
-		}
+		cnt = postingCount(r.env.Graph, c.Path[0], c.Value, coll)
 	} else {
 		pp := query.PathProperty{Path: c.Path, Value: c.Value}
 		pred = pp

@@ -11,7 +11,7 @@
 // properties, facet preferences for high-coverage shared-value axes, and
 // hidden flags for machine-opaque attributes (the §6.1 OCW/ArtSTOR
 // catalog-key problem). Proposals carry confidences and evidence strings;
-// Apply writes accepted proposals into the graph as ordinary annotation
+// Apply writes accepted proposals into a graph builder as ordinary annotation
 // triples.
 package annotate
 
@@ -149,21 +149,20 @@ func Advise(g *rdf.Graph, cfg Config) []Proposal {
 	return out
 }
 
-// Apply writes the proposals into the graph as annotation triples.
-func Apply(g *rdf.Graph, proposals []Proposal) {
-	sch := schema.NewStore(g)
+// Apply writes the proposals into the graph builder as annotation triples.
+func Apply(b *rdf.Builder, proposals []Proposal) {
 	for _, pr := range proposals {
 		switch pr.Kind {
 		case ValueType:
-			sch.SetValueType(pr.Prop, pr.ValueType)
+			schema.SetValueType(b, pr.Prop, pr.ValueType)
 		case Label:
-			sch.SetLabel(pr.Prop, pr.Label)
+			schema.SetLabel(b, pr.Prop, pr.Label)
 		case Compose:
-			sch.SetCompose(pr.Prop)
+			schema.SetCompose(b, pr.Prop)
 		case Facet:
-			sch.SetFacet(pr.Prop)
+			schema.SetFacet(b, pr.Prop)
 		case Hide:
-			sch.SetHidden(pr.Prop)
+			schema.SetHidden(b, pr.Prop)
 		}
 	}
 }

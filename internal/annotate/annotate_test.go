@@ -25,10 +25,11 @@ func proposalsFor(ps []Proposal, kind Kind, prop rdf.IRI) []Proposal {
 // integer value types for the stringly area and admission columns, and
 // labels for every property.
 func TestAdviseStatesDataset(t *testing.T) {
-	g, err := states.Build()
+	b, err := states.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := b.Freeze()
 	ps := Advise(g, Config{})
 
 	area := proposalsFor(ps, ValueType, states.PropArea)
@@ -56,11 +57,12 @@ func TestAdviseStatesDataset(t *testing.T) {
 }
 
 func TestApplyUpgradesStates(t *testing.T) {
-	g, err := states.Build()
+	b, err := states.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	Apply(g, Advise(g, Config{}))
+	Apply(b, Advise(b.Freeze(), Config{}))
+	g := b.Freeze()
 	sch := schema.NewStore(g)
 	if sch.ValueType(states.PropArea) != schema.Integer {
 		t.Error("area not integer after Apply")
@@ -83,7 +85,7 @@ func TestApplyUpgradesStates(t *testing.T) {
 // The §6.1 OCW problem, automated: the opaque catalog key should be
 // proposed hidden; the human-readable columns should not.
 func TestAdviseHidesOpaqueCatalogKey(t *testing.T) {
-	g := courses.Build(courses.Config{})
+	g := courses.Build(courses.Config{}).Freeze()
 	ps := Advise(g, Config{})
 	if got := proposalsFor(ps, Hide, courses.PropCatalogKey); len(got) != 1 {
 		t.Fatalf("catalog key hide proposals = %+v", got)
@@ -99,7 +101,7 @@ func TestAdviseHidesOpaqueCatalogKey(t *testing.T) {
 // with informative targets) should be proposed composable on an
 // unannotated corpus.
 func TestAdviseComposeAndFacets(t *testing.T) {
-	g := recipes.Build(recipes.Config{Recipes: 300, SkipAnnotations: true})
+	g := recipes.Build(recipes.Config{Recipes: 300, SkipAnnotations: true}).Freeze()
 	ps := Advise(g, Config{})
 	if got := proposalsFor(ps, Compose, recipes.PropIngredient); len(got) != 1 {
 		t.Errorf("ingredient compose proposals = %+v", got)
@@ -120,12 +122,12 @@ func TestAdviseComposeAndFacets(t *testing.T) {
 }
 
 func TestAdviseSkipsAnnotated(t *testing.T) {
-	g, err := states.Build()
+	b, err := states.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	states.Annotate(g)
-	ps := Advise(g, Config{})
+	states.Annotate(b)
+	ps := Advise(b.Freeze(), Config{})
 	if got := proposalsFor(ps, ValueType, states.PropArea); got != nil {
 		t.Errorf("already annotated area proposed again: %+v", got)
 	}
@@ -135,10 +137,11 @@ func TestAdviseSkipsAnnotated(t *testing.T) {
 }
 
 func TestAdviseDeterministicOrder(t *testing.T) {
-	g, err := states.Build()
+	sb, err := states.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := sb.Freeze()
 	a := Advise(g, Config{})
 	b := Advise(g, Config{})
 	if len(a) != len(b) {

@@ -18,14 +18,14 @@ import (
 )
 
 // Open builds a Magnet instance configured as the study's baseline system.
-func Open(g *rdf.Graph, opts core.Options) *core.Magnet {
+func Open(g *rdf.Builder, opts core.Options) *core.Magnet {
 	opts.Analysts = analysts.BaselineSet
 	return core.Open(g, opts)
 }
 
 // OpenComplete builds the complete system with identical options, for
 // side-by-side comparisons.
-func OpenComplete(g *rdf.Graph, opts core.Options) *core.Magnet {
+func OpenComplete(g *rdf.Builder, opts core.Options) *core.Magnet {
 	opts.Analysts = analysts.DefaultSet
 	return core.Open(g, opts)
 }

@@ -18,9 +18,9 @@ func analystNames(m *core.Magnet) map[string]bool {
 }
 
 func TestBaselineOmitsMagnetAdvisors(t *testing.T) {
-	g := recipes.Build(recipes.Config{Recipes: 150, Seed: 1})
-	base := analystNames(Open(g, core.Options{}))
-	full := analystNames(OpenComplete(g, core.Options{}))
+	gb := recipes.Build(recipes.Config{Recipes: 150, Seed: 1})
+	base := analystNames(Open(gb, core.Options{}))
+	full := analystNames(OpenComplete(gb, core.Options{}))
 
 	for _, magnetOnly := range []string{"similar-by-content-item", "shared-property"} {
 		if base[magnetOnly] {

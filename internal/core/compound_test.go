@@ -23,8 +23,9 @@ func groupPred(name string) query.Predicate {
 // that either have a dairy product or a vegetable in them ... build an 'or'
 // refinement, and then drag 'dairy' and 'vegetables' from the panel".
 func TestCompoundOrDairyVegetables(t *testing.T) {
-	g := recipes.Build(recipes.Config{Recipes: 500, Seed: 1})
-	m := core.Open(g, core.Options{})
+	gb := recipes.Build(recipes.Config{Recipes: 500, Seed: 1})
+	m := core.Open(gb, core.Options{})
+	g := m.Graph()
 	s := m.NewSession()
 	s.Apply(blackboard.ReplaceQuery{Query: query.NewQuery(query.TypeIs(recipes.ClassRecipe))})
 	before := len(s.Items())
@@ -69,8 +70,8 @@ func TestCompoundOrDairyVegetables(t *testing.T) {
 }
 
 func TestCompoundAndNarrowsMoreThanOr(t *testing.T) {
-	g := recipes.Build(recipes.Config{Recipes: 500, Seed: 1})
-	m := core.Open(g, core.Options{})
+	gb := recipes.Build(recipes.Config{Recipes: 500, Seed: 1})
+	m := core.Open(gb, core.Options{})
 
 	run := func(kind core.CompoundKind) int {
 		s := m.NewSession()
@@ -93,8 +94,8 @@ func TestCompoundAndNarrowsMoreThanOr(t *testing.T) {
 }
 
 func TestCompoundErrors(t *testing.T) {
-	g := recipes.Build(recipes.Config{Recipes: 100, Seed: 1})
-	m := core.Open(g, core.Options{})
+	gb := recipes.Build(recipes.Config{Recipes: 100, Seed: 1})
+	m := core.Open(gb, core.Options{})
 	s := m.NewSession()
 
 	if err := s.AddToCompound(groupPred("Dairy")); !errors.Is(err, core.ErrNoCompound) {
@@ -118,8 +119,9 @@ func TestCompoundErrors(t *testing.T) {
 // The §3.3 finale: refine the *ingredients* collection, then apply it back
 // to recipes with or/and semantics.
 func TestApplyValueSet(t *testing.T) {
-	g := recipes.Build(recipes.Config{Recipes: 500, Seed: 1})
-	m := core.Open(g, core.Options{})
+	gb := recipes.Build(recipes.Config{Recipes: 500, Seed: 1})
+	m := core.Open(gb, core.Options{})
+	g := m.Graph()
 	s := m.NewSession()
 
 	// The user browses to the ingredient collection and refines it to one

@@ -15,8 +15,8 @@ import (
 
 func openCorpus(t *testing.T, n int) *core.Magnet {
 	t.Helper()
-	g := recipes.Build(recipes.Config{Recipes: n, Seed: 1})
-	return core.Open(g, core.Options{})
+	gb := recipes.Build(recipes.Config{Recipes: n, Seed: 1})
+	return core.Open(gb, core.Options{})
 }
 
 func TestOpenIndexesTypedItems(t *testing.T) {
@@ -259,8 +259,8 @@ func TestComposedRefinementScenario(t *testing.T) {
 }
 
 func TestBaselineConfigurationLacksSimilarity(t *testing.T) {
-	g := recipes.Build(recipes.Config{Recipes: 200, Seed: 1})
-	m := core.Open(g, core.Options{Analysts: analysts.BaselineSet})
+	gb := recipes.Build(recipes.Config{Recipes: 200, Seed: 1})
+	m := core.Open(gb, core.Options{Analysts: analysts.BaselineSet})
 	s := m.NewSession()
 	s.OpenItem(m.Items()[0])
 	board := s.Board()
@@ -272,16 +272,16 @@ func TestBaselineConfigurationLacksSimilarity(t *testing.T) {
 }
 
 func TestIndexAllSubjectsOption(t *testing.T) {
-	g := rdf.NewGraph()
+	gb := rdf.NewBuilder()
 	// Schemaless import: no rdf:type anywhere (the 50-states CSV case).
-	g.Add(rdf.IRI("http://e/alaska"), rdf.IRI("http://e/bird"), rdf.NewString("Willow Ptarmigan"))
-	g.Add(rdf.IRI("http://e/ohio"), rdf.IRI("http://e/bird"), rdf.NewString("Cardinal"))
-	m := core.Open(g, core.Options{IndexAllSubjects: true})
+	gb.Add(rdf.IRI("http://e/alaska"), rdf.IRI("http://e/bird"), rdf.NewString("Willow Ptarmigan"))
+	gb.Add(rdf.IRI("http://e/ohio"), rdf.IRI("http://e/bird"), rdf.NewString("Cardinal"))
+	m := core.Open(gb, core.Options{IndexAllSubjects: true})
 	if len(m.Items()) != 2 {
 		t.Errorf("items = %v", m.Items())
 	}
 	// Untyped graphs fall back to all subjects even without the option.
-	m2 := core.Open(g, core.Options{})
+	m2 := core.Open(gb, core.Options{})
 	if len(m2.Items()) != 2 {
 		t.Errorf("fallback items = %v", m2.Items())
 	}

@@ -12,24 +12,24 @@ import (
 // Example shows the minimal Magnet lifecycle: build a graph, open the
 // system, search, refine, and read the navigation pane's constraints.
 func Example() {
-	g := rdf.NewGraph()
+	gb := rdf.NewBuilder()
 	ns := "http://example.org/"
 	book := rdf.IRI(ns + "Book")
 	author := rdf.IRI(ns + "author")
 	james := rdf.IRI(ns + "henry-james")
-	g.Add(james, rdf.Label, rdf.NewString("Henry James"))
+	gb.Add(james, rdf.Label, rdf.NewString("Henry James"))
 
 	add := func(id, title string) rdf.IRI {
 		b := rdf.IRI(ns + id)
-		g.Add(b, rdf.Type, book)
-		g.Add(b, rdf.DCTitle, rdf.NewString(title))
-		g.Add(b, author, james)
+		gb.Add(b, rdf.Type, book)
+		gb.Add(b, rdf.DCTitle, rdf.NewString(title))
+		gb.Add(b, author, james)
 		return b
 	}
 	add("screw", "The Turn of the Screw")
 	add("portrait", "The Portrait of a Lady")
 
-	m := core.Open(g, core.Options{})
+	m := core.Open(gb, core.Options{})
 	s := m.NewSession()
 	s.Search("portrait")
 	fmt.Println("found:", len(s.Items()))
@@ -46,12 +46,12 @@ func Example() {
 
 // ExampleSession_Back demonstrates refinement-history undo.
 func ExampleSession_Back() {
-	g := rdf.NewGraph()
+	gb := rdf.NewBuilder()
 	it := rdf.IRI("http://e/x")
-	g.Add(it, rdf.Type, rdf.IRI("http://e/T"))
-	g.Add(it, rdf.DCTitle, rdf.NewString("only item"))
+	gb.Add(it, rdf.Type, rdf.IRI("http://e/T"))
+	gb.Add(it, rdf.DCTitle, rdf.NewString("only item"))
 
-	m := core.Open(g, core.Options{})
+	m := core.Open(gb, core.Options{})
 	s := m.NewSession()
 	s.Search("nothing matches this")
 	fmt.Println("after search:", len(s.Items()))

@@ -13,8 +13,8 @@ import (
 
 func softCorpus(t *testing.T) (*core.Magnet, *core.Session) {
 	t.Helper()
-	g := recipes.Build(recipes.Config{Recipes: 600, Seed: 1})
-	m := core.Open(g, core.Options{SoftEmptyResults: true})
+	gb := recipes.Build(recipes.Config{Recipes: 600, Seed: 1})
+	m := core.Open(gb, core.Options{SoftEmptyResults: true})
 	return m, m.NewSession()
 }
 
@@ -87,8 +87,8 @@ func TestSoftEmptyResultsFilter(t *testing.T) {
 }
 
 func TestSoftDisabledByDefault(t *testing.T) {
-	g := recipes.Build(recipes.Config{Recipes: 300, Seed: 1})
-	m := core.Open(g, core.Options{})
+	gb := recipes.Build(recipes.Config{Recipes: 300, Seed: 1})
+	m := core.Open(gb, core.Options{})
 	s := m.NewSession()
 	s.Apply(blackboard.ReplaceQuery{Query: query.NewQuery(
 		query.Property{Prop: recipes.PropIngredient, Value: recipes.Ingredient("Walnuts")},
@@ -115,8 +115,8 @@ func TestSoftGivesUpOnUnknownConcept(t *testing.T) {
 }
 
 func TestRankedItemsTextRelevance(t *testing.T) {
-	g := recipes.Build(recipes.Config{Recipes: 800, Seed: 1})
-	m := core.Open(g, core.Options{})
+	gb := recipes.Build(recipes.Config{Recipes: 800, Seed: 1})
+	m := core.Open(gb, core.Options{})
 	s := m.NewSession()
 	s.Search("walnut")
 	ranked := s.RankedItems(core.RankOptions{})
@@ -141,14 +141,14 @@ func TestRankedItemsTextRelevance(t *testing.T) {
 }
 
 func TestRankedItemsLengthBias(t *testing.T) {
-	g := rdf.NewGraph()
+	gb := rdf.NewBuilder()
 	cls := rdf.IRI("http://e/Doc")
 	long, short := rdf.IRI("http://e/long"), rdf.IRI("http://e/short")
-	g.Add(long, rdf.Type, cls)
-	g.Add(long, rdf.DCTitle, rdf.NewString("walnut walnut story with many many extra words here to make it long"))
-	g.Add(short, rdf.Type, cls)
-	g.Add(short, rdf.DCTitle, rdf.NewString("walnut walnut"))
-	m := core.Open(g, core.Options{})
+	gb.Add(long, rdf.Type, cls)
+	gb.Add(long, rdf.DCTitle, rdf.NewString("walnut walnut story with many many extra words here to make it long"))
+	gb.Add(short, rdf.Type, cls)
+	gb.Add(short, rdf.DCTitle, rdf.NewString("walnut walnut"))
+	m := core.Open(gb, core.Options{})
 	s := m.NewSession()
 	s.Search("walnut")
 
@@ -159,8 +159,8 @@ func TestRankedItemsLengthBias(t *testing.T) {
 }
 
 func TestRankedItemsStableWithoutText(t *testing.T) {
-	g := recipes.Build(recipes.Config{Recipes: 100, Seed: 1})
-	m := core.Open(g, core.Options{})
+	gb := recipes.Build(recipes.Config{Recipes: 100, Seed: 1})
+	m := core.Open(gb, core.Options{})
 	s := m.NewSession()
 	s.Apply(blackboard.ReplaceQuery{Query: query.NewQuery(query.TypeIs(recipes.ClassRecipe))})
 	ranked := s.RankedItems(core.RankOptions{})

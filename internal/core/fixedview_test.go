@@ -13,8 +13,9 @@ import (
 // Refining a fixed (materialized) collection must filter its members, not
 // fall back to the whole corpus — the similar-items-then-exclude-nuts flow.
 func TestRefineFixedViewFilterExcludeExpand(t *testing.T) {
-	g := recipes.Build(recipes.Config{Recipes: 300, Seed: 1})
-	m := core.Open(g, core.Options{})
+	gb := recipes.Build(recipes.Config{Recipes: 300, Seed: 1})
+	m := core.Open(gb, core.Options{})
+	g := m.Graph()
 	s := m.NewSession()
 
 	all := g.SubjectsOfType(recipes.ClassRecipe)
@@ -70,8 +71,8 @@ func TestRefineFixedViewFilterExcludeExpand(t *testing.T) {
 }
 
 func TestAccessors(t *testing.T) {
-	g := recipes.Build(recipes.Config{Recipes: 60, Seed: 1})
-	m := core.Open(g, core.Options{})
+	gb := recipes.Build(recipes.Config{Recipes: 60, Seed: 1})
+	m := core.Open(gb, core.Options{})
 	if m.Schema() == nil || m.Engine() == nil || m.Graph() == nil ||
 		m.Model() == nil || m.TextIndex() == nil {
 		t.Fatal("nil accessor")

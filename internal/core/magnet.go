@@ -4,10 +4,12 @@
 // the session abstraction applications drive. This is the public face of
 // the reproduction; examples and the CLI build exclusively on it.
 //
-// An instance indexes its repository once, in Open or OpenSegments, and
-// then serves that one item universe unchanged: there is no incremental
-// indexing after open. To serve new data, rebuild (magnet-build) and
-// reopen.
+// An instance indexes its repository once, in advance, and then serves
+// that one item universe unchanged. There is one read path: Open compiles
+// a graph builder into the same columnar image (segment.Data) that
+// magnet-build writes and OpenSegments maps back, and both assemble the
+// instance from that image — build, freeze, serve. To serve new data,
+// rebuild and reopen.
 package core
 
 import (
@@ -31,11 +33,13 @@ import (
 )
 
 // Startup gauges: how long the last Open/OpenSegments took, total and per
-// component, in nanoseconds. Gauges (not histograms) because startup happens
-// once per process and the current value is the interesting one; visible in
-// /debug/metrics alongside the startup.* trace spans.
+// component, in nanoseconds (graph, items, text and vectors are compile
+// steps, so only Open sets them). Gauges (not histograms) because startup
+// happens once per process and the current value is the interesting one;
+// visible in /debug/metrics alongside the startup.* trace spans.
 var (
 	startupLoadNS    = obs.NewGauge("startup.load.ns")
+	startupGraphNS   = obs.NewGauge("startup.graph.ns")
 	startupItemsNS   = obs.NewGauge("startup.items.ns")
 	startupTextNS    = obs.NewGauge("startup.text.ns")
 	startupVectorsNS = obs.NewGauge("startup.vectors.ns")
@@ -80,11 +84,10 @@ type Options struct {
 	Parallelism int
 	// PlanCache sizes the navigation-delta cache behind the cost-based
 	// query planner (internal/plan): cached result sets keyed by the
-	// canonical query key, invalidated whenever the graph changes. 0 means
-	// plan.DefaultCacheSize entries; a negative value disables planning and
-	// caching entirely,
-	// restoring the naive evaluation path (output is byte-identical
-	// either way — the planner only changes evaluation order and reuse).
+	// canonical query key. 0 means plan.DefaultCacheSize entries; a
+	// negative value disables planning and caching entirely, restoring the
+	// naive evaluation path (output is byte-identical either way — the
+	// planner only changes evaluation order and reuse).
 	PlanCache int
 }
 
@@ -108,39 +111,109 @@ type Magnet struct {
 	planner *plan.Planner
 
 	// set is the backing segment set when the instance was opened with
-	// OpenSegments; nil for in-memory instances.
+	// OpenSegments; nil for instances compiled in memory by Open.
 	set *segment.Set
 	// items is itemIDs rehydrated to sorted IRIs, once, on first use: the
-	// segment open path must stay O(1) in the corpus.
+	// open path must stay O(1) in the corpus.
 	itemsOnce sync.Once
 	items     []rdf.IRI
 }
 
-// Open builds a Magnet over the graph: it chooses the item universe,
-// populates the text index from the items' literal attributes, and indexes
-// every item into the vector space model (§5.2's "indexing the data in
-// advance").
-func Open(g *rdf.Graph, opts Options) *Magnet {
-	return OpenContext(context.Background(), g, opts)
+// Open builds a Magnet over the triples in b: it compiles them into the
+// columnar image — the frozen graph, the item universe, the text index
+// over the items' literal attributes, and every item's vector (§5.2's
+// "indexing the data in advance") — and serves from it exactly as
+// OpenSegments serves a compiled set. Later changes to b do not reach the
+// instance.
+func Open(b *rdf.Builder, opts Options) *Magnet {
+	return OpenContext(context.Background(), b, opts)
 }
 
 // OpenContext is Open with startup tracing: when ctx carries a trace (see
 // obs.StartTrace), each initialization component becomes a startup.* span;
 // the startup.*.ns gauges are set either way.
-func OpenContext(ctx context.Context, g *rdf.Graph, opts Options) *Magnet {
+func OpenContext(ctx context.Context, b *rdf.Builder, opts Options) *Magnet {
 	start := time.Now()
 	ctx, sp := obs.StartSpan(ctx, "startup.load")
-	m := &Magnet{
-		g:    g,
-		sch:  schema.NewStore(g),
-		opts: opts,
-		pool: par.New(opts.Parallelism),
+	m := &Magnet{opts: opts, pool: par.New(opts.Parallelism)}
+	g, d := m.compile(ctx, b)
+	if err := m.assemble(ctx, g, &d); err != nil {
+		panic("core: compiled image rejected: " + err.Error())
 	}
-	m.buildIndexes(ctx)
-	component(ctx, "startup.engine", startupEngineNS, m.buildEngine)
 	sp.End()
 	startupLoadNS.Set(time.Since(start).Nanoseconds())
 	return m
+}
+
+// compile freezes b and indexes the frozen graph in advance, returning the
+// graph with the columnar image magnet-build writes to disk.
+func (m *Magnet) compile(ctx context.Context, b *rdf.Builder) (*rdf.Graph, segment.Data) {
+	d := segment.Data{IndexAllSubjects: m.opts.IndexAllSubjects}
+	var g *rdf.Graph
+	component(ctx, "startup.graph", startupGraphNS, func() {
+		g = b.Freeze()
+		d.Graph = g.Columns()
+	})
+	sch := schema.NewStore(g)
+	var items []rdf.IRI
+	component(ctx, "startup.items", startupItemsNS, func() {
+		ids := chooseItems(g, m.opts.IndexAllSubjects)
+		d.Items = ids.Slice()
+		items = g.SubjectsFromIDs(d.Items)
+	})
+	component(ctx, "startup.text", startupTextNS, func() {
+		tb := index.NewTextBuilder(m.opts.VSM.Analyzer)
+		for _, it := range items {
+			for _, p := range g.PredicatesOf(it) {
+				if sch.Hidden(p) {
+					continue
+				}
+				for _, o := range g.Objects(it, p) {
+					lit, ok := o.(rdf.Literal)
+					if !ok || (lit.Datatype != "" && lit.Datatype != rdf.XSDString) {
+						continue
+					}
+					tb.Index(string(it), string(p), lit.Lexical)
+				}
+			}
+		}
+		d.Text = tb.Columns()
+	})
+	component(ctx, "startup.vectors", startupVectorsNS, func() {
+		model := vsm.New(g, sch, m.opts.VSM)
+		model.SetPool(m.pool)
+		model.IndexAll(items)
+		d.Vectors = model.Store().Columns()
+		d.Ranges = numericRanges(model.Ranges())
+	})
+	return g, d
+}
+
+// assemble serves the instance from a compiled image over its frozen
+// graph: the one path Open and OpenSegments share. Every step is O(1) in
+// the corpus size; the stores read their columns lazily.
+func (m *Magnet) assemble(ctx context.Context, g *rdf.Graph, d *segment.Data) error {
+	m.opts.IndexAllSubjects = d.IndexAllSubjects
+	text, err := index.FromTextColumns(m.opts.VSM.Analyzer, d.Text)
+	if err != nil {
+		return err
+	}
+	store, err := index.FromVectorColumns(d.Vectors)
+	if err != nil {
+		return err
+	}
+	ranges := make(map[string]vsm.Range, len(d.Ranges))
+	for _, r := range d.Ranges {
+		ranges[r.Key] = vsm.Range{Min: r.Min, Max: r.Max, Count: r.Count}
+	}
+	m.g = g
+	m.sch = schema.NewStore(g)
+	m.text = text
+	m.model = vsm.FromStore(g, m.sch, store, ranges, m.opts.VSM)
+	m.model.SetPool(m.pool)
+	m.itemIDs = itemset.FromSorted(d.Items)
+	component(ctx, "startup.engine", startupEngineNS, m.buildEngine)
+	return nil
 }
 
 // buildEngine creates the query engine over the indexes, installs the
@@ -160,57 +233,25 @@ func (m *Magnet) evalQuery(ctx context.Context, q query.Query) query.Set {
 	return m.eng.EvalContext(ctx, q)
 }
 
-// buildIndexes chooses the item universe and builds the text index and all
-// vectors from the graph.
-func (m *Magnet) buildIndexes(ctx context.Context) {
-	var items []rdf.IRI
-	component(ctx, "startup.items", startupItemsNS, func() {
-		m.itemIDs = m.chooseItems()
-		items = m.itemsSlice()
-	})
-	component(ctx, "startup.text", startupTextNS, func() {
-		m.text = index.NewTextIndex(m.opts.VSM.Analyzer)
-		for _, it := range items {
-			for _, p := range m.g.PredicatesOf(it) {
-				if m.sch.Hidden(p) {
-					continue
-				}
-				for _, o := range m.g.Objects(it, p) {
-					lit, ok := o.(rdf.Literal)
-					if !ok || (lit.Datatype != "" && lit.Datatype != rdf.XSDString) {
-						continue
-					}
-					m.text.Index(string(it), string(p), lit.Lexical)
-				}
-			}
-		}
-	})
-	component(ctx, "startup.vectors", startupVectorsNS, func() {
-		m.model = vsm.New(m.g, m.sch, m.opts.VSM)
-		m.model.SetPool(m.pool)
-		m.model.IndexAll(items)
-	})
-}
-
 // chooseItems selects the indexed information objects on the dense-ID
 // plane: subjects with an rdf:type, or every subject when none carry types
-// (or when configured). The class union runs entirely over subject-ID
-// postings via one bitmap accumulator.
-func (m *Magnet) chooseItems() itemset.Set {
-	if !m.opts.IndexAllSubjects {
-		b := itemset.NewBits(m.g.Interner().Len())
-		for _, t := range m.g.ObjectsOf(rdf.Type) {
+// (or when allSubjects is set). The class union runs entirely over
+// subject-ID postings via one bitmap accumulator.
+func chooseItems(g *rdf.Graph, allSubjects bool) itemset.Set {
+	if !allSubjects {
+		b := itemset.NewBits(g.SubjectTable().Len())
+		for _, t := range g.ObjectsOf(rdf.Type) {
 			cls, ok := t.(rdf.IRI)
 			if !ok {
 				continue
 			}
-			b.AddSet(m.g.SubjectIDSet(rdf.Type, cls))
+			b.AddSet(g.SubjectIDSet(rdf.Type, cls))
 		}
 		if b.Count() > 0 {
 			return b.Extract()
 		}
 	}
-	return m.g.AllSubjectIDs()
+	return g.AllSubjectIDs()
 }
 
 // Pool returns the instance's shared worker pool.

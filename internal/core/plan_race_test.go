@@ -18,13 +18,13 @@ import (
 // An identical walk against a planner-disabled instance is the per-step
 // oracle.
 func TestPlanCacheSharedAcrossSessions(t *testing.T) {
-	g := recipes.Build(recipes.Config{Recipes: 300, Seed: 5})
+	gb := recipes.Build(recipes.Config{Recipes: 300, Seed: 5})
 	// The subtest keeps the name it had when an in-process shard count was
 	// also swept; the unsharded walk is the only layout left.
 	t.Run("shards=0", func(t *testing.T) {
-		planned := Open(g, Options{Parallelism: 4})
+		planned := Open(gb, Options{Parallelism: 4})
 		defer planned.Close()
-		naive := Open(g, Options{Parallelism: 4, PlanCache: -1})
+		naive := Open(gb, Options{Parallelism: 4, PlanCache: -1})
 		defer naive.Close()
 
 		// walk replays one study path and fingerprints every step's

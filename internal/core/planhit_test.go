@@ -24,12 +24,12 @@ const minPlanHitRate = 0.5
 // taken around the walk.
 func planHitRate(t *testing.T, opts core.Options) float64 {
 	t.Helper()
-	g, allSubjects, err := dataload.Load(dataload.Spec{Dataset: "recipes", Recipes: 400, Seed: 1})
+	gb, allSubjects, err := dataload.Load(dataload.Spec{Dataset: "recipes", Recipes: 400, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.IndexAllSubjects = allSubjects
-	m := core.Open(g, opts)
+	m := core.Open(gb, opts)
 	defer m.Close()
 	r := simuser.NewReplay(m)
 	if _, err := r.Target(); err != nil {

@@ -20,8 +20,8 @@ import (
 // side also asserts every session sees identical results regardless of
 // interleaving.
 func TestConcurrentSessions(t *testing.T) {
-	g := recipes.Build(recipes.Config{Recipes: 300, Seed: 1})
-	m := Open(g, Options{Parallelism: 4})
+	gb := recipes.Build(recipes.Config{Recipes: 300, Seed: 1})
+	m := Open(gb, Options{Parallelism: 4})
 	defer m.Close()
 
 	const sessions = 32

@@ -1,5 +1,5 @@
 // Package dataload resolves a dataset specification — a built-in corpus
-// name or an N-Triples file — into an annotated graph. It is the one place
+// name or an N-Triples file — into an annotated graph builder. It is the one place
 // the dataset switch lives: magnet-server serves from it, magnet-build
 // compiles segment sets from it, and the two agree byte-for-byte because
 // they run the same code with the same parameters.
@@ -63,7 +63,7 @@ func (s Spec) Name() string {
 // Load resolves the spec. The second result is whether every subject should
 // be indexed (core.Options.IndexAllSubjects) — true only for datasets that
 // carry no rdf:type triples, like the states CSV import.
-func Load(s Spec) (*rdf.Graph, bool, error) {
+func Load(s Spec) (*rdf.Builder, bool, error) {
 	if s.File != "" {
 		f, err := os.Open(s.File)
 		if err != nil {

@@ -75,8 +75,8 @@ type Config struct {
 }
 
 // Build generates the dataset with full annotations.
-func Build(cfg Config) *rdf.Graph {
-	g := rdf.NewGraph()
+func Build(cfg Config) *rdf.Builder {
+	g := rdf.NewBuilder()
 	n := cfg.Works
 	if n <= 0 {
 		n = 240
@@ -106,19 +106,18 @@ func Build(cfg Config) *rdf.Graph {
 		g.Add(w, PropAccession, rdf.NewString(fmt.Sprintf("AC.%02d.%04d-%c", rng.Intn(99), i, 'A'+byte(rng.Intn(6)))))
 	}
 
-	sch := schema.NewStore(g)
-	sch.SetLabel(PropCreator, "Creator")
-	sch.SetLabel(PropCulture, "Culture")
-	sch.SetLabel(PropPeriod, "Period")
-	sch.SetLabel(PropMedium, "Medium")
-	sch.SetLabel(PropCollection, "Collection")
-	sch.SetLabel(PropYear, "Year created")
-	sch.SetValueType(PropYear, schema.Integer)
-	sch.SetFacet(PropCulture)
-	sch.SetFacet(PropPeriod)
-	sch.SetFacet(PropMedium)
+	schema.SetLabel(g, PropCreator, "Creator")
+	schema.SetLabel(g, PropCulture, "Culture")
+	schema.SetLabel(g, PropPeriod, "Period")
+	schema.SetLabel(g, PropMedium, "Medium")
+	schema.SetLabel(g, PropCollection, "Collection")
+	schema.SetLabel(g, PropYear, "Year created")
+	schema.SetValueType(g, PropYear, schema.Integer)
+	schema.SetFacet(g, PropCulture)
+	schema.SetFacet(g, PropPeriod)
+	schema.SetFacet(g, PropMedium)
 	if cfg.HideAccession {
-		sch.SetHidden(PropAccession)
+		schema.SetHidden(g, PropAccession)
 	}
 	return g
 }

@@ -8,7 +8,7 @@ import (
 )
 
 func TestBuildShape(t *testing.T) {
-	g := Build(Config{})
+	g := Build(Config{}).Freeze()
 	works := g.SubjectsOfType(ClassArtwork)
 	if len(works) != 240 {
 		t.Fatalf("works = %d", len(works))
@@ -26,7 +26,7 @@ func TestBuildShape(t *testing.T) {
 }
 
 func TestArrivesAnnotated(t *testing.T) {
-	g := Build(Config{Works: 40})
+	g := Build(Config{Works: 40}).Freeze()
 	sch := schema.NewStore(g)
 	if !sch.HasLabel(PropMedium) {
 		t.Error("medium should be labeled")
@@ -40,16 +40,16 @@ func TestArrivesAnnotated(t *testing.T) {
 }
 
 func TestAccessionHidable(t *testing.T) {
-	if schema.NewStore(Build(Config{Works: 20})).Hidden(PropAccession) {
+	if schema.NewStore(Build(Config{Works: 20}).Freeze()).Hidden(PropAccession) {
 		t.Error("accession should be visible by default")
 	}
-	if !schema.NewStore(Build(Config{Works: 20, HideAccession: true})).Hidden(PropAccession) {
+	if !schema.NewStore(Build(Config{Works: 20, HideAccession: true}).Freeze()).Hidden(PropAccession) {
 		t.Error("HideAccession ignored")
 	}
 }
 
 func TestFacetValuesShared(t *testing.T) {
-	g := Build(Config{})
+	g := Build(Config{}).Freeze()
 	shared := 0
 	for _, v := range g.ObjectsOf(PropMedium) {
 		if g.SubjectCount(PropMedium, v) >= 2 {
@@ -62,8 +62,8 @@ func TestFacetValuesShared(t *testing.T) {
 }
 
 func TestDeterministic(t *testing.T) {
-	a := Build(Config{Works: 30, Seed: 3})
-	b := Build(Config{Works: 30, Seed: 3})
+	a := Build(Config{Works: 30, Seed: 3}).Freeze()
+	b := Build(Config{Works: 30, Seed: 3}).Freeze()
 	if len(a.AllStatements()) != len(b.AllStatements()) {
 		t.Fatal("nondeterministic")
 	}

@@ -77,10 +77,10 @@ type Config struct {
 	HideCatalogKey bool
 }
 
-// Build generates the catalog into a fresh graph with full labels and
+// Build generates the catalog into a fresh graph builder with full labels and
 // value-type annotations (these datasets arrived annotated).
-func Build(cfg Config) *rdf.Graph {
-	g := rdf.NewGraph()
+func Build(cfg Config) *rdf.Builder {
+	g := rdf.NewBuilder()
 	n := cfg.Courses
 	if n <= 0 {
 		n = 160
@@ -110,18 +110,17 @@ func Build(cfg Config) *rdf.Graph {
 		g.Add(c, PropCatalogKey, rdf.NewString(fmt.Sprintf("0x%04X-%d", 0xA000+d*16, i%4)))
 	}
 
-	sch := schema.NewStore(g)
-	sch.SetLabel(PropDept, "Department")
-	sch.SetLabel(PropInstructor, "Instructor")
-	sch.SetLabel(PropLevel, "Level")
-	sch.SetLabel(PropSemester, "Semester")
-	sch.SetLabel(PropUnits, "Units")
-	sch.SetLabel(PropAbout, "Description")
-	sch.SetValueType(PropUnits, schema.Integer)
-	sch.SetFacet(PropDept)
-	sch.SetFacet(PropLevel)
+	schema.SetLabel(g, PropDept, "Department")
+	schema.SetLabel(g, PropInstructor, "Instructor")
+	schema.SetLabel(g, PropLevel, "Level")
+	schema.SetLabel(g, PropSemester, "Semester")
+	schema.SetLabel(g, PropUnits, "Units")
+	schema.SetLabel(g, PropAbout, "Description")
+	schema.SetValueType(g, PropUnits, schema.Integer)
+	schema.SetFacet(g, PropDept)
+	schema.SetFacet(g, PropLevel)
 	if cfg.HideCatalogKey {
-		sch.SetHidden(PropCatalogKey)
+		schema.SetHidden(g, PropCatalogKey)
 	}
 	return g
 }

@@ -20,7 +20,7 @@ import (
 // column named keyColumn (or the first column when keyColumn is empty)
 // names each row's resource under ns. Property IRIs are ns + "prop/" +
 // header. It returns the created row resources in input order.
-func FromCSV(g *rdf.Graph, r io.Reader, ns, keyColumn string) ([]rdf.IRI, error) {
+func FromCSV(g *rdf.Builder, r io.Reader, ns, keyColumn string) ([]rdf.IRI, error) {
 	cr := csv.NewReader(r)
 	cr.TrimLeadingSpace = true
 	header, err := cr.Read()

@@ -11,11 +11,12 @@ const ns = "http://e/"
 
 func TestFromCSVBasic(t *testing.T) {
 	src := "state,bird,area\nOhio,Cardinal,44826\nAlaska,Willow Ptarmigan,665384\n"
-	g := rdf.NewGraph()
-	rows, err := FromCSV(g, strings.NewReader(src), ns, "state")
+	b := rdf.NewBuilder()
+	rows, err := FromCSV(b, strings.NewReader(src), ns, "state")
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := b.Freeze()
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -35,8 +36,7 @@ func TestFromCSVBasic(t *testing.T) {
 
 func TestFromCSVDefaultKeyColumn(t *testing.T) {
 	src := "name,color\nrose,red\n"
-	g := rdf.NewGraph()
-	rows, err := FromCSV(g, strings.NewReader(src), ns, "")
+	rows, err := FromCSV(rdf.NewBuilder(), strings.NewReader(src), ns, "")
 	if err != nil || len(rows) != 1 || rows[0] != Row(ns, "rose") {
 		t.Errorf("rows = %v, err = %v", rows, err)
 	}
@@ -44,11 +44,11 @@ func TestFromCSVDefaultKeyColumn(t *testing.T) {
 
 func TestFromCSVSkipsEmptyCells(t *testing.T) {
 	src := "name,color\nrose,\n"
-	g := rdf.NewGraph()
-	if _, err := FromCSV(g, strings.NewReader(src), ns, ""); err != nil {
+	b := rdf.NewBuilder()
+	if _, err := FromCSV(b, strings.NewReader(src), ns, ""); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := g.Object(Row(ns, "rose"), Prop(ns, "color")); ok {
+	if _, ok := b.Freeze().Object(Row(ns, "rose"), Prop(ns, "color")); ok {
 		t.Error("empty cell should not produce a triple")
 	}
 }
@@ -61,8 +61,7 @@ func TestFromCSVErrors(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			g := rdf.NewGraph()
-			if _, err := FromCSV(g, strings.NewReader(tt.src), ns, tt.key); err == nil {
+			if _, err := FromCSV(rdf.NewBuilder(), strings.NewReader(tt.src), ns, tt.key); err == nil {
 				t.Errorf("expected error for %q", tt.src)
 			}
 		})

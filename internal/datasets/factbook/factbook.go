@@ -71,9 +71,9 @@ type Config struct {
 	Seed int64
 }
 
-// Build generates the factbook into a fresh graph.
-func Build(cfg Config) *rdf.Graph {
-	g := rdf.NewGraph()
+// Build generates the factbook into a fresh graph builder.
+func Build(cfg Config) *rdf.Builder {
+	g := rdf.NewBuilder()
 	n := cfg.Countries
 	if n <= 0 {
 		n = 190
@@ -104,20 +104,19 @@ func Build(cfg Config) *rdf.Graph {
 
 // Annotate adds labels and value types (the §6.1 improvement: "results with
 // Magnet improved with label and attribute-value type annotation").
-func Annotate(g *rdf.Graph) {
-	sch := schema.NewStore(g)
-	sch.SetLabel(PropName, "Country")
-	sch.SetLabel(PropRegion, "Region")
-	sch.SetLabel(PropCurrency, "Currency")
-	sch.SetLabel(PropIndependence, "Independence day")
-	sch.SetLabel(PropLanguage, "Language")
-	sch.SetLabel(PropPopulation, "Population")
-	sch.SetLabel(PropAreaKM, "Area (sq km)")
-	sch.SetValueType(PropPopulation, schema.Integer)
-	sch.SetValueType(PropAreaKM, schema.Integer)
-	sch.SetFacet(PropRegion)
-	sch.SetFacet(PropCurrency)
-	sch.SetFacet(PropIndependence)
+func Annotate(g *rdf.Builder) {
+	schema.SetLabel(g, PropName, "Country")
+	schema.SetLabel(g, PropRegion, "Region")
+	schema.SetLabel(g, PropCurrency, "Currency")
+	schema.SetLabel(g, PropIndependence, "Independence day")
+	schema.SetLabel(g, PropLanguage, "Language")
+	schema.SetLabel(g, PropPopulation, "Population")
+	schema.SetLabel(g, PropAreaKM, "Area (sq km)")
+	schema.SetValueType(g, PropPopulation, schema.Integer)
+	schema.SetValueType(g, PropAreaKM, schema.Integer)
+	schema.SetFacet(g, PropRegion)
+	schema.SetFacet(g, PropCurrency)
+	schema.SetFacet(g, PropIndependence)
 }
 
 // countryName builds a pronounceable deterministic name for country i.

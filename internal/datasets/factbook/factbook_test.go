@@ -8,7 +8,7 @@ import (
 )
 
 func TestBuildShape(t *testing.T) {
-	g := Build(Config{})
+	g := Build(Config{}).Freeze()
 	countries := g.SubjectsOfType(ClassCountry)
 	if len(countries) != 190 {
 		t.Fatalf("countries = %d", len(countries))
@@ -28,7 +28,7 @@ func TestBuildShape(t *testing.T) {
 func TestSharedCurrenciesAndIndependenceDays(t *testing.T) {
 	// The §6.1 claim needs clusters: many countries sharing a currency and
 	// an independence day.
-	g := Build(Config{})
+	g := Build(Config{}).Freeze()
 	if n := g.SubjectCount(PropCurrency, rdf.NewString("Euro")); n < 10 {
 		t.Errorf("only %d euro countries", n)
 	}
@@ -44,8 +44,8 @@ func TestSharedCurrenciesAndIndependenceDays(t *testing.T) {
 }
 
 func TestDeterministic(t *testing.T) {
-	a := Build(Config{Countries: 40, Seed: 9})
-	b := Build(Config{Countries: 40, Seed: 9})
+	a := Build(Config{Countries: 40, Seed: 9}).Freeze()
+	b := Build(Config{Countries: 40, Seed: 9}).Freeze()
 	if len(a.AllStatements()) != len(b.AllStatements()) {
 		t.Fatal("nondeterministic")
 	}
@@ -58,12 +58,12 @@ func TestDeterministic(t *testing.T) {
 }
 
 func TestAnnotate(t *testing.T) {
-	g := Build(Config{Countries: 30})
-	sch := schema.NewStore(g)
-	if sch.ValueType(PropPopulation) != schema.Text {
+	b := Build(Config{Countries: 30})
+	if schema.NewStore(b.Freeze()).ValueType(PropPopulation) != schema.Text {
 		t.Error("population should be stringly before Annotate")
 	}
-	Annotate(g)
+	Annotate(b)
+	sch := schema.NewStore(b.Freeze())
 	if sch.ValueType(PropPopulation) != schema.Integer {
 		t.Error("population should be Integer after Annotate")
 	}

@@ -83,10 +83,10 @@ type Config struct {
 	Start time.Time
 }
 
-// Build generates the inbox into a fresh graph, annotations included (this
+// Build generates the inbox into a fresh graph builder, annotations included (this
 // dataset is "generated by the underlying system", which knows its schema).
-func Build(cfg Config) *rdf.Graph {
-	g := rdf.NewGraph()
+func Build(cfg Config) *rdf.Builder {
+	g := rdf.NewBuilder()
 	n := cfg.Messages
 	if n <= 0 {
 		n = 180
@@ -145,21 +145,20 @@ func Build(cfg Config) *rdf.Graph {
 	return g
 }
 
-func annotate(g *rdf.Graph) {
-	sch := schema.NewStore(g)
-	sch.SetLabel(PropSubject, "subject")
-	sch.SetLabel(PropFrom, "from")
-	sch.SetLabel(PropSent, "sent")
-	sch.SetLabel(PropBody, "body")
-	sch.SetLabel(PropContent, "content")
-	sch.SetLabel(PropCreator, "creator")
-	sch.SetLabel(PropDate, "date")
-	sch.SetValueType(PropSent, schema.Date)
-	sch.SetValueType(PropDate, schema.Date)
+func annotate(g *rdf.Builder) {
+	schema.SetLabel(g, PropSubject, "subject")
+	schema.SetLabel(g, PropFrom, "from")
+	schema.SetLabel(g, PropSent, "sent")
+	schema.SetLabel(g, PropBody, "body")
+	schema.SetLabel(g, PropContent, "content")
+	schema.SetLabel(g, PropCreator, "creator")
+	schema.SetLabel(g, PropDate, "date")
+	schema.SetValueType(g, PropSent, schema.Date)
+	schema.SetValueType(g, PropDate, schema.Date)
 	// §6.1: "the annotation that body is an important property to compose
 	// with a second level of attributes".
-	sch.SetCompose(PropBody)
-	sch.SetFacet(PropFrom)
+	schema.SetCompose(g, PropBody)
+	schema.SetFacet(g, PropFrom)
 }
 
 func capitalize(s string) string {

@@ -9,7 +9,7 @@ import (
 )
 
 func TestBuildMixesMessagesAndNews(t *testing.T) {
-	g := Build(Config{})
+	g := Build(Config{}).Freeze()
 	msgs := g.SubjectsOfType(ClassMessage)
 	news := g.SubjectsOfType(ClassNewsItem)
 	if len(msgs) == 0 || len(news) == 0 {
@@ -21,7 +21,7 @@ func TestBuildMixesMessagesAndNews(t *testing.T) {
 }
 
 func TestEveryMailHasBodyDocument(t *testing.T) {
-	g := Build(Config{Messages: 50})
+	g := Build(Config{Messages: 50}).Freeze()
 	for _, m := range append(g.SubjectsOfType(ClassMessage), g.SubjectsOfType(ClassNewsItem)...) {
 		body, ok := g.Object(m, PropBody)
 		if !ok {
@@ -40,7 +40,7 @@ func TestEveryMailHasBodyDocument(t *testing.T) {
 }
 
 func TestBodyCompositionAnnotation(t *testing.T) {
-	g := Build(Config{Messages: 10})
+	g := Build(Config{Messages: 10}).Freeze()
 	sch := schema.NewStore(g)
 	if !sch.Composable(PropBody) {
 		t.Error("body must carry the composition annotation (§6.1)")
@@ -52,7 +52,7 @@ func TestBodyCompositionAnnotation(t *testing.T) {
 
 func TestSentDatesWithinWindow(t *testing.T) {
 	start := time.Date(2003, 6, 1, 0, 0, 0, 0, time.UTC)
-	g := Build(Config{Messages: 60, Start: start})
+	g := Build(Config{Messages: 60, Start: start}).Freeze()
 	for _, m := range g.SubjectsOfType(ClassMessage) {
 		o, ok := g.Object(m, PropSent)
 		if !ok {
@@ -69,7 +69,7 @@ func TestSentDatesWithinWindow(t *testing.T) {
 }
 
 func TestSendersAreResources(t *testing.T) {
-	g := Build(Config{Messages: 40})
+	g := Build(Config{Messages: 40}).Freeze()
 	for _, m := range g.SubjectsOfType(ClassMessage)[:5] {
 		from, ok := g.Object(m, PropFrom)
 		if !ok {
@@ -86,8 +86,8 @@ func TestSendersAreResources(t *testing.T) {
 }
 
 func TestDeterministic(t *testing.T) {
-	a := Build(Config{Messages: 30, Seed: 5})
-	b := Build(Config{Messages: 30, Seed: 5})
+	a := Build(Config{Messages: 30, Seed: 5}).Freeze()
+	b := Build(Config{Messages: 30, Seed: 5}).Freeze()
 	if len(a.AllStatements()) != len(b.AllStatements()) {
 		t.Fatal("nondeterministic size")
 	}

@@ -79,7 +79,7 @@ type Topic struct {
 // Corpus bundles the XML, its RDF conversion, and the topics.
 type Corpus struct {
 	XML    string
-	Graph  *rdf.Graph
+	Graph  *rdf.Builder
 	Root   rdf.IRI
 	Topics []Topic
 }
@@ -126,7 +126,7 @@ func Build(cfg Config) (*Corpus, error) {
 	rng := rand.New(rand.NewSource(seed))
 
 	xmlText := generateXML(rng, n)
-	g := rdf.NewGraph()
+	g := rdf.NewBuilder()
 	root, err := xmlconv.Convert(g, strings.NewReader(xmlText), xmlconv.Options{
 		NS:                 NS,
 		SkipTreeAnnotation: cfg.SkipTreeAnnotation,
@@ -137,19 +137,18 @@ func Build(cfg Config) (*Corpus, error) {
 	annotate(g)
 
 	c := &Corpus{XML: xmlText, Graph: g, Root: root}
-	c.Topics = resolveTopics(g)
+	c.Topics = resolveTopics(g.Freeze())
 	return c, nil
 }
 
-func annotate(g *rdf.Graph) {
-	sch := schema.NewStore(g)
-	sch.SetHidden(PropRel)
-	sch.SetLabel(PropAuthor, "author")
-	sch.SetLabel(PropSection, "section")
-	sch.SetLabel(PropStatus, "status")
-	sch.SetLabel(PropResearch, "research area")
-	sch.SetLabel(PropVita, "vita")
-	sch.SetLabel(PropText, "text")
+func annotate(g *rdf.Builder) {
+	schema.SetHidden(g, PropRel)
+	schema.SetLabel(g, PropAuthor, "author")
+	schema.SetLabel(g, PropSection, "section")
+	schema.SetLabel(g, PropStatus, "status")
+	schema.SetLabel(g, PropResearch, "research area")
+	schema.SetLabel(g, PropVita, "vita")
+	schema.SetLabel(g, PropText, "text")
 }
 
 // generateXML emits the collection document. Relevance markers:

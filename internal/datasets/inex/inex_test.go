@@ -19,23 +19,24 @@ func build(t *testing.T, cfg Config) *Corpus {
 
 func TestCorpusShape(t *testing.T) {
 	c := build(t, Config{Articles: 60})
-	articles := c.Graph.SubjectsOfType(ClassArticle)
+	g := c.Graph.Freeze()
+	articles := g.SubjectsOfType(ClassArticle)
 	if len(articles) != 60 {
 		t.Fatalf("articles = %d", len(articles))
 	}
 	// Every article has at least one author with status/research/vita.
 	for _, a := range articles[:10] {
-		authors := c.Graph.Objects(a, PropAuthor)
+		authors := g.Objects(a, PropAuthor)
 		if len(authors) == 0 {
 			t.Fatalf("%s has no authors", a)
 		}
 		au := authors[0].(rdf.IRI)
 		for _, p := range []rdf.IRI{PropName, PropStatus, PropResearch, PropVita} {
-			if _, ok := c.Graph.Object(au, p); !ok {
+			if _, ok := g.Object(au, p); !ok {
 				t.Errorf("author missing %s", p.LocalName())
 			}
 		}
-		if len(c.Graph.Objects(a, PropSection)) == 0 {
+		if len(g.Objects(a, PropSection)) == 0 {
 			t.Errorf("%s has no sections", a)
 		}
 	}
@@ -46,13 +47,14 @@ func TestTopicsHaveGroundTruth(t *testing.T) {
 	if len(c.Topics) != 4 {
 		t.Fatalf("topics = %d", len(c.Topics))
 	}
+	g := c.Graph.Freeze()
 	for _, topic := range c.Topics {
 		if len(topic.Relevant) == 0 {
 			t.Errorf("topic %s has empty ground truth", topic.ID)
 		}
 		// Relevant items carry the right element type.
 		for _, it := range topic.Relevant {
-			if !c.Graph.Has(it, rdf.Type, topic.TargetClass) {
+			if !g.Has(it, rdf.Type, topic.TargetClass) {
 				t.Errorf("topic %s: %s is not a %s", topic.ID, it, topic.TargetClass.LocalName())
 			}
 		}
@@ -67,7 +69,7 @@ func TestCAS1GroundTruthSemantics(t *testing.T) {
 			cas1 = tp
 		}
 	}
-	g := c.Graph
+	g := c.Graph.Freeze()
 	// Each relevant vita belongs to a graduate student researching IR.
 	for _, vita := range cas1.Relevant {
 		authors := g.Subjects(PropVita, vita)
@@ -116,18 +118,18 @@ func textOf(g *rdf.Graph, s rdf.IRI, p rdf.IRI) (string, bool) {
 
 func TestTreeAnnotationToggle(t *testing.T) {
 	c := build(t, Config{Articles: 20})
-	if !schema.NewStore(c.Graph).TreeShaped() {
+	if !schema.NewStore(c.Graph.Freeze()).TreeShaped() {
 		t.Error("corpus should default to tree-shaped")
 	}
 	c2 := build(t, Config{Articles: 20, SkipTreeAnnotation: true})
-	if schema.NewStore(c2.Graph).TreeShaped() {
+	if schema.NewStore(c2.Graph.Freeze()).TreeShaped() {
 		t.Error("SkipTreeAnnotation ignored")
 	}
 }
 
 func TestRelMarkerHidden(t *testing.T) {
 	c := build(t, Config{Articles: 20})
-	if !schema.NewStore(c.Graph).Hidden(PropRel) {
+	if !schema.NewStore(c.Graph.Freeze()).Hidden(PropRel) {
 		t.Error("relevance marker must be hidden from navigation and the VSM")
 	}
 }

@@ -189,15 +189,15 @@ type Config struct {
 	SkipAnnotations bool
 }
 
-// Build generates the corpus into a fresh graph.
-func Build(cfg Config) *rdf.Graph {
-	g := rdf.NewGraph()
+// Build generates the corpus into a fresh graph builder.
+func Build(cfg Config) *rdf.Builder {
+	g := rdf.NewBuilder()
 	BuildInto(g, cfg)
 	return g
 }
 
 // BuildInto generates the corpus into g.
-func BuildInto(g *rdf.Graph, cfg Config) {
+func BuildInto(g *rdf.Builder, cfg Config) {
 	n := cfg.Recipes
 	if n <= 0 {
 		n = 6444
@@ -269,26 +269,25 @@ func BuildInto(g *rdf.Graph, cfg Config) {
 // labels, value types, facet preferences, and the ingredient composition
 // (so "recipes whose ingredient is in group Nuts" is a model coordinate and
 // a navigable constraint — the §3.3 dairy/vegetables refinement).
-func annotate(g *rdf.Graph) {
-	sch := schema.NewStore(g)
-	sch.SetLabel(PropCuisine, "cuisine")
-	sch.SetLabel(PropCourse, "course")
-	sch.SetLabel(PropMethod, "cooking method")
-	sch.SetLabel(PropIngredient, "ingredient")
-	sch.SetLabel(PropGroup, "group")
-	sch.SetLabel(PropServings, "servings")
-	sch.SetLabel(PropPrepTime, "preparation minutes")
-	sch.SetLabel(PropContent, "directions")
-	sch.SetValueType(PropServings, schema.Integer)
-	sch.SetValueType(PropPrepTime, schema.Integer)
-	sch.SetFacet(PropCuisine)
-	sch.SetFacet(PropCourse)
-	sch.SetFacet(PropMethod)
-	sch.SetFacet(PropIngredient)
-	sch.SetCompose(PropIngredient)
+func annotate(g *rdf.Builder) {
+	schema.SetLabel(g, PropCuisine, "cuisine")
+	schema.SetLabel(g, PropCourse, "course")
+	schema.SetLabel(g, PropMethod, "cooking method")
+	schema.SetLabel(g, PropIngredient, "ingredient")
+	schema.SetLabel(g, PropGroup, "group")
+	schema.SetLabel(g, PropServings, "servings")
+	schema.SetLabel(g, PropPrepTime, "preparation minutes")
+	schema.SetLabel(g, PropContent, "directions")
+	schema.SetValueType(g, PropServings, schema.Integer)
+	schema.SetValueType(g, PropPrepTime, schema.Integer)
+	schema.SetFacet(g, PropCuisine)
+	schema.SetFacet(g, PropCourse)
+	schema.SetFacet(g, PropMethod)
+	schema.SetFacet(g, PropIngredient)
+	schema.SetCompose(g, PropIngredient)
 }
 
-func buildRecipe(g *rdf.Graph, rng *rand.Rand, i int, all []string) {
+func buildRecipe(g *rdf.Builder, rng *rand.Rand, i int, all []string) {
 	r := Recipe(i)
 	cuisine := Cuisines[zipf(rng, len(Cuisines))]
 	course := Courses[zipf(rng, len(Courses))]

@@ -10,7 +10,7 @@ import (
 
 func smallCorpus(t *testing.T) *rdf.Graph {
 	t.Helper()
-	return Build(Config{Recipes: 300, Seed: 7})
+	return Build(Config{Recipes: 300, Seed: 7}).Freeze()
 }
 
 func TestIngredientVocabularySize(t *testing.T) {
@@ -61,8 +61,8 @@ func TestRecipeShape(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	a := Build(Config{Recipes: 50, Seed: 3})
-	b := Build(Config{Recipes: 50, Seed: 3})
+	a := Build(Config{Recipes: 50, Seed: 3}).Freeze()
+	b := Build(Config{Recipes: 50, Seed: 3}).Freeze()
 	as, bs := a.AllStatements(), b.AllStatements()
 	if len(as) != len(bs) {
 		t.Fatalf("nondeterministic sizes: %d vs %d", len(as), len(bs))
@@ -72,7 +72,7 @@ func TestDeterminism(t *testing.T) {
 			t.Fatalf("statement %d differs: %v vs %v", i, as[i], bs[i])
 		}
 	}
-	c := Build(Config{Recipes: 50, Seed: 4})
+	c := Build(Config{Recipes: 50, Seed: 4}).Freeze()
 	if len(c.AllStatements()) == 0 {
 		t.Fatal("empty corpus")
 	}
@@ -96,7 +96,7 @@ func TestAnnotationsPresent(t *testing.T) {
 }
 
 func TestSkipAnnotations(t *testing.T) {
-	g := Build(Config{Recipes: 20, Seed: 1, SkipAnnotations: true})
+	g := Build(Config{Recipes: 20, Seed: 1, SkipAnnotations: true}).Freeze()
 	sch := schema.NewStore(g)
 	if sch.Composable(PropIngredient) || sch.IsFacet(PropCuisine) {
 		t.Error("SkipAnnotations should omit annotations")
@@ -106,7 +106,7 @@ func TestSkipAnnotations(t *testing.T) {
 func TestStudyTaskPreconditions(t *testing.T) {
 	// The user study's directed tasks need: (1) walnut recipes with nut-free
 	// similar recipes around, (2) Mexican recipes in every menu course.
-	g := Build(Config{Recipes: 6444, Seed: 1})
+	g := Build(Config{Recipes: 6444, Seed: 1}).Freeze()
 
 	walnutRecipes := g.Subjects(PropIngredient, Ingredient("Walnuts"))
 	if len(walnutRecipes) < 20 {
@@ -134,7 +134,7 @@ func TestZipfSkew(t *testing.T) {
 	// Popular (early) ingredients appear in many more recipes than tail
 	// ones — the Figure 1 "large number of the recipes have cloves, garlic,
 	// olives and oil" shape.
-	g := Build(Config{Recipes: 2000, Seed: 1})
+	g := Build(Config{Recipes: 2000, Seed: 1}).Freeze()
 	garlic := g.SubjectCount(PropIngredient, Ingredient("Garlic"))
 	blend := g.SubjectCount(PropIngredient, Ingredient("Spice Blend 40"))
 	if garlic < blend*3 {
@@ -143,7 +143,7 @@ func TestZipfSkew(t *testing.T) {
 }
 
 func TestCuisineCorrelation(t *testing.T) {
-	g := Build(Config{Recipes: 2000, Seed: 1})
+	g := Build(Config{Recipes: 2000, Seed: 1}).Freeze()
 	greek := g.Subjects(PropCuisine, Cuisine("Greek"))
 	withFeta := 0
 	for _, r := range greek {

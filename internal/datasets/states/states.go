@@ -40,11 +40,11 @@ func State(name string) rdf.IRI { return csvrdf.Row(NS, name) }
 // CSV returns the dataset in its original comma-separated form.
 func CSV() string { return csvData }
 
-// Build imports the CSV into a fresh graph, exactly "as given": plain
+// Build imports the CSV into a fresh graph builder, exactly "as given": plain
 // strings, no labels, no types (the Figure 7 configuration). The error
 // path only fires if the embedded CSV constant is edited into invalidity.
-func Build() (*rdf.Graph, error) {
-	g := rdf.NewGraph()
+func Build() (*rdf.Builder, error) {
+	g := rdf.NewBuilder()
 	if _, err := csvrdf.FromCSV(g, strings.NewReader(csvData), NS, "state"); err != nil {
 		return nil, fmt.Errorf("states: embedded CSV: %w", err)
 	}
@@ -54,16 +54,15 @@ func Build() (*rdf.Graph, error) {
 // Annotate adds the paper's Figure 8 annotations: human-readable labels on
 // each property and integer value types on area and admission year, which
 // unlock range widgets and outlier-visible displays.
-func Annotate(g *rdf.Graph) {
-	sch := schema.NewStore(g)
-	sch.SetLabel(PropName, "State")
-	sch.SetLabel(PropCapital, "Capital")
-	sch.SetLabel(PropBird, "State bird")
-	sch.SetLabel(PropFlower, "State flower")
-	sch.SetLabel(PropArea, "Area (sq mi)")
-	sch.SetLabel(PropAdmitted, "Year admitted")
-	sch.SetValueType(PropArea, schema.Integer)
-	sch.SetValueType(PropAdmitted, schema.Integer)
+func Annotate(g *rdf.Builder) {
+	schema.SetLabel(g, PropName, "State")
+	schema.SetLabel(g, PropCapital, "Capital")
+	schema.SetLabel(g, PropBird, "State bird")
+	schema.SetLabel(g, PropFlower, "State flower")
+	schema.SetLabel(g, PropArea, "Area (sq mi)")
+	schema.SetLabel(g, PropAdmitted, "Year admitted")
+	schema.SetValueType(g, PropArea, schema.Integer)
+	schema.SetValueType(g, PropAdmitted, schema.Integer)
 }
 
 // csvData is the real 50-states record: name, capital, state bird, state

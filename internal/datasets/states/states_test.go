@@ -9,10 +9,11 @@ import (
 )
 
 func TestFiftyStates(t *testing.T) {
-	g, err := Build()
+	b, err := Build()
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := b.Freeze()
 	rows := 0
 	for _, s := range g.AllSubjects() {
 		if strings.Contains(string(s), "row/") {
@@ -27,10 +28,11 @@ func TestFiftyStates(t *testing.T) {
 func TestSevenCardinalStates(t *testing.T) {
 	// The paper's §6.1 observation: "seven states have 'cardinal' in their
 	// bird names".
-	g, err := Build()
+	b, err := Build()
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := b.Freeze()
 	cardinals := g.Subjects(PropBird, rdf.NewString("Cardinal"))
 	if len(cardinals) != 7 {
 		t.Fatalf("cardinal states = %d, want 7: %v", len(cardinals), cardinals)
@@ -48,10 +50,11 @@ func TestSevenCardinalStates(t *testing.T) {
 }
 
 func TestUnannotatedIsStringly(t *testing.T) {
-	g, err := Build()
+	b, err := Build()
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := b.Freeze()
 	sch := schema.NewStore(g)
 	// Figure 7: no labels, area is a plain string (Text), raw identifiers.
 	if sch.HasLabel(PropBird) {
@@ -63,11 +66,12 @@ func TestUnannotatedIsStringly(t *testing.T) {
 }
 
 func TestAnnotateEnablesFigure8(t *testing.T) {
-	g, err := Build()
+	b, err := Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	Annotate(g)
+	Annotate(b)
+	g := b.Freeze()
 	sch := schema.NewStore(g)
 	if !sch.HasLabel(PropBird) || sch.Label(PropBird) != "State bird" {
 		t.Errorf("bird label = %q", sch.Label(PropBird))
@@ -84,10 +88,11 @@ func TestAnnotateEnablesFigure8(t *testing.T) {
 }
 
 func TestAlaskaIsAreaOutlier(t *testing.T) {
-	g, err := Build()
+	b, err := Build()
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := b.Freeze()
 	var maxState rdf.IRI
 	var maxArea float64
 	for _, s := range g.AllSubjects() {

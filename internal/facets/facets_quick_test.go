@@ -18,8 +18,7 @@ import (
 func TestQuickSummarizeInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		g := rdf.NewGraph()
-		sch := schema.NewStore(g)
+		gb := rdf.NewBuilder()
 		var items []rdf.IRI
 		n := rng.Intn(20) + 2
 		for i := 0; i < n; i++ {
@@ -28,12 +27,14 @@ func TestQuickSummarizeInvariants(t *testing.T) {
 			for j := 0; j < rng.Intn(4); j++ {
 				p := rdf.IRI(fmt.Sprintf("%sp%d", ex, rng.Intn(3)))
 				if rng.Intn(2) == 0 {
-					g.Add(it, p, rdf.IRI(fmt.Sprintf("%sv%d", ex, rng.Intn(5))))
+					gb.Add(it, p, rdf.IRI(fmt.Sprintf("%sv%d", ex, rng.Intn(5))))
 				} else {
-					g.Add(it, p, rdf.NewString(fmt.Sprintf("s%d", rng.Intn(5))))
+					gb.Add(it, p, rdf.NewString(fmt.Sprintf("s%d", rng.Intn(5))))
 				}
 			}
 		}
+		g := gb.Freeze()
+		sch := schema.NewStore(g)
 		for _, f := range Summarize(g, sch, items, Options{IncludeUnshared: true}) {
 			if f.Coverage > len(items) || f.Coverage == 0 {
 				return false
@@ -59,14 +60,15 @@ func TestQuickSummarizeInvariants(t *testing.T) {
 func TestQuickSummarizeTruncationStable(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		g := rdf.NewGraph()
-		sch := schema.NewStore(g)
+		gb := rdf.NewBuilder()
 		var items []rdf.IRI
 		for i := 0; i < 12; i++ {
 			it := rdf.IRI(fmt.Sprintf("%si%d", ex, i))
 			items = append(items, it)
-			g.Add(it, rdf.IRI(ex+"p"), rdf.IRI(fmt.Sprintf("%sv%d", ex, rng.Intn(6))))
+			gb.Add(it, rdf.IRI(ex+"p"), rdf.IRI(fmt.Sprintf("%sv%d", ex, rng.Intn(6))))
 		}
+		g := gb.Freeze()
+		sch := schema.NewStore(g)
 		full := Summarize(g, sch, items, Options{IncludeUnshared: true})
 		trunc := Summarize(g, sch, items, Options{IncludeUnshared: true, MaxValues: 2})
 		if len(full) != len(trunc) {

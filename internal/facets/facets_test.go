@@ -17,19 +17,22 @@ var (
 	pArea       = rdf.IRI(ex + "area")
 )
 
-func fixture() (*rdf.Graph, *schema.Store, []rdf.IRI) {
-	g := rdf.NewGraph()
-	sch := schema.NewStore(g)
+func fixture() (*rdf.Graph, *schema.Store, []rdf.IRI) { return fixtureWith(nil) }
+
+// fixtureWith is fixture with extra annotations written before the graph
+// is frozen.
+func fixtureWith(annotate func(*rdf.Builder)) (*rdf.Graph, *schema.Store, []rdf.IRI) {
+	gb := rdf.NewBuilder()
 	var items []rdf.IRI
 	add := func(id, title string, cuisine rdf.IRI, area int64, ings ...rdf.IRI) {
 		it := rdf.IRI(ex + id)
 		items = append(items, it)
-		g.Add(it, rdf.Type, rdf.IRI(ex+"Recipe"))
-		g.Add(it, pTitle, rdf.NewString(title))
-		g.Add(it, pCuisine, cuisine)
-		g.Add(it, pArea, rdf.NewInteger(area))
+		gb.Add(it, rdf.Type, rdf.IRI(ex+"Recipe"))
+		gb.Add(it, pTitle, rdf.NewString(title))
+		gb.Add(it, pCuisine, cuisine)
+		gb.Add(it, pArea, rdf.NewInteger(area))
 		for _, ing := range ings {
-			g.Add(it, pIngredient, ing)
+			gb.Add(it, pIngredient, ing)
 		}
 	}
 	greek, mexican := rdf.IRI(ex+"Greek"), rdf.IRI(ex+"Mexican")
@@ -39,6 +42,11 @@ func fixture() (*rdf.Graph, *schema.Store, []rdf.IRI) {
 	add("r3", "Dip", greek, 30, olive)
 	add("r4", "Mole", mexican, 40, bean)
 	add("r5", "Tacos", mexican, 5000, bean)
+	if annotate != nil {
+		annotate(gb)
+	}
+	g := gb.Freeze()
+	sch := schema.NewStore(g)
 	return g, sch, items
 }
 
@@ -115,8 +123,7 @@ func TestSummarizeMaxValuesAndMinCount(t *testing.T) {
 }
 
 func TestSummarizeHidesAnnotatedHidden(t *testing.T) {
-	g, sch, items := fixture()
-	sch.SetHidden(pCuisine)
+	g, sch, items := fixtureWith(func(b *rdf.Builder) { schema.SetHidden(b, pCuisine) })
 	fs := Summarize(g, sch, items, Options{})
 	if findFacet(fs, pCuisine) != nil {
 		t.Error("hidden property produced a facet")
@@ -124,8 +131,8 @@ func TestSummarizeHidesAnnotatedHidden(t *testing.T) {
 }
 
 func TestSummarizePreferredFirst(t *testing.T) {
-	g, sch, items := fixture()
-	sch.SetFacet(pArea) // all-distinct, but preferred keeps it and ranks it first
+	// All-distinct, but preferred keeps it and ranks it first.
+	g, sch, items := fixtureWith(func(b *rdf.Builder) { schema.SetFacet(b, pArea) })
 	fs := Summarize(g, sch, items, Options{})
 	if len(fs) == 0 || fs[0].Prop != pArea {
 		t.Errorf("preferred facet not first: %v", fs)
@@ -142,7 +149,7 @@ func TestFacetLabeledFlag(t *testing.T) {
 	if cu.Labeled {
 		t.Error("unannotated property should report Labeled=false (Figure 7)")
 	}
-	sch.SetLabel(pCuisine, "Cuisine")
+	g, sch, items = fixtureWith(func(b *rdf.Builder) { schema.SetLabel(b, pCuisine, "Cuisine") })
 	fs = Summarize(g, sch, items, Options{})
 	cu = findFacet(fs, pCuisine)
 	if !cu.Labeled || cu.Label != "Cuisine" {
@@ -173,11 +180,12 @@ func TestNumericHistogram(t *testing.T) {
 }
 
 func TestNumericHistogramDegenerate(t *testing.T) {
-	g := rdf.NewGraph()
+	gb := rdf.NewBuilder()
 	a, b := rdf.IRI(ex+"a"), rdf.IRI(ex+"b")
 	p := rdf.IRI(ex + "n")
-	g.Add(a, p, rdf.NewInteger(7))
-	g.Add(b, p, rdf.NewInteger(7))
+	gb.Add(a, p, rdf.NewInteger(7))
+	gb.Add(b, p, rdf.NewInteger(7))
+	g := gb.Freeze()
 	h, ok := NumericHistogram(g, g.SubjectIDsOf([]rdf.IRI{a, b}), p, 4)
 	if !ok || h.Buckets[0] != 2 {
 		t.Errorf("degenerate histogram = %+v, %v", h, ok)

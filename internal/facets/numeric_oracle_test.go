@@ -100,14 +100,15 @@ func oracleValue(g *rdf.Graph, it, prop rdf.IRI) (float64, bool) {
 // contributes only its first by key. "10" sorts before "9", so the item
 // counts as 10 and the histogram's maximum is 10, not 9.
 func TestNumericFirstValueByKeyWins(t *testing.T) {
-	g := rdf.NewGraph()
+	gb := rdf.NewBuilder()
 	p := rdf.IRI(ex + "n")
 	a, b, c := rdf.IRI(ex+"a"), rdf.IRI(ex+"b"), rdf.IRI(ex+"c")
-	g.Add(a, p, rdf.NewInteger(9))
-	g.Add(a, p, rdf.NewInteger(10))
-	g.Add(b, p, rdf.NewInteger(1))
-	g.Add(c, p, rdf.NewInteger(2))
+	gb.Add(a, p, rdf.NewInteger(9))
+	gb.Add(a, p, rdf.NewInteger(10))
+	gb.Add(b, p, rdf.NewInteger(1))
+	gb.Add(c, p, rdf.NewInteger(2))
 	items := []rdf.IRI{a, b, c}
+	g := gb.Freeze()
 	h, ok := NumericHistogram(g, g.SubjectIDsOf(items), p, 3)
 	if !ok || h.Count != 3 || h.Min != 1 || h.Max != 10 {
 		t.Fatalf("histogram = %+v, %v; want 3 items over [1, 10]", h, ok)
@@ -128,21 +129,22 @@ func TestNumericFirstValueByKeyWins(t *testing.T) {
 // skipping of non-numeric values are exercised; collections are shuffled,
 // so Outliers must keep their order.
 func TestNumericMatchesOracle(t *testing.T) {
-	g := recipes.Build(recipes.Config{Recipes: 400, Seed: 3})
-	all := g.SubjectsOfType(recipes.ClassRecipe)
+	gb := recipes.Build(recipes.Config{Recipes: 400, Seed: 3})
+	all := gb.Freeze().SubjectsOfType(recipes.ClassRecipe)
 	rng := rand.New(rand.NewSource(7))
 	for i, r := range all {
 		switch i % 9 {
 		case 0:
-			g.Add(r, recipes.PropPrepTime, rdf.NewInteger(int64(rng.Intn(400))))
+			gb.Add(r, recipes.PropPrepTime, rdf.NewInteger(int64(rng.Intn(400))))
 		case 1:
-			g.Add(r, recipes.PropServings, rdf.NewInteger(int64(rng.Intn(40))))
+			gb.Add(r, recipes.PropServings, rdf.NewInteger(int64(rng.Intn(40))))
 		case 2:
-			g.Add(r, recipes.PropPrepTime, rdf.NewString("about an hour"))
+			gb.Add(r, recipes.PropPrepTime, rdf.NewString("about an hour"))
 		case 3:
-			g.Add(r, recipes.PropServings, rdf.IRI(ex+"many"))
+			gb.Add(r, recipes.PropServings, rdf.IRI(ex+"many"))
 		}
 	}
+	g := gb.Freeze()
 	absent := rdf.IRI(ex + "not-in-graph")
 	for trial := 0; trial < 60; trial++ {
 		n := 1 + rng.Intn(len(all))

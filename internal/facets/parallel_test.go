@@ -13,13 +13,12 @@ import (
 // bigFixture builds a graph wide enough (many predicates, many values)
 // that parallel summarization actually chunks.
 func bigFixture() (*rdf.Graph, *schema.Store, []rdf.IRI) {
-	g := rdf.NewGraph()
-	sch := schema.NewStore(g)
+	gb := rdf.NewBuilder()
 	var items []rdf.IRI
 	for i := 0; i < 200; i++ {
 		it := rdf.IRI(fmt.Sprintf("%sitem/%03d", ex, i))
 		items = append(items, it)
-		g.Add(it, rdf.Type, rdf.IRI(ex+"Thing"))
+		gb.Add(it, rdf.Type, rdf.IRI(ex+"Thing"))
 		for p := 0; p < 30; p++ {
 			prop := rdf.IRI(fmt.Sprintf("%sprop/%02d", ex, p))
 			// Value cardinality varies per property: some shared heavily,
@@ -28,14 +27,16 @@ func bigFixture() (*rdf.Graph, *schema.Store, []rdf.IRI) {
 			case p%5 == 4 && i%7 != 0:
 				// sparse property
 			case p%3 == 0:
-				g.Add(it, prop, rdf.IRI(fmt.Sprintf("%sval/%d", ex, i%4)))
+				gb.Add(it, prop, rdf.IRI(fmt.Sprintf("%sval/%d", ex, i%4)))
 			case p%3 == 1:
-				g.Add(it, prop, rdf.NewString(fmt.Sprintf("v%d", i%(p+2))))
+				gb.Add(it, prop, rdf.NewString(fmt.Sprintf("v%d", i%(p+2))))
 			default:
-				g.Add(it, prop, rdf.NewInteger(int64(i%(p+5))))
+				gb.Add(it, prop, rdf.NewInteger(int64(i%(p+5))))
 			}
 		}
 	}
+	g := gb.Freeze()
+	sch := schema.NewStore(g)
 	return g, sch, items
 }
 

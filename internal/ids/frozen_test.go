@@ -2,7 +2,7 @@ package ids
 
 import "testing"
 
-// TestColumnsRoundTrip: a frozen interner rebuilt from Columns must agree
+// TestColumnsRoundTrip: a frozen table compiled from an interner's Columns must agree
 // with the original on every ID, key, and lookup — the contract segment
 // serialization depends on.
 func TestColumnsRoundTrip(t *testing.T) {
@@ -27,9 +27,6 @@ func TestColumnsRoundTrip(t *testing.T) {
 		if got, ok := fr.Lookup(k); !ok || got != id {
 			t.Errorf("Lookup(%q) = %d,%v, want %d,true", k, got, ok, id)
 		}
-		if got := fr.Intern(k); got != id {
-			t.Errorf("Intern(%q) = %d, want %d (frozen Intern of a known key)", k, got, id)
-		}
 	}
 	if _, ok := fr.Lookup("unseen"); ok {
 		t.Error("Lookup(unseen) found a key the frozen table never held")
@@ -37,22 +34,6 @@ func TestColumnsRoundTrip(t *testing.T) {
 	if got := fr.Key(uint32(len(keys) + 5)); got != "" {
 		t.Errorf("Key(out of range) = %q, want zero value", got)
 	}
-}
-
-// TestFrozenInternPanics: a frozen interner must refuse to mint new IDs.
-func TestFrozenInternPanics(t *testing.T) {
-	in := NewInterner[string]()
-	in.Intern("only")
-	fr, err := FromColumns[string](in.Columns())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Intern of an unseen key on a frozen interner did not panic")
-		}
-	}()
-	fr.Intern("new-key")
 }
 
 // TestFromColumnsValidates: malformed column frames must be rejected.
@@ -80,6 +61,6 @@ func TestColumnsEmpty(t *testing.T) {
 		t.Errorf("Len = %d, want 0", fr.Len())
 	}
 	if _, ok := fr.Lookup("x"); ok {
-		t.Error("Lookup on empty frozen interner found a key")
+		t.Error("Lookup on an empty frozen table found a key")
 	}
 }

@@ -1,7 +1,8 @@
-// Package ids implements the dense-ID plane of the navigation engine: an
-// append-only interner mapping string-shaped resource identifiers (rdf.IRI,
-// text-index document IDs, vector-space coordinate keys) to dense uint32
-// item IDs and back.
+// Package ids implements the dense-ID plane of the navigation engine:
+// string-shaped resource identifiers (rdf.IRI, text-index document IDs,
+// vector-space coordinate keys) map to dense uint32 item IDs and back. An
+// append-only Interner assigns the IDs while a store is built; the frozen
+// Table compiled from it serves every read afterwards.
 //
 // Dense integer IDs are the representation IR systems actually use for hot
 // set algebra — sorted postings and bitmaps over document numbers instead
@@ -15,15 +16,15 @@
 package ids
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 )
 
 // Interner assigns dense uint32 IDs to keys, append-only: a key's ID never
 // changes and IDs are never reused, so slices indexed by ID stay valid
-// across later interning. The zero Interner is not ready for use; call
-// NewInterner (mutable) or FromColumns (read-only, segment-backed).
+// across later interning. It is the build side of a key table: stores
+// intern while they are built, then Columns compiles the interner into the
+// frozen Table their readers serve from.
 //
 // Interner is safe for concurrent use: lookups and rehydration may race
 // with interning.
@@ -31,17 +32,11 @@ type Interner[K ~string] struct {
 	mu   sync.RWMutex
 	ids  map[K]uint32 // key → dense ID; guarded by mu
 	keys []K          // dense ID → key; guarded by mu
-
-	// Read-only columnar backing (see Columns). When cols.Off is non-nil
-	// the interner is frozen: lookups binary-search the sorted permutation,
-	// Key slices the blob, and Intern panics for unseen keys. Frozen
-	// interners take no locks — the columns never change.
-	cols Columns
 }
 
-// Columns is the serialized form of an interner: the dense-ID→key table as
+// Columns is the serialized form of a key table: the dense-ID→key table as
 // an offset/blob string column plus a permutation of IDs sorted by key
-// bytes (the binary-search index Lookup uses in frozen mode). Key i spans
+// bytes (the binary-search index Table.Lookup uses). Key i spans
 // Blob[Off[i]:Off[i+1]]; len(Off) is one more than the key count.
 type Columns struct {
 	Off    []uint32
@@ -54,32 +49,11 @@ func NewInterner[K ~string]() *Interner[K] {
 	return &Interner[K]{ids: make(map[K]uint32)}
 }
 
-// FromColumns returns a read-only interner over a serialized key table
-// (typically slices into an mmapped segment). Construction is O(1): keys
-// are rehydrated lazily, per access. Interning a key that is not already
-// present panics — frozen interners never grow.
-func FromColumns[K ~string](c Columns) (*Interner[K], error) {
-	if len(c.Off) == 0 {
-		return nil, fmt.Errorf("ids: columns missing offset table")
-	}
-	n := len(c.Off) - 1
-	if len(c.Sorted) != n {
-		return nil, fmt.Errorf("ids: sorted permutation has %d entries for %d keys", len(c.Sorted), n)
-	}
-	if c.Off[0] != 0 || int(c.Off[n]) != len(c.Blob) {
-		return nil, fmt.Errorf("ids: offset table does not span blob (%d..%d of %d bytes)", c.Off[0], c.Off[n], len(c.Blob))
-	}
-	return &Interner[K]{cols: c}, nil
-}
-
-// Columns snapshots the interner into its serialized form (the write side
-// of FromColumns). The sorted permutation is computed here, O(n log n).
+// Columns compiles the interner into its serialized form (the input of
+// FromColumns). The sorted permutation is computed here, O(n log n).
 func (in *Interner[K]) Columns() Columns {
 	in.mu.RLock()
 	defer in.mu.RUnlock()
-	if in.frozen() {
-		return in.cols
-	}
 	var c Columns
 	c.Off = make([]uint32, 1, len(in.keys)+1)
 	size := 0
@@ -95,79 +69,9 @@ func (in *Interner[K]) Columns() Columns {
 	return c
 }
 
-// frozen reports whether the interner is columnar-backed (read-only).
-func (in *Interner[K]) frozen() bool { return in.cols.Off != nil }
-
-// keyBytes returns the raw bytes of key id in frozen mode (nil when out of
-// range). The slice aliases the blob; callers must not retain or mutate it.
-//
-//magnet:hot
-func (in *Interner[K]) keyBytes(id uint32) []byte {
-	off := in.cols.Off
-	if int(id)+1 >= len(off) {
-		return nil
-	}
-	lo, hi := off[id], off[id+1]
-	if lo > hi || int(hi) > len(in.cols.Blob) {
-		return nil
-	}
-	return in.cols.Blob[lo:hi]
-}
-
-// lookupFrozen binary-searches the sorted permutation for k.
-func (in *Interner[K]) lookupFrozen(k K) (uint32, bool) {
-	sorted := in.cols.Sorted
-	lo, hi := 0, len(sorted)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if cmpBytesStr(in.keyBytes(sorted[mid]), string(k)) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(sorted) && cmpBytesStr(in.keyBytes(sorted[lo]), string(k)) == 0 {
-		return sorted[lo], true
-	}
-	return 0, false
-}
-
-// cmpBytesStr compares a byte slice against a string without allocating.
-//
-//magnet:hot
-func cmpBytesStr(b []byte, s string) int {
-	n := len(b)
-	if len(s) < n {
-		n = len(s)
-	}
-	for i := 0; i < n; i++ {
-		if b[i] != s[i] {
-			if b[i] < s[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	switch {
-	case len(b) < len(s):
-		return -1
-	case len(b) > len(s):
-		return 1
-	}
-	return 0
-}
-
 // Intern returns the dense ID of k, assigning the next free ID when k is
-// new. Frozen interners resolve known keys and panic on unseen ones —
-// segment-backed stores are immutable.
+// new.
 func (in *Interner[K]) Intern(k K) uint32 {
-	if in.frozen() {
-		id, ok := in.lookupFrozen(k)
-		if !ok {
-			panic(fmt.Sprintf("ids: Intern(%q) on read-only segment-backed interner", string(k)))
-		}
-		return id
-	}
 	in.mu.RLock()
 	id, ok := in.ids[k]
 	in.mu.RUnlock()
@@ -187,9 +91,6 @@ func (in *Interner[K]) Intern(k K) uint32 {
 
 // Lookup returns the ID of k without interning, and whether k is known.
 func (in *Interner[K]) Lookup(k K) (uint32, bool) {
-	if in.frozen() {
-		return in.lookupFrozen(k)
-	}
 	in.mu.RLock()
 	defer in.mu.RUnlock()
 	id, ok := in.ids[k]
@@ -199,9 +100,6 @@ func (in *Interner[K]) Lookup(k K) (uint32, bool) {
 // Key returns the key behind a dense ID. IDs must come from this interner;
 // unknown IDs return the zero key.
 func (in *Interner[K]) Key(id uint32) K {
-	if in.frozen() {
-		return K(in.keyBytes(id))
-	}
 	in.mu.RLock()
 	defer in.mu.RUnlock()
 	if int(id) >= len(in.keys) {
@@ -214,14 +112,6 @@ func (in *Interner[K]) Key(id uint32) K {
 // AppendKeys rehydrates every ID in order, appending the keys to dst under
 // one lock acquisition (the bulk form render boundaries use).
 func (in *Interner[K]) AppendKeys(dst []K, ids []uint32) []K {
-	if in.frozen() {
-		for _, id := range ids {
-			if int(id)+1 < len(in.cols.Off) {
-				dst = append(dst, K(in.keyBytes(id)))
-			}
-		}
-		return dst
-	}
 	in.mu.RLock()
 	defer in.mu.RUnlock()
 	for _, id := range ids {
@@ -234,9 +124,6 @@ func (in *Interner[K]) AppendKeys(dst []K, ids []uint32) []K {
 
 // Len returns the number of interned keys; valid IDs are [0, Len).
 func (in *Interner[K]) Len() int {
-	if in.frozen() {
-		return len(in.cols.Off) - 1
-	}
 	in.mu.RLock()
 	defer in.mu.RUnlock()
 	return len(in.keys)

@@ -19,8 +19,8 @@ import (
 // nterms terms; a third carry a pinned coordinate, whose stored frequency
 // is its weight.
 func kernelStore(rng *rand.Rand, ndocs, nterms int) *VectorStore {
-	v := NewVectorStore()
-	v.PinnedPrefix = "num|"
+	b := NewVectorBuilder()
+	b.PinnedPrefix = "num|"
 	for d := 0; d < ndocs; d++ {
 		freqs := make(map[string]float64)
 		for n := 1 + rng.Intn(12); n > 0; n-- {
@@ -29,9 +29,9 @@ func kernelStore(rng *rand.Rand, ndocs, nterms int) *VectorStore {
 		if rng.Intn(3) == 0 {
 			freqs["num|a"] = 0.5 + rng.Float64()
 		}
-		v.Add(fmt.Sprintf("doc%04d", d), freqs)
+		b.Add(fmt.Sprintf("doc%04d", d), freqs)
 	}
-	return v
+	return b.Freeze()
 }
 
 // refTerms returns vec's terms in ascending termnum order.
@@ -256,19 +256,20 @@ func FuzzVectorKernel(f *testing.F) {
 			}
 			docs[d][term] += float64(1 + data[i]>>4)
 		}
-		v := NewVectorStore()
-		v.PinnedPrefix = "num|"
+		b := NewVectorBuilder()
+		b.PinnedPrefix = "num|"
 		names := make([]string, 0, len(docs))
 		for d := range docs {
 			names = append(names, d)
 		}
 		sort.Strings(names)
 		for _, d := range names {
-			v.Add(d, docs[d])
+			b.Add(d, docs[d])
 		}
 		if len(names) == 0 {
 			return
 		}
+		v := b.Freeze()
 		seg, err := FromVectorColumns(v.Columns())
 		if err != nil {
 			t.Fatal(err)

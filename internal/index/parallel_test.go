@@ -13,15 +13,15 @@ import (
 // ID tie-break orders them. Chunk boundaries fall inside blocks, which is
 // exactly where a schedule-dependent merge would go wrong.
 func tieStore(ndocs int) *VectorStore {
-	v := NewVectorStore()
+	b := NewVectorBuilder()
 	for i := 0; i < ndocs; i++ {
 		block := i / 7 % 5
-		v.Add(fmt.Sprintf("doc%04d", i), map[string]float64{
+		b.Add(fmt.Sprintf("doc%04d", i), map[string]float64{
 			"common":                  1,
 			fmt.Sprintf("b%d", block): 2,
 		})
 	}
-	return v
+	return b.Freeze()
 }
 
 // TestSimilarToSerialParallelEquivalence checks top-k lists are identical

@@ -6,14 +6,24 @@ import (
 	"testing"
 )
 
-// TestConcurrentVectorStore exercises the RWMutex discipline: parallel
-// writers (Add, which drops the derived-vector cache) against
-// parallel readers (Vector/Similarity/SimilarTo/IDF), so -race checks the
-// cache rebuild path and the 'guarded by mu' fields together.
+// TestConcurrentVectorStore: parallel first readers of a freshly frozen
+// store (Vector/Similarity/SimilarTo/Centroid/IDF), so -race checks the
+// lazy row-cache fill, the lazy key strings and the 'guarded by mu' fields
+// together.
 func TestConcurrentVectorStore(t *testing.T) {
-	v := NewVectorStore()
 	const workers = 8
 	const iters = 100
+	b := NewVectorBuilder()
+	for w := 0; w < workers; w++ {
+		for i := 0; i < iters; i++ {
+			b.Add(fmt.Sprintf("doc-%d-%d", w, i), map[string]float64{
+				"alpha":                     1,
+				fmt.Sprintf("term-%d", w):   2,
+				fmt.Sprintf("term-%d", i%5): 1,
+			})
+		}
+	}
+	v := b.Freeze()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -21,11 +31,6 @@ func TestConcurrentVectorStore(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				id := fmt.Sprintf("doc-%d-%d", w, i)
-				v.Add(id, map[string]float64{
-					"alpha":                     1,
-					fmt.Sprintf("term-%d", w):   2,
-					fmt.Sprintf("term-%d", i%5): 1,
-				})
 				_ = v.Vector(id)
 				_ = v.Similarity(id, "doc-0-0")
 				_ = v.SimilarTo(map[string]float64{"alpha": 1}, 3, nil)
@@ -38,7 +43,7 @@ func TestConcurrentVectorStore(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if v.Len() == 0 {
-		t.Error("store ended empty")
+	if v.Len() != workers*iters {
+		t.Errorf("Len = %d, want %d", v.Len(), workers*iters)
 	}
 }

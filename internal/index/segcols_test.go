@@ -8,14 +8,14 @@ import (
 // segTestIndex indexes a handful of docs across two fields.
 func segTestIndex(t *testing.T) *TextIndex {
 	t.Helper()
-	ix := NewTextIndex(nil)
-	ix.Index("d1", "title", "Greek salad with parsley")
-	ix.Index("d1", "body", "olives feta parsley lemon")
-	ix.Index("d2", "title", "Italian pasta")
-	ix.Index("d2", "body", "tomato basil parsley")
-	ix.Index("d3", "title", "Walnut cake")
-	ix.Index("d3", "body", "walnuts sugar butter")
-	return ix
+	b := NewTextBuilder(nil)
+	b.Index("d1", "title", "Greek salad with parsley")
+	b.Index("d1", "body", "olives feta parsley lemon")
+	b.Index("d2", "title", "Italian pasta")
+	b.Index("d2", "body", "tomato basil parsley")
+	b.Index("d3", "title", "Walnut cake")
+	b.Index("d3", "body", "walnuts sugar butter")
+	return b.Freeze()
 }
 
 func TestTextColumnsRoundTrip(t *testing.T) {
@@ -84,32 +84,19 @@ func TestTextColumnsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTextColumnsReadOnly(t *testing.T) {
-	r, err := FromTextColumns(nil, segTestIndex(t).Columns())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Index on a segment-backed text index did not panic")
-		}
-	}()
-	r.Index("d9", "title", "new doc")
-}
-
 // segTestVectors builds a store with overlapping docs and a pinned numeric
 // prefix.
 func segTestVectors(t *testing.T) *VectorStore {
 	t.Helper()
-	v := NewVectorStore()
-	v.PinnedPrefix = "num|"
-	v.Add("d1", map[string]float64{"parsley": 2, "feta": 1, "olive": 3})
-	v.Add("d2", map[string]float64{"parsley": 1, "basil": 2, "tomato": 2})
-	v.Add("d3", map[string]float64{"walnut": 4, "sugar": 1})
+	b := NewVectorBuilder()
+	b.PinnedPrefix = "num|"
+	b.Add("d1", map[string]float64{"parsley": 2, "feta": 1, "olive": 3})
+	b.Add("d2", map[string]float64{"parsley": 1, "basil": 2, "tomato": 2})
+	b.Add("d3", map[string]float64{"walnut": 4, "sugar": 1})
 	// A doc carrying a pinned coordinate term: its stored frequency is the
 	// final weight and must survive serialization via the pinned bitset.
-	v.Add("d4", map[string]float64{"num|servings=4": 0.5, "parsley": 1})
-	return v
+	b.Add("d4", map[string]float64{"num|servings=4": 0.5, "parsley": 1})
+	return b.Freeze()
 }
 
 func TestVectorColumnsRoundTrip(t *testing.T) {
@@ -167,17 +154,4 @@ func TestVectorColumnsRoundTrip(t *testing.T) {
 			t.Errorf("SimilarTo[%d] = %+v, want %+v", i, got[i], want[i])
 		}
 	}
-}
-
-func TestVectorColumnsReadOnly(t *testing.T) {
-	r, err := FromVectorColumns(segTestVectors(t).Columns())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Add on a segment-backed vector store did not panic")
-		}
-	}()
-	r.Add("d9", map[string]float64{"x": 1})
 }

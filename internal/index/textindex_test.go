@@ -10,14 +10,14 @@ import (
 )
 
 func sampleTextIndex() *TextIndex {
-	ix := NewTextIndex(nil)
-	ix.Index("r1", "title", "Greek Salad")
-	ix.Index("r1", "body", "feta cheese, olives, parsley and olive oil")
-	ix.Index("r2", "title", "Walnut Cake")
-	ix.Index("r2", "body", "walnuts, flour, butter and sugar")
-	ix.Index("r3", "title", "Greek Walnut Pie")
-	ix.Index("r3", "body", "honey, walnuts, filo dough and butter")
-	return ix
+	b := NewTextBuilder(nil)
+	b.Index("r1", "title", "Greek Salad")
+	b.Index("r1", "body", "feta cheese, olives, parsley and olive oil")
+	b.Index("r2", "title", "Walnut Cake")
+	b.Index("r2", "body", "walnuts, flour, butter and sugar")
+	b.Index("r3", "title", "Greek Walnut Pie")
+	b.Index("r3", "body", "honey, walnuts, filo dough and butter")
+	return b.Freeze()
 }
 
 func TestMatchingAnyField(t *testing.T) {
@@ -68,10 +68,11 @@ func TestMatchingConjunction(t *testing.T) {
 }
 
 func TestSearchRanking(t *testing.T) {
-	ix := NewTextIndex(nil)
-	ix.Index("heavy", "body", "butter butter butter bread")
-	ix.Index("light", "body", "butter bread bread bread")
-	ix.Index("other", "body", "sugar")
+	b := NewTextBuilder(nil)
+	b.Index("heavy", "body", "butter butter butter bread")
+	b.Index("light", "body", "butter bread bread bread")
+	b.Index("other", "body", "sugar")
+	ix := b.Freeze()
 	got := ix.Search("butter", AnyField, 10)
 	if len(got) != 2 {
 		t.Fatalf("Search = %v", got)
@@ -106,9 +107,10 @@ func TestFieldsAndTermCounts(t *testing.T) {
 }
 
 func TestIndexAccumulates(t *testing.T) {
-	ix := NewTextIndex(nil)
-	ix.Index("d", "body", "butter")
-	ix.Index("d", "body", "butter again")
+	b := NewTextBuilder(nil)
+	b.Index("d", "body", "butter")
+	b.Index("d", "body", "butter again")
+	ix := b.Freeze()
 	counts := ix.FieldTermCounts("d", "body")
 	if counts["butter"] != 2 {
 		t.Errorf("accumulated count = %d, want 2", counts["butter"])
@@ -116,19 +118,24 @@ func TestIndexAccumulates(t *testing.T) {
 }
 
 func TestTextIndexConcurrent(t *testing.T) {
-	ix := NewTextIndex(nil)
+	b := NewTextBuilder(nil)
+	for i := 0; i < 25; i++ {
+		b.Index(fmt.Sprintf("d%d", i), "body", "shared words plus unique")
+	}
+	ix := b.Freeze()
 	var wg sync.WaitGroup
 	for w := 0; w < 6; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < 80; i++ {
-				id := fmt.Sprintf("d%d", (w*80+i)%25)
-				ix.Index(id, "body", "shared words plus unique")
-				ix.Matching("shared", AnyField)
+				if got := ix.Matching("shared", AnyField); len(got) != 25 {
+					t.Errorf("Matching = %d docs, want 25", len(got))
+				}
 				ix.Search("words unique", AnyField, 5)
+				ix.Surface("share")
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	if ix.Len() != 25 {

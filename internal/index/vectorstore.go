@@ -59,69 +59,38 @@ func sortScored(s []Scored) {
 	})
 }
 
-// VectorStore is a concurrency-safe store of sparse term-frequency vectors
-// with tf·idf weighting and cosine (unit-normalized dot product) similarity.
+// VectorStore is a frozen, concurrency-safe store of sparse
+// term-frequency vectors with tf·idf weighting and cosine (unit-normalized
+// dot product) similarity. A VectorBuilder collects the vectors; the store
+// reads the columnar image it compiles (segcols.go).
 //
-// Documents and terms are interned to dense uint32 numbers; per-document
-// term vectors are parallel sorted []uint32 / []float64 slices rather than
-// nested string-keyed maps, and retrieval candidates come from lazily
-// rebuilt dense posting lists.
+// Documents and terms are dense uint32 numbers; per-document term vectors
+// are sorted termnum runs with parallel raw frequencies, and retrieval
+// candidates come from the precomputed per-term docnum postings.
 //
-// Raw frequencies are stored; weighted vectors are derived lazily using the
-// paper's §5.2 formula
+// Weighted vectors are derived lazily using the paper's §5.2 formula
 //
 //	term-weight = log(freq + 1) × log(num-docs / num-docs-with-term)
 //
 // followed by normalization of each document vector to length one, "to give
 // objects equal importance rather than giving more importance to items with
 // more metadata". Derived vectors are cached as rows (termnums ascending,
-// weights parallel). Add drops the row cache and the retrieval postings in
-// O(1); both regrow lazily on the next read, the same growth rule the
-// read-only segment view uses. Similarity and centroid kernels work on rows
-// and dense termnum-indexed arrays and sum in ascending termnum order, so
-// every result is deterministic to the bit.
+// weights parallel), built on first use, off the open path. Similarity and
+// centroid kernels work on rows and dense termnum-indexed arrays and sum in
+// ascending termnum order, so every result is deterministic to the bit.
 type VectorStore struct {
-	// PinnedPrefix, when non-empty, marks terms whose stored frequency is
-	// used directly as the (pre-normalization) weight, bypassing the
-	// log(freq+1)·idf formula. Magnet uses this for unit-circle numeric
-	// coordinates (paper §5.4): a date attribute present on every document
-	// would otherwise get idf 0 and vanish, defeating the encoding's point
-	// ("two e-mails received a day apart ... have some similar attributes").
-	// Must be set before any Add.
-	PinnedPrefix string
+	docs  *ids.Table[string] // dense docnum → docID
+	terms *ids.Table[string] // dense termnum → term
+	//magnet:frozen
+	c VectorColumns
 
 	mu sync.RWMutex
-
-	docs  *ids.Interner[string] // docID → dense docnum, append-only
-	terms *ids.Interner[string] // term → dense termnum, append-only
-
-	// Per-document state, indexed by docnum: sorted termnums with parallel
-	// raw frequencies.
-	docTerms [][]uint32
-	docFreqs [][]float64
-	live     int // number of present documents
-
-	// Per-term state, indexed by termnum.
-	df     []int  // document frequency
-	pinned []bool // term carries PinnedPrefix
-
-	// rows: docnum → normalized tf·idf row, nil until built. Add nils the
-	// whole column; ensureRowsLocked regrows it.
+	// rows: docnum → normalized tf·idf row, nil until built; the column
+	// itself is allocated on the first row build. Guarded by mu.
 	rows []*vecRow
-
-	// post: termnum → sorted docnum posting list for retrieval (SimilarTo),
-	// built on first use after the last Add.
-	post [][]uint32
-
 	// pool chunks similarity/centroid scans across workers; nil scans
 	// serially. Guarded by mu.
 	pool *par.Pool
-
-	// seg, when non-nil, makes the store a read-only view over a columnar
-	// segment image: accessors branch to it, the per-document and per-term
-	// columns above stay nil, and mutations panic. The row cache still
-	// applies — it is grown lazily, off the open path. See segcols.go.
-	seg *segVec
 
 	// scratch recycles the termnum-indexed accumulators of similarity and
 	// centroid scans (*dense).
@@ -129,20 +98,11 @@ type VectorStore struct {
 }
 
 // vecRow is one document's normalized tf·idf vector: termnums ascending,
-// weights parallel. A row never changes once built — Add drops rows rather
-// than editing them — so a row snapshotted under mu may be read after
-// unlocking.
+// weights parallel. A row never changes once built, so a row snapshotted
+// under mu may be read after unlocking.
 type vecRow struct {
 	terms []uint32
 	w     []float64
-}
-
-// NewVectorStore returns an empty vector store.
-func NewVectorStore() *VectorStore {
-	return &VectorStore{
-		docs:  ids.NewInterner[string](),
-		terms: ids.NewInterner[string](),
-	}
 }
 
 // SetPool sets the worker pool similarity and centroid scans fan out on.
@@ -161,117 +121,48 @@ func (v *VectorStore) getPool() *par.Pool {
 	return v.pool
 }
 
-// termnum interns term and grows the per-term columns to cover it.
-func (v *VectorStore) termnum(term string) uint32 {
-	t := v.terms.Intern(term)
-	for int(t) >= len(v.df) {
-		v.df = append(v.df, 0)
-		v.pinned = append(v.pinned, pinnedFromPrefix(v.PinnedPrefix, v.terms.Key(uint32(len(v.pinned)))))
-	}
-	return t
-}
-
-// mutable panics when the store is a read-only segment view.
-func (v *VectorStore) mutable() {
-	if v.seg != nil {
-		panic("index: mutation of read-only segment-backed vector store")
-	}
-}
-
-// Add stores the raw term-frequency vector for a new docID; adding an ID
-// the store already holds panics. Frequencies must be positive;
-// non-positive entries are dropped. Every row depends on the document
-// count through idf, so Add drops the row cache and the retrieval postings
-// in O(1); both regrow lazily on the next read.
-func (v *VectorStore) Add(docID string, freqs map[string]float64) {
-	v.mutable()
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if _, ok := v.docs.Lookup(docID); ok {
-		panic("index: vector store already holds document " + docID)
-	}
-	v.docs.Intern(docID)
-
-	terms := make([]uint32, 0, len(freqs))
-	var fresh []string
-	for term, f := range freqs {
-		if f <= 0 {
-			continue
-		}
-		if t, ok := v.terms.Lookup(term); ok {
-			terms = append(terms, t)
-		} else {
-			fresh = append(fresh, term)
-		}
-	}
-	// New terms intern in lexical order, so the numbering — and with it
-	// every kernel's summation order — depends only on the sequence of
-	// Adds, never on map iteration.
-	sort.Strings(fresh)
-	for _, term := range fresh {
-		terms = append(terms, v.termnum(term))
-	}
-	for _, t := range terms {
-		v.df[t]++
-	}
-	sort.Slice(terms, func(i, j int) bool { return terms[i] < terms[j] })
-	fs := make([]float64, len(terms))
-	for i, t := range terms {
-		fs[i] = freqs[v.terms.Key(t)]
-	}
-	v.docTerms = append(v.docTerms, terms)
-	v.docFreqs = append(v.docFreqs, fs)
-	v.live++
-	v.rows, v.post = nil, nil
-}
-
 // Len returns the number of documents stored.
-func (v *VectorStore) Len() int {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return v.live
-}
+func (v *VectorStore) Len() int { return len(v.c.LiveDNS) }
 
 // Has reports whether docID is stored.
 func (v *VectorStore) Has(docID string) bool {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
 	dn, ok := v.docs.Lookup(docID)
-	if ok && v.seg != nil {
-		return v.seg.liveAt(dn)
-	}
-	return ok
+	return ok && v.liveAt(dn)
+}
+
+// liveAt reports whether docnum dn holds a stored document.
+func (v *VectorStore) liveAt(dn uint32) bool {
+	i := searchPost(v.c.LiveDNS, dn)
+	return i < len(v.c.LiveDNS) && v.c.LiveDNS[i] == dn
 }
 
 // DocFreq returns the number of documents containing term.
 func (v *VectorStore) DocFreq(term string) int {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
 	t, ok := v.terms.Lookup(term)
 	if !ok {
 		return 0
 	}
-	return v.dfLocked(t)
+	return v.df(t)
 }
 
-// dfLocked returns the document frequency of termnum t over either backing.
+// df returns the document frequency of termnum t.
 //
 //magnet:hot
-func (v *VectorStore) dfLocked(t uint32) int {
-	if v.seg != nil {
-		return v.seg.dfAt(t)
+func (v *VectorStore) df(t uint32) int {
+	if int(t) >= len(v.c.DF) {
+		return 0
 	}
-	return v.df[t]
+	return int(v.c.DF[t])
 }
 
-// pinnedLocked reports termnum t's pinnedness over either backing.
+// pinned reports whether termnum t's stored frequency is its weight.
 //
 //magnet:hot
-func (v *VectorStore) pinnedLocked(t uint32) bool {
-	if v.seg != nil {
-		return v.seg.pinnedAt(t)
+func (v *VectorStore) pinned(t uint32) bool {
+	if int(t)/8 >= len(v.c.Pinned) {
+		return false
 	}
-	return v.pinned[t]
+	return v.c.Pinned[t/8]&(1<<(t%8)) != 0
 }
 
 // IDF returns the paper's inverse document frequency for term:
@@ -279,27 +170,25 @@ func (v *VectorStore) pinnedLocked(t uint32) bool {
 // appears in every document (such coordinates deliberately vanish — "helps
 // the system ignore those attribute values that are very common").
 func (v *VectorStore) IDF(term string) float64 {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
 	t, ok := v.terms.Lookup(term)
 	if !ok {
 		return 0
 	}
-	return v.idfLocked(t)
+	return v.idf(t)
 }
 
 //magnet:hot
-func (v *VectorStore) idfLocked(t uint32) float64 {
-	df := v.dfLocked(t)
+func (v *VectorStore) idf(t uint32) float64 {
+	df := v.df(t)
 	if df == 0 {
 		return 0
 	}
-	return math.Log(float64(v.live) / float64(df))
+	return math.Log(float64(v.Len()) / float64(df))
 }
 
 // cachedRowLocked returns dn's cached row, or nil when it is not built.
-// Caller holds mu, read or write. The row column starts empty after Add
-// and on a segment view, hence the bounds check.
+// Caller holds mu, read or write. The row column starts empty, hence the
+// bounds check.
 func (v *VectorStore) cachedRowLocked(dn uint32) *vecRow {
 	if int(dn) >= len(v.rows) {
 		return nil
@@ -307,11 +196,11 @@ func (v *VectorStore) cachedRowLocked(dn uint32) *vecRow {
 	return v.rows[dn]
 }
 
-// ensureRowsLocked grows the row column over the full document range: the
-// one O(docs) allocation, paid on the first read after open or after Add.
+// ensureRowsLocked allocates the row column over the full document range:
+// the one O(docs) allocation, paid on the first read after open.
 func (v *VectorStore) ensureRowsLocked() {
-	if n := v.docs.Len(); len(v.rows) < n {
-		v.rows = append(v.rows, make([]*vecRow, n-len(v.rows))...)
+	if v.rows == nil {
+		v.rows = make([]*vecRow, v.docs.Len())
 	}
 }
 
@@ -386,27 +275,25 @@ func (v *VectorStore) rowsFor(ids []string) ([]*vecRow, []uint32) {
 // frequencies; nil when dn holds no document. Weights are normalized by the
 // row's length, summed in ascending termnum order.
 func (v *VectorStore) buildRowLocked(dn uint32) *vecRow {
-	var ts []uint32
-	var fs []float64
-	if v.seg != nil {
-		if !v.seg.liveAt(dn) {
-			return nil
-		}
-		ts, fs = v.seg.docRow(dn)
-	} else {
-		ts, fs = v.docTerms[dn], v.docFreqs[dn]
+	if !v.liveAt(dn) {
+		return nil
 	}
+	lo, hi := ids.Run(v.c.DocStart, int(dn), len(v.c.DocTerm))
+	if hi > len(v.c.DocFreq) {
+		lo, hi = 0, 0
+	}
+	ts, fs := v.c.DocTerm[lo:hi], v.c.DocFreq[lo:hi]
 	r := &vecRow{terms: make([]uint32, 0, len(ts)), w: make([]float64, 0, len(ts))}
 	var norm float64
 	for i, t := range ts {
 		var w float64
-		if v.pinnedLocked(t) {
+		if v.pinned(t) {
 			w = fs[i]
 		} else {
-			w = math.Log(fs[i]+1) * v.idfLocked(t)
+			w = math.Log(fs[i]+1) * v.idf(t)
 		}
 		if w == 0 {
-			continue
+			continue // includes damaged termnums, whose df reads as 0
 		}
 		r.terms = append(r.terms, t)
 		r.w = append(r.w, w)
@@ -617,37 +504,15 @@ func (v *VectorStore) Centroid(ids []string) map[string]float64 {
 	return out
 }
 
-// postingsLocked returns the dense docnum posting lists, building them on
-// the first call after Add. Caller holds the write lock.
-func (v *VectorStore) postingsLocked() [][]uint32 {
-	if v.post == nil {
-		post := make([][]uint32, v.terms.Len())
-		for dn, ts := range v.docTerms {
-			for _, t := range ts {
-				post[t] = append(post[t], uint32(dn))
-			}
-		}
-		v.post = post
-	}
-	return v.post
-}
-
 // candidatesLocked snapshots the rows of every live document sharing one
 // of terms, in docnum order, skipping the docnums in exclude (may be nil).
-// Segment views read their precomputed posting column; the in-memory store
-// builds its postings lazily. Caller holds the write lock.
+// Caller holds the write lock.
 func (v *VectorStore) candidatesLocked(terms []uint32, exclude *itemset.Bits) ([]*vecRow, []uint32) {
-	var post [][]uint32
-	if v.seg == nil {
-		post = v.postingsLocked()
-	}
-	b := itemset.NewBits(v.docs.Len())
+	n := v.docs.Len()
+	b := itemset.NewBits(n)
 	for _, t := range terms {
-		if v.seg != nil {
-			b.AddSlice(v.seg.postingFor(t))
-		} else if int(t) < len(post) {
-			b.AddSlice(post[t])
-		}
+		lo, hi := ids.Run(v.c.PostStart, int(t), len(v.c.PostDNS))
+		b.AddSliceBelow(v.c.PostDNS[lo:hi], n)
 	}
 	cands := b.Extract().Slice()
 	v.ensureRowsLocked()
@@ -882,22 +747,10 @@ func TopTerms(vec map[string]float64, k int, accept func(string) bool) []TermWei
 
 // IDs returns all stored document IDs, sorted.
 func (v *VectorStore) IDs() []string {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	live := v.liveDocnumsLocked()
-	out := v.docs.AppendKeys(make([]string, 0, len(live)), live)
+	out := v.docs.AppendKeys(make([]string, 0, v.Len()), v.c.LiveDNS)
 	sort.Strings(out)
 	return out
 }
 
-// liveDocnumsLocked returns the sorted live docnums over either backing.
-func (v *VectorStore) liveDocnumsLocked() []uint32 {
-	if v.seg != nil {
-		return v.seg.c.LiveDNS
-	}
-	live := make([]uint32, v.live)
-	for dn := range live {
-		live[dn] = uint32(dn)
-	}
-	return live
-}
+// Columns returns the store's columnar image (what magnet-build writes).
+func (v *VectorStore) Columns() VectorColumns { return v.c }

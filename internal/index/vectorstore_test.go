@@ -15,9 +15,10 @@ const eps = 1e-9
 func almostEqual(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
 func TestVectorStoreAdd(t *testing.T) {
-	v := NewVectorStore()
-	v.Add("d1", map[string]float64{"a": 1, "b": 2})
-	v.Add("d2", map[string]float64{"b": 1, "c": 1})
+	b := NewVectorBuilder()
+	b.Add("d1", map[string]float64{"a": 1, "b": 2})
+	b.Add("d2", map[string]float64{"b": 1, "c": 1})
+	v := b.Freeze()
 	if v.Len() != 2 {
 		t.Fatalf("Len = %d", v.Len())
 	}
@@ -29,34 +30,37 @@ func TestVectorStoreAdd(t *testing.T) {
 // The store is add-only: storing an ID a second time panics and leaves the
 // first vector in place.
 func TestVectorStoreAddTwicePanics(t *testing.T) {
-	v := NewVectorStore()
-	v.Add("d", map[string]float64{"a": 1})
+	b := NewVectorBuilder()
+	b.Add("d", map[string]float64{"a": 1})
 	func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("second Add of the same ID did not panic")
 			}
 		}()
-		v.Add("d", map[string]float64{"b": 1})
+		b.Add("d", map[string]float64{"b": 1})
 	}()
+	v := b.Freeze()
 	if v.Len() != 1 || v.DocFreq("a") != 1 || v.DocFreq("b") != 0 {
 		t.Errorf("after the rejected Add: Len=%d df(a)=%d df(b)=%d", v.Len(), v.DocFreq("a"), v.DocFreq("b"))
 	}
 }
 
 func TestVectorStoreDropsNonPositive(t *testing.T) {
-	v := NewVectorStore()
-	v.Add("d", map[string]float64{"a": 0, "b": -1, "c": 2})
+	b := NewVectorBuilder()
+	b.Add("d", map[string]float64{"a": 0, "b": -1, "c": 2})
+	v := b.Freeze()
 	if v.DocFreq("a") != 0 || v.DocFreq("b") != 0 || v.DocFreq("c") != 1 {
 		t.Error("non-positive frequencies should be dropped")
 	}
 }
 
 func TestVectorUnitNorm(t *testing.T) {
-	v := NewVectorStore()
-	v.Add("d1", map[string]float64{"a": 3, "b": 1})
-	v.Add("d2", map[string]float64{"a": 1, "c": 1})
-	v.Add("d3", map[string]float64{"c": 5})
+	b := NewVectorBuilder()
+	b.Add("d1", map[string]float64{"a": 3, "b": 1})
+	b.Add("d2", map[string]float64{"a": 1, "c": 1})
+	b.Add("d3", map[string]float64{"c": 5})
+	v := b.Freeze()
 	vec := v.Vector("d1")
 	var norm float64
 	for _, w := range vec {
@@ -70,9 +74,10 @@ func TestVectorUnitNorm(t *testing.T) {
 // The paper's formula: term-weight = log(freq+1) × log(N/df). A term that
 // appears in every document gets idf 0 and vanishes from all vectors.
 func TestUniversalTermVanishes(t *testing.T) {
-	v := NewVectorStore()
-	v.Add("d1", map[string]float64{"type": 1, "a": 1})
-	v.Add("d2", map[string]float64{"type": 1, "b": 1})
+	b := NewVectorBuilder()
+	b.Add("d1", map[string]float64{"type": 1, "a": 1})
+	b.Add("d2", map[string]float64{"type": 1, "b": 1})
+	v := b.Freeze()
 	if _, ok := v.Vector("d1")["type"]; ok {
 		t.Error("universal term should have zero weight and be omitted")
 	}
@@ -83,15 +88,16 @@ func TestUniversalTermVanishes(t *testing.T) {
 
 func TestPaperWeightFormula(t *testing.T) {
 	// 4 docs; term x in d1 with freq 3, df(x)=2.
-	v := NewVectorStore()
-	v.Add("d1", map[string]float64{"x": 3, "y": 1})
-	v.Add("d2", map[string]float64{"x": 1, "z": 1})
-	v.Add("d3", map[string]float64{"z": 2})
-	v.Add("d4", map[string]float64{"w": 1})
+	b := NewVectorBuilder()
+	b.Add("d1", map[string]float64{"x": 3, "y": 1})
+	b.Add("d2", map[string]float64{"x": 1, "z": 1})
+	b.Add("d3", map[string]float64{"z": 2})
+	b.Add("d4", map[string]float64{"w": 1})
 
 	wx := math.Log(3+1) * math.Log(4.0/2.0)
 	wy := math.Log(1+1) * math.Log(4.0/1.0)
 	norm := math.Sqrt(wx*wx + wy*wy)
+	v := b.Freeze()
 	vec := v.Vector("d1")
 	if !almostEqual(vec["x"], wx/norm) || !almostEqual(vec["y"], wy/norm) {
 		t.Errorf("vector = %v, want x=%v y=%v", vec, wx/norm, wy/norm)
@@ -99,10 +105,11 @@ func TestPaperWeightFormula(t *testing.T) {
 }
 
 func TestSimilaritySymmetricAndSelfMax(t *testing.T) {
-	v := NewVectorStore()
-	v.Add("d1", map[string]float64{"a": 2, "b": 1})
-	v.Add("d2", map[string]float64{"a": 1, "c": 4})
-	v.Add("d3", map[string]float64{"z": 1})
+	b := NewVectorBuilder()
+	b.Add("d1", map[string]float64{"a": 2, "b": 1})
+	b.Add("d2", map[string]float64{"a": 1, "c": 4})
+	b.Add("d3", map[string]float64{"z": 1})
+	v := b.Freeze()
 	if !almostEqual(v.Similarity("d1", "d2"), v.Similarity("d2", "d1")) {
 		t.Error("similarity not symmetric")
 	}
@@ -118,10 +125,11 @@ func TestSimilaritySymmetricAndSelfMax(t *testing.T) {
 }
 
 func TestCentroidIsUnitAndAveragesMembership(t *testing.T) {
-	v := NewVectorStore()
-	v.Add("d1", map[string]float64{"a": 1, "c": 1})
-	v.Add("d2", map[string]float64{"b": 1, "c": 1})
-	v.Add("d3", map[string]float64{"x": 1, "y": 1})
+	b := NewVectorBuilder()
+	b.Add("d1", map[string]float64{"a": 1, "c": 1})
+	b.Add("d2", map[string]float64{"b": 1, "c": 1})
+	b.Add("d3", map[string]float64{"x": 1, "y": 1})
+	v := b.Freeze()
 	c := v.Centroid([]string{"d1", "d2"})
 	var norm float64
 	for _, w := range c {
@@ -141,12 +149,13 @@ func TestCentroidIsUnitAndAveragesMembership(t *testing.T) {
 }
 
 func TestSimilarToRankingAndExclude(t *testing.T) {
-	v := NewVectorStore()
-	v.Add("q", map[string]float64{"a": 1, "b": 1})
-	v.Add("close", map[string]float64{"a": 1, "b": 1, "c": 1})
-	v.Add("far", map[string]float64{"a": 1, "z": 5})
-	v.Add("none", map[string]float64{"z": 1})
+	b := NewVectorBuilder()
+	b.Add("q", map[string]float64{"a": 1, "b": 1})
+	b.Add("close", map[string]float64{"a": 1, "b": 1, "c": 1})
+	b.Add("far", map[string]float64{"a": 1, "z": 5})
+	b.Add("none", map[string]float64{"z": 1})
 
+	v := b.Freeze()
 	got := v.SimilarTo(v.Vector("q"), 10, []string{"q"})
 	if len(got) < 2 || got[0].ID != "close" {
 		t.Fatalf("SimilarTo = %v, want close first", got)
@@ -192,37 +201,23 @@ func TestTopTermsDeterministicTies(t *testing.T) {
 	}
 }
 
-func TestVectorCacheInvalidation(t *testing.T) {
-	v := NewVectorStore()
-	v.Add("d1", map[string]float64{"a": 1})
-	v.Add("d2", map[string]float64{"b": 1})
-	before := v.Vector("d1")["a"]
-	// Adding a third doc changes N, hence idf, hence weights... here d1's
-	// only term keeps df=1 while N goes 2→3, so the normalized weight stays
-	// 1.0; instead check via similarity structure: add a doc sharing 'a'.
-	v.Add("d3", map[string]float64{"a": 1, "c": 1})
-	after := v.Vector("d3")
-	if after["a"] == 0 {
-		t.Error("new doc vector missing term")
-	}
-	_ = before
-	if !v.Has("d3") || v.Has("nope") {
-		t.Error("Has wrong")
-	}
-}
-
 func TestIDsSorted(t *testing.T) {
-	v := NewVectorStore()
+	b := NewVectorBuilder()
 	for _, id := range []string{"z", "a", "m"} {
-		v.Add(id, map[string]float64{"t": 1})
+		b.Add(id, map[string]float64{"t": 1})
 	}
+	v := b.Freeze()
 	if got := v.IDs(); !reflect.DeepEqual(got, []string{"a", "m", "z"}) {
 		t.Errorf("IDs = %v", got)
 	}
 }
 
 func TestVectorStoreConcurrent(t *testing.T) {
-	v := NewVectorStore()
+	b := NewVectorBuilder()
+	for i := 0; i < 600; i++ {
+		b.Add(fmt.Sprintf("d%d", i), map[string]float64{fmt.Sprintf("t%d", i%7): 1, "common": 1})
+	}
+	v := b.Freeze()
 	var wg sync.WaitGroup
 	for w := 0; w < 6; w++ {
 		wg.Add(1)
@@ -230,15 +225,16 @@ func TestVectorStoreConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				id := fmt.Sprintf("d%d", w*100+i)
-				v.Add(id, map[string]float64{fmt.Sprintf("t%d", i%7): 1, "common": 1})
-				v.Vector(id)
+				if len(v.Vector(id)) == 0 {
+					t.Errorf("%s: empty vector", id)
+				}
 				v.SimilarTo(map[string]float64{"common": 1}, 3, nil)
 			}
 		}(w)
 	}
 	wg.Wait()
-	if v.Len() == 0 {
-		t.Error("store empty after concurrent use")
+	if v.Len() != 600 {
+		t.Errorf("Len = %d, want 600", v.Len())
 	}
 }
 
@@ -247,15 +243,16 @@ func TestVectorStoreConcurrent(t *testing.T) {
 func TestQuickVectorsUnitNorm(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		v := NewVectorStore()
+		b := NewVectorBuilder()
 		n := rng.Intn(12) + 2
 		for i := 0; i < n; i++ {
 			freqs := map[string]float64{}
 			for j := 0; j < rng.Intn(6)+1; j++ {
 				freqs[fmt.Sprintf("t%d", rng.Intn(10))] = float64(rng.Intn(5) + 1)
 			}
-			v.Add(fmt.Sprintf("d%d", i), freqs)
+			b.Add(fmt.Sprintf("d%d", i), freqs)
 		}
+		v := b.Freeze()
 		for _, id := range v.IDs() {
 			var norm float64
 			for _, w := range v.Vector(id) {
@@ -277,14 +274,15 @@ func TestQuickVectorsUnitNorm(t *testing.T) {
 func TestQuickSimilarityBounds(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		v := NewVectorStore()
+		b := NewVectorBuilder()
 		for i := 0; i < 8; i++ {
 			freqs := map[string]float64{}
 			for j := 0; j < rng.Intn(5)+1; j++ {
 				freqs[fmt.Sprintf("t%d", rng.Intn(6))] = float64(rng.Intn(4) + 1)
 			}
-			v.Add(fmt.Sprintf("d%d", i), freqs)
+			b.Add(fmt.Sprintf("d%d", i), freqs)
 		}
+		v := b.Freeze()
 		ids := v.IDs()
 		for _, a := range ids {
 			for _, b := range ids {
@@ -304,10 +302,10 @@ func TestQuickSimilarityBounds(t *testing.T) {
 	}
 }
 
-// TestAddAfterQueryMatchesBatchBuild pins the row-cache rule: Add drops
-// the cached rows and postings, so querying, adding a document, and
-// querying again gives rows, SimilarTo, Centroid and IDF bit-identical to
-// a store built with every document up front.
+// TestAddAfterQueryMatchesBatchBuild: a builder frozen and queried, then
+// grown by one more document and frozen again, gives rows, SimilarTo,
+// Centroid and IDF bit-identical to a store built with every document up
+// front — an earlier freeze and its warmed caches leave no trace.
 func TestAddAfterQueryMatchesBatchBuild(t *testing.T) {
 	docs := []struct {
 		id    string
@@ -318,26 +316,29 @@ func TestAddAfterQueryMatchesBatchBuild(t *testing.T) {
 		{"d3", map[string]float64{"c": 2, "d": 1}},
 		{"d4", map[string]float64{"a": 3, "c": 1, "e": 2, "num|x": 0.25}},
 	}
-	build := func(n int) *VectorStore {
-		v := NewVectorStore()
-		v.PinnedPrefix = "num|"
+	builder := func(n int) *VectorBuilder {
+		b := NewVectorBuilder()
+		b.PinnedPrefix = "num|"
 		for _, d := range docs[:n] {
-			v.Add(d.id, d.freqs)
+			b.Add(d.id, d.freqs)
 		}
-		return v
+		return b
 	}
+	build := func(n int) *VectorStore { return builder(n).Freeze() }
 	query := map[string]float64{"a": 0.6, "c": 0.8}
 	ids := []string{"d1", "d2", "d3", "d4"}
 
-	grown := build(len(docs) - 1)
-	// Warm every cache the later reads consult: rows, postings, centroid.
+	gb := builder(len(docs) - 1)
+	early := gb.Freeze()
+	// Warm every cache the early store has: rows, scratch, centroid.
 	for _, id := range ids {
-		grown.Weights(id)
+		early.Weights(id)
 	}
-	grown.SimilarTo(query, 3, nil)
-	grown.Centroid(ids)
+	early.SimilarTo(query, 3, nil)
+	early.Centroid(ids)
 	last := docs[len(docs)-1]
-	grown.Add(last.id, last.freqs)
+	gb.Add(last.id, last.freqs)
+	grown := gb.Freeze()
 
 	want := build(len(docs))
 	same := func(what string, got, exp float64) {

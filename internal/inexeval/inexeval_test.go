@@ -83,7 +83,7 @@ func TestRetrievedAreTargetClass(t *testing.T) {
 		// CAS1's structural hop lands on vita elements, CO hits climb to
 		// articles.
 		for _, it := range r.Retrieved {
-			if !c.Graph.Has(it, rdfType, r.Topic.TargetClass) {
+			if !sys.M.Graph().Has(it, rdfType, r.Topic.TargetClass) {
 				t.Errorf("topic %s retrieved %s of wrong type", r.Topic.ID, it)
 			}
 		}

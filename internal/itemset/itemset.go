@@ -350,6 +350,17 @@ func (b *Bits) AddSlice(ids []uint32) {
 	}
 }
 
+// AddSliceBelow inserts the IDs of ids below n and skips the rest: the
+// union form for postings read from a columnar image, where a damaged ID
+// beyond the universe must read as absent instead of growing the bitmap.
+func (b *Bits) AddSliceBelow(ids []uint32, n int) {
+	for _, id := range ids {
+		if int(id) < n {
+			b.Add(id)
+		}
+	}
+}
+
 // AddSet inserts every member of s.
 func (b *Bits) AddSet(s Set) { b.AddSlice(s.ids) }
 

@@ -14,19 +14,14 @@ type entry struct {
 }
 
 // cache is a bounded, mutex-guarded LRU of frozen query results keyed by
-// the canonical Query.Key(). The stored itemsets are immutable by the
-// repo's freeze discipline (posting views are copy-on-write, evaluation
+// the canonical Query.Key() alone: the graph and the item universe are
+// frozen once the instance opens, so a result never goes stale. The stored
+// itemsets are immutable (posting views slice the frozen image, evaluation
 // outputs are freshly built), so handing a cached set to many concurrent
-// sessions is safe without copying. A whole generation is dropped the
-// moment a lookup arrives under a newer graph version (the item universe
-// is fixed once the instance opens, so the version is the whole validity
-// stamp): navigation caches are
-// cheap to refill and a stale result is a correctness bug, not a
-// performance one.
+// sessions is safe without copying.
 type cache struct {
 	mu         sync.Mutex
 	cap        int
-	version    uint64
 	items      map[string]*entry
 	head, tail *entry // head = most recently used
 }
@@ -35,23 +30,11 @@ func newCache(capacity int) *cache {
 	return &cache{cap: capacity, items: make(map[string]*entry, capacity)}
 }
 
-// refreshLocked clears the cache when version is newer than the resident
-// generation. Callers hold c.mu.
-func (c *cache) refreshLocked(version uint64) {
-	if version == c.version {
-		return
-	}
-	c.version = version
-	c.items = make(map[string]*entry, c.cap)
-	c.head, c.tail = nil, nil
-}
-
-// get returns the cached result for key under version, promoting it to
-// most recently used.
-func (c *cache) get(version uint64, key string) (itemset.Set, bool) {
+// get returns the cached result for key, promoting it to most recently
+// used.
+func (c *cache) get(key string) (itemset.Set, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.refreshLocked(version)
 	en, ok := c.items[key]
 	if !ok {
 		return itemset.Set{}, false
@@ -60,12 +43,11 @@ func (c *cache) get(version uint64, key string) (itemset.Set, bool) {
 	return en.result, true
 }
 
-// put stores a result under version and returns how many entries were
-// evicted to stay within capacity.
-func (c *cache) put(version uint64, key string, result itemset.Set) int {
+// put stores a result and returns how many entries were evicted to stay
+// within capacity.
+func (c *cache) put(key string, result itemset.Set) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.refreshLocked(version)
 	if en, ok := c.items[key]; ok {
 		en.result = result
 		c.promoteLocked(en)

@@ -22,26 +22,28 @@ var (
 // costFixture: 10 items, 8 greek, 2 with feta, servings 1..10, titles
 // indexed so keyword df is observable.
 func costFixture() *query.Engine {
-	g := rdf.NewGraph()
-	tix := index.NewTextIndex(nil)
+	gb := rdf.NewBuilder()
+	tb := index.NewTextBuilder(nil)
 	var items []rdf.IRI
 	for i := 0; i < 10; i++ {
 		it := rdf.IRI(ex + "item" + string(rune('0'+i)))
 		if i < 8 {
-			g.Add(it, pCuisine, greek)
+			gb.Add(it, pCuisine, greek)
 		}
 		if i < 2 {
-			g.Add(it, pIngredient, feta)
+			gb.Add(it, pIngredient, feta)
 		}
-		g.Add(it, pServings, rdf.NewInteger(int64(i+1)))
+		gb.Add(it, pServings, rdf.NewInteger(int64(i+1)))
 		title := "dinner plate"
 		if i == 0 {
 			title = "walnut dinner"
 		}
-		g.Add(it, rdf.DCTitle, rdf.NewString(title))
-		tix.Index(string(it), "title", title)
+		gb.Add(it, rdf.DCTitle, rdf.NewString(title))
+		tb.Index(string(it), "title", title)
 		items = append(items, it)
 	}
+	g := gb.Freeze()
+	tix := tb.Freeze()
 	return query.NewEngine(g, schema.NewStore(g), tix, func() []rdf.IRI { return items })
 }
 

@@ -63,11 +63,11 @@ func planQueries() map[string]query.Query {
 // oracle; the planners under test are built explicitly.
 func openPlanCorpus(t testing.TB) *core.Magnet {
 	t.Helper()
-	g, allSubjects, err := dataload.Load(dataload.Spec{Dataset: "recipes", Recipes: 200, Seed: 1})
+	gb, allSubjects, err := dataload.Load(dataload.Spec{Dataset: "recipes", Recipes: 200, Seed: 1})
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	m := core.Open(g, core.Options{IndexAllSubjects: allSubjects, PlanCache: -1})
+	m := core.Open(gb, core.Options{IndexAllSubjects: allSubjects, PlanCache: -1})
 	t.Cleanup(m.Close)
 	return m
 }
@@ -151,56 +151,5 @@ func TestPlanEquivalenceSegments(t *testing.T) {
 				t.Errorf("%s round %d: segment-planned %d items, want %d", name, round, len(got), len(want))
 			}
 		}
-	}
-}
-
-// A graph mutation between evaluations must invalidate every cached
-// result: the second evaluation sees the new posting, exactly as the
-// naive path does.
-func TestPlanCacheInvalidatedByMutation(t *testing.T) {
-	g, allSubjects, err := dataload.Load(dataload.Spec{Dataset: "recipes", Recipes: 60, Seed: 2})
-	if err != nil {
-		t.Fatalf("load: %v", err)
-	}
-	m := core.Open(g, core.Options{IndexAllSubjects: allSubjects, PlanCache: -1})
-	t.Cleanup(m.Close)
-	eng := m.Engine()
-	pl := plan.New(0)
-	ctx := context.Background()
-
-	q := query.NewQuery(
-		query.TypeIs(recipes.ClassRecipe),
-		query.Property{Prop: recipes.PropCuisine, Value: recipes.Cuisine("Greek")},
-	)
-	before := pl.EvalContext(ctx, eng, q).Items()
-	if !reflect.DeepEqual(before, wantItems(eng, q)) {
-		t.Fatal("pre-mutation planned result differs from naive")
-	}
-
-	// Make a non-Greek recipe Greek: the cached posting is now stale.
-	naiveAll := wantItems(eng, query.NewQuery(query.TypeIs(recipes.ClassRecipe)))
-	var flipped rdf.IRI
-	inBefore := make(map[rdf.IRI]bool, len(before))
-	for _, it := range before {
-		inBefore[it] = true
-	}
-	for _, it := range naiveAll {
-		if !inBefore[it] {
-			flipped = it
-			break
-		}
-	}
-	if flipped == "" {
-		t.Skip("every recipe is already Greek at this seed")
-	}
-	g.Add(flipped, recipes.PropCuisine, recipes.Cuisine("Greek"))
-
-	after := pl.EvalContext(ctx, eng, q).Items()
-	want := wantItems(eng, q)
-	if reflect.DeepEqual(after, before) {
-		t.Fatal("planned result unchanged after mutation — stale cache served")
-	}
-	if !reflect.DeepEqual(after, want) {
-		t.Fatalf("post-mutation planned %d items, naive %d", len(after), len(want))
 	}
 }

@@ -36,12 +36,12 @@ var (
 
 func fuzzSetup() *fuzzWorld {
 	fuzzOnce.Do(func() {
-		g, allSubjects, err := dataload.Load(dataload.Spec{Dataset: "recipes", Recipes: 120, Seed: 7})
+		gb, allSubjects, err := dataload.Load(dataload.Spec{Dataset: "recipes", Recipes: 120, Seed: 7})
 		if err != nil {
 			world.err = err
 			return
 		}
-		world.mem = core.Open(g, core.Options{IndexAllSubjects: allSubjects, PlanCache: -1})
+		world.mem = core.Open(gb, core.Options{IndexAllSubjects: allSubjects, PlanCache: -1})
 		dir, err := os.MkdirTemp("", "plan-fuzz-*")
 		if err != nil {
 			world.err = err

@@ -13,13 +13,12 @@
 //     large intermediate set and Not never materializes the universe.
 //
 //   - Delta caching: a bounded LRU (cache.go) of frozen result sets keyed
-//     by the canonical Query.Key(), invalidated by the graph version. A
-//     Refine step then costs one EvalWithin against the cached parent;
-//     Back and RemoveConstraint are pure hits.
+//     by the canonical Query.Key() (the graph is frozen, so results never
+//     go stale). A Refine step then costs one EvalWithin against the
+//     cached parent; Back and RemoveConstraint are pure hits.
 //
 // Correctness leans on conjunction algebra only: intersection commutes and
-// (C ∩ U) \ E = C ∩ (U \ E). The planner therefore composes with frozen
-// segment backings, which are just read-only engines.
+// (C ∩ U) \ E = C ∩ (U \ E).
 package plan
 
 import (
@@ -78,7 +77,7 @@ func New(capacity int) *Planner {
 // is byte-identical to e.EvalContext(ctx, q).
 func (pl *Planner) EvalContext(ctx context.Context, e *query.Engine, q query.Query) query.Set {
 	start := time.Now()
-	out := pl.evalCached(ctx, e, q, e.Graph().Version())
+	out := pl.evalCached(ctx, e, q)
 	planEvalCount.Inc()
 	planEvalNS.ObserveSince(start)
 	return e.FromIDs(out)
@@ -86,11 +85,11 @@ func (pl *Planner) EvalContext(ctx context.Context, e *query.Engine, q query.Que
 
 // evalCached resolves one evaluation against the cache: exact hit, then
 // the parent-delta probe, then the planned evaluation.
-func (pl *Planner) evalCached(ctx context.Context, e *query.Engine, q query.Query, version uint64) itemset.Set {
+func (pl *Planner) evalCached(ctx context.Context, e *query.Engine, q query.Query) itemset.Set {
 	c := pl.cache
 	ctx, sp := obs.StartSpan(ctx, "plan.eval")
 	key := q.Key()
-	if res, ok := c.get(version, key); ok {
+	if res, ok := c.get(key); ok {
 		planCacheHit.Inc()
 		sp.SetAttr("cache", "hit")
 		sp.SetInt("results", res.Len())
@@ -113,7 +112,7 @@ func (pl *Planner) evalCached(ctx context.Context, e *query.Engine, q query.Quer
 		for i := range keys {
 			copy(scratch, keys[:i])
 			copy(scratch[i:], keys[i+1:])
-			if res, ok := c.get(version, query.KeyForTermKeys(scratch)); ok {
+			if res, ok := c.get(query.KeyForTermKeys(scratch)); ok {
 				if bestIdx < 0 || res.Len() < parent.Len() {
 					bestIdx, parent = i, res
 				}
@@ -122,7 +121,7 @@ func (pl *Planner) evalCached(ctx context.Context, e *query.Engine, q query.Quer
 		if bestIdx >= 0 {
 			planCacheDelta.Inc()
 			out := query.EvalWithinSet(e, q.Terms[bestIdx], parent)
-			planCacheEvict.Add(uint64(c.put(version, key, out)))
+			planCacheEvict.Add(uint64(c.put(key, out)))
 			sp.SetAttr("cache", "delta")
 			sp.SetInt("results", out.Len())
 			sp.End()
@@ -131,7 +130,7 @@ func (pl *Planner) evalCached(ctx context.Context, e *query.Engine, q query.Quer
 	}
 
 	out := pl.plannedEval(ctx, e, q, sp)
-	planCacheEvict.Add(uint64(c.put(version, key, out)))
+	planCacheEvict.Add(uint64(c.put(key, out)))
 	sp.SetAttr("cache", "planned")
 	sp.SetInt("results", out.Len())
 	sp.End()

@@ -17,7 +17,7 @@ var (
 
 func fuzzResolver() *Resolver {
 	fuzzOnce.Do(func() {
-		g := recipes.Build(recipes.Config{Recipes: 100, Seed: 1})
+		g := recipes.Build(recipes.Config{Recipes: 100, Seed: 1}).Freeze()
 		fuzzRes = NewResolver(g, schema.NewStore(g))
 	})
 	return fuzzRes

@@ -12,7 +12,7 @@ import (
 
 func fixture(t *testing.T) (*rdf.Graph, *Resolver, *query.Engine) {
 	t.Helper()
-	g := recipes.Build(recipes.Config{Recipes: 400, Seed: 1})
+	g := recipes.Build(recipes.Config{Recipes: 400, Seed: 1}).Freeze()
 	sch := schema.NewStore(g)
 	r := NewResolver(g, sch)
 	items := g.SubjectsOfType(recipes.ClassRecipe)

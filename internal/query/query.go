@@ -36,33 +36,51 @@ import (
 // the receiver re-interns the other side's members — but costs the
 // rehydration it normally avoids.
 type Set struct {
-	in  *ids.Interner[rdf.IRI]
+	in  keySpace
 	set itemset.Set
+}
+
+// keySpace is the ID space a Set's members live in: the graph's frozen
+// subject table (engine sets) or a private, growable interner (NewSet).
+type keySpace interface {
+	Lookup(rdf.IRI) (uint32, bool)
+	Key(uint32) rdf.IRI
+	AppendKeys([]rdf.IRI, []uint32) []rdf.IRI
+}
+
+// idsIn puts keys into space: a private interner assigns IDs to new keys,
+// while the graph's frozen subject table skips keys it has never seen —
+// such items carry no triples, so no engine set can hold them.
+func idsIn(space keySpace, keys []rdf.IRI) itemset.Set {
+	in, growable := space.(*ids.Interner[rdf.IRI])
+	dense := make([]uint32, 0, len(keys))
+	for _, k := range keys {
+		if growable {
+			dense = append(dense, in.Intern(k))
+		} else if id, ok := space.Lookup(k); ok {
+			dense = append(dense, id)
+		}
+	}
+	return itemset.FromUnsorted(dense)
 }
 
 // NewSet builds a set from items without an engine, using a private
 // interner. Prefer Engine.NewSet, which shares the graph's ID space and
 // keeps set algebra allocation-free.
 func NewSet(items ...rdf.IRI) Set {
-	return makeSet(ids.NewInterner[rdf.IRI](), items)
+	in := ids.NewInterner[rdf.IRI]()
+	return Set{in: in, set: idsIn(in, items)}
 }
 
-// NewSet builds a set from items in the engine's dense ID space.
+// NewSet builds a set from items in the engine's dense ID space, skipping
+// items the graph has never seen.
 func (e *Engine) NewSet(items ...rdf.IRI) Set {
-	return makeSet(e.g.Interner(), items)
-}
-
-func makeSet(in *ids.Interner[rdf.IRI], items []rdf.IRI) Set {
-	dense := make([]uint32, len(items))
-	for i, it := range items {
-		dense[i] = in.Intern(it)
-	}
-	return Set{in: in, set: itemset.FromUnsorted(dense)}
+	return Set{in: e.g.SubjectTable(), set: idsIn(e.g.SubjectTable(), items)}
 }
 
 // setFromIDs wraps an itemset from the engine's ID space without copying.
 func (e *Engine) setFromIDs(s itemset.Set) Set {
-	return Set{in: e.g.Interner(), set: s}
+	return Set{in: e.g.SubjectTable(), set: s}
 }
 
 // Len returns the number of members.
@@ -106,18 +124,13 @@ func (s Set) Items() []rdf.IRI {
 }
 
 // rebase returns t's itemset expressed in s's ID space, re-interning when
-// the two sets come from different interners (the engine-less NewSet
+// the two sets come from different ID spaces (the engine-less NewSet
 // path).
 func (s Set) rebase(t Set) itemset.Set {
 	if t.in == s.in || t.set.IsEmpty() {
 		return t.set
 	}
-	keys := t.in.AppendKeys(make([]rdf.IRI, 0, t.set.Len()), t.set.Slice())
-	dense := make([]uint32, len(keys))
-	for i, k := range keys {
-		dense[i] = s.in.Intern(k)
-	}
-	return itemset.FromUnsorted(dense)
+	return idsIn(s.in, t.in.AppendKeys(make([]rdf.IRI, 0, t.set.Len()), t.set.Slice()))
 }
 
 // Intersect returns s ∩ t.
@@ -183,7 +196,7 @@ func (e *Engine) FromIDs(s itemset.Set) Set { return e.setFromIDs(s) }
 // came from a different interner (the engine-less NewSet path); sets
 // already in the engine's space pass through unchanged.
 func (e *Engine) Rebase(s Set) itemset.Set {
-	return Set{in: e.g.Interner()}.rebase(s)
+	return Set{in: e.g.SubjectTable()}.rebase(s)
 }
 
 // Graph exposes the engine's graph to custom predicates.
@@ -268,7 +281,7 @@ func (p PathProperty) Eval(e *Engine) Set {
 	}
 	frontier := e.g.SubjectIDSet(p.Path[len(p.Path)-1], p.Value)
 	for i := len(p.Path) - 2; i >= 0; i-- {
-		b := itemset.NewBits(e.g.Interner().Len())
+		b := itemset.NewBits(e.g.SubjectTable().Len())
 		frontier.ForEach(func(id uint32) bool {
 			b.AddSet(e.g.SubjectIDSet(p.Path[i], e.g.SubjectByID(id)))
 			return true
@@ -324,13 +337,15 @@ func (k Keyword) Eval(e *Engine) Set {
 	return e.setFromDocIDs(e.text.Matching(k.Text, k.Field))
 }
 
-// setFromDocIDs interns text-index document IDs (which are item IRIs) into
+// setFromDocIDs maps text-index document IDs (which are item IRIs) into
 // the engine's dense space.
 func (e *Engine) setFromDocIDs(docs []string) Set {
-	in := e.g.Interner()
-	dense := make([]uint32, len(docs))
-	for i, id := range docs {
-		dense[i] = in.Intern(rdf.IRI(id))
+	in := e.g.SubjectTable()
+	dense := make([]uint32, 0, len(docs))
+	for _, id := range docs {
+		if n, ok := in.Lookup(rdf.IRI(id)); ok {
+			dense = append(dense, n)
+		}
 	}
 	return Set{in: in, set: itemset.FromUnsorted(dense)}
 }
@@ -408,7 +423,7 @@ func TimeBetween(prop rdf.IRI, from, to time.Time) Range {
 // reverse-index probe per in-range value, never per item), unioning the
 // in-range posting lists through a bitmap.
 func (r Range) Eval(e *Engine) Set {
-	b := itemset.NewBits(e.g.Interner().Len())
+	b := itemset.NewBits(e.g.SubjectTable().Len())
 	e.g.ForEachValuePosting(r.Prop, func(v rdf.Term, subjects itemset.Set) bool {
 		lit, ok := v.(rdf.Literal)
 		if !ok {

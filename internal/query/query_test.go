@@ -30,21 +30,20 @@ var (
 
 // fixture: 5 recipes with cuisines, ingredients, servings, dates and text.
 func fixture() (*Engine, []rdf.IRI) {
-	g := rdf.NewGraph()
-	sch := schema.NewStore(g)
-	tix := index.NewTextIndex(nil)
+	gb := rdf.NewBuilder()
+	tb := index.NewTextBuilder(nil)
 
 	add := func(id string, cuisine rdf.IRI, servings int64, day int, title string, ingredients ...rdf.IRI) rdf.IRI {
 		it := rdf.IRI(ex + id)
-		g.Add(it, rdf.Type, clsRecipe)
-		g.Add(it, pCuisine, cuisine)
-		g.Add(it, pServings, rdf.NewInteger(servings))
-		g.Add(it, pSent, rdf.NewTime(time.Date(2003, 7, day, 0, 0, 0, 0, time.UTC)))
-		g.Add(it, rdf.DCTitle, rdf.NewString(title))
+		gb.Add(it, rdf.Type, clsRecipe)
+		gb.Add(it, pCuisine, cuisine)
+		gb.Add(it, pServings, rdf.NewInteger(servings))
+		gb.Add(it, pSent, rdf.NewTime(time.Date(2003, 7, day, 0, 0, 0, 0, time.UTC)))
+		gb.Add(it, rdf.DCTitle, rdf.NewString(title))
 		for _, ing := range ingredients {
-			g.Add(it, pIngredient, ing)
+			gb.Add(it, pIngredient, ing)
 		}
-		tix.Index(string(it), "title", title)
+		tb.Index(string(it), "title", title)
 		return it
 	}
 	items := []rdf.IRI{
@@ -54,6 +53,9 @@ func fixture() (*Engine, []rdf.IRI) {
 		add("r4", mexican, 6, 15, "Walnut Mole", walnut),
 		add("r5", mexican, 4, 20, "Bean Tacos"),
 	}
+	g := gb.Freeze()
+	tix := tb.Freeze()
+	sch := schema.NewStore(g)
 	e := NewEngine(g, sch, tix, func() []rdf.IRI { return items })
 	return e, items
 }
@@ -92,7 +94,8 @@ func TestKeywordPredicate(t *testing.T) {
 }
 
 func TestKeywordWithoutTextIndex(t *testing.T) {
-	g := rdf.NewGraph()
+	gb := rdf.NewBuilder()
+	g := gb.Freeze()
 	e := NewEngine(g, schema.NewStore(g), nil, func() []rdf.IRI { return nil })
 	if n := (Keyword{Text: "anything"}).Eval(e).Len(); n != 0 {
 		t.Errorf("nil index matched %d", n)
@@ -264,16 +267,17 @@ func TestSetOperations(t *testing.T) {
 }
 
 func TestPathPropertyPredicate(t *testing.T) {
-	g := rdf.NewGraph()
-	sch := schema.NewStore(g)
+	gb := rdf.NewBuilder()
 	pAuthor, pField := rdf.IRI(ex+"author"), rdf.IRI(ex+"expertise")
 	doc1, doc2 := iri("d1"), iri("d2")
 	alice, bob := iri("alice"), iri("bob")
 	ir := iri("IR")
-	g.Add(doc1, pAuthor, alice)
-	g.Add(doc2, pAuthor, bob)
-	g.Add(alice, pField, ir)
-	g.Add(bob, pField, iri("DB"))
+	gb.Add(doc1, pAuthor, alice)
+	gb.Add(doc2, pAuthor, bob)
+	gb.Add(alice, pField, ir)
+	gb.Add(bob, pField, iri("DB"))
+	g := gb.Freeze()
+	sch := schema.NewStore(g)
 	e := NewEngine(g, sch, nil, func() []rdf.IRI { return []rdf.IRI{doc1, doc2} })
 
 	p := PathProperty{Path: []rdf.IRI{pAuthor, pField}, Value: ir}

@@ -25,7 +25,7 @@ type AnyValueIn struct {
 // Eval implements Predicate via one reverse-index probe per value; the
 // posting lists are unioned through a bitmap.
 func (p AnyValueIn) Eval(e *Engine) Set {
-	b := itemset.NewBits(e.g.Interner().Len())
+	b := itemset.NewBits(e.g.SubjectTable().Len())
 	for _, v := range p.Values {
 		b.AddSet(e.g.SubjectIDSet(p.Prop, v))
 	}

@@ -10,12 +10,12 @@ import (
 )
 
 func setFixture() *Engine {
-	g := rdf.NewGraph()
+	gb := rdf.NewBuilder()
 	add := func(item string, ings ...string) {
 		it := rdf.IRI(ex + item)
-		g.Add(it, rdf.Type, clsRecipe)
+		gb.Add(it, rdf.Type, clsRecipe)
 		for _, ing := range ings {
-			g.Add(it, pIngredient, rdf.IRI(ex+ing))
+			gb.Add(it, pIngredient, rdf.IRI(ex+ing))
 		}
 	}
 	add("r1", "beans", "corn")
@@ -24,6 +24,7 @@ func setFixture() *Engine {
 	add("r4", "feta")
 	add("r5") // no ingredients at all
 	items := []rdf.IRI{iri("r1"), iri("r2"), iri("r3"), iri("r4"), iri("r5")}
+	g := gb.Freeze()
 	return NewEngine(g, schema.NewStore(g), nil, func() []rdf.IRI { return items })
 }
 

@@ -54,15 +54,16 @@ func TestEvalWithinMatchesIntersect(t *testing.T) {
 // evaluation past rangeWithinCutoff; both sides of the cutoff must agree
 // with the naive intersection.
 func TestEvalWithinRangeCutoff(t *testing.T) {
-	g := rdf.NewGraph()
+	gb := rdf.NewBuilder()
 	n := rangeWithinCutoff + 40
 	var items []rdf.IRI
 	for i := 0; i < n; i++ {
 		it := rdf.IRI(ex + "bulk" + string(rune('a'+i%26)) + string(rune('0'+i/26%10)) + string(rune('0'+i/260)))
-		g.Add(it, pServings, rdf.NewInteger(int64(i%17)))
+		gb.Add(it, pServings, rdf.NewInteger(int64(i%17)))
 		items = append(items, it)
 	}
-	e := NewEngine(g, schema.NewStore(g), index.NewTextIndex(nil), func() []rdf.IRI { return items })
+	g := gb.Freeze()
+	e := NewEngine(g, schema.NewStore(g), index.NewTextBuilder(nil).Freeze(), func() []rdf.IRI { return items })
 
 	p := Between(pServings, 3, 11)
 	all := e.Universe().IDs()

@@ -6,15 +6,16 @@ import (
 )
 
 func TestAddAllAndStatements(t *testing.T) {
-	g := NewGraph()
+	b := NewBuilder()
 	sts := []Statement{
 		S(IRI(ex+"a"), Type, IRI(ex+"T")),
 		S(IRI(ex+"a"), IRI(ex+"p"), NewString("v")),
 		S(IRI(ex+"a"), Type, IRI(ex+"T")), // duplicate
 	}
-	if n := g.AddAll(sts); n != 2 {
+	if n := b.AddAll(sts); n != 2 {
 		t.Errorf("AddAll = %d, want 2", n)
 	}
+	g := b.Freeze()
 	got := g.Statements(IRI(ex + "a"))
 	if len(got) != 2 {
 		t.Fatalf("Statements = %v", got)
@@ -26,25 +27,6 @@ func TestAddAllAndStatements(t *testing.T) {
 	}
 	if got[0].String() == "" {
 		t.Error("Statement.String empty")
-	}
-}
-
-func TestVersionAdvancesOnMutation(t *testing.T) {
-	g := NewGraph()
-	v0 := g.Version()
-	g.Add(IRI(ex+"a"), Type, IRI(ex+"T"))
-	v1 := g.Version()
-	if v1 == v0 {
-		t.Error("Add should bump version")
-	}
-	// Duplicate adds do not mutate.
-	g.Add(IRI(ex+"a"), Type, IRI(ex+"T"))
-	if g.Version() != v1 {
-		t.Error("duplicate Add bumped version")
-	}
-	g.Remove(IRI(ex+"a"), Type, IRI(ex+"T"))
-	if g.Version() == v1 {
-		t.Error("Remove should bump version")
 	}
 }
 

@@ -30,10 +30,11 @@ func FuzzReadNTriples(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, input string) {
-		g, err := ReadNTriples(strings.NewReader(input))
+		b, err := ReadNTriples(strings.NewReader(input))
 		if err != nil {
 			return // rejected input is fine; panics are not
 		}
+		g := b.Freeze()
 		var buf bytes.Buffer
 		if err := WriteNTriples(g, &buf); err != nil {
 			t.Fatalf("serialize accepted graph: %v", err)

@@ -8,13 +8,16 @@ import (
 	"testing"
 	"testing/quick"
 
+	"magnet/internal/index"
 	"magnet/internal/itemset"
 )
 
 const ex = "http://example.org/"
 
-func testGraph() *Graph {
-	g := NewGraph()
+func testGraph() *Graph { return testBuilder().Freeze() }
+
+func testBuilder() *Builder {
+	g := NewBuilder()
 	g.Add(IRI(ex+"r1"), Type, IRI(ex+"Recipe"))
 	g.Add(IRI(ex+"r1"), IRI(ex+"cuisine"), IRI(ex+"Greek"))
 	g.Add(IRI(ex+"r1"), IRI(ex+"ingredient"), IRI(ex+"Parsley"))
@@ -28,7 +31,7 @@ func testGraph() *Graph {
 }
 
 func TestGraphAddDuplicate(t *testing.T) {
-	g := NewGraph()
+	g := NewBuilder()
 	if !g.Add(IRI(ex+"a"), Type, IRI(ex+"T")) {
 		t.Error("first Add should report new")
 	}
@@ -62,14 +65,15 @@ func TestGraphSubjectsReverseIndex(t *testing.T) {
 }
 
 func TestGraphRemove(t *testing.T) {
-	g := testGraph()
-	n := g.Len()
-	if !g.Remove(IRI(ex+"r1"), IRI(ex+"ingredient"), IRI(ex+"Feta")) {
+	b := testBuilder()
+	n := b.Len()
+	if !b.Remove(IRI(ex+"r1"), IRI(ex+"ingredient"), IRI(ex+"Feta")) {
 		t.Fatal("Remove of present triple should return true")
 	}
-	if g.Remove(IRI(ex+"r1"), IRI(ex+"ingredient"), IRI(ex+"Feta")) {
+	if b.Remove(IRI(ex+"r1"), IRI(ex+"ingredient"), IRI(ex+"Feta")) {
 		t.Error("second Remove should return false")
 	}
+	g := b.Freeze()
 	if g.Len() != n-1 {
 		t.Errorf("Len = %d, want %d", g.Len(), n-1)
 	}
@@ -84,9 +88,10 @@ func TestGraphRemove(t *testing.T) {
 }
 
 func TestGraphRemoveCleansEmptyIndexEntries(t *testing.T) {
-	g := NewGraph()
-	g.Add(IRI(ex+"a"), IRI(ex+"p"), NewString("v"))
-	g.Remove(IRI(ex+"a"), IRI(ex+"p"), NewString("v"))
+	b := NewBuilder()
+	b.Add(IRI(ex+"a"), IRI(ex+"p"), NewString("v"))
+	b.Remove(IRI(ex+"a"), IRI(ex+"p"), NewString("v"))
+	g := b.Freeze()
 	if g.HasSubject(IRI(ex + "a")) {
 		t.Error("subject should disappear when its last triple is removed")
 	}
@@ -111,12 +116,13 @@ func TestGraphTypesAndSubjectsOfType(t *testing.T) {
 }
 
 func TestGraphLabelFallsBackToPlainName(t *testing.T) {
-	g := NewGraph()
+	b := NewBuilder()
 	s := IRI(ex + "ns#appleCobbler")
-	if got := g.Label(s); got != "apple Cobbler" {
+	if got := b.Freeze().Label(s); got != "apple Cobbler" {
 		t.Errorf("Label without rdfs:label = %q", got)
 	}
-	g.Add(s, Label, NewString("Apple Cobbler Cake"))
+	b.Add(s, Label, NewString("Apple Cobbler Cake"))
+	g := b.Freeze()
 	if got := g.Label(s); got != "Apple Cobbler Cake" {
 		t.Errorf("Label = %q", got)
 	}
@@ -126,18 +132,20 @@ func TestGraphLabelFallsBackToPlainName(t *testing.T) {
 }
 
 func TestGraphLabelPrefersMagnetAnnotation(t *testing.T) {
-	g := NewGraph()
+	b := NewBuilder()
 	s := IRI(ex + "p")
-	g.Add(s, Label, NewString("imported"))
-	g.Add(s, AnnLabel, NewString("annotated"))
+	b.Add(s, Label, NewString("imported"))
+	b.Add(s, AnnLabel, NewString("annotated"))
+	g := b.Freeze()
 	if got := g.Label(s); got != "annotated" {
 		t.Errorf("Label = %q, want magnet:label to win", got)
 	}
 }
 
 func TestGraphTermLabel(t *testing.T) {
-	g := testGraph()
-	g.Add(IRI(ex+"Greek"), Label, NewString("Greek cuisine"))
+	b := testBuilder()
+	b.Add(IRI(ex+"Greek"), Label, NewString("Greek cuisine"))
+	g := b.Freeze()
 	if got := g.TermLabel(IRI(ex + "Greek")); got != "Greek cuisine" {
 		t.Errorf("TermLabel(IRI) = %q", got)
 	}
@@ -179,34 +187,12 @@ func TestGraphForEachEarlyStop(t *testing.T) {
 	}
 }
 
-func TestGraphConcurrentReadWrite(t *testing.T) {
-	g := NewGraph()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				s := IRI(fmt.Sprintf("%sitem/%d", ex, i%50))
-				g.Add(s, IRI(ex+"n"), NewInteger(int64(w*1000+i)))
-				g.Objects(s, IRI(ex+"n"))
-				g.Subjects(IRI(ex+"n"), NewInteger(int64(i)))
-				g.Len()
-			}
-		}(w)
-	}
-	wg.Wait()
-	if g.Len() == 0 {
-		t.Error("graph empty after concurrent writes")
-	}
-}
-
 // Property: adding a set of random triples then removing them all leaves the
 // graph empty, and size bookkeeping never drifts.
 func TestQuickGraphAddRemoveInverse(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		g := NewGraph()
+		g := NewBuilder()
 		var added []Statement
 		for i := 0; i < int(n%40)+1; i++ {
 			st := Statement{
@@ -226,7 +212,7 @@ func TestQuickGraphAddRemoveInverse(t *testing.T) {
 				return false
 			}
 		}
-		return g.Len() == 0 && len(g.AllStatements()) == 0
+		return g.Len() == 0 && len(g.Freeze().AllStatements()) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -238,14 +224,15 @@ func TestQuickGraphAddRemoveInverse(t *testing.T) {
 func TestQuickGraphIndexesAgree(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		g := NewGraph()
+		b := NewBuilder()
 		for i := 0; i < 60; i++ {
-			g.Add(
+			b.Add(
 				IRI(fmt.Sprintf("%ss%d", ex, rng.Intn(12))),
 				IRI(fmt.Sprintf("%sp%d", ex, rng.Intn(4))),
 				NewString(fmt.Sprintf("v%d", rng.Intn(6))),
 			)
 		}
+		g := b.Freeze()
 		ok := true
 		g.ForEach(func(st Statement) bool {
 			found := false
@@ -278,42 +265,35 @@ func valuePostings(g *Graph, p IRI) []string {
 	return out
 }
 
-// TestForEachValuePostingMemoFollowsMutation: the memoized value list is
-// dropped by every mutation, so a walk after Add or Remove sees the new
-// values and postings, in key order.
-func TestForEachValuePostingMemoFollowsMutation(t *testing.T) {
-	g := testGraph()
-	p := IRI(ex + "ingredient")
-	want := func() []string {
-		var out []string
-		for _, o := range g.ObjectsOf(p) {
-			out = append(out, fmt.Sprint(o.Key(), g.SubjectIDSet(p, o).Slice()))
-		}
-		return out
-	}
-	if got := valuePostings(g, p); !reflect.DeepEqual(got, want()) {
-		t.Fatalf("walk = %v, want %v", got, want())
-	}
-	g.Add(IRI(ex+"r2"), p, IRI(ex+"Anise"))
-	g.Add(IRI(ex+"r1"), p, IRI(ex+"Olive"))
-	if got := valuePostings(g, p); !reflect.DeepEqual(got, want()) || len(got) != 4 {
-		t.Fatalf("walk after Add = %v, want %v", got, want())
-	}
-	g.Remove(IRI(ex+"r2"), p, IRI(ex+"Anise"))
-	if got := valuePostings(g, p); !reflect.DeepEqual(got, want()) {
-		t.Fatalf("walk after Remove = %v, want %v", got, want())
-	}
-}
-
-// TestForEachValuePostingConcurrentReaders: first readers of a predicate
-// fill the memo concurrently (run under -race).
+// TestForEachValuePostingConcurrentReaders: goroutines make the first
+// reads of a freshly frozen graph, text index and vector store at once —
+// the lazy key strings, the graph's term table and the vector row cache
+// all fill under contention (run under -race). Every reader must see what
+// a single reader of an identical copy sees.
 func TestForEachValuePostingConcurrentReaders(t *testing.T) {
-	g := testGraph()
-	preds := g.Predicates()
+	preds := []IRI{Type, IRI(ex + "cuisine"), IRI(ex + "ingredient")}
 	want := make([][]string, len(preds))
 	for i, p := range preds {
 		want[i] = valuePostings(testGraph(), p)
 	}
+	textIndex := func() *index.TextIndex {
+		b := index.NewTextBuilder(nil)
+		b.Index(ex+"r1", "title", "Greek salad with feta")
+		b.Index(ex+"r2", "title", "Feta pie")
+		b.Index(ex+"r3", "title", "Mexican beans")
+		return b.Freeze()
+	}
+	vectors := func() *index.VectorStore {
+		b := index.NewVectorBuilder()
+		b.Add(ex+"r1", map[string]float64{"greek": 1, "feta": 2, "parsley": 1})
+		b.Add(ex+"r2", map[string]float64{"greek": 1, "feta": 1})
+		b.Add(ex+"r3", map[string]float64{"mexican": 1})
+		return b.Freeze()
+	}
+	wantSearch := fmt.Sprint(textIndex().Search("feta", "", 0))
+	wantSimilar := fmt.Sprint(vectors().SimilarTo(map[string]float64{"feta": 1}, 2, nil))
+
+	g, ix, v := testGraph(), textIndex(), vectors()
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -324,6 +304,14 @@ func TestForEachValuePostingConcurrentReaders(t *testing.T) {
 					t.Errorf("%s: walk = %v, want %v", p, got, want[i])
 				}
 			}
+			if got := fmt.Sprint(ix.Search("feta", "", 0)); got != wantSearch {
+				t.Errorf("Search = %s, want %s", got, wantSearch)
+			}
+			if got := fmt.Sprint(v.SimilarTo(map[string]float64{"feta": 1}, 2, nil)); got != wantSimilar {
+				t.Errorf("SimilarTo = %s, want %s", got, wantSimilar)
+			}
+			ix.Surface("feta")
+			v.Centroid([]string{ex + "r1", ex + "r2"})
 		}()
 	}
 	wg.Wait()

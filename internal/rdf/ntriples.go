@@ -19,20 +19,20 @@ func (e *ParseError) Error() string {
 	return fmt.Sprintf("ntriples: line %d: %s: %q", e.Line, e.Msg, e.Text)
 }
 
-// ReadNTriples parses N-Triples from r into a new graph. Blank-node
+// ReadNTriples parses N-Triples from r into a new builder. Blank-node
 // subjects and objects are skolemized into IRIs under the magnet namespace
 // so the rest of the system only deals with IRI-identified items. Comment
 // lines (#...) and blank lines are skipped.
-func ReadNTriples(r io.Reader) (*Graph, error) {
-	g := NewGraph()
-	if err := ReadNTriplesInto(g, r); err != nil {
+func ReadNTriples(r io.Reader) (*Builder, error) {
+	b := NewBuilder()
+	if err := ReadNTriplesInto(b, r); err != nil {
 		return nil, err
 	}
-	return g, nil
+	return b, nil
 }
 
-// ReadNTriplesInto parses N-Triples from r into an existing graph.
-func ReadNTriplesInto(g *Graph, r io.Reader) error {
+// ReadNTriplesInto parses N-Triples from r into an existing builder.
+func ReadNTriplesInto(b *Builder, r io.Reader) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 	lineNo := 0
@@ -46,7 +46,7 @@ func ReadNTriplesInto(g *Graph, r io.Reader) error {
 		if err != nil {
 			return err
 		}
-		g.Add(st.Subject, st.Predicate, st.Object)
+		b.Add(st.Subject, st.Predicate, st.Object)
 	}
 	return sc.Err()
 }
@@ -148,8 +148,30 @@ func (p *lineParser) iri() (Term, error) {
 	if iri == "" {
 		return nil, p.errorf("empty IRI")
 	}
+	// '^' is outside the N-Triples IRIREF alphabet; a datatype IRI holding
+	// one would make its literal's term key ambiguous (see ParseTermKey).
+	if strings.IndexByte(string(iri), '^') >= 0 {
+		return nil, p.errorf("'^' in IRI")
+	}
 	p.pos += end + 1
 	return iri, nil
+}
+
+// validLangTag reports whether s is an N-Triples LANGTAG body:
+// [a-zA-Z]+ ('-' [a-zA-Z0-9]+)*.
+func validLangTag(s string) bool {
+	for i, part := range strings.Split(s, "-") {
+		if part == "" {
+			return false
+		}
+		for _, c := range part {
+			letter := c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z'
+			if !letter && (i == 0 || c < '0' || c > '9') {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func (p *lineParser) blank() (Term, error) {
@@ -220,6 +242,9 @@ func (p *lineParser) literal() (Term, error) {
 					end++
 				}
 				lit.Lang = p.s[start:end]
+				if !validLangTag(lit.Lang) {
+					return nil, p.errorf("malformed language tag")
+				}
 				p.pos = end
 			} else if strings.HasPrefix(p.s[p.pos:], "^^<") {
 				p.pos += 2

@@ -16,10 +16,11 @@ func TestReadNTriplesBasic(t *testing.T) {
 <http://example.org/r1> <http://example.org/servings> "8"^^<http://www.w3.org/2001/XMLSchema#integer> .
 <http://example.org/r1> <http://example.org/note> "say \"hi\"\nok"@en .
 `
-	g, err := ReadNTriples(strings.NewReader(src))
+	b, err := ReadNTriples(strings.NewReader(src))
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := b.Freeze()
 	if g.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", g.Len())
 	}
@@ -40,10 +41,11 @@ func TestReadNTriplesBasic(t *testing.T) {
 
 func TestReadNTriplesSkolemizesBlanks(t *testing.T) {
 	src := `_:b1 <http://example.org/p> _:b2 .`
-	g, err := ReadNTriples(strings.NewReader(src))
+	b, err := ReadNTriples(strings.NewReader(src))
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := b.Freeze()
 	subs := g.AllSubjects()
 	if len(subs) != 1 || !strings.Contains(string(subs[0]), "genid/b1") {
 		t.Errorf("subjects = %v, want skolemized b1", subs)
@@ -56,10 +58,11 @@ func TestReadNTriplesSkolemizesBlanks(t *testing.T) {
 
 func TestReadNTriplesUnicodeEscape(t *testing.T) {
 	src := `<http://e/s> <http://e/p> "café" .`
-	g, err := ReadNTriples(strings.NewReader(src))
+	b, err := ReadNTriples(strings.NewReader(src))
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := b.Freeze()
 	o, _ := g.Object(IRI("http://e/s"), IRI("http://e/p"))
 	if o.(Literal).Lexical != "café" {
 		t.Errorf("lexical = %q", o.(Literal).Lexical)
@@ -79,6 +82,8 @@ func TestReadNTriplesErrors(t *testing.T) {
 		{"dangling escape", `<http://e/s> <http://e/p> "v\" .`},
 		{"truncated unicode", `<http://e/s> <http://e/p> "\u00" .`},
 		{"garbage", `hello world .`},
+		{"malformed language tag", `<http://e/s> <http://e/p> ""@@ .`},
+		{"caret in datatype", `<http://e/s> <http://e/p> "x"^^<http://e/a^b> .`},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -97,19 +102,20 @@ func TestReadNTriplesErrors(t *testing.T) {
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {
-	g := testGraph()
-	g.Add(IRI(ex+"r1"), IRI(ex+"note"), NewLangString("tab\there \"q\"", "en"))
-	g.Add(IRI(ex+"r1"), IRI(ex+"servings"), NewInteger(8))
+	gb := testBuilder()
+	gb.Add(IRI(ex+"r1"), IRI(ex+"note"), NewLangString("tab\there \"q\"", "en"))
+	gb.Add(IRI(ex+"r1"), IRI(ex+"servings"), NewInteger(8))
+	g := gb.Freeze()
 
 	var buf bytes.Buffer
 	if err := WriteNTriples(g, &buf); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := ReadNTriples(&buf)
+	b2, err := ReadNTriples(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := g.AllStatements(), g2.AllStatements()
+	a, b := g.AllStatements(), b2.Freeze().AllStatements()
 	if len(a) != len(b) {
 		t.Fatalf("round trip lost triples: %d vs %d", len(a), len(b))
 	}
@@ -131,17 +137,17 @@ func TestQuickLiteralRoundTrip(t *testing.T) {
 				return true
 			}
 		}
-		g := NewGraph()
-		g.Add(IRI(ex+"s"), IRI(ex+"p"), NewString(s))
+		b := NewBuilder()
+		b.Add(IRI(ex+"s"), IRI(ex+"p"), NewString(s))
 		var buf bytes.Buffer
-		if err := WriteNTriples(g, &buf); err != nil {
+		if err := WriteNTriples(b.Freeze(), &buf); err != nil {
 			return false
 		}
-		g2, err := ReadNTriples(&buf)
+		b2, err := ReadNTriples(&buf)
 		if err != nil {
 			return false
 		}
-		o, ok := g2.Object(IRI(ex+"s"), IRI(ex+"p"))
+		o, ok := b2.Freeze().Object(IRI(ex+"s"), IRI(ex+"p"))
 		return ok && o.(Literal).Lexical == s
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

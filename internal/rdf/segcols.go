@@ -1,39 +1,37 @@
 package rdf
 
-// Columnar graph backing: the serialized, immutable form of a Graph's
-// indexes used by persistent segments (internal/segment). A Graph is
-// either map-backed (NewGraph; mutable) or column-backed (FromColumns;
-// read-only); every read accessor behaves identically over both, down to
-// output ordering, so renderer output is byte-identical whichever backing
-// serves a navigation session.
+// The graph's columnar image: the one form a Graph reads. Builder.Columns
+// compiles it in memory, persistent segments (internal/segment) store it
+// byte for byte, and FromColumns serves from either — so an instance
+// opened from triples and one opened from a segment set run the same read
+// code over the same bytes.
 //
-// Layout invariants (enforced by the builder, relied on by the view):
+// Layout invariants (established by Builder.Columns, relied on by Graph):
 //
-//   - The subject interner table preserves dense-ID order; a permutation
+//   - The subject key table preserves dense-ID order; a permutation
 //     sorted by IRI serves lookups.
 //   - The predicate table is sorted by IRI, so ascending predID is
 //     lexical order.
 //   - The object-term table is sorted by term key, so ascending termID is
 //     key order. Terms are stored as canonical keys (Term.Key) and decoded
-//     on demand with ParseTermKey — never eagerly, keeping open O(1).
+//     once, on first use, into the graph's term table — never at open,
+//     keeping open O(1).
 //   - POS: per predicate, values ascend by term key; each value's subject
-//     posting is sorted dense IDs (the same copy-on-write invariant the
-//     map backing maintains).
+//     posting is sorted dense IDs.
 //   - SPO: per subject, predicate IDs ascend; each (s,p)'s object term IDs
-//     ascend.
+//     ascend. Subjects whose every triple was removed keep an empty row, so
+//     dense IDs index rows directly.
 
 import (
 	"fmt"
-	"sort"
 
 	"magnet/internal/ids"
-	"magnet/internal/itemset"
 )
 
 // GraphColumns is the flat columnar image of a graph. All slices may alias
-// an mmapped segment file; the graph never mutates them.
+// a mapped segment file; the graph never mutates them.
 type GraphColumns struct {
-	// Subj is the subject interner table (dense-ID order) with its sorted
+	// Subj is the subject key table (dense-ID order) with its sorted
 	// permutation.
 	Subj ids.Columns
 	// SubjLive is the sorted posting of live subject IDs (those with at
@@ -63,129 +61,27 @@ type GraphColumns struct {
 	Triples uint64
 }
 
-// Columns snapshots the graph into its columnar image — the write side of
-// FromColumns, used by magnet-build. Deterministic: every run over the
-// same graph yields identical bytes.
-func (g *Graph) Columns() GraphColumns {
-	if g.seg != nil {
-		return g.seg.c
-	}
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-
-	var c GraphColumns
-	c.Subj = g.in.Columns()
-	c.SubjLive = append([]uint32(nil), g.subjIDs...)
-	c.Triples = uint64(g.size)
-
-	// Predicate table, sorted.
-	preds := make([]IRI, 0, len(g.pos))
-	for p := range g.pos {
-		preds = append(preds, p)
-	}
-	sortIRIs(preds)
-	predID := make(map[IRI]uint32, len(preds))
-	c.PredOff = make([]uint32, 1, len(preds)+1)
-	for i, p := range preds {
-		predID[p] = uint32(i)
-		c.PredBlob = append(c.PredBlob, p...)
-		c.PredOff = append(c.PredOff, uint32(len(c.PredBlob)))
-	}
-
-	// Term table: every live object key, sorted.
-	keySet := make(map[string]bool)
-	for _, os := range g.pos {
-		for k := range os {
-			keySet[k] = true
-		}
-	}
-	keys := make([]string, 0, len(keySet))
-	for k := range keySet {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	termID := make(map[string]uint32, len(keys))
-	c.TermOff = make([]uint32, 1, len(keys)+1)
-	for i, k := range keys {
-		termID[k] = uint32(i)
-		c.TermBlob = append(c.TermBlob, k...)
-		c.TermOff = append(c.TermOff, uint32(len(c.TermBlob)))
-	}
-
-	// POS columns.
-	c.PosValStart = make([]uint32, 1, len(preds)+1)
-	c.PosPostStart = make([]uint32, 1, len(keySet)+1)
-	for _, p := range preds {
-		os := g.pos[p]
-		vals := make([]string, 0, len(os))
-		for k := range os {
-			vals = append(vals, k)
-		}
-		sort.Strings(vals)
-		for _, k := range vals {
-			c.PosValTerm = append(c.PosValTerm, termID[k])
-			c.PosPost = append(c.PosPost, os[k]...)
-			c.PosPostStart = append(c.PosPostStart, uint32(len(c.PosPost)))
-		}
-		c.PosValStart = append(c.PosValStart, uint32(len(c.PosValTerm)))
-	}
-
-	// SPO columns, one row per interned subject (dead subjects get empty
-	// rows so dense IDs keep indexing directly).
-	n := g.in.Len()
-	c.SpoPredStart = make([]uint32, 1, n+1)
-	for id := 0; id < n; id++ {
-		po := g.spo[g.in.Key(uint32(id))]
-		sp := make([]IRI, 0, len(po))
-		for p := range po {
-			sp = append(sp, p)
-		}
-		sortIRIs(sp)
-		for _, p := range sp {
-			objs := po[p]
-			oks := make([]string, 0, len(objs))
-			for k := range objs {
-				oks = append(oks, k)
-			}
-			sort.Strings(oks)
-			c.SpoPred = append(c.SpoPred, predID[p])
-			for _, k := range oks {
-				c.SpoObj = append(c.SpoObj, termID[k])
-			}
-			c.SpoObjStart = append(c.SpoObjStart, uint32(len(c.SpoObj)))
-		}
-		c.SpoPredStart = append(c.SpoPredStart, uint32(len(c.SpoPred)))
-	}
-	// SpoObjStart needs a leading zero row even when there are no (s,p)
-	// pairs at all.
-	c.SpoObjStart = append([]uint32{0}, c.SpoObjStart...)
-	return c
-}
-
-// FromColumns returns a read-only graph over a columnar image (typically
-// slices into an mmapped segment). Construction is O(1) in the corpus
-// size: only the column frames are validated; elements decode lazily per
-// access, and corrupt offsets surface as absent data, never panics.
+// FromColumns returns the frozen graph over a columnar image (compiled by
+// a Builder, or slices into a mapped segment). Construction is O(1) in the
+// corpus size: only the column frames are validated; strings and terms are
+// read lazily, and corrupt offsets surface as absent data, never panics.
 func FromColumns(c GraphColumns) (*Graph, error) {
-	in, err := ids.FromColumns[IRI](c.Subj)
+	subj, err := ids.FromColumns[IRI](c.Subj)
 	if err != nil {
 		return nil, fmt.Errorf("rdf: subject table: %w", err)
 	}
-	s := &segGraph{c: c}
-	if err := s.validate(); err != nil {
+	if err := c.validate(); err != nil {
 		return nil, err
 	}
-	return &Graph{in: in, seg: s, size: int(c.Triples), subjIDs: c.SubjLive}, nil
+	return &Graph{
+		c:     c,
+		subj:  subj,
+		preds: ids.NewStrings(c.PredOff, c.PredBlob),
+		keys:  ids.NewStrings(c.TermOff, c.TermBlob),
+	}, nil
 }
 
-// segGraph wraps the columns with the lookup helpers the Graph accessors
-// branch to.
-type segGraph struct {
-	c GraphColumns
-}
-
-func (s *segGraph) validate() error {
-	c := &s.c
+func (c *GraphColumns) validate() error {
 	if len(c.PredOff) == 0 || len(c.TermOff) == 0 {
 		return fmt.Errorf("rdf: columns missing predicate or term table")
 	}
@@ -204,405 +100,4 @@ func (s *segGraph) validate() error {
 		return fmt.Errorf("rdf: spo object starts (%d) disagree with pair count (%d)", len(c.SpoObjStart), len(c.SpoPred))
 	}
 	return nil
-}
-
-// cutRange bounds [start[i], start[i+1]) against a backing length, tolerant
-// of corrupt offsets (returns an empty range).
-//
-//magnet:hot
-func cutRange(start []uint32, i, backing int) (int, int) {
-	if i < 0 || i+1 >= len(start) {
-		return 0, 0
-	}
-	lo, hi := int(start[i]), int(start[i+1])
-	if lo > hi || hi > backing {
-		return 0, 0
-	}
-	return lo, hi
-}
-
-// tableBytes returns entry i of an offset/blob string table (empty when
-// out of range or corrupt).
-//
-//magnet:hot
-func tableBytes(off []uint32, blob []byte, i int) []byte {
-	lo, hi := cutRange(off, i, len(blob))
-	return blob[lo:hi]
-}
-
-// findTable binary-searches a sorted offset/blob table for key, returning
-// the entry index.
-//
-//magnet:hot
-func findTable(off []uint32, blob []byte, key string) (int, bool) {
-	n := len(off) - 1
-	lo, hi := 0, n
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if cmpSegBytes(tableBytes(off, blob, mid), key) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < n && cmpSegBytes(tableBytes(off, blob, lo), key) == 0 {
-		return lo, true
-	}
-	return 0, false
-}
-
-// cmpSegBytes compares table bytes against a string key without allocating.
-//
-//magnet:hot
-func cmpSegBytes(b []byte, s string) int {
-	n := len(b)
-	if len(s) < n {
-		n = len(s)
-	}
-	for i := 0; i < n; i++ {
-		if b[i] != s[i] {
-			if b[i] < s[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	switch {
-	case len(b) < len(s):
-		return -1
-	case len(b) > len(s):
-		return 1
-	}
-	return 0
-}
-
-func (s *segGraph) predCount() int { return len(s.c.PredOff) - 1 }
-func (s *segGraph) termCount() int { return len(s.c.TermOff) - 1 }
-
-//magnet:hot
-func (s *segGraph) findPred(p IRI) (int, bool) {
-	return findTable(s.c.PredOff, s.c.PredBlob, string(p))
-}
-
-func (s *segGraph) predIRI(i int) IRI {
-	return IRI(tableBytes(s.c.PredOff, s.c.PredBlob, i))
-}
-
-//magnet:hot
-func (s *segGraph) findTermKey(key string) (int, bool) {
-	return findTable(s.c.TermOff, s.c.TermBlob, key)
-}
-
-func (s *segGraph) termKeyBytes(i int) []byte {
-	return tableBytes(s.c.TermOff, s.c.TermBlob, i)
-}
-
-// decodeTerm rehydrates term i from its canonical key; nil for corrupt
-// entries (callers skip them).
-func (s *segGraph) decodeTerm(i int) Term {
-	t, ok := ParseTermKey(string(s.termKeyBytes(i)))
-	if !ok {
-		return nil
-	}
-	return t
-}
-
-// valRange returns predicate p's value index range in PosValTerm.
-//
-//magnet:hot
-func (s *segGraph) valRange(p int) (int, int) {
-	return cutRange(s.c.PosValStart, p, len(s.c.PosValTerm))
-}
-
-// posting returns value v's sorted subject posting.
-//
-//magnet:hot
-func (s *segGraph) posting(v int) []uint32 {
-	lo, hi := cutRange(s.c.PosPostStart, v, len(s.c.PosPost))
-	return s.c.PosPost[lo:hi]
-}
-
-// findValue binary-searches predicate p's values for the term key.
-//
-//magnet:hot
-func (s *segGraph) findValue(p int, key string) (int, bool) {
-	lo, hi := s.valRange(p)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if cmpSegBytes(s.termKeyBytes(int(s.c.PosValTerm[mid])), key) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	_, end := s.valRange(p)
-	if lo < end && cmpSegBytes(s.termKeyBytes(int(s.c.PosValTerm[lo])), key) == 0 {
-		return lo, true
-	}
-	return 0, false
-}
-
-// subjPreds returns subject sid's predicate-ID row.
-//
-//magnet:hot
-func (s *segGraph) subjPreds(sid uint32) []uint32 {
-	lo, hi := cutRange(s.c.SpoPredStart, int(sid), len(s.c.SpoPred))
-	return s.c.SpoPred[lo:hi]
-}
-
-// pairObjs returns the term-ID row of the (s, p) pair at absolute pair
-// index i.
-//
-//magnet:hot
-func (s *segGraph) pairObjs(i int) []uint32 {
-	lo, hi := cutRange(s.c.SpoObjStart, i, len(s.c.SpoObj))
-	return s.c.SpoObj[lo:hi]
-}
-
-// findSubjPred locates predID within subject sid's row, returning the
-// absolute pair index.
-//
-//magnet:hot
-func (s *segGraph) findSubjPred(sid uint32, predID uint32) (int, bool) {
-	base, end := cutRange(s.c.SpoPredStart, int(sid), len(s.c.SpoPred))
-	row := s.c.SpoPred[base:end]
-	lo, hi := 0, len(row)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if row[mid] < predID {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(row) && row[lo] == predID {
-		return base + lo, true
-	}
-	return 0, false
-}
-
-// --- view implementations of the Graph read API ---------------------------
-
-func (s *segGraph) objects(g *Graph, sub, p IRI) []Term {
-	sid, ok := g.in.Lookup(sub)
-	if !ok {
-		return nil
-	}
-	pid, ok := s.findPred(p)
-	if !ok {
-		return nil
-	}
-	pair, ok := s.findSubjPred(sid, uint32(pid))
-	if !ok {
-		return nil
-	}
-	objs := s.pairObjs(pair)
-	out := make([]Term, 0, len(objs))
-	for _, t := range objs {
-		if term := s.decodeTerm(int(t)); term != nil {
-			out = append(out, term)
-		}
-	}
-	return out // ascending termID = ascending key, the map backing's order
-}
-
-func (s *segGraph) objectCount(g *Graph, sub, p IRI) int {
-	sid, ok := g.in.Lookup(sub)
-	if !ok {
-		return 0
-	}
-	pid, ok := s.findPred(p)
-	if !ok {
-		return 0
-	}
-	pair, ok := s.findSubjPred(sid, uint32(pid))
-	if !ok {
-		return 0
-	}
-	return len(s.pairObjs(pair))
-}
-
-func (s *segGraph) has(g *Graph, sub, p IRI, o Term) bool {
-	sid, ok := g.in.Lookup(sub)
-	if !ok {
-		return false
-	}
-	pid, ok := s.findPred(p)
-	if !ok {
-		return false
-	}
-	tid, ok := s.findTermKey(o.Key())
-	if !ok {
-		return false
-	}
-	pair, ok := s.findSubjPred(sid, uint32(pid))
-	if !ok {
-		return false
-	}
-	objs := s.pairObjs(pair)
-	lo, hi := 0, len(objs)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if objs[mid] < uint32(tid) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(objs) && objs[lo] == uint32(tid)
-}
-
-func (s *segGraph) hasSubject(g *Graph, sub IRI) bool {
-	sid, ok := g.in.Lookup(sub)
-	return ok && len(s.subjPreds(sid)) > 0
-}
-
-func (s *segGraph) predicatesOf(g *Graph, sub IRI) []IRI {
-	sid, ok := g.in.Lookup(sub)
-	if !ok {
-		return nil
-	}
-	row := s.subjPreds(sid)
-	if len(row) == 0 {
-		return nil
-	}
-	out := make([]IRI, 0, len(row))
-	for _, pid := range row {
-		out = append(out, s.predIRI(int(pid)))
-	}
-	return out // ascending predID = lexical order
-}
-
-func (s *segGraph) predicates() []IRI {
-	n := s.predCount()
-	out := make([]IRI, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, s.predIRI(i))
-	}
-	return out
-}
-
-// subjectIDSet is the segment fast path behind Graph.SubjectIDSet: two
-// binary searches and a slice, allocation-free.
-//
-//magnet:hot
-func (s *segGraph) subjectIDSet(p IRI, key string) itemset.Set {
-	pid, ok := s.findPred(p)
-	if !ok {
-		return itemset.Set{}
-	}
-	v, ok := s.findValue(pid, key)
-	if !ok {
-		return itemset.Set{}
-	}
-	return itemset.FromSorted(s.posting(v))
-}
-
-func (s *segGraph) subjectIDsWithProperty(g *Graph, p IRI) itemset.Set {
-	pid, ok := s.findPred(p)
-	if !ok {
-		return itemset.Set{}
-	}
-	lo, hi := s.valRange(pid)
-	if lo == hi {
-		return itemset.Set{}
-	}
-	b := itemset.NewBits(g.in.Len())
-	for v := lo; v < hi; v++ {
-		b.AddSlice(s.posting(v))
-	}
-	return b.Extract()
-}
-
-func (s *segGraph) forEachValuePosting(p IRI, f func(o Term, subjects itemset.Set) bool) {
-	pid, ok := s.findPred(p)
-	if !ok {
-		return
-	}
-	lo, hi := s.valRange(pid)
-	for v := lo; v < hi; v++ {
-		term := s.decodeTerm(int(s.c.PosValTerm[v]))
-		if term == nil {
-			continue
-		}
-		if !f(term, itemset.FromSorted(s.posting(v))) {
-			return
-		}
-	}
-}
-
-func (s *segGraph) objectsOf(p IRI) []Term {
-	pid, ok := s.findPred(p)
-	if !ok {
-		return nil
-	}
-	lo, hi := s.valRange(pid)
-	if lo == hi {
-		return nil
-	}
-	out := make([]Term, 0, hi-lo)
-	for v := lo; v < hi; v++ {
-		if term := s.decodeTerm(int(s.c.PosValTerm[v])); term != nil {
-			out = append(out, term)
-		}
-	}
-	return out // ascending key order already
-}
-
-func (s *segGraph) subjectCount(p IRI, key string) int {
-	pid, ok := s.findPred(p)
-	if !ok {
-		return 0
-	}
-	v, ok := s.findValue(pid, key)
-	if !ok {
-		return 0
-	}
-	return len(s.posting(v))
-}
-
-func (s *segGraph) allSubjects(g *Graph) []IRI {
-	if len(s.c.SubjLive) == 0 {
-		return nil
-	}
-	out := g.in.AppendKeys(make([]IRI, 0, len(s.c.SubjLive)), s.c.SubjLive)
-	sortIRIs(out)
-	return out
-}
-
-func (s *segGraph) statements(g *Graph, sub IRI) []Statement {
-	sid, ok := g.in.Lookup(sub)
-	if !ok {
-		return nil
-	}
-	var out []Statement
-	base, end := cutRange(s.c.SpoPredStart, int(sid), len(s.c.SpoPred))
-	for pair := base; pair < end; pair++ {
-		p := s.predIRI(int(s.c.SpoPred[pair]))
-		for _, tid := range s.pairObjs(pair) {
-			if term := s.decodeTerm(int(tid)); term != nil {
-				out = append(out, Statement{sub, p, term})
-			}
-		}
-	}
-	sortStatements(out)
-	return out
-}
-
-func (s *segGraph) forEach(g *Graph, f func(Statement) bool) bool {
-	for _, sid := range s.c.SubjLive {
-		sub := g.in.Key(sid)
-		base, end := cutRange(s.c.SpoPredStart, int(sid), len(s.c.SpoPred))
-		for pair := base; pair < end; pair++ {
-			p := s.predIRI(int(s.c.SpoPred[pair]))
-			for _, tid := range s.pairObjs(pair) {
-				if term := s.decodeTerm(int(tid)); term != nil {
-					if !f(Statement{sub, p, term}) {
-						return false
-					}
-				}
-			}
-		}
-	}
-	return true
 }

@@ -1,19 +1,25 @@
 package rdf
 
 import (
+	"reflect"
+	"sort"
 	"testing"
+
+	"magnet/internal/itemset"
 )
 
-// segTestGraph builds a small mixed graph: typed items, literals, shared
-// objects, a removed statement (leaving a dead interner row), and an
-// orphan subject.
-func segTestGraph(t *testing.T) *Graph {
+// segTestBuilder builds a small mixed graph: typed items, literals, shared
+// objects, a removed statement (leaving a dead subject row), and an orphan
+// subject. It returns the builder with the statements it holds.
+func segTestBuilder(t *testing.T) (*Builder, []Statement) {
 	t.Helper()
-	g := NewGraph()
+	b := NewBuilder()
+	var live []Statement
 	add := func(s IRI, p IRI, o Term) {
-		if !g.Add(s, p, o) {
+		if !b.Add(s, p, o) {
 			t.Fatalf("duplicate add %v %v %v", s, p, o)
 		}
+		live = append(live, Statement{s, p, o})
 	}
 	add("urn:a", Type, IRI("urn:Recipe"))
 	add("urn:b", Type, IRI("urn:Recipe"))
@@ -23,61 +29,79 @@ func segTestGraph(t *testing.T) *Graph {
 	add("urn:b", "urn:ingredient", NewString("Parsley"))
 	add("urn:a", "urn:servings", NewInteger(4))
 	add("urn:c", "urn:label", NewString("orphan"))
-	// Remove a statement so an interner row goes dead — the columns must
-	// carry the gap and the rebuilt view must agree.
-	add("urn:dead", "urn:label", NewString("doomed"))
-	g.Remove("urn:dead", "urn:label", NewString("doomed"))
-	return g
+	// Remove a statement so a subject row goes dead — the columns must
+	// carry the gap and the frozen graph must not show it.
+	if !b.Add("urn:dead", "urn:label", NewString("doomed")) || !b.Remove("urn:dead", "urn:label", NewString("doomed")) {
+		t.Fatal("add/remove of the doomed statement failed")
+	}
+	sort.Slice(live, func(i, j int) bool { return live[i].Key() < live[j].Key() })
+	return b, live
 }
 
-// TestGraphColumnsRoundTrip rebuilds the graph from its columns and checks
-// every read API agrees with the original.
+// TestGraphColumnsRoundTrip freezes the builder and checks every read
+// accessor against the statement list it was built from.
 func TestGraphColumnsRoundTrip(t *testing.T) {
-	g := segTestGraph(t)
-	r, err := FromColumns(g.Columns())
-	if err != nil {
-		t.Fatalf("FromColumns: %v", err)
+	b, live := segTestBuilder(t)
+	g := b.Freeze()
+
+	if g.Len() != len(live) || b.Len() != len(live) {
+		t.Errorf("Len = %d (builder %d), want %d", g.Len(), b.Len(), len(live))
+	}
+	if got := g.AllStatements(); !reflect.DeepEqual(got, live) {
+		t.Fatalf("AllStatements = %v, want %v", got, live)
 	}
 
-	if r.Len() != g.Len() {
-		t.Errorf("Len = %d, want %d", r.Len(), g.Len())
-	}
-	wantStmts := g.AllStatements()
-	gotStmts := r.AllStatements()
-	if len(gotStmts) != len(wantStmts) {
-		t.Fatalf("AllStatements: %d statements, want %d", len(gotStmts), len(wantStmts))
-	}
-	for i := range wantStmts {
-		if gotStmts[i].Key() != wantStmts[i].Key() {
-			t.Fatalf("statement %d = %v, want %v", i, gotStmts[i], wantStmts[i])
+	// Oracles over the statement list.
+	objects := func(s, p IRI) []Term {
+		var out []Term
+		for _, st := range live {
+			if st.Subject == s && st.Predicate == p {
+				out = append(out, st.Object)
+			}
 		}
+		return out
+	}
+	preds := func(s IRI) []IRI {
+		seen := map[IRI]bool{}
+		var out []IRI
+		for _, st := range live {
+			if (s == "" || st.Subject == s) && !seen[st.Predicate] {
+				seen[st.Predicate] = true
+				out = append(out, st.Predicate)
+			}
+		}
+		sortIRIs(out)
+		return out
+	}
+	subjects := func(p IRI, o Term) []IRI {
+		var out []IRI
+		for _, st := range live {
+			if st.Predicate == p && (o == nil || st.Object.Key() == o.Key()) {
+				out = append(out, st.Subject)
+			}
+		}
+		sortIRIs(out)
+		return out
 	}
 
 	for _, s := range []IRI{"urn:a", "urn:b", "urn:c", "urn:dead", "urn:missing"} {
-		if got, want := r.HasSubject(s), g.HasSubject(s); got != want {
-			t.Errorf("HasSubject(%s) = %v, want %v", s, got, want)
+		want := preds(s)
+		if got := g.HasSubject(s); got != (len(want) > 0) {
+			t.Errorf("HasSubject(%s) = %v", s, got)
 		}
-		gotPreds, wantPreds := r.PredicatesOf(s), g.PredicatesOf(s)
-		if len(gotPreds) != len(wantPreds) {
-			t.Errorf("PredicatesOf(%s) = %v, want %v", s, gotPreds, wantPreds)
-			continue
+		if got := g.PredicatesOf(s); !reflect.DeepEqual(got, want) {
+			t.Errorf("PredicatesOf(%s) = %v, want %v", s, got, want)
 		}
-		for i := range wantPreds {
-			if gotPreds[i] != wantPreds[i] {
-				t.Errorf("PredicatesOf(%s)[%d] = %v, want %v", s, i, gotPreds[i], wantPreds[i])
+		for _, p := range want {
+			wantObjs := objects(s, p)
+			if got := g.Objects(s, p); !reflect.DeepEqual(got, wantObjs) {
+				t.Errorf("Objects(%s,%s) = %v, want %v", s, p, got, wantObjs)
 			}
-			gotObjs, wantObjs := r.Objects(s, wantPreds[i]), g.Objects(s, wantPreds[i])
-			if len(gotObjs) != len(wantObjs) {
-				t.Errorf("Objects(%s,%s) = %v, want %v", s, wantPreds[i], gotObjs, wantObjs)
-				continue
+			if got := g.ObjectCount(s, p); got != len(wantObjs) {
+				t.Errorf("ObjectCount(%s,%s) = %d, want %d", s, p, got, len(wantObjs))
 			}
-			for j := range wantObjs {
-				if gotObjs[j].Key() != wantObjs[j].Key() {
-					t.Errorf("Objects(%s,%s)[%d] = %v, want %v", s, wantPreds[i], j, gotObjs[j], wantObjs[j])
-				}
-			}
-			if got, want := r.ObjectCount(s, wantPreds[i]), g.ObjectCount(s, wantPreds[i]); got != want {
-				t.Errorf("ObjectCount(%s,%s) = %d, want %d", s, wantPreds[i], got, want)
+			if o, ok := g.Object(s, p); !ok || o.Key() != wantObjs[0].Key() {
+				t.Errorf("Object(%s,%s) = %v,%v, want %v", s, p, o, ok, wantObjs[0])
 			}
 		}
 	}
@@ -85,70 +109,51 @@ func TestGraphColumnsRoundTrip(t *testing.T) {
 	// Reverse index: subjects carrying a property, value enumeration, and
 	// posting iteration.
 	for _, p := range []IRI{Type, "urn:cuisine", "urn:ingredient", "urn:nothing"} {
-		got, want := r.SubjectIDsWithProperty(p), g.SubjectIDsWithProperty(p)
-		if got.Len() != want.Len() {
-			t.Errorf("SubjectIDsWithProperty(%s): %d ids, want %d", p, got.Len(), want.Len())
+		cover := map[IRI]bool{}
+		for _, s := range subjects(p, nil) {
+			cover[s] = true
 		}
-		gotVals, wantVals := r.ObjectsOf(p), g.ObjectsOf(p)
-		if len(gotVals) != len(wantVals) {
-			t.Errorf("ObjectsOf(%s) = %v, want %v", p, gotVals, wantVals)
-			continue
+		if got := g.SubjectsWithProperty(p); len(got) != len(cover) {
+			t.Errorf("SubjectsWithProperty(%s) = %v, want %d subjects", p, got, len(cover))
 		}
-		for i := range wantVals {
-			if gotVals[i].Key() != wantVals[i].Key() {
-				t.Errorf("ObjectsOf(%s)[%d] = %v, want %v", p, i, gotVals[i], wantVals[i])
+		var walked []Term
+		g.ForEachValuePosting(p, func(o Term, subs itemset.Set) bool {
+			walked = append(walked, o)
+			if subs.Len() != len(subjects(p, o)) {
+				t.Errorf("ForEachValuePosting(%s) %v: %d subjects, want %d", p, o, subs.Len(), len(subjects(p, o)))
 			}
-			gw, ww := r.SubjectIDSet(p, wantVals[i]), g.SubjectIDSet(p, wantVals[i])
-			if gw.Len() != ww.Len() {
-				t.Errorf("SubjectIDSet(%s,%v): %d ids, want %d", p, wantVals[i], gw.Len(), ww.Len())
+			return true
+		})
+		if got := g.ObjectsOf(p); !reflect.DeepEqual(got, walked) {
+			t.Errorf("ObjectsOf(%s) = %v, walked %v", p, got, walked)
+		}
+		for _, o := range walked {
+			if got := g.Subjects(p, o); !reflect.DeepEqual(got, subjects(p, o)) {
+				t.Errorf("Subjects(%s,%v) = %v, want %v", p, o, got, subjects(p, o))
 			}
 		}
 	}
 
-	gotSubs, wantSubs := r.AllSubjects(), g.AllSubjects()
-	if len(gotSubs) != len(wantSubs) {
-		t.Fatalf("AllSubjects: %d, want %d", len(gotSubs), len(wantSubs))
+	if got, want := g.AllSubjects(), []IRI{"urn:a", "urn:b", "urn:c"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("AllSubjects = %v, want %v", got, want)
 	}
-	for i := range wantSubs {
-		if gotSubs[i] != wantSubs[i] {
-			t.Errorf("AllSubjects[%d] = %v, want %v", i, gotSubs[i], wantSubs[i])
-		}
+	if got := g.Predicates(); !reflect.DeepEqual(got, preds("")) {
+		t.Errorf("Predicates = %v, want %v", got, preds(""))
 	}
-	gotPs, wantPs := r.Predicates(), g.Predicates()
-	if len(gotPs) != len(wantPs) {
-		t.Fatalf("Predicates: %v, want %v", gotPs, wantPs)
-	}
-	for i := range wantPs {
-		if gotPs[i] != wantPs[i] {
-			t.Errorf("Predicates[%d] = %v, want %v", i, gotPs[i], wantPs[i])
-		}
-	}
-
-	if !r.Has("urn:a", "urn:servings", NewInteger(4)) {
+	if !g.Has("urn:a", "urn:servings", NewInteger(4)) {
 		t.Error("Has(a servings 4) = false")
 	}
-	if r.Has("urn:dead", "urn:label", NewString("doomed")) {
+	if g.Has("urn:dead", "urn:label", NewString("doomed")) {
 		t.Error("Has finds the removed statement")
 	}
-}
-
-// TestGraphColumnsReadOnly: mutating a segment-backed graph must panic.
-func TestGraphColumnsReadOnly(t *testing.T) {
-	r, err := FromColumns(segTestGraph(t).Columns())
-	if err != nil {
-		t.Fatal(err)
+	if _, ok := g.SubjectID("urn:dead"); !ok {
+		t.Error("the dead subject lost its dense ID")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Add on a segment-backed graph did not panic")
-		}
-	}()
-	r.Add("urn:new", "urn:p", NewString("v"))
 }
 
-// TestGraphColumnsEmpty: an empty graph round-trips.
+// TestGraphColumnsEmpty: an empty builder freezes to an empty graph.
 func TestGraphColumnsEmpty(t *testing.T) {
-	r, err := FromColumns(NewGraph().Columns())
+	r, err := FromColumns(NewBuilder().Columns())
 	if err != nil {
 		t.Fatalf("FromColumns(empty): %v", err)
 	}

@@ -92,15 +92,15 @@ func TestOverviewRendering(t *testing.T) {
 }
 
 func TestItemAndCollectionRendering(t *testing.T) {
-	g := rdf.NewGraph()
-	sch := schema.NewStore(g)
+	gb := rdf.NewBuilder()
 	it := rdf.IRI("http://e/r1")
-	g.Add(it, rdf.Label, rdf.NewString("Apple Cobbler Cake"))
-	g.Add(it, rdf.IRI("http://e/ingredient"), rdf.IRI("http://e/Apple"))
-	g.Add(rdf.IRI("http://e/Apple"), rdf.Label, rdf.NewString("Apples"))
-	sch.SetLabel(rdf.IRI("http://e/ingredient"), "ingredient")
+	gb.Add(it, rdf.Label, rdf.NewString("Apple Cobbler Cake"))
+	gb.Add(it, rdf.IRI("http://e/ingredient"), rdf.IRI("http://e/Apple"))
+	gb.Add(rdf.IRI("http://e/Apple"), rdf.Label, rdf.NewString("Apples"))
+	schema.SetLabel(gb, rdf.IRI("http://e/ingredient"), "ingredient")
 
 	var b strings.Builder
+	g := gb.Freeze()
 	Item(&b, g, it)
 	out := b.String()
 	for _, want := range []string{"Apple Cobbler Cake", "ingredient", "Apples"} {

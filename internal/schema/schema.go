@@ -8,7 +8,8 @@
 //
 // Annotations are ordinary triples stored in the data graph itself, so
 // "schema experts or advanced users" can add them incrementally, and they
-// travel with the data.
+// travel with the data. The setters write them to a graph builder, before
+// the graph is frozen; the Store reads them from the frozen graph.
 package schema
 
 import (
@@ -90,16 +91,15 @@ func (vt ValueType) Numeric() bool {
 // datasetNode is the well-known subject carrying graph-level annotations.
 const datasetNode = rdf.IRI(rdf.NSMagnet + "dataset")
 
-// Store reads and writes schema annotations on a graph. Value-type
-// inference results are memoized against the graph's version, since
-// inference scans a property's whole value domain.
+// Store reads schema annotations from a frozen graph. Value-type
+// inference and numeric spans are memoized, since each scans a property's
+// value domain; the graph never changes, so neither memo goes stale.
 type Store struct {
 	g *rdf.Graph
 
 	mu       sync.Mutex
-	inferred map[rdf.IRI]ValueType
-	spans    map[rdf.IRI]NumericSpan
-	version  uint64
+	inferred map[rdf.IRI]ValueType   // guarded by mu
+	spans    map[rdf.IRI]NumericSpan // guarded by mu
 }
 
 // NewStore returns an annotation store over g.
@@ -111,22 +111,12 @@ func NewStore(g *rdf.Graph) *Store {
 	}
 }
 
-// refreshLocked drops the memoized inference and span tables when the
-// graph has changed since they were built. Callers hold s.mu.
-func (s *Store) refreshLocked() {
-	if v := s.g.Version(); v != s.version {
-		s.inferred = make(map[rdf.IRI]ValueType)
-		s.spans = make(map[rdf.IRI]NumericSpan)
-		s.version = v
-	}
-}
-
 // Graph returns the underlying graph.
 func (s *Store) Graph() *rdf.Graph { return s.g }
 
 // SetLabel annotates property p with a display label.
-func (s *Store) SetLabel(p rdf.IRI, label string) {
-	s.g.Add(p, rdf.AnnLabel, rdf.NewString(label))
+func SetLabel(b *rdf.Builder, p rdf.IRI, label string) {
+	b.Add(p, rdf.AnnLabel, rdf.NewString(label))
 }
 
 // Label returns the display label for p: magnet:label, then rdfs:label /
@@ -138,12 +128,16 @@ func (s *Store) Label(p rdf.IRI) string { return s.g.Label(p) }
 // the paper's Figure 7 raw-identifier display for unannotated data).
 func (s *Store) HasLabel(p rdf.IRI) bool { return s.g.HasLabel(p) }
 
-// SetValueType annotates property p's value type.
-func (s *Store) SetValueType(p rdf.IRI, vt ValueType) {
-	for _, o := range s.g.Objects(p, rdf.AnnValueType) {
-		s.g.Remove(p, rdf.AnnValueType, o)
+// valueTypeForms are every lexical form a value-type annotation takes.
+var valueTypeForms = []string{"unknown", "resource", "text", "integer", "float", "date", "datetime", "boolean"}
+
+// SetValueType annotates property p's value type, replacing any earlier
+// value-type annotation of p.
+func SetValueType(b *rdf.Builder, p rdf.IRI, vt ValueType) {
+	for _, form := range valueTypeForms {
+		b.Remove(p, rdf.AnnValueType, rdf.NewString(form))
 	}
-	s.g.Add(p, rdf.AnnValueType, rdf.NewString(vt.String()))
+	b.Add(p, rdf.AnnValueType, rdf.NewString(vt.String()))
 }
 
 // AnnotatedValueType returns p's annotated value type, or Unknown when no
@@ -172,7 +166,6 @@ func (s *Store) ValueType(p rdf.IRI) ValueType {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.refreshLocked()
 	if vt, ok := s.inferred[p]; ok {
 		return vt
 	}
@@ -242,8 +235,8 @@ func (s *Store) inferValueType(p rdf.IRI) ValueType {
 // SetCompose marks property p as worth composing with a second level of
 // attributes in the vector space model (paper §5.1; §6.1's "body is an
 // important property to compose").
-func (s *Store) SetCompose(p rdf.IRI) {
-	s.g.Add(p, rdf.AnnCompose, rdf.NewBool(true))
+func SetCompose(b *rdf.Builder, p rdf.IRI) {
+	b.Add(p, rdf.AnnCompose, rdf.NewBool(true))
 }
 
 // Composable reports whether p carries the composition annotation.
@@ -268,8 +261,8 @@ func (s *Store) ComposableProperties() []rdf.IRI {
 
 // SetHidden suppresses p from navigation suggestions (paper §6.1: "Magnet
 // does provide custom annotations to hide such attributes").
-func (s *Store) SetHidden(p rdf.IRI) {
-	s.g.Add(p, rdf.AnnHidden, rdf.NewBool(true))
+func SetHidden(b *rdf.Builder, p rdf.IRI) {
+	b.Add(p, rdf.AnnHidden, rdf.NewBool(true))
 }
 
 // Hidden reports whether p is suppressed from navigation suggestions.
@@ -295,8 +288,8 @@ func (s *Store) Hidden(p rdf.IRI) bool {
 
 // SetFacet marks p as a preferred faceting axis, giving it priority in the
 // large-collection overview (Figure 2).
-func (s *Store) SetFacet(p rdf.IRI) {
-	s.g.Add(p, rdf.AnnFacet, rdf.NewBool(true))
+func SetFacet(b *rdf.Builder, p rdf.IRI) {
+	b.Add(p, rdf.AnnFacet, rdf.NewBool(true))
 }
 
 // IsFacet reports whether p carries the facet-preference annotation.
@@ -317,8 +310,8 @@ func (s *Store) IsFacet(p rdf.IRI) bool {
 // import), licensing deeper composition chains (paper §6.2: "Telling Magnet
 // that the information is structured as a tree ... would have provided a
 // cleaner interface").
-func (s *Store) SetTreeShaped() {
-	s.g.Add(datasetNode, rdf.AnnTreeShaped, rdf.NewBool(true))
+func SetTreeShaped(b *rdf.Builder) {
+	b.Add(datasetNode, rdf.AnnTreeShaped, rdf.NewBool(true))
 }
 
 // TreeShaped reports whether the dataset carries the tree-shape annotation.
@@ -347,13 +340,11 @@ type NumericSpan struct {
 }
 
 // NumericSpan returns p's numeric-domain summary, computed by one
-// value-domain walk and memoized against the graph version like value
-// type inference (the walk is O(distinct values), too costly to repeat
-// per query-planning step).
+// value-domain walk and memoized like value type inference (the walk is
+// O(distinct values), too costly to repeat per query-planning step).
 func (s *Store) NumericSpan(p rdf.IRI) NumericSpan {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.refreshLocked()
 	if sp, ok := s.spans[p]; ok {
 		return sp
 	}

@@ -10,6 +10,9 @@ import (
 
 const ex = "http://example.org/"
 
+// store freezes b and returns the annotation store over it.
+func store(b *rdf.Builder) *Store { return NewStore(b.Freeze()) }
+
 func TestParseValueTypeRoundTrip(t *testing.T) {
 	for _, vt := range []ValueType{Resource, Text, Integer, Float, Date, Boolean} {
 		if got := ParseValueType(vt.String()); got != vt {
@@ -37,16 +40,17 @@ func TestValueTypeNumeric(t *testing.T) {
 }
 
 func TestLabelAnnotationPrecedence(t *testing.T) {
-	g := rdf.NewGraph()
-	s := NewStore(g)
+	b := rdf.NewBuilder()
 	p := rdf.IRI(ex + "ns#stateBird")
+	s := store(b)
 	if got := s.Label(p); got != "state Bird" {
 		t.Errorf("unannotated label = %q", got)
 	}
 	if s.HasLabel(p) {
 		t.Error("HasLabel should be false before annotating")
 	}
-	s.SetLabel(p, "State bird")
+	SetLabel(b, p, "State bird")
+	s = store(b)
 	if got := s.Label(p); got != "State bird" {
 		t.Errorf("annotated label = %q", got)
 	}
@@ -56,12 +60,12 @@ func TestLabelAnnotationPrecedence(t *testing.T) {
 }
 
 func TestSetValueTypeReplaces(t *testing.T) {
-	g := rdf.NewGraph()
-	s := NewStore(g)
+	b := rdf.NewBuilder()
 	p := rdf.IRI(ex + "area")
-	s.SetValueType(p, Text)
-	s.SetValueType(p, Integer)
-	if got := s.AnnotatedValueType(p); got != Integer {
+	SetValueType(b, p, Text)
+	SetValueType(b, p, Integer)
+	g := b.Freeze()
+	if got := NewStore(g).AnnotatedValueType(p); got != Integer {
 		t.Errorf("AnnotatedValueType = %v, want Integer", got)
 	}
 	// Only one annotation triple should remain.
@@ -71,22 +75,22 @@ func TestSetValueTypeReplaces(t *testing.T) {
 }
 
 func TestInferValueTypes(t *testing.T) {
-	g := rdf.NewGraph()
-	s := NewStore(g)
+	b := rdf.NewBuilder()
 	item := rdf.IRI(ex + "i")
 
-	g.Add(item, rdf.IRI(ex+"cuisine"), rdf.IRI(ex+"Greek"))
-	g.Add(item, rdf.IRI(ex+"servings"), rdf.NewInteger(8))
-	g.Add(item, rdf.IRI(ex+"rating"), rdf.NewFloat(4.5))
-	g.Add(item, rdf.IRI(ex+"sent"), rdf.NewTime(time.Now()))
-	g.Add(item, rdf.IRI(ex+"spicy"), rdf.NewBool(true))
-	g.Add(item, rdf.IRI(ex+"bird"), rdf.NewString("Cardinal"))
+	b.Add(item, rdf.IRI(ex+"cuisine"), rdf.IRI(ex+"Greek"))
+	b.Add(item, rdf.IRI(ex+"servings"), rdf.NewInteger(8))
+	b.Add(item, rdf.IRI(ex+"rating"), rdf.NewFloat(4.5))
+	b.Add(item, rdf.IRI(ex+"sent"), rdf.NewTime(time.Now()))
+	b.Add(item, rdf.IRI(ex+"spicy"), rdf.NewBool(true))
+	b.Add(item, rdf.IRI(ex+"bird"), rdf.NewString("Cardinal"))
 	// Mixed IRI + literal falls back to Text.
-	g.Add(item, rdf.IRI(ex+"mixed"), rdf.IRI(ex+"thing"))
-	g.Add(item, rdf.IRI(ex+"mixed"), rdf.NewString("loose"))
+	b.Add(item, rdf.IRI(ex+"mixed"), rdf.IRI(ex+"thing"))
+	b.Add(item, rdf.IRI(ex+"mixed"), rdf.NewString("loose"))
 	// Plain string that *looks* numeric must NOT be inferred numeric
 	// (the Figure 7 → Figure 8 annotation story depends on this).
-	g.Add(item, rdf.IRI(ex+"area"), rdf.NewString("570641"))
+	b.Add(item, rdf.IRI(ex+"area"), rdf.NewString("570641"))
+	s := store(b)
 
 	tests := map[rdf.IRI]ValueType{
 		rdf.IRI(ex + "cuisine"):  Resource,
@@ -107,27 +111,26 @@ func TestInferValueTypes(t *testing.T) {
 }
 
 func TestAnnotationOverridesInference(t *testing.T) {
-	g := rdf.NewGraph()
-	s := NewStore(g)
+	b := rdf.NewBuilder()
 	p := rdf.IRI(ex + "area")
-	g.Add(rdf.IRI(ex+"alaska"), p, rdf.NewString("570641"))
-	if s.ValueType(p) != Text {
+	b.Add(rdf.IRI(ex+"alaska"), p, rdf.NewString("570641"))
+	if store(b).ValueType(p) != Text {
 		t.Fatal("precondition: unannotated string area is Text")
 	}
-	s.SetValueType(p, Integer)
-	if s.ValueType(p) != Integer {
+	SetValueType(b, p, Integer)
+	if store(b).ValueType(p) != Integer {
 		t.Error("annotation should override inference")
 	}
 }
 
 func TestComposeAnnotation(t *testing.T) {
-	g := rdf.NewGraph()
-	s := NewStore(g)
+	b := rdf.NewBuilder()
 	body := rdf.IRI(ex + "body")
-	if s.Composable(body) {
+	if store(b).Composable(body) {
 		t.Error("unannotated property should not be composable")
 	}
-	s.SetCompose(body)
+	SetCompose(b, body)
+	s := store(b)
 	if !s.Composable(body) {
 		t.Error("Composable after SetCompose")
 	}
@@ -137,13 +140,13 @@ func TestComposeAnnotation(t *testing.T) {
 }
 
 func TestHiddenAnnotationAndVocabulary(t *testing.T) {
-	g := rdf.NewGraph()
-	s := NewStore(g)
+	b := rdf.NewBuilder()
 	p := rdf.IRI(ex + "internalKey")
-	if s.Hidden(p) {
+	if store(b).Hidden(p) {
 		t.Error("ordinary property should not be hidden")
 	}
-	s.SetHidden(p)
+	SetHidden(b, p)
+	s := store(b)
 	if !s.Hidden(p) {
 		t.Error("Hidden after SetHidden")
 	}
@@ -157,38 +160,36 @@ func TestHiddenAnnotationAndVocabulary(t *testing.T) {
 }
 
 func TestFacetAnnotation(t *testing.T) {
-	g := rdf.NewGraph()
-	s := NewStore(g)
+	b := rdf.NewBuilder()
 	p := rdf.IRI(ex + "cuisine")
-	if s.IsFacet(p) {
+	if store(b).IsFacet(p) {
 		t.Error("unannotated facet")
 	}
-	s.SetFacet(p)
-	if !s.IsFacet(p) {
+	SetFacet(b, p)
+	if !store(b).IsFacet(p) {
 		t.Error("IsFacet after SetFacet")
 	}
 }
 
 func TestTreeShaped(t *testing.T) {
-	g := rdf.NewGraph()
-	s := NewStore(g)
-	if s.TreeShaped() {
+	b := rdf.NewBuilder()
+	if store(b).TreeShaped() {
 		t.Error("default should not be tree-shaped")
 	}
-	s.SetTreeShaped()
-	if !s.TreeShaped() {
+	SetTreeShaped(b)
+	if !store(b).TreeShaped() {
 		t.Error("TreeShaped after SetTreeShaped")
 	}
 }
 
 func TestNumericAndNavigationProperties(t *testing.T) {
-	g := rdf.NewGraph()
-	s := NewStore(g)
+	b := rdf.NewBuilder()
 	item := rdf.IRI(ex + "i")
-	g.Add(item, rdf.IRI(ex+"servings"), rdf.NewInteger(4))
-	g.Add(item, rdf.IRI(ex+"cuisine"), rdf.IRI(ex+"Greek"))
-	g.Add(item, rdf.IRI(ex+"secret"), rdf.NewInteger(1))
-	s.SetHidden(rdf.IRI(ex + "secret"))
+	b.Add(item, rdf.IRI(ex+"servings"), rdf.NewInteger(4))
+	b.Add(item, rdf.IRI(ex+"cuisine"), rdf.IRI(ex+"Greek"))
+	b.Add(item, rdf.IRI(ex+"secret"), rdf.NewInteger(1))
+	SetHidden(b, rdf.IRI(ex+"secret"))
+	s := store(b)
 
 	nums := s.NumericProperties()
 	if !reflect.DeepEqual(nums, []rdf.IRI{rdf.IRI(ex + "servings")}) {

@@ -117,11 +117,12 @@ func Prepare(cfg Config) *Study {
 		n = 6444
 	}
 	g := recipes.Build(recipes.Config{Recipes: n, Seed: seed})
-	env := &studyEnv{graph: g}
+	complete := core.Open(g, core.Options{})
+	env := &studyEnv{graph: complete.Graph()}
 	env.prepare()
 	return &Study{
 		env:      env,
-		complete: core.Open(g, core.Options{}),
+		complete: complete,
 		baseline: core.Open(g, core.Options{Analysts: analysts.BaselineSet}),
 		seed:     seed,
 	}

@@ -77,7 +77,8 @@ func TestRowsOrder(t *testing.T) {
 }
 
 func TestStudyEnvFixtures(t *testing.T) {
-	g := recipes.Build(recipes.Config{Recipes: 1000, Seed: 1})
+	gb := recipes.Build(recipes.Config{Recipes: 1000, Seed: 1})
+	g := gb.Freeze()
 	e := &studyEnv{graph: g}
 	e.prepare()
 	if e.target == "" {
@@ -94,17 +95,18 @@ func TestStudyEnvFixtures(t *testing.T) {
 	}
 	// A recipe sharing two target ingredients is related.
 	probe := rdf.IRI(recipes.NS + "recipe/probe")
-	g.Add(probe, rdf.Type, recipes.ClassRecipe)
+	gb.Add(probe, rdf.Type, recipes.ClassRecipe)
 	n := 0
 	for ing := range e.targetIngred {
 		if ing == recipes.Ingredient("Walnuts") {
 			continue
 		}
-		g.Add(probe, recipes.PropIngredient, ing)
+		gb.Add(probe, recipes.PropIngredient, ing)
 		if n++; n == 2 {
 			break
 		}
 	}
+	e.graph = gb.Freeze()
 	if !e.relatedToTarget(probe) {
 		t.Error("probe sharing two ingredients should be related")
 	}

@@ -12,16 +12,16 @@ import (
 // running example shape: attribute/value coordinates, text splitting, and
 // dot-product similarity.
 func Example() {
-	g := rdf.NewGraph()
+	gb := rdf.NewBuilder()
 	ns := "http://e/"
 	ingredient := rdf.IRI(ns + "ingredient")
 
 	add := func(id, title string, ings ...string) rdf.IRI {
 		r := rdf.IRI(ns + id)
-		g.Add(r, rdf.Type, rdf.IRI(ns+"Recipe"))
-		g.Add(r, rdf.DCTitle, rdf.NewString(title))
+		gb.Add(r, rdf.Type, rdf.IRI(ns+"Recipe"))
+		gb.Add(r, rdf.DCTitle, rdf.NewString(title))
 		for _, ing := range ings {
-			g.Add(r, ingredient, rdf.IRI(ns+ing))
+			gb.Add(r, ingredient, rdf.IRI(ns+ing))
 		}
 		return r
 	}
@@ -29,6 +29,7 @@ func Example() {
 	pie := add("pie", "Apple Pie", "apple", "flour")
 	salad := add("salad", "Greek Salad", "feta", "olive")
 
+	g := gb.Freeze()
 	m := vsm.New(g, schema.NewStore(g), vsm.Options{})
 	m.IndexAll([]rdf.IRI{cobbler, pie, salad})
 

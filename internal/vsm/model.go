@@ -118,25 +118,16 @@ func New(g *rdf.Graph, sch *schema.Store, opts Options) *Model {
 	return &Model{
 		g:     g,
 		sch:   sch,
-		store: newStore(nil),
+		store: index.NewVectorBuilder().Freeze(),
 		an:    an,
 		opts:  opts,
 		stats: make(map[string]*Range),
 	}
 }
 
-// newStore returns an empty vector store configured for the model's
-// coordinates.
-func newStore(pool *par.Pool) *index.VectorStore {
-	store := index.NewVectorStore()
-	store.PinnedPrefix = PinnedPrefix
-	store.SetPool(pool)
-	return store
-}
-
-// FromStore returns a model over an existing vector store — typically a
-// read-only segment view — with precomputed numeric range statistics in
-// place of an IndexAll pass.
+// FromStore returns a model over a frozen vector store (compiled by
+// IndexAll's builder, in memory or on disk) with its precomputed numeric
+// range statistics in place of an IndexAll pass.
 func FromStore(g *rdf.Graph, sch *schema.Store, store *index.VectorStore, ranges map[string]Range, opts Options) *Model {
 	an := opts.Analyzer
 	if an == nil {
@@ -161,8 +152,8 @@ func (m *Model) Ranges() map[string]Range {
 	return out
 }
 
-// Store exposes the underlying vector store (read-mostly; tests and benches
-// use it directly).
+// Store exposes the underlying frozen vector store (tests and benches use
+// it directly).
 func (m *Model) Store() *index.VectorStore { return m.store }
 
 // NumericRange returns the observed range for a property path, if any.
@@ -174,8 +165,8 @@ func (m *Model) NumericRange(path []rdf.IRI) (Range, bool) {
 	return *r, true
 }
 
-// IndexAll indexes the given items into a fresh vector store, replacing
-// the previous one: a first pass gathers numeric range statistics (the
+// IndexAll indexes the given items into a freshly built and frozen vector
+// store, replacing the previous one: a first pass gathers numeric range statistics (the
 // unit-circle encoding needs each attribute's observed range), a second
 // pass builds each item's vector in parallel — vectorization only reads
 // the graph and the completed statistics — and stores it. This is the
@@ -197,11 +188,13 @@ func (m *Model) IndexAll(items []rdf.IRI) {
 	if errors.As(err, &pe) {
 		panic(pe)
 	}
-	store := newStore(m.pool)
+	b := index.NewVectorBuilder()
+	b.PinnedPrefix = PinnedPrefix
 	for i, it := range items {
-		store.Add(string(it), vecs[i])
+		b.Add(string(it), vecs[i])
 	}
-	m.store = store
+	m.store = b.Freeze()
+	m.store.SetPool(m.pool)
 }
 
 // visitor receives each coordinate contribution during a traversal.

@@ -27,39 +27,40 @@ var (
 // figure3Graph builds the paper's Figure 3 example: the 'Apple Cobbler
 // Cake' recipe plus companions so idf is meaningful.
 func figure3Graph() (*rdf.Graph, *schema.Store, []rdf.IRI) {
-	g := rdf.NewGraph()
-	sch := schema.NewStore(g)
+	gb := rdf.NewBuilder()
 
 	cobbler := rdf.IRI(ex + "appleCobblerCake")
-	g.Add(cobbler, pType, clsRecipe)
-	g.Add(cobbler, pTitle, rdf.NewString("Apple Cobbler Cake"))
-	g.Add(cobbler, pContent, rdf.NewString("Mix apples with batter and bake the cake"))
-	g.Add(cobbler, pCourse, rdf.IRI(ex+"Dessert"))
-	g.Add(cobbler, pMethod, rdf.IRI(ex+"Bake"))
-	g.Add(cobbler, pIngredient, rdf.IRI(ex+"Apple"))
-	g.Add(cobbler, pIngredient, rdf.IRI(ex+"Flour"))
-	g.Add(cobbler, pIngredient, rdf.IRI(ex+"Butter"))
+	gb.Add(cobbler, pType, clsRecipe)
+	gb.Add(cobbler, pTitle, rdf.NewString("Apple Cobbler Cake"))
+	gb.Add(cobbler, pContent, rdf.NewString("Mix apples with batter and bake the cake"))
+	gb.Add(cobbler, pCourse, rdf.IRI(ex+"Dessert"))
+	gb.Add(cobbler, pMethod, rdf.IRI(ex+"Bake"))
+	gb.Add(cobbler, pIngredient, rdf.IRI(ex+"Apple"))
+	gb.Add(cobbler, pIngredient, rdf.IRI(ex+"Flour"))
+	gb.Add(cobbler, pIngredient, rdf.IRI(ex+"Butter"))
 
 	pie := rdf.IRI(ex + "applePie")
-	g.Add(pie, pType, clsRecipe)
-	g.Add(pie, pTitle, rdf.NewString("Apple Pie"))
-	g.Add(pie, pContent, rdf.NewString("Roll the dough and bake with apples"))
-	g.Add(pie, pCourse, rdf.IRI(ex+"Dessert"))
-	g.Add(pie, pMethod, rdf.IRI(ex+"Bake"))
-	g.Add(pie, pIngredient, rdf.IRI(ex+"Apple"))
-	g.Add(pie, pIngredient, rdf.IRI(ex+"Flour"))
+	gb.Add(pie, pType, clsRecipe)
+	gb.Add(pie, pTitle, rdf.NewString("Apple Pie"))
+	gb.Add(pie, pContent, rdf.NewString("Roll the dough and bake with apples"))
+	gb.Add(pie, pCourse, rdf.IRI(ex+"Dessert"))
+	gb.Add(pie, pMethod, rdf.IRI(ex+"Bake"))
+	gb.Add(pie, pIngredient, rdf.IRI(ex+"Apple"))
+	gb.Add(pie, pIngredient, rdf.IRI(ex+"Flour"))
 
 	salad := rdf.IRI(ex + "greekSalad")
-	g.Add(salad, pType, clsRecipe)
-	g.Add(salad, pTitle, rdf.NewString("Greek Salad"))
-	g.Add(salad, pContent, rdf.NewString("Toss feta with olives"))
-	g.Add(salad, pCourse, rdf.IRI(ex+"Appetizer"))
-	g.Add(salad, pMethod, rdf.IRI(ex+"Raw"))
-	g.Add(salad, pCuisine, rdf.IRI(ex+"Greek"))
-	g.Add(salad, pIngredient, rdf.IRI(ex+"Feta"))
-	g.Add(salad, pIngredient, rdf.IRI(ex+"Olive"))
+	gb.Add(salad, pType, clsRecipe)
+	gb.Add(salad, pTitle, rdf.NewString("Greek Salad"))
+	gb.Add(salad, pContent, rdf.NewString("Toss feta with olives"))
+	gb.Add(salad, pCourse, rdf.IRI(ex+"Appetizer"))
+	gb.Add(salad, pMethod, rdf.IRI(ex+"Raw"))
+	gb.Add(salad, pCuisine, rdf.IRI(ex+"Greek"))
+	gb.Add(salad, pIngredient, rdf.IRI(ex+"Feta"))
+	gb.Add(salad, pIngredient, rdf.IRI(ex+"Olive"))
 
 	items := []rdf.IRI{cobbler, pie, salad}
+	g := gb.Freeze()
+	sch := schema.NewStore(g)
 	return g, sch, items
 }
 
@@ -207,15 +208,14 @@ func TestSimilarToCollection(t *testing.T) {
 func TestUnitCircleNumericEncoding(t *testing.T) {
 	// Paper §5.4: e-mails a day apart should share numeric similarity;
 	// e-mails far apart should not.
-	g := rdf.NewGraph()
-	sch := schema.NewStore(g)
+	gb := rdf.NewBuilder()
 	pSent := rdf.IRI(ex + "sent")
 	mk := func(id string, day time.Time) rdf.IRI {
 		it := rdf.IRI(ex + id)
-		g.Add(it, pType, rdf.IRI(ex+"Email"))
-		g.Add(it, pSent, rdf.NewTime(day))
+		gb.Add(it, pType, rdf.IRI(ex+"Email"))
+		gb.Add(it, pSent, rdf.NewTime(day))
 		// Distinct body words so only the date links them.
-		g.Add(it, pContent, rdf.NewString("unique"+id))
+		gb.Add(it, pContent, rdf.NewString("unique"+id))
 		return it
 	}
 	base := time.Date(2003, 7, 31, 0, 0, 0, 0, time.UTC)
@@ -223,6 +223,8 @@ func TestUnitCircleNumericEncoding(t *testing.T) {
 	b := mk("b", base.AddDate(0, 0, 1))
 	c := mk("c", base.AddDate(2, 0, 0))
 
+	g := gb.Freeze()
+	sch := schema.NewStore(g)
 	m := New(g, sch, Options{})
 	m.IndexAll([]rdf.IRI{a, b, c})
 
@@ -249,20 +251,21 @@ func TestRawNumericAblationSwamps(t *testing.T) {
 	// nearly identical. The unit-circle encoding keeps them dissimilar
 	// (θ = 0 vs θ = π/2 ⇒ dot ≈ 0).
 	build := func(opts Options) (simUnrelated float64) {
-		g := rdf.NewGraph()
-		sch := schema.NewStore(g)
+		gb := rdf.NewBuilder()
 		pArea := rdf.IRI(ex + "area")
-		sch.SetValueType(pArea, schema.Integer)
+		schema.SetValueType(gb, pArea, schema.Integer)
 		a := rdf.IRI(ex + "a")
 		b := rdf.IRI(ex + "b")
 		c := rdf.IRI(ex + "c")
-		g.Add(a, pContent, rdf.NewString("cardinal bird watching"))
-		g.Add(a, pArea, rdf.NewInteger(1))
-		g.Add(b, pContent, rdf.NewString("volcano geology survey"))
-		g.Add(b, pArea, rdf.NewInteger(5_000_000))
+		gb.Add(a, pContent, rdf.NewString("cardinal bird watching"))
+		gb.Add(a, pArea, rdf.NewInteger(1))
+		gb.Add(b, pContent, rdf.NewString("volcano geology survey"))
+		gb.Add(b, pArea, rdf.NewInteger(5_000_000))
 		// A third document keeps word idf positive.
-		g.Add(c, pContent, rdf.NewString("something else entirely"))
-		g.Add(c, pArea, rdf.NewInteger(2_500_000))
+		gb.Add(c, pContent, rdf.NewString("something else entirely"))
+		gb.Add(c, pArea, rdf.NewInteger(2_500_000))
+		g := gb.Freeze()
+		sch := schema.NewStore(g)
 		m := New(g, sch, opts)
 		m.IndexAll([]rdf.IRI{a, b, c})
 		return m.Similarity(a, b)
@@ -281,24 +284,28 @@ func TestCompositionAnnotation(t *testing.T) {
 	// §5.1: documents have authors; authors have fields of expertise. With
 	// the composition annotation, "the author's field of expertise" becomes
 	// a coordinate.
-	g := rdf.NewGraph()
-	sch := schema.NewStore(g)
+	gb := rdf.NewBuilder()
 	pAuthor := rdf.IRI(ex + "author")
 	pField := rdf.IRI(ex + "expertise")
 	doc := rdf.IRI(ex + "doc1")
 	alice := rdf.IRI(ex + "alice")
-	g.Add(doc, pAuthor, alice)
-	g.Add(alice, pField, rdf.IRI(ex+"IR"))
+	gb.Add(doc, pAuthor, alice)
+	gb.Add(alice, pField, rdf.IRI(ex+"IR"))
 
 	composed := Coord{Kind: CoordObject, Path: []rdf.IRI{pAuthor, pField}, Value: rdf.IRI(ex + "IR")}
 
+	g := gb.Freeze()
+	sch := schema.NewStore(g)
 	m := New(g, sch, Options{})
 	m.IndexAll([]rdf.IRI{doc})
 	if raw := m.Vectorize(doc); raw[composed.Key()] != 0 {
 		t.Error("composition should require an annotation")
 	}
 
-	sch.SetCompose(pAuthor)
+	schema.SetCompose(gb, pAuthor)
+	g = gb.Freeze()
+	sch = schema.NewStore(g)
+	m = New(g, sch, Options{})
 	m.IndexAll([]rdf.IRI{doc})
 	if raw := m.Vectorize(doc); raw[composed.Key()] == 0 {
 		t.Error("annotated composition missing from vector")
@@ -315,24 +322,26 @@ func TestCompositionAnnotation(t *testing.T) {
 func TestTreeShapedDeepComposition(t *testing.T) {
 	// §6.2: tree-shaped (XML) data licenses multi-step composition without
 	// per-property annotations.
-	g := rdf.NewGraph()
-	sch := schema.NewStore(g)
+	gb := rdf.NewBuilder()
 	p1, p2, p3 := rdf.IRI(ex+"sec"), rdf.IRI(ex+"para"), rdf.IRI(ex+"textOf")
 	a, b, c := rdf.IRI(ex+"art"), rdf.IRI(ex+"s1"), rdf.IRI(ex+"p1")
-	g.Add(a, p1, b)
-	g.Add(b, p2, c)
-	g.Add(c, p3, rdf.NewString("retrieval"))
+	gb.Add(a, p1, b)
+	gb.Add(b, p2, c)
+	gb.Add(c, p3, rdf.NewString("retrieval"))
 
 	deep := Coord{Kind: CoordWord, Path: []rdf.IRI{p1, p2, p3}, Word: "retriev"}
 
+	g := gb.Freeze()
+	sch := schema.NewStore(g)
 	m := New(g, sch, Options{})
 	m.IndexAll([]rdf.IRI{a})
 	if raw := m.Vectorize(a); raw[deep.Key()] != 0 {
 		t.Error("deep composition should not happen on general graphs")
 	}
 
-	sch.SetTreeShaped()
-	m = New(g, sch, Options{})
+	schema.SetTreeShaped(gb)
+	g = gb.Freeze()
+	m = New(g, schema.NewStore(g), Options{})
 	m.IndexAll([]rdf.IRI{a})
 	if raw := m.Vectorize(a); raw[deep.Key()] == 0 {
 		t.Error("tree-shaped dataset should follow multiple steps")
@@ -340,15 +349,16 @@ func TestTreeShapedDeepComposition(t *testing.T) {
 }
 
 func TestCyclicGraphTerminates(t *testing.T) {
-	g := rdf.NewGraph()
-	sch := schema.NewStore(g)
-	sch.SetTreeShaped() // lie: annotation says tree but graph has a cycle
+	gb := rdf.NewBuilder()
+	schema.SetTreeShaped(gb) // lie: annotation says tree but graph has a cycle
 	pNext := rdf.IRI(ex + "next")
 	a, b := rdf.IRI(ex+"a"), rdf.IRI(ex+"b")
-	g.Add(a, pNext, b)
-	g.Add(b, pNext, a)
-	g.Add(a, pContent, rdf.NewString("alpha"))
-	g.Add(b, pContent, rdf.NewString("beta"))
+	gb.Add(a, pNext, b)
+	gb.Add(b, pNext, a)
+	gb.Add(a, pContent, rdf.NewString("alpha"))
+	gb.Add(b, pContent, rdf.NewString("beta"))
+	g := gb.Freeze()
+	sch := schema.NewStore(g)
 
 	done := make(chan struct{})
 	go func() {
@@ -367,25 +377,26 @@ func TestRefinementCoords(t *testing.T) {
 	// Build 6 recipes: 4 Greek (2 with feta), 2 Mexican; refine the Greek
 	// subset — "feta" should rank as a refinement while "type=Recipe"
 	// (universal) must not appear.
-	g := rdf.NewGraph()
-	sch := schema.NewStore(g)
+	gb := rdf.NewBuilder()
 	var greek []rdf.IRI
 	var all []rdf.IRI
 	for i := 0; i < 6; i++ {
 		it := rdf.IRI(fmt.Sprintf("%sr%d", ex, i))
 		all = append(all, it)
-		g.Add(it, pType, clsRecipe)
+		gb.Add(it, pType, clsRecipe)
 		if i < 4 {
-			g.Add(it, pCuisine, rdf.IRI(ex+"Greek"))
+			gb.Add(it, pCuisine, rdf.IRI(ex+"Greek"))
 			greek = append(greek, it)
 		} else {
-			g.Add(it, pCuisine, rdf.IRI(ex+"Mexican"))
+			gb.Add(it, pCuisine, rdf.IRI(ex+"Mexican"))
 		}
 		if i < 2 {
-			g.Add(it, pIngredient, rdf.IRI(ex+"Feta"))
+			gb.Add(it, pIngredient, rdf.IRI(ex+"Feta"))
 		}
-		g.Add(it, pIngredient, rdf.IRI(fmt.Sprintf("%sunique%d", ex, i)))
+		gb.Add(it, pIngredient, rdf.IRI(fmt.Sprintf("%sunique%d", ex, i)))
 	}
+	g := gb.Freeze()
+	sch := schema.NewStore(g)
 	m := New(g, sch, Options{})
 	m.IndexAll(all)
 
@@ -419,19 +430,20 @@ func TestRefinementCoords(t *testing.T) {
 }
 
 func TestVectorizeBeyondIndexAllClampsRange(t *testing.T) {
-	g := rdf.NewGraph()
-	sch := schema.NewStore(g)
+	gb := rdf.NewBuilder()
 	pN := rdf.IRI(ex + "n")
 	a, b := rdf.IRI(ex+"a"), rdf.IRI(ex+"b")
-	g.Add(a, pN, rdf.NewInteger(0))
-	g.Add(b, pN, rdf.NewInteger(10))
-	m := New(g, sch, Options{})
-	m.IndexAll([]rdf.IRI{a, b})
-
+	gb.Add(a, pN, rdf.NewInteger(0))
+	gb.Add(b, pN, rdf.NewInteger(10))
 	// An item outside the indexed set, beyond the observed range: clamps
 	// to θ = π/2.
 	c := rdf.IRI(ex + "c")
-	g.Add(c, pN, rdf.NewInteger(1000))
+	gb.Add(c, pN, rdf.NewInteger(1000))
+	g := gb.Freeze()
+	sch := schema.NewStore(g)
+	m := New(g, sch, Options{})
+	m.IndexAll([]rdf.IRI{a, b})
+
 	vec := m.Vectorize(c)
 	sinKey := Coord{Kind: CoordNumeric, Path: []rdf.IRI{pN}, Axis: "sin"}.Key()
 	cosKey := Coord{Kind: CoordNumeric, Path: []rdf.IRI{pN}, Axis: "cos"}.Key()
@@ -503,8 +515,7 @@ func TestDebugVectorReadable(t *testing.T) {
 func TestQuickModelInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		g := rdf.NewGraph()
-		sch := schema.NewStore(g)
+		gb := rdf.NewBuilder()
 		var items []rdf.IRI
 		for i := 0; i < 6; i++ {
 			it := rdf.IRI(fmt.Sprintf("%si%d", ex, i))
@@ -513,14 +524,16 @@ func TestQuickModelInvariants(t *testing.T) {
 				p := rdf.IRI(fmt.Sprintf("%sp%d", ex, rng.Intn(3)))
 				switch rng.Intn(3) {
 				case 0:
-					g.Add(it, p, rdf.IRI(fmt.Sprintf("%sv%d", ex, rng.Intn(4))))
+					gb.Add(it, p, rdf.IRI(fmt.Sprintf("%sv%d", ex, rng.Intn(4))))
 				case 1:
-					g.Add(it, p, rdf.NewString(fmt.Sprintf("word%d text", rng.Intn(4))))
+					gb.Add(it, p, rdf.NewString(fmt.Sprintf("word%d text", rng.Intn(4))))
 				case 2:
-					g.Add(it, rdf.IRI(ex+"num"), rdf.NewInteger(int64(rng.Intn(100))))
+					gb.Add(it, rdf.IRI(ex+"num"), rdf.NewInteger(int64(rng.Intn(100))))
 				}
 			}
 		}
+		g := gb.Freeze()
+		sch := schema.NewStore(g)
 		m := New(g, sch, Options{})
 		m.IndexAll(items)
 		for _, it := range items {

@@ -11,16 +11,17 @@ import (
 )
 
 func corpusGraph(n int) (*rdf.Graph, *schema.Store, []rdf.IRI) {
-	g := rdf.NewGraph()
+	gb := rdf.NewBuilder()
 	var items []rdf.IRI
 	for i := 0; i < n; i++ {
 		it := rdf.IRI(fmt.Sprintf("http://example.org/doc/%03d", i))
 		items = append(items, it)
-		g.Add(it, rdf.Type, rdf.IRI("http://example.org/Doc"))
-		g.Add(it, rdf.DCTitle, rdf.NewString(fmt.Sprintf("title %d alpha beta", i%9)))
-		g.Add(it, rdf.IRI("http://example.org/group"), rdf.IRI(fmt.Sprintf("http://example.org/g/%d", i%5)))
-		g.Add(it, rdf.IRI("http://example.org/score"), rdf.NewInteger(int64(i%37)))
+		gb.Add(it, rdf.Type, rdf.IRI("http://example.org/Doc"))
+		gb.Add(it, rdf.DCTitle, rdf.NewString(fmt.Sprintf("title %d alpha beta", i%9)))
+		gb.Add(it, rdf.IRI("http://example.org/group"), rdf.IRI(fmt.Sprintf("http://example.org/g/%d", i%5)))
+		gb.Add(it, rdf.IRI("http://example.org/score"), rdf.NewInteger(int64(i%37)))
 	}
+	g := gb.Freeze()
 	return g, schema.NewStore(g), items
 }
 

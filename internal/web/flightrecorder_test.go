@@ -27,8 +27,8 @@ func TestFlightRecorderEndToEnd(t *testing.T) {
 	obs.Records.SetSlowThreshold(time.Nanosecond)
 	t.Cleanup(func() { obs.Records.SetSlowThreshold(old) })
 
-	g := recipes.Build(recipes.Config{Recipes: 200, Seed: 1})
-	m := core.Open(g, core.Options{})
+	gb := recipes.Build(recipes.Config{Recipes: 200, Seed: 1})
+	m := core.Open(gb, core.Options{})
 	t.Cleanup(m.Close)
 
 	// The magnet-server mux shape: app + recorder endpoints.

@@ -60,9 +60,9 @@ func (b *lockedBuffer) String() string {
 // overview must be served promptly: the panicking step must release the
 // server lock on its way out.
 func TestPanickingStepDoesNotWedgeServer(t *testing.T) {
-	g := recipes.Build(recipes.Config{Recipes: 200, Seed: 1})
+	gb := recipes.Build(recipes.Config{Recipes: 200, Seed: 1})
 	var runs atomic.Int32
-	m := core.Open(g, core.Options{Analysts: func(env *analysts.Env) []blackboard.Analyst {
+	m := core.Open(gb, core.Options{Analysts: func(env *analysts.Env) []blackboard.Analyst {
 		return append(analysts.DefaultSet(env), boomAnalyst{&runs})
 	}})
 	defer m.Close()

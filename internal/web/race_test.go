@@ -16,8 +16,8 @@ import (
 // session map ('guarded by mu') and everything a request touches downstream
 // (blackboard, history, index).
 func TestConcurrentRequests(t *testing.T) {
-	g := recipes.Build(recipes.Config{Recipes: 200, Seed: 1})
-	m := core.Open(g, core.Options{})
+	gb := recipes.Build(recipes.Config{Recipes: 200, Seed: 1})
+	m := core.Open(gb, core.Options{})
 	cl := newClient(t, m)
 
 	paths := []string{

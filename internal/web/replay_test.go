@@ -185,8 +185,8 @@ func quietServer(m *core.Magnet) *Server {
 // Under -race it catches session-concurrency races that single-request
 // tests are too small to hit.
 func TestReplaySessions(t *testing.T) {
-	g := recipes.Build(recipes.Config{Recipes: 400, Seed: 1})
-	m := core.Open(g, core.Options{})
+	gb := recipes.Build(recipes.Config{Recipes: 400, Seed: 1})
+	m := core.Open(gb, core.Options{})
 	defer m.Close()
 	start := time.Now()
 	clicks, err := replay(quietServer(m), 40, 8)
@@ -199,8 +199,8 @@ func TestReplaySessions(t *testing.T) {
 // TestReplayReportsFailures is the replay's negative control: a server
 // that fails one route must fail the replay.
 func TestReplayReportsFailures(t *testing.T) {
-	g := recipes.Build(recipes.Config{Recipes: 200, Seed: 1})
-	m := core.Open(g, core.Options{})
+	gb := recipes.Build(recipes.Config{Recipes: 200, Seed: 1})
+	m := core.Open(gb, core.Options{})
 	defer m.Close()
 	h := quietServer(m)
 	failing := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

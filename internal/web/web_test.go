@@ -64,8 +64,8 @@ func (cl *client) mustGet(path string, wants ...string) string {
 
 func recipeServer(t *testing.T) (*core.Magnet, *client) {
 	t.Helper()
-	g := recipes.Build(recipes.Config{Recipes: 400, Seed: 1})
-	m := core.Open(g, core.Options{})
+	gb := recipes.Build(recipes.Config{Recipes: 400, Seed: 1})
+	m := core.Open(gb, core.Options{})
 	return m, newClient(t, m)
 }
 
@@ -165,12 +165,12 @@ func TestRefineEndpointModesAndErrors(t *testing.T) {
 }
 
 func TestRangeWidgetFlow(t *testing.T) {
-	g, err := states.Build()
+	gb, err := states.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	states.Annotate(g)
-	m := core.Open(g, core.Options{IndexAllSubjects: true})
+	states.Annotate(gb)
+	m := core.Open(gb, core.Options{IndexAllSubjects: true})
 	cl := newClient(t, m)
 
 	body := cl.mustGet("/")
@@ -198,8 +198,8 @@ func TestBackAndHome(t *testing.T) {
 }
 
 func TestSessionsAreIndependent(t *testing.T) {
-	g := recipes.Build(recipes.Config{Recipes: 200, Seed: 1})
-	m := core.Open(g, core.Options{})
+	gb := recipes.Build(recipes.Config{Recipes: 200, Seed: 1})
+	m := core.Open(gb, core.Options{})
 	srv := httptest.NewServer(NewServer(m))
 	defer srv.Close()
 

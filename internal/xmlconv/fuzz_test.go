@@ -26,15 +26,15 @@ func FuzzConvert(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, input string) {
-		g := rdf.NewGraph()
-		root, err := Convert(g, strings.NewReader(input), Options{NS: "http://f/"})
+		gb := rdf.NewBuilder()
+		root, err := Convert(gb, strings.NewReader(input), Options{NS: "http://f/"})
 		if err != nil {
 			return
 		}
 		if root == "" {
 			t.Fatal("nil error but empty root")
 		}
-		if !g.HasSubject(root) {
+		if !gb.Freeze().HasSubject(root) {
 			t.Fatal("root has no triples")
 		}
 	})

@@ -43,7 +43,7 @@ type Options struct {
 // Convert parses one XML document from r into g, returning the root
 // element's resource. Element resources are numbered in document order, so
 // conversion is deterministic.
-func Convert(g *rdf.Graph, r io.Reader, opts Options) (rdf.IRI, error) {
+func Convert(g *rdf.Builder, r io.Reader, opts Options) (rdf.IRI, error) {
 	if opts.NS == "" {
 		return "", fmt.Errorf("xmlconv: Options.NS is required")
 	}
@@ -54,13 +54,13 @@ func Convert(g *rdf.Graph, r io.Reader, opts Options) (rdf.IRI, error) {
 		return "", err
 	}
 	if !opts.SkipTreeAnnotation {
-		schema.NewStore(g).SetTreeShaped()
+		schema.SetTreeShaped(g)
 	}
 	return root, nil
 }
 
 type converter struct {
-	g    *rdf.Graph
+	g    *rdf.Builder
 	opts Options
 	n    int
 }

@@ -12,15 +12,15 @@ const ns = "http://e/"
 
 func convert(t *testing.T, doc string, opts Options) (*rdf.Graph, rdf.IRI) {
 	t.Helper()
-	g := rdf.NewGraph()
+	gb := rdf.NewBuilder()
 	if opts.NS == "" {
 		opts.NS = ns
 	}
-	root, err := Convert(g, strings.NewReader(doc), opts)
+	root, err := Convert(gb, strings.NewReader(doc), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return g, root
+	return gb.Freeze(), root
 }
 
 func TestConvertBasicStructure(t *testing.T) {
@@ -100,14 +100,14 @@ func TestConvertDeterministicNodeIDs(t *testing.T) {
 
 func TestConvertErrors(t *testing.T) {
 	for _, doc := range []string{"", "   ", "<a><b></a>", "<a>"} {
-		g := rdf.NewGraph()
-		if _, err := Convert(g, strings.NewReader(doc), Options{NS: ns}); err == nil {
+		gb := rdf.NewBuilder()
+		if _, err := Convert(gb, strings.NewReader(doc), Options{NS: ns}); err == nil {
 			t.Errorf("expected error for %q", doc)
 		}
 	}
 	// Missing NS.
-	g := rdf.NewGraph()
-	if _, err := Convert(g, strings.NewReader("<a/>"), Options{}); err == nil {
+	gb := rdf.NewBuilder()
+	if _, err := Convert(gb, strings.NewReader("<a/>"), Options{}); err == nil {
 		t.Error("expected error for missing NS")
 	}
 }

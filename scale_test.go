@@ -20,11 +20,11 @@ func TestScaleFullCorpus(t *testing.T) {
 	}
 
 	start := time.Now()
-	g := recipes.Build(recipes.Config{Recipes: 6444, Seed: 1})
+	gb := recipes.Build(recipes.Config{Recipes: 6444, Seed: 1})
 	buildTime := time.Since(start)
 
 	start = time.Now()
-	m := core.Open(g, core.Options{})
+	m := core.Open(gb, core.Options{})
 	openTime := time.Since(start)
 
 	if n := len(m.Items()); n < 6444 {

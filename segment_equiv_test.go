@@ -1,13 +1,15 @@
-// Segment equivalence: the promise of internal/segment is that a Magnet
-// opened read-only from a compiled segment set is indistinguishable from
-// one built in memory — byte-identical rendered output, not merely similar.
-// These tests compile recipes and inbox sets into temp directories and
-// replay the magnet-eval scenarios against both backings.
+// Segment round trip: Open compiles a dataset into the columnar image in
+// memory, WriteSegments stores that image, and OpenSegments maps it back.
+// Both instances serve through the same read path, so the round trip must
+// give byte-equal columns and byte-identical renders of the magnet-eval
+// scenarios (figures 1, 2, 5 and 6), not merely similar ones. These tests
+// compile recipes and inbox sets into temp directories.
 package magnet_test
 
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -21,16 +23,17 @@ import (
 	"magnet/internal/render"
 )
 
-// openBoth builds the dataset in memory and compiles + reopens it as a
-// segment set, returning both Magnets. The segment set lives in a test
-// temp dir; both instances are closed with the test.
+// openBoth compiles the dataset in memory, writes it as a segment set and
+// reopens it, returning both Magnets after checking their columns are
+// byte-equal. The segment set lives in a test temp dir; both instances are
+// closed with the test.
 func openBoth(t *testing.T, spec dataload.Spec) (mem, seg *core.Magnet) {
 	t.Helper()
-	g, allSubjects, err := dataload.Load(spec)
+	gb, allSubjects, err := dataload.Load(spec)
 	if err != nil {
 		t.Fatalf("load %s: %v", spec.Dataset, err)
 	}
-	mem = core.Open(g, core.Options{IndexAllSubjects: allSubjects})
+	mem = core.Open(gb, core.Options{IndexAllSubjects: allSubjects})
 	t.Cleanup(mem.Close)
 
 	dir := t.TempDir()
@@ -49,7 +52,43 @@ func openBoth(t *testing.T, spec dataload.Spec) (mem, seg *core.Magnet) {
 	if err := seg.Segments().Verify(); err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
+	sameColumns(t, "graph", reflect.ValueOf(mem.Graph().Columns()), reflect.ValueOf(seg.Graph().Columns()))
+	sameColumns(t, "text", reflect.ValueOf(mem.TextIndex().Columns()), reflect.ValueOf(seg.TextIndex().Columns()))
+	sameColumns(t, "vectors", reflect.ValueOf(mem.Model().Store().Columns()), reflect.ValueOf(seg.Model().Store().Columns()))
+	if !reflect.DeepEqual(mem.Model().Ranges(), seg.Model().Ranges()) {
+		t.Errorf("numeric ranges differ: mem %v, seg %v", mem.Model().Ranges(), seg.Model().Ranges())
+	}
+	if !reflect.DeepEqual(mem.Items(), seg.Items()) {
+		t.Errorf("item universes differ: mem %d items, seg %d", mem.NumItems(), seg.NumItems())
+	}
 	return mem, seg
+}
+
+// sameColumns reports every column of two columnar images whose elements
+// differ; a nil and an empty column are equal.
+func sameColumns(t *testing.T, name string, a, b reflect.Value) {
+	t.Helper()
+	switch a.Kind() {
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			sameColumns(t, name+"."+a.Type().Field(i).Name, a.Field(i), b.Field(i))
+		}
+	case reflect.Slice:
+		if a.Len() != b.Len() {
+			t.Errorf("%s: %d elements in memory, %d from segments", name, a.Len(), b.Len())
+			return
+		}
+		for i := 0; i < a.Len(); i++ {
+			if !a.Index(i).Equal(b.Index(i)) {
+				t.Errorf("%s[%d] differs: %v in memory, %v from segments", name, i, a.Index(i), b.Index(i))
+				return
+			}
+		}
+	default:
+		if !a.Equal(b) {
+			t.Errorf("%s differs: %v in memory, %v from segments", name, a, b)
+		}
+	}
 }
 
 // renderScenario runs one navigation and renders everything the eval
