@@ -24,7 +24,6 @@ import (
 	"magnet/internal/itemset"
 	"magnet/internal/obs"
 	"magnet/internal/par"
-	"magnet/internal/plan"
 	"magnet/internal/query"
 	"magnet/internal/rdf"
 	"magnet/internal/schema"
@@ -82,13 +81,6 @@ type Options struct {
 	// per-request parallelism instead of oversubscribing. 0 means
 	// runtime.GOMAXPROCS(0); 1 runs the whole pipeline serially.
 	Parallelism int
-	// PlanCache sizes the navigation-delta cache behind the cost-based
-	// query planner (internal/plan): cached result sets keyed by the
-	// canonical query key. 0 means plan.DefaultCacheSize entries; a
-	// negative value disables planning and caching entirely, restoring the
-	// naive evaluation path (output is byte-identical either way — the
-	// planner only changes evaluation order and reuse).
-	PlanCache int
 }
 
 // Magnet is an instance of the navigation system over one repository.
@@ -105,10 +97,6 @@ type Magnet struct {
 	// pool is the instance's one concurrency budget (Options.Parallelism),
 	// shared by every session.
 	pool *par.Pool
-	// planner is the cost-based conjunction planner and navigation-delta
-	// cache every session step's query evaluation routes through; nil
-	// when Options.PlanCache is negative (the naive path).
-	planner *plan.Planner
 
 	// set is the backing segment set when the instance was opened with
 	// OpenSegments; nil for instances compiled in memory by Open.
@@ -216,21 +204,11 @@ func (m *Magnet) assemble(ctx context.Context, g *rdf.Graph, d *segment.Data) er
 	return nil
 }
 
-// buildEngine creates the query engine over the indexes, installs the
-// item universe on the dense-ID plane, and builds the planner.
+// buildEngine creates the query engine over the indexes and installs the
+// item universe on the dense-ID plane.
 func (m *Magnet) buildEngine() {
 	m.eng = query.NewEngine(m.g, m.sch, m.text, m.itemsSlice)
 	m.eng.SetUniverseIDs(func() itemset.Set { return m.itemIDs })
-	m.planner = plan.New(m.opts.PlanCache)
-}
-
-// evalQuery evaluates q through the planner when enabled, the plain
-// instrumented evaluation otherwise.
-func (m *Magnet) evalQuery(ctx context.Context, q query.Query) query.Set {
-	if m.planner != nil {
-		return m.planner.EvalContext(ctx, m.eng, q)
-	}
-	return m.eng.EvalContext(ctx, q)
 }
 
 // chooseItems selects the indexed information objects on the dense-ID
@@ -239,13 +217,14 @@ func (m *Magnet) evalQuery(ctx context.Context, q query.Query) query.Set {
 // subject-ID postings via one bitmap accumulator.
 func chooseItems(g *rdf.Graph, allSubjects bool) itemset.Set {
 	if !allSubjects {
-		b := itemset.NewBits(g.SubjectTable().Len())
+		n := g.SubjectTable().Len()
+		b := itemset.NewBits(n)
 		for _, t := range g.ObjectsOf(rdf.Type) {
 			cls, ok := t.(rdf.IRI)
 			if !ok {
 				continue
 			}
-			b.AddSet(g.SubjectIDSet(rdf.Type, cls))
+			b.AddSliceBelow(g.SubjectIDSet(rdf.Type, cls).Slice(), n)
 		}
 		if b.Count() > 0 {
 			return b.Extract()

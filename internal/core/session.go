@@ -163,7 +163,7 @@ func (s *Session) goTo(v blackboard.View) {
 
 func (s *Session) goToQuery(q query.Query) {
 	ctx, st := s.startStep("session.query")
-	set := s.m.evalQuery(ctx, q)
+	set := s.m.eng.EvalContext(ctx, q)
 	items := set.Items()
 	s.tracker.PushQuery(q)
 	s.goTo(blackboard.CollectionView(q, items, s.m.eng.Rebase(set)))
@@ -275,7 +275,7 @@ func (s *Session) Back() bool {
 	if !ok {
 		return false
 	}
-	set := s.m.evalQuery(s.ctx, q)
+	set := s.m.eng.EvalContext(s.ctx, q)
 	s.goTo(blackboard.CollectionView(q, set.Items(), s.m.eng.Rebase(set)))
 	return true
 }

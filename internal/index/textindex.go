@@ -58,9 +58,6 @@ type TextIndex struct {
 	surfs  *ids.Strings // best surface form, parallel to terms
 }
 
-// Analyzer returns the analyzer used to index and to parse queries.
-func (ix *TextIndex) Analyzer() *text.Analyzer { return ix.analyzer }
-
 // Columns returns the index's columnar image (what magnet-build writes).
 func (ix *TextIndex) Columns() TextColumns { return ix.c }
 
@@ -79,8 +76,7 @@ func (ix *TextIndex) DocFreq(term string) int {
 
 // TermDocFreq returns the number of documents containing one
 // already-analyzed (stemmed) term in any field — the raw-term counterpart
-// of DocFreq, for callers that hold stems rather than surface text
-// (TermMatch predicates, the plan package's cardinality estimator).
+// of DocFreq, for callers that hold stems rather than surface text.
 func (ix *TextIndex) TermDocFreq(term string) int {
 	ti, ok := ix.terms.Find(term)
 	if !ok {

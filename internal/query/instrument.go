@@ -126,10 +126,3 @@ func (e *Engine) evalNotWithin(ctx context.Context, n Not, acc Set) Set {
 	sp.End()
 	return out
 }
-
-// EvalPredContext evaluates one predicate on the instrumented path — the
-// per-kind pred.* counters and the span tree — for orchestrators outside
-// this package (the plan package's per-term evaluation).
-func (e *Engine) EvalPredContext(ctx context.Context, p Predicate) Set {
-	return e.evalPred(ctx, p)
-}

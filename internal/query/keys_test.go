@@ -67,3 +67,37 @@ func TestTimeBetweenEquivalence(t *testing.T) {
 		t.Error("TimeBetween should be sugar for Between on Unix seconds")
 	}
 }
+
+// KeysCache: Query.With/Without/Negate maintain the cached term keys, so
+// Key() after any edit chain equals a from-scratch rebuild — and the
+// cached path must not alias the source query's backing arrays.
+func TestKeysCacheMaintainedByEdits(t *testing.T) {
+	q := NewQuery(Property{pCuisine, greek})
+	q = q.With(Property{pIngredient, walnut})
+	q = q.With(Keyword{Text: "salad"})
+	check := func(label string, q Query) {
+		t.Helper()
+		if got, want := q.Key(), NewQuery(q.Terms...).Key(); got != want {
+			t.Errorf("%s: cached key %q, rebuilt %q", label, got, want)
+		}
+	}
+	check("with×3", q)
+
+	// A second value for the same property appends; re-adding an existing
+	// constraint is a no-op that must keep the cached keys intact.
+	dup := q.With(Property{pCuisine, mexican})
+	check("append same property", dup)
+	same := dup.With(Property{pCuisine, greek})
+	check("dedup no-op", same)
+	check("source after edits", q)
+
+	rm := q.Without(1)
+	check("without", rm)
+	neg := q.Negate(0)
+	check("negate", neg)
+	check("source after without/negate", q)
+
+	if got := NewQuery().Key(); got != "query:{}" {
+		t.Errorf("empty query key %q, want %q", got, "query:{}")
+	}
+}

@@ -187,11 +187,6 @@ func (e *Engine) SetUniverseIDs(f func() itemset.Set) {
 	e.universeIDs = f
 }
 
-// FromIDs wraps a dense-ID itemset from the engine's ID space as a Set
-// without copying — the exported counterpart of setFromIDs for layers
-// (the plan package) that orchestrate evaluation from outside.
-func (e *Engine) FromIDs(s itemset.Set) Set { return e.setFromIDs(s) }
-
 // Rebase expresses s on the engine's dense-ID plane, re-interning when s
 // came from a different interner (the engine-less NewSet path); sets
 // already in the engine's space pass through unchanged.
@@ -279,11 +274,12 @@ func (p PathProperty) Eval(e *Engine) Set {
 	if len(p.Path) == 0 {
 		return Set{}
 	}
+	n := e.g.SubjectTable().Len()
 	frontier := e.g.SubjectIDSet(p.Path[len(p.Path)-1], p.Value)
 	for i := len(p.Path) - 2; i >= 0; i-- {
-		b := itemset.NewBits(e.g.SubjectTable().Len())
+		b := itemset.NewBits(n)
 		frontier.ForEach(func(id uint32) bool {
-			b.AddSet(e.g.SubjectIDSet(p.Path[i], e.g.SubjectByID(id)))
+			b.AddSliceBelow(e.g.SubjectIDSet(p.Path[i], e.g.SubjectByID(id)).Slice(), n)
 			return true
 		})
 		frontier = b.Extract()
@@ -423,7 +419,8 @@ func TimeBetween(prop rdf.IRI, from, to time.Time) Range {
 // reverse-index probe per in-range value, never per item), unioning the
 // in-range posting lists through a bitmap.
 func (r Range) Eval(e *Engine) Set {
-	b := itemset.NewBits(e.g.SubjectTable().Len())
+	n := e.g.SubjectTable().Len()
+	b := itemset.NewBits(n)
 	e.g.ForEachValuePosting(r.Prop, func(v rdf.Term, subjects itemset.Set) bool {
 		lit, ok := v.(rdf.Literal)
 		if !ok {
@@ -439,7 +436,7 @@ func (r Range) Eval(e *Engine) Set {
 		if r.Max != nil && f > *r.Max {
 			return true
 		}
-		b.AddSet(subjects)
+		b.AddSliceBelow(subjects.Slice(), n)
 		return true
 	})
 	return e.setFromIDs(b.Extract())
@@ -709,15 +706,9 @@ func (q Query) Describe(l Labeler) []string {
 
 // Key canonically identifies the query (term order is irrelevant for
 // conjunctions).
-func (q Query) Key() string { return KeyForTermKeys(q.TermKeys()) }
-
-// KeyForTermKeys builds the canonical query key — identical to
-// Query.Key() — from per-term Key() strings, without re-deriving them
-// from predicates. The plan package probes delta-cache parents with it
-// (the query minus one term). The input slice is not modified.
-func KeyForTermKeys(keys []string) string {
-	parts := make([]string, len(keys))
-	copy(parts, keys)
+func (q Query) Key() string {
+	parts := make([]string, len(q.Terms))
+	copy(parts, q.TermKeys())
 	sort.Strings(parts)
 	return "query:{" + strings.Join(parts, ",") + "}"
 }

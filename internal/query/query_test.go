@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"magnet/internal/index"
+	"magnet/internal/itemset"
 	"magnet/internal/rdf"
 	"magnet/internal/schema"
 )
@@ -142,6 +143,27 @@ func TestNotPredicate(t *testing.T) {
 	want := []rdf.IRI{iri("r1"), iri("r3"), iri("r5")}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("NOT walnut = %v", got)
+	}
+}
+
+// A Not after the first conjunct subtracts from the running result
+// instead of complementing the universe; it must still clip to the
+// universe, so the lazy form equals the eager intersection with Not.Eval
+// even when earlier conjuncts match items outside it.
+func TestLazyNotClipsToUniverse(t *testing.T) {
+	e, items := fixture()
+	e.SetUniverseIDs(func() itemset.Set { return e.NewSet(items[:3]...).IDs() })
+	p, n := Property{pServings, rdf.NewInteger(4)}, Not{Property{pIngredient, walnut}}
+	want := p.Eval(e).Intersect(n.Eval(e)).Items()
+	if len(want) == 0 || len(p.Eval(e).Items()) == len(want) {
+		t.Fatalf("fixture: %v checks no clipping", want)
+	}
+	and := And{[]Predicate{p, n}}
+	if got := and.Eval(e).Items(); !reflect.DeepEqual(got, want) {
+		t.Errorf("And.Eval = %v, want %v", got, want)
+	}
+	if got := e.Evaluate(NewQuery(p, n)); !reflect.DeepEqual(got, want) {
+		t.Errorf("EvalContext = %v, want %v", got, want)
 	}
 }
 

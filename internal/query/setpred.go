@@ -25,9 +25,10 @@ type AnyValueIn struct {
 // Eval implements Predicate via one reverse-index probe per value; the
 // posting lists are unioned through a bitmap.
 func (p AnyValueIn) Eval(e *Engine) Set {
-	b := itemset.NewBits(e.g.SubjectTable().Len())
+	n := e.g.SubjectTable().Len()
+	b := itemset.NewBits(n)
 	for _, v := range p.Values {
-		b.AddSet(e.g.SubjectIDSet(p.Prop, v))
+		b.AddSliceBelow(e.g.SubjectIDSet(p.Prop, v).Slice(), n)
 	}
 	return e.setFromIDs(b.Extract())
 }

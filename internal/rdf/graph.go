@@ -217,18 +217,6 @@ func (g *Graph) Objects(s, p IRI) []Term {
 	return out
 }
 
-// ForEachObject calls f for every object of triples (s, p, ·), in key
-// order, until f returns false, without materializing the slice Objects
-// allocates — for per-item probes such as the query engine's
-// candidate-first Range checks.
-func (g *Graph) ForEachObject(s, p IRI, f func(Term) bool) {
-	for _, t := range g.objectIDs(s, p) {
-		if term := g.term(t); term != nil && !f(term) {
-			return
-		}
-	}
-}
-
 // Object returns one object of (s, p, ·) — the least by key — and whether
 // any exists. Useful for functional properties such as labels.
 func (g *Graph) Object(s, p IRI) (Term, bool) {

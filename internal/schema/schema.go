@@ -15,7 +15,6 @@ package schema
 import (
 	"sync"
 
-	"magnet/internal/itemset"
 	"magnet/internal/rdf"
 )
 
@@ -92,14 +91,13 @@ func (vt ValueType) Numeric() bool {
 const datasetNode = rdf.IRI(rdf.NSMagnet + "dataset")
 
 // Store reads schema annotations from a frozen graph. Value-type
-// inference and numeric spans are memoized, since each scans a property's
-// value domain; the graph never changes, so neither memo goes stale.
+// inference is memoized, since it scans a property's value domain; the
+// graph never changes, so the memo never goes stale.
 type Store struct {
 	g *rdf.Graph
 
 	mu       sync.Mutex
-	inferred map[rdf.IRI]ValueType   // guarded by mu
-	spans    map[rdf.IRI]NumericSpan // guarded by mu
+	inferred map[rdf.IRI]ValueType // guarded by mu
 }
 
 // NewStore returns an annotation store over g.
@@ -107,7 +105,6 @@ func NewStore(g *rdf.Graph) *Store {
 	return &Store{
 		g:        g,
 		inferred: make(map[rdf.IRI]ValueType),
-		spans:    make(map[rdf.IRI]NumericSpan),
 	}
 }
 
@@ -326,60 +323,6 @@ func (s *Store) TreeShaped() bool {
 	}
 	b, _ := l.Bool()
 	return b
-}
-
-// NumericSpan summarizes a property's numeric value domain for cost
-// estimation: the [Min, Max] span of parseable numeric literal values and
-// the total posting mass (summed posting-list length over those values —
-// the number of item/value pairs a range over the whole span would
-// touch). The zero span (Postings == 0) means the property has no numeric
-// values.
-type NumericSpan struct {
-	Min, Max float64
-	Postings int
-}
-
-// NumericSpan returns p's numeric-domain summary, computed by one
-// value-domain walk and memoized like value type inference (the walk is
-// O(distinct values), too costly to repeat per query-planning step).
-func (s *Store) NumericSpan(p rdf.IRI) NumericSpan {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if sp, ok := s.spans[p]; ok {
-		return sp
-	}
-	sp := s.computeSpanLocked(p)
-	s.spans[p] = sp
-	return sp
-}
-
-func (s *Store) computeSpanLocked(p rdf.IRI) NumericSpan {
-	var sp NumericSpan
-	first := true
-	s.g.ForEachValuePosting(p, func(o rdf.Term, subjects itemset.Set) bool {
-		lit, ok := o.(rdf.Literal)
-		if !ok {
-			return true
-		}
-		f, ok := lit.Float()
-		if !ok {
-			return true
-		}
-		if first {
-			sp.Min, sp.Max = f, f
-			first = false
-		} else {
-			if f < sp.Min {
-				sp.Min = f
-			}
-			if f > sp.Max {
-				sp.Max = f
-			}
-		}
-		sp.Postings += subjects.Len()
-		return true
-	})
-	return sp
 }
 
 // NumericProperties returns every property whose effective value type is

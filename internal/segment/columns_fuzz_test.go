@@ -146,7 +146,6 @@ func readGraph(g *rdf.Graph) {
 			}
 			g.Object(s, p)
 			g.ObjectCount(s, p)
-			g.ForEachObject(s, p, func(rdf.Term) bool { return true })
 		}
 	}
 }

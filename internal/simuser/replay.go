@@ -9,9 +9,8 @@ import (
 
 // Replay drives the study's simulated users against an externally provided
 // core.Magnet instance — the serving-side counterpart of Study, which owns
-// its corpus and systems. The plan-cache hit-rate test in internal/core
-// replays its sessions concurrently against one shared instance; the
-// benchmark of record, clickbench, replays the same tasks over HTTP.
+// its corpus and systems. The benchmark of record, clickbench, replays the
+// same tasks over HTTP.
 //
 // A Replay is safe for concurrent use: the study environment is read-only
 // after preparation, each Session call creates its own core.Session and
