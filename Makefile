@@ -24,7 +24,8 @@ vet:
 # invariants (locking discipline, float equality, error wrapping,
 # map-iteration determinism, context-first signatures) plus the
 # interprocedural passes (hot-path allocation freedom, publish-then-freeze
-# immutability, cross-call lock requirements). Findings are filtered
+# immutability, cross-call lock requirements, no function without a
+# non-test use). Findings are filtered
 # through the committed baseline; anything new — or any stale baseline
 # entry — exits non-zero.
 magnet-vet:
@@ -63,7 +64,7 @@ fuzz:
 # concurrent first reads of freshly frozen stores (lazy key strings, term
 # table and row cache).
 race-par:
-	$(GO) test -race -run 'Pool|Submit|Batch|Panic|Cancel|Nested|Parallel|Equiv|Determinism|Merge|ByAdvisor|Centroid|ConcurrentReaders' \
+	$(GO) test -race -run 'Pool|Batch|Panic|Cancel|Nested|Parallel|Equiv|Determinism|Merge|ByAdvisor|Centroid|ConcurrentReaders' \
 		./internal/par/ ./internal/blackboard/ ./internal/facets/ ./internal/index/ ./internal/vsm/ ./internal/rdf/
 
 # Observability gate: the flight-recorder and exposition goldens (ring

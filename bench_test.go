@@ -10,6 +10,7 @@
 package magnet_test
 
 import (
+	"context"
 	"io"
 	"sync"
 	"testing"
@@ -25,6 +26,7 @@ import (
 	"magnet/internal/facets"
 	"magnet/internal/index"
 	"magnet/internal/inexeval"
+	"magnet/internal/itemset"
 	"magnet/internal/qlang"
 	"magnet/internal/query"
 	"magnet/internal/rdf"
@@ -63,6 +65,21 @@ func recipeMagnet() *core.Magnet {
 		recipeM = core.Open(gb, core.Options{})
 	})
 	return recipeM
+}
+
+// engineOf builds a query engine equal to m's own: the same graph, schema,
+// text index and item universe its sessions evaluate steps with.
+func engineOf(m *core.Magnet) *query.Engine {
+	e := query.NewEngine(m.Graph(), m.Schema(), m.TextIndex(), m.Items)
+	items := m.Graph().SubjectIDsOf(m.Items())
+	e.SetUniverseIDs(func() itemset.Set { return items })
+	return e
+}
+
+// evaluate runs q through e's instrumented path and returns the sorted
+// items.
+func evaluate(e *query.Engine, q query.Query) []rdf.IRI {
+	return e.EvalContext(context.Background(), q).Items()
 }
 
 func inboxMagnet() *core.Magnet {
@@ -180,6 +197,7 @@ func BenchmarkFig4Vectorize(b *testing.B) {
 func BenchmarkFig5RangeQuery(b *testing.B) {
 	m := inboxMagnet()
 	s := m.NewSession()
+	e := engineOf(m)
 	b.ResetTimer()
 	var matched int
 	for i := 0; i < b.N; i++ {
@@ -188,7 +206,8 @@ func BenchmarkFig5RangeQuery(b *testing.B) {
 			b.Fatal("no histogram")
 		}
 		span := h.Max - h.Min
-		set := query.Between(inbox.PropSent, h.Min+span/3, h.Min+2*span/3).Eval(m.Engine())
+		lo, hi := h.Min+span/3, h.Min+2*span/3
+		set := query.Range{Prop: inbox.PropSent, Min: &lo, Max: &hi}.Eval(e)
 		matched = set.Len()
 	}
 	b.ReportMetric(float64(matched), "matched")
@@ -220,11 +239,11 @@ func BenchmarkFig6InboxPane(b *testing.B) {
 // BenchmarkFig7CardinalStates (E6): the unannotated 50-states word
 // refinement — find and apply the 'cardinal' term constraint.
 func BenchmarkFig7CardinalStates(b *testing.B) {
-	m := statesMagnet()
+	e := engineOf(statesMagnet())
 	b.ResetTimer()
 	var cardinal int
 	for i := 0; i < b.N; i++ {
-		set := query.TermMatch{Term: "cardin", Field: string(states.PropBird)}.Eval(m.Engine())
+		set := query.TermMatch{Term: "cardin", Field: string(states.PropBird)}.Eval(e)
 		cardinal = set.Len()
 	}
 	if cardinal != 7 {
@@ -355,7 +374,7 @@ func BenchmarkSimilarToItem(b *testing.B) {
 // term extraction (§5.3) over a ~100-recipe collection.
 func BenchmarkCentroidRefinement(b *testing.B) {
 	m := recipeMagnet()
-	coll := m.Engine().Evaluate(query.NewQuery(
+	coll := evaluate(engineOf(m), query.NewQuery(
 		query.Property{Prop: recipes.PropCuisine, Value: recipes.Cuisine("Greek")}))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -366,11 +385,11 @@ func BenchmarkCentroidRefinement(b *testing.B) {
 
 // BenchmarkQueryConjunction (P4): three-constraint conjunctive evaluation.
 func BenchmarkQueryConjunction(b *testing.B) {
-	m := recipeMagnet()
+	e := engineOf(recipeMagnet())
 	q := greekParsleyQuery()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Engine().Evaluate(q)
+		evaluate(e, q)
 	}
 }
 
@@ -388,11 +407,11 @@ func BenchmarkQueryEval(b *testing.B) {
 		query.Not{P: query.Property{Prop: recipes.PropIngredient, Value: recipes.Ingredient("Walnuts")}},
 		query.AtLeast(recipes.PropServings, 4),
 	)
-	e := m.Engine()
+	e := engineOf(m)
 	b.ResetTimer()
 	var matched int
 	for i := 0; i < b.N; i++ {
-		matched = len(e.Evaluate(q))
+		matched = len(evaluate(e, q))
 	}
 	b.ReportMetric(float64(matched), "matched")
 }
@@ -519,7 +538,7 @@ func BenchmarkAblationTreeComposition(b *testing.B) {
 // like type=Recipe dominate).
 func BenchmarkAblationRefinementWeighting(b *testing.B) {
 	m := recipeMagnet()
-	coll := m.Engine().Evaluate(query.NewQuery(
+	coll := evaluate(engineOf(m), query.NewQuery(
 		query.Property{Prop: recipes.PropCuisine, Value: recipes.Cuisine("Greek")}))
 	b.Run("tfidf", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

@@ -3,8 +3,8 @@
 // discipline — per-package and across calls, float comparison rules in
 // scoring code, error wrapping, deterministic map-iteration output, context
 // placement, dense-ID set discipline, hot-path allocation freedom,
-// publish-then-freeze immutability) with file:line diagnostics and a
-// CI-friendly exit code.
+// publish-then-freeze immutability, no dead functions) with file:line
+// diagnostics and a CI-friendly exit code.
 //
 // Usage:
 //

@@ -19,12 +19,12 @@
 //	internal/vsm        the semistructured vector space model (§5)
 //	internal/query      the query engine (§4.2)
 //	internal/blackboard analysts/advisors blackboard (§4.3)
-//	internal/analysts   the paper's analyst set (§4.1)
+//	internal/analysts   the paper's analyst set (§4.1) and the §6.3
+//	                    Flamenco-like baseline set
 //	internal/advisors   navigation pane assembly
 //	internal/facets     faceted summaries and range histograms
 //	internal/history    visit log, transitions, refinement trail
 //	internal/core       the Magnet facade and Session
-//	internal/baseline   the Flamenco-like study control
 //	internal/render     text rendering of the interface
 //	internal/web        the interface as a web application
 //	internal/qlang      structured query surface language

@@ -135,14 +135,3 @@ func (p Pane) AllSuggestions() []blackboard.Suggestion {
 	}
 	return out
 }
-
-// Find returns the first visible suggestion whose title matches, and
-// whether one was found.
-func (p Pane) Find(title string) (blackboard.Suggestion, bool) {
-	for _, s := range p.AllSuggestions() {
-		if s.Title == title {
-			return s, true
-		}
-	}
-	return blackboard.Suggestion{}, false
-}

@@ -366,6 +366,7 @@ func All() []*Analyzer {
 		HotAlloc(),
 		Frozen(),
 		LockFlow(),
+		DeadCode("internal/"),
 	}
 }
 
@@ -373,5 +374,5 @@ func All() []*Analyzer {
 // mode magnet-vet uses on an explicit directory (e.g. a fixture package),
 // where all invariants should apply regardless of location.
 func Unscoped() []*Analyzer {
-	return []*Analyzer{LockedField(), FloatEq(), ErrWrap(), MapIter(), CtxFirst(), DenseKeys(), ObsHygiene(), GoHygiene(), HotAlloc(), Frozen(), LockFlow()}
+	return []*Analyzer{LockedField(), FloatEq(), ErrWrap(), MapIter(), CtxFirst(), DenseKeys(), ObsHygiene(), GoHygiene(), HotAlloc(), Frozen(), LockFlow(), DeadCode()}
 }

@@ -93,6 +93,7 @@ func TestGoHygiene(t *testing.T)   { runFixture(t, GoHygiene(), "gohygiene") }
 func TestHotAlloc(t *testing.T)    { runFixture(t, HotAlloc(), "hotalloc") }
 func TestFrozen(t *testing.T)      { runFixture(t, Frozen(), "frozen") }
 func TestLockFlow(t *testing.T)    { runFixture(t, LockFlow(), "lockflow") }
+func TestDeadCode(t *testing.T)    { runFixture(t, DeadCode(), "deadcode") }
 
 // TestUnusedIgnore runs floateq over a fixture whose directives are a mix
 // of used, stale, and undecidable: only the stale ones are findings.

@@ -32,7 +32,11 @@ type FuncNode struct {
 // Name returns a compact human-readable name: "pkg.Func" or
 // "pkg.(*T).Method" shapes reduced to "pkg.T.Method".
 func (n *FuncNode) Name() string {
-	fn := n.Fn
+	return funcName(n.Fn)
+}
+
+// funcName renders fn as "pkg.Func" or "pkg.T.Method".
+func funcName(fn *types.Func) string {
 	name := fn.Name()
 	if recv := recvTypeName(fn); recv != "" {
 		name = recv + "." + name
@@ -80,11 +84,6 @@ type CallGraph struct {
 	// list holds the declared (Decl != nil) nodes in deterministic order:
 	// package load order, then file order, then declaration order.
 	list []*FuncNode
-}
-
-// Node returns the graph node for fn, or nil if fn was never seen.
-func (g *CallGraph) Node(fn *types.Func) *FuncNode {
-	return g.nodes[fn]
 }
 
 // Funcs returns every declared function in deterministic order.
@@ -220,12 +219,6 @@ func (g *CallGraph) ReachableFrom(seeds []*FuncNode) *Reach {
 		}
 	}
 	return r
-}
-
-// Has reports whether n was reached.
-func (r *Reach) Has(n *FuncNode) bool {
-	_, ok := r.parent[n]
-	return ok
 }
 
 // Nodes returns the reached nodes in discovery order.

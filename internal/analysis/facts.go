@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/types"
-	"sort"
 )
 
 // Facts is the cross-package fact store of the interprocedural engine: a
@@ -44,19 +43,6 @@ func (f *Facts) Get(obj types.Object, name string) (any, bool) {
 func (f *Facts) Has(obj types.Object, name string) bool {
 	_, ok := f.m[obj][name]
 	return ok
-}
-
-// Objects returns every object carrying the named fact, sorted by position
-// for deterministic iteration.
-func (f *Facts) Objects(name string) []types.Object {
-	var out []types.Object
-	for obj, facts := range f.m {
-		if _, ok := facts[name]; ok {
-			out = append(out, obj)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Pos() < out[j].Pos() })
-	return out
 }
 
 // Propagate runs step over every declared function in the call graph until

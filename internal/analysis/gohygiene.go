@@ -32,7 +32,7 @@ func GoHygiene(scope ...string) *Analyzer {
 			}
 			ast.Inspect(f, func(n ast.Node) bool {
 				if g, ok := n.(*ast.GoStmt); ok {
-					pass.Reportf(g.Pos(), "bare go statement: fan out through the internal/par pool (Submit/ForN/Map) so concurrency stays bounded and panic-safe")
+					pass.Reportf(g.Pos(), "bare go statement: fan out through the internal/par pool (ForN/Map) so concurrency stays bounded and panic-safe")
 				}
 				return true
 			})

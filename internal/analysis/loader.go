@@ -34,11 +34,6 @@ type Package struct {
 	Info *types.Info
 }
 
-// Filename returns the file name a node position belongs to.
-func (p *Package) Filename(pos token.Pos) string {
-	return p.Fset.Position(pos).Filename
-}
-
 // Loader parses and type-checks packages using only the standard library:
 // module-local imports are resolved by walking the module tree recursively,
 // everything else is type-checked from GOROOT source via go/importer's

@@ -1,0 +1,9 @@
+package deadcode
+
+import "testing"
+
+func TestTestedOnly(t *testing.T) {
+	if TestedOnly() != 1 {
+		t.Fatal("TestedOnly() != 1")
+	}
+}

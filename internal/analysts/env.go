@@ -59,11 +59,17 @@ func DefaultSet(env *Env) []blackboard.Analyst {
 	}
 }
 
-// BaselineSet returns the Flamenco-like baseline configuration used as the
-// user study's control (§6.3): "navigation advisors suggesting refinements
-// roughly the same as those in the Flamenco system", including text terms
-// and negation via context menu, but no similarity, contrary, or visit
-// advisors.
+// BaselineSet returns the user study's control system (§6.3): "a baseline
+// system consisting of navigation advisors suggesting refinements roughly
+// the same as those in the Flamenco system. The baseline system also
+// included terms from the text of the documents and allowed users to
+// negate the terms by right clicking on them."
+//
+// Concretely, the baseline keeps faceted refinement (property values and
+// text terms), range widgets, keyword search and history — and drops the
+// advisors unique to Magnet: similarity by content, shared properties,
+// similarity by visit, and contrary constraints. Manual negation stays
+// available (it is a query operation, not an advisor).
 func BaselineSet(env *Env) []blackboard.Analyst {
 	return []blackboard.Analyst{
 		NewRefinement(env, 40),

@@ -43,12 +43,11 @@ func oracleComposedCount(env *analysts.Env, pp query.PathProperty, items []rdf.I
 		members[it] = true
 	}
 	n := 0
-	pp.Eval(env.Engine).ForEach(func(it rdf.IRI) bool {
+	for _, it := range pp.Eval(env.Engine).Items() {
 		if members[it] {
 			n++
 		}
-		return true
-	})
+	}
 	return n
 }
 
@@ -151,7 +150,7 @@ func sampleViews(t *testing.T, m *core.Magnet, rounds int) []blackboard.View {
 // model ranked.
 func checkViews(t *testing.T, m *core.Magnet, views []blackboard.View) (composed, hidden int) {
 	t.Helper()
-	env := &analysts.Env{Graph: m.Graph(), Schema: m.Schema(), Model: m.Model(), Engine: m.Engine(), Text: m.TextIndex()}
+	env := &analysts.Env{Graph: m.Graph(), Schema: m.Schema(), Model: m.Model(), Engine: query.NewEngine(m.Graph(), m.Schema(), m.TextIndex(), m.Items), Text: m.TextIndex()}
 	for i, v := range views {
 		if !reflect.DeepEqual(v.IDs, m.Graph().SubjectIDsOf(v.Collection)) {
 			t.Fatalf("view %d (%s): IDs do not hold the collection's members", i, v.Key())

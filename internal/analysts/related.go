@@ -32,7 +32,7 @@ func (*SharedProperty) Triggered(v blackboard.View) bool { return v.IsItem() }
 // Suggest implements blackboard.Analyst.
 func (s *SharedProperty) Suggest(v blackboard.View, b *blackboard.Board) {
 	g := s.env.Graph
-	total := len(g.AllSubjects())
+	total := g.AllSubjectIDs().Len()
 	posted := 0
 	for _, p := range g.PredicatesOf(v.Item) {
 		if s.env.Schema.Hidden(p) {

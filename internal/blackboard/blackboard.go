@@ -370,69 +370,34 @@ func newAnalystInstrument(name string) analystInstrument {
 	}
 }
 
-// Registry holds the configured analysts and runs them over views.
+// Registry holds the configured analysts and runs them over views. It is
+// fixed at construction, so concurrent runs share it without a lock.
 type Registry struct {
-	mu sync.RWMutex
-	// analysts is the registered advisor list; guarded by mu.
 	analysts []Analyst
-	// instruments holds per-analyst metric handles, parallel to analysts;
-	// guarded by mu.
+	// instruments holds per-analyst metric handles, parallel to analysts.
 	instruments []analystInstrument
-	// pool bounds analyst fan-out; nil runs every wave serially. Guarded
-	// by mu.
+	// pool bounds analyst fan-out; nil runs every wave serially.
 	pool *par.Pool
 }
 
-// NewRegistry returns a registry with the given analysts.
-func NewRegistry(analysts ...Analyst) *Registry {
-	r := &Registry{}
-	r.Register(analysts...)
-	return r
-}
-
-// Register appends analysts (an "easily extensible manner to allow schema
-// experts to support new search activities", §4.1).
-func (r *Registry) Register(analysts ...Analyst) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.analysts = append(r.analysts, analysts...)
+// NewRegistry returns a registry running analysts (the "easily extensible
+// manner to allow schema experts to support new search activities", §4.1)
+// with waves fanned out on pool. A nil pool runs every wave serially;
+// either way the board output is identical — parallel waves post to
+// private boards merged in registration order.
+func NewRegistry(pool *par.Pool, analysts ...Analyst) *Registry {
+	r := &Registry{analysts: analysts, pool: pool}
 	for _, a := range analysts {
 		r.instruments = append(r.instruments, newAnalystInstrument(a.Name()))
 	}
+	return r
 }
 
-// SetPool sets the worker pool analyst waves fan out on. A nil pool (the
-// default) runs every wave serially; either way the board output is
-// identical — parallel waves post to private boards merged in
-// registration order.
-func (r *Registry) SetPool(p *par.Pool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.pool = p
-}
-
-// Names returns the registered analyst names, in registration order.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, len(r.analysts))
-	for i, a := range r.analysts {
-		out[i] = a.Name()
-	}
-	return out
-}
-
-// Run triggers all matching analysts over the view, then gives reactors one
-// round over the posted results, and returns the filled board.
-func (r *Registry) Run(v View) *Board {
-	return r.RunContext(context.Background(), v)
-}
-
-// RunContext is Run with per-stage observability: every triggered analyst
-// is timed (metrics always; an analyst.<name> span when ctx carries a
-// trace) with its accepted-suggestion count recorded, and the primary and
-// reactor rounds are counted separately (the §4.3 "triggered by results
-// from other analysts" round).
+// RunContext runs the analysts over v with per-stage observability: every
+// triggered analyst is timed (metrics always; an analyst.<name> span when
+// ctx carries a trace) with its accepted-suggestion count recorded, and
+// the primary and reactor rounds are counted separately (the §4.3
+// "triggered by results from other analysts" round).
 //
 // When the registry has a pool, the primary round and the reactor round
 // each run as one parallel wave: every analyst posts to a private board
@@ -440,35 +405,27 @@ func (r *Registry) Run(v View) *Board {
 // board — suggestion order, dedup outcomes, per-analyst accepted counts —
 // is byte-identical to a serial run.
 func (r *Registry) RunContext(ctx context.Context, v View) *Board {
-	r.mu.RLock()
-	analysts := make([]Analyst, len(r.analysts))
-	copy(analysts, r.analysts)
-	instruments := make([]analystInstrument, len(r.instruments))
-	copy(instruments, r.instruments)
-	pool := r.pool
-	r.mu.RUnlock()
-
 	ctx, sp := obs.StartSpan(ctx, "blackboard.run")
 	start := time.Now()
 	b := NewBoard()
 	var triggered []int
-	for i, a := range analysts {
+	for i, a := range r.analysts {
 		if a.Triggered(v) {
 			triggered = append(triggered, i)
 		}
 	}
-	runWave(ctx, pool, "analyst.", v, nil, analysts, instruments, triggered, b)
+	r.runWave(ctx, "analyst.", v, nil, triggered, b)
 	primaryRounds.Inc()
 	if len(triggered) > 0 {
 		var reactors []int
 		for _, i := range triggered {
-			if _, ok := analysts[i].(Reactor); ok {
+			if _, ok := r.analysts[i].(Reactor); ok {
 				reactors = append(reactors, i)
 			}
 		}
 		if len(reactors) > 0 {
 			posted := b.Suggestions()
-			runWave(ctx, pool, "react.", v, posted, analysts, instruments, reactors, b)
+			r.runWave(ctx, "react.", v, posted, reactors, b)
 			reactorRounds.Inc()
 		}
 	}
@@ -492,15 +449,15 @@ func (r *Registry) RunContext(ctx context.Context, v View) *Board {
 // panic propagates as *par.PanicError, preserving the serial contract
 // that a broken analyst fails the whole run; on context cancellation the
 // wave merges what completed and returns.
-func runWave(ctx context.Context, pool *par.Pool, spanPrefix string, v View, posted []Suggestion, analysts []Analyst, instruments []analystInstrument, idx []int, dst *Board) {
+func (r *Registry) runWave(ctx context.Context, spanPrefix string, v View, posted []Suggestion, idx []int, dst *Board) {
 	if len(idx) == 0 {
 		return
 	}
 	boards := make([]*Board, len(idx))
 	spans := make([]*obs.Span, len(idx))
-	err := par.ForN(ctx, pool, len(idx), func(k int) {
+	err := par.ForN(ctx, r.pool, len(idx), func(k int) {
 		i := idx[k]
-		a := analysts[i]
+		a := r.analysts[i]
 		_, asp := obs.StartSpan(ctx, spanPrefix+a.Name())
 		priv := NewBoard()
 		start := time.Now()
@@ -509,8 +466,8 @@ func runWave(ctx context.Context, pool *par.Pool, spanPrefix string, v View, pos
 		} else {
 			a.(Reactor).React(v, posted, priv)
 		}
-		instruments[i].runs.Inc()
-		instruments[i].ns.ObserveSince(start)
+		r.instruments[i].runs.Inc()
+		r.instruments[i].ns.ObserveSince(start)
 		asp.End()
 		boards[k] = priv
 		spans[k] = asp
@@ -521,7 +478,7 @@ func runWave(ctx context.Context, pool *par.Pool, spanPrefix string, v View, pos
 		}
 		accepted := dst.Merge(priv)
 		if accepted > 0 {
-			instruments[idx[k]].suggestions.Add(uint64(accepted))
+			r.instruments[idx[k]].suggestions.Add(uint64(accepted))
 		}
 		spans[k].SetInt("suggestions", accepted)
 	}

@@ -1,6 +1,7 @@
 package blackboard
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sync"
@@ -89,33 +90,30 @@ func (r stubReactor) React(v View, posted []Suggestion, b *Board) {
 
 func TestRegistryTriggering(t *testing.T) {
 	itemCount, collCount := 0, 0
-	r := NewRegistry(
+	r := NewRegistry(nil,
 		stubAnalyst{name: "itemAnalyst", wantItem: true, suggested: &itemCount},
 		stubAnalyst{name: "collAnalyst", wantItem: false, suggested: &collCount},
 	)
-	b := r.Run(ItemView(rdf.IRI(ex + "x")))
+	b := r.RunContext(context.Background(), ItemView(rdf.IRI(ex+"x")))
 	if itemCount != 1 || collCount != 0 {
 		t.Errorf("item view triggered item=%d coll=%d", itemCount, collCount)
 	}
 	if len(b.Suggestions()) != 1 {
 		t.Errorf("suggestions = %v", b.Suggestions())
 	}
-	r.Run(CollectionView(query.NewQuery(), []rdf.IRI{}, itemset.Set{}))
+	r.RunContext(context.Background(), CollectionView(query.NewQuery(), []rdf.IRI{}, itemset.Set{}))
 	if collCount != 1 {
 		t.Errorf("collection analyst not triggered")
-	}
-	if got := r.Names(); !reflect.DeepEqual(got, []string{"itemAnalyst", "collAnalyst"}) {
-		t.Errorf("Names = %v", got)
 	}
 }
 
 func TestReactorRunsAfterPrimaryRound(t *testing.T) {
 	n1, n2, reacted := 0, 0, 0
-	r := NewRegistry(
+	r := NewRegistry(nil,
 		stubReactor{stubAnalyst{name: "reactor", wantItem: true, suggested: &n1}, &reacted},
 		stubAnalyst{name: "plain", wantItem: true, suggested: &n2},
 	)
-	b := r.Run(ItemView(rdf.IRI(ex + "x")))
+	b := r.RunContext(context.Background(), ItemView(rdf.IRI(ex+"x")))
 	// Reactor saw both primary postings (its own + plain's).
 	if reacted != 2 {
 		t.Errorf("reactor saw %d postings, want 2", reacted)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"magnet/internal/par"
@@ -92,8 +93,7 @@ func buildAnalysts() []Analyst {
 }
 
 func runOnce(pool *par.Pool) *Board {
-	r := NewRegistry(buildAnalysts()...)
-	r.SetPool(pool)
+	r := NewRegistry(pool, buildAnalysts()...)
 	return r.RunContext(context.Background(), ItemView(rdf.IRI("urn:item:1")))
 }
 
@@ -127,6 +127,31 @@ func TestSerialParallelDeterminism(t *testing.T) {
 			t.Fatalf("round %d: parallel board differs from serial:\n got %+v\nwant %+v", round, got, serial)
 		}
 	}
+}
+
+// TestRegistryConcurrentRuns shares one registry between goroutines, the
+// way concurrent steps may: it is fixed at construction and holds no lock,
+// so every run must still produce the serial board.
+func TestRegistryConcurrentRuns(t *testing.T) {
+	serial := runOnce(nil).Suggestions()
+	pool := par.New(4)
+	defer pool.Close()
+	r := NewRegistry(pool, buildAnalysts()...)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				got := r.RunContext(context.Background(), ItemView(rdf.IRI("urn:item:1"))).Suggestions()
+				if !reflect.DeepEqual(got, serial) {
+					t.Errorf("concurrent run differs from serial:\n got %+v\nwant %+v", got, serial)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestByAdvisorMemoized checks the grouping is consistent before and
@@ -189,18 +214,17 @@ func TestMergeDedup(t *testing.T) {
 // *par.PanicError panic at every width.
 func TestAnalystPanicPropagates(t *testing.T) {
 	for _, pool := range []*par.Pool{nil, par.New(4)} {
-		r := NewRegistry(
+		r := NewRegistry(pool,
 			&slowAnalyst{name: "ok", posts: []Suggestion{{Advisor: "A", Title: "t"}}},
 			&panicAnalyst{},
 		)
-		r.SetPool(pool)
 		func() {
 			defer func() {
 				if _, ok := recover().(*par.PanicError); !ok {
 					t.Errorf("width %d: expected *par.PanicError panic", pool.Width())
 				}
 			}()
-			r.Run(ItemView(rdf.IRI("urn:item:1")))
+			r.RunContext(context.Background(), ItemView(rdf.IRI("urn:item:1")))
 		}()
 		pool.Close()
 	}

@@ -103,7 +103,7 @@ func (s *Session) ApplyCompound(mode blackboard.RefineMode) error {
 // America, or to get recipes having all (using and) their ingredients found
 // in North America". target is the query the value set constrains
 // (typically the one the user came from); prop is the connecting property.
-func (s *Session) ApplyValueSet(target query.Query, prop rdf.IRI, values []rdf.IRI, all bool, name string) {
+func (s *Session) ApplyValueSet(target query.Query, prop rdf.IRI, values []rdf.IRI, all bool, name string) { //magnet-vet:ignore deadcode // §3.3 apply-a-value-set, a library feature no binary serves
 	var p query.Predicate
 	if all {
 		p = query.AllValuesIn{Prop: prop, Values: values, Name: name}

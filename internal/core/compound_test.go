@@ -155,7 +155,7 @@ func TestApplyValueSet(t *testing.T) {
 		}
 	}
 	// Constraint describes itself with the collection name.
-	descs := s.Query().Describe(m.Labeler())
+	descs := s.Current().Query.Describe(m.Labeler())
 	joined := ""
 	for _, d := range descs {
 		joined += d + "\n"

@@ -73,7 +73,7 @@ func TestRefineFixedViewFilterExcludeExpand(t *testing.T) {
 func TestAccessors(t *testing.T) {
 	gb := recipes.Build(recipes.Config{Recipes: 60, Seed: 1})
 	m := core.Open(gb, core.Options{})
-	if m.Schema() == nil || m.Engine() == nil || m.Graph() == nil ||
+	if m.Schema() == nil || m.Graph() == nil ||
 		m.Model() == nil || m.TextIndex() == nil {
 		t.Fatal("nil accessor")
 	}
@@ -82,17 +82,12 @@ func TestAccessors(t *testing.T) {
 		t.Error("empty label")
 	}
 	s := m.NewSession()
-	if s.History() == nil {
-		t.Error("nil history")
-	}
 	s.Search("soup")
 	s.GoHome()
-	if !s.Query().IsEmpty() {
+	if !s.Current().Query.IsEmpty() {
 		t.Error("GoHome should clear the query")
 	}
-	// ApplySuggestion wraps Apply.
-	sg := blackboard.Suggestion{Action: blackboard.GoToItem{Item: item}}
-	if err := s.ApplySuggestion(sg); err != nil || s.Current().Item != item {
-		t.Errorf("ApplySuggestion: %v", err)
+	if err := s.Apply(blackboard.GoToItem{Item: item}); err != nil || s.Current().Item != item {
+		t.Errorf("Apply(GoToItem): %v", err)
 	}
 }

@@ -233,9 +233,6 @@ func chooseItems(g *rdf.Graph, allSubjects bool) itemset.Set {
 	return g.AllSubjectIDs()
 }
 
-// Pool returns the instance's shared worker pool.
-func (m *Magnet) Pool() *par.Pool { return m.pool }
-
 // Close releases the instance's worker pool and, for segment-backed
 // instances, unmaps the segment files. Sessions keep working after Close —
 // every parallel seam degrades to its serial path — but segment-backed
@@ -255,9 +252,6 @@ func (m *Magnet) Schema() *schema.Store { return m.sch }
 
 // Model returns the vector space model.
 func (m *Magnet) Model() *vsm.Model { return m.model }
-
-// Engine returns the query engine.
-func (m *Magnet) Engine() *query.Engine { return m.eng }
 
 // TextIndex returns the external text index.
 func (m *Magnet) TextIndex() *index.TextIndex { return m.text }

@@ -32,7 +32,7 @@ type RankOptions struct {
 // query's text constraints. For queries without text constraints the items
 // are returned in their stable order (with the length prior still applied
 // when requested).
-func (s *Session) RankedItems(opts RankOptions) []rdf.IRI {
+func (s *Session) RankedItems(opts RankOptions) []rdf.IRI { //magnet-vet:ignore deadcode // §6.2 reordering (DESIGN.md E15), a library feature no binary serves
 	items := s.Items()
 	if len(items) < 2 {
 		return items

@@ -108,8 +108,7 @@ func (m *Magnet) NewSession() *Session {
 	if build == nil {
 		build = analysts.DefaultSet
 	}
-	s.registry = blackboard.NewRegistry(build(env)...)
-	s.registry.SetPool(m.pool)
+	s.registry = blackboard.NewRegistry(m.pool, build(env)...)
 	s.goToQuery(query.NewQuery())
 	return s
 }
@@ -122,9 +121,6 @@ func (s *Session) lookupView(key string) (blackboard.View, bool) {
 // Current returns the current view.
 func (s *Session) Current() blackboard.View { return s.current }
 
-// Query returns the current query (empty for item and fixed views).
-func (s *Session) Query() query.Query { return s.current.Query }
-
 // Items returns the items of the current view: the collection, or the
 // single item as a one-element slice.
 func (s *Session) Items() []rdf.IRI {
@@ -135,9 +131,6 @@ func (s *Session) Items() []rdf.IRI {
 	copy(out, s.current.Collection)
 	return out
 }
-
-// History returns the session's tracker (read access for advisors/tests).
-func (s *Session) History() *history.Tracker { return s.tracker }
 
 // SetContext sets the ambient context for subsequent session steps; pass a
 // context from obs.StartTrace to capture a span tree for one navigation
@@ -150,9 +143,6 @@ func (s *Session) SetContext(ctx context.Context) {
 	}
 	s.ctx = ctx
 }
-
-// Context returns the session's ambient context.
-func (s *Session) Context() context.Context { return s.ctx }
 
 func (s *Session) goTo(v blackboard.View) {
 	s.current = v
@@ -304,11 +294,6 @@ func (s *Session) Apply(a blackboard.Action) error {
 		return fmt.Errorf("%w: unknown action %T", ErrNoAction, a)
 	}
 	return nil
-}
-
-// ApplySuggestion is a convenience wrapper for Apply on a suggestion.
-func (s *Session) ApplySuggestion(sg blackboard.Suggestion) error {
-	return s.Apply(sg.Action)
 }
 
 // Board runs the analysts over the current view and returns the raw

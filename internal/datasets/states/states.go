@@ -34,12 +34,6 @@ var (
 	PropAdmitted = csvrdf.Prop(NS, "admitted")
 )
 
-// State returns the row resource for a state name.
-func State(name string) rdf.IRI { return csvrdf.Row(NS, name) }
-
-// CSV returns the dataset in its original comma-separated form.
-func CSV() string { return csvData }
-
 // Build imports the CSV into a fresh graph builder, exactly "as given": plain
 // strings, no labels, no types (the Figure 7 configuration). The error
 // path only fires if the embedded CSV constant is edited into invalidity.

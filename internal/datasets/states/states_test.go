@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"magnet/internal/datasets/csvrdf"
 	"magnet/internal/rdf"
 	"magnet/internal/schema"
 )
@@ -15,7 +16,7 @@ func TestFiftyStates(t *testing.T) {
 	}
 	g := b.Freeze()
 	rows := 0
-	for _, s := range g.AllSubjects() {
+	for _, s := range g.SubjectsFromIDs(g.AllSubjectIDs().Slice()) {
 		if strings.Contains(string(s), "row/") {
 			rows++
 		}
@@ -38,9 +39,9 @@ func TestSevenCardinalStates(t *testing.T) {
 		t.Fatalf("cardinal states = %d, want 7: %v", len(cardinals), cardinals)
 	}
 	want := map[rdf.IRI]bool{
-		State("Illinois"): true, State("Indiana"): true, State("Kentucky"): true,
-		State("North Carolina"): true, State("Ohio"): true, State("Virginia"): true,
-		State("West Virginia"): true,
+		csvrdf.Row(NS, "Illinois"): true, csvrdf.Row(NS, "Indiana"): true, csvrdf.Row(NS, "Kentucky"): true,
+		csvrdf.Row(NS, "North Carolina"): true, csvrdf.Row(NS, "Ohio"): true, csvrdf.Row(NS, "Virginia"): true,
+		csvrdf.Row(NS, "West Virginia"): true,
 	}
 	for _, s := range cardinals {
 		if !want[s] {
@@ -80,7 +81,7 @@ func TestAnnotateEnablesFigure8(t *testing.T) {
 		t.Errorf("annotated area type = %v, want Integer", vt)
 	}
 	// Area values parse as numbers even though stored as strings.
-	o, _ := g.Object(State("Alaska"), PropArea)
+	o, _ := g.Object(csvrdf.Row(NS, "Alaska"), PropArea)
 	f, ok := o.(rdf.Literal).Float()
 	if !ok || f != 665384 {
 		t.Errorf("Alaska area = %v", o)
@@ -95,7 +96,7 @@ func TestAlaskaIsAreaOutlier(t *testing.T) {
 	g := b.Freeze()
 	var maxState rdf.IRI
 	var maxArea float64
-	for _, s := range g.AllSubjects() {
+	for _, s := range g.SubjectsFromIDs(g.AllSubjectIDs().Slice()) {
 		o, ok := g.Object(s, PropArea)
 		if !ok {
 			continue
@@ -104,16 +105,16 @@ func TestAlaskaIsAreaOutlier(t *testing.T) {
 			maxArea, maxState = f, s
 		}
 	}
-	if maxState != State("Alaska") {
+	if maxState != csvrdf.Row(NS, "Alaska") {
 		t.Errorf("largest state = %s", maxState)
 	}
 }
 
 func TestCSVRoundTrip(t *testing.T) {
-	if !strings.HasPrefix(CSV(), "state,capital,bird,flower,area,admitted") {
+	if !strings.HasPrefix(csvData, "state,capital,bird,flower,area,admitted") {
 		t.Error("CSV header changed")
 	}
-	if n := strings.Count(CSV(), "\n"); n != 51 {
+	if n := strings.Count(csvData, "\n"); n != 51 {
 		t.Errorf("CSV lines = %d, want 51 (header + 50)", n)
 	}
 }

@@ -89,17 +89,6 @@ type Options struct {
 	Pool *par.Pool
 }
 
-// Summarize computes facets for every navigation property occurring in the
-// collection. Facets are ordered: preferred (annotated) facets first, then
-// by descending Score, ties alphabetical.
-//
-// Aggregation runs on the graph's dense-ID plane: the collection becomes one
-// sorted itemset, and each property's per-value histogram is a sequence of
-// posting-list intersections — no per-item hashing, no per-value maps.
-func Summarize(g *rdf.Graph, sch *schema.Store, items []rdf.IRI, opts Options) []Facet {
-	return summarize(context.Background(), g, sch, g.SubjectIDsOf(items), opts)
-}
-
 func summarize(ctx context.Context, g *rdf.Graph, sch *schema.Store, coll itemset.Set, opts Options) []Facet {
 	start := time.Now()
 	// Every intersection result is a subset of coll, so coll's max ID bounds
@@ -238,10 +227,15 @@ func countCoverage(members, seen []uint32, epoch uint32) int {
 	return n
 }
 
-// SummarizeContext is Summarize over a collection already on the ID plane
-// (a view's IDs), with tracing: when ctx carries a trace (obs.StartTrace)
-// the aggregation appears as a facets.summarize span annotated with
-// collection size and facet count.
+// SummarizeContext computes facets for every navigation property occurring
+// in the collection (a view's IDs). Facets are ordered: preferred
+// (annotated) facets first, then by descending Score, ties alphabetical.
+//
+// Aggregation runs on the graph's dense-ID plane: each property's
+// per-value histogram is a sequence of posting-list intersections — no
+// per-item hashing, no per-value maps. When ctx carries a trace
+// (obs.StartTrace) the aggregation appears as a facets.summarize span
+// annotated with collection size and facet count.
 func SummarizeContext(ctx context.Context, g *rdf.Graph, sch *schema.Store, coll itemset.Set, opts Options) []Facet {
 	ctx, sp := obs.StartSpan(ctx, "facets.summarize")
 	facets := summarize(ctx, g, sch, coll, opts)

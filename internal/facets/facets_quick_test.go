@@ -35,7 +35,7 @@ func TestQuickSummarizeInvariants(t *testing.T) {
 		}
 		g := gb.Freeze()
 		sch := schema.NewStore(g)
-		for _, f := range Summarize(g, sch, items, Options{IncludeUnshared: true}) {
+		for _, f := range summarizeItems(g, sch, items, Options{IncludeUnshared: true}) {
 			if f.Coverage > len(items) || f.Coverage == 0 {
 				return false
 			}
@@ -69,8 +69,8 @@ func TestQuickSummarizeTruncationStable(t *testing.T) {
 		}
 		g := gb.Freeze()
 		sch := schema.NewStore(g)
-		full := Summarize(g, sch, items, Options{IncludeUnshared: true})
-		trunc := Summarize(g, sch, items, Options{IncludeUnshared: true, MaxValues: 2})
+		full := summarizeItems(g, sch, items, Options{IncludeUnshared: true})
+		trunc := summarizeItems(g, sch, items, Options{IncludeUnshared: true, MaxValues: 2})
 		if len(full) != len(trunc) {
 			return false
 		}

@@ -1,6 +1,7 @@
 package facets
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -16,6 +17,11 @@ var (
 	pTitle      = rdf.DCTitle
 	pArea       = rdf.IRI(ex + "area")
 )
+
+// summarizeItems summarizes a collection given as IRIs.
+func summarizeItems(g *rdf.Graph, sch *schema.Store, items []rdf.IRI, opts Options) []Facet {
+	return SummarizeContext(context.Background(), g, sch, g.SubjectIDsOf(items), opts)
+}
 
 func fixture() (*rdf.Graph, *schema.Store, []rdf.IRI) { return fixtureWith(nil) }
 
@@ -61,7 +67,7 @@ func findFacet(fs []Facet, p rdf.IRI) *Facet {
 
 func TestSummarizeCountsAndCoverage(t *testing.T) {
 	g, sch, items := fixture()
-	fs := Summarize(g, sch, items, Options{})
+	fs := summarizeItems(g, sch, items, Options{})
 	cu := findFacet(fs, pCuisine)
 	if cu == nil {
 		t.Fatal("cuisine facet missing")
@@ -80,11 +86,11 @@ func TestSummarizeCountsAndCoverage(t *testing.T) {
 
 func TestSummarizeSkipsAllDistinctProperties(t *testing.T) {
 	g, sch, items := fixture()
-	fs := Summarize(g, sch, items, Options{})
+	fs := summarizeItems(g, sch, items, Options{})
 	if findFacet(fs, pTitle) != nil {
 		t.Error("title values are all distinct; facet should be skipped")
 	}
-	fs = Summarize(g, sch, items, Options{IncludeUnshared: true})
+	fs = summarizeItems(g, sch, items, Options{IncludeUnshared: true})
 	if findFacet(fs, pTitle) == nil {
 		t.Error("IncludeUnshared should keep title")
 	}
@@ -92,7 +98,7 @@ func TestSummarizeSkipsAllDistinctProperties(t *testing.T) {
 
 func TestSummarizeByCountOrder(t *testing.T) {
 	g, sch, items := fixture()
-	fs := Summarize(g, sch, items, Options{ByCount: true})
+	fs := summarizeItems(g, sch, items, Options{ByCount: true})
 	cu := findFacet(fs, pCuisine)
 	if cu.Values[0].Count < cu.Values[1].Count {
 		t.Errorf("ByCount order broken: %+v", cu.Values)
@@ -101,7 +107,7 @@ func TestSummarizeByCountOrder(t *testing.T) {
 
 func TestSummarizeMaxValuesAndMinCount(t *testing.T) {
 	g, sch, items := fixture()
-	fs := Summarize(g, sch, items, Options{MaxValues: 1})
+	fs := summarizeItems(g, sch, items, Options{MaxValues: 1})
 	ing := findFacet(fs, pIngredient)
 	if ing == nil {
 		t.Fatal("ingredient facet missing")
@@ -113,7 +119,7 @@ func TestSummarizeMaxValuesAndMinCount(t *testing.T) {
 		t.Errorf("Distinct should keep full count, got %d", ing.Distinct)
 	}
 
-	fs = Summarize(g, sch, items, Options{MinCount: 2})
+	fs = summarizeItems(g, sch, items, Options{MinCount: 2})
 	ing = findFacet(fs, pIngredient)
 	for _, v := range ing.Values {
 		if v.Count < 2 {
@@ -124,7 +130,7 @@ func TestSummarizeMaxValuesAndMinCount(t *testing.T) {
 
 func TestSummarizeHidesAnnotatedHidden(t *testing.T) {
 	g, sch, items := fixtureWith(func(b *rdf.Builder) { schema.SetHidden(b, pCuisine) })
-	fs := Summarize(g, sch, items, Options{})
+	fs := summarizeItems(g, sch, items, Options{})
 	if findFacet(fs, pCuisine) != nil {
 		t.Error("hidden property produced a facet")
 	}
@@ -133,7 +139,7 @@ func TestSummarizeHidesAnnotatedHidden(t *testing.T) {
 func TestSummarizePreferredFirst(t *testing.T) {
 	// All-distinct, but preferred keeps it and ranks it first.
 	g, sch, items := fixtureWith(func(b *rdf.Builder) { schema.SetFacet(b, pArea) })
-	fs := Summarize(g, sch, items, Options{})
+	fs := summarizeItems(g, sch, items, Options{})
 	if len(fs) == 0 || fs[0].Prop != pArea {
 		t.Errorf("preferred facet not first: %v", fs)
 	}
@@ -144,13 +150,13 @@ func TestSummarizePreferredFirst(t *testing.T) {
 
 func TestFacetLabeledFlag(t *testing.T) {
 	g, sch, items := fixture()
-	fs := Summarize(g, sch, items, Options{})
+	fs := summarizeItems(g, sch, items, Options{})
 	cu := findFacet(fs, pCuisine)
 	if cu.Labeled {
 		t.Error("unannotated property should report Labeled=false (Figure 7)")
 	}
 	g, sch, items = fixtureWith(func(b *rdf.Builder) { schema.SetLabel(b, pCuisine, "Cuisine") })
-	fs = Summarize(g, sch, items, Options{})
+	fs = summarizeItems(g, sch, items, Options{})
 	cu = findFacet(fs, pCuisine)
 	if !cu.Labeled || cu.Label != "Cuisine" {
 		t.Errorf("labeled facet = %+v", cu)

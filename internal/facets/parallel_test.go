@@ -52,7 +52,7 @@ func TestSummarizeSerialParallelEquivalence(t *testing.T) {
 		{MaxValues: 3},
 	}
 	for si, base := range shapes {
-		serial := Summarize(g, sch, items, base)
+		serial := summarizeItems(g, sch, items, base)
 		if len(serial) == 0 {
 			t.Fatalf("shape %d: empty serial table", si)
 		}
@@ -60,7 +60,7 @@ func TestSummarizeSerialParallelEquivalence(t *testing.T) {
 			pool := par.New(width)
 			opts := base
 			opts.Pool = pool
-			got := Summarize(g, sch, items, opts)
+			got := summarizeItems(g, sch, items, opts)
 			pool.Close()
 			if !reflect.DeepEqual(got, serial) {
 				t.Fatalf("shape %d width %d: facet tables differ\n got %+v\nwant %+v", si, width, got, serial)
@@ -84,8 +84,8 @@ func TestSummarizeParallelSmallCollections(t *testing.T) {
 		items,
 	}
 	for ci, coll := range cases {
-		serial := Summarize(g, sch, coll, Options{ByCount: true})
-		got := Summarize(g, sch, coll, Options{ByCount: true, Pool: pool})
+		serial := summarizeItems(g, sch, coll, Options{ByCount: true})
+		got := summarizeItems(g, sch, coll, Options{ByCount: true, Pool: pool})
 		if !reflect.DeepEqual(got, serial) {
 			t.Fatalf("case %d: differ\n got %+v\nwant %+v", ci, got, serial)
 		}

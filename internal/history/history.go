@@ -57,16 +57,6 @@ func (t *Tracker) RecordVisit(key string) {
 	t.visits = append(t.visits, key)
 }
 
-// Current returns the most recently visited key ("" when empty).
-func (t *Tracker) Current() string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.visits) == 0 {
-		return ""
-	}
-	return t.visits[len(t.visits)-1]
-}
-
 // Recent returns up to n distinct previously seen keys, most recent first,
 // excluding the current view (the History advisor's "Previous" list).
 func (t *Tracker) Recent(n int) []string {
@@ -153,11 +143,4 @@ func (t *Tracker) Back() (query.Query, bool) {
 	}
 	t.trail = t.trail[:len(t.trail)-1]
 	return t.trail[len(t.trail)-1], true
-}
-
-// Len returns the number of recorded visits.
-func (t *Tracker) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.visits)
 }

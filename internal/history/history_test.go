@@ -12,13 +12,20 @@ import (
 
 const ex = "http://example.org/"
 
+// visitCount reads the number of recorded visits under the tracker's lock.
+func visitCount(tr *Tracker) int {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	return len(tr.visits)
+}
+
 func TestRecordVisitAndRecent(t *testing.T) {
 	tr := NewTracker()
 	for _, k := range []string{"a", "b", "c", "b", "d"} {
 		tr.RecordVisit(k)
 	}
-	if tr.Current() != "d" {
-		t.Errorf("Current = %q", tr.Current())
+	if cur := tr.visits[len(tr.visits)-1]; cur != "d" {
+		t.Errorf("current = %q", cur)
 	}
 	// Most recent first, distinct, excluding current.
 	got := tr.Recent(10)
@@ -39,15 +46,15 @@ func TestConsecutiveDuplicatesCollapse(t *testing.T) {
 	tr.RecordVisit("a")
 	tr.RecordVisit("a")
 	tr.RecordVisit("a")
-	if tr.Len() != 1 {
-		t.Errorf("Len = %d, want 1", tr.Len())
+	if visitCount(tr) != 1 {
+		t.Errorf("Len = %d, want 1", visitCount(tr))
 	}
 	// No self transition recorded.
 	if got := tr.FollowedFrom("a", 5); got != nil {
 		t.Errorf("self transitions = %v", got)
 	}
 	tr.RecordVisit("")
-	if tr.Len() != 1 {
+	if visitCount(tr) != 1 {
 		t.Error("empty key should be ignored")
 	}
 }
@@ -124,7 +131,7 @@ func TestTrackerConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if tr.Len() == 0 {
+	if visitCount(tr) == 0 {
 		t.Error("no visits recorded")
 	}
 }

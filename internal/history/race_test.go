@@ -24,17 +24,16 @@ func TestConcurrentTracker(t *testing.T) {
 				key := fmt.Sprintf("item-%d-%d", w, i%10)
 				tr.RecordVisit(key)
 				tr.PushQuery(query.Query{})
-				_ = tr.Current()
 				_ = tr.Recent(5)
 				_ = tr.FollowedFrom(key, 3)
 				_ = tr.Trail()
 				_, _ = tr.Back()
-				_ = tr.Len()
+				_ = visitCount(tr)
 			}
 		}(w)
 	}
 	wg.Wait()
-	if tr.Len() == 0 {
+	if visitCount(tr) == 0 {
 		t.Error("no visits recorded")
 	}
 }

@@ -109,19 +109,6 @@ func (in *Interner[K]) Key(id uint32) K {
 	return in.keys[id]
 }
 
-// AppendKeys rehydrates every ID in order, appending the keys to dst under
-// one lock acquisition (the bulk form render boundaries use).
-func (in *Interner[K]) AppendKeys(dst []K, ids []uint32) []K {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	for _, id := range ids {
-		if int(id) < len(in.keys) {
-			dst = append(dst, in.keys[id])
-		}
-	}
-	return dst
-}
-
 // Len returns the number of interned keys; valid IDs are [0, Len).
 func (in *Interner[K]) Len() int {
 	in.mu.RLock()

@@ -38,7 +38,11 @@ func TestAppendKeys(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		in.Intern(fmt.Sprintf("k%d", i))
 	}
-	got := in.AppendKeys([]string{"pre"}, []uint32{3, 0, 4, 100})
+	tab, err := FromColumns[string](in.Columns())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := tab.AppendKeys([]string{"pre"}, []uint32{3, 0, 4, 100})
 	want := []string{"pre", "k3", "k0", "k4"} // unknown IDs skipped
 	if len(got) != len(want) {
 		t.Fatalf("AppendKeys = %v, want %v", got, want)
@@ -50,7 +54,7 @@ func TestAppendKeys(t *testing.T) {
 	}
 }
 
-// TestConcurrentIntern races interning against Lookup/Key/AppendKeys/Len
+// TestConcurrentIntern races interning against Lookup/Key/Len
 // from many goroutines; run under -race this verifies the locking protocol.
 func TestConcurrentIntern(t *testing.T) {
 	in := NewInterner[string]()
@@ -77,7 +81,6 @@ func TestConcurrentIntern(t *testing.T) {
 					t.Errorf("Key(%d) = %q, want %q", id, in.Key(id), k)
 					return
 				}
-				_ = in.AppendKeys(nil, ids[w][:min(len(ids[w]), 10)])
 				_ = in.Len()
 			}
 		}(w)

@@ -158,15 +158,6 @@ func insertDF(dns []uint32, dn uint32) []uint32 {
 	return dns
 }
 
-// Freeze compiles the builder into a frozen TextIndex.
-func (ix *TextBuilder) Freeze() *TextIndex {
-	r, err := FromTextColumns(ix.analyzer, ix.Columns())
-	if err != nil {
-		panic("index: compiled text columns rejected: " + err.Error())
-	}
-	return r
-}
-
 // sortedKeys returns the sorted keys of a string set.
 func sortedKeys(set map[string]bool) []string {
 	out := make([]string, 0, len(set))

@@ -94,7 +94,7 @@ func refCentroid(v *VectorStore, ids []string) map[string]float64 {
 // top k under (score desc, ID asc).
 func refSimilarTo(v *VectorStore, query map[string]float64, k int, exclude map[string]bool) []Scored {
 	var out []Scored
-	for _, id := range v.IDs() {
+	for _, id := range v.docIDs() {
 		if exclude[id] {
 			continue
 		}
@@ -175,7 +175,7 @@ func TestVectorKernelEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids := mem.IDs()
+	ids := mem.docIDs()
 	rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
 	probes := ids[:8]
 	for _, backing := range []struct {
@@ -214,7 +214,7 @@ func TestVectorKernelEquivalence(t *testing.T) {
 func TestVectorSumDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	v := kernelStore(rng, 400, 60)
-	ids := v.IDs()
+	ids := v.docIDs()
 	members := ids[:300]
 	centroid := v.Centroid(members)
 	scores := v.ScoreDocs(centroid, ids)

@@ -69,7 +69,7 @@ func TestSimilarToParallelOnSharedStore(t *testing.T) {
 func TestCentroidBitIdentical(t *testing.T) {
 	for _, ndocs := range []int{10, 256, 257, 700} {
 		v := tieStore(ndocs)
-		ids := v.IDs()
+		ids := v.docIDs()
 		want := v.Centroid(ids)
 		for _, width := range []int{1, 4, 8} {
 			pool := par.New(width)

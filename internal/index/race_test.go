@@ -34,10 +34,10 @@ func TestConcurrentVectorStore(t *testing.T) {
 				_ = v.Vector(id)
 				_ = v.Similarity(id, "doc-0-0")
 				_ = v.SimilarTo(map[string]float64{"alpha": 1}, 3, nil)
-				_ = v.IDF("alpha")
-				_ = v.DocFreq("alpha")
+				_ = v.idfOf("alpha")
+				_ = v.docFreqOf("alpha")
 				_ = v.Len()
-				_ = v.IDs()
+				_ = v.docIDs()
 				_ = v.Centroid([]string{id})
 			}
 		}(w)

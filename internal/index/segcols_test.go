@@ -15,7 +15,7 @@ func segTestIndex(t *testing.T) *TextIndex {
 	b.Index("d2", "body", "tomato basil parsley")
 	b.Index("d3", "title", "Walnut cake")
 	b.Index("d3", "body", "walnuts sugar butter")
-	return b.Freeze()
+	return freezeText(b)
 }
 
 func TestTextColumnsRoundTrip(t *testing.T) {
@@ -25,11 +25,11 @@ func TestTextColumnsRoundTrip(t *testing.T) {
 		t.Fatalf("FromTextColumns: %v", err)
 	}
 
-	if r.Len() != ix.Len() {
-		t.Errorf("Len = %d, want %d", r.Len(), ix.Len())
+	if r.c.Live != ix.c.Live {
+		t.Errorf("live documents = %d, want %d", r.c.Live, ix.c.Live)
 	}
 	for _, term := range []string{"parslei", "parsley", "walnut", "tomato", "nothere", "doom"} {
-		if got, want := r.DocFreq(term), ix.DocFreq(term); got != want {
+		if got, want := r.docFreq(term), ix.docFreq(term); got != want {
 			t.Errorf("DocFreq(%q) = %d, want %d", term, got, want)
 		}
 		if got, want := r.Surface(term), ix.Surface(term); got != want {
@@ -109,7 +109,7 @@ func TestVectorColumnsRoundTrip(t *testing.T) {
 	if r.Len() != v.Len() {
 		t.Errorf("Len = %d, want %d", r.Len(), v.Len())
 	}
-	gi, wi := r.IDs(), v.IDs()
+	gi, wi := r.docIDs(), v.docIDs()
 	if len(gi) != len(wi) {
 		t.Fatalf("IDs = %v, want %v", gi, wi)
 	}
@@ -119,15 +119,15 @@ func TestVectorColumnsRoundTrip(t *testing.T) {
 		}
 	}
 	for _, term := range []string{"parsley", "walnut", "doom", "nothere"} {
-		if got, want := r.DocFreq(term), v.DocFreq(term); got != want {
+		if got, want := r.docFreqOf(term), v.docFreqOf(term); got != want {
 			t.Errorf("DocFreq(%q) = %d, want %d", term, got, want)
 		}
-		if got, want := r.IDF(term), v.IDF(term); math.Abs(got-want) > 1e-12 {
+		if got, want := r.idfOf(term), v.idfOf(term); math.Abs(got-want) > 1e-12 {
 			t.Errorf("IDF(%q) = %g, want %g", term, got, want)
 		}
 	}
 	for _, doc := range []string{"d1", "d2", "d3", "d4", "never"} {
-		if got, want := r.Has(doc), v.Has(doc); got != want {
+		if got, want := r.hasDoc(doc), v.hasDoc(doc); got != want {
 			t.Errorf("Has(%q) = %v, want %v", doc, got, want)
 		}
 		gv, wv := r.Vector(doc), v.Vector(doc)

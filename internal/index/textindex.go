@@ -61,30 +61,6 @@ type TextIndex struct {
 // Columns returns the index's columnar image (what magnet-build writes).
 func (ix *TextIndex) Columns() TextColumns { return ix.c }
 
-// Len returns the number of indexed documents.
-func (ix *TextIndex) Len() int { return int(ix.c.Live) }
-
-// DocFreq returns the number of documents containing term in any field.
-// The term is analyzed (stemmed) first.
-func (ix *TextIndex) DocFreq(term string) int {
-	terms := ix.analyzer.Terms(term)
-	if len(terms) != 1 {
-		return 0
-	}
-	return ix.TermDocFreq(terms[0])
-}
-
-// TermDocFreq returns the number of documents containing one
-// already-analyzed (stemmed) term in any field — the raw-term counterpart
-// of DocFreq, for callers that hold stems rather than surface text.
-func (ix *TextIndex) TermDocFreq(term string) int {
-	ti, ok := ix.terms.Find(term)
-	if !ok {
-		return 0
-	}
-	return len(ix.dfRow(ti))
-}
-
 // Surface returns the most common raw (pre-stemming) token behind an
 // analyzed term, for display; falls back to the term itself when unknown.
 func (ix *TextIndex) Surface(term string) string {

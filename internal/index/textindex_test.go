@@ -17,7 +17,7 @@ func sampleTextIndex() *TextIndex {
 	b.Index("r2", "body", "walnuts, flour, butter and sugar")
 	b.Index("r3", "title", "Greek Walnut Pie")
 	b.Index("r3", "body", "honey, walnuts, filo dough and butter")
-	return b.Freeze()
+	return freezeText(b)
 }
 
 func TestMatchingAnyField(t *testing.T) {
@@ -72,7 +72,7 @@ func TestSearchRanking(t *testing.T) {
 	b.Index("heavy", "body", "butter butter butter bread")
 	b.Index("light", "body", "butter bread bread bread")
 	b.Index("other", "body", "sugar")
-	ix := b.Freeze()
+	ix := freezeText(b)
 	got := ix.Search("butter", AnyField, 10)
 	if len(got) != 2 {
 		t.Fatalf("Search = %v", got)
@@ -110,7 +110,7 @@ func TestIndexAccumulates(t *testing.T) {
 	b := NewTextBuilder(nil)
 	b.Index("d", "body", "butter")
 	b.Index("d", "body", "butter again")
-	ix := b.Freeze()
+	ix := freezeText(b)
 	counts := ix.FieldTermCounts("d", "body")
 	if counts["butter"] != 2 {
 		t.Errorf("accumulated count = %d, want 2", counts["butter"])
@@ -122,7 +122,7 @@ func TestTextIndexConcurrent(t *testing.T) {
 	for i := 0; i < 25; i++ {
 		b.Index(fmt.Sprintf("d%d", i), "body", "shared words plus unique")
 	}
-	ix := b.Freeze()
+	ix := freezeText(b)
 	var wg sync.WaitGroup
 	for w := 0; w < 6; w++ {
 		wg.Add(1)
@@ -138,7 +138,7 @@ func TestTextIndexConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if ix.Len() != 25 {
-		t.Errorf("Len = %d, want 25", ix.Len())
+	if ix.c.Live != 25 {
+		t.Errorf("live documents = %d, want 25", ix.c.Live)
 	}
 }

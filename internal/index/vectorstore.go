@@ -124,25 +124,10 @@ func (v *VectorStore) getPool() *par.Pool {
 // Len returns the number of documents stored.
 func (v *VectorStore) Len() int { return len(v.c.LiveDNS) }
 
-// Has reports whether docID is stored.
-func (v *VectorStore) Has(docID string) bool {
-	dn, ok := v.docs.Lookup(docID)
-	return ok && v.liveAt(dn)
-}
-
 // liveAt reports whether docnum dn holds a stored document.
 func (v *VectorStore) liveAt(dn uint32) bool {
 	i := searchPost(v.c.LiveDNS, dn)
 	return i < len(v.c.LiveDNS) && v.c.LiveDNS[i] == dn
-}
-
-// DocFreq returns the number of documents containing term.
-func (v *VectorStore) DocFreq(term string) int {
-	t, ok := v.terms.Lookup(term)
-	if !ok {
-		return 0
-	}
-	return v.df(t)
 }
 
 // df returns the document frequency of termnum t.
@@ -163,18 +148,6 @@ func (v *VectorStore) pinned(t uint32) bool {
 		return false
 	}
 	return v.c.Pinned[t/8]&(1<<(t%8)) != 0
-}
-
-// IDF returns the paper's inverse document frequency for term:
-// log(num-docs / num-docs-with-term); zero when the term is unknown or
-// appears in every document (such coordinates deliberately vanish — "helps
-// the system ignore those attribute values that are very common").
-func (v *VectorStore) IDF(term string) float64 {
-	t, ok := v.terms.Lookup(term)
-	if !ok {
-		return 0
-	}
-	return v.idf(t)
 }
 
 //magnet:hot
@@ -742,13 +715,6 @@ func TopTerms(vec map[string]float64, k int, accept func(string) bool) []TermWei
 	if len(out) > k {
 		out = out[:k]
 	}
-	return out
-}
-
-// IDs returns all stored document IDs, sorted.
-func (v *VectorStore) IDs() []string {
-	out := v.docs.AppendKeys(make([]string, 0, v.Len()), v.c.LiveDNS)
-	sort.Strings(out)
 	return out
 }
 

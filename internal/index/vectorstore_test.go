@@ -22,8 +22,8 @@ func TestVectorStoreAdd(t *testing.T) {
 	if v.Len() != 2 {
 		t.Fatalf("Len = %d", v.Len())
 	}
-	if v.DocFreq("b") != 2 || v.DocFreq("a") != 1 || v.DocFreq("z") != 0 {
-		t.Errorf("DocFreq wrong: b=%d a=%d z=%d", v.DocFreq("b"), v.DocFreq("a"), v.DocFreq("z"))
+	if v.docFreqOf("b") != 2 || v.docFreqOf("a") != 1 || v.docFreqOf("z") != 0 {
+		t.Errorf("DocFreq wrong: b=%d a=%d z=%d", v.docFreqOf("b"), v.docFreqOf("a"), v.docFreqOf("z"))
 	}
 }
 
@@ -41,8 +41,8 @@ func TestVectorStoreAddTwicePanics(t *testing.T) {
 		b.Add("d", map[string]float64{"b": 1})
 	}()
 	v := b.Freeze()
-	if v.Len() != 1 || v.DocFreq("a") != 1 || v.DocFreq("b") != 0 {
-		t.Errorf("after the rejected Add: Len=%d df(a)=%d df(b)=%d", v.Len(), v.DocFreq("a"), v.DocFreq("b"))
+	if v.Len() != 1 || v.docFreqOf("a") != 1 || v.docFreqOf("b") != 0 {
+		t.Errorf("after the rejected Add: Len=%d df(a)=%d df(b)=%d", v.Len(), v.docFreqOf("a"), v.docFreqOf("b"))
 	}
 }
 
@@ -50,7 +50,7 @@ func TestVectorStoreDropsNonPositive(t *testing.T) {
 	b := NewVectorBuilder()
 	b.Add("d", map[string]float64{"a": 0, "b": -1, "c": 2})
 	v := b.Freeze()
-	if v.DocFreq("a") != 0 || v.DocFreq("b") != 0 || v.DocFreq("c") != 1 {
+	if v.docFreqOf("a") != 0 || v.docFreqOf("b") != 0 || v.docFreqOf("c") != 1 {
 		t.Error("non-positive frequencies should be dropped")
 	}
 }
@@ -207,7 +207,7 @@ func TestIDsSorted(t *testing.T) {
 		b.Add(id, map[string]float64{"t": 1})
 	}
 	v := b.Freeze()
-	if got := v.IDs(); !reflect.DeepEqual(got, []string{"a", "m", "z"}) {
+	if got := v.docIDs(); !reflect.DeepEqual(got, []string{"a", "m", "z"}) {
 		t.Errorf("IDs = %v", got)
 	}
 }
@@ -253,7 +253,7 @@ func TestQuickVectorsUnitNorm(t *testing.T) {
 			b.Add(fmt.Sprintf("d%d", i), freqs)
 		}
 		v := b.Freeze()
-		for _, id := range v.IDs() {
+		for _, id := range v.docIDs() {
 			var norm float64
 			for _, w := range v.Vector(id) {
 				norm += w * w
@@ -283,7 +283,7 @@ func TestQuickSimilarityBounds(t *testing.T) {
 			b.Add(fmt.Sprintf("d%d", i), freqs)
 		}
 		v := b.Freeze()
-		ids := v.IDs()
+		ids := v.docIDs()
 		for _, a := range ids {
 			for _, b := range ids {
 				s := v.Similarity(a, b)
@@ -377,6 +377,6 @@ func TestAddAfterQueryMatchesBatchBuild(t *testing.T) {
 		same("Centroid["+term+"]", gotC[term], w)
 	}
 	for _, term := range []string{"a", "b", "c", "d", "e", "num|x"} {
-		same("IDF("+term+")", grown.IDF(term), want.IDF(term))
+		same("IDF("+term+")", grown.idfOf(term), want.idfOf(term))
 	}
 }

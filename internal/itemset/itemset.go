@@ -44,17 +44,6 @@ func FromUnsorted(ids []uint32) Set {
 	return Set{ids: out}
 }
 
-// Copy returns a set backed by a fresh copy of ids (which must be strictly
-// increasing); the caller keeps ownership of the input.
-func Copy(ids []uint32) Set {
-	if len(ids) == 0 {
-		return Set{}
-	}
-	out := make([]uint32, len(ids))
-	copy(out, ids)
-	return Set{ids: out}
-}
-
 // Len returns the number of members.
 func (s Set) Len() int { return len(s.ids) }
 
@@ -75,16 +64,6 @@ func (s Set) Slice() []uint32 { return s.ids }
 // re-slice a spent result to [:0] and feed it back into an *Into
 // operation.
 func (s Set) Buffer() []uint32 { return s.ids }
-
-// Items returns a fresh copy of the members in ascending order.
-func (s Set) Items() []uint32 {
-	if len(s.ids) == 0 {
-		return nil
-	}
-	out := make([]uint32, len(s.ids))
-	copy(out, s.ids)
-	return out
-}
 
 // Has reports membership by binary search.
 //
@@ -113,19 +92,6 @@ func (s Set) ForEach(f func(uint32) bool) {
 			return
 		}
 	}
-}
-
-// Equal reports whether two sets have identical members.
-func (s Set) Equal(t Set) bool {
-	if len(s.ids) != len(t.ids) {
-		return false
-	}
-	for i, id := range s.ids {
-		if t.ids[i] != id {
-			return false
-		}
-	}
-	return true
 }
 
 // searchIDs is sort.Search specialised to uint32 slices (no closure
@@ -361,9 +327,6 @@ func (b *Bits) AddSliceBelow(ids []uint32, n int) {
 	}
 }
 
-// AddSet inserts every member of s.
-func (b *Bits) AddSet(s Set) { b.AddSlice(s.ids) }
-
 // Has reports membership; IDs beyond the universe are absent.
 func (b *Bits) Has(id uint32) bool {
 	w := int(id) / 64
@@ -387,12 +350,4 @@ func (b *Bits) Extract() Set {
 		}
 	}
 	return Set{ids: out}
-}
-
-// Reset clears the bitmap for reuse.
-func (b *Bits) Reset() {
-	for i := range b.words {
-		b.words[i] = 0
-	}
-	b.n = 0
 }

@@ -148,12 +148,6 @@ func (h *Histogram) ObserveSinceExemplar(start time.Time, traceID string) {
 	h.ObserveExemplar(int64(time.Since(start)), traceID)
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() int64 { return h.sum.Load() }
-
 // HistBucket is one non-empty histogram bucket in a snapshot: Count
 // observations with value ≤ Le (and greater than the previous bucket's Le).
 type HistBucket struct {
@@ -203,7 +197,7 @@ func (h *Histogram) Snapshot() HistSnapshot {
 // boundaries and off by at most one bucket's width inside — good enough
 // to steer a slow-step threshold or report p50/p99 in a load harness.
 // Returns 0 for an empty snapshot.
-func (s HistSnapshot) Quantile(q float64) int64 {
+func (s HistSnapshot) Quantile(q float64) int64 { //magnet-vet:ignore deadcode // DESIGN.md "Quantile estimates"; kept for the log-linear histogram rework
 	if s.Count == 0 || len(s.Buckets) == 0 {
 		return 0
 	}

@@ -36,13 +36,13 @@ func TestHistogramBuckets(t *testing.T) {
 	h.Observe(4)
 	h.Observe(1 << 60) // beyond the last bound; absorbed by the last bucket
 
-	if got := h.Count(); got != 7 {
-		t.Errorf("Count() = %d, want 7", got)
-	}
-	if got := h.Sum(); got != 10+1<<60 {
-		t.Errorf("Sum() = %d, want %d", got, 10+1<<60)
-	}
 	s := h.Snapshot()
+	if s.Count != 7 {
+		t.Errorf("Count = %d, want 7", s.Count)
+	}
+	if s.Sum != 10+1<<60 {
+		t.Errorf("Sum = %d, want %d", s.Sum, 10+1<<60)
+	}
 	want := []HistBucket{
 		{Le: 0, Count: 2},                      // -5 (clamped), 0
 		{Le: 1, Count: 1},                      // 1
@@ -82,8 +82,8 @@ func TestConcurrent(t *testing.T) {
 	if got := c.Value(); got != goroutines*each {
 		t.Errorf("Counter.Value() = %d, want %d", got, goroutines*each)
 	}
-	if got := h.Count(); got != goroutines*each {
-		t.Errorf("Histogram.Count() = %d, want %d", got, goroutines*each)
+	if got := h.Snapshot().Count; got != goroutines*each {
+		t.Errorf("Histogram count = %d, want %d", got, goroutines*each)
 	}
 	var inBuckets uint64
 	for _, b := range h.Snapshot().Buckets {

@@ -66,14 +66,6 @@ func Freeze(s *Span) *TraceRecord {
 	return rec
 }
 
-// SpanCount returns the number of spans in the record (0 for nil).
-func (r *TraceRecord) SpanCount() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.Spans)
-}
-
 // StageDurations sums the durations of the root's direct children — the
 // per-stage breakdown magnet-eval's -trace CHECK line reports against the
 // step total.
@@ -90,8 +82,16 @@ func (r *TraceRecord) StageDurations() time.Duration {
 	return total
 }
 
-// WriteTree renders the record as the indented duration table Span.WriteTree
-// documents — the one renderer both live traces and recorded ones share.
+// WriteTree renders the record as an indented duration table:
+//
+//	navigation-step                   12.4ms
+//	  session.query                    3.1ms  items=120
+//	    query.eval                     3.0ms  results=120
+//	      pred.and                     2.9ms  results=120
+//
+// Durations are right-padded per line; attrs trail as key=value pairs. It
+// is the one renderer: a live span tree is frozen first (Freeze), so live
+// traces and recorded ones print identically.
 func (r *TraceRecord) WriteTree(w io.Writer) {
 	if r == nil {
 		return

@@ -40,8 +40,8 @@ func TestFreezeStructure(t *testing.T) {
 	if len(rec.Spans[1].Attrs) != 1 || rec.Spans[1].Attrs[0] != (Attr{"items", "7"}) {
 		t.Errorf("session.query attrs = %+v, want items=7", rec.Spans[1].Attrs)
 	}
-	if rec.SpanCount() != 4 {
-		t.Errorf("SpanCount = %d, want 4", rec.SpanCount())
+	if len(rec.Spans) != 4 {
+		t.Errorf("spans = %d, want 4", len(rec.Spans))
 	}
 }
 
@@ -57,9 +57,8 @@ func TestStageDurations(t *testing.T) {
 	}
 }
 
-// TestWriteTreeSharedRenderer: a live span tree and its frozen record must
-// render byte-identically — the single-renderer contract behind reusing
-// TraceRecord.WriteTree from magnet-eval -trace and /debug/traces.
+// TestWriteTreeSharedRenderer: a live span tree renders through its frozen
+// record — the single renderer magnet-eval -trace and /debug/traces share.
 func TestWriteTreeSharedRenderer(t *testing.T) {
 	ctx, root := StartTrace(context.Background(), "step")
 	_, c := StartSpan(ctx, "child")
@@ -67,15 +66,11 @@ func TestWriteTreeSharedRenderer(t *testing.T) {
 	c.End()
 	root.End()
 
-	var live, frozen strings.Builder
-	root.WriteTree(&live)
-	Freeze(root).WriteTree(&frozen)
-	if live.String() != frozen.String() {
-		t.Errorf("live:\n%s\nfrozen:\n%s", live.String(), frozen.String())
-	}
-	if !strings.Contains(live.String(), "step") || !strings.Contains(live.String(), "  child") ||
-		!strings.Contains(live.String(), "k=v") {
-		t.Errorf("tree rendering:\n%s", live.String())
+	var out strings.Builder
+	Freeze(root).WriteTree(&out)
+	if !strings.Contains(out.String(), "step") || !strings.Contains(out.String(), "  child") ||
+		!strings.Contains(out.String(), "k=v") {
+		t.Errorf("tree rendering:\n%s", out.String())
 	}
 }
 
@@ -84,7 +79,7 @@ func TestFreezeNil(t *testing.T) {
 		t.Error("Freeze(nil) != nil")
 	}
 	var r *TraceRecord
-	if r.SpanCount() != 0 || r.StageDurations() != 0 {
+	if r.StageDurations() != 0 {
 		t.Error("nil TraceRecord accessors not zero")
 	}
 	r.WriteTree(&strings.Builder{}) // must not panic

@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"io"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -110,9 +109,6 @@ func FromContext(ctx context.Context) *Span {
 	sp, _ := ctx.Value(spanKey{}).(*Span)
 	return sp
 }
-
-// Enabled reports whether ctx carries a trace.
-func Enabled(ctx context.Context) bool { return FromContext(ctx) != nil }
 
 // TraceID returns the trace ID of the trace ctx runs under ("" when
 // tracing is off) — the key histogram exemplars and the flight recorder
@@ -225,22 +221,4 @@ func (s *Span) Count() int {
 		n += c.Count()
 	}
 	return n
-}
-
-// WriteTree renders the span tree as an indented duration table:
-//
-//	navigation-step                   12.4ms
-//	  session.query                    3.1ms  items=120
-//	    query.eval                     3.0ms  results=120
-//	      pred.and                     2.9ms  results=120
-//
-// Durations are right-padded per line; attrs trail as key=value pairs.
-// The rendering is shared with the flight recorder: the span tree is
-// frozen into a TraceRecord and rendered from there, so live traces and
-// recorded ones print identically.
-func (s *Span) WriteTree(w io.Writer) {
-	if s == nil {
-		return
-	}
-	Freeze(s).WriteTree(w)
 }

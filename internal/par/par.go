@@ -28,7 +28,6 @@ package par
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -56,9 +55,6 @@ var (
 	queueWaitNS = obs.NewHistogram("par.queue.wait.ns")
 )
 
-// ErrClosed is returned by Submit after Close.
-var ErrClosed = errors.New("par: pool closed")
-
 // PanicError wraps a panic recovered inside a pool task. Callers that need
 // the old propagate-the-panic semantics can re-panic with it.
 type PanicError struct {
@@ -84,10 +80,7 @@ type Pool struct {
 	size int
 	// sem holds the size−1 helper tokens. Acquire = send, release =
 	// receive; Close fills the channel to wait out live helpers.
-	sem chan struct{}
-	// quit unblocks Submit callers waiting for a token when the pool
-	// closes.
-	quit   chan struct{}
+	sem    chan struct{}
 	closed atomic.Bool
 }
 
@@ -101,7 +94,6 @@ func New(size int) *Pool {
 	p := &Pool{
 		size: size,
 		sem:  make(chan struct{}, size-1),
-		quit: make(chan struct{}),
 	}
 	poolSize.Set(int64(size))
 	return p
@@ -119,53 +111,17 @@ func (p *Pool) Width() int {
 // Close marks the pool closed and waits for live helpers to finish their
 // current tasks. Batches already running complete (their submitting
 // goroutines drain them); new batches run serially. Close is idempotent
-// and safe concurrently with Submit and batch execution.
+// and safe concurrently with batch execution.
 func (p *Pool) Close() {
 	if p == nil || p.closed.Swap(true) {
 		return
 	}
-	close(p.quit)
 	// Fill the semaphore: every send is a helper slot that can no longer
 	// be taken; once all cap(sem) slots are held the last helper has
 	// exited.
 	for i := 0; i < cap(p.sem); i++ {
 		p.sem <- struct{}{}
 	}
-}
-
-// Submit runs fn asynchronously on a helper goroutine, blocking while the
-// pool is at its budget. On a nil or width-1 pool fn runs synchronously on
-// the caller. Panics inside fn are recovered and counted
-// (par.task.panics), never propagated. Returns ErrClosed (without running
-// fn) once the pool is closed.
-func (p *Pool) Submit(fn func()) error {
-	if p == nil {
-		runTask(0, fn)
-		return nil
-	}
-	if p.closed.Load() {
-		return ErrClosed
-	}
-	if cap(p.sem) == 0 {
-		runTask(0, fn)
-		return nil
-	}
-	submitted := time.Now()
-	select {
-	case p.sem <- struct{}{}:
-	case <-p.quit:
-		return ErrClosed
-	}
-	if p.closed.Load() {
-		<-p.sem
-		return ErrClosed
-	}
-	go func() {
-		defer func() { <-p.sem }()
-		queueWaitNS.ObserveSince(submitted)
-		runTask(0, fn)
-	}()
-	return nil
 }
 
 // runTask executes one task with timing and panic containment. The

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // TestMapOrder checks Map returns results in input order at every width.
@@ -172,73 +171,9 @@ func TestChunkFor(t *testing.T) {
 	}
 }
 
-// TestSubmitRunsAndClose checks Submit executes tasks, contains panics,
-// and refuses after Close.
-func TestSubmitRunsAndClose(t *testing.T) {
-	p := New(4)
-	var wg sync.WaitGroup
-	var ran atomic.Int64
-	for i := 0; i < 32; i++ {
-		wg.Add(1)
-		if err := p.Submit(func() { defer wg.Done(); ran.Add(1) }); err != nil {
-			wg.Done()
-			t.Fatalf("Submit: %v", err)
-		}
-	}
-	wg.Wait()
-	if ran.Load() != 32 {
-		t.Fatalf("ran = %d", ran.Load())
-	}
-	// A panicking submission must not kill the pool.
-	wg.Add(1)
-	if err := p.Submit(func() { defer wg.Done(); panic("contained") }); err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	wg.Wait()
-	p.Close()
-	if err := p.Submit(func() { t.Error("ran after Close") }); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Submit after Close = %v, want ErrClosed", err)
-	}
-	if p.Width() != 1 {
-		t.Fatalf("closed Width = %d, want 1", p.Width())
-	}
-	p.Close() // idempotent
-}
-
-// TestConcurrentSubmitShutdown is the race-detector stress: many
-// submitters racing one Close; every Submit either runs its task or
-// returns ErrClosed, and Close returns with no helper left running.
-func TestConcurrentSubmitShutdown(t *testing.T) {
-	for round := 0; round < 20; round++ {
-		p := New(4)
-		var ran, refused atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < 8; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < 50; i++ {
-					err := p.Submit(func() { ran.Add(1) })
-					if errors.Is(err, ErrClosed) {
-						refused.Add(1)
-					} else if err != nil {
-						t.Errorf("Submit: %v", err)
-					}
-				}
-			}()
-		}
-		time.Sleep(time.Duration(round%3) * time.Millisecond)
-		p.Close()
-		wg.Wait()
-		p.Close()
-		if ran.Load()+refused.Load() != 400 {
-			t.Fatalf("ran %d + refused %d != 400", ran.Load(), refused.Load())
-		}
-	}
-}
-
 // TestCloseDuringBatch checks Close racing live ForN batches: the batches
-// complete fully (the submitter drains what helpers abandon).
+// complete fully (the submitter drains what helpers abandon), and the
+// closed pool runs serially. Close is idempotent.
 func TestCloseDuringBatch(t *testing.T) {
 	p := New(8)
 	var wg sync.WaitGroup
@@ -258,6 +193,10 @@ func TestCloseDuringBatch(t *testing.T) {
 	if total.Load() != 4000 {
 		t.Fatalf("total = %d, want 4000", total.Load())
 	}
+	if p.Width() != 1 {
+		t.Fatalf("closed Width = %d, want 1", p.Width())
+	}
+	p.Close() // idempotent
 }
 
 // TestConcurrentBatches hammers one pool from many goroutines under -race.

@@ -1,6 +1,7 @@
 package qlang
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -18,6 +19,11 @@ func fixture(t *testing.T) (*rdf.Graph, *Resolver, *query.Engine) {
 	items := g.SubjectsOfType(recipes.ClassRecipe)
 	e := query.NewEngine(g, sch, nil, func() []rdf.IRI { return items })
 	return g, r, e
+}
+
+// evaluate runs q through the engine and returns the sorted items.
+func evaluate(e *query.Engine, q query.Query) []rdf.IRI {
+	return e.EvalContext(context.Background(), q).Items()
 }
 
 func parse(t *testing.T, r *Resolver, src string) query.Query {
@@ -61,7 +67,7 @@ func TestResolverValues(t *testing.T) {
 func TestParseEqualityAndEvaluation(t *testing.T) {
 	g, r, e := fixture(t)
 	q := parse(t, r, `cuisine = Greek`)
-	items := e.Evaluate(q)
+	items := evaluate(e, q)
 	if len(items) == 0 {
 		t.Fatal("no Greek recipes")
 	}
@@ -100,8 +106,8 @@ func TestParsePrecedenceAndParens(t *testing.T) {
 		t.Fatalf("parenthesised query should flatten to 2 constraints, got %d", len(q2.Terms))
 	}
 	// Both evaluate without error and q2 is a subset of Greek∪Mexican.
-	set1 := q1.Eval(e)
-	set2 := q2.Eval(e)
+	set1 := e.EvalContext(context.Background(), q1)
+	set2 := e.EvalContext(context.Background(), q2)
 	if set2.Len() == 0 || set1.Len() == 0 {
 		t.Error("empty evaluations")
 	}
@@ -120,7 +126,7 @@ func TestParseNegation(t *testing.T) {
 	if len(q.Terms) != 2 {
 		t.Fatalf("terms = %d", len(q.Terms))
 	}
-	for _, it := range e.Evaluate(q) {
+	for _, it := range evaluate(e, q) {
 		for _, ing := range g.Objects(it, recipes.PropIngredient) {
 			if g.Has(ing.(rdf.IRI), recipes.PropGroup, recipes.Group("Nuts")) {
 				t.Fatalf("%s has nuts", it)
@@ -141,7 +147,7 @@ func TestParseComposedPath(t *testing.T) {
 	if !ok || len(pp.Path) != 2 {
 		t.Fatalf("term = %#v", q.Terms[0])
 	}
-	if len(e.Evaluate(q)) == 0 {
+	if len(evaluate(e, q)) == 0 {
 		t.Error("no dairy recipes")
 	}
 }
@@ -151,14 +157,14 @@ func TestParseRanges(t *testing.T) {
 	ge := parse(t, r, `servings >= 4`)
 	gt := parse(t, r, `servings > 4`)
 	// Strict > on an integer attribute excludes the boundary.
-	nGE := len(e.Evaluate(ge))
-	nGT := len(e.Evaluate(gt))
+	nGE := len(evaluate(e, ge))
+	nGT := len(evaluate(e, gt))
 	if nGT >= nGE {
 		t.Errorf("> (%d) should be narrower than >= (%d)", nGT, nGE)
 	}
 	le := parse(t, r, `servings <= 2`)
 	lt := parse(t, r, `servings < 2`)
-	if len(e.Evaluate(lt)) >= len(e.Evaluate(le)) {
+	if len(evaluate(e, lt)) >= len(evaluate(e, le)) {
 		t.Error("< should be narrower than <=")
 	}
 }

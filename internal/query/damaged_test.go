@@ -52,11 +52,11 @@ func TestUnionsSkipDamagedPostingIDs(t *testing.T) {
 		return NewEngine(g, schema.NewStore(g), nil, func() []rdf.IRI { return nil })
 	}
 	want := open(clean)
-	universe := uint32(want.Graph().SubjectTable().Len())
+	universe := uint32(want.g.SubjectTable().Len())
 	got := open(damagedPostings(clean, universe+100))
 
 	preds := []Predicate{
-		Between(pServings, 4, 6),
+		between(pServings, 4, 6),
 		PathProperty{Path: []rdf.IRI{pCuisine, pRegion}, Value: europe},
 		AnyValueIn{Prop: pIngredient, Values: []rdf.IRI{feta, walnut}},
 	}

@@ -2,7 +2,6 @@ package query
 
 import (
 	"testing"
-	"time"
 
 	"magnet/internal/rdf"
 )
@@ -19,7 +18,7 @@ func TestPredicateKeysDistinct(t *testing.T) {
 		Keyword{Text: "greek", Field: "title"},
 		TermMatch{Term: "greek"},
 		TermMatch{Term: "greek", Field: "title"},
-		Between(pServings, 1, 5),
+		between(pServings, 1, 5),
 		AtLeast(pServings, 1),
 		AtMost(pServings, 5),
 		Not{Property{pCuisine, greek}},
@@ -50,21 +49,11 @@ func TestKeywordKeyCaseInsensitive(t *testing.T) {
 }
 
 func TestRangeKeyIncludesBounds(t *testing.T) {
-	if Between(pServings, 1, 5).Key() == Between(pServings, 1, 6).Key() {
+	if between(pServings, 1, 5).Key() == between(pServings, 1, 6).Key() {
 		t.Error("different bounds must have different keys")
 	}
 	if AtLeast(pServings, 1).Key() == AtMost(pServings, 1).Key() {
 		t.Error("one-sided ranges must be distinguishable")
-	}
-}
-
-func TestTimeBetweenEquivalence(t *testing.T) {
-	from := time.Date(2003, 7, 1, 0, 0, 0, 0, time.UTC)
-	to := time.Date(2003, 8, 1, 0, 0, 0, 0, time.UTC)
-	a := TimeBetween(pSent, from, to)
-	b := Between(pSent, float64(from.Unix()), float64(to.Unix()))
-	if a.Key() != b.Key() {
-		t.Error("TimeBetween should be sugar for Between on Unix seconds")
 	}
 }
 

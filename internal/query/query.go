@@ -12,7 +12,6 @@
 package query
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strconv"
@@ -27,49 +26,28 @@ import (
 )
 
 // Set is a set of items, backed by the dense-ID plane: an itemset over the
-// graph-owned interner. Set algebra is merge-based over sorted uint32
-// postings — no hashing, no per-member allocation — and IRIs are
+// graph's frozen subject table. Set algebra is merge-based over sorted
+// uint32 postings — no hashing, no per-member allocation — and IRIs are
 // rehydrated only at the render boundary (Items). The zero Set is empty.
 //
-// Sets produced by one Engine share that engine's interner; mixing sets
-// from different engines (or from the engine-less NewSet) still works —
-// the receiver re-interns the other side's members — but costs the
-// rehydration it normally avoids.
+// Sets produced by one Engine share that engine's subject table; mixing
+// sets from different engines still works — the receiver re-looks-up the
+// other side's members — but costs the rehydration it normally avoids.
 type Set struct {
-	in  keySpace
+	in  *ids.Table[rdf.IRI]
 	set itemset.Set
 }
 
-// keySpace is the ID space a Set's members live in: the graph's frozen
-// subject table (engine sets) or a private, growable interner (NewSet).
-type keySpace interface {
-	Lookup(rdf.IRI) (uint32, bool)
-	Key(uint32) rdf.IRI
-	AppendKeys([]rdf.IRI, []uint32) []rdf.IRI
-}
-
-// idsIn puts keys into space: a private interner assigns IDs to new keys,
-// while the graph's frozen subject table skips keys it has never seen —
-// such items carry no triples, so no engine set can hold them.
-func idsIn(space keySpace, keys []rdf.IRI) itemset.Set {
-	in, growable := space.(*ids.Interner[rdf.IRI])
+// idsIn looks keys up in the subject table, skipping keys it has never
+// seen: such items carry no triples, so no engine set can hold them.
+func idsIn(in *ids.Table[rdf.IRI], keys []rdf.IRI) itemset.Set {
 	dense := make([]uint32, 0, len(keys))
 	for _, k := range keys {
-		if growable {
-			dense = append(dense, in.Intern(k))
-		} else if id, ok := space.Lookup(k); ok {
+		if id, ok := in.Lookup(k); ok {
 			dense = append(dense, id)
 		}
 	}
 	return itemset.FromUnsorted(dense)
-}
-
-// NewSet builds a set from items without an engine, using a private
-// interner. Prefer Engine.NewSet, which shares the graph's ID space and
-// keeps set algebra allocation-free.
-func NewSet(items ...rdf.IRI) Set {
-	in := ids.NewInterner[rdf.IRI]()
-	return Set{in: in, set: idsIn(in, items)}
 }
 
 // NewSet builds a set from items in the engine's dense ID space, skipping
@@ -102,15 +80,6 @@ func (s Set) Has(it rdf.IRI) bool {
 // (facets, vsm, advisors).
 func (s Set) IDs() itemset.Set { return s.set }
 
-// ForEach calls f on each member until f returns false, in dense-ID
-// (interning) order — not lexical order.
-func (s Set) ForEach(f func(rdf.IRI) bool) {
-	if s.in == nil {
-		return
-	}
-	s.set.ForEach(func(id uint32) bool { return f(s.in.Key(id)) })
-}
-
 // Items returns the members sorted lexically (the render-boundary
 // rehydration; ID order is interning order, so a sort is required here and
 // only here).
@@ -123,9 +92,8 @@ func (s Set) Items() []rdf.IRI {
 	return out
 }
 
-// rebase returns t's itemset expressed in s's ID space, re-interning when
-// the two sets come from different ID spaces (the engine-less NewSet
-// path).
+// rebase returns t's itemset expressed in s's ID space, re-looking-up
+// t's members when the two sets come from different engines.
 func (s Set) rebase(t Set) itemset.Set {
 	if t.in == s.in || t.set.IsEmpty() {
 		return t.set
@@ -187,22 +155,12 @@ func (e *Engine) SetUniverseIDs(f func() itemset.Set) {
 	e.universeIDs = f
 }
 
-// Rebase expresses s on the engine's dense-ID plane, re-interning when s
-// came from a different interner (the engine-less NewSet path); sets
-// already in the engine's space pass through unchanged.
+// Rebase expresses s on the engine's dense-ID plane, re-looking-up its
+// members when s came from a different engine; sets already in the
+// engine's space pass through unchanged.
 func (e *Engine) Rebase(s Set) itemset.Set {
 	return Set{in: e.g.SubjectTable()}.rebase(s)
 }
-
-// Graph exposes the engine's graph to custom predicates.
-func (e *Engine) Graph() *rdf.Graph { return e.g }
-
-// Schema exposes the engine's annotation store to custom predicates.
-func (e *Engine) Schema() *schema.Store { return e.sch }
-
-// TextIndex exposes the engine's external text index to custom predicates
-// (may be nil).
-func (e *Engine) TextIndex() *index.TextIndex { return e.text }
 
 // Universe returns the set of all queryable items.
 func (e *Engine) Universe() Set {
@@ -399,21 +357,11 @@ type Range struct {
 	Max  *float64
 }
 
-// Between builds a two-sided range.
-func Between(prop rdf.IRI, min, max float64) Range {
-	return Range{Prop: prop, Min: &min, Max: &max}
-}
-
 // AtLeast builds a one-sided greater-than-or-equal range.
 func AtLeast(prop rdf.IRI, min float64) Range { return Range{Prop: prop, Min: &min} }
 
 // AtMost builds a one-sided less-than-or-equal range.
 func AtMost(prop rdf.IRI, max float64) Range { return Range{Prop: prop, Max: &max} }
-
-// TimeBetween builds a range over a temporal property.
-func TimeBetween(prop rdf.IRI, from, to time.Time) Range {
-	return Between(prop, float64(from.Unix()), float64(to.Unix()))
-}
 
 // Eval implements Predicate by walking the property's value domain (one
 // reverse-index probe per in-range value, never per item), unioning the
@@ -690,11 +638,6 @@ func (q Query) Negate(i int) Query {
 // IsEmpty reports whether the query has no constraints.
 func (q Query) IsEmpty() bool { return len(q.Terms) == 0 }
 
-// Eval evaluates the conjunction; the empty query yields the universe.
-func (q Query) Eval(e *Engine) Set {
-	return And{Ps: q.Terms}.Eval(e)
-}
-
 // Describe renders each constraint on its own line.
 func (q Query) Describe(l Labeler) []string {
 	out := make([]string, len(q.Terms))
@@ -711,10 +654,4 @@ func (q Query) Key() string {
 	copy(parts, q.TermKeys())
 	sort.Strings(parts)
 	return "query:{" + strings.Join(parts, ",") + "}"
-}
-
-// Evaluate runs q through the instrumented path and returns the result
-// as a sorted item slice.
-func (e *Engine) Evaluate(q Query) []rdf.IRI {
-	return e.EvalContext(context.Background(), q).Items()
 }

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -55,13 +56,23 @@ func fixture() (*Engine, []rdf.IRI) {
 		add("r5", mexican, 4, 20, "Bean Tacos"),
 	}
 	g := gb.Freeze()
-	tix := tb.Freeze()
+	tix, err := index.FromTextColumns(nil, tb.Columns())
+	if err != nil {
+		panic(err)
+	}
 	sch := schema.NewStore(g)
 	e := NewEngine(g, sch, tix, func() []rdf.IRI { return items })
 	return e, items
 }
 
 func iri(id string) rdf.IRI { return rdf.IRI(ex + id) }
+
+// between builds a two-sided range.
+func between(prop rdf.IRI, min, max float64) Range { return Range{Prop: prop, Min: &min, Max: &max} }
+
+// evaluate runs q through the instrumented path and returns the sorted
+// items.
+func evaluate(e *Engine, q Query) []rdf.IRI { return e.EvalContext(context.Background(), q).Items() }
 
 func TestPropertyPredicate(t *testing.T) {
 	e, _ := fixture()
@@ -105,7 +116,7 @@ func TestKeywordWithoutTextIndex(t *testing.T) {
 
 func TestRangePredicate(t *testing.T) {
 	e, _ := fixture()
-	got := Between(pServings, 4, 6).Eval(e).Items()
+	got := between(pServings, 4, 6).Eval(e).Items()
 	want := []rdf.IRI{iri("r1"), iri("r4"), iri("r5")}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("servings 4..6 = %v", got)
@@ -122,7 +133,7 @@ func TestTimeRangePredicate(t *testing.T) {
 	e, _ := fixture()
 	from := time.Date(2003, 7, 4, 0, 0, 0, 0, time.UTC)
 	to := time.Date(2003, 7, 12, 0, 0, 0, 0, time.UTC)
-	got := TimeBetween(pSent, from, to).Eval(e).Items()
+	got := between(pSent, float64(from.Unix()), float64(to.Unix())).Eval(e).Items()
 	want := []rdf.IRI{iri("r2"), iri("r3")}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("date window = %v", got)
@@ -132,7 +143,7 @@ func TestTimeRangePredicate(t *testing.T) {
 func TestRangeSkipsNonNumeric(t *testing.T) {
 	e, _ := fixture()
 	// cuisine values are IRIs: a range over them matches nothing.
-	if n := Between(pCuisine, 0, 1e12).Eval(e).Len(); n != 0 {
+	if n := between(pCuisine, 0, 1e12).Eval(e).Len(); n != 0 {
 		t.Errorf("range over IRIs matched %d", n)
 	}
 }
@@ -162,7 +173,7 @@ func TestLazyNotClipsToUniverse(t *testing.T) {
 	if got := and.Eval(e).Items(); !reflect.DeepEqual(got, want) {
 		t.Errorf("And.Eval = %v, want %v", got, want)
 	}
-	if got := e.Evaluate(NewQuery(p, n)); !reflect.DeepEqual(got, want) {
+	if got := evaluate(e, NewQuery(p, n)); !reflect.DeepEqual(got, want) {
 		t.Errorf("EvalContext = %v, want %v", got, want)
 	}
 }
@@ -192,17 +203,17 @@ func TestQueryRefinementLifecycle(t *testing.T) {
 	q := NewQuery(TypeIs(clsRecipe)).
 		With(Property{pCuisine, greek}).
 		With(Property{pIngredient, feta})
-	if got := e.Evaluate(q); !reflect.DeepEqual(got, []rdf.IRI{iri("r1"), iri("r3")}) {
+	if got := evaluate(e, q); !reflect.DeepEqual(got, []rdf.IRI{iri("r1"), iri("r3")}) {
 		t.Fatalf("conjunction = %v", got)
 	}
 	// Remove the feta constraint (the '✕'): all Greek recipes.
 	q2 := q.Without(2)
-	if got := e.Evaluate(q2); len(got) != 3 {
+	if got := evaluate(e, q2); len(got) != 3 {
 		t.Errorf("after Without = %v", got)
 	}
 	// Negate the cuisine constraint: feta recipes that are NOT Greek.
 	q3 := q.Negate(1)
-	if got := e.Evaluate(q3); len(got) != 0 {
+	if got := evaluate(e, q3); len(got) != 0 {
 		t.Errorf("feta non-greek = %v (fixture has none)", got)
 	}
 	// Double negation unwraps.
@@ -222,7 +233,7 @@ func TestQueryRefinementLifecycle(t *testing.T) {
 
 func TestEmptyQueryYieldsUniverse(t *testing.T) {
 	e, items := fixture()
-	if got := e.Evaluate(NewQuery()); len(got) != len(items) {
+	if got := evaluate(e, NewQuery()); len(got) != len(items) {
 		t.Errorf("empty query = %d items", len(got))
 	}
 	if !NewQuery().IsEmpty() || NewQuery(TypeIs(clsRecipe)).IsEmpty() {
@@ -240,7 +251,7 @@ func TestQueryKeyOrderIndependent(t *testing.T) {
 
 func TestDescriptions(t *testing.T) {
 	e, _ := fixture()
-	l := func(r rdf.IRI) string { return e.Graph().Label(r) }
+	l := func(r rdf.IRI) string { return e.g.Label(r) }
 	tests := []struct {
 		p    Predicate
 		want string
@@ -249,7 +260,7 @@ func TestDescriptions(t *testing.T) {
 		{Not{Property{pCuisine, greek}}, "NOT cuisine = Greek"},
 		{Keyword{Text: "walnut"}, `contains "walnut"`},
 		{Keyword{Text: "walnut", Field: "title"}, `title contains "walnut"`},
-		{Between(pServings, 2, 8), "servings in [2, 8]"},
+		{between(pServings, 2, 8), "servings in [2, 8]"},
 		{AtLeast(pServings, 5), "servings ≥ 5"},
 		{AtMost(pServings, 5), "servings ≤ 5"},
 		{And{[]Predicate{Property{pCuisine, greek}, Keyword{Text: "dip"}}},
@@ -265,25 +276,26 @@ func TestDescriptions(t *testing.T) {
 	// Temporal bounds render as dates.
 	from := time.Date(2003, 7, 4, 0, 0, 0, 0, time.UTC)
 	to := time.Date(2003, 7, 12, 0, 0, 0, 0, time.UTC)
-	d := TimeBetween(pSent, from, to).Describe(l)
+	d := between(pSent, float64(from.Unix()), float64(to.Unix())).Describe(l)
 	if !strings.Contains(d, "2003-07-04") || !strings.Contains(d, "2003-07-12") {
 		t.Errorf("temporal describe = %q", d)
 	}
 }
 
 func TestSetOperations(t *testing.T) {
-	a := NewSet("x", "y")
-	b := NewSet("y", "z")
-	if got := a.Intersect(b).Items(); !reflect.DeepEqual(got, []rdf.IRI{"y"}) {
+	e, _ := fixture()
+	a := e.NewSet(iri("r1"), iri("r2"))
+	b := e.NewSet(iri("r2"), iri("r3"))
+	if got := a.Intersect(b).Items(); !reflect.DeepEqual(got, []rdf.IRI{iri("r2")}) {
 		t.Errorf("Intersect = %v", got)
 	}
 	if got := a.Union(b).Items(); len(got) != 3 {
 		t.Errorf("Union = %v", got)
 	}
-	if got := a.Minus(b).Items(); !reflect.DeepEqual(got, []rdf.IRI{"x"}) {
+	if got := a.Minus(b).Items(); !reflect.DeepEqual(got, []rdf.IRI{iri("r1")}) {
 		t.Errorf("Minus = %v", got)
 	}
-	if a.Has("q") || !a.Has("x") {
+	if a.Has(iri("r3")) || !a.Has(iri("r1")) {
 		t.Error("Has wrong")
 	}
 }
@@ -354,12 +366,11 @@ type maxValues struct {
 
 func (m maxValues) Eval(e *Engine) Set {
 	var matched []rdf.IRI
-	e.Universe().ForEach(func(it rdf.IRI) bool {
-		if e.Graph().ObjectCount(it, m.prop) <= m.max {
+	for _, it := range e.Universe().Items() {
+		if e.g.ObjectCount(it, m.prop) <= m.max {
 			matched = append(matched, it)
 		}
-		return true
-	})
+	}
 	return e.NewSet(matched...)
 }
 func (m maxValues) Describe(l Labeler) string {
@@ -370,7 +381,7 @@ func (m maxValues) Key() string { return fmt.Sprintf("maxvals:%s:%d", m.prop, m.
 func TestCustomPredicateExtension(t *testing.T) {
 	e, _ := fixture()
 	// Recipes with at most zero ingredients: only the taco (r5).
-	got := e.Evaluate(NewQuery(maxValues{pIngredient, 0}))
+	got := evaluate(e, NewQuery(maxValues{pIngredient, 0}))
 	if !reflect.DeepEqual(got, []rdf.IRI{iri("r5")}) {
 		t.Errorf("custom predicate = %v", got)
 	}
@@ -386,7 +397,7 @@ func TestQuickBooleanAlgebra(t *testing.T) {
 		Property{pIngredient, feta},
 		Property{pIngredient, walnut},
 		Keyword{Text: "walnut"},
-		Between(pServings, 2, 6),
+		between(pServings, 2, 6),
 	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

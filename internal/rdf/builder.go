@@ -56,17 +56,6 @@ func (b *Builder) Add(s, p IRI, o Term) bool {
 	return true
 }
 
-// AddAll inserts every statement in sts, returning the number newly added.
-func (b *Builder) AddAll(sts []Statement) int {
-	n := 0
-	for _, st := range sts {
-		if b.Add(st.Subject, st.Predicate, st.Object) {
-			n++
-		}
-	}
-	return n
-}
-
 // Remove deletes the triple (s, p, o). It reports whether it was present.
 func (b *Builder) Remove(s, p IRI, o Term) bool {
 	ok := o.Key()

@@ -5,31 +5,6 @@ import (
 	"testing"
 )
 
-func TestAddAllAndStatements(t *testing.T) {
-	b := NewBuilder()
-	sts := []Statement{
-		S(IRI(ex+"a"), Type, IRI(ex+"T")),
-		S(IRI(ex+"a"), IRI(ex+"p"), NewString("v")),
-		S(IRI(ex+"a"), Type, IRI(ex+"T")), // duplicate
-	}
-	if n := b.AddAll(sts); n != 2 {
-		t.Errorf("AddAll = %d, want 2", n)
-	}
-	g := b.Freeze()
-	got := g.Statements(IRI(ex + "a"))
-	if len(got) != 2 {
-		t.Fatalf("Statements = %v", got)
-	}
-	// Sorted by key, deterministic.
-	again := g.Statements(IRI(ex + "a"))
-	if !reflect.DeepEqual(got, again) {
-		t.Error("Statements not deterministic")
-	}
-	if got[0].String() == "" {
-		t.Error("Statement.String empty")
-	}
-}
-
 func TestObjectCountAndPredicatesOf(t *testing.T) {
 	g := testGraph()
 	if n := g.ObjectCount(IRI(ex+"r1"), IRI(ex+"ingredient")); n != 2 {

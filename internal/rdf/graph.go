@@ -269,9 +269,6 @@ func (g *Graph) Predicates() []IRI {
 	return out
 }
 
-// AllSubjects returns every distinct subject in the graph, sorted.
-func (g *Graph) AllSubjects() []IRI { return g.SubjectsFromIDs(g.c.SubjLive) }
-
 // ObjectsOf returns the distinct object terms appearing with predicate p,
 // sorted by key. This enumerates the value domain of an attribute (used to
 // build facet histograms and range widgets).
@@ -389,21 +386,6 @@ func (g *Graph) SubjectsFromIDs(ids []uint32) []IRI {
 	return out
 }
 
-// Statements returns every triple with subject s, sorted.
-func (g *Graph) Statements(s IRI) []Statement {
-	sid, ok := g.subj.Lookup(s)
-	if !ok {
-		return nil
-	}
-	var out []Statement
-	g.subjectStatements(sid, func(st Statement) bool {
-		out = append(out, st)
-		return true
-	})
-	sortStatements(out)
-	return out
-}
-
 // subjectStatements calls f for each triple of subject sid, in predicate
 // then object-key order, until f returns false; it reports whether f
 // never stopped it.
@@ -446,18 +428,6 @@ func (g *Graph) ForEach(f func(Statement) bool) {
 // SubjectsOfType returns all subjects with rdf:type t, sorted.
 func (g *Graph) SubjectsOfType(t IRI) []IRI {
 	return g.Subjects(Type, t)
-}
-
-// Types returns the rdf:type objects of s that are IRIs, sorted.
-func (g *Graph) Types(s IRI) []IRI {
-	objs := g.Objects(s, Type)
-	out := make([]IRI, 0, len(objs))
-	for _, o := range objs {
-		if t, ok := o.(IRI); ok {
-			out = append(out, t)
-		}
-	}
-	return out
 }
 
 // Label returns the best display name for a resource: its magnet:label or

@@ -109,9 +109,9 @@ func TestGraphTypesAndSubjectsOfType(t *testing.T) {
 	if len(recipes) != 3 {
 		t.Fatalf("SubjectsOfType = %v, want 3 recipes", recipes)
 	}
-	types := g.Types(IRI(ex + "r1"))
-	if !reflect.DeepEqual(types, []IRI{IRI(ex + "Recipe")}) {
-		t.Errorf("Types = %v", types)
+	types := g.Objects(IRI(ex+"r1"), Type)
+	if !reflect.DeepEqual(types, []Term{IRI(ex + "Recipe")}) {
+		t.Errorf("types = %v", types)
 	}
 }
 
@@ -281,7 +281,11 @@ func TestForEachValuePostingConcurrentReaders(t *testing.T) {
 		b.Index(ex+"r1", "title", "Greek salad with feta")
 		b.Index(ex+"r2", "title", "Feta pie")
 		b.Index(ex+"r3", "title", "Mexican beans")
-		return b.Freeze()
+		ix, err := index.FromTextColumns(nil, b.Columns())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ix
 	}
 	vectors := func() *index.VectorStore {
 		b := index.NewVectorBuilder()

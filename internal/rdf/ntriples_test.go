@@ -46,7 +46,7 @@ func TestReadNTriplesSkolemizesBlanks(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := b.Freeze()
-	subs := g.AllSubjects()
+	subs := g.SubjectsFromIDs(g.AllSubjectIDs().Slice())
 	if len(subs) != 1 || !strings.Contains(string(subs[0]), "genid/b1") {
 		t.Errorf("subjects = %v, want skolemized b1", subs)
 	}
@@ -103,7 +103,7 @@ func TestReadNTriplesErrors(t *testing.T) {
 
 func TestWriteReadRoundTrip(t *testing.T) {
 	gb := testBuilder()
-	gb.Add(IRI(ex+"r1"), IRI(ex+"note"), NewLangString("tab\there \"q\"", "en"))
+	gb.Add(IRI(ex+"r1"), IRI(ex+"note"), Literal{Lexical: "tab\there \"q\"", Lang: "en"})
 	gb.Add(IRI(ex+"r1"), IRI(ex+"servings"), NewInteger(8))
 	g := gb.Freeze()
 

@@ -11,11 +11,6 @@ type Statement struct {
 	Object    Term
 }
 
-// S is a convenience constructor for a statement.
-func S(s, p IRI, o Term) Statement {
-	return Statement{Subject: s, Predicate: p, Object: o}
-}
-
 // String returns the N-Triples line for the statement (without newline).
 func (st Statement) String() string {
 	return fmt.Sprintf("%s %s %s .", st.Subject, st.Predicate, st.Object)

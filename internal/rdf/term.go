@@ -115,17 +115,9 @@ type Literal struct {
 // NewString returns a plain string literal.
 func NewString(s string) Literal { return Literal{Lexical: s} }
 
-// NewLangString returns a language-tagged string literal.
-func NewLangString(s, lang string) Literal { return Literal{Lexical: s, Lang: lang} }
-
 // NewInteger returns an xsd:integer literal.
 func NewInteger(v int64) Literal {
 	return Literal{Lexical: strconv.FormatInt(v, 10), Datatype: XSDInteger}
-}
-
-// NewFloat returns an xsd:double literal.
-func NewFloat(v float64) Literal {
-	return Literal{Lexical: strconv.FormatFloat(v, 'g', -1, 64), Datatype: XSDDouble}
 }
 
 // NewBool returns an xsd:boolean literal.
@@ -139,11 +131,6 @@ const TimeLayout = time.RFC3339
 // NewTime returns an xsd:dateTime literal in RFC 3339 form (UTC).
 func NewTime(t time.Time) Literal {
 	return Literal{Lexical: t.UTC().Format(TimeLayout), Datatype: XSDDateTime}
-}
-
-// NewDate returns an xsd:date literal (YYYY-MM-DD, UTC).
-func NewDate(t time.Time) Literal {
-	return Literal{Lexical: t.UTC().Format("2006-01-02"), Datatype: XSDDate}
 }
 
 // Kind implements Term.
@@ -169,15 +156,6 @@ func (l Literal) String() string {
 		b.WriteString(l.Datatype.String())
 	}
 	return b.String()
-}
-
-// IsNumeric reports whether the literal has a numeric datatype.
-func (l Literal) IsNumeric() bool {
-	switch l.Datatype {
-	case XSDInteger, XSDDecimal, XSDDouble:
-		return true
-	}
-	return false
 }
 
 // IsTemporal reports whether the literal has a date or dateTime datatype.

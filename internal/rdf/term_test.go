@@ -28,8 +28,8 @@ func TestLiteralConstructorsRoundTrip(t *testing.T) {
 	if v, ok := NewInteger(-42).Int(); !ok || v != -42 {
 		t.Errorf("NewInteger(-42).Int() = %d, %v", v, ok)
 	}
-	if v, ok := NewFloat(3.5).Float(); !ok || v != 3.5 {
-		t.Errorf("NewFloat(3.5).Float() = %g, %v", v, ok)
+	if v, ok := (Literal{Lexical: "3.5", Datatype: XSDDouble}).Float(); !ok || v != 3.5 {
+		t.Errorf("xsd:double 3.5 Float() = %g, %v", v, ok)
 	}
 	if v, ok := NewBool(true).Bool(); !ok || !v {
 		t.Errorf("NewBool(true).Bool() = %v, %v", v, ok)
@@ -38,8 +38,8 @@ func TestLiteralConstructorsRoundTrip(t *testing.T) {
 	if v, ok := NewTime(when).Time(); !ok || !v.Equal(when) {
 		t.Errorf("NewTime round trip = %v, %v", v, ok)
 	}
-	if v, ok := NewDate(when).Time(); !ok || v.Format("2006-01-02") != "2003-07-31" {
-		t.Errorf("NewDate round trip = %v, %v", v, ok)
+	if v, ok := (Literal{Lexical: "2003-07-31", Datatype: XSDDate}).Time(); !ok || v.Format("2006-01-02") != "2003-07-31" {
+		t.Errorf("xsd:date Time() = %v, %v", v, ok)
 	}
 }
 
@@ -57,20 +57,16 @@ func TestLiteralFloatFromTemporal(t *testing.T) {
 func TestLiteralKindPredicates(t *testing.T) {
 	tests := []struct {
 		lit      Literal
-		numeric  bool
 		temporal bool
 	}{
-		{NewInteger(1), true, false},
-		{NewFloat(1), true, false},
-		{NewString("1"), false, false},
-		{NewTime(time.Now()), false, true},
-		{NewDate(time.Now()), false, true},
-		{NewBool(false), false, false},
+		{NewInteger(1), false},
+		{Literal{Lexical: "1", Datatype: XSDDouble}, false},
+		{NewString("1"), false},
+		{NewTime(time.Now()), true},
+		{Literal{Lexical: "2003-07-31", Datatype: XSDDate}, true},
+		{NewBool(false), false},
 	}
 	for _, tt := range tests {
-		if got := tt.lit.IsNumeric(); got != tt.numeric {
-			t.Errorf("%v.IsNumeric() = %v, want %v", tt.lit, got, tt.numeric)
-		}
 		if got := tt.lit.IsTemporal(); got != tt.temporal {
 			t.Errorf("%v.IsTemporal() = %v, want %v", tt.lit, got, tt.temporal)
 		}
@@ -86,7 +82,7 @@ func TestTermKeysDistinguishKinds(t *testing.T) {
 		"string":  NewString("1"),
 		"iri":     IRI("1"),
 		"blank":   Blank("1"),
-		"lang":    NewLangString("1", "en"),
+		"lang":    Literal{Lexical: "1", Lang: "en"},
 	}
 	for name, tm := range terms {
 		k := tm.Key()
@@ -107,7 +103,7 @@ func TestLiteralStringEscaping(t *testing.T) {
 		{NewString("a\\b"), `"a\\b"`},
 		{NewString("a\nb"), `"a\nb"`},
 		{NewString("tab\there"), `"tab\there"`},
-		{NewLangString("hi", "en"), `"hi"@en`},
+		{Literal{Lexical: "hi", Lang: "en"}, `"hi"@en`},
 		{NewInteger(7), `"7"^^<http://www.w3.org/2001/XMLSchema#integer>`},
 	}
 	for _, tt := range tests {

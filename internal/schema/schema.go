@@ -108,9 +108,6 @@ func NewStore(g *rdf.Graph) *Store {
 	}
 }
 
-// Graph returns the underlying graph.
-func (s *Store) Graph() *rdf.Graph { return s.g }
-
 // SetLabel annotates property p with a display label.
 func SetLabel(b *rdf.Builder, p rdf.IRI, label string) {
 	b.Add(p, rdf.AnnLabel, rdf.NewString(label))
@@ -250,12 +247,6 @@ func (s *Store) Composable(p rdf.IRI) bool {
 	return b
 }
 
-// ComposableProperties returns every property annotated composable, sorted.
-func (s *Store) ComposableProperties() []rdf.IRI {
-	subs := s.g.Subjects(rdf.AnnCompose, rdf.NewBool(true))
-	return subs
-}
-
 // SetHidden suppresses p from navigation suggestions (paper §6.1: "Magnet
 // does provide custom annotations to hide such attributes").
 func SetHidden(b *rdf.Builder, p rdf.IRI) {
@@ -337,19 +328,6 @@ func (s *Store) NumericProperties() []rdf.IRI {
 		if s.ValueType(p).Numeric() {
 			out = append(out, p)
 		}
-	}
-	return out
-}
-
-// NavigationProperties returns every property usable as a navigation axis:
-// present in the graph, not hidden, not annotation vocabulary, sorted.
-func (s *Store) NavigationProperties() []rdf.IRI {
-	var out []rdf.IRI
-	for _, p := range s.g.Predicates() {
-		if s.Hidden(p) {
-			continue
-		}
-		out = append(out, p)
 	}
 	return out
 }

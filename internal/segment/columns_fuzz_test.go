@@ -21,7 +21,7 @@ func fuzzImage() Data {
 	add("b", "cuisine", rdf.IRI(ns+"Greek"))
 	add("c", "cuisine", rdf.IRI(ns+"Thai"))
 	add("a", "title", rdf.NewString("lemon feta salad"))
-	add("b", "title", rdf.NewLangString("olive bread", "en"))
+	add("b", "title", rdf.Literal{Lexical: "olive bread", Lang: "en"})
 	add("c", "servings", rdf.NewInteger(4))
 	add("Greek", "label", rdf.NewString("Greek"))
 	b.Add(rdf.IRI(ns+"a"), rdf.Type, rdf.IRI(ns+"Recipe"))
@@ -111,7 +111,7 @@ func FuzzColumnImage(f *testing.F) {
 }
 
 func readGraph(g *rdf.Graph) {
-	subjects := append(g.AllSubjects(), "urn:x:a", "urn:x:dead", "urn:x:none")
+	subjects := append(g.SubjectsFromIDs(g.AllSubjectIDs().Slice()), "urn:x:a", "urn:x:dead", "urn:x:none")
 	preds := append(g.Predicates(), rdf.Type, rdf.Label, "urn:x:cuisine")
 	g.Len()
 	g.AllSubjectIDs().Len()
@@ -136,8 +136,6 @@ func readGraph(g *rdf.Graph) {
 	for _, s := range subjects {
 		g.SubjectID(s)
 		g.HasSubject(s)
-		g.Statements(s)
-		g.Types(s)
 		g.Label(s)
 		g.HasLabel(s)
 		for _, p := range append(g.PredicatesOf(s), preds...) {
@@ -151,7 +149,6 @@ func readGraph(g *rdf.Graph) {
 }
 
 func readText(ix *index.TextIndex) {
-	ix.Len()
 	for _, q := range []string{"lemon", "feta salad", "olive", "whisk", "absent"} {
 		for _, field := range []string{index.AnyField, "title", "body", "none"} {
 			ix.Matching(q, field)
@@ -159,8 +156,6 @@ func readText(ix *index.TextIndex) {
 			ix.Search(q, field, 3)
 			ix.Search(q, field, 0)
 		}
-		ix.DocFreq(q)
-		ix.TermDocFreq(q)
 		ix.Surface(q)
 	}
 	for _, doc := range []string{"urn:x:a", "urn:x:b", "urn:x:none"} {
@@ -171,17 +166,12 @@ func readText(ix *index.TextIndex) {
 }
 
 func readVectors(v *index.VectorStore) {
-	docs := append(v.IDs(), "urn:x:a", "urn:x:b", "urn:x:c", "urn:x:none")
+	docs := []string{"urn:x:a", "urn:x:b", "urn:x:c", "urn:x:none"}
 	v.Len()
 	for _, id := range docs {
-		v.Has(id)
 		v.Vector(id)
 		v.Weights(id)
 		v.Similarity(id, "urn:x:a")
-	}
-	for _, term := range []string{"feta", "lemon", "num|x", "absent"} {
-		v.DocFreq(term)
-		v.IDF(term)
 	}
 	q := map[string]float64{"lemon": 0.6, "feta": 0.8, "num|x": 0.1}
 	v.Centroid(docs)

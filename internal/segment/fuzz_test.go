@@ -5,8 +5,18 @@ import (
 	"testing"
 )
 
+// openBytes parses an in-memory segment image through the same parse path
+// Open takes after mapping a file.
+func openBytes(data []byte) (*File, error) {
+	f := &File{path: "<bytes>", data: data}
+	if err := f.parse(); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
 // FuzzSegmentHeader feeds arbitrary bytes through the segment-file parser.
-// The invariant: OpenBytes either succeeds or returns an error — it must
+// The invariant: openBytes either succeeds or returns an error — it must
 // never panic, however the header, TOC, or section frames are mangled. On
 // success, every declared section must also be readable without panicking.
 func FuzzSegmentHeader(f *testing.F) {
@@ -37,11 +47,11 @@ func FuzzSegmentHeader(f *testing.F) {
 	f.Add([]byte(Magic))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		file, err := OpenBytes(data)
+		file, err := openBytes(data)
 		if err != nil {
 			return
 		}
-		for _, name := range file.Sections() {
+		for _, name := range file.order {
 			// Readers must tolerate any kind without panicking.
 			file.Bytes(name)
 			file.U32(name)

@@ -38,15 +38,6 @@ func Open(path string) (*File, error) {
 	return f, nil
 }
 
-// OpenBytes parses an in-memory segment image (tests and fuzzing).
-func OpenBytes(data []byte) (*File, error) {
-	f := &File{path: "<bytes>", data: data}
-	if err := f.parse(); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
 func (f *File) parse() error {
 	size := uint64(len(f.data))
 	h, err := parseHeader(f.data, size)
@@ -135,17 +126,6 @@ func (f *File) F64(name string) ([]float64, error) {
 		return nil, fmt.Errorf("segment: %s: section %q: %w", f.path, name, err)
 	}
 	return s, nil
-}
-
-// Has reports whether the file carries the named section.
-func (f *File) Has(name string) bool {
-	_, ok := f.sections[name]
-	return ok
-}
-
-// Sections returns the section names in table-of-contents order.
-func (f *File) Sections() []string {
-	return append([]string(nil), f.order...)
 }
 
 // Verify checksums every section payload against the table of contents —

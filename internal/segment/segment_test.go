@@ -60,8 +60,8 @@ func TestFileRoundTrip(t *testing.T) {
 	if e, err := f.Bytes("empty"); err != nil || len(e) != 0 {
 		t.Errorf("Bytes(empty) = %v, %v; want empty", e, err)
 	}
-	if !f.Has("blob") || f.Has("missing") {
-		t.Error("Has misreports section presence")
+	if _, ok := f.sections["blob"]; !ok {
+		t.Error("section blob missing from the table of contents")
 	}
 	if err := f.Verify(); err != nil {
 		t.Errorf("Verify on clean file: %v", err)
@@ -119,8 +119,8 @@ func TestCorruptHeader(t *testing.T) {
 	for _, off := range []int{0, 5, 9, 17, 25, 33, len(raw) - 3} {
 		mut := append([]byte(nil), raw...)
 		mut[off] ^= 0x40
-		if _, err := OpenBytes(mut); err == nil {
-			t.Errorf("OpenBytes with byte %d flipped: no error", off)
+		if _, err := openBytes(mut); err == nil {
+			t.Errorf("openBytes with byte %d flipped: no error", off)
 		}
 	}
 }
@@ -132,8 +132,8 @@ func TestTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range []int{0, 1, headerSize - 1, headerSize, headerSize + 8, len(raw) / 2, len(raw) - 1} {
-		if _, err := OpenBytes(raw[:n]); err == nil {
-			t.Errorf("OpenBytes truncated to %d bytes: no error", n)
+		if _, err := openBytes(raw[:n]); err == nil {
+			t.Errorf("openBytes truncated to %d bytes: no error", n)
 		}
 	}
 }
@@ -148,7 +148,7 @@ func TestWrongVersion(t *testing.T) {
 	// itself (not the header CRC) rejects the file.
 	raw[8] = 99
 	binary.LittleEndian.PutUint32(raw[36:], Checksum(raw[:36]))
-	if _, err := OpenBytes(raw); err == nil || !strings.Contains(err.Error(), "version") {
+	if _, err := openBytes(raw); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Errorf("wrong version: err = %v, want version error", err)
 	}
 }

@@ -104,16 +104,3 @@ func (a *Analyzer) Terms(s string) []string {
 	}
 	return out
 }
-
-// TermCounts runs the pipeline and aggregates term frequencies.
-func (a *Analyzer) TermCounts(s string) map[string]int {
-	terms := a.Terms(s)
-	if len(terms) == 0 {
-		return nil
-	}
-	m := make(map[string]int, len(terms))
-	for _, t := range terms {
-		m[t]++
-	}
-	return m
-}

@@ -10,7 +10,6 @@
 package vsm
 
 import (
-	"strconv"
 	"strings"
 
 	"magnet/internal/rdf"
@@ -128,19 +127,6 @@ func PathKey(path []rdf.IRI) string {
 	return strings.Join(segs, sepPath)
 }
 
-// ParsePathKey inverts PathKey.
-func ParsePathKey(k string) []rdf.IRI {
-	if k == "" {
-		return nil
-	}
-	segs := strings.Split(k, sepPath)
-	out := make([]rdf.IRI, len(segs))
-	for i, s := range segs {
-		out[i] = rdf.IRI(s)
-	}
-	return out
-}
-
 // PathLabel renders a property path for display, e.g. "body · creator",
 // using labels from the given labeler.
 func PathLabel(path []rdf.IRI, label func(rdf.IRI) string) string {
@@ -150,6 +136,3 @@ func PathLabel(path []rdf.IRI, label func(rdf.IRI) string) string {
 	}
 	return strings.Join(segs, " · ")
 }
-
-// formatWeight is a tiny helper shared by debug output.
-func formatWeight(w float64) string { return strconv.FormatFloat(w, 'f', 4, 64) }

@@ -156,15 +156,6 @@ func (m *Model) Ranges() map[string]Range {
 // it directly).
 func (m *Model) Store() *index.VectorStore { return m.store }
 
-// NumericRange returns the observed range for a property path, if any.
-func (m *Model) NumericRange(path []rdf.IRI) (Range, bool) {
-	r, ok := m.stats[PathKey(path)]
-	if !ok {
-		return Range{}, false
-	}
-	return *r, true
-}
-
 // IndexAll indexes the given items into a freshly built and frozen vector
 // store, replacing the previous one: a first pass gathers numeric range statistics (the
 // unit-circle encoding needs each attribute's observed range), a second
@@ -545,44 +536,6 @@ func (m *Model) ExplainSimilarity(a, b rdf.IRI, k int) []WeightedCoord {
 	})
 	if k > 0 && len(out) > k {
 		out = out[:k]
-	}
-	return out
-}
-
-// DebugVector renders an item's weighted vector sorted by descending weight
-// (a development aid mirroring the paper's Figure 4).
-func (m *Model) DebugVector(item rdf.IRI, label func(rdf.IRI) string) []string {
-	vec := m.Vector(item)
-	type entry struct {
-		term string
-		w    float64
-	}
-	entries := make([]entry, 0, len(vec))
-	for t, w := range vec {
-		entries = append(entries, entry{t, w})
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		if !ApproxEqual(entries[i].w, entries[j].w) {
-			return entries[i].w > entries[j].w
-		}
-		return entries[i].term < entries[j].term
-	})
-	out := make([]string, len(entries))
-	for i, e := range entries {
-		c, ok := ParseCoord(e.term)
-		name := e.term
-		if ok {
-			name = PathLabel(c.Path, label)
-			switch c.Kind {
-			case CoordObject:
-				name += " = " + c.Value.String()
-			case CoordWord:
-				name += " : " + c.Word
-			case CoordNumeric:
-				name += " # " + c.Axis
-			}
-		}
-		out[i] = name + " ⇒ " + formatWeight(e.w)
 	}
 	return out
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -237,10 +236,6 @@ func TestUnitCircleNumericEncoding(t *testing.T) {
 	}
 	if simAC <= 0 {
 		t.Errorf("far dates should still have small positive dot product, got %v", simAC)
-	}
-	// Range stats recorded.
-	if r, ok := m.NumericRange([]rdf.IRI{pSent}); !ok || r.Count != 3 {
-		t.Errorf("NumericRange = %+v, %v", r, ok)
 	}
 }
 
@@ -493,20 +488,6 @@ func TestExplainSimilarity(t *testing.T) {
 	// Disjoint items explain as empty.
 	if got := m.ExplainSimilarity(cobbler, rdf.IRI(ex+"missing"), 5); len(got) != 0 {
 		t.Errorf("missing item explanation = %v", got)
-	}
-}
-
-func TestDebugVectorReadable(t *testing.T) {
-	g, sch, items := figure3Graph()
-	m := New(g, sch, Options{})
-	m.IndexAll(items)
-	lines := m.DebugVector(items[0], func(p rdf.IRI) string { return p.LocalName() })
-	if len(lines) == 0 {
-		t.Fatal("empty debug vector")
-	}
-	joined := strings.Join(lines, "\n")
-	if !strings.Contains(joined, "ingredient") || !strings.Contains(joined, "⇒") {
-		t.Errorf("debug output unreadable:\n%s", joined)
 	}
 }
 
