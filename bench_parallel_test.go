@@ -123,12 +123,12 @@ func BenchmarkParallelIndexAll(b *testing.B) {
 	for _, w := range workerCounts() {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			m := parallelRecipeMagnet(w)
-			items := m.Items()
+			items := m.Graph().SubjectIDsOf(m.Items())
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				m.Model().IndexAll(items)
 			}
-			b.ReportMetric(float64(len(items)), "items")
+			b.ReportMetric(float64(items.Len()), "items")
 			reportEnv(b)
 		})
 	}

@@ -26,7 +26,6 @@ import (
 	"magnet/internal/facets"
 	"magnet/internal/index"
 	"magnet/internal/inexeval"
-	"magnet/internal/itemset"
 	"magnet/internal/qlang"
 	"magnet/internal/query"
 	"magnet/internal/rdf"
@@ -70,10 +69,7 @@ func recipeMagnet() *core.Magnet {
 // engineOf builds a query engine equal to m's own: the same graph, schema,
 // text index and item universe its sessions evaluate steps with.
 func engineOf(m *core.Magnet) *query.Engine {
-	e := query.NewEngine(m.Graph(), m.Schema(), m.TextIndex(), m.Items)
-	items := m.Graph().SubjectIDsOf(m.Items())
-	e.SetUniverseIDs(func() itemset.Set { return items })
-	return e
+	return query.NewEngine(m.Graph(), m.Schema(), m.TextIndex(), m.Graph().SubjectIDsOf(m.Items()))
 }
 
 // evaluate runs q through e's instrumented path and returns the sorted
@@ -352,12 +348,12 @@ func BenchmarkStudyTask2(b *testing.B) {
 // vector of the corpus (§5.2's "indexing the data in advance").
 func BenchmarkIndexAll(b *testing.B) {
 	m := recipeMagnet()
-	items := m.Items()
+	items := m.Graph().SubjectIDsOf(m.Items())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Model().IndexAll(items)
 	}
-	b.ReportMetric(float64(len(items)), "items")
+	b.ReportMetric(float64(items.Len()), "items")
 }
 
 // BenchmarkSimilarToItem (P2): top-20 nearest neighbours of one item.
@@ -376,9 +372,10 @@ func BenchmarkCentroidRefinement(b *testing.B) {
 	m := recipeMagnet()
 	coll := evaluate(engineOf(m), query.NewQuery(
 		query.Property{Prop: recipes.PropCuisine, Value: recipes.Cuisine("Greek")}))
+	ids := m.Graph().SubjectIDsOf(coll)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Model().RefinementCoords(coll, 40, nil)
+		m.Model().RefinementCoords(ids, 40, nil)
 	}
 	b.ReportMetric(float64(len(coll)), "collection")
 }
@@ -459,9 +456,10 @@ func BenchmarkAblationCompositions(b *testing.B) {
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			model := vsm.New(g, schemaOf(g), cfg.opts)
+			ids := g.SubjectIDsOf(items)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				model.IndexAll(items)
+				model.IndexAll(ids)
 			}
 		})
 	}
@@ -480,7 +478,7 @@ func BenchmarkAblationPerAttrNorm(b *testing.B) {
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			model := vsm.New(g, schemaOf(g), cfg.opts)
-			model.IndexAll(items)
+			model.IndexAll(g.SubjectIDsOf(items))
 			item := items[0]
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -503,7 +501,7 @@ func BenchmarkAblationNumericEncoding(b *testing.B) {
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			model := vsm.New(g, schemaOf(g), cfg.opts)
-			model.IndexAll(items)
+			model.IndexAll(g.SubjectIDsOf(items))
 			item := items[0]
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -540,9 +538,10 @@ func BenchmarkAblationRefinementWeighting(b *testing.B) {
 	m := recipeMagnet()
 	coll := evaluate(engineOf(m), query.NewQuery(
 		query.Property{Prop: recipes.PropCuisine, Value: recipes.Cuisine("Greek")}))
+	ids := m.Graph().SubjectIDsOf(coll)
 	b.Run("tfidf", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			m.Model().RefinementCoords(coll, 20, nil)
+			m.Model().RefinementCoords(ids, 20, nil)
 		}
 	})
 	b.Run("rawFrequency", func(b *testing.B) {

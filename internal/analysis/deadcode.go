@@ -2,16 +2,21 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
-// DeadCode flags every function and method in scope that no loaded
-// non-test code uses. The loader never parses *_test.go files, so a
-// function whose only callers are tests is dead here too: a test-only hook
-// belongs in a _test.go file. A use is any resolved reference (a call, a
-// method value, a function passed as a value), with generic instantiations
-// traced back to their declaration; references from inside the function's
-// own body do not count, so a function that only calls itself is dead.
+// DeadCode flags every function, method and package-level var or const in
+// scope that no loaded non-test code uses. The loader never parses
+// *_test.go files, so a declaration only tests use is dead here too: a
+// test-only hook belongs in a _test.go file. A use is any resolved
+// reference (a call, a method value, a function passed as a value, a read
+// of a var or const), with generic instantiations traced back to their
+// declaration; references from inside the declaration itself do not
+// count, so a function that only calls itself is dead.
+//
+// A const in an iota group is used when any const of its group is:
+// deleting an unreferenced member would renumber its siblings.
 //
 // Exempt are main and init, and every method whose receiver type (T or
 // *T) implements an interface that declares the method — dispatch through
@@ -22,7 +27,7 @@ import (
 func DeadCode(scope ...string) *Analyzer {
 	a := &Analyzer{
 		Name:  "deadcode",
-		Doc:   "functions and methods must have a use outside tests and their own body",
+		Doc:   "functions, methods and package-level vars and consts must have a use outside tests and their own declaration",
 		Scope: scope,
 	}
 	a.RunModule = runDeadCode
@@ -38,6 +43,10 @@ func runDeadCode(mp *ModulePass) {
 				continue
 			}
 			for _, decl := range f.Decls {
+				if gd, ok := decl.(*ast.GenDecl); ok {
+					reportDeadValues(mp, pkg, gd, used)
+					continue
+				}
 				fd, ok := decl.(*ast.FuncDecl)
 				if !ok {
 					continue
@@ -58,21 +67,78 @@ func runDeadCode(mp *ModulePass) {
 	}
 }
 
-// collectUses returns every function object referenced from loaded code,
-// resolved to its generic origin. A reference inside a function's own
-// declaration does not count as a use of that function.
-func collectUses(pkgs []*Package) map[*types.Func]bool {
-	used := make(map[*types.Func]bool)
+// reportDeadValues reports the package-level vars and consts of gd that
+// no loaded non-test code uses.
+func reportDeadValues(mp *ModulePass, pkg *Package, gd *ast.GenDecl, used map[types.Object]bool) {
+	if gd.Tok != token.VAR && gd.Tok != token.CONST {
+		return
+	}
+	var names []*ast.Ident
+	usesIota, groupUsed := false, false
+	for _, spec := range gd.Specs {
+		vs := spec.(*ast.ValueSpec)
+		for _, name := range vs.Names {
+			if name.Name != "_" {
+				names = append(names, name)
+				groupUsed = groupUsed || used[pkg.Info.Defs[name]]
+			}
+		}
+		for _, v := range vs.Values {
+			ast.Inspect(v, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && id.Name == "iota" {
+					usesIota = true
+				}
+				return !usesIota
+			})
+		}
+	}
+	if gd.Tok == token.CONST && usesIota && groupUsed {
+		return
+	}
+	for _, name := range names {
+		obj := pkg.Info.Defs[name]
+		if obj == nil || used[obj] {
+			continue
+		}
+		mp.Reportf(pkg, name.Pos(), "%s.%s has no use outside tests and its own declaration; delete it", pkg.Types.Name(), name.Name)
+	}
+}
+
+// collectUses returns every function (resolved to its generic origin) and
+// every package-level var and const referenced from loaded code. A
+// reference inside a declaration does not count as a use of what that
+// declaration declares.
+func collectUses(pkgs []*Package) map[types.Object]bool {
+	used := make(map[types.Object]bool)
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Syntax {
 			for _, decl := range f.Decls {
-				var self *types.Func
-				if fd, ok := decl.(*ast.FuncDecl); ok {
-					self, _ = pkg.Info.Defs[fd.Name].(*types.Func)
+				self := make(map[types.Object]bool)
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					self[pkg.Info.Defs[d.Name]] = true
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						if vs, ok := spec.(*ast.ValueSpec); ok {
+							for _, name := range vs.Names {
+								self[pkg.Info.Defs[name]] = true
+							}
+						}
+					}
 				}
 				mark := func(obj types.Object) {
-					if fn, ok := obj.(*types.Func); ok && fn.Origin() != self {
-						used[fn.Origin()] = true
+					switch o := obj.(type) {
+					case *types.Func:
+						obj = o.Origin()
+					case *types.Var, *types.Const:
+						if o.Pkg() == nil || o.Parent() != o.Pkg().Scope() {
+							return // not package-level
+						}
+					default:
+						return
+					}
+					if !self[obj] {
+						used[obj] = true
 					}
 				}
 				ast.Inspect(decl, func(n ast.Node) bool {

@@ -1,5 +1,6 @@
-// Package deadcode exercises the dead-function rule: every function and
-// method needs a use outside tests and outside its own body.
+// Package deadcode exercises the dead-code rule: every function, method
+// and package-level var or const needs a use outside tests and outside its
+// own declaration.
 package deadcode
 
 import "fmt"
@@ -14,6 +15,9 @@ func init() {
 	inc := counter{}.Inc
 	_ = inc()
 	_ = apply(double)
+	_ = levelHigh
+	read := tally.Inc
+	_ = read()
 }
 
 // Flagged.
@@ -35,7 +39,24 @@ func countdown(n int) int { // want "deadcode.countdown has no use"
 	return countdown(n - 1)
 }
 
+// unusedVar is read by nothing.
+var unusedVar = 3 // want "deadcode.unusedVar has no use"
+
+// unusedConst is read by nothing.
+const unusedConst = "x" // want "deadcode.unusedConst has no use"
+
 // Not flagged.
+
+type level int
+
+// levelLow is never named, but deleting it would renumber levelHigh.
+const (
+	levelLow level = iota
+	levelHigh
+)
+
+// tally is read only through its method value tally.Inc.
+var tally counter
 
 type shape interface{ Area() int }
 

@@ -37,7 +37,7 @@ func (*Refinement) Triggered(v blackboard.View) bool {
 
 // Suggest implements blackboard.Analyst.
 func (r *Refinement) Suggest(v blackboard.View, b *blackboard.Board) {
-	coords := r.env.Model.RefinementCoords(v.Collection, r.k, nil)
+	coords := r.env.Model.RefinementCoords(v.IDs, r.k, nil)
 	if len(coords) == 0 {
 		return
 	}

@@ -59,7 +59,7 @@ func oracleRefinements(env *analysts.Env, v blackboard.View) (out map[string]str
 	out = make(map[string]string)
 	counts := oracleMemberCounts(env, v.Collection)
 	n := len(v.Collection)
-	for _, wc := range env.Model.RefinementCoords(v.Collection, 40, nil) {
+	for _, wc := range env.Model.RefinementCoords(v.IDs, 40, nil) {
 		c := wc.Coord
 		if c.Kind != vsm.CoordObject {
 			continue
@@ -150,7 +150,7 @@ func sampleViews(t *testing.T, m *core.Magnet, rounds int) []blackboard.View {
 // model ranked.
 func checkViews(t *testing.T, m *core.Magnet, views []blackboard.View) (composed, hidden int) {
 	t.Helper()
-	env := &analysts.Env{Graph: m.Graph(), Schema: m.Schema(), Model: m.Model(), Engine: query.NewEngine(m.Graph(), m.Schema(), m.TextIndex(), m.Items), Text: m.TextIndex()}
+	env := &analysts.Env{Graph: m.Graph(), Schema: m.Schema(), Model: m.Model(), Engine: query.NewEngine(m.Graph(), m.Schema(), m.TextIndex(), m.Graph().SubjectIDsOf(m.Items())), Text: m.TextIndex()}
 	for i, v := range views {
 		if !reflect.DeepEqual(v.IDs, m.Graph().SubjectIDsOf(v.Collection)) {
 			t.Fatalf("view %d (%s): IDs do not hold the collection's members", i, v.Key())

@@ -32,7 +32,7 @@ func (*SharedProperty) Triggered(v blackboard.View) bool { return v.IsItem() }
 // Suggest implements blackboard.Analyst.
 func (s *SharedProperty) Suggest(v blackboard.View, b *blackboard.Board) {
 	g := s.env.Graph
-	total := g.AllSubjectIDs().Len()
+	total := g.SubjectTable().Len()
 	posted := 0
 	for _, p := range g.PredicatesOf(v.Item) {
 		if s.env.Schema.Hidden(p) {
@@ -137,7 +137,7 @@ func (*SimilarCollection) Triggered(v blackboard.View) bool {
 
 // Suggest implements blackboard.Analyst.
 func (s *SimilarCollection) Suggest(v blackboard.View, b *blackboard.Board) {
-	sims := s.env.Model.SimilarToCollection(v.Collection, s.k, true)
+	sims := s.env.Model.SimilarToCollection(v.IDs, s.k, true)
 	if len(sims) == 0 {
 		return
 	}

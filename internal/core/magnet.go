@@ -14,7 +14,6 @@ package core
 
 import (
 	"context"
-	"sync"
 	"time"
 
 	"magnet/internal/advisors"
@@ -101,10 +100,6 @@ type Magnet struct {
 	// set is the backing segment set when the instance was opened with
 	// OpenSegments; nil for instances compiled in memory by Open.
 	set *segment.Set
-	// items is itemIDs rehydrated to sorted IRIs, once, on first use: the
-	// open path must stay O(1) in the corpus.
-	itemsOnce sync.Once
-	items     []rdf.IRI
 }
 
 // Open builds a Magnet over the triples in b: it compiles them into the
@@ -170,7 +165,7 @@ func (m *Magnet) compile(ctx context.Context, b *rdf.Builder) (*rdf.Graph, segme
 	component(ctx, "startup.vectors", startupVectorsNS, func() {
 		model := vsm.New(g, sch, m.opts.VSM)
 		model.SetPool(m.pool)
-		model.IndexAll(items)
+		model.IndexAll(itemset.FromSorted(d.Items))
 		d.Vectors = model.Store().Columns()
 		d.Ranges = numericRanges(model.Ranges())
 	})
@@ -186,7 +181,7 @@ func (m *Magnet) assemble(ctx context.Context, g *rdf.Graph, d *segment.Data) er
 	if err != nil {
 		return err
 	}
-	store, err := index.FromVectorColumns(d.Vectors)
+	store, err := index.FromVectorColumns(d.Vectors, m.pool)
 	if err != nil {
 		return err
 	}
@@ -204,11 +199,10 @@ func (m *Magnet) assemble(ctx context.Context, g *rdf.Graph, d *segment.Data) er
 	return nil
 }
 
-// buildEngine creates the query engine over the indexes and installs the
-// item universe on the dense-ID plane.
+// buildEngine creates the query engine over the indexes and the item
+// universe on the dense-ID plane.
 func (m *Magnet) buildEngine() {
-	m.eng = query.NewEngine(m.g, m.sch, m.text, m.itemsSlice)
-	m.eng.SetUniverseIDs(func() itemset.Set { return m.itemIDs })
+	m.eng = query.NewEngine(m.g, m.sch, m.text, m.itemIDs)
 }
 
 // chooseItems selects the indexed information objects on the dense-ID
@@ -256,22 +250,9 @@ func (m *Magnet) Model() *vsm.Model { return m.model }
 // TextIndex returns the external text index.
 func (m *Magnet) TextIndex() *index.TextIndex { return m.text }
 
-// itemsSlice returns the item universe as sorted IRIs, rehydrating itemIDs
-// on first use.
-func (m *Magnet) itemsSlice() []rdf.IRI {
-	m.itemsOnce.Do(func() {
-		m.items = m.g.SubjectsFromIDs(m.itemIDs.Slice())
-	})
-	return m.items
-}
-
-// Items returns the indexed item universe, sorted.
-func (m *Magnet) Items() []rdf.IRI {
-	items := m.itemsSlice()
-	out := make([]rdf.IRI, len(items))
-	copy(out, items)
-	return out
-}
+// Items returns the indexed item universe, sorted (subject IDs ascend with
+// their IRIs).
+func (m *Magnet) Items() []rdf.IRI { return m.g.SubjectsFromIDs(m.itemIDs.Slice()) }
 
 // NumItems returns the size of the item universe without materializing it
 // (cheap even right after OpenSegments).

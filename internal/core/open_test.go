@@ -37,8 +37,8 @@ func openSegmentsBytes(t *testing.T, n int) uint64 {
 // TestOpenSegmentsAllocationFlat pins O(1) open: OpenSegments of a corpus
 // ten times larger allocates the same bytes, give or take a small
 // constant. Every lazily decoded table — key strings, the graph's term
-// table, the vector row cache, the rehydrated item list — must stay off
-// the open path.
+// table — must stay off the open path, and the vector store reads its
+// compiled rows straight from the columns.
 func TestOpenSegmentsAllocationFlat(t *testing.T) {
 	small := openSegmentsBytes(t, 200)
 	large := openSegmentsBytes(t, 2000)

@@ -11,6 +11,7 @@ import (
 	"magnet/internal/blackboard"
 	"magnet/internal/facets"
 	"magnet/internal/history"
+	"magnet/internal/itemset"
 	"magnet/internal/obs"
 	"magnet/internal/query"
 	"magnet/internal/rdf"
@@ -132,6 +133,14 @@ func (s *Session) Items() []rdf.IRI {
 	return out
 }
 
+// itemIDs returns Items on the dense-ID plane.
+func (s *Session) itemIDs() itemset.Set {
+	if s.current.IsItem() {
+		return s.m.g.SubjectIDsOf([]rdf.IRI{s.current.Item})
+	}
+	return s.current.IDs
+}
+
 // SetContext sets the ambient context for subsequent session steps; pass a
 // context from obs.StartTrace to capture a span tree for one navigation
 // step. A nil ctx resets to context.Background(). Like all session state,
@@ -189,7 +198,7 @@ func (s *Session) GoHome() {
 // Collections semantics. On a fixed (materialized) collection the predicate
 // filters the members directly, since there is no query to extend.
 func (s *Session) Refine(p query.Predicate, mode blackboard.RefineMode) {
-	prev := s.Items()
+	prev := s.itemIDs()
 	if s.current.Fixed {
 		s.refineFixed(p, mode)
 	} else {
@@ -324,11 +333,7 @@ func (s *Session) Overview(maxValues int) []facets.Facet {
 		ByCount:   true,
 		Pool:      s.m.pool,
 	}
-	coll := s.current.IDs
-	if s.current.IsItem() {
-		coll = s.m.g.SubjectIDsOf([]rdf.IRI{s.current.Item})
-	}
-	fs := facets.SummarizeContext(ctx, s.m.g, s.m.sch, coll, opts)
+	fs := facets.SummarizeContext(ctx, s.m.g, s.m.sch, s.itemIDs(), opts)
 	st.sp.SetInt("facets", len(fs))
 	st.finish(stepOverviewCount, stepOverviewNS)
 	return fs

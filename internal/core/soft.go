@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"magnet/internal/blackboard"
+	"magnet/internal/itemset"
 	"magnet/internal/query"
 	"magnet/internal/rdf"
 )
@@ -27,12 +28,12 @@ const softLimit = 10
 
 // softRefine attempts the fuzzy fallback. prev is the collection before the
 // refinement. It reports whether a fallback view was produced.
-func (s *Session) softRefine(p query.Predicate, mode blackboard.RefineMode, prev []rdf.IRI) bool {
-	if len(prev) == 0 {
+func (s *Session) softRefine(p query.Predicate, mode blackboard.RefineMode, prev itemset.Set) bool {
+	if prev.IsEmpty() {
 		return false
 	}
-	concept := p.Eval(s.m.eng).Items()
-	if len(concept) == 0 {
+	concept := p.Eval(s.m.eng).IDs()
+	if concept.IsEmpty() {
 		// The predicate matches nothing anywhere; there is no concept to be
 		// fuzzy about.
 		return false
@@ -43,12 +44,12 @@ func (s *Session) softRefine(p query.Predicate, mode blackboard.RefineMode, prev
 	}
 
 	type scored struct {
-		item  rdf.IRI
+		id    uint32
 		score float64
 	}
-	ranked := make([]scored, 0, len(prev))
+	ranked := make([]scored, 0, prev.Len())
 	for i, score := range s.m.model.Scores(centroid, prev) {
-		ranked = append(ranked, scored{prev[i], score})
+		ranked = append(ranked, scored{prev.Slice()[i], score})
 	}
 	asc := mode == blackboard.Exclude
 	sort.Slice(ranked, func(i, j int) bool {
@@ -59,7 +60,7 @@ func (s *Session) softRefine(p query.Predicate, mode blackboard.RefineMode, prev
 			}
 			return si > sj
 		}
-		return ranked[i].item < ranked[j].item
+		return ranked[i].id < ranked[j].id // IDs ascend with the IRIs
 	})
 
 	n := softLimit
@@ -68,7 +69,7 @@ func (s *Session) softRefine(p query.Predicate, mode blackboard.RefineMode, prev
 	}
 	items := make([]rdf.IRI, n)
 	for i := 0; i < n; i++ {
-		items[i] = ranked[i].item
+		items[i] = s.m.g.SubjectByID(ranked[i].id)
 	}
 	name := "closest matches · " + describeMode(mode) + " " + p.Describe(s.m.Labeler())
 	s.goTo(s.fixedView(name, items))

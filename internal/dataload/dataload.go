@@ -18,12 +18,10 @@ import (
 	"magnet/internal/rdf"
 )
 
-// Names lists the built-in dataset names Load accepts.
-var Names = []string{"recipes", "states", "factbook", "inbox", "artstor", "courses"}
-
 // Spec describes what to load. File, when set, wins over Dataset.
 type Spec struct {
-	// Dataset is a built-in corpus name (see Names).
+	// Dataset is a built-in corpus name: recipes, states, factbook, inbox,
+	// artstor or courses.
 	Dataset string
 	// File is an N-Triples file path; loads instead of Dataset when set.
 	File string

@@ -31,15 +31,10 @@ var (
 	ClassArticle = xmlconv.ElementClass(NS, "article")
 	ClassAuthor  = xmlconv.ElementClass(NS, "author")
 	ClassVita    = xmlconv.ElementClass(NS, "vita")
-	ClassSection = xmlconv.ElementClass(NS, "section")
 
 	PropAuthor   = xmlconv.Prop(NS, "author")
 	PropVita     = xmlconv.Prop(NS, "vita")
 	PropSection  = xmlconv.Prop(NS, "section")
-	PropPara     = xmlconv.Prop(NS, "para")
-	PropTitle    = xmlconv.Prop(NS, "title")
-	PropAbstract = xmlconv.Prop(NS, "abstract")
-	PropName     = xmlconv.Prop(NS, "name")
 	PropStatus   = xmlconv.Prop(NS, "status")
 	PropResearch = xmlconv.Prop(NS, "research")
 	PropRel      = xmlconv.Prop(NS, "rel") // hidden ground-truth marker

@@ -6,6 +6,7 @@ import (
 
 	"magnet/internal/rdf"
 	"magnet/internal/schema"
+	"magnet/internal/xmlconv"
 )
 
 func build(t *testing.T, cfg Config) *Corpus {
@@ -31,7 +32,7 @@ func TestCorpusShape(t *testing.T) {
 			t.Fatalf("%s has no authors", a)
 		}
 		au := authors[0].(rdf.IRI)
-		for _, p := range []rdf.IRI{PropName, PropStatus, PropResearch, PropVita} {
+		for _, p := range []rdf.IRI{xmlconv.Prop(NS, "name"), PropStatus, PropResearch, PropVita} {
 			if _, ok := g.Object(au, p); !ok {
 				t.Errorf("author missing %s", p.LocalName())
 			}

@@ -7,10 +7,13 @@ package index
 // concurrent use.
 
 import (
+	"fmt"
+	"math"
 	"sort"
 	"strings"
 
 	"magnet/internal/ids"
+	"magnet/internal/par"
 	"magnet/internal/text"
 )
 
@@ -290,8 +293,9 @@ func (ix *TextBuilder) Columns() TextColumns {
 // --- VectorBuilder --------------------------------------------------------
 
 // VectorBuilder is the write side of a VectorStore: raw term-frequency
-// vectors with the document frequencies their tf·idf weights need.
-// Documents and terms are interned to dense numbers in Add order.
+// vectors keyed by caller-chosen document IDs (Magnet's graph subject
+// IDs), compiled into normalized tf·idf rows. Terms are interned to dense
+// numbers in Add order.
 type VectorBuilder struct {
 	// PinnedPrefix, when non-empty, marks terms whose stored frequency is
 	// used directly as the (pre-normalization) weight, bypassing the
@@ -302,13 +306,13 @@ type VectorBuilder struct {
 	// Must be set before any Add.
 	PinnedPrefix string
 
-	docs  *ids.Interner[string] // docID → dense docnum, append-only
 	terms *ids.Interner[string] // term → dense termnum, append-only
 
-	// Per-document state, indexed by docnum: sorted termnums with parallel
-	// raw frequencies.
+	// Per-document state, indexed by document ID: sorted termnums with
+	// parallel raw frequencies; nil for an ID never added.
 	docTerms [][]uint32
 	docFreqs [][]float64
+	docs     int // documents added
 
 	// Per-term state, indexed by termnum.
 	df     []int  // document frequency
@@ -317,10 +321,7 @@ type VectorBuilder struct {
 
 // NewVectorBuilder returns an empty vector-store builder.
 func NewVectorBuilder() *VectorBuilder {
-	return &VectorBuilder{
-		docs:  ids.NewInterner[string](),
-		terms: ids.NewInterner[string](),
-	}
+	return &VectorBuilder{terms: ids.NewInterner[string]()}
 }
 
 // termnum interns term and grows the per-term columns to cover it.
@@ -333,16 +334,14 @@ func (v *VectorBuilder) termnum(term string) uint32 {
 	return t
 }
 
-// Add stores the raw term-frequency vector for a new docID; adding an ID
+// Add stores the raw term-frequency vector of document id; adding an ID
 // the builder already holds panics. Frequencies must be positive;
 // non-positive entries are dropped.
-func (v *VectorBuilder) Add(docID string, freqs map[string]float64) {
-	if _, ok := v.docs.Lookup(docID); ok {
-		panic("index: vector store already holds document " + docID)
+func (v *VectorBuilder) Add(id uint32, freqs map[string]float64) {
+	if int(id) < len(v.docTerms) && v.docTerms[id] != nil {
+		panic(fmt.Sprintf("index: vector store already holds document %d", id))
 	}
-	v.docs.Intern(docID)
-
-	terms := make([]uint32, 0, len(freqs))
+	terms := make([]uint32, 0, len(freqs)) // non-nil: marks id as added
 	var fresh []string
 	for term, f := range freqs {
 		if f <= 0 {
@@ -369,47 +368,71 @@ func (v *VectorBuilder) Add(docID string, freqs map[string]float64) {
 	for i, t := range terms {
 		fs[i] = freqs[v.terms.Key(t)]
 	}
-	v.docTerms = append(v.docTerms, terms)
-	v.docFreqs = append(v.docFreqs, fs)
+	for int(id) >= len(v.docTerms) {
+		v.docTerms = append(v.docTerms, nil)
+		v.docFreqs = append(v.docFreqs, nil)
+	}
+	v.docTerms[id], v.docFreqs[id] = terms, fs
+	v.docs++
 }
 
-// Freeze compiles the builder into a frozen VectorStore.
-func (v *VectorBuilder) Freeze() *VectorStore {
-	r, err := FromVectorColumns(v.Columns())
+// idf returns termnum t's inverse document frequency, log(N/df).
+func (v *VectorBuilder) idf(t uint32) float64 {
+	if v.df[t] == 0 {
+		return 0
+	}
+	return math.Log(float64(v.docs) / float64(v.df[t]))
+}
+
+// Freeze compiles the builder into a frozen VectorStore whose similarity
+// and centroid scans fan out on pool (nil scans serially).
+func (v *VectorBuilder) Freeze(pool *par.Pool) *VectorStore {
+	r, err := FromVectorColumns(v.Columns(), pool)
 	if err != nil {
 		panic("index: compiled vector columns rejected: " + err.Error())
 	}
 	return r
 }
 
-// Columns compiles the vectors into their columnar image, retrieval
-// postings included. Deterministic.
+// Columns compiles the vectors into their columnar image: each document's
+// normalized tf·idf row, and the retrieval postings. Weights are
+// normalized by the row's length, summed in ascending termnum order.
+// Deterministic.
 func (v *VectorBuilder) Columns() VectorColumns {
 	var c VectorColumns
-	c.Docs = v.docs.Columns()
 	c.Terms = v.terms.Columns()
-	c.DocStart = append(c.DocStart, 0)
+	c.RowStart = append(make([]uint32, 0, len(v.docTerms)+1), 0)
 	post := make([][]uint32, v.terms.Len())
 	for dn, ts := range v.docTerms {
-		c.LiveDNS = append(c.LiveDNS, uint32(dn))
-		c.DocTerm = append(c.DocTerm, ts...)
-		c.DocFreq = append(c.DocFreq, v.docFreqs[dn]...)
-		c.DocStart = append(c.DocStart, uint32(len(c.DocTerm)))
+		fs := v.docFreqs[dn]
+		row := len(c.RowWeight)
+		var norm float64
+		for i, t := range ts {
+			var w float64
+			if v.pinned[t] {
+				w = fs[i]
+			} else {
+				w = math.Log(fs[i]+1) * v.idf(t)
+			}
+			if w == 0 {
+				continue
+			}
+			c.RowTerm = append(c.RowTerm, t)
+			c.RowWeight = append(c.RowWeight, w)
+			norm += w * w
+		}
+		if norm > 0 {
+			norm = math.Sqrt(norm)
+			for i := row; i < len(c.RowWeight); i++ {
+				c.RowWeight[i] /= norm
+			}
+		}
+		c.RowStart = append(c.RowStart, uint32(len(c.RowTerm)))
 		for _, t := range ts {
 			post[t] = append(post[t], uint32(dn))
 		}
 	}
-	c.DF = make([]uint32, len(v.df))
-	for t, n := range v.df {
-		c.DF[t] = uint32(n)
-	}
-	c.Pinned = make([]byte, (len(v.pinned)+7)/8)
-	for t, p := range v.pinned {
-		if p {
-			c.Pinned[t/8] |= 1 << (t % 8)
-		}
-	}
-	c.PostStart = append(c.PostStart, 0)
+	c.PostStart = append(make([]uint32, 0, len(post)+1), 0)
 	for _, dns := range post {
 		c.PostDNS = append(c.PostDNS, dns...)
 		c.PostStart = append(c.PostStart, uint32(len(c.PostDNS)))

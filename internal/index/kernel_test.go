@@ -4,21 +4,24 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
+	"magnet/internal/itemset"
 	"magnet/internal/par"
 )
 
-// The kernel tests pin SimilarTo, SimilarToCentroid, Centroid, Similarity
-// and ScoreDocs to a reference that works on the string-keyed vectors
-// Vector returns, summing in ascending termnum order with the centroid's
-// fixed 256-item chunk shape. Agreement must be bit for bit.
+// The kernel tests pin SimilarToDoc, SimilarToCentroid, Centroid,
+// Similarity, SharedTerms and ScoreDocs to a reference that works on
+// string-keyed vectors read from Weights, summing in ascending termnum
+// order with the centroid's fixed 256-item chunk shape over ascending
+// member IDs. Agreement must be bit for bit.
 
-// kernelStore builds a store of ndocs random documents over a vocabulary of
-// nterms terms; a third carry a pinned coordinate, whose stored frequency
-// is its weight.
-func kernelStore(rng *rand.Rand, ndocs, nterms int) *VectorStore {
+// kernelBuilder builds ndocs random documents (IDs 0..ndocs-1) over a
+// vocabulary of nterms terms; a third carry a pinned coordinate, whose
+// stored frequency is its weight.
+func kernelBuilder(rng *rand.Rand, ndocs, nterms int) *VectorBuilder {
 	b := NewVectorBuilder()
 	b.PinnedPrefix = "num|"
 	for d := 0; d < ndocs; d++ {
@@ -29,9 +32,9 @@ func kernelStore(rng *rand.Rand, ndocs, nterms int) *VectorStore {
 		if rng.Intn(3) == 0 {
 			freqs["num|a"] = 0.5 + rng.Float64()
 		}
-		b.Add(fmt.Sprintf("doc%04d", d), freqs)
+		b.Add(uint32(d), freqs)
 	}
-	return b.Freeze()
+	return b
 }
 
 // refTerms returns vec's terms in ascending termnum order.
@@ -62,14 +65,14 @@ func refDot(v *VectorStore, a, b map[string]float64) float64 {
 	return s
 }
 
-// refCentroid reduces ids with maps: per-chunk partial maps, merged in
-// chunk order, normalized in ascending termnum order.
-func refCentroid(v *VectorStore, ids []string) map[string]float64 {
+// refCentroid reduces ids (ascending) with maps: per-chunk partial maps,
+// merged in chunk order, normalized in ascending termnum order.
+func refCentroid(v *VectorStore, ids []uint32) map[string]float64 {
 	sum := make(map[string]float64)
 	for lo := 0; lo < len(ids); lo += centroidChunk {
 		part := make(map[string]float64)
 		for _, id := range ids[lo:min(lo+centroidChunk, len(ids))] {
-			for t, w := range v.Vector(id) {
+			for t, w := range v.vector(id) {
 				part[t] += w
 			}
 		}
@@ -92,13 +95,13 @@ func refCentroid(v *VectorStore, ids []string) map[string]float64 {
 
 // refSimilarTo scores every stored document against query and keeps the
 // top k under (score desc, ID asc).
-func refSimilarTo(v *VectorStore, query map[string]float64, k int, exclude map[string]bool) []Scored {
+func refSimilarTo(v *VectorStore, query map[string]float64, k int, exclude map[uint32]bool) []Scored {
 	var out []Scored
 	for _, id := range v.docIDs() {
 		if exclude[id] {
 			continue
 		}
-		if s := refDot(v, query, v.Vector(id)); s > 0 {
+		if s := refDot(v, query, v.vector(id)); s > 0 {
 			out = append(out, Scored{id, s})
 		}
 	}
@@ -116,7 +119,7 @@ func sameScored(t *testing.T, what string, got, want []Scored) {
 	}
 	for i := range want {
 		if got[i].ID != want[i].ID || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
-			t.Fatalf("%s[%d] = %s %v, want %s %v (bit-exact)", what, i, got[i].ID, got[i].Score, want[i].ID, want[i].Score)
+			t.Fatalf("%s[%d] = %d %v, want %d %v (bit-exact)", what, i, got[i].ID, got[i].Score, want[i].ID, want[i].Score)
 		}
 	}
 }
@@ -136,72 +139,81 @@ func sameVector(t *testing.T, what string, got, want map[string]float64) {
 
 // checkKernel compares every kernel entry point against the reference on
 // one store, with the given members and probe documents.
-func checkKernel(t *testing.T, v *VectorStore, members, probes []string, k int) {
+func checkKernel(t *testing.T, v *VectorStore, members itemset.Set, probes []uint32, k int) {
 	t.Helper()
-	want := refCentroid(v, members)
+	want := refCentroid(v, members.Slice())
 	sameVector(t, "Centroid", v.Centroid(members), want)
 
-	memberSet := make(map[string]bool, len(members))
-	for _, id := range members {
+	memberSet := make(map[uint32]bool, members.Len())
+	for _, id := range members.Slice() {
 		memberSet[id] = true
 	}
 	sameScored(t, "SimilarToCentroid", v.SimilarToCentroid(members, k, true), refSimilarTo(v, want, k, memberSet))
 	sameScored(t, "SimilarToCentroid(keep members)", v.SimilarToCentroid(members, k, false), refSimilarTo(v, want, k, nil))
-	sameScored(t, "SimilarTo(centroid)", v.SimilarTo(want, k, members), refSimilarTo(v, want, k, memberSet))
 
-	scores := v.ScoreDocs(want, probes)
-	for i, id := range probes {
-		if r := refDot(v, want, v.Vector(id)); math.Float64bits(scores[i]) != math.Float64bits(r) {
-			t.Fatalf("ScoreDocs[%s] = %v, want %v (bit-exact)", id, scores[i], r)
+	probeSet := itemset.FromUnsorted(slices.Clone(probes))
+	scores := v.ScoreDocs(want, probeSet)
+	for i, id := range probeSet.Slice() {
+		if r := refDot(v, want, v.vector(id)); math.Float64bits(scores[i]) != math.Float64bits(r) {
+			t.Fatalf("ScoreDocs[%d] = %v, want %v (bit-exact)", id, scores[i], r)
 		}
 	}
 	for i, a := range probes {
-		va := v.Vector(a)
-		sameScored(t, "SimilarTo("+a+")", v.SimilarTo(va, k, []string{a}), refSimilarTo(v, va, k, map[string]bool{a: true}))
+		va := v.vector(a)
+		sameScored(t, fmt.Sprintf("SimilarToDoc(%d)", a), v.SimilarToDoc(a, k), refSimilarTo(v, va, k, map[uint32]bool{a: true}))
 		b := probes[(i+1)%len(probes)]
-		if got, r := v.Similarity(a, b), refDot(v, va, v.Vector(b)); math.Float64bits(got) != math.Float64bits(r) {
-			t.Fatalf("Similarity(%s, %s) = %v, want %v (bit-exact)", a, b, got, r)
+		got, r := v.Similarity(a, b), refDot(v, va, v.vector(b))
+		if math.Float64bits(got) != math.Float64bits(r) {
+			t.Fatalf("Similarity(%d, %d) = %v, want %v (bit-exact)", a, b, got, r)
+		}
+		var sum float64
+		for _, tw := range v.SharedTerms(a, b) {
+			sum += tw.Weight
+		}
+		if math.Float64bits(sum) != math.Float64bits(got) {
+			t.Fatalf("SharedTerms(%d, %d) sum to %v, Similarity is %v (bit-exact)", a, b, sum, got)
 		}
 	}
 }
 
-// TestVectorKernelEquivalence runs the kernel against the reference on the
-// in-memory and segment backings at pool widths nil, 1 and 4, with member
-// sets under and over one centroid chunk.
+// TestVectorKernelEquivalence runs the kernel against the reference on a
+// freshly built store ("memory") and one opened from its columns
+// ("segment"), at pool widths nil, 1 and 4, with member sets under and
+// over one centroid chunk.
 func TestVectorKernelEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	mem := kernelStore(rng, 700, 90)
-	seg, err := FromVectorColumns(mem.Columns())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := mem.docIDs()
+	b := kernelBuilder(rng, 700, 90)
+	ids := b.Freeze(nil).docIDs()
 	rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
 	probes := ids[:8]
-	for _, backing := range []struct {
-		name string
-		v    *VectorStore
-	}{{"memory", mem}, {"segment", seg}} {
-		for _, width := range []int{0, 1, 4} {
-			var pool *par.Pool
-			if width > 0 {
-				pool = par.New(width)
-			}
-			backing.v.SetPool(pool)
+	for _, width := range []int{0, 1, 4} {
+		var pool *par.Pool
+		if width > 0 {
+			pool = par.New(width)
+		}
+		seg, err := FromVectorColumns(b.Columns(), pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, backing := range []struct {
+			name string
+			v    *VectorStore
+		}{{"memory", b.Freeze(pool)}, {"segment", seg}} {
 			for _, n := range []int{1, 256, 257, 600} {
+				members := itemset.FromUnsorted(slices.Clone(ids[:n]))
 				for _, k := range []int{6, 50} {
 					t.Run(fmt.Sprintf("%s/w%d/n%d/k%d", backing.name, width, n, k), func(t *testing.T) {
-						checkKernel(t, backing.v, ids[:n], probes, k)
+						checkKernel(t, backing.v, members, probes, k)
 					})
 				}
 			}
-			backing.v.SetPool(nil)
-			if pool != nil {
-				pool.Close()
-			}
+		}
+		if pool != nil {
+			pool.Close()
 		}
 	}
-	if got := mem.ScoreDocs(map[string]float64{"t001": 1}, []string{"missing"}); got[0] != 0 {
+	absent := itemset.FromSorted([]uint32{5000})
+	if got := b.Freeze(nil).ScoreDocs(map[string]float64{"t001": 1}, absent); got[0] != 0 {
 		t.Errorf("ScoreDocs(absent) = %v, want 0", got[0])
 	}
 }
@@ -213,25 +225,26 @@ func TestVectorKernelEquivalence(t *testing.T) {
 // low bits.
 func TestVectorSumDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	v := kernelStore(rng, 400, 60)
+	v := kernelBuilder(rng, 400, 60).Freeze(nil)
 	ids := v.docIDs()
-	members := ids[:300]
+	all := itemset.FromSorted(ids)
+	members := itemset.FromSorted(ids[:300])
 	centroid := v.Centroid(members)
-	scores := v.ScoreDocs(centroid, ids)
+	scores := v.ScoreDocs(centroid, all)
 	sims := make([]float64, 50)
 	for i := range sims {
 		sims[i] = v.Similarity(ids[i], ids[i+50])
 	}
 	for round := 0; round < 20; round++ {
 		sameVector(t, "Centroid", v.Centroid(members), centroid)
-		for i, s := range v.ScoreDocs(centroid, ids) {
+		for i, s := range v.ScoreDocs(centroid, all) {
 			if math.Float64bits(s) != math.Float64bits(scores[i]) {
-				t.Fatalf("round %d: ScoreDocs[%s] = %v, was %v", round, ids[i], s, scores[i])
+				t.Fatalf("round %d: ScoreDocs[%d] = %v, was %v", round, ids[i], s, scores[i])
 			}
 		}
 		for i, want := range sims {
 			if got := v.Similarity(ids[i], ids[i+50]); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("round %d: Similarity(%s, %s) = %v, was %v", round, ids[i], ids[i+50], got, want)
+				t.Fatalf("round %d: Similarity(%d, %d) = %v, was %v", round, ids[i], ids[i+50], got, want)
 			}
 		}
 	}
@@ -244,9 +257,9 @@ func FuzzVectorKernel(f *testing.F) {
 	f.Add([]byte{0x01, 0x12, 0x23, 0x31, 0x44, 0x15, 0x26, 0x07})
 	f.Add([]byte("similar by content"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		docs := make(map[string]map[string]float64)
+		docs := make(map[uint32]map[string]float64)
 		for i := 0; i+1 < len(data); i += 2 {
-			d := fmt.Sprintf("d%d", data[i]%16)
+			d := uint32(data[i] % 16)
 			term := fmt.Sprintf("t%d", data[i+1]%24)
 			if data[i+1]%5 == 0 {
 				term = "num|x"
@@ -258,29 +271,22 @@ func FuzzVectorKernel(f *testing.F) {
 		}
 		b := NewVectorBuilder()
 		b.PinnedPrefix = "num|"
-		names := make([]string, 0, len(docs))
+		names := make([]uint32, 0, len(docs))
 		for d := range docs {
 			names = append(names, d)
 		}
-		sort.Strings(names)
+		slices.Sort(names)
 		for _, d := range names {
 			b.Add(d, docs[d])
 		}
 		if len(names) == 0 {
 			return
 		}
-		v := b.Freeze()
-		seg, err := FromVectorColumns(v.Columns())
-		if err != nil {
-			t.Fatal(err)
-		}
 		pool := par.New(2)
 		defer pool.Close()
-		for _, s := range []*VectorStore{v, seg} {
-			checkKernel(t, s, names[:len(names)/2+1], names, 3)
-			s.SetPool(pool)
-			checkKernel(t, s, names, names, 3)
-			s.SetPool(nil)
+		for _, s := range []*VectorStore{b.Freeze(nil), b.Freeze(pool)} {
+			checkKernel(t, s, itemset.FromSorted(names[:len(names)/2+1]), names, 3)
+			checkKernel(t, s, itemset.FromSorted(names), names, 3)
 		}
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"magnet/internal/itemset"
 	"magnet/internal/par"
 )
 
@@ -12,31 +13,28 @@ import (
 // ties: blocks of documents share identical term vectors, so only the
 // ID tie-break orders them. Chunk boundaries fall inside blocks, which is
 // exactly where a schedule-dependent merge would go wrong.
-func tieStore(ndocs int) *VectorStore {
+func tieStore(ndocs int, pool *par.Pool) *VectorStore {
 	b := NewVectorBuilder()
 	for i := 0; i < ndocs; i++ {
 		block := i / 7 % 5
-		b.Add(fmt.Sprintf("doc%04d", i), map[string]float64{
+		b.Add(uint32(i), map[string]float64{
 			"common":                  1,
 			fmt.Sprintf("b%d", block): 2,
 		})
 	}
-	return b.Freeze()
+	return b.Freeze(pool)
 }
 
 // TestSimilarToSerialParallelEquivalence checks top-k lists are identical
 // at every pool width, across k values that cut through tie blocks.
 func TestSimilarToSerialParallelEquivalence(t *testing.T) {
-	serialStore := tieStore(500)
-	query := serialStore.Vector("doc0000")
-	exclude := []string{"doc0000"}
+	serialStore := tieStore(500, nil)
 	for _, k := range []int{1, 3, 10, 50, 499, 1000} {
-		want := serialStore.SimilarTo(query, k, exclude)
+		want := serialStore.SimilarToDoc(0, k)
 		for _, width := range []int{1, 2, 4, 8} {
-			v := tieStore(500)
 			pool := par.New(width)
-			v.SetPool(pool)
-			got := v.SimilarTo(v.Vector("doc0000"), k, exclude)
+			v := tieStore(500, pool)
+			got := v.SimilarToDoc(0, k)
 			pool.Close()
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("k=%d width=%d: top-k differs\n got %v\nwant %v", k, width, got, want)
@@ -45,18 +43,15 @@ func TestSimilarToSerialParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestSimilarToParallelOnSharedStore checks the pooled scan on one store
-// instance matches its own serial scan (pool detached), covering the
-// warm-cache path.
+// TestSimilarToParallelOnSharedStore checks repeated pooled scans on one
+// store instance match the serial scan of the same image.
 func TestSimilarToParallelOnSharedStore(t *testing.T) {
-	v := tieStore(300)
-	query := v.Vector("doc0042")
-	want := v.SimilarTo(query, 25, nil)
+	want := tieStore(300, nil).SimilarToDoc(42, 25)
 	pool := par.New(8)
 	defer pool.Close()
-	v.SetPool(pool)
+	v := tieStore(300, pool)
 	for round := 0; round < 10; round++ {
-		if got := v.SimilarTo(query, 25, nil); !reflect.DeepEqual(got, want) {
+		if got := v.SimilarToDoc(42, 25); !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d: parallel scan differs\n got %v\nwant %v", round, got, want)
 		}
 	}
@@ -68,15 +63,13 @@ func TestSimilarToParallelOnSharedStore(t *testing.T) {
 // one chunk.
 func TestCentroidBitIdentical(t *testing.T) {
 	for _, ndocs := range []int{10, 256, 257, 700} {
-		v := tieStore(ndocs)
-		ids := v.docIDs()
+		v := tieStore(ndocs, nil)
+		ids := itemset.FromSorted(v.docIDs())
 		want := v.Centroid(ids)
 		for _, width := range []int{1, 4, 8} {
 			pool := par.New(width)
-			v.SetPool(pool)
-			got := v.Centroid(ids)
+			got := tieStore(ndocs, pool).Centroid(ids)
 			pool.Close()
-			v.SetPool(nil)
 			if len(got) != len(want) {
 				t.Fatalf("ndocs=%d width=%d: term sets differ", ndocs, width)
 			}

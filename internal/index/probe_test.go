@@ -1,6 +1,11 @@
 package index
 
-import "sort"
+import (
+	"math"
+	"slices"
+
+	"magnet/internal/ids"
+)
 
 // Test-side readers over the frozen stores: the document-frequency, IDF
 // and membership probes the round-trip and equivalence tests compare.
@@ -29,33 +34,50 @@ func (ix *TextIndex) docFreq(term string) int {
 	return len(ix.dfRow(ti))
 }
 
-// hasDoc reports whether docID is stored.
-func (v *VectorStore) hasDoc(docID string) bool {
-	dn, ok := v.docs.Lookup(docID)
-	return ok && v.liveAt(dn)
+// vector returns document id's normalized tf·idf vector as a term-keyed
+// map; nil when id holds no document.
+func (v *VectorStore) vector(id uint32) map[string]float64 {
+	ws := v.Weights(id)
+	if ws == nil {
+		return nil
+	}
+	m := make(map[string]float64, len(ws))
+	for _, tw := range ws {
+		m[tw.Term] = tw.Weight
+	}
+	return m
+}
+
+// postingOf returns term's document posting.
+func (v *VectorStore) postingOf(term string) []uint32 {
+	t, ok := v.terms.Lookup(term)
+	if !ok {
+		return nil
+	}
+	lo, hi := ids.Run(v.c.PostStart, int(t), len(v.c.PostDNS))
+	return v.c.PostDNS[lo:hi]
 }
 
 // docFreqOf returns the number of documents containing term.
-func (v *VectorStore) docFreqOf(term string) int {
-	t, ok := v.terms.Lookup(term)
-	if !ok {
-		return 0
+func (v *VectorStore) docFreqOf(term string) int { return len(v.postingOf(term)) }
+
+// docIDs returns the ID of every document holding a term, ascending: the
+// union of the postings.
+func (v *VectorStore) docIDs() []uint32 {
+	var out []uint32
+	for t := 0; t < v.terms.Len(); t++ {
+		out = append(out, v.postingOf(v.terms.Key(uint32(t)))...)
 	}
-	return v.df(t)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
-// idfOf returns term's inverse document frequency (0 when unknown).
+// idfOf returns term's inverse document frequency, log(N/df) over the
+// documents holding a term (0 when unknown).
 func (v *VectorStore) idfOf(term string) float64 {
-	t, ok := v.terms.Lookup(term)
-	if !ok {
+	df := v.docFreqOf(term)
+	if df == 0 {
 		return 0
 	}
-	return v.idf(t)
-}
-
-// docIDs returns every stored document ID, sorted.
-func (v *VectorStore) docIDs() []string {
-	out := v.docs.AppendKeys(make([]string, 0, v.Len()), v.c.LiveDNS)
-	sort.Strings(out)
-	return out
+	return math.Log(float64(len(v.docIDs())) / float64(df))
 }

@@ -14,14 +14,15 @@ package index
 //   - All nested structures are offset-delimited runs over flat columns
 //     (run i of column C spans C[Start[i]:Start[i+1]]), so opening is O(1)
 //     in the corpus: no per-element decode, no slice-of-slices headers.
-//   - Document numbering preserves the builder's dense IDs verbatim, so
-//     posting lists serialize byte-for-byte as built.
+//   - Document numbering preserves the builder's IDs verbatim, so posting
+//     lists serialize byte-for-byte as built.
 //   - Corrupt offsets read as empty runs (ids.Run), never panics.
 
 import (
 	"fmt"
 
 	"magnet/internal/ids"
+	"magnet/internal/par"
 	"magnet/internal/text"
 )
 
@@ -117,63 +118,41 @@ func (c *TextColumns) validate(nDocs int) error {
 	return nil
 }
 
-// VectorColumns is the flat columnar image of a VectorStore. Document and
-// term numbering preserve the interners' dense IDs; documents absent from
-// LiveDNS have empty rows.
+// VectorColumns is the flat columnar image of a VectorStore. Document IDs
+// are the builder's (Magnet's graph subject IDs); term numbering preserves
+// the interner's dense IDs.
 type VectorColumns struct {
-	Docs  ids.Columns
 	Terms ids.Columns
-	// LiveDNS is the sorted posting of live docnums.
-	LiveDNS []uint32
-	// Per-document vectors: DocStart (D+1) delimits each document's run in
-	// DocTerm (sorted termnums) and DocFreq (raw frequencies).
-	DocStart []uint32
-	DocTerm  []uint32
-	DocFreq  []float64
-	// DF is the per-term document frequency (termnum-indexed).
-	DF []uint32
-	// Pinned is a termnum-indexed bitset of terms carrying the pinned
-	// prefix (stored frequency used directly as weight).
-	Pinned []byte
+	// Rows: RowStart (D+1, D one past the largest document ID) delimits
+	// each document's normalized tf·idf row in RowTerm (termnums
+	// ascending) and RowWeight (parallel weights). IDs that hold no
+	// document have empty rows.
+	RowStart  []uint32
+	RowTerm   []uint32
+	RowWeight []float64
 	// Retrieval postings: PostStart (T+1) delimits each term's sorted
-	// docnum posting in PostDNS (precomputed, so SimilarTo never rebuilds).
+	// document posting in PostDNS.
 	PostStart []uint32
 	PostDNS   []uint32
 }
 
-// FromVectorColumns returns the frozen vector store over a columnar image.
-// Construction is O(1) in the corpus size; the tf·idf row cache starts
-// empty and grows lazily off the open path.
-func FromVectorColumns(c VectorColumns) (*VectorStore, error) {
-	docs, err := ids.FromColumns[string](c.Docs)
-	if err != nil {
-		return nil, fmt.Errorf("index: vector doc table: %w", err)
-	}
+// FromVectorColumns returns the frozen vector store over a columnar image,
+// its similarity and centroid scans fanning out on pool (nil scans
+// serially). Construction is O(1) in the corpus size: rows are read
+// straight from the columns.
+func FromVectorColumns(c VectorColumns, pool *par.Pool) (*VectorStore, error) {
 	terms, err := ids.FromColumns[string](c.Terms)
 	if err != nil {
 		return nil, fmt.Errorf("index: vector term table: %w", err)
 	}
-	if err := c.validate(docs.Len(), terms.Len()); err != nil {
-		return nil, err
+	if len(c.RowStart) == 0 {
+		return nil, fmt.Errorf("index: vector columns missing row starts")
 	}
-	return &VectorStore{docs: docs, terms: terms, c: c}, nil
-}
-
-func (c *VectorColumns) validate(nDocs, nTerms int) error {
-	if len(c.DocStart) != nDocs+1 {
-		return fmt.Errorf("index: vector doc rows (%d) disagree with document count (%d)", len(c.DocStart), nDocs)
+	if len(c.RowTerm) != len(c.RowWeight) {
+		return nil, fmt.Errorf("index: vector term and weight columns disagree (%d vs %d)", len(c.RowTerm), len(c.RowWeight))
 	}
-	if len(c.DocTerm) != len(c.DocFreq) {
-		return fmt.Errorf("index: vector term and freq columns disagree (%d vs %d)", len(c.DocTerm), len(c.DocFreq))
+	if len(c.PostStart) != terms.Len()+1 {
+		return nil, fmt.Errorf("index: vector posting starts (%d) disagree with term count (%d)", len(c.PostStart), terms.Len())
 	}
-	if len(c.DF) != nTerms {
-		return fmt.Errorf("index: vector df column (%d) disagrees with term count (%d)", len(c.DF), nTerms)
-	}
-	if len(c.Pinned) != (nTerms+7)/8 {
-		return fmt.Errorf("index: vector pinned bitset (%d bytes) disagrees with term count (%d)", len(c.Pinned), nTerms)
-	}
-	if len(c.PostStart) != nTerms+1 {
-		return fmt.Errorf("index: vector posting starts (%d) disagree with term count (%d)", len(c.PostStart), nTerms)
-	}
-	return nil
+	return &VectorStore{terms: terms, c: c, pool: pool}, nil
 }

@@ -2,6 +2,7 @@ package index
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -90,33 +91,23 @@ func segTestVectors(t *testing.T) *VectorStore {
 	t.Helper()
 	b := NewVectorBuilder()
 	b.PinnedPrefix = "num|"
-	b.Add("d1", map[string]float64{"parsley": 2, "feta": 1, "olive": 3})
-	b.Add("d2", map[string]float64{"parsley": 1, "basil": 2, "tomato": 2})
-	b.Add("d3", map[string]float64{"walnut": 4, "sugar": 1})
+	b.Add(d1, map[string]float64{"parsley": 2, "feta": 1, "olive": 3})
+	b.Add(d2, map[string]float64{"parsley": 1, "basil": 2, "tomato": 2})
+	b.Add(d3, map[string]float64{"walnut": 4, "sugar": 1})
 	// A doc carrying a pinned coordinate term: its stored frequency is the
-	// final weight and must survive serialization via the pinned bitset.
-	b.Add("d4", map[string]float64{"num|servings=4": 0.5, "parsley": 1})
-	return b.Freeze()
+	// weight before normalization, compiled into the row.
+	b.Add(d4, map[string]float64{"num|servings=4": 0.5, "parsley": 1})
+	return b.Freeze(nil)
 }
 
 func TestVectorColumnsRoundTrip(t *testing.T) {
 	v := segTestVectors(t)
-	r, err := FromVectorColumns(v.Columns())
+	r, err := FromVectorColumns(v.Columns(), nil)
 	if err != nil {
 		t.Fatalf("FromVectorColumns: %v", err)
 	}
-
-	if r.Len() != v.Len() {
-		t.Errorf("Len = %d, want %d", r.Len(), v.Len())
-	}
-	gi, wi := r.docIDs(), v.docIDs()
-	if len(gi) != len(wi) {
+	if gi, wi := r.docIDs(), v.docIDs(); !reflect.DeepEqual(gi, wi) || len(wi) != 4 {
 		t.Fatalf("IDs = %v, want %v", gi, wi)
-	}
-	for i := range wi {
-		if gi[i] != wi[i] {
-			t.Errorf("IDs[%d] = %q, want %q", i, gi[i], wi[i])
-		}
 	}
 	for _, term := range []string{"parsley", "walnut", "doom", "nothere"} {
 		if got, want := r.docFreqOf(term), v.docFreqOf(term); got != want {
@@ -126,32 +117,33 @@ func TestVectorColumnsRoundTrip(t *testing.T) {
 			t.Errorf("IDF(%q) = %g, want %g", term, got, want)
 		}
 	}
-	for _, doc := range []string{"d1", "d2", "d3", "d4", "never"} {
-		if got, want := r.hasDoc(doc), v.hasDoc(doc); got != want {
-			t.Errorf("Has(%q) = %v, want %v", doc, got, want)
-		}
-		gv, wv := r.Vector(doc), v.Vector(doc)
+	// parsley: log(1+1)·log(4/3); the pinned coordinate keeps its 0.5.
+	wp := math.Log(2) * math.Log(4.0/3.0)
+	if got, norm := r.vector(d4), math.Sqrt(wp*wp+0.25); math.Abs(got["num|servings=4"]-0.5/norm) > 1e-12 || math.Abs(got["parsley"]-wp/norm) > 1e-12 {
+		t.Errorf("pinned row = %v, want num|servings=4 %g, parsley %g", got, 0.5/norm, wp/norm)
+	}
+	for _, doc := range []uint32{d1, d2, d3, d4, missing} {
+		gv, wv := r.vector(doc), v.vector(doc)
 		if len(gv) != len(wv) {
-			t.Errorf("Vector(%q) = %v, want %v", doc, gv, wv)
+			t.Errorf("vector(%d) = %v, want %v", doc, gv, wv)
 			continue
 		}
 		for term, w := range wv {
 			if math.Abs(gv[term]-w) > 1e-12 {
-				t.Errorf("Vector(%q)[%q] = %g, want %g", doc, term, gv[term], w)
+				t.Errorf("vector(%d)[%q] = %g, want %g", doc, term, gv[term], w)
 			}
 		}
 	}
-	if got, want := r.Similarity("d1", "d2"), v.Similarity("d1", "d2"); math.Abs(got-want) > 1e-12 {
+	if got, want := r.Similarity(d1, d2), v.Similarity(d1, d2); math.Abs(got-want) > 1e-12 {
 		t.Errorf("Similarity(d1,d2) = %g, want %g", got, want)
 	}
-	got := r.SimilarTo(v.Vector("d1"), 5, nil)
-	want := v.SimilarTo(v.Vector("d1"), 5, nil)
-	if len(got) != len(want) {
-		t.Fatalf("SimilarTo: %v, want %v", got, want)
+	got, want := r.SimilarToDoc(d1, 5), v.SimilarToDoc(d1, 5)
+	if len(got) != len(want) || len(want) == 0 {
+		t.Fatalf("SimilarToDoc: %v, want %v", got, want)
 	}
 	for i := range want {
 		if got[i].ID != want[i].ID || math.Abs(got[i].Score-want[i].Score) > 1e-12 {
-			t.Errorf("SimilarTo[%d] = %+v, want %+v", i, got[i], want[i])
+			t.Errorf("SimilarToDoc[%d] = %+v, want %+v", i, got[i], want[i])
 		}
 	}
 }

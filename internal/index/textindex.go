@@ -198,11 +198,17 @@ func (ix *TextIndex) Matching(query, field string) []string {
 	return ix.rehydrate(result)
 }
 
+// Hit pairs a text-index document ID with its retrieval score.
+type Hit struct {
+	ID    string
+	Score float64
+}
+
 // Search ranks documents against the analyzed free-text query by tf·idf
 // (documents need not contain every term). Results are in descending score
-// order, at most k (k ≤ 0 means unlimited). Scores accumulate into a dense
-// docnum-indexed column — no per-document hashing.
-func (ix *TextIndex) Search(query, field string, k int) []Scored {
+// order, ties by ascending ID, at most k (k ≤ 0 means unlimited). Scores
+// accumulate into a dense docnum-indexed column — no per-document hashing.
+func (ix *TextIndex) Search(query, field string, k int) []Hit {
 	defer textSearchObs.observe(time.Now())
 	terms := ix.analyzer.Terms(query)
 	if len(terms) == 0 {
@@ -216,11 +222,16 @@ func (ix *TextIndex) Search(query, field string, k int) []Scored {
 	}
 	hits := touched.Extract()
 	docIDs := ix.docs.AppendKeys(make([]string, 0, hits.Len()), hits.Slice())
-	out := make([]Scored, 0, hits.Len())
+	out := make([]Hit, 0, hits.Len())
 	for i, dn := range hits.Slice() {
-		out = append(out, Scored{docIDs[i], scores[dn]})
+		out = append(out, Hit{docIDs[i], scores[dn]})
 	}
-	sortScored(out)
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Score != out[j].Score {
+			return out[i].Score > out[j].Score
+		}
+		return out[i].ID < out[j].ID
+	})
 	if k > 0 && len(out) > k {
 		out = out[:k]
 	}

@@ -23,28 +23,12 @@ import (
 	"magnet/internal/par"
 )
 
-// Vector-store observability: hit/miss on the row cache (a miss means
-// buildRowLocked actually built), counted once per row
-// consulted but added once per call, plus similarity retrieval timing.
-var (
-	vectorCacheHit  = obs.NewCounter("index.vector.cache.hit")
-	vectorCacheMiss = obs.NewCounter("index.vector.cache.miss")
-	vectorSearchObs = opObs{obs.NewCounter("index.vector.search.count"), obs.NewHistogram("index.vector.search.ns")}
-)
-
-// countRows adds one call's row-cache lookups to the hit/miss counters.
-func countRows(hits, misses int) {
-	if hits > 0 {
-		vectorCacheHit.Add(uint64(hits))
-	}
-	if misses > 0 {
-		vectorCacheMiss.Add(uint64(misses))
-	}
-}
+// Vector-store observability: similarity retrieval timing.
+var vectorSearchObs = opObs{obs.NewCounter("index.vector.search.count"), obs.NewHistogram("index.vector.search.ns")}
 
 // Scored pairs a document ID with a similarity or retrieval score.
 type Scored struct {
-	ID    string
+	ID    uint32
 	Score float64
 }
 
@@ -59,37 +43,33 @@ func sortScored(s []Scored) {
 	})
 }
 
-// VectorStore is a frozen, concurrency-safe store of sparse
-// term-frequency vectors with tf·idf weighting and cosine (unit-normalized
-// dot product) similarity. A VectorBuilder collects the vectors; the store
-// reads the columnar image it compiles (segcols.go).
+// VectorStore is a frozen, concurrency-safe store of tf·idf document
+// vectors with cosine (unit-normalized dot product) similarity. A
+// VectorBuilder compiles the vectors; the store reads the columnar image
+// (segcols.go) and nothing else, so it takes no locks.
 //
-// Documents and terms are dense uint32 numbers; per-document term vectors
-// are sorted termnum runs with parallel raw frequencies, and retrieval
-// candidates come from the precomputed per-term docnum postings.
-//
-// Weighted vectors are derived lazily using the paper's §5.2 formula
+// Documents are numbered by the caller — Magnet uses graph subject IDs, so
+// the vector model and the views share one ID space — and terms are dense
+// numbers. Each document's row is its normalized tf·idf vector (termnums
+// ascending, weights parallel), compiled once at build with the paper's
+// §5.2 formula
 //
 //	term-weight = log(freq + 1) × log(num-docs / num-docs-with-term)
 //
-// followed by normalization of each document vector to length one, "to give
-// objects equal importance rather than giving more importance to items with
-// more metadata". Derived vectors are cached as rows (termnums ascending,
-// weights parallel), built on first use, off the open path. Similarity and
-// centroid kernels work on rows and dense termnum-indexed arrays and sum in
-// ascending termnum order, so every result is deterministic to the bit.
+// followed by normalization to length one, "to give objects equal
+// importance rather than giving more importance to items with more
+// metadata". Retrieval candidates come from the per-term postings.
+// Similarity and centroid kernels read rows straight from the columns and
+// sum in ascending termnum order, so every result is deterministic to the
+// bit.
 type VectorStore struct {
-	docs  *ids.Table[string] // dense docnum → docID
 	terms *ids.Table[string] // dense termnum → term
 	//magnet:frozen
 	c VectorColumns
-
-	mu sync.RWMutex
-	// rows: docnum → normalized tf·idf row, nil until built; the column
-	// itself is allocated on the first row build. Guarded by mu.
-	rows []*vecRow
 	// pool chunks similarity/centroid scans across workers; nil scans
-	// serially. Guarded by mu.
+	// serially. Results are identical either way: top-k selection uses a
+	// total order (score desc, ID asc) and the centroid reduction's chunk
+	// shape is fixed independent of pool width.
 	pool *par.Pool
 
 	// scratch recycles the termnum-indexed accumulators of similarity and
@@ -98,214 +78,31 @@ type VectorStore struct {
 }
 
 // vecRow is one document's normalized tf·idf vector: termnums ascending,
-// weights parallel. A row never changes once built, so a row snapshotted
-// under mu may be read after unlocking.
+// weights parallel.
 type vecRow struct {
 	terms []uint32
 	w     []float64
 }
 
-// SetPool sets the worker pool similarity and centroid scans fan out on.
-// A nil pool (the default) scans serially; results are identical either
-// way — top-k selection uses a total order (score desc, ID asc) and the
-// centroid reduction's chunk shape is fixed independent of pool width.
-func (v *VectorStore) SetPool(p *par.Pool) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.pool = p
-}
-
-func (v *VectorStore) getPool() *par.Pool {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return v.pool
-}
-
-// Len returns the number of documents stored.
-func (v *VectorStore) Len() int { return len(v.c.LiveDNS) }
-
-// liveAt reports whether docnum dn holds a stored document.
-func (v *VectorStore) liveAt(dn uint32) bool {
-	i := searchPost(v.c.LiveDNS, dn)
-	return i < len(v.c.LiveDNS) && v.c.LiveDNS[i] == dn
-}
-
-// df returns the document frequency of termnum t.
+// row returns document id's row, slicing the columns (RowTerm and
+// RowWeight have equal lengths, checked at open); empty for an ID the
+// store never held.
 //
 //magnet:hot
-func (v *VectorStore) df(t uint32) int {
-	if int(t) >= len(v.c.DF) {
-		return 0
-	}
-	return int(v.c.DF[t])
+func (v *VectorStore) row(id uint32) vecRow {
+	lo, hi := ids.Run(v.c.RowStart, int(id), len(v.c.RowTerm))
+	return vecRow{v.c.RowTerm[lo:hi], v.c.RowWeight[lo:hi]}
 }
 
-// pinned reports whether termnum t's stored frequency is its weight.
-//
-//magnet:hot
-func (v *VectorStore) pinned(t uint32) bool {
-	if int(t)/8 >= len(v.c.Pinned) {
-		return false
-	}
-	return v.c.Pinned[t/8]&(1<<(t%8)) != 0
-}
+// docs returns one past the largest document ID.
+func (v *VectorStore) docs() int { return len(v.c.RowStart) - 1 }
 
-//magnet:hot
-func (v *VectorStore) idf(t uint32) float64 {
-	df := v.df(t)
-	if df == 0 {
-		return 0
-	}
-	return math.Log(float64(v.Len()) / float64(df))
-}
-
-// cachedRowLocked returns dn's cached row, or nil when it is not built.
-// Caller holds mu, read or write. The row column starts empty, hence the
-// bounds check.
-func (v *VectorStore) cachedRowLocked(dn uint32) *vecRow {
-	if int(dn) >= len(v.rows) {
-		return nil
-	}
-	return v.rows[dn]
-}
-
-// ensureRowsLocked allocates the row column over the full document range:
-// the one O(docs) allocation, paid on the first read after open.
-func (v *VectorStore) ensureRowsLocked() {
-	if v.rows == nil {
-		v.rows = make([]*vecRow, v.docs.Len())
-	}
-}
-
-// rowLocked returns dn's row (nil for an absent document), building and
-// caching it on a miss, and reports whether the cache hit. Caller holds the
-// write lock and has called ensureRowsLocked.
-func (v *VectorStore) rowLocked(dn uint32) (*vecRow, bool) {
-	if r := v.rows[dn]; r != nil {
-		return r, true
-	}
-	r := v.buildRowLocked(dn)
-	v.rows[dn] = r
-	return r, false
-}
-
-// row returns docID's row, or nil when docID is absent.
-func (v *VectorStore) row(docID string) *vecRow {
-	rows, _ := v.rowsFor([]string{docID})
-	return rows[0]
-}
-
-// rowsFor snapshots the rows of ids into a slice parallel to ids (nil for
-// absent IDs) and returns the docnums of the present ones. Cached rows are
-// read under the read lock; only misses take the write lock.
-func (v *VectorStore) rowsFor(ids []string) ([]*vecRow, []uint32) {
-	rows := make([]*vecRow, len(ids))
-	dns := make([]uint32, len(ids))
-	known := make([]bool, len(ids))
-	hits, missing := 0, 0
-	v.mu.RLock()
-	for i, id := range ids {
-		dn, ok := v.docs.Lookup(id)
-		if !ok {
-			continue
-		}
-		dns[i], known[i] = dn, true
-		if rows[i] = v.cachedRowLocked(dn); rows[i] != nil {
-			hits++
-		} else {
-			missing++
-		}
-	}
-	v.mu.RUnlock()
-	misses := 0
-	if missing > 0 {
-		v.mu.Lock()
-		v.ensureRowsLocked()
-		for i := range ids {
-			if !known[i] || rows[i] != nil {
-				continue
-			}
-			var hit bool
-			if rows[i], hit = v.rowLocked(dns[i]); hit {
-				hits++
-			} else {
-				misses++
-			}
-		}
-		v.mu.Unlock()
-	}
-	countRows(hits, misses)
-	present := dns[:0]
-	for i, dn := range dns {
-		if rows[i] != nil {
-			present = append(present, dn)
-		}
-	}
-	return rows, present
-}
-
-// buildRowLocked derives dn's normalized tf·idf row from its raw
-// frequencies; nil when dn holds no document. Weights are normalized by the
-// row's length, summed in ascending termnum order.
-func (v *VectorStore) buildRowLocked(dn uint32) *vecRow {
-	if !v.liveAt(dn) {
-		return nil
-	}
-	lo, hi := ids.Run(v.c.DocStart, int(dn), len(v.c.DocTerm))
-	if hi > len(v.c.DocFreq) {
-		lo, hi = 0, 0
-	}
-	ts, fs := v.c.DocTerm[lo:hi], v.c.DocFreq[lo:hi]
-	r := &vecRow{terms: make([]uint32, 0, len(ts)), w: make([]float64, 0, len(ts))}
-	var norm float64
-	for i, t := range ts {
-		var w float64
-		if v.pinned(t) {
-			w = fs[i]
-		} else {
-			w = math.Log(fs[i]+1) * v.idf(t)
-		}
-		if w == 0 {
-			continue // includes damaged termnums, whose df reads as 0
-		}
-		r.terms = append(r.terms, t)
-		r.w = append(r.w, w)
-		norm += w * w
-	}
-	if norm > 0 {
-		norm = math.Sqrt(norm)
-		for i := range r.w {
-			r.w[i] /= norm
-		}
-	}
-	return r
-}
-
-// rowMap renders a row as the term-keyed map the string-level API returns.
-func (v *VectorStore) rowMap(r *vecRow) map[string]float64 {
-	m := make(map[string]float64, len(r.terms))
-	for i, t := range r.terms {
-		m[v.terms.Key(t)] = r.w[i]
-	}
-	return m
-}
-
-// Vector returns the normalized tf·idf vector of docID (nil if absent).
-// The map is built from the cached row on every call; callers own it.
-func (v *VectorStore) Vector(docID string) map[string]float64 {
-	r := v.row(docID)
-	if r == nil {
-		return nil
-	}
-	return v.rowMap(r)
-}
-
-// Weights returns docID's normalized tf·idf vector as (term, weight) pairs
-// in the store's term order — the order every kernel sums in, so a sum over
-// the pairs is deterministic. Nil when docID is absent.
-func (v *VectorStore) Weights(docID string) []TermWeight {
-	r := v.row(docID)
-	if r == nil {
+// Weights returns document id's normalized tf·idf vector as (term, weight)
+// pairs in the store's term order — the order every kernel sums in, so a
+// sum over the pairs is deterministic. Nil when id holds no document.
+func (v *VectorStore) Weights(id uint32) []TermWeight {
+	r := v.row(id)
+	if len(r.terms) == 0 {
 		return nil
 	}
 	out := make([]TermWeight, len(r.terms))
@@ -317,20 +114,26 @@ func (v *VectorStore) Weights(docID string) []TermWeight {
 
 // Similarity returns the dot product of the two documents' normalized
 // vectors (cosine similarity); zero when either is absent.
-func (v *VectorStore) Similarity(a, b string) float64 {
-	ra, rb := v.row(a), v.row(b)
-	if ra == nil || rb == nil {
-		return 0
-	}
-	return dotRows(ra, rb)
+func (v *VectorStore) Similarity(a, b uint32) float64 {
+	var s float64
+	mergeRows(v.row(a), v.row(b), func(_ uint32, wa, wb float64) { s += wa * wb })
+	return s
 }
 
-// dotRows merges two rows, summing the shared terms' products in ascending
-// termnum order.
-//
-//magnet:hot
-func dotRows(a, b *vecRow) float64 {
-	var s float64
+// SharedTerms returns the terms documents a and b share, each with the
+// product of its two weights, in ascending termnum order: the addends of
+// Similarity(a, b), in the order it sums them.
+func (v *VectorStore) SharedTerms(a, b uint32) []TermWeight {
+	var out []TermWeight
+	mergeRows(v.row(a), v.row(b), func(t uint32, wa, wb float64) {
+		out = append(out, TermWeight{v.terms.Key(t), wa * wb})
+	})
+	return out
+}
+
+// mergeRows calls f for each term the two rows share, in ascending termnum
+// order, with its weight in each.
+func mergeRows(a, b vecRow, f func(t uint32, wa, wb float64)) {
 	i, j := 0, 0
 	for i < len(a.terms) && j < len(b.terms) {
 		switch {
@@ -339,12 +142,11 @@ func dotRows(a, b *vecRow) float64 {
 		case a.terms[i] > b.terms[j]:
 			j++
 		default:
-			s += a.w[i] * b.w[j]
+			f(a.terms[i], a.w[i], b.w[j])
 			i++
 			j++
 		}
 	}
-	return s
 }
 
 // dense is a termnum-indexed scratch vector. seen marks the termnums listed
@@ -392,52 +194,51 @@ func (v *VectorStore) putDense(d *dense) {
 	v.scratch.Put(d)
 }
 
-// accumulateRows adds each row into acc, in row order, recording in touched
-// every termnum seen for the first time.
+// accumulate adds row r into acc, recording in touched every termnum seen
+// for the first time. Termnums past acc (a damaged image) are skipped.
 //
 //magnet:hot
-func accumulateRows(rows []*vecRow, acc []float64, seen []bool, touched []uint32) []uint32 {
-	for _, r := range rows {
-		if r == nil {
+func accumulate(r vecRow, acc []float64, seen []bool, touched []uint32) []uint32 {
+	for j, t := range r.terms {
+		if int(t) >= len(acc) {
 			continue
 		}
-		for j, t := range r.terms {
-			if !seen[t] {
-				seen[t] = true
-				touched = append(touched, t)
-			}
-			acc[t] += r.w[j]
+		if !seen[t] {
+			seen[t] = true
+			touched = append(touched, t)
 		}
+		acc[t] += r.w[j]
 	}
 	return touched
 }
 
-// centroidChunk is the fixed reduction shape for Centroid: ids are summed
-// in chunks of this size and the per-chunk partials merged in chunk order.
-// The shape depends only on len(ids) — never on pool width — so the
-// float-addition association, and therefore every output bit, is identical
-// at every width. Collections up to one chunk reduce exactly like a plain
-// serial loop.
+// centroidChunk is the fixed reduction shape for Centroid: members are
+// summed in ascending ID order, in chunks of this size, and the per-chunk
+// partials merged in chunk order. The shape depends only on the member
+// count — never on pool width — so the float-addition association, and
+// therefore every output bit, is identical at every width. Collections up
+// to one chunk reduce exactly like a plain serial loop.
 const centroidChunk = 256
 
-// centroid sums the rows of ids into a dense vector with the fixed chunk
-// shape and normalizes it, summing squares in ascending termnum order. It
-// returns the vector (its touched list sorted; the caller recycles it with
-// putDense) and the docnums of the present ids.
-func (v *VectorStore) centroid(ids []string) (*dense, []uint32) {
-	rows, dns := v.rowsFor(ids)
-	nterms := v.terms.Len() // after rowsFor: covers every termnum in rows
-	pool := v.getPool()
+// centroid sums the rows of members into a dense vector with the fixed
+// chunk shape and normalizes it, summing squares in ascending termnum
+// order. It returns the vector, its touched list sorted; the caller
+// recycles it with putDense.
+func (v *VectorStore) centroid(members itemset.Set) *dense {
+	ids := members.Slice()
+	nterms := v.terms.Len()
 
 	// Each chunk's partial sum becomes a row of its own (termnums sorted),
 	// and the partials are added in chunk order: per term, the same
 	// additions in the same order as a map-per-chunk reduction.
-	parts := make([]*vecRow, (len(ids)+centroidChunk-1)/centroidChunk)
-	err := par.ForChunks(context.Background(), pool, len(ids), centroidChunk, func(lo, hi int) {
+	parts := make([]vecRow, (len(ids)+centroidChunk-1)/centroidChunk)
+	err := par.ForChunks(context.Background(), v.pool, len(ids), centroidChunk, func(lo, hi int) {
 		d := v.getDense(nterms)
-		d.touched = accumulateRows(rows[lo:hi], d.acc, d.seen, d.touched)
+		for _, id := range ids[lo:hi] {
+			d.touched = accumulate(v.row(id), d.acc, d.seen, d.touched)
+		}
 		slices.Sort(d.touched)
-		part := &vecRow{terms: slices.Clone(d.touched), w: make([]float64, len(d.touched))}
+		part := vecRow{terms: slices.Clone(d.touched), w: make([]float64, len(d.touched))}
 		for i, t := range part.terms {
 			part.w[i] = d.acc[t]
 		}
@@ -449,7 +250,9 @@ func (v *VectorStore) centroid(ids []string) (*dense, []uint32) {
 		panic(pe)
 	}
 	sum := v.getDense(nterms)
-	sum.touched = accumulateRows(parts, sum.acc, sum.seen, sum.touched)
+	for _, part := range parts {
+		sum.touched = accumulate(part, sum.acc, sum.seen, sum.touched)
+	}
 	slices.Sort(sum.touched)
 	var norm float64
 	for _, t := range sum.touched {
@@ -461,14 +264,14 @@ func (v *VectorStore) centroid(ids []string) (*dense, []uint32) {
 			sum.acc[t] /= norm
 		}
 	}
-	return sum, dns
+	return sum
 }
 
-// Centroid returns the normalized sum of the documents' vectors — the
-// "average member" of the collection the paper dots against (§5.3). Absent
-// IDs are skipped. The result has unit length unless empty.
-func (v *VectorStore) Centroid(ids []string) map[string]float64 {
-	sum, _ := v.centroid(ids)
+// Centroid returns the normalized sum of the members' vectors — the
+// "average member" of the collection the paper dots against (§5.3). IDs
+// without a document add nothing. The result has unit length unless empty.
+func (v *VectorStore) Centroid(members itemset.Set) map[string]float64 {
+	sum := v.centroid(members)
 	out := make(map[string]float64, len(sum.touched))
 	for _, t := range sum.touched {
 		out[v.terms.Key(t)] = sum.acc[t]
@@ -477,59 +280,45 @@ func (v *VectorStore) Centroid(ids []string) map[string]float64 {
 	return out
 }
 
-// candidatesLocked snapshots the rows of every live document sharing one
-// of terms, in docnum order, skipping the docnums in exclude (may be nil).
-// Caller holds the write lock.
-func (v *VectorStore) candidatesLocked(terms []uint32, exclude *itemset.Bits) ([]*vecRow, []uint32) {
-	n := v.docs.Len()
+// candidates returns, in ID order, every document sharing one of terms,
+// skipping the IDs in exclude (may be nil).
+func (v *VectorStore) candidates(terms []uint32, exclude *itemset.Bits) []uint32 {
+	n := v.docs()
 	b := itemset.NewBits(n)
 	for _, t := range terms {
 		lo, hi := ids.Run(v.c.PostStart, int(t), len(v.c.PostDNS))
 		b.AddSliceBelow(v.c.PostDNS[lo:hi], n)
 	}
 	cands := b.Extract().Slice()
-	v.ensureRowsLocked()
-	rows := make([]*vecRow, 0, len(cands))
-	dns := make([]uint32, 0, len(cands))
-	hits, misses := 0, 0
-	for _, dn := range cands {
-		if exclude != nil && exclude.Has(dn) {
-			continue
-		}
-		r, hit := v.rowLocked(dn)
-		if hit {
-			hits++
-		} else {
-			misses++
-		}
-		rows = append(rows, r)
-		dns = append(dns, dn)
+	if exclude == nil {
+		return cands
 	}
-	countRows(hits, misses)
-	return rows, dns
+	kept := make([]uint32, 0, len(cands))
+	for _, dn := range cands {
+		if !exclude.Has(dn) {
+			kept = append(kept, dn)
+		}
+	}
+	return kept
 }
 
 // search scores the candidates of the dense query q (its nonzero termnums
-// listed in q.touched) and returns the top k, skipping excluded docnums.
+// listed in q.touched) and returns the top k, skipping excluded IDs.
 func (v *VectorStore) search(q *dense, k int, exclude *itemset.Bits) []Scored {
 	defer vectorSearchObs.observe(time.Now())
-	v.mu.Lock()
-	q.grow(v.terms.Len())
-	rows, dns := v.candidatesLocked(q.touched, exclude)
-	pool := v.pool
-	v.mu.Unlock()
+	dns := v.candidates(q.touched, exclude)
 
 	// Chunk the candidate range across the pool; each chunk keeps only its
 	// local top-k, and the merged list re-sorts under the same total order
 	// (score desc, ID asc). IDs are unique, so the order is total and the
 	// global top-k is identical however the candidates were chunked.
-	chunk := par.ChunkFor(pool, len(rows))
-	nchunks := (len(rows) + chunk - 1) / chunk
+	chunk := par.ChunkFor(v.pool, len(dns))
+	nchunks := (len(dns) + chunk - 1) / chunk
 	parts := make([][]Scored, nchunks)
-	err := par.ForChunks(context.Background(), pool, len(rows), chunk, func(lo, hi int) {
+	err := par.ForChunks(context.Background(), v.pool, len(dns), chunk, func(lo, hi int) {
 		scores := make([]float64, hi-lo)
-		scoreRows(q.acc, rows[lo:hi], scores)
-		parts[lo/chunk] = v.topScored(scores, dns[lo:hi], k)
+		v.scoreRows(q.acc, dns[lo:hi], scores)
+		parts[lo/chunk] = topScored(scores, dns[lo:hi], k)
 	})
 	var pe *par.PanicError
 	if errors.As(err, &pe) {
@@ -550,35 +339,35 @@ func (v *VectorStore) search(q *dense, k int, exclude *itemset.Bits) []Scored {
 	return scores
 }
 
-// scoreRows dots each row against the dense query q, summing in ascending
-// termnum order. Terms the query lacks add a zero product, which leaves the
-// sum unchanged, so each score equals the sum over shared terms alone. A
-// nil row (absent document) scores zero.
+// scoreRows dots each document's row against the dense query q, summing in
+// ascending termnum order. Terms the query lacks add a zero product, which
+// leaves the sum unchanged, so each score equals the sum over shared terms
+// alone. An absent document scores zero; termnums past q (a damaged image)
+// are skipped.
 //
 //magnet:hot
-func scoreRows(q []float64, rows []*vecRow, out []float64) {
-	for i, r := range rows {
+func (v *VectorStore) scoreRows(q []float64, dns []uint32, out []float64) {
+	for i, dn := range dns {
+		r := v.row(dn)
 		var s float64
-		if r == nil {
-			out[i] = s
-			continue
-		}
 		for j, t := range r.terms {
-			s += r.w[j] * q[t]
+			if int(t) < len(q) {
+				s += r.w[j] * q[t]
+			}
 		}
 		out[i] = s
 	}
 }
 
 // topScored returns the positively scored documents that can still reach
-// the top k: every score below the k-th largest is dropped before its ID is
-// looked up, and ties at the cut are kept for the ID tie-break.
-func (v *VectorStore) topScored(scores []float64, dns []uint32, k int) []Scored {
+// the top k: every score below the k-th largest is dropped, and ties at the
+// cut are kept for the ID tie-break.
+func topScored(scores []float64, dns []uint32, k int) []Scored {
 	cut := kthLargest(scores, k)
 	var local []Scored
 	for i, s := range scores {
 		if s > 0 && s >= cut {
-			local = append(local, Scored{v.docs.Key(dns[i]), s})
+			local = append(local, Scored{dns[i], s})
 		}
 	}
 	if len(local) > k {
@@ -613,27 +402,51 @@ func kthLargest(scores []float64, k int) float64 {
 	return top[k-1]
 }
 
-// docnumSet resolves docIDs to a docnum set; nil when none is known.
-func (v *VectorStore) docnumSet(docIDs []string) *itemset.Bits {
-	var b *itemset.Bits
-	for _, id := range docIDs {
-		if dn, ok := v.docs.Lookup(id); ok {
-			if b == nil {
-				b = itemset.NewBits(v.docs.Len())
-			}
-			b.Add(dn)
-		}
-	}
-	return b
-}
-
-// SimilarTo returns up to k documents most similar to the query vector, in
-// descending score order (ties by ascending ID), skipping the documents in
-// exclude and documents with zero score.
-func (v *VectorStore) SimilarTo(query map[string]float64, k int, exclude []string) []Scored {
-	if k <= 0 || len(query) == 0 {
+// SimilarToDoc returns up to k documents most similar to document id, in
+// descending score order (ties by ascending ID), skipping id itself and
+// documents with zero score. The query is id's row, read straight into the
+// dense accumulator.
+func (v *VectorStore) SimilarToDoc(id uint32, k int) []Scored {
+	r := v.row(id)
+	if k <= 0 || len(r.terms) == 0 {
 		return nil
 	}
+	q := v.getDense(v.terms.Len())
+	defer v.putDense(q)
+	for j, t := range r.terms {
+		if int(t) < len(q.acc) {
+			q.set(t, r.w[j])
+		}
+	}
+	self := itemset.NewBits(int(id) + 1)
+	self.Add(id)
+	return v.search(q, k, self)
+}
+
+// SimilarToCentroid returns up to k documents most similar to the centroid
+// of members (see Centroid), excluding the members themselves when
+// excludeMembers is set.
+func (v *VectorStore) SimilarToCentroid(members itemset.Set, k int, excludeMembers bool) []Scored {
+	if k <= 0 {
+		return nil
+	}
+	q := v.centroid(members)
+	defer v.putDense(q)
+	if len(q.touched) == 0 {
+		return nil
+	}
+	var excl *itemset.Bits
+	if excludeMembers {
+		excl = itemset.NewBits(v.docs())
+		excl.AddSliceBelow(members.Slice(), v.docs())
+	}
+	return v.search(q, k, excl)
+}
+
+// ScoreDocs returns the dot product of the query vector with each member's
+// vector, in ascending ID order (zero for IDs without a document), summed
+// like the similarity scans' scores.
+func (v *VectorStore) ScoreDocs(query map[string]float64, members itemset.Set) []float64 {
 	q := v.getDense(v.terms.Len())
 	defer v.putDense(q)
 	for t, w := range query {
@@ -641,43 +454,8 @@ func (v *VectorStore) SimilarTo(query map[string]float64, k int, exclude []strin
 			q.set(tn, w)
 		}
 	}
-	return v.search(q, k, v.docnumSet(exclude))
-}
-
-// SimilarToCentroid returns up to k documents most similar to the centroid
-// of ids (see Centroid), excluding the members themselves when
-// excludeMembers is set: SimilarTo(Centroid(ids), ...) on the dense
-// centroid, without the map round trip or a string set of members.
-func (v *VectorStore) SimilarToCentroid(ids []string, k int, excludeMembers bool) []Scored {
-	if k <= 0 {
-		return nil
-	}
-	q, members := v.centroid(ids)
-	defer v.putDense(q)
-	if len(q.touched) == 0 {
-		return nil
-	}
-	var excl *itemset.Bits
-	if excludeMembers && len(members) > 0 {
-		excl = itemset.NewBits(v.docs.Len())
-		excl.AddSlice(members)
-	}
-	return v.search(q, k, excl)
-}
-
-// ScoreDocs returns the dot product of the query vector with each of ids'
-// vectors (zero for absent IDs), summed like SimilarTo's scores.
-func (v *VectorStore) ScoreDocs(query map[string]float64, ids []string) []float64 {
-	rows, _ := v.rowsFor(ids)
-	q := v.getDense(v.terms.Len()) // after rowsFor: covers every row termnum
-	defer v.putDense(q)
-	for t, w := range query {
-		if tn, ok := v.terms.Lookup(t); ok {
-			q.set(tn, w)
-		}
-	}
-	scores := make([]float64, len(ids))
-	scoreRows(q.acc, rows, scores)
+	scores := make([]float64, members.Len())
+	v.scoreRows(q.acc, members.Slice(), scores)
 	return scores
 }
 

@@ -8,19 +8,30 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"magnet/internal/itemset"
 )
 
 const eps = 1e-9
 
 func almostEqual(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
+// Document IDs of the small hand-built stores below.
+const (
+	d1 uint32 = iota + 1
+	d2
+	d3
+	d4
+	missing uint32 = 99
+)
+
 func TestVectorStoreAdd(t *testing.T) {
 	b := NewVectorBuilder()
-	b.Add("d1", map[string]float64{"a": 1, "b": 2})
-	b.Add("d2", map[string]float64{"b": 1, "c": 1})
-	v := b.Freeze()
-	if v.Len() != 2 {
-		t.Fatalf("Len = %d", v.Len())
+	b.Add(d1, map[string]float64{"a": 1, "b": 2})
+	b.Add(d2, map[string]float64{"b": 1, "c": 1})
+	v := b.Freeze(nil)
+	if got := v.docIDs(); !reflect.DeepEqual(got, []uint32{d1, d2}) {
+		t.Fatalf("documents = %v", got)
 	}
 	if v.docFreqOf("b") != 2 || v.docFreqOf("a") != 1 || v.docFreqOf("z") != 0 {
 		t.Errorf("DocFreq wrong: b=%d a=%d z=%d", v.docFreqOf("b"), v.docFreqOf("a"), v.docFreqOf("z"))
@@ -31,25 +42,25 @@ func TestVectorStoreAdd(t *testing.T) {
 // first vector in place.
 func TestVectorStoreAddTwicePanics(t *testing.T) {
 	b := NewVectorBuilder()
-	b.Add("d", map[string]float64{"a": 1})
+	b.Add(d1, map[string]float64{"a": 1})
 	func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("second Add of the same ID did not panic")
 			}
 		}()
-		b.Add("d", map[string]float64{"b": 1})
+		b.Add(d1, map[string]float64{"b": 1})
 	}()
-	v := b.Freeze()
-	if v.Len() != 1 || v.docFreqOf("a") != 1 || v.docFreqOf("b") != 0 {
-		t.Errorf("after the rejected Add: Len=%d df(a)=%d df(b)=%d", v.Len(), v.docFreqOf("a"), v.docFreqOf("b"))
+	v := b.Freeze(nil)
+	if n := len(v.docIDs()); n != 1 || v.docFreqOf("a") != 1 || v.docFreqOf("b") != 0 {
+		t.Errorf("after the rejected Add: %d documents, df(a)=%d df(b)=%d", n, v.docFreqOf("a"), v.docFreqOf("b"))
 	}
 }
 
 func TestVectorStoreDropsNonPositive(t *testing.T) {
 	b := NewVectorBuilder()
-	b.Add("d", map[string]float64{"a": 0, "b": -1, "c": 2})
-	v := b.Freeze()
+	b.Add(d1, map[string]float64{"a": 0, "b": -1, "c": 2})
+	v := b.Freeze(nil)
 	if v.docFreqOf("a") != 0 || v.docFreqOf("b") != 0 || v.docFreqOf("c") != 1 {
 		t.Error("non-positive frequencies should be dropped")
 	}
@@ -57,11 +68,11 @@ func TestVectorStoreDropsNonPositive(t *testing.T) {
 
 func TestVectorUnitNorm(t *testing.T) {
 	b := NewVectorBuilder()
-	b.Add("d1", map[string]float64{"a": 3, "b": 1})
-	b.Add("d2", map[string]float64{"a": 1, "c": 1})
-	b.Add("d3", map[string]float64{"c": 5})
-	v := b.Freeze()
-	vec := v.Vector("d1")
+	b.Add(d1, map[string]float64{"a": 3, "b": 1})
+	b.Add(d2, map[string]float64{"a": 1, "c": 1})
+	b.Add(d3, map[string]float64{"c": 5})
+	v := b.Freeze(nil)
+	vec := v.vector(d1)
 	var norm float64
 	for _, w := range vec {
 		norm += w * w
@@ -75,13 +86,13 @@ func TestVectorUnitNorm(t *testing.T) {
 // appears in every document gets idf 0 and vanishes from all vectors.
 func TestUniversalTermVanishes(t *testing.T) {
 	b := NewVectorBuilder()
-	b.Add("d1", map[string]float64{"type": 1, "a": 1})
-	b.Add("d2", map[string]float64{"type": 1, "b": 1})
-	v := b.Freeze()
-	if _, ok := v.Vector("d1")["type"]; ok {
+	b.Add(d1, map[string]float64{"type": 1, "a": 1})
+	b.Add(d2, map[string]float64{"type": 1, "b": 1})
+	v := b.Freeze(nil)
+	if _, ok := v.vector(d1)["type"]; ok {
 		t.Error("universal term should have zero weight and be omitted")
 	}
-	if _, ok := v.Vector("d1")["a"]; !ok {
+	if _, ok := v.vector(d1)["a"]; !ok {
 		t.Error("distinctive term should survive")
 	}
 }
@@ -89,16 +100,16 @@ func TestUniversalTermVanishes(t *testing.T) {
 func TestPaperWeightFormula(t *testing.T) {
 	// 4 docs; term x in d1 with freq 3, df(x)=2.
 	b := NewVectorBuilder()
-	b.Add("d1", map[string]float64{"x": 3, "y": 1})
-	b.Add("d2", map[string]float64{"x": 1, "z": 1})
-	b.Add("d3", map[string]float64{"z": 2})
-	b.Add("d4", map[string]float64{"w": 1})
+	b.Add(d1, map[string]float64{"x": 3, "y": 1})
+	b.Add(d2, map[string]float64{"x": 1, "z": 1})
+	b.Add(d3, map[string]float64{"z": 2})
+	b.Add(d4, map[string]float64{"w": 1})
 
 	wx := math.Log(3+1) * math.Log(4.0/2.0)
 	wy := math.Log(1+1) * math.Log(4.0/1.0)
 	norm := math.Sqrt(wx*wx + wy*wy)
-	v := b.Freeze()
-	vec := v.Vector("d1")
+	v := b.Freeze(nil)
+	vec := v.vector(d1)
 	if !almostEqual(vec["x"], wx/norm) || !almostEqual(vec["y"], wy/norm) {
 		t.Errorf("vector = %v, want x=%v y=%v", vec, wx/norm, wy/norm)
 	}
@@ -106,31 +117,31 @@ func TestPaperWeightFormula(t *testing.T) {
 
 func TestSimilaritySymmetricAndSelfMax(t *testing.T) {
 	b := NewVectorBuilder()
-	b.Add("d1", map[string]float64{"a": 2, "b": 1})
-	b.Add("d2", map[string]float64{"a": 1, "c": 4})
-	b.Add("d3", map[string]float64{"z": 1})
-	v := b.Freeze()
-	if !almostEqual(v.Similarity("d1", "d2"), v.Similarity("d2", "d1")) {
+	b.Add(d1, map[string]float64{"a": 2, "b": 1})
+	b.Add(d2, map[string]float64{"a": 1, "c": 4})
+	b.Add(d3, map[string]float64{"z": 1})
+	v := b.Freeze(nil)
+	if !almostEqual(v.Similarity(d1, d2), v.Similarity(d2, d1)) {
 		t.Error("similarity not symmetric")
 	}
-	if !almostEqual(v.Similarity("d1", "d1"), 1) {
-		t.Errorf("self similarity = %v, want 1", v.Similarity("d1", "d1"))
+	if !almostEqual(v.Similarity(d1, d1), 1) {
+		t.Errorf("self similarity = %v, want 1", v.Similarity(d1, d1))
 	}
-	if v.Similarity("d1", "d3") != 0 {
+	if v.Similarity(d1, d3) != 0 {
 		t.Error("disjoint docs should have zero similarity")
 	}
-	if v.Similarity("d1", "missing") != 0 {
+	if v.Similarity(d1, missing) != 0 {
 		t.Error("missing doc should have zero similarity")
 	}
 }
 
 func TestCentroidIsUnitAndAveragesMembership(t *testing.T) {
 	b := NewVectorBuilder()
-	b.Add("d1", map[string]float64{"a": 1, "c": 1})
-	b.Add("d2", map[string]float64{"b": 1, "c": 1})
-	b.Add("d3", map[string]float64{"x": 1, "y": 1})
-	v := b.Freeze()
-	c := v.Centroid([]string{"d1", "d2"})
+	b.Add(d1, map[string]float64{"a": 1, "c": 1})
+	b.Add(d2, map[string]float64{"b": 1, "c": 1})
+	b.Add(d3, map[string]float64{"x": 1, "y": 1})
+	v := b.Freeze(nil)
+	c := v.Centroid(itemset.FromSorted([]uint32{d1, d2}))
 	var norm float64
 	for _, w := range c {
 		norm += w * w
@@ -140,39 +151,40 @@ func TestCentroidIsUnitAndAveragesMembership(t *testing.T) {
 	}
 	// A doc sharing the common term c should be more similar to the
 	// centroid than the unrelated d3.
-	if s := v.ScoreDocs(c, []string{"d1", "d3"}); s[0] <= s[1] {
+	if s := v.ScoreDocs(c, itemset.FromSorted([]uint32{d1, d3})); s[0] <= s[1] {
 		t.Error("centroid should prefer members over non-members")
 	}
-	if len(v.Centroid(nil)) != 0 {
+	if len(v.Centroid(itemset.Set{})) != 0 {
 		t.Error("empty centroid should be empty")
 	}
 }
 
 func TestSimilarToRankingAndExclude(t *testing.T) {
+	const q, close, far, none = 3, 1, 0, 2
 	b := NewVectorBuilder()
-	b.Add("q", map[string]float64{"a": 1, "b": 1})
-	b.Add("close", map[string]float64{"a": 1, "b": 1, "c": 1})
-	b.Add("far", map[string]float64{"a": 1, "z": 5})
-	b.Add("none", map[string]float64{"z": 1})
+	b.Add(q, map[string]float64{"a": 1, "b": 1})
+	b.Add(close, map[string]float64{"a": 1, "b": 1, "c": 1})
+	b.Add(far, map[string]float64{"a": 1, "z": 5})
+	b.Add(none, map[string]float64{"z": 1})
 
-	v := b.Freeze()
-	got := v.SimilarTo(v.Vector("q"), 10, []string{"q"})
-	if len(got) < 2 || got[0].ID != "close" {
-		t.Fatalf("SimilarTo = %v, want close first", got)
+	v := b.Freeze(nil)
+	got := v.SimilarToDoc(q, 10)
+	if len(got) < 2 || got[0].ID != close {
+		t.Fatalf("SimilarToDoc = %v, want close first", got)
 	}
 	for _, s := range got {
-		if s.ID == "q" {
-			t.Error("excluded doc returned")
+		if s.ID == q {
+			t.Error("the query document was returned")
 		}
-		if s.ID == "none" {
+		if s.ID == none {
 			t.Error("zero-score doc returned")
 		}
 	}
-	if got2 := v.SimilarTo(v.Vector("q"), 1, nil); len(got2) != 1 {
+	if got2 := v.SimilarToDoc(q, 1); len(got2) != 1 {
 		t.Errorf("k=1 returned %d results", len(got2))
 	}
-	if v.SimilarTo(nil, 5, nil) != nil {
-		t.Error("nil query should give nil")
+	if v.SimilarToDoc(missing, 5) != nil {
+		t.Error("an absent document should give nil")
 	}
 }
 
@@ -203,38 +215,41 @@ func TestTopTermsDeterministicTies(t *testing.T) {
 
 func TestIDsSorted(t *testing.T) {
 	b := NewVectorBuilder()
-	for _, id := range []string{"z", "a", "m"} {
+	for _, id := range []uint32{7, 1, 4} {
 		b.Add(id, map[string]float64{"t": 1})
 	}
-	v := b.Freeze()
-	if got := v.docIDs(); !reflect.DeepEqual(got, []string{"a", "m", "z"}) {
+	v := b.Freeze(nil)
+	if got := v.docIDs(); !reflect.DeepEqual(got, []uint32{1, 4, 7}) {
 		t.Errorf("IDs = %v", got)
+	}
+	if got := v.postingOf("t"); !reflect.DeepEqual(got, []uint32{1, 4, 7}) {
+		t.Errorf("posting = %v", got)
 	}
 }
 
 func TestVectorStoreConcurrent(t *testing.T) {
 	b := NewVectorBuilder()
 	for i := 0; i < 600; i++ {
-		b.Add(fmt.Sprintf("d%d", i), map[string]float64{fmt.Sprintf("t%d", i%7): 1, "common": 1})
+		b.Add(uint32(i), map[string]float64{fmt.Sprintf("t%d", i%7): 1, "common": 1})
 	}
-	v := b.Freeze()
+	v := b.Freeze(nil)
 	var wg sync.WaitGroup
 	for w := 0; w < 6; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				id := fmt.Sprintf("d%d", w*100+i)
-				if len(v.Vector(id)) == 0 {
-					t.Errorf("%s: empty vector", id)
+				id := uint32(w*100 + i)
+				if len(v.Weights(id)) == 0 {
+					t.Errorf("%d: empty vector", id)
 				}
-				v.SimilarTo(map[string]float64{"common": 1}, 3, nil)
+				v.SimilarToDoc(id, 3)
 			}
 		}(w)
 	}
 	wg.Wait()
-	if v.Len() != 600 {
-		t.Errorf("Len = %d, want 600", v.Len())
+	if n := len(v.docIDs()); n != 600 {
+		t.Errorf("%d documents, want 600", n)
 	}
 }
 
@@ -250,15 +265,15 @@ func TestQuickVectorsUnitNorm(t *testing.T) {
 			for j := 0; j < rng.Intn(6)+1; j++ {
 				freqs[fmt.Sprintf("t%d", rng.Intn(10))] = float64(rng.Intn(5) + 1)
 			}
-			b.Add(fmt.Sprintf("d%d", i), freqs)
+			b.Add(uint32(i), freqs)
 		}
-		v := b.Freeze()
+		v := b.Freeze(nil)
 		for _, id := range v.docIDs() {
 			var norm float64
-			for _, w := range v.Vector(id) {
+			for _, w := range v.vector(id) {
 				norm += w * w
 			}
-			if len(v.Vector(id)) > 0 && math.Abs(norm-1) > 1e-6 {
+			if len(v.vector(id)) > 0 && math.Abs(norm-1) > 1e-6 {
 				return false
 			}
 		}
@@ -280,9 +295,9 @@ func TestQuickSimilarityBounds(t *testing.T) {
 			for j := 0; j < rng.Intn(5)+1; j++ {
 				freqs[fmt.Sprintf("t%d", rng.Intn(6))] = float64(rng.Intn(4) + 1)
 			}
-			b.Add(fmt.Sprintf("d%d", i), freqs)
+			b.Add(uint32(i), freqs)
 		}
-		v := b.Freeze()
+		v := b.Freeze(nil)
 		ids := v.docIDs()
 		for _, a := range ids {
 			for _, b := range ids {
@@ -303,18 +318,18 @@ func TestQuickSimilarityBounds(t *testing.T) {
 }
 
 // TestAddAfterQueryMatchesBatchBuild: a builder frozen and queried, then
-// grown by one more document and frozen again, gives rows, SimilarTo,
-// Centroid and IDF bit-identical to a store built with every document up
-// front — an earlier freeze and its warmed caches leave no trace.
+// grown by one more document and frozen again, gives rows, similarity
+// scans, Centroid and IDF bit-identical to a store built with every
+// document up front — an earlier freeze leaves no trace in the builder.
 func TestAddAfterQueryMatchesBatchBuild(t *testing.T) {
 	docs := []struct {
-		id    string
+		id    uint32
 		freqs map[string]float64
 	}{
-		{"d1", map[string]float64{"a": 1, "b": 2, "num|x": 0.5}},
-		{"d2", map[string]float64{"b": 1, "c": 3}},
-		{"d3", map[string]float64{"c": 2, "d": 1}},
-		{"d4", map[string]float64{"a": 3, "c": 1, "e": 2, "num|x": 0.25}},
+		{d1, map[string]float64{"a": 1, "b": 2, "num|x": 0.5}},
+		{d2, map[string]float64{"b": 1, "c": 3}},
+		{d3, map[string]float64{"c": 2, "d": 1}},
+		{d4, map[string]float64{"a": 3, "c": 1, "e": 2, "num|x": 0.25}},
 	}
 	builder := func(n int) *VectorBuilder {
 		b := NewVectorBuilder()
@@ -324,21 +339,19 @@ func TestAddAfterQueryMatchesBatchBuild(t *testing.T) {
 		}
 		return b
 	}
-	build := func(n int) *VectorStore { return builder(n).Freeze() }
-	query := map[string]float64{"a": 0.6, "c": 0.8}
-	ids := []string{"d1", "d2", "d3", "d4"}
+	build := func(n int) *VectorStore { return builder(n).Freeze(nil) }
+	ids := itemset.FromSorted([]uint32{d1, d2, d3, d4})
 
 	gb := builder(len(docs) - 1)
-	early := gb.Freeze()
-	// Warm every cache the early store has: rows, scratch, centroid.
-	for _, id := range ids {
+	early := gb.Freeze(nil)
+	for _, id := range ids.Slice() {
 		early.Weights(id)
+		early.SimilarToDoc(id, 3)
 	}
-	early.SimilarTo(query, 3, nil)
 	early.Centroid(ids)
 	last := docs[len(docs)-1]
 	gb.Add(last.id, last.freqs)
-	grown := gb.Freeze()
+	grown := gb.Freeze(nil)
 
 	want := build(len(docs))
 	same := func(what string, got, exp float64) {
@@ -347,27 +360,27 @@ func TestAddAfterQueryMatchesBatchBuild(t *testing.T) {
 			t.Errorf("%s = %v, want %v (bit-identical)", what, got, exp)
 		}
 	}
-	for _, id := range ids {
+	for _, id := range ids.Slice() {
 		got, exp := grown.Weights(id), want.Weights(id)
 		if len(got) != len(exp) {
-			t.Fatalf("%s: row %v, want %v", id, got, exp)
+			t.Fatalf("%d: row %v, want %v", id, got, exp)
 		}
 		for i := range exp {
 			if got[i].Term != exp[i].Term {
-				t.Fatalf("%s: row terms %v, want %v", id, got, exp)
+				t.Fatalf("%d: row terms %v, want %v", id, got, exp)
 			}
-			same(id+"["+exp[i].Term+"]", got[i].Weight, exp[i].Weight)
+			same(fmt.Sprintf("%d[%s]", id, exp[i].Term), got[i].Weight, exp[i].Weight)
 		}
-	}
-	gotSim, expSim := grown.SimilarTo(query, 3, nil), want.SimilarTo(query, 3, nil)
-	if len(gotSim) != len(expSim) {
-		t.Fatalf("SimilarTo = %v, want %v", gotSim, expSim)
-	}
-	for i := range expSim {
-		if gotSim[i].ID != expSim[i].ID {
-			t.Fatalf("SimilarTo = %v, want %v", gotSim, expSim)
+		gotSim, expSim := grown.SimilarToDoc(id, 3), want.SimilarToDoc(id, 3)
+		if len(gotSim) != len(expSim) {
+			t.Fatalf("SimilarToDoc(%d) = %v, want %v", id, gotSim, expSim)
 		}
-		same("SimilarTo["+expSim[i].ID+"]", gotSim[i].Score, expSim[i].Score)
+		for i := range expSim {
+			if gotSim[i].ID != expSim[i].ID {
+				t.Fatalf("SimilarToDoc(%d) = %v, want %v", id, gotSim, expSim)
+			}
+			same(fmt.Sprintf("SimilarToDoc(%d)[%d]", id, expSim[i].ID), gotSim[i].Score, expSim[i].Score)
+		}
 	}
 	gotC, expC := grown.Centroid(ids), want.Centroid(ids)
 	if len(gotC) != len(expC) {

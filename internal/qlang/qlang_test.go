@@ -17,7 +17,7 @@ func fixture(t *testing.T) (*rdf.Graph, *Resolver, *query.Engine) {
 	sch := schema.NewStore(g)
 	r := NewResolver(g, sch)
 	items := g.SubjectsOfType(recipes.ClassRecipe)
-	e := query.NewEngine(g, sch, nil, func() []rdf.IRI { return items })
+	e := query.NewEngine(g, sch, nil, g.SubjectIDsOf(items))
 	return g, r, e
 }
 

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"magnet/internal/itemset"
 	"magnet/internal/rdf"
 	"magnet/internal/schema"
 )
@@ -49,7 +50,7 @@ func TestUnionsSkipDamagedPostingIDs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return NewEngine(g, schema.NewStore(g), nil, func() []rdf.IRI { return nil })
+		return NewEngine(g, schema.NewStore(g), nil, itemset.Set{})
 	}
 	want := open(clean)
 	universe := uint32(want.g.SubjectTable().Len())

@@ -81,15 +81,12 @@ func (s Set) Has(it rdf.IRI) bool {
 func (s Set) IDs() itemset.Set { return s.set }
 
 // Items returns the members sorted lexically (the render-boundary
-// rehydration; ID order is interning order, so a sort is required here and
-// only here).
+// rehydration; subject IDs ascend with their IRIs, so no sort is needed).
 func (s Set) Items() []rdf.IRI {
 	if s.set.IsEmpty() {
 		return []rdf.IRI{}
 	}
-	out := s.in.AppendKeys(make([]rdf.IRI, 0, s.set.Len()), s.set.Slice())
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return s.in.AppendKeys(make([]rdf.IRI, 0, s.set.Len()), s.set.Slice())
 }
 
 // rebase returns t's itemset expressed in s's ID space, re-looking-up
@@ -135,24 +132,16 @@ type Engine struct {
 	g    *rdf.Graph
 	sch  *schema.Store
 	text *index.TextIndex
-	// universe lists all queryable items (Magnet's indexed information
-	// objects); Not and empty queries resolve against it.
-	universe func() []rdf.IRI
-	// universeIDs, when set, supplies the universe directly on the ID
-	// plane, skipping the IRI round-trip (core.Magnet installs it once).
-	universeIDs func() itemset.Set
+	// universe holds all queryable items (Magnet's indexed information
+	// objects) as graph subject IDs; Not and empty queries resolve
+	// against it.
+	universe itemset.Set
 }
 
-// NewEngine returns an engine. text may be nil (keyword predicates then
-// match nothing); universe must not be nil.
-func NewEngine(g *rdf.Graph, sch *schema.Store, text *index.TextIndex, universe func() []rdf.IRI) *Engine {
+// NewEngine returns an engine over the item universe, given as graph
+// subject IDs. text may be nil (keyword predicates then match nothing).
+func NewEngine(g *rdf.Graph, sch *schema.Store, text *index.TextIndex, universe itemset.Set) *Engine {
 	return &Engine{g: g, sch: sch, text: text, universe: universe}
-}
-
-// SetUniverseIDs installs a dense-ID universe source; when present it takes
-// precedence over the IRI-level universe function.
-func (e *Engine) SetUniverseIDs(f func() itemset.Set) {
-	e.universeIDs = f
 }
 
 // Rebase expresses s on the engine's dense-ID plane, re-looking-up its
@@ -163,12 +152,7 @@ func (e *Engine) Rebase(s Set) itemset.Set {
 }
 
 // Universe returns the set of all queryable items.
-func (e *Engine) Universe() Set {
-	if e.universeIDs != nil {
-		return e.setFromIDs(e.universeIDs())
-	}
-	return e.NewSet(e.universe()...)
-}
+func (e *Engine) Universe() Set { return e.setFromIDs(e.universe) }
 
 // Predicate is one query constraint. Implementations evaluate to the set of
 // matching items; new predicate kinds plug in by implementing this

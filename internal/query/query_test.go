@@ -61,7 +61,7 @@ func fixture() (*Engine, []rdf.IRI) {
 		panic(err)
 	}
 	sch := schema.NewStore(g)
-	e := NewEngine(g, sch, tix, func() []rdf.IRI { return items })
+	e := NewEngine(g, sch, tix, g.SubjectIDsOf(items))
 	return e, items
 }
 
@@ -108,7 +108,7 @@ func TestKeywordPredicate(t *testing.T) {
 func TestKeywordWithoutTextIndex(t *testing.T) {
 	gb := rdf.NewBuilder()
 	g := gb.Freeze()
-	e := NewEngine(g, schema.NewStore(g), nil, func() []rdf.IRI { return nil })
+	e := NewEngine(g, schema.NewStore(g), nil, itemset.Set{})
 	if n := (Keyword{Text: "anything"}).Eval(e).Len(); n != 0 {
 		t.Errorf("nil index matched %d", n)
 	}
@@ -162,8 +162,8 @@ func TestNotPredicate(t *testing.T) {
 // universe, so the lazy form equals the eager intersection with Not.Eval
 // even when earlier conjuncts match items outside it.
 func TestLazyNotClipsToUniverse(t *testing.T) {
-	e, items := fixture()
-	e.SetUniverseIDs(func() itemset.Set { return e.NewSet(items[:3]...).IDs() })
+	full, items := fixture()
+	e := NewEngine(full.g, full.sch, full.text, full.NewSet(items[:3]...).IDs())
 	p, n := Property{pServings, rdf.NewInteger(4)}, Not{Property{pIngredient, walnut}}
 	want := p.Eval(e).Intersect(n.Eval(e)).Items()
 	if len(want) == 0 || len(p.Eval(e).Items()) == len(want) {
@@ -312,7 +312,7 @@ func TestPathPropertyPredicate(t *testing.T) {
 	gb.Add(bob, pField, iri("DB"))
 	g := gb.Freeze()
 	sch := schema.NewStore(g)
-	e := NewEngine(g, sch, nil, func() []rdf.IRI { return []rdf.IRI{doc1, doc2} })
+	e := NewEngine(g, sch, nil, g.SubjectIDsOf([]rdf.IRI{doc1, doc2}))
 
 	p := PathProperty{Path: []rdf.IRI{pAuthor, pField}, Value: ir}
 	if got := p.Eval(e).Items(); !reflect.DeepEqual(got, []rdf.IRI{doc1}) {

@@ -25,7 +25,7 @@ func setFixture() *Engine {
 	add("r5") // no ingredients at all
 	items := []rdf.IRI{iri("r1"), iri("r2"), iri("r3"), iri("r4"), iri("r5")}
 	g := gb.Freeze()
-	return NewEngine(g, schema.NewStore(g), nil, func() []rdf.IRI { return items })
+	return NewEngine(g, schema.NewStore(g), nil, g.SubjectIDsOf(items))
 }
 
 func TestAnyValueIn(t *testing.T) {

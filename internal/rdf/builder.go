@@ -14,21 +14,15 @@ import (
 // read while building (an annotator sampling values) freezes a snapshot.
 // A Builder is not safe for concurrent use.
 type Builder struct {
-	// spo: subject → predicate → object key → object term.
-	spo map[IRI]map[IRI]map[string]Term
-	// in assigns dense item IDs to subjects on their first triple,
-	// append-only: removing a subject's last triple leaves its ID (and an
-	// empty row in the image).
-	in   *ids.Interner[IRI]
+	// spo: subject → predicate → object key → object term. A subject
+	// whose last triple is removed leaves the map.
+	spo  map[IRI]map[IRI]map[string]Term
 	size int
 }
 
 // NewBuilder returns an empty builder.
 func NewBuilder() *Builder {
-	return &Builder{
-		spo: make(map[IRI]map[IRI]map[string]Term),
-		in:  ids.NewInterner[IRI](),
-	}
+	return &Builder{spo: make(map[IRI]map[IRI]map[string]Term)}
 }
 
 // Len returns the number of triples added and not removed.
@@ -51,7 +45,6 @@ func (b *Builder) Add(s, p IRI, o Term) bool {
 		return false
 	}
 	objs[ok] = o
-	b.in.Intern(s)
 	b.size++
 	return true
 }
@@ -89,12 +82,24 @@ func (b *Builder) Freeze() *Graph {
 type posEntry struct{ p, t, s uint32 }
 
 // Columns compiles the triples into the graph's columnar image — what
-// Freeze serves from and magnet-build writes. Deterministic: the same
-// triples added in the same order yield identical bytes.
+// Freeze serves from and magnet-build writes. The image is a function of
+// the triple set alone: subjects are numbered in lexical order, so the
+// same triples yield identical bytes whatever order they were added in.
 func (b *Builder) Columns() GraphColumns {
 	var c GraphColumns
-	c.Subj = b.in.Columns()
 	c.Triples = uint64(b.size)
+
+	// Subject IDs: the live subjects in lexical order.
+	subjects := make([]IRI, 0, len(b.spo))
+	for s := range b.spo {
+		subjects = append(subjects, s)
+	}
+	sortIRIs(subjects)
+	in := ids.NewInterner[IRI]()
+	for _, s := range subjects {
+		in.Intern(s)
+	}
+	c.Subj = in.Columns()
 
 	// Predicate and object-term tables, sorted.
 	predSet := make(map[IRI]bool)
@@ -132,17 +137,13 @@ func (b *Builder) Columns() GraphColumns {
 		c.TermOff = append(c.TermOff, uint32(len(c.TermBlob)))
 	}
 
-	// SPO rows, one per interned subject in dense-ID order; the POS
-	// entries are collected on the way.
-	n := b.in.Len()
+	// SPO rows, one per subject in ID order; the POS entries are collected
+	// on the way.
 	entries := make([]posEntry, 0, b.size)
-	c.SpoPredStart = make([]uint32, 1, n+1)
+	c.SpoPredStart = make([]uint32, 1, len(subjects)+1)
 	c.SpoObjStart = []uint32{0}
-	for sid := uint32(0); int(sid) < n; sid++ {
-		po := b.spo[b.in.Key(sid)]
-		if len(po) > 0 {
-			c.SubjLive = append(c.SubjLive, sid)
-		}
+	for sid, s := range subjects {
+		po := b.spo[s]
 		sp := make([]IRI, 0, len(po))
 		for p := range po {
 			sp = append(sp, p)
@@ -156,7 +157,7 @@ func (b *Builder) Columns() GraphColumns {
 			}
 			slices.Sort(c.SpoObj[row:])
 			for _, t := range c.SpoObj[row:] {
-				entries = append(entries, posEntry{pid, t, sid})
+				entries = append(entries, posEntry{pid, t, uint32(sid)})
 			}
 			c.SpoPred = append(c.SpoPred, pid)
 			c.SpoObjStart = append(c.SpoObjStart, uint32(len(c.SpoObj)))

@@ -15,8 +15,7 @@ import (
 // so in-memory and segment-backed instances share one read path. Nothing
 // changes after construction, so reads take no locks.
 //
-// Subjects carry dense uint32 item IDs (first-insertion order on the
-// builder); the reverse (pos) index stores sorted posting lists of those
+// Subjects carry dense uint32 item IDs in lexical IRI order; the reverse (pos) index stores sorted posting lists of those
 // IDs. Hot layers (query, facets, vsm) consume the ID-plane accessors
 // (SubjectIDSet, AllSubjectIDs, ForEachValuePosting) and rehydrate IRIs
 // only at the render boundary.
@@ -317,10 +316,15 @@ func (g *Graph) SubjectIDSet(p IRI, o Term) itemset.Set {
 	return itemset.FromSorted(g.postingOf(p, o))
 }
 
-// AllSubjectIDs returns the IDs of every live subject, allocation-free.
-//
-//magnet:hot
-func (g *Graph) AllSubjectIDs() itemset.Set { return itemset.FromSorted(g.c.SubjLive) }
+// AllSubjectIDs returns the IDs of every subject: [0, n), since every
+// compiled subject carries a triple.
+func (g *Graph) AllSubjectIDs() itemset.Set {
+	ids := make([]uint32, g.subj.Len())
+	for i := range ids {
+		ids[i] = uint32(i)
+	}
+	return itemset.FromSorted(ids)
+}
 
 // SubjectIDsWithProperty returns the IDs of subjects carrying any value of
 // predicate p (the property's coverage set), unioned via bitmap.
@@ -374,16 +378,13 @@ func (g *Graph) SubjectIDsOf(items []IRI) itemset.Set {
 	return itemset.FromUnsorted(ids)
 }
 
-// SubjectsFromIDs rehydrates a slice of item IDs to IRIs, sorted lexically
-// — the render-boundary conversion (ID order is interning order, not
-// lexical).
+// SubjectsFromIDs rehydrates a slice of item IDs to IRIs — the
+// render-boundary conversion. Ascending IDs give lexically sorted IRIs.
 func (g *Graph) SubjectsFromIDs(ids []uint32) []IRI {
 	if len(ids) == 0 {
 		return nil
 	}
-	out := g.subj.AppendKeys(make([]IRI, 0, len(ids)), ids)
-	sortIRIs(out)
-	return out
+	return g.subj.AppendKeys(make([]IRI, 0, len(ids)), ids)
 }
 
 // subjectStatements calls f for each triple of subject sid, in predicate
@@ -418,8 +419,8 @@ func (g *Graph) AllStatements() []Statement {
 // ForEach calls f for every triple until f returns false, in subject-ID
 // order.
 func (g *Graph) ForEach(f func(Statement) bool) {
-	for _, sid := range g.c.SubjLive {
-		if !g.subjectStatements(sid, f) {
+	for sid := 0; sid < g.subj.Len(); sid++ {
+		if !g.subjectStatements(uint32(sid), f) {
 			return
 		}
 	}

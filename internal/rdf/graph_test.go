@@ -267,8 +267,8 @@ func valuePostings(g *Graph, p IRI) []string {
 
 // TestForEachValuePostingConcurrentReaders: goroutines make the first
 // reads of a freshly frozen graph, text index and vector store at once —
-// the lazy key strings, the graph's term table and the vector row cache
-// all fill under contention (run under -race). Every reader must see what
+// the lazy key strings, the graph's term table and the vector store's
+// scratch vectors all fill under contention (run under -race). Every reader must see what
 // a single reader of an identical copy sees.
 func TestForEachValuePostingConcurrentReaders(t *testing.T) {
 	preds := []IRI{Type, IRI(ex + "cuisine"), IRI(ex + "ingredient")}
@@ -289,13 +289,13 @@ func TestForEachValuePostingConcurrentReaders(t *testing.T) {
 	}
 	vectors := func() *index.VectorStore {
 		b := index.NewVectorBuilder()
-		b.Add(ex+"r1", map[string]float64{"greek": 1, "feta": 2, "parsley": 1})
-		b.Add(ex+"r2", map[string]float64{"greek": 1, "feta": 1})
-		b.Add(ex+"r3", map[string]float64{"mexican": 1})
-		return b.Freeze()
+		b.Add(0, map[string]float64{"greek": 1, "feta": 2, "parsley": 1})
+		b.Add(1, map[string]float64{"greek": 1, "feta": 1})
+		b.Add(2, map[string]float64{"mexican": 1})
+		return b.Freeze(nil)
 	}
 	wantSearch := fmt.Sprint(textIndex().Search("feta", "", 0))
-	wantSimilar := fmt.Sprint(vectors().SimilarTo(map[string]float64{"feta": 1}, 2, nil))
+	wantSimilar := fmt.Sprint(vectors().SimilarToDoc(0, 2))
 
 	g, ix, v := testGraph(), textIndex(), vectors()
 	var wg sync.WaitGroup
@@ -311,11 +311,11 @@ func TestForEachValuePostingConcurrentReaders(t *testing.T) {
 			if got := fmt.Sprint(ix.Search("feta", "", 0)); got != wantSearch {
 				t.Errorf("Search = %s, want %s", got, wantSearch)
 			}
-			if got := fmt.Sprint(v.SimilarTo(map[string]float64{"feta": 1}, 2, nil)); got != wantSimilar {
-				t.Errorf("SimilarTo = %s, want %s", got, wantSimilar)
+			if got := fmt.Sprint(v.SimilarToDoc(0, 2)); got != wantSimilar {
+				t.Errorf("SimilarToDoc = %s, want %s", got, wantSimilar)
 			}
 			ix.Surface("feta")
-			v.Centroid([]string{ex + "r1", ex + "r2"})
+			v.Centroid(itemset.FromSorted([]uint32{0, 1}))
 		}()
 	}
 	wg.Wait()

@@ -8,8 +8,9 @@ package rdf
 //
 // Layout invariants (established by Builder.Columns, relied on by Graph):
 //
-//   - The subject key table preserves dense-ID order; a permutation
-//     sorted by IRI serves lookups.
+//   - Subject IDs number the subjects with at least one triple in lexical
+//     order, so ascending ID is ascending IRI; the key table's sorted
+//     permutation (the identity) serves lookups.
 //   - The predicate table is sorted by IRI, so ascending predID is
 //     lexical order.
 //   - The object-term table is sorted by term key, so ascending termID is
@@ -19,8 +20,7 @@ package rdf
 //   - POS: per predicate, values ascend by term key; each value's subject
 //     posting is sorted dense IDs.
 //   - SPO: per subject, predicate IDs ascend; each (s,p)'s object term IDs
-//     ascend. Subjects whose every triple was removed keep an empty row, so
-//     dense IDs index rows directly.
+//     ascend. Dense IDs index rows directly.
 
 import (
 	"fmt"
@@ -31,12 +31,9 @@ import (
 // GraphColumns is the flat columnar image of a graph. All slices may alias
 // a mapped segment file; the graph never mutates them.
 type GraphColumns struct {
-	// Subj is the subject key table (dense-ID order) with its sorted
-	// permutation.
+	// Subj is the subject key table (dense-ID order, which is lexical)
+	// with its sorted permutation.
 	Subj ids.Columns
-	// SubjLive is the sorted posting of live subject IDs (those with at
-	// least one triple).
-	SubjLive []uint32
 	// Pred table: predicate IRIs sorted lexically; PredOff has P+1 entries.
 	PredOff  []uint32
 	PredBlob []byte

@@ -1,6 +1,8 @@
 package rdf
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
@@ -9,8 +11,8 @@ import (
 )
 
 // segTestBuilder builds a small mixed graph: typed items, literals, shared
-// objects, a removed statement (leaving a dead subject row), and an orphan
-// subject. It returns the builder with the statements it holds.
+// objects, a removed statement (its subject left with no triple), and an
+// orphan subject. It returns the builder with the statements it holds.
 func segTestBuilder(t *testing.T) (*Builder, []Statement) {
 	t.Helper()
 	b := NewBuilder()
@@ -29,8 +31,8 @@ func segTestBuilder(t *testing.T) (*Builder, []Statement) {
 	add("urn:b", "urn:ingredient", NewString("Parsley"))
 	add("urn:a", "urn:servings", NewInteger(4))
 	add("urn:c", "urn:label", NewString("orphan"))
-	// Remove a statement so a subject row goes dead — the columns must
-	// carry the gap and the frozen graph must not show it.
+	// Remove a subject's only statement: the frozen graph must not know the
+	// subject at all.
 	if !b.Add("urn:dead", "urn:label", NewString("doomed")) || !b.Remove("urn:dead", "urn:label", NewString("doomed")) {
 		t.Fatal("add/remove of the doomed statement failed")
 	}
@@ -146,8 +148,50 @@ func TestGraphColumnsRoundTrip(t *testing.T) {
 	if g.Has("urn:dead", "urn:label", NewString("doomed")) {
 		t.Error("Has finds the removed statement")
 	}
-	if _, ok := g.SubjectID("urn:dead"); !ok {
-		t.Error("the dead subject lost its dense ID")
+	if _, ok := g.SubjectID("urn:dead"); ok {
+		t.Error("a subject with no triple left kept a dense ID")
+	}
+}
+
+// TestBuilderColumnsOrderFree: the compiled image is a function of the
+// triple set alone — deep-equal under every tried permutation of the Add
+// order — and subject IDs ascend with the IRIs.
+func TestBuilderColumnsOrderFree(t *testing.T) {
+	var sts []Statement
+	for i := 0; i < 40; i++ {
+		s := IRI(fmt.Sprintf("urn:s%d", (i*7)%13))
+		sts = append(sts,
+			Statement{s, "urn:p", NewInteger(int64(i % 5))},
+			Statement{s, IRI(fmt.Sprintf("urn:q%d", i%3)), IRI(fmt.Sprintf("urn:s%d", i%11))})
+	}
+	build := func(order []int) GraphColumns {
+		b := NewBuilder()
+		for _, i := range order {
+			b.Add(sts[i].Subject, sts[i].Predicate, sts[i].Object)
+		}
+		return b.Columns()
+	}
+	rng := rand.New(rand.NewSource(3))
+	want := build(rng.Perm(len(sts)))
+	for round := 0; round < 20; round++ {
+		if got := build(rng.Perm(len(sts))); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: the image depends on the Add order", round)
+		}
+	}
+	g, err := FromColumns(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.SubjectTable().Len()
+	for id := uint32(1); id < uint32(n); id++ {
+		if prev, cur := g.SubjectByID(id-1), g.SubjectByID(id); prev >= cur {
+			t.Fatalf("subject %d = %s does not follow subject %d = %s", id, cur, id-1, prev)
+		}
+	}
+	for id := uint32(0); id < uint32(n); id++ {
+		if got, ok := g.SubjectID(g.SubjectByID(id)); !ok || got != id {
+			t.Fatalf("SubjectID(SubjectByID(%d)) = %d, %v", id, got, ok)
+		}
 	}
 }
 

@@ -16,8 +16,6 @@ const (
 	Label = IRI(NSRDFS + "label")
 	// Comment is rdfs:comment.
 	Comment = IRI(NSRDFS + "comment")
-	// SubClassOf is rdfs:subClassOf.
-	SubClassOf = IRI(NSRDFS + "subClassOf")
 	// DCTitle is dc:title, treated as a title field by the text analysts.
 	DCTitle = IRI(NSDC + "title")
 )

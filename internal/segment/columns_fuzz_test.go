@@ -11,8 +11,8 @@ import (
 )
 
 // fuzzImage compiles a small graph, text index and vector store: typed
-// items, literal and IRI objects, a removed statement (a dead subject
-// row), two text fields and a pinned vector coordinate.
+// items, literal and IRI objects, a removed statement (its subject left
+// with no triple), two text fields and a pinned vector coordinate.
 func fuzzImage() Data {
 	const ns = "urn:x:"
 	b := rdf.NewBuilder()
@@ -34,12 +34,17 @@ func fuzzImage() Data {
 	tb.Index(ns+"a", "body", "whisk the lemons")
 	tb.Index(ns+"b", "title", "olive bread")
 
+	g := b.Freeze()
+	id := func(s string) uint32 {
+		n, _ := g.SubjectID(rdf.IRI(ns + s))
+		return n
+	}
 	vb := index.NewVectorBuilder()
 	vb.PinnedPrefix = "num|"
-	vb.Add(ns+"a", map[string]float64{"feta": 2, "lemon": 1, "num|x": 0.5})
-	vb.Add(ns+"b", map[string]float64{"olive": 1, "lemon": 3})
-	vb.Add(ns+"c", map[string]float64{"rice": 1, "num|x": 0.25})
-	return Data{Graph: b.Columns(), Text: tb.Columns(), Vectors: vb.Columns()}
+	vb.Add(id("a"), map[string]float64{"feta": 2, "lemon": 1, "num|x": 0.5})
+	vb.Add(id("b"), map[string]float64{"olive": 1, "lemon": 3})
+	vb.Add(id("c"), map[string]float64{"rice": 1, "num|x": 0.25})
+	return Data{Graph: g.Columns(), Text: tb.Columns(), Vectors: vb.Columns()}
 }
 
 // imageColumns copies every slice column of d (nested interner tables
@@ -104,7 +109,7 @@ func FuzzColumnImage(f *testing.F) {
 		if ix, err := index.FromTextColumns(nil, d.Text); err == nil {
 			readText(ix)
 		}
-		if v, err := index.FromVectorColumns(d.Vectors); err == nil {
+		if v, err := index.FromVectorColumns(d.Vectors, nil); err == nil {
 			readVectors(v)
 		}
 	})
@@ -166,17 +171,15 @@ func readText(ix *index.TextIndex) {
 }
 
 func readVectors(v *index.VectorStore) {
-	docs := []string{"urn:x:a", "urn:x:b", "urn:x:c", "urn:x:none"}
-	v.Len()
-	for _, id := range docs {
-		v.Vector(id)
+	docs := itemset.FromSorted([]uint32{0, 1, 2, 3, 4, 1 << 20})
+	for _, id := range docs.Slice() {
 		v.Weights(id)
-		v.Similarity(id, "urn:x:a")
+		v.Similarity(id, 1)
+		v.SharedTerms(id, 2)
+		v.SimilarToDoc(id, 2)
 	}
 	q := map[string]float64{"lemon": 0.6, "feta": 0.8, "num|x": 0.1}
 	v.Centroid(docs)
-	v.SimilarTo(q, 2, []string{"urn:x:a"})
-	v.SimilarTo(v.Vector("urn:x:b"), 5, nil)
 	v.SimilarToCentroid(docs, 2, true)
 	v.ScoreDocs(q, docs)
 }

@@ -11,7 +11,7 @@
 //	MANIFEST.json   format version, dataset identity, file checksums
 //	graph.seg       RDF graph columns (interners, SPO/POS indexes)
 //	text.seg        text-index columns (postings, doc fields, surfaces)
-//	vectors.seg     vector-store columns (doc vectors, df, postings)
+//	vectors.seg     vector-store columns (tf·idf rows, postings)
 //	meta.seg        item universe, numeric-range statistics
 //
 // Each .seg file is a fixed binary header, 8-byte-aligned typed sections,
@@ -31,8 +31,10 @@ import (
 const (
 	// Magic opens every segment file.
 	Magic = "MAGSEG\x00\x01"
-	// Version is the current segment format version.
-	Version = 1
+	// Version is the current segment format version. Version 2 numbers
+	// subjects lexically and stores compiled tf·idf rows keyed by subject
+	// ID; version 1 sets must be rebuilt.
+	Version = 2
 	// ManifestName is the manifest file inside a segment directory.
 	ManifestName = "MANIFEST.json"
 	// headerSize is the fixed on-disk header: magic[8] version[4] flags[4]
@@ -154,7 +156,7 @@ func parseHeader(b []byte, fileSize uint64) (header, error) {
 	h.tocLen = binary.LittleEndian.Uint64(b[24:])
 	h.tocCRC = binary.LittleEndian.Uint32(b[32:])
 	if h.version != Version {
-		return h, fmt.Errorf("segment: format version %d not supported (want %d)", h.version, Version)
+		return h, fmt.Errorf("segment: format version %d not supported (want %d); rebuild the set with magnet-build", h.version, Version)
 	}
 	if (h.flags&flagLittleEndian != 0) != hostLittleEndian() {
 		return h, fmt.Errorf("segment: byte-order mismatch between file and host")

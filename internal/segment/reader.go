@@ -188,7 +188,7 @@ func ParseManifest(b []byte) (Manifest, error) {
 		return Manifest{}, fmt.Errorf("segment: parse manifest: %w", err)
 	}
 	if m.Format != Version {
-		return Manifest{}, fmt.Errorf("segment: manifest format %d not supported (want %d)", m.Format, Version)
+		return Manifest{}, fmt.Errorf("segment: manifest format %d not supported (want %d); rebuild the set with magnet-build", m.Format, Version)
 	}
 	if m.Items < 0 || m.Triples < 0 {
 		return Manifest{}, fmt.Errorf("segment: manifest has negative counts (items=%d triples=%d)", m.Items, m.Triples)

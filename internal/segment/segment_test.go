@@ -153,6 +153,31 @@ func TestWrongVersion(t *testing.T) {
 	}
 }
 
+// oldManifest is a manifest of the previous format (version 1: subjects in
+// first-insertion order, lazily derived vector rows); it is also a
+// FuzzManifest seed.
+var oldManifest = []byte(`{"format":1,"tool":"magnet-build","dataset":"recipes","items":495,"triples":3731,"files":[]}`)
+
+// TestOldFormatSaysRebuild: a version-1 segment header and a version-1
+// manifest are rejected with the way to recover.
+func TestOldFormatSaysRebuild(t *testing.T) {
+	path, _, _, _ := writeTestFile(t)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(raw[8:], 1)
+	binary.LittleEndian.PutUint32(raw[36:], Checksum(raw[:36]))
+	_, err = openBytes(raw)
+	if err == nil || !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "rebuild the set with magnet-build") {
+		t.Errorf("version-1 header: err = %v, want a rebuild hint", err)
+	}
+	_, err = ParseManifest(oldManifest)
+	if err == nil || !strings.Contains(err.Error(), "format 1") || !strings.Contains(err.Error(), "rebuild the set with magnet-build") {
+		t.Errorf("format-1 manifest: err = %v, want a rebuild hint", err)
+	}
+}
+
 func TestManifestRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	m := Manifest{
@@ -182,10 +207,10 @@ func TestParseManifestRejects(t *testing.T) {
 		"empty":         "",
 		"not json":      "{",
 		"wrong format":  `{"format": 99, "files": []}`,
-		"unknown field": `{"format": 1, "surprise": true}`,
-		"negative":      `{"format": 1, "items": -1}`,
-		"dup file":      `{"format": 1, "files": [{"name":"a","bytes":1,"crc32c":0},{"name":"a","bytes":2,"crc32c":0}]}`,
-		"nameless file": `{"format": 1, "files": [{"name":"","bytes":1,"crc32c":0}]}`,
+		"unknown field": `{"format": 2, "surprise": true}`,
+		"negative":      `{"format": 2, "items": -1}`,
+		"dup file":      `{"format": 2, "files": [{"name":"a","bytes":1,"crc32c":0},{"name":"a","bytes":2,"crc32c":0}]}`,
+		"nameless file": `{"format": 2, "files": [{"name":"","bytes":1,"crc32c":0}]}`,
 	}
 	for name, in := range cases {
 		if _, err := ParseManifest([]byte(in)); err == nil {

@@ -9,7 +9,7 @@ package segment
 //	MANIFEST.json  what was compiled, parameters, per-file checksums
 //	graph.seg      triple store: interners, POS and SPO indexes
 //	text.seg       inverted text index: postings, df, surfaces, doc columns
-//	vectors.seg    vector store: sparse vectors, df, retrieval postings
+//	vectors.seg    vector store: tf·idf rows, retrieval postings
 //	meta.seg       item universe posting, numeric range statistics
 //
 // BuildDir writes all four files plus the manifest; OpenDir maps them and
@@ -121,7 +121,6 @@ func addInterner(w *Writer, prefix string, c ids.Columns) {
 
 func addGraph(w *Writer, c rdf.GraphColumns) {
 	addInterner(w, "subj", c.Subj)
-	w.AddU32("subj.live", c.SubjLive)
 	w.AddU32("pred.off", c.PredOff)
 	w.AddBytes("pred.blob", c.PredBlob)
 	w.AddU32("term.off", c.TermOff)
@@ -160,14 +159,10 @@ func addText(w *Writer, c index.TextColumns) {
 }
 
 func addVectors(w *Writer, c index.VectorColumns) {
-	addInterner(w, "docs", c.Docs)
 	addInterner(w, "terms", c.Terms)
-	w.AddU32("live.dns", c.LiveDNS)
-	w.AddU32("doc.start", c.DocStart)
-	w.AddU32("doc.term", c.DocTerm)
-	w.AddF64("doc.freq", c.DocFreq)
-	w.AddU32("df", c.DF)
-	w.AddBytes("pinned", c.Pinned)
+	w.AddU32("row.start", c.RowStart)
+	w.AddU32("row.term", c.RowTerm)
+	w.AddF64("row.weight", c.RowWeight)
 	w.AddU32("post.start", c.PostStart)
 	w.AddU32("post.dns", c.PostDNS)
 }
@@ -252,7 +247,6 @@ func OpenDir(dir string) (*Set, error) {
 	}
 	g := &s.Data.Graph
 	g.Subj = r.interner("subj")
-	g.SubjLive = r.u32("subj.live")
 	g.PredOff = r.u32("pred.off")
 	g.PredBlob = r.bytes("pred.blob")
 	g.TermOff = r.u32("term.off")
@@ -305,16 +299,12 @@ func OpenDir(dir string) (*Set, error) {
 		return nil, err
 	}
 	v := &s.Data.Vectors
-	v.Docs = r.interner("docs")
 	v.Terms = r.interner("terms")
-	v.LiveDNS = r.u32("live.dns")
-	v.DocStart = r.u32("doc.start")
-	v.DocTerm = r.u32("doc.term")
+	v.RowStart = r.u32("row.start")
+	v.RowTerm = r.u32("row.term")
 	if r.err == nil {
-		v.DocFreq, r.err = r.f.F64("doc.freq")
+		v.RowWeight, r.err = r.f.F64("row.weight")
 	}
-	v.DF = r.u32("df")
-	v.Pinned = r.bytes("pinned")
 	v.PostStart = r.u32("post.start")
 	v.PostDNS = r.u32("post.dns")
 	if r.err != nil {

@@ -31,7 +31,7 @@ func Example() {
 
 	g := gb.Freeze()
 	m := vsm.New(g, schema.NewStore(g), vsm.Options{})
-	m.IndexAll([]rdf.IRI{cobbler, pie, salad})
+	m.IndexAll(g.SubjectIDsOf([]rdf.IRI{cobbler, pie, salad}))
 
 	fmt.Printf("cobbler~pie   %.2f\n", m.Similarity(cobbler, pie))
 	fmt.Printf("cobbler~salad %.2f\n", m.Similarity(cobbler, salad))

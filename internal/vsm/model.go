@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"magnet/internal/index"
+	"magnet/internal/itemset"
 	"magnet/internal/par"
 	"magnet/internal/rdf"
 	"magnet/internal/schema"
@@ -100,14 +101,10 @@ type Model struct {
 	pool *par.Pool
 }
 
-// SetPool sets the worker pool for batch indexing and hands it to the
-// vector store for similarity/centroid scans. Call before IndexAll (whose
-// fresh store inherits it); a nil pool (the default) keeps everything
+// SetPool sets the worker pool for batch indexing; the store IndexAll
+// freezes scans on it too. A nil pool (the default) keeps everything
 // serial.
-func (m *Model) SetPool(p *par.Pool) {
-	m.pool = p
-	m.store.SetPool(p)
-}
+func (m *Model) SetPool(p *par.Pool) { m.pool = p }
 
 // New returns a model over g with annotations from sch.
 func New(g *rdf.Graph, sch *schema.Store, opts Options) *Model {
@@ -118,7 +115,7 @@ func New(g *rdf.Graph, sch *schema.Store, opts Options) *Model {
 	return &Model{
 		g:     g,
 		sch:   sch,
-		store: index.NewVectorBuilder().Freeze(),
+		store: index.NewVectorBuilder().Freeze(nil),
 		an:    an,
 		opts:  opts,
 		stats: make(map[string]*Range),
@@ -156,23 +153,28 @@ func (m *Model) Ranges() map[string]Range {
 // it directly).
 func (m *Model) Store() *index.VectorStore { return m.store }
 
-// IndexAll indexes the given items into a freshly built and frozen vector
-// store, replacing the previous one: a first pass gathers numeric range statistics (the
-// unit-circle encoding needs each attribute's observed range), a second
-// pass builds each item's vector in parallel — vectorization only reads
-// the graph and the completed statistics — and stores it. This is the
-// paper's "indexing the data in advance" (§5.2). items must not repeat.
-func (m *Model) IndexAll(items []rdf.IRI) {
+// IndexAll indexes the given items (graph subject IDs) into a freshly
+// built and frozen vector store, replacing the previous one: a first pass
+// gathers numeric range statistics (the unit-circle encoding needs each
+// attribute's observed range), a second pass builds each item's vector in
+// parallel — vectorization only reads the graph and the completed
+// statistics — and stores it under the item's ID. This is the paper's
+// "indexing the data in advance" (§5.2).
+func (m *Model) IndexAll(items itemset.Set) {
+	iris := make([]rdf.IRI, items.Len())
+	for i, id := range items.Slice() {
+		iris[i] = m.g.SubjectByID(id)
+	}
 	m.stats = make(map[string]*Range)
-	for _, it := range items {
+	for _, it := range iris {
 		m.walk(it, nil, m.statsVisitor())
 	}
 
 	// Vectorize on the pool — it only reads the graph and the completed
-	// statistics — then store serially in item order, so doc/term interning
-	// order (and thus the store's internal numbering) is deterministic at
-	// every pool width, unlike the old racing-workers scheme.
-	vecs, err := par.Map(context.Background(), m.pool, items, func(i int, it rdf.IRI) map[string]float64 {
+	// statistics — then store serially in ascending ID order, so term
+	// interning order (and thus the store's summation order) is
+	// deterministic at every pool width.
+	vecs, err := par.Map(context.Background(), m.pool, iris, func(i int, it rdf.IRI) map[string]float64 {
 		return m.Vectorize(it)
 	})
 	var pe *par.PanicError
@@ -181,11 +183,10 @@ func (m *Model) IndexAll(items []rdf.IRI) {
 	}
 	b := index.NewVectorBuilder()
 	b.PinnedPrefix = PinnedPrefix
-	for i, it := range items {
-		b.Add(string(it), vecs[i])
+	for i, id := range items.Slice() {
+		b.Add(id, vecs[i])
 	}
-	m.store = b.Freeze()
-	m.store.SetPool(m.pool)
+	m.store = b.Freeze(m.pool)
 }
 
 // visitor receives each coordinate contribution during a traversal.
@@ -409,15 +410,16 @@ func averageNumeric(values []rdf.Term) (float64, bool) {
 	return sum / float64(n), true
 }
 
-// Vector returns the item's normalized tf·idf vector.
-func (m *Model) Vector(item rdf.IRI) map[string]float64 {
-	return m.store.Vector(string(item))
-}
-
 // Similarity returns the cosine similarity of two items (§5.3: "a
-// traditional dot-product between the two vectors").
+// traditional dot-product between the two vectors"); zero when either is
+// unknown.
 func (m *Model) Similarity(a, b rdf.IRI) float64 {
-	return m.store.Similarity(string(a), string(b))
+	ia, okA := m.g.SubjectID(a)
+	ib, okB := m.g.SubjectID(b)
+	if !okA || !okB {
+		return 0
+	}
+	return m.store.Similarity(ia, ib)
 }
 
 // ScoredItem pairs an item with a similarity score.
@@ -429,48 +431,50 @@ type ScoredItem struct {
 // SimilarToItem returns up to k items most similar to item, excluding the
 // item itself.
 func (m *Model) SimilarToItem(item rdf.IRI, k int) []ScoredItem {
-	return toScoredItems(m.store.SimilarTo(m.Vector(item), k, []string{string(item)}))
+	id, ok := m.g.SubjectID(item)
+	if !ok {
+		return nil
+	}
+	return m.toScoredItems(m.store.SimilarToDoc(id, k))
 }
 
 // Centroid returns the normalized "average member" vector of a collection
-// (§5.3).
-func (m *Model) Centroid(items []rdf.IRI) map[string]float64 {
-	return m.store.Centroid(itemIDs(items))
+// (§5.3), summed in ascending item ID order.
+func (m *Model) Centroid(items itemset.Set) map[string]float64 {
+	return m.store.Centroid(items)
 }
 
 // SimilarToCollection returns up to k items most similar to the collection
 // centroid; members themselves are excluded when excludeMembers is true.
 // This backs the "Similar by Content (Overall)" advisor's collection
 // analyst (§4.1).
-func (m *Model) SimilarToCollection(items []rdf.IRI, k int, excludeMembers bool) []ScoredItem {
-	return toScoredItems(m.store.SimilarToCentroid(itemIDs(items), k, excludeMembers))
+func (m *Model) SimilarToCollection(items itemset.Set, k int, excludeMembers bool) []ScoredItem {
+	return m.toScoredItems(m.store.SimilarToCentroid(items, k, excludeMembers))
 }
 
-// Scores returns the dot product of query with each item's vector (zero
-// for unindexed items), summed in the same fixed order as the similarity
-// rankings, so equal inputs always rank alike.
-func (m *Model) Scores(query map[string]float64, items []rdf.IRI) []float64 {
-	return m.store.ScoreDocs(query, itemIDs(items))
+// Scores returns the dot product of query with each item's vector, in
+// ascending item ID order (zero for unindexed items), summed in the same
+// fixed order as the similarity rankings, so equal inputs always rank
+// alike.
+func (m *Model) Scores(query map[string]float64, items itemset.Set) []float64 {
+	return m.store.ScoreDocs(query, items)
 }
 
 // Weights returns the item's normalized tf·idf vector as (coordinate key,
 // weight) pairs in the vector store's fixed term order.
 func (m *Model) Weights(item rdf.IRI) []index.TermWeight {
-	return m.store.Weights(string(item))
-}
-
-func itemIDs(items []rdf.IRI) []string {
-	ids := make([]string, len(items))
-	for i, it := range items {
-		ids[i] = string(it)
+	id, ok := m.g.SubjectID(item)
+	if !ok {
+		return nil
 	}
-	return ids
+	return m.store.Weights(id)
 }
 
-func toScoredItems(scored []index.Scored) []ScoredItem {
+// toScoredItems rehydrates ranked item IDs to IRIs.
+func (m *Model) toScoredItems(scored []index.Scored) []ScoredItem {
 	out := make([]ScoredItem, len(scored))
 	for i, s := range scored {
-		out[i] = ScoredItem{Item: rdf.IRI(s.ID), Score: s.Score}
+		out[i] = ScoredItem{Item: m.g.SubjectByID(s.ID), Score: s.Score}
 	}
 	return out
 }
@@ -486,7 +490,7 @@ type WeightedCoord struct {
 // normalized term weights". It returns the k highest-weighted object and
 // word coordinates of the collection centroid (numeric coordinates are
 // handled by the range analyst instead), optionally filtered by accept.
-func (m *Model) RefinementCoords(items []rdf.IRI, k int, accept func(Coord) bool) []WeightedCoord {
+func (m *Model) RefinementCoords(items itemset.Set, k int, accept func(Coord) bool) []WeightedCoord {
 	centroid := m.Centroid(items)
 	top := index.TopTerms(centroid, k, func(term string) bool {
 		c, ok := ParseCoord(term)
@@ -510,23 +514,19 @@ func (m *Model) RefinementCoords(items []rdf.IRI, k int, accept func(Coord) bool
 // similarity of two items, with each coordinate's contribution (the product
 // of the two normalized weights). The contributions sum to
 // Similarity(a, b), which makes the fuzzy "similar by content" suggestions
-// inspectable — why *is* this recipe similar?
+// inspectable — why *is* this recipe similar? The two rows are merged in
+// the store's term order, so only shared coordinates are decoded.
 func (m *Model) ExplainSimilarity(a, b rdf.IRI, k int) []WeightedCoord {
-	va, vb := m.Vector(a), m.Vector(b)
-	if len(va) > len(vb) {
-		va, vb = vb, va
+	ia, okA := m.g.SubjectID(a)
+	ib, okB := m.g.SubjectID(b)
+	if !okA || !okB {
+		return nil
 	}
 	var out []WeightedCoord
-	for term, wa := range va {
-		wb, shared := vb[term]
-		if !shared {
-			continue
+	for _, tw := range m.store.SharedTerms(ia, ib) {
+		if c, ok := ParseCoord(tw.Term); ok {
+			out = append(out, WeightedCoord{Coord: c, Weight: tw.Weight})
 		}
-		c, ok := ParseCoord(term)
-		if !ok {
-			continue
-		}
-		out = append(out, WeightedCoord{Coord: c, Weight: wa * wb})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if !ApproxEqual(out[i].Weight, out[j].Weight) {

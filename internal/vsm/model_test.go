@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -66,7 +67,7 @@ func figure3Graph() (*rdf.Graph, *schema.Store, []rdf.IRI) {
 func TestVectorizeFigure4Shape(t *testing.T) {
 	g, sch, items := figure3Graph()
 	m := New(g, sch, Options{})
-	m.IndexAll(items)
+	m.indexItems(items...)
 
 	raw := m.Vectorize(items[0])
 
@@ -105,7 +106,7 @@ func TestVectorizeFigure4Shape(t *testing.T) {
 func TestPerAttributeNormalization(t *testing.T) {
 	g, sch, items := figure3Graph()
 	m := New(g, sch, Options{})
-	m.IndexAll(items)
+	m.indexItems(items...)
 	raw := m.Vectorize(items[0])
 
 	// Three ingredients: each contributes 1/3.
@@ -133,7 +134,7 @@ func TestPerAttributeNormalization(t *testing.T) {
 func TestPerAttributeNormalizationAblation(t *testing.T) {
 	g, sch, items := figure3Graph()
 	m := New(g, sch, Options{DisablePerAttributeNorm: true})
-	m.IndexAll(items)
+	m.indexItems(items...)
 	raw := m.Vectorize(items[0])
 	ing := Coord{Kind: CoordObject, Path: []rdf.IRI{pIngredient}, Value: rdf.IRI(ex + "Apple")}
 	if w := raw[ing.Key()]; w != 1 {
@@ -144,8 +145,8 @@ func TestPerAttributeNormalizationAblation(t *testing.T) {
 func TestUniversalCoordinateVanishes(t *testing.T) {
 	g, sch, items := figure3Graph()
 	m := New(g, sch, Options{})
-	m.IndexAll(items)
-	vec := m.Vector(items[0])
+	m.indexItems(items...)
+	vec := m.vector(items[0])
 	typeCoord := Coord{Kind: CoordObject, Path: []rdf.IRI{pType}, Value: clsRecipe}
 	if _, ok := vec[typeCoord.Key()]; ok {
 		t.Error("type=Recipe appears in every doc; idf should remove it")
@@ -155,10 +156,10 @@ func TestUniversalCoordinateVanishes(t *testing.T) {
 func TestVectorsUnitNorm(t *testing.T) {
 	g, sch, items := figure3Graph()
 	m := New(g, sch, Options{})
-	m.IndexAll(items)
+	m.indexItems(items...)
 	for _, it := range items {
 		var norm float64
-		for _, w := range m.Vector(it) {
+		for _, w := range m.vector(it) {
 			norm += w * w
 		}
 		if math.Abs(norm-1) > 1e-9 {
@@ -170,7 +171,7 @@ func TestVectorsUnitNorm(t *testing.T) {
 func TestSimilarityOrdering(t *testing.T) {
 	g, sch, items := figure3Graph()
 	m := New(g, sch, Options{})
-	m.IndexAll(items)
+	m.indexItems(items...)
 	cobbler, pie, salad := items[0], items[1], items[2]
 	if m.Similarity(cobbler, pie) <= m.Similarity(cobbler, salad) {
 		t.Errorf("apple desserts should be more similar than dessert vs salad: %v vs %v",
@@ -190,15 +191,15 @@ func TestSimilarityOrdering(t *testing.T) {
 func TestSimilarToCollection(t *testing.T) {
 	g, sch, items := figure3Graph()
 	m := New(g, sch, Options{})
-	m.IndexAll(items)
+	m.indexItems(items...)
 	coll := []rdf.IRI{items[0], items[1]} // the two apple desserts
-	got := m.SimilarToCollection(coll, 5, true)
+	got := m.SimilarToCollection(m.g.SubjectIDsOf(coll), 5, true)
 	for _, s := range got {
 		if s.Item == items[0] || s.Item == items[1] {
 			t.Error("members must be excluded when excludeMembers")
 		}
 	}
-	withMembers := m.SimilarToCollection(coll, 5, false)
+	withMembers := m.SimilarToCollection(m.g.SubjectIDsOf(coll), 5, false)
 	if len(withMembers) <= len(got) {
 		t.Error("including members should not shrink the result")
 	}
@@ -225,7 +226,7 @@ func TestUnitCircleNumericEncoding(t *testing.T) {
 	g := gb.Freeze()
 	sch := schema.NewStore(g)
 	m := New(g, sch, Options{})
-	m.IndexAll([]rdf.IRI{a, b, c})
+	m.indexItems(a, b, c)
 
 	// All three share the numeric coordinate pair; its norm contribution is
 	// identical ("all values have the same norm").
@@ -262,7 +263,7 @@ func TestRawNumericAblationSwamps(t *testing.T) {
 		g := gb.Freeze()
 		sch := schema.NewStore(g)
 		m := New(g, sch, opts)
-		m.IndexAll([]rdf.IRI{a, b, c})
+		m.indexItems(a, b, c)
 		return m.Similarity(a, b)
 	}
 	unitCircle := build(Options{})
@@ -292,7 +293,7 @@ func TestCompositionAnnotation(t *testing.T) {
 	g := gb.Freeze()
 	sch := schema.NewStore(g)
 	m := New(g, sch, Options{})
-	m.IndexAll([]rdf.IRI{doc})
+	m.indexItems(doc)
 	if raw := m.Vectorize(doc); raw[composed.Key()] != 0 {
 		t.Error("composition should require an annotation")
 	}
@@ -301,14 +302,14 @@ func TestCompositionAnnotation(t *testing.T) {
 	g = gb.Freeze()
 	sch = schema.NewStore(g)
 	m = New(g, sch, Options{})
-	m.IndexAll([]rdf.IRI{doc})
+	m.indexItems(doc)
 	if raw := m.Vectorize(doc); raw[composed.Key()] == 0 {
 		t.Error("annotated composition missing from vector")
 	}
 
 	// Ablation switch suppresses it even when annotated.
 	m2 := New(g, sch, Options{DisableCompositions: true})
-	m2.IndexAll([]rdf.IRI{doc})
+	m2.indexItems(doc)
 	if raw := m2.Vectorize(doc); raw[composed.Key()] != 0 {
 		t.Error("DisableCompositions should suppress composed coordinates")
 	}
@@ -329,7 +330,7 @@ func TestTreeShapedDeepComposition(t *testing.T) {
 	g := gb.Freeze()
 	sch := schema.NewStore(g)
 	m := New(g, sch, Options{})
-	m.IndexAll([]rdf.IRI{a})
+	m.indexItems(a)
 	if raw := m.Vectorize(a); raw[deep.Key()] != 0 {
 		t.Error("deep composition should not happen on general graphs")
 	}
@@ -337,7 +338,7 @@ func TestTreeShapedDeepComposition(t *testing.T) {
 	schema.SetTreeShaped(gb)
 	g = gb.Freeze()
 	m = New(g, schema.NewStore(g), Options{})
-	m.IndexAll([]rdf.IRI{a})
+	m.indexItems(a)
 	if raw := m.Vectorize(a); raw[deep.Key()] == 0 {
 		t.Error("tree-shaped dataset should follow multiple steps")
 	}
@@ -358,7 +359,7 @@ func TestCyclicGraphTerminates(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		m := New(g, sch, Options{})
-		m.IndexAll([]rdf.IRI{a, b})
+		m.indexItems(a, b)
 		close(done)
 	}()
 	select {
@@ -393,9 +394,9 @@ func TestRefinementCoords(t *testing.T) {
 	g := gb.Freeze()
 	sch := schema.NewStore(g)
 	m := New(g, sch, Options{})
-	m.IndexAll(all)
+	m.indexItems(all...)
 
-	coords := m.RefinementCoords(greek, 10, nil)
+	coords := m.RefinementCoords(m.g.SubjectIDsOf(greek), 10, nil)
 	if len(coords) == 0 {
 		t.Fatal("no refinement coordinates")
 	}
@@ -416,7 +417,7 @@ func TestRefinementCoords(t *testing.T) {
 	}
 
 	// accept filter narrows to words only.
-	words := m.RefinementCoords(greek, 10, func(c Coord) bool { return c.Kind == CoordWord })
+	words := m.RefinementCoords(m.g.SubjectIDsOf(greek), 10, func(c Coord) bool { return c.Kind == CoordWord })
 	for _, wc := range words {
 		if wc.Coord.Kind != CoordWord {
 			t.Errorf("accept filter violated: %v", wc)
@@ -437,7 +438,7 @@ func TestVectorizeBeyondIndexAllClampsRange(t *testing.T) {
 	g := gb.Freeze()
 	sch := schema.NewStore(g)
 	m := New(g, sch, Options{})
-	m.IndexAll([]rdf.IRI{a, b})
+	m.indexItems(a, b)
 
 	vec := m.Vectorize(c)
 	sinKey := Coord{Kind: CoordNumeric, Path: []rdf.IRI{pN}, Axis: "sin"}.Key()
@@ -453,7 +454,7 @@ func TestVectorizeBeyondIndexAllClampsRange(t *testing.T) {
 func TestExplainSimilarity(t *testing.T) {
 	g, sch, items := figure3Graph()
 	m := New(g, sch, Options{})
-	m.IndexAll(items)
+	m.indexItems(items...)
 	cobbler, pie := items[0], items[1]
 
 	expl := m.ExplainSimilarity(cobbler, pie, 0)
@@ -468,8 +469,20 @@ func TestExplainSimilarity(t *testing.T) {
 			t.Error("explanation not sorted")
 		}
 	}
-	if math.Abs(sum-m.Similarity(cobbler, pie)) > 1e-9 {
+	if !ApproxEqual(sum, m.Similarity(cobbler, pie)) {
 		t.Errorf("contributions sum %v ≠ similarity %v", sum, m.Similarity(cobbler, pie))
+	}
+	// The same coordinates in the same order as the map-based reference.
+	for _, pair := range [][2]rdf.IRI{{cobbler, pie}, {pie, cobbler}, {cobbler, items[2]}} {
+		got, want := m.ExplainSimilarity(pair[0], pair[1], 0), refExplain(m, pair[0], pair[1])
+		if len(got) != len(want) {
+			t.Fatalf("%v: %d coordinates, reference %d", pair, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Coord.Key() != want[i].Coord.Key() || !ApproxEqual(got[i].Weight, want[i].Weight) {
+				t.Fatalf("%v[%d] = %s %v, reference %s %v", pair, i, got[i].Coord.Key(), got[i].Weight, want[i].Coord.Key(), want[i].Weight)
+			}
+		}
 	}
 	// The shared Apple ingredient is among the top contributors.
 	found := false
@@ -489,6 +502,47 @@ func TestExplainSimilarity(t *testing.T) {
 	if got := m.ExplainSimilarity(cobbler, rdf.IRI(ex+"missing"), 5); len(got) != 0 {
 		t.Errorf("missing item explanation = %v", got)
 	}
+}
+
+// refExplain is ExplainSimilarity over map vectors: every coordinate the
+// two items share, weighted by the product of its weights, sorted by weight
+// (ApproxEqual ties broken by coordinate key).
+func refExplain(m *Model, a, b rdf.IRI) []WeightedCoord {
+	va, vb := m.vector(a), m.vector(b)
+	var out []WeightedCoord
+	for term, wa := range va {
+		wb, shared := vb[term]
+		if !shared {
+			continue
+		}
+		if c, ok := ParseCoord(term); ok {
+			out = append(out, WeightedCoord{Coord: c, Weight: wa * wb})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if !ApproxEqual(out[i].Weight, out[j].Weight) {
+			return out[i].Weight > out[j].Weight
+		}
+		return out[i].Coord.Key() < out[j].Coord.Key()
+	})
+	return out
+}
+
+// indexItems indexes items given as IRIs.
+func (m *Model) indexItems(items ...rdf.IRI) { m.IndexAll(m.g.SubjectIDsOf(items)) }
+
+// vector returns the item's normalized tf·idf vector as a coordinate-keyed
+// map; nil when the item is not indexed.
+func (m *Model) vector(item rdf.IRI) map[string]float64 {
+	ws := m.Weights(item)
+	if ws == nil {
+		return nil
+	}
+	out := make(map[string]float64, len(ws))
+	for _, tw := range ws {
+		out[tw.Term] = tw.Weight
+	}
+	return out
 }
 
 // Property: for random small graphs, every indexed vector is unit norm (or
@@ -516,13 +570,13 @@ func TestQuickModelInvariants(t *testing.T) {
 		g := gb.Freeze()
 		sch := schema.NewStore(g)
 		m := New(g, sch, Options{})
-		m.IndexAll(items)
+		m.indexItems(items...)
 		for _, it := range items {
 			var norm float64
-			for _, w := range m.Vector(it) {
+			for _, w := range m.vector(it) {
 				norm += w * w
 			}
-			if len(m.Vector(it)) > 0 && math.Abs(norm-1) > 1e-6 {
+			if len(m.vector(it)) > 0 && math.Abs(norm-1) > 1e-6 {
 				return false
 			}
 			a := m.Vectorize(it)

@@ -31,13 +31,13 @@ func corpusGraph(n int) (*rdf.Graph, *schema.Store, []rdf.IRI) {
 func TestIndexAllSerialParallelEquivalence(t *testing.T) {
 	g, sch, items := corpusGraph(120)
 	serial := New(g, sch, Options{})
-	serial.IndexAll(items)
+	serial.indexItems(items...)
 
 	for _, width := range []int{1, 4, 8} {
 		pool := par.New(width)
 		m := New(g, sch, Options{})
 		m.SetPool(pool)
-		m.IndexAll(items)
+		m.indexItems(items...)
 		for _, it := range items {
 			if !reflect.DeepEqual(m.Vectorize(it), serial.Vectorize(it)) {
 				t.Fatalf("width %d: vector for %s differs", width, it)
@@ -48,8 +48,8 @@ func TestIndexAllSerialParallelEquivalence(t *testing.T) {
 		if !reflect.DeepEqual(gotSim, wantSim) {
 			t.Fatalf("width %d: SimilarToItem differs\n got %v\nwant %v", width, gotSim, wantSim)
 		}
-		wantCen := serial.Centroid(items)
-		gotCen := m.Centroid(items)
+		wantCen := serial.Centroid(g.SubjectIDsOf(items))
+		gotCen := m.Centroid(g.SubjectIDsOf(items))
 		if !reflect.DeepEqual(gotCen, wantCen) {
 			t.Fatalf("width %d: centroid differs", width)
 		}
