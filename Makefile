@@ -1,12 +1,12 @@
 # Correctness gate for the Magnet reproduction. `make check` is what CI
 # runs: build, tests, go vet, the repo's own magnet-vet analyzers, the race
-# detector, short fuzz passes over the parser and tokenizer, and one pass
-# over every benchmark.
+# detector, short fuzz passes over the parser and tokenizer, the behaviour
+# contract, and one pass over every benchmark.
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet magnet-vet vet-budget fuzz race-par obs-check bench-smoke segments segments-check check
+.PHONY: build test race vet magnet-vet vet-budget fuzz race-par obs-check contract bench-smoke segments segments-check check
 
 build:
 	$(GO) build ./...
@@ -61,8 +61,8 @@ fuzz:
 
 # Focused race pass over the parallel pipeline: the internal/par pool
 # stress tests, every serial-vs-parallel equivalence/determinism test, and
-# concurrent first reads of freshly frozen stores (lazy key strings, term
-# table and row cache).
+# concurrent first reads of freshly frozen stores (lazy key strings, the
+# graph's term table and the vector store's scratch vectors).
 race-par:
 	$(GO) test -race -run 'Pool|Batch|Panic|Cancel|Nested|Parallel|Equiv|Determinism|Merge|ByAdvisor|Centroid|ConcurrentReaders' \
 		./internal/par/ ./internal/blackboard/ ./internal/facets/ ./internal/index/ ./internal/vsm/ ./internal/rdf/
@@ -74,6 +74,19 @@ race-par:
 obs-check:
 	$(GO) test -race ./internal/obs/
 	$(GO) test -race -run 'FlightRecorder|SlowStep' ./internal/web/ ./internal/core/
+
+# Behaviour contract: every magnet-eval experiment's render must hash to the
+# committed digest. A change that alters one rendered byte fails here; when
+# the new bytes are intended, write the new digest to the file with the
+# change that explains them.
+CONTRACT := cmd/magnet-eval/testdata/exp-all.sha256
+contract:
+	@want=$$(cat $(CONTRACT)); \
+	got=$$($(GO) run ./cmd/magnet-eval -exp all | sha256sum | cut -d' ' -f1); \
+	if [ "$$got" != "$$want" ]; then \
+		echo "contract: magnet-eval -exp all sha256 $$got, want $$want ($(CONTRACT))" >&2; exit 1; \
+	fi; \
+	echo "contract: magnet-eval -exp all sha256 $$got"
 
 # Every benchmark, run once: keeps each one compiling and running without
 # the cost of a timed run, and writes no file. Performance is measured
@@ -108,4 +121,4 @@ segments-check:
 	echo "segments-check: segment-backed render byte-identical"; \
 	rm -rf /tmp/magnet-segcheck /tmp/magnet-segcheck-mem.txt /tmp/magnet-segcheck-seg.txt
 
-check: build vet vet-budget test race race-par obs-check fuzz segments-check bench-smoke
+check: build vet vet-budget test race race-par obs-check fuzz segments-check contract bench-smoke

@@ -26,6 +26,7 @@ import (
 	"magnet/internal/facets"
 	"magnet/internal/index"
 	"magnet/internal/inexeval"
+	"magnet/internal/itemset"
 	"magnet/internal/qlang"
 	"magnet/internal/query"
 	"magnet/internal/rdf"
@@ -72,10 +73,10 @@ func engineOf(m *core.Magnet) *query.Engine {
 	return query.NewEngine(m.Graph(), m.Schema(), m.TextIndex(), m.Graph().SubjectIDsOf(m.Items()))
 }
 
-// evaluate runs q through e's instrumented path and returns the sorted
-// items.
-func evaluate(e *query.Engine, q query.Query) []rdf.IRI {
-	return e.EvalContext(context.Background(), q).Items()
+// evaluate runs q through e's instrumented path and returns the matching
+// item IDs.
+func evaluate(e *query.Engine, q query.Query) itemset.Set {
+	return e.EvalContext(context.Background(), q).IDs()
 }
 
 func inboxMagnet() *core.Magnet {
@@ -370,14 +371,13 @@ func BenchmarkSimilarToItem(b *testing.B) {
 // term extraction (§5.3) over a ~100-recipe collection.
 func BenchmarkCentroidRefinement(b *testing.B) {
 	m := recipeMagnet()
-	coll := evaluate(engineOf(m), query.NewQuery(
+	ids := evaluate(engineOf(m), query.NewQuery(
 		query.Property{Prop: recipes.PropCuisine, Value: recipes.Cuisine("Greek")}))
-	ids := m.Graph().SubjectIDsOf(coll)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Model().RefinementCoords(ids, 40, nil)
 	}
-	b.ReportMetric(float64(len(coll)), "collection")
+	b.ReportMetric(float64(ids.Len()), "collection")
 }
 
 // BenchmarkQueryConjunction (P4): three-constraint conjunctive evaluation.
@@ -408,7 +408,7 @@ func BenchmarkQueryEval(b *testing.B) {
 	b.ResetTimer()
 	var matched int
 	for i := 0; i < b.N; i++ {
-		matched = len(evaluate(e, q))
+		matched = evaluate(e, q).Len()
 	}
 	b.ReportMetric(float64(matched), "matched")
 }
@@ -536,9 +536,9 @@ func BenchmarkAblationTreeComposition(b *testing.B) {
 // like type=Recipe dominate).
 func BenchmarkAblationRefinementWeighting(b *testing.B) {
 	m := recipeMagnet()
-	coll := evaluate(engineOf(m), query.NewQuery(
+	ids := evaluate(engineOf(m), query.NewQuery(
 		query.Property{Prop: recipes.PropCuisine, Value: recipes.Cuisine("Greek")}))
-	ids := m.Graph().SubjectIDsOf(coll)
+	coll := m.Graph().SubjectsFromIDs(ids.Slice())
 	b.Run("tfidf", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			m.Model().RefinementCoords(ids, 20, nil)

@@ -255,7 +255,7 @@ func fig1(n int, seed int64) {
 		advisorsSeen[sec.Advisor] = true
 	}
 	fmt.Printf("CHECK fig1 items=%d constraints=%d related=%v refine=%v modify=%v history=%v\n",
-		len(s.Items()), len(pane.Constraints),
+		s.Current().Len(), len(pane.Constraints),
 		advisorsSeen[blackboard.AdvisorRelated], advisorsSeen[blackboard.AdvisorRefine],
 		advisorsSeen[blackboard.AdvisorModify], advisorsSeen[blackboard.AdvisorHistory])
 }
@@ -268,7 +268,7 @@ func fig2(n int, seed int64) {
 	s := m.NewSession()
 	apply(s, blackboard.ReplaceQuery{Query: query.NewQuery(query.TypeIs(recipes.ClassRecipe))})
 	fs := s.Overview(6)
-	render.Overview(os.Stdout, fs, len(s.Items()))
+	render.Overview(os.Stdout, fs, s.Current().Len())
 
 	// Figure 1's caption claim: common ingredients dominate the overview.
 	var topIngredients []string
@@ -300,9 +300,9 @@ func fig5(int, int64) {
 	// Apply a range over the middle third, as a slider drag would.
 	span := h.Max - h.Min
 	lo, hi := h.Min+span/3, h.Min+2*span/3
-	before := len(s.Items())
+	before := s.Current().Len()
 	s.ApplyRange(inbox.PropSent, &lo, &hi)
-	fmt.Printf("CHECK fig5 buckets=%d before=%d afterRange=%d\n", len(h.Buckets), before, len(s.Items()))
+	fmt.Printf("CHECK fig5 buckets=%d before=%d afterRange=%d\n", len(h.Buckets), before, s.Current().Len())
 }
 
 // fig6 reproduces Figure 6: inbox navigation with the body composition.
@@ -351,7 +351,7 @@ func fig7(int, int64) {
 	m := open(g, core.Options{IndexAllSubjects: true})
 	s := m.NewSession()
 	fs := s.Overview(4)
-	render.Overview(os.Stdout, fs, len(s.Items()))
+	render.Overview(os.Stdout, fs, s.Current().Len())
 
 	rawLabels := 0
 	for _, f := range fs {
@@ -366,7 +366,7 @@ func fig7(int, int64) {
 		if act, ok := sg.Action.(blackboard.Refine); ok {
 			if tm, ok := act.Add.(query.TermMatch); ok && tm.Display == "cardinal" {
 				apply(s, sg.Action)
-				cardinal = len(s.Items())
+				cardinal = s.Current().Len()
 				break
 			}
 		}
@@ -384,7 +384,7 @@ func fig8(int, int64) {
 	m := open(g, core.Options{IndexAllSubjects: true})
 	s := m.NewSession()
 	fs := s.Overview(4)
-	render.Overview(os.Stdout, fs, len(s.Items()))
+	render.Overview(os.Stdout, fs, s.Current().Len())
 
 	var areaRange bool
 	for _, sg := range s.Board().Suggestions() {

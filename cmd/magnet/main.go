@@ -182,7 +182,7 @@ func repl(m *core.Magnet, s *core.Session) {
 		case "items":
 			render.Collection(os.Stdout, m.Graph(), s.Items(), 25)
 		case "overview":
-			render.Overview(os.Stdout, s.Overview(6), len(s.Items()))
+			render.Overview(os.Stdout, s.Overview(6), s.Current().Len())
 		case "open":
 			if it, ok := nthItem(s, arg); ok {
 				lastItem = it
@@ -305,7 +305,7 @@ func applySuggestion(m *core.Magnet, s *core.Session, cmd, arg string) {
 	case blackboard.ShowSearch:
 		fmt.Println("use: within <keywords>")
 	case blackboard.ShowOverview:
-		render.Overview(os.Stdout, s.Overview(6), len(s.Items()))
+		render.Overview(os.Stdout, s.Overview(6), s.Current().Len())
 	default:
 		if err := s.Apply(action); err != nil {
 			fmt.Println(err)

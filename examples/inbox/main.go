@@ -52,14 +52,14 @@ func main() {
 	}
 	july := time.Date(2003, 7, 1, 0, 0, 0, 0, time.UTC)
 	august := time.Date(2003, 8, 1, 0, 0, 0, 0, time.UTC)
-	before := len(s.Items())
+	before := s.Current().Len()
 	lo, hi := float64(july.Unix()), float64(august.Unix())
 	s.ApplyRange(inbox.PropSent, &lo, &hi)
-	fmt.Printf("\nJuly 2003 selection: %d → %d messages\n", before, len(s.Items()))
+	fmt.Printf("\nJuly 2003 selection: %d → %d messages\n", before, s.Current().Len())
 
 	// Keyword refinement within the window.
 	s.SearchWithin("seminar")
-	fmt.Printf("... mentioning 'seminar': %d\n", len(s.Items()))
+	fmt.Printf("... mentioning 'seminar': %d\n", s.Current().Len())
 	render.Collection(os.Stdout, m.Graph(), s.Items(), 5)
 
 	// Open one message and look at its composed body attributes.

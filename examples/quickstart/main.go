@@ -74,6 +74,6 @@ func main() {
 	turn := rdf.IRI(ns + "turn-of-the-screw")
 	fmt.Println("\nSimilar to The Turn of the Screw:")
 	for _, sc := range m.Model().SimilarToItem(turn, 3) {
-		fmt.Printf("  %.3f %s\n", sc.Score, m.Label(sc.Item))
+		fmt.Printf("  %.3f %s\n", sc.Score, m.Label(m.Graph().SubjectByID(sc.ID)))
 	}
 }

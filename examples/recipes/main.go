@@ -46,7 +46,7 @@ func main() {
 	// Figure 2: the large-collection overview.
 	apply(s, blackboard.ReplaceQuery{Query: query.NewQuery(query.TypeIs(recipes.ClassRecipe))})
 	fmt.Println("\n=== Figure 2: facet overview of all recipes ===")
-	render.Overview(os.Stdout, s.Overview(4), len(s.Items()))
+	render.Overview(os.Stdout, s.Overview(4), s.Current().Len())
 
 	// §3.3 power users: "only those items ... that either have a dairy
 	// product or a vegetable in them" — a compound OR refinement over the
@@ -55,10 +55,10 @@ func main() {
 		query.PathProperty{Path: []rdf.IRI{recipes.PropIngredient, recipes.PropGroup}, Value: recipes.Group("Dairy")},
 		query.PathProperty{Path: []rdf.IRI{recipes.PropIngredient, recipes.PropGroup}, Value: recipes.Group("Vegetables")},
 	}}
-	before := len(s.Items())
+	before := s.Current().Len()
 	s.Refine(dairyOrVeg, blackboard.Filter)
 	fmt.Printf("\n=== §3.3 compound refinement: dairy OR vegetables: %d → %d recipes ===\n",
-		before, len(s.Items()))
+		before, s.Current().Len())
 
 	// The study's walnut flow: a walnut recipe, its similar recipes, nuts
 	// excluded.
@@ -72,11 +72,11 @@ func main() {
 			break
 		}
 	}
-	fmt.Printf("similar items: %d\n", len(s.Items()))
+	fmt.Printf("similar items: %d\n", s.Current().Len())
 	s.Refine(query.PathProperty{
 		Path:  []rdf.IRI{recipes.PropIngredient, recipes.PropGroup},
 		Value: recipes.Group("Nuts"),
 	}, blackboard.Exclude)
-	fmt.Printf("after excluding the Nuts group: %d\n", len(s.Items()))
+	fmt.Printf("after excluding the Nuts group: %d\n", s.Current().Len())
 	render.Collection(os.Stdout, m.Graph(), s.Items(), 5)
 }

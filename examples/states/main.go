@@ -40,7 +40,7 @@ func main() {
 	s := m.NewSession()
 
 	fmt.Println("=== Figure 7: the CSV as given ===")
-	render.Overview(os.Stdout, s.Overview(3), len(s.Items()))
+	render.Overview(os.Stdout, s.Overview(3), s.Current().Len())
 
 	// Click the 'cardinal' word suggestion Magnet surfaces.
 	for _, sg := range s.Board().Suggestions() {
@@ -51,7 +51,7 @@ func main() {
 			}
 		}
 	}
-	fmt.Printf("\nStates with 'cardinal' in their bird names: %d\n", len(s.Items()))
+	fmt.Printf("\nStates with 'cardinal' in their bird names: %d\n", s.Current().Len())
 	render.Collection(os.Stdout, m.Graph(), s.Items(), 10)
 
 	// --- Annotated (Figure 8). ---
@@ -60,7 +60,7 @@ func main() {
 	s = m.NewSession()
 
 	fmt.Println("\n=== Figure 8: after label + integer annotations ===")
-	render.Overview(os.Stdout, s.Overview(3), len(s.Items()))
+	render.Overview(os.Stdout, s.Overview(3), s.Current().Len())
 
 	for _, sg := range s.Board().Suggestions() {
 		if act, ok := sg.Action.(blackboard.ShowRange); ok && act.Prop == states.PropArea {
@@ -77,6 +77,6 @@ func main() {
 	// Range query: the big western states.
 	lo := 100000.0
 	s.ApplyRange(states.PropArea, &lo, nil)
-	fmt.Printf("\nStates over 100,000 sq mi: %d\n", len(s.Items()))
+	fmt.Printf("\nStates over 100,000 sq mi: %d\n", s.Current().Len())
 	render.Collection(os.Stdout, m.Graph(), s.Items(), 10)
 }

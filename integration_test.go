@@ -215,8 +215,8 @@ func TestJourneyNTriplesRoundTrip(t *testing.T) {
 		query.TypeIs(recipes.ClassRecipe),
 		query.Property{Prop: recipes.PropCuisine, Value: recipes.Cuisine("Italian")},
 	)
-	a := evaluate(engineOf(m1), q)
-	b := evaluate(engineOf(m2), q)
+	a := m1.Graph().SubjectsFromIDs(evaluate(engineOf(m1), q).Slice())
+	b := m2.Graph().SubjectsFromIDs(evaluate(engineOf(m2), q).Slice())
 	if len(a) != len(b) {
 		t.Fatalf("query results differ after round trip: %d vs %d", len(a), len(b))
 	}

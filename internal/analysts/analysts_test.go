@@ -20,6 +20,17 @@ func session(t *testing.T, n int) (*core.Magnet, *core.Session) {
 	return m, m.NewSession()
 }
 
+// idsOf returns the dense IDs of items in their given order.
+func idsOf(g *rdf.Graph, items []rdf.IRI) []uint32 {
+	ids := make([]uint32, 0, len(items))
+	for _, it := range items {
+		if id, ok := g.SubjectID(it); ok {
+			ids = append(ids, id)
+		}
+	}
+	return ids
+}
+
 func suggestionsOf(b *blackboard.Board, analyst string) []blackboard.Suggestion {
 	var out []blackboard.Suggestion
 	for _, s := range b.Suggestions() {
@@ -165,18 +176,19 @@ func TestSimilarItemAnalyst(t *testing.T) {
 		t.Fatalf("similar suggestions = %d", len(sims))
 	}
 	act := sims[0].Action.(blackboard.GoToCollection)
-	if len(act.Items) == 0 {
+	if len(act.IDs) == 0 {
 		t.Fatal("no similar items")
 	}
-	for _, other := range act.Items {
+	g := m.Graph()
+	similar := g.SubjectsFromIDs(act.IDs)
+	for _, other := range similar {
 		if other == item {
 			t.Error("item itself in similar list")
 		}
 	}
 	// Top similar shares structure: same cuisine or an overlapping
 	// ingredient (sanity of the fuzzy match).
-	g := m.Graph()
-	top := act.Items[0]
+	top := similar[0]
 	cuisine, _ := g.Object(item, recipes.PropCuisine)
 	shares := g.Has(top, recipes.PropCuisine, cuisine)
 	for _, ing := range g.Objects(item, recipes.PropIngredient) {
@@ -190,7 +202,7 @@ func TestSimilarItemAnalyst(t *testing.T) {
 }
 
 func TestSimilarCollectionAnalyst(t *testing.T) {
-	_, s := session(t, 300)
+	m, s := session(t, 300)
 	greekCollection(s)
 	members := map[rdf.IRI]bool{}
 	for _, it := range s.Items() {
@@ -201,7 +213,7 @@ func TestSimilarCollectionAnalyst(t *testing.T) {
 		t.Fatalf("collection-similar suggestions = %d", len(sims))
 	}
 	act := sims[0].Action.(blackboard.GoToCollection)
-	for _, it := range act.Items {
+	for _, it := range m.Graph().SubjectsFromIDs(act.IDs) {
 		if members[it] {
 			t.Errorf("member %s suggested as 'more like these'", it)
 		}
@@ -346,7 +358,7 @@ func TestDropConstraintOnEmptyResults(t *testing.T) {
 }
 
 func TestOverviewHintReactsToCrowdedPane(t *testing.T) {
-	_, s := session(t, 500)
+	m, s := session(t, 500)
 	s.Apply(blackboard.ReplaceQuery{Query: query.NewQuery(query.TypeIs(recipes.ClassRecipe))})
 	hints := suggestionsOf(s.Board(), "overview-hint")
 	if len(hints) != 1 {
@@ -358,7 +370,10 @@ func TestOverviewHintReactsToCrowdedPane(t *testing.T) {
 	// A collection of property-poor items (ingredient groups carry only a
 	// type and a label) offers few refinement axes and gets no hint.
 	groups := []rdf.IRI{recipes.Group("Nuts"), recipes.Group("Dairy"), recipes.Group("Legumes")}
-	s.Apply(blackboard.GoToCollection{Title: "groups", Items: groups})
+	s.Apply(blackboard.GoToCollection{Title: "groups", IDs: idsOf(m.Graph(), groups)})
+	if s.Current().Len() != len(groups) {
+		t.Fatalf("group collection holds %d of %d groups", s.Current().Len(), len(groups))
+	}
 	if got := suggestionsOf(s.Board(), "overview-hint"); got != nil {
 		t.Errorf("hint on sparse collection: %v", got)
 	}

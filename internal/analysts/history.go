@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"magnet/internal/blackboard"
-	"magnet/internal/itemset"
 )
 
 // History is the History advisor's analyst (§4.1): "Previous" suggestions
@@ -52,8 +51,7 @@ func (h *History) Suggest(v blackboard.View, b *blackboard.Board) {
 	posted := 0
 	for i := len(trail) - 2; i >= 0 && posted < h.k; i-- {
 		q := trail[i]
-		dest := blackboard.CollectionView(q, nil, itemset.Set{})
-		title, _ := describeDestination(h.env, dest)
+		title := describeQuery(h.env, q)
 		b.Post(blackboard.Suggestion{
 			Advisor: blackboard.AdvisorHistory,
 			Group:   "Refinement",

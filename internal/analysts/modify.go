@@ -67,12 +67,12 @@ func (*RangeWidget) Name() string { return "numeric-range" }
 
 // Triggered implements blackboard.Analyst.
 func (*RangeWidget) Triggered(v blackboard.View) bool {
-	return v.IsCollection() && len(v.Collection) >= 2
+	return v.IsCollection() && v.Len() >= 2
 }
 
 // Suggest implements blackboard.Analyst.
 func (r *RangeWidget) Suggest(v blackboard.View, b *blackboard.Board) {
-	n := len(v.Collection)
+	n := v.Len()
 	for _, p := range r.env.Schema.NumericProperties() {
 		h, ok := facets.NumericHistogram(r.env.Graph, v.IDs, p, r.buckets)
 		if !ok {
@@ -106,7 +106,7 @@ func (*SearchWithin) Name() string { return "search-within" }
 
 // Triggered implements blackboard.Analyst.
 func (s *SearchWithin) Triggered(v blackboard.View) bool {
-	return v.IsCollection() && len(v.Collection) > 0 && s.env.Text != nil
+	return v.IsCollection() && v.Len() > 0 && s.env.Text != nil
 }
 
 // Suggest implements blackboard.Analyst.

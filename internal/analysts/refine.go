@@ -32,7 +32,7 @@ func (*Refinement) Name() string { return "query-refinement" }
 
 // Triggered implements blackboard.Analyst: fires on non-trivial collections.
 func (*Refinement) Triggered(v blackboard.View) bool {
-	return v.IsCollection() && len(v.Collection) >= 2
+	return v.IsCollection() && v.Len() >= 2
 }
 
 // Suggest implements blackboard.Analyst.
@@ -41,7 +41,7 @@ func (r *Refinement) Suggest(v blackboard.View, b *blackboard.Board) {
 	if len(coords) == 0 {
 		return
 	}
-	n := len(v.Collection)
+	n := v.Len()
 	maxW := coords[0].Weight
 
 	for _, wc := range coords {

@@ -43,7 +43,7 @@ func oracleComposedCount(env *analysts.Env, pp query.PathProperty, items []rdf.I
 		members[it] = true
 	}
 	n := 0
-	for _, it := range pp.Eval(env.Engine).Items() {
+	for _, it := range env.Graph.SubjectsFromIDs(pp.Eval(env.Engine).IDs().Slice()) {
 		if members[it] {
 			n++
 		}
@@ -52,13 +52,14 @@ func oracleComposedCount(env *analysts.Env, pp query.PathProperty, items []rdf.I
 }
 
 // oracleRefinements returns the attribute/value refinements, key → "n of
-// N" detail, the analyst should post on v, computed with the old counts.
+// N" detail, the analyst should post on v (whose members are given as
+// IRIs), computed with the old counts.
 // It also reports how many posted or skipped coordinates were composed,
 // and how many were direct coordinates on a hidden predicate.
-func oracleRefinements(env *analysts.Env, v blackboard.View) (out map[string]string, composed, hidden int) {
+func oracleRefinements(env *analysts.Env, v blackboard.View, members []rdf.IRI) (out map[string]string, composed, hidden int) {
 	out = make(map[string]string)
-	counts := oracleMemberCounts(env, v.Collection)
-	n := len(v.Collection)
+	counts := oracleMemberCounts(env, members)
+	n := len(members)
 	for _, wc := range env.Model.RefinementCoords(v.IDs, 40, nil) {
 		c := wc.Coord
 		if c.Kind != vsm.CoordObject {
@@ -75,7 +76,7 @@ func oracleRefinements(env *analysts.Env, v blackboard.View) (out map[string]str
 		} else {
 			pp := query.PathProperty{Path: c.Path, Value: c.Value}
 			pred = pp
-			cnt = oracleComposedCount(env, pp, v.Collection)
+			cnt = oracleComposedCount(env, pp, members)
 			composed++
 		}
 		if cnt > 0 && cnt < n {
@@ -135,7 +136,7 @@ func sampleViews(t *testing.T, m *core.Magnet, rounds int) []blackboard.View {
 		for _, j := range rng.Perm(len(all))[:n] {
 			items = append(items, all[j])
 		}
-		if err := s.Apply(blackboard.GoToCollection{Title: fmt.Sprintf("random %d", i), Items: items}); err != nil {
+		if err := s.Apply(blackboard.GoToCollection{Title: fmt.Sprintf("random %d", i), IDs: idsOf(g, items)}); err != nil {
 			t.Fatal(err)
 		}
 		views = append(views, s.Current())
@@ -152,17 +153,18 @@ func checkViews(t *testing.T, m *core.Magnet, views []blackboard.View) (composed
 	t.Helper()
 	env := &analysts.Env{Graph: m.Graph(), Schema: m.Schema(), Model: m.Model(), Engine: query.NewEngine(m.Graph(), m.Schema(), m.TextIndex(), m.Graph().SubjectIDsOf(m.Items())), Text: m.TextIndex()}
 	for i, v := range views {
-		if !reflect.DeepEqual(v.IDs, m.Graph().SubjectIDsOf(v.Collection)) {
-			t.Fatalf("view %d (%s): IDs do not hold the collection's members", i, v.Key())
+		members := m.Graph().SubjectsFromIDs(v.Members())
+		if len(members) != v.Len() || v.IDs.IntersectCount(m.Graph().SubjectIDsOf(members)) != v.Len() {
+			t.Fatalf("view %d (%s): the display order does not list the members once each", i, v.Key())
 		}
-		if len(v.Collection) < 2 {
+		if v.Len() < 2 {
 			continue
 		}
-		want, c, h := oracleRefinements(env, v)
+		want, c, h := oracleRefinements(env, v, members)
 		composed += c
 		hidden += h
 		if got := postedRefinements(env, v); !reflect.DeepEqual(got, want) {
-			t.Fatalf("view %d (%s, %d items): posted %v, oracle %v", i, v.Key(), len(v.Collection), got, want)
+			t.Fatalf("view %d (%s, %d items): posted %v, oracle %v", i, v.Key(), v.Len(), got, want)
 		}
 	}
 	return composed, hidden

@@ -5,7 +5,6 @@ import (
 
 	"magnet/internal/blackboard"
 	"magnet/internal/query"
-	"magnet/internal/rdf"
 )
 
 // SharedProperty is the Related Items analyst for "Sharing a property":
@@ -93,19 +92,19 @@ func (s *SimilarItem) Suggest(v blackboard.View, b *blackboard.Board) {
 	if len(sims) == 0 {
 		return
 	}
-	items := make([]rdf.IRI, len(sims))
+	ids := make([]uint32, len(sims))
 	for i, sc := range sims {
-		items[i] = sc.Item
+		ids[i] = sc.ID
 	}
 	b.Post(blackboard.Suggestion{
 		Advisor: blackboard.AdvisorRelated,
 		Group:   "Similar by Content",
 		Title:   "Overall (textual and structural)",
-		Detail:  fmt.Sprintf("%d items", len(items)),
+		Detail:  fmt.Sprintf("%d items", len(ids)),
 		Weight:  sims[0].Score,
 		Action: blackboard.GoToCollection{
 			Title: "Items similar to " + s.env.Label(v.Item),
-			Items: items,
+			IDs:   ids,
 		},
 		Key:     "simitem:" + string(v.Item),
 		Analyst: s.Name(),
@@ -132,7 +131,7 @@ func (*SimilarCollection) Name() string { return "similar-by-content-collection"
 
 // Triggered implements blackboard.Analyst.
 func (*SimilarCollection) Triggered(v blackboard.View) bool {
-	return v.IsCollection() && len(v.Collection) >= 1
+	return v.IsCollection() && v.Len() >= 1
 }
 
 // Suggest implements blackboard.Analyst.
@@ -141,17 +140,17 @@ func (s *SimilarCollection) Suggest(v blackboard.View, b *blackboard.Board) {
 	if len(sims) == 0 {
 		return
 	}
-	items := make([]rdf.IRI, len(sims))
+	ids := make([]uint32, len(sims))
 	for i, sc := range sims {
-		items[i] = sc.Item
+		ids[i] = sc.ID
 	}
 	b.Post(blackboard.Suggestion{
 		Advisor: blackboard.AdvisorRelated,
 		Group:   "Similar by Content",
 		Title:   "More items like these",
-		Detail:  fmt.Sprintf("%d items", len(items)),
+		Detail:  fmt.Sprintf("%d items", len(ids)),
 		Weight:  sims[0].Score,
-		Action:  blackboard.GoToCollection{Title: "Items similar to the collection", Items: items},
+		Action:  blackboard.GoToCollection{Title: "Items similar to the collection", IDs: ids},
 		Key:     "simcoll:" + v.Query.Key(),
 		Analyst: s.Name(),
 	})
@@ -210,7 +209,13 @@ func describeDestination(env *Env, dest blackboard.View) (string, blackboard.Act
 	if dest.IsItem() {
 		return env.Label(dest.Item), blackboard.GoToItem{Item: dest.Item}
 	}
-	descs := dest.Query.Describe(env.Labeler())
+	return describeQuery(env, dest.Query), blackboard.ReplaceQuery{Query: dest.Query}
+}
+
+// describeQuery renders a query as a suggestion title: its constraints
+// joined by ∧, or "all items" for the empty query.
+func describeQuery(env *Env, q query.Query) string {
+	descs := q.Describe(env.Labeler())
 	title := "all items"
 	if len(descs) > 0 {
 		title = descs[0]
@@ -218,5 +223,5 @@ func describeDestination(env *Env, dest blackboard.View) (string, blackboard.Act
 			title += " ∧ " + d
 		}
 	}
-	return title, blackboard.ReplaceQuery{Query: dest.Query}
+	return title
 }

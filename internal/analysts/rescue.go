@@ -21,7 +21,7 @@ func (*DropConstraint) Name() string { return "drop-constraint" }
 
 // Triggered implements blackboard.Analyst: empty constrained collections.
 func (*DropConstraint) Triggered(v blackboard.View) bool {
-	return v.IsCollection() && len(v.Collection) == 0 && !v.Query.IsEmpty()
+	return v.IsCollection() && v.Len() == 0 && !v.Query.IsEmpty()
 }
 
 // Suggest implements blackboard.Analyst.
@@ -64,7 +64,7 @@ func (*OverviewHint) Name() string { return "overview-hint" }
 
 // Triggered implements blackboard.Analyst.
 func (*OverviewHint) Triggered(v blackboard.View) bool {
-	return v.IsCollection() && len(v.Collection) >= 2
+	return v.IsCollection() && v.Len() >= 2
 }
 
 // Suggest implements blackboard.Analyst: the primary round posts nothing —

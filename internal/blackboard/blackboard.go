@@ -50,14 +50,17 @@ const (
 type View struct {
 	// Item is set for single-item views.
 	Item rdf.IRI
-	// Collection is set for collection views (may be empty but non-nil).
-	Collection []rdf.IRI
-	// IDs is Collection on the graph's dense-ID plane, built once when the
-	// view is entered, so analysts and the overview count and intersect
-	// postings without re-interning the members.
+	// IDs is the view's member set on the graph's dense-ID plane, and its
+	// only member list: an item view holds its one item, a collection view
+	// its members. Analysts and the overview count and intersect postings
+	// with it; IRIs are rehydrated only for the rows a surface prints.
 	IDs itemset.Set
-	// Query is the query whose evaluation produced Collection (empty for
-	// fixed collections).
+	// Order lists a fixed collection's members in display order (score
+	// order for similarity results); nil for query views, which show their
+	// members in ascending ID order — lexical IRI order.
+	Order []uint32
+	// Query is the query whose evaluation produced the collection (empty
+	// for fixed collections).
 	Query query.Query
 	// Fixed marks a materialized collection not backed by a query.
 	Fixed bool
@@ -65,33 +68,38 @@ type View struct {
 	Name string
 }
 
-// ItemView returns a view of a single item.
-func ItemView(item rdf.IRI) View { return View{Item: item} }
+// ItemView returns a view of a single item; ids holds its dense ID.
+func ItemView(item rdf.IRI, ids itemset.Set) View { return View{Item: item, IDs: ids} }
 
-// CollectionView returns a view of a query's result collection; ids holds
-// the same members as dense item IDs.
-func CollectionView(q query.Query, items []rdf.IRI, ids itemset.Set) View {
-	if items == nil {
-		items = []rdf.IRI{}
-	}
-	return View{Collection: items, IDs: ids, Query: q}
+// CollectionView returns a view of a query's result collection.
+func CollectionView(q query.Query, ids itemset.Set) View {
+	return View{IDs: ids, Query: q}
 }
 
 // FixedView returns a view of a materialized collection (e.g. the output of
-// a similarity analyst's "arbitrary action"); ids holds the same members as
-// dense item IDs.
-func FixedView(name string, items []rdf.IRI, ids itemset.Set) View {
-	if items == nil {
-		items = []rdf.IRI{}
-	}
-	return View{Collection: items, IDs: ids, Fixed: true, Name: name}
+// a similarity analyst's "arbitrary action"): order lists the members of
+// ids in display order, each once.
+func FixedView(name string, order []uint32, ids itemset.Set) View {
+	return View{IDs: ids, Order: order, Fixed: true, Name: name}
 }
 
 // IsItem reports whether the view shows a single item.
 func (v View) IsItem() bool { return v.Item != "" }
 
 // IsCollection reports whether the view shows a collection.
-func (v View) IsCollection() bool { return v.Collection != nil }
+func (v View) IsCollection() bool { return !v.IsItem() }
+
+// Len returns the number of members.
+func (v View) Len() int { return v.IDs.Len() }
+
+// Members returns the member IDs in display order: a fixed view's order,
+// otherwise ascending ID order. The slice is shared; do not modify it.
+func (v View) Members() []uint32 {
+	if v.Order != nil {
+		return v.Order
+	}
+	return v.IDs.Slice()
+}
 
 // Key returns a stable identity for the view, used by the history tracker.
 func (v View) Key() string {
@@ -137,7 +145,8 @@ func (Refine) isAction() {}
 // specify arbitrary action", here materialized results).
 type GoToCollection struct {
 	Title string
-	Items []rdf.IRI
+	// IDs lists the members as dense item IDs in display order.
+	IDs []uint32
 }
 
 func (GoToCollection) isAction() {}

@@ -15,19 +15,31 @@ import (
 const ex = "http://example.org/"
 
 func TestViewShapes(t *testing.T) {
-	iv := ItemView(rdf.IRI(ex + "a"))
+	iv := ItemView(rdf.IRI(ex+"a"), itemset.FromSorted([]uint32{7}))
 	if !iv.IsItem() || iv.IsCollection() {
 		t.Error("item view shape wrong")
+	}
+	if iv.Len() != 1 || !reflect.DeepEqual(iv.Members(), []uint32{7}) {
+		t.Errorf("item view members = %v", iv.Members())
 	}
 	if iv.Key() != "item:"+ex+"a" {
 		t.Errorf("item key = %q", iv.Key())
 	}
-	cv := CollectionView(query.NewQuery(), nil, itemset.Set{})
+	cv := CollectionView(query.NewQuery(), itemset.Set{})
 	if cv.IsItem() || !cv.IsCollection() {
 		t.Error("collection view shape wrong")
 	}
-	if cv.Collection == nil {
-		t.Error("nil items should normalize to empty slice")
+	if cv.Len() != 0 || len(cv.Members()) != 0 {
+		t.Error("empty collection view has members")
+	}
+	// A fixed view shows its members in its own order; a query view in
+	// ascending ID order.
+	fv := FixedView("picked", []uint32{9, 2, 5}, itemset.FromSorted([]uint32{2, 5, 9}))
+	if !fv.IsCollection() || fv.Len() != 3 || !reflect.DeepEqual(fv.Members(), []uint32{9, 2, 5}) {
+		t.Errorf("fixed view members = %v", fv.Members())
+	}
+	if qv := CollectionView(query.NewQuery(), itemset.FromSorted([]uint32{2, 5, 9})); !reflect.DeepEqual(qv.Members(), []uint32{2, 5, 9}) {
+		t.Errorf("query view members = %v", qv.Members())
 	}
 }
 
@@ -94,14 +106,14 @@ func TestRegistryTriggering(t *testing.T) {
 		stubAnalyst{name: "itemAnalyst", wantItem: true, suggested: &itemCount},
 		stubAnalyst{name: "collAnalyst", wantItem: false, suggested: &collCount},
 	)
-	b := r.RunContext(context.Background(), ItemView(rdf.IRI(ex+"x")))
+	b := r.RunContext(context.Background(), ItemView(rdf.IRI(ex+"x"), itemset.Set{}))
 	if itemCount != 1 || collCount != 0 {
 		t.Errorf("item view triggered item=%d coll=%d", itemCount, collCount)
 	}
 	if len(b.Suggestions()) != 1 {
 		t.Errorf("suggestions = %v", b.Suggestions())
 	}
-	r.RunContext(context.Background(), CollectionView(query.NewQuery(), []rdf.IRI{}, itemset.Set{}))
+	r.RunContext(context.Background(), CollectionView(query.NewQuery(), itemset.Set{}))
 	if collCount != 1 {
 		t.Errorf("collection analyst not triggered")
 	}
@@ -113,7 +125,7 @@ func TestReactorRunsAfterPrimaryRound(t *testing.T) {
 		stubReactor{stubAnalyst{name: "reactor", wantItem: true, suggested: &n1}, &reacted},
 		stubAnalyst{name: "plain", wantItem: true, suggested: &n2},
 	)
-	b := r.RunContext(context.Background(), ItemView(rdf.IRI(ex+"x")))
+	b := r.RunContext(context.Background(), ItemView(rdf.IRI(ex+"x"), itemset.Set{}))
 	// Reactor saw both primary postings (its own + plain's).
 	if reacted != 2 {
 		t.Errorf("reactor saw %d postings, want 2", reacted)
@@ -160,7 +172,7 @@ func TestRefineModesDistinct(t *testing.T) {
 		Refine{Add: p, Mode: Filter},
 		Refine{Add: p, Mode: Exclude},
 		Refine{Add: p, Mode: Expand},
-		GoToCollection{Title: "similar", Items: []rdf.IRI{"x"}},
+		GoToCollection{Title: "similar", IDs: []uint32{0}},
 		GoToItem{Item: "x"},
 		ReplaceQuery{Query: query.NewQuery()},
 		ShowRange{Prop: rdf.IRI(ex + "n")},

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"magnet/internal/itemset"
 	"magnet/internal/par"
 	"magnet/internal/rdf"
 )
@@ -94,7 +95,7 @@ func buildAnalysts() []Analyst {
 
 func runOnce(pool *par.Pool) *Board {
 	r := NewRegistry(pool, buildAnalysts()...)
-	return r.RunContext(context.Background(), ItemView(rdf.IRI("urn:item:1")))
+	return r.RunContext(context.Background(), ItemView(rdf.IRI("urn:item:1"), itemset.Set{}))
 }
 
 // TestSerialParallelDeterminism is the tentpole equivalence check: the
@@ -143,7 +144,7 @@ func TestRegistryConcurrentRuns(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				got := r.RunContext(context.Background(), ItemView(rdf.IRI("urn:item:1"))).Suggestions()
+				got := r.RunContext(context.Background(), ItemView(rdf.IRI("urn:item:1"), itemset.Set{})).Suggestions()
 				if !reflect.DeepEqual(got, serial) {
 					t.Errorf("concurrent run differs from serial:\n got %+v\nwant %+v", got, serial)
 					return
@@ -224,7 +225,7 @@ func TestAnalystPanicPropagates(t *testing.T) {
 					t.Errorf("width %d: expected *par.PanicError panic", pool.Width())
 				}
 			}()
-			r.RunContext(context.Background(), ItemView(rdf.IRI("urn:item:1")))
+			r.RunContext(context.Background(), ItemView(rdf.IRI("urn:item:1"), itemset.Set{}))
 		}()
 		pool.Close()
 	}

@@ -165,7 +165,7 @@ func TestSessionOpenItemAndApplyActions(t *testing.T) {
 	}
 
 	// Apply each action kind.
-	if err := s.Apply(blackboard.GoToCollection{Title: "fixed", Items: m.Items()[:3]}); err != nil {
+	if err := s.Apply(blackboard.GoToCollection{Title: "fixed", IDs: idsOf(m.Graph(), m.Items()[:3])}); err != nil {
 		t.Fatal(err)
 	}
 	if !s.Current().Fixed || len(s.Items()) != 3 {

@@ -122,23 +122,15 @@ func (s *Session) lookupView(key string) (blackboard.View, bool) {
 // Current returns the current view.
 func (s *Session) Current() blackboard.View { return s.current }
 
-// Items returns the items of the current view: the collection, or the
-// single item as a one-element slice.
+// Items returns the items of the current view in display order: the
+// collection, or the single item as a one-element slice. It is the
+// render boundary's one full-list rehydration; surfaces that print a few
+// rows rehydrate just those from Current().Members().
 func (s *Session) Items() []rdf.IRI {
 	if s.current.IsItem() {
 		return []rdf.IRI{s.current.Item}
 	}
-	out := make([]rdf.IRI, len(s.current.Collection))
-	copy(out, s.current.Collection)
-	return out
-}
-
-// itemIDs returns Items on the dense-ID plane.
-func (s *Session) itemIDs() itemset.Set {
-	if s.current.IsItem() {
-		return s.m.g.SubjectIDsOf([]rdf.IRI{s.current.Item})
-	}
-	return s.current.IDs
+	return s.m.g.SubjectsFromIDs(s.current.Members())
 }
 
 // SetContext sets the ambient context for subsequent session steps; pass a
@@ -162,11 +154,10 @@ func (s *Session) goTo(v blackboard.View) {
 
 func (s *Session) goToQuery(q query.Query) {
 	ctx, st := s.startStep("session.query")
-	set := s.m.eng.EvalContext(ctx, q)
-	items := set.Items()
+	ids := s.m.eng.Rebase(s.m.eng.EvalContext(ctx, q))
 	s.tracker.PushQuery(q)
-	s.goTo(blackboard.CollectionView(q, items, s.m.eng.Rebase(set)))
-	st.sp.SetInt("items", len(items))
+	s.goTo(blackboard.CollectionView(q, ids))
+	st.sp.SetInt("items", ids.Len())
 	st.finish(stepQueryCount, stepQueryNS)
 }
 
@@ -185,7 +176,7 @@ func (s *Session) SearchWithin(keywords string) {
 
 // OpenItem navigates to a single item's view.
 func (s *Session) OpenItem(item rdf.IRI) {
-	s.goTo(blackboard.ItemView(item))
+	s.goTo(blackboard.ItemView(item, s.m.g.SubjectIDsOf([]rdf.IRI{item})))
 }
 
 // GoHome navigates to the unconstrained all-items collection.
@@ -198,7 +189,7 @@ func (s *Session) GoHome() {
 // Collections semantics. On a fixed (materialized) collection the predicate
 // filters the members directly, since there is no query to extend.
 func (s *Session) Refine(p query.Predicate, mode blackboard.RefineMode) {
-	prev := s.itemIDs()
+	prev := s.current.IDs
 	if s.current.Fixed {
 		s.refineFixed(p, mode)
 	} else {
@@ -217,37 +208,42 @@ func (s *Session) Refine(p query.Predicate, mode blackboard.RefineMode) {
 		}
 		s.goToQuery(q)
 	}
-	if s.m.opts.SoftEmptyResults && len(s.current.Collection) == 0 && mode != blackboard.Expand {
+	if s.m.opts.SoftEmptyResults && s.current.Len() == 0 && mode != blackboard.Expand {
 		s.softRefine(p, mode, prev)
 	}
 }
 
 func (s *Session) refineFixed(p query.Predicate, mode blackboard.RefineMode) {
-	matches := p.Eval(s.m.eng)
-	var items []rdf.IRI
-	for _, it := range s.current.Collection {
-		in := matches.Has(it)
-		if (mode == blackboard.Filter && in) || (mode == blackboard.Exclude && !in) {
-			items = append(items, it)
-		}
-	}
+	matches := s.m.eng.Rebase(p.Eval(s.m.eng))
+	var ids []uint32
 	if mode == blackboard.Expand {
-		items = append([]rdf.IRI{}, s.current.Collection...)
-		seen := s.m.eng.NewSet(items...)
-		for _, it := range matches.Items() {
-			if !seen.Has(it) {
-				items = append(items, it)
+		// The members in display order, then the new matches ascending.
+		ids = append(ids, s.current.Members()...)
+		ids = append(ids, matches.Minus(s.current.IDs).Slice()...)
+	} else {
+		for _, id := range s.current.Members() {
+			if matches.Has(id) == (mode == blackboard.Filter) {
+				ids = append(ids, id)
 			}
 		}
 	}
 	name := s.current.Name + " · " + p.Describe(s.m.Labeler())
-	s.goTo(s.fixedView(name, items))
+	s.goTo(s.fixedView(name, ids))
 }
 
-// fixedView returns the view of a materialized collection, putting its
-// members on the ID plane once, as the view is entered.
-func (s *Session) fixedView(name string, items []rdf.IRI) blackboard.View {
-	return blackboard.FixedView(name, items, s.m.g.SubjectIDsOf(items))
+// fixedView returns the view of a materialized collection given in display
+// order, dropping IDs the graph does not hold and repeats (the first
+// occurrence keeps its place).
+func (s *Session) fixedView(name string, order []uint32) blackboard.View {
+	n := s.m.g.SubjectTable().Len()
+	seen := itemset.NewBits(n)
+	kept := make([]uint32, 0, len(order))
+	for _, id := range order {
+		if int(id) < n && seen.Add(id) {
+			kept = append(kept, id)
+		}
+	}
+	return blackboard.FixedView(name, kept, seen.Extract())
 }
 
 // RemoveConstraint drops the i-th query constraint (the '✕' of §3.2).
@@ -274,8 +270,7 @@ func (s *Session) Back() bool {
 	if !ok {
 		return false
 	}
-	set := s.m.eng.EvalContext(s.ctx, q)
-	s.goTo(blackboard.CollectionView(q, set.Items(), s.m.eng.Rebase(set)))
+	s.goTo(blackboard.CollectionView(q, s.m.eng.Rebase(s.m.eng.EvalContext(s.ctx, q))))
 	return true
 }
 
@@ -290,7 +285,7 @@ func (s *Session) Apply(a blackboard.Action) error {
 	case blackboard.Refine:
 		s.Refine(act.Add, act.Mode)
 	case blackboard.GoToCollection:
-		s.goTo(s.fixedView(act.Title, act.Items))
+		s.goTo(s.fixedView(act.Title, act.IDs))
 	case blackboard.GoToItem:
 		s.OpenItem(act.Item)
 	case blackboard.ReplaceQuery:
@@ -333,7 +328,7 @@ func (s *Session) Overview(maxValues int) []facets.Facet {
 		ByCount:   true,
 		Pool:      s.m.pool,
 	}
-	fs := facets.SummarizeContext(ctx, s.m.g, s.m.sch, s.itemIDs(), opts)
+	fs := facets.SummarizeContext(ctx, s.m.g, s.m.sch, s.current.IDs, opts)
 	st.sp.SetInt("facets", len(fs))
 	st.finish(stepOverviewCount, stepOverviewNS)
 	return fs

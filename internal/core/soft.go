@@ -6,7 +6,6 @@ import (
 	"magnet/internal/blackboard"
 	"magnet/internal/itemset"
 	"magnet/internal/query"
-	"magnet/internal/rdf"
 )
 
 // Soft empty-result handling implements the paper's §6.3.1 observation as a
@@ -67,12 +66,12 @@ func (s *Session) softRefine(p query.Predicate, mode blackboard.RefineMode, prev
 	if n > len(ranked) {
 		n = len(ranked)
 	}
-	items := make([]rdf.IRI, n)
-	for i := 0; i < n; i++ {
-		items[i] = s.m.g.SubjectByID(ranked[i].id)
+	order := make([]uint32, n)
+	for i := range order {
+		order[i] = ranked[i].id
 	}
 	name := "closest matches · " + describeMode(mode) + " " + p.Describe(s.m.Labeler())
-	s.goTo(s.fixedView(name, items))
+	s.goTo(s.fixedView(name, order))
 	return true
 }
 

@@ -22,8 +22,8 @@ func fixture(t *testing.T) (*rdf.Graph, *Resolver, *query.Engine) {
 }
 
 // evaluate runs q through the engine and returns the sorted items.
-func evaluate(e *query.Engine, q query.Query) []rdf.IRI {
-	return e.EvalContext(context.Background(), q).Items()
+func evaluate(g *rdf.Graph, e *query.Engine, q query.Query) []rdf.IRI {
+	return g.SubjectsFromIDs(e.EvalContext(context.Background(), q).IDs().Slice())
 }
 
 func parse(t *testing.T, r *Resolver, src string) query.Query {
@@ -67,7 +67,7 @@ func TestResolverValues(t *testing.T) {
 func TestParseEqualityAndEvaluation(t *testing.T) {
 	g, r, e := fixture(t)
 	q := parse(t, r, `cuisine = Greek`)
-	items := evaluate(e, q)
+	items := evaluate(g, e, q)
 	if len(items) == 0 {
 		t.Fatal("no Greek recipes")
 	}
@@ -111,8 +111,8 @@ func TestParsePrecedenceAndParens(t *testing.T) {
 	if set2.Len() == 0 || set1.Len() == 0 {
 		t.Error("empty evaluations")
 	}
-	for _, it := range set2.Items() {
-		if !set1.Has(it) && set1.Len() > 0 {
+	for _, id := range set2.IDs().Slice() {
+		if !set1.IDs().Has(id) && set1.Len() > 0 {
 			// q2 ⊆ (Greek ∪ (Mexican ∧ Dessert)) need not hold; just sanity
 			// that both are non-crazy.
 			break
@@ -126,7 +126,7 @@ func TestParseNegation(t *testing.T) {
 	if len(q.Terms) != 2 {
 		t.Fatalf("terms = %d", len(q.Terms))
 	}
-	for _, it := range evaluate(e, q) {
+	for _, it := range evaluate(g, e, q) {
 		for _, ing := range g.Objects(it, recipes.PropIngredient) {
 			if g.Has(ing.(rdf.IRI), recipes.PropGroup, recipes.Group("Nuts")) {
 				t.Fatalf("%s has nuts", it)
@@ -141,30 +141,30 @@ func TestParseNegation(t *testing.T) {
 }
 
 func TestParseComposedPath(t *testing.T) {
-	_, r, e := fixture(t)
+	g, r, e := fixture(t)
 	q := parse(t, r, `ingredient.group = Dairy`)
 	pp, ok := q.Terms[0].(query.PathProperty)
 	if !ok || len(pp.Path) != 2 {
 		t.Fatalf("term = %#v", q.Terms[0])
 	}
-	if len(evaluate(e, q)) == 0 {
+	if len(evaluate(g, e, q)) == 0 {
 		t.Error("no dairy recipes")
 	}
 }
 
 func TestParseRanges(t *testing.T) {
-	_, r, e := fixture(t)
+	g, r, e := fixture(t)
 	ge := parse(t, r, `servings >= 4`)
 	gt := parse(t, r, `servings > 4`)
 	// Strict > on an integer attribute excludes the boundary.
-	nGE := len(evaluate(e, ge))
-	nGT := len(evaluate(e, gt))
+	nGE := len(evaluate(g, e, ge))
+	nGT := len(evaluate(g, e, gt))
 	if nGT >= nGE {
 		t.Errorf("> (%d) should be narrower than >= (%d)", nGT, nGE)
 	}
 	le := parse(t, r, `servings <= 2`)
 	lt := parse(t, r, `servings < 2`)
-	if len(evaluate(e, lt)) >= len(evaluate(e, le)) {
+	if len(evaluate(g, e, lt)) >= len(evaluate(g, e, le)) {
 		t.Error("< should be narrower than <=")
 	}
 }

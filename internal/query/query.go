@@ -28,7 +28,8 @@ import (
 // Set is a set of items, backed by the dense-ID plane: an itemset over the
 // graph's frozen subject table. Set algebra is merge-based over sorted
 // uint32 postings — no hashing, no per-member allocation — and IRIs are
-// rehydrated only at the render boundary (Items). The zero Set is empty.
+// rehydrated only at the render boundary (Graph.SubjectsFromIDs over IDs).
+// The zero Set is empty.
 //
 // Sets produced by one Engine share that engine's subject table; mixing
 // sets from different engines still works — the receiver re-looks-up the
@@ -50,12 +51,6 @@ func idsIn(in *ids.Table[rdf.IRI], keys []rdf.IRI) itemset.Set {
 	return itemset.FromUnsorted(dense)
 }
 
-// NewSet builds a set from items in the engine's dense ID space, skipping
-// items the graph has never seen.
-func (e *Engine) NewSet(items ...rdf.IRI) Set {
-	return Set{in: e.g.SubjectTable(), set: idsIn(e.g.SubjectTable(), items)}
-}
-
 // setFromIDs wraps an itemset from the engine's ID space without copying.
 func (e *Engine) setFromIDs(s itemset.Set) Set {
 	return Set{in: e.g.SubjectTable(), set: s}
@@ -67,27 +62,9 @@ func (s Set) Len() int { return s.set.Len() }
 // IsEmpty reports whether the set has no members.
 func (s Set) IsEmpty() bool { return s.set.IsEmpty() }
 
-// Has reports membership.
-func (s Set) Has(it rdf.IRI) bool {
-	if s.in == nil {
-		return false
-	}
-	id, ok := s.in.Lookup(it)
-	return ok && s.set.Has(id)
-}
-
 // IDs exposes the dense-ID view for layers that stay on the ID plane
 // (facets, vsm, advisors).
 func (s Set) IDs() itemset.Set { return s.set }
-
-// Items returns the members sorted lexically (the render-boundary
-// rehydration; subject IDs ascend with their IRIs, so no sort is needed).
-func (s Set) Items() []rdf.IRI {
-	if s.set.IsEmpty() {
-		return []rdf.IRI{}
-	}
-	return s.in.AppendKeys(make([]rdf.IRI, 0, s.set.Len()), s.set.Slice())
-}
 
 // rebase returns t's itemset expressed in s's ID space, re-looking-up
 // t's members when the two sets come from different engines.

@@ -72,11 +72,23 @@ func between(prop rdf.IRI, min, max float64) Range { return Range{Prop: prop, Mi
 
 // evaluate runs q through the instrumented path and returns the sorted
 // items.
-func evaluate(e *Engine, q Query) []rdf.IRI { return e.EvalContext(context.Background(), q).Items() }
+// items rehydrates the members in ascending ID order, which is lexical.
+func (s Set) items() []rdf.IRI {
+	if s.set.IsEmpty() {
+		return []rdf.IRI{}
+	}
+	return s.in.AppendKeys(make([]rdf.IRI, 0, s.set.Len()), s.set.Slice())
+}
+
+// newSet builds a set from items in the engine's ID space, skipping items
+// the graph has never seen.
+func (e *Engine) newSet(items ...rdf.IRI) Set { return e.setFromIDs(e.g.SubjectIDsOf(items)) }
+
+func evaluate(e *Engine, q Query) []rdf.IRI { return e.EvalContext(context.Background(), q).items() }
 
 func TestPropertyPredicate(t *testing.T) {
 	e, _ := fixture()
-	got := Property{pCuisine, greek}.Eval(e).Items()
+	got := Property{pCuisine, greek}.Eval(e).items()
 	want := []rdf.IRI{iri("r1"), iri("r2"), iri("r3")}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("greek = %v", got)
@@ -91,7 +103,7 @@ func TestPropertyPredicate(t *testing.T) {
 
 func TestKeywordPredicate(t *testing.T) {
 	e, _ := fixture()
-	got := Keyword{Text: "walnut"}.Eval(e).Items()
+	got := Keyword{Text: "walnut"}.Eval(e).items()
 	want := []rdf.IRI{iri("r2"), iri("r4")}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("keyword walnut = %v", got)
@@ -116,15 +128,15 @@ func TestKeywordWithoutTextIndex(t *testing.T) {
 
 func TestRangePredicate(t *testing.T) {
 	e, _ := fixture()
-	got := between(pServings, 4, 6).Eval(e).Items()
+	got := between(pServings, 4, 6).Eval(e).items()
 	want := []rdf.IRI{iri("r1"), iri("r4"), iri("r5")}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("servings 4..6 = %v", got)
 	}
-	if got := AtLeast(pServings, 8).Eval(e).Items(); !reflect.DeepEqual(got, []rdf.IRI{iri("r2")}) {
+	if got := AtLeast(pServings, 8).Eval(e).items(); !reflect.DeepEqual(got, []rdf.IRI{iri("r2")}) {
 		t.Errorf("servings ≥ 8 = %v", got)
 	}
-	if got := AtMost(pServings, 2).Eval(e).Items(); !reflect.DeepEqual(got, []rdf.IRI{iri("r3")}) {
+	if got := AtMost(pServings, 2).Eval(e).items(); !reflect.DeepEqual(got, []rdf.IRI{iri("r3")}) {
 		t.Errorf("servings ≤ 2 = %v", got)
 	}
 }
@@ -133,7 +145,7 @@ func TestTimeRangePredicate(t *testing.T) {
 	e, _ := fixture()
 	from := time.Date(2003, 7, 4, 0, 0, 0, 0, time.UTC)
 	to := time.Date(2003, 7, 12, 0, 0, 0, 0, time.UTC)
-	got := between(pSent, float64(from.Unix()), float64(to.Unix())).Eval(e).Items()
+	got := between(pSent, float64(from.Unix()), float64(to.Unix())).Eval(e).items()
 	want := []rdf.IRI{iri("r2"), iri("r3")}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("date window = %v", got)
@@ -150,7 +162,7 @@ func TestRangeSkipsNonNumeric(t *testing.T) {
 
 func TestNotPredicate(t *testing.T) {
 	e, _ := fixture()
-	got := Not{Property{pIngredient, walnut}}.Eval(e).Items()
+	got := Not{Property{pIngredient, walnut}}.Eval(e).items()
 	want := []rdf.IRI{iri("r1"), iri("r3"), iri("r5")}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("NOT walnut = %v", got)
@@ -163,14 +175,14 @@ func TestNotPredicate(t *testing.T) {
 // even when earlier conjuncts match items outside it.
 func TestLazyNotClipsToUniverse(t *testing.T) {
 	full, items := fixture()
-	e := NewEngine(full.g, full.sch, full.text, full.NewSet(items[:3]...).IDs())
+	e := NewEngine(full.g, full.sch, full.text, full.newSet(items[:3]...).IDs())
 	p, n := Property{pServings, rdf.NewInteger(4)}, Not{Property{pIngredient, walnut}}
-	want := p.Eval(e).Intersect(n.Eval(e)).Items()
-	if len(want) == 0 || len(p.Eval(e).Items()) == len(want) {
+	want := p.Eval(e).Intersect(n.Eval(e)).items()
+	if len(want) == 0 || len(p.Eval(e).items()) == len(want) {
 		t.Fatalf("fixture: %v checks no clipping", want)
 	}
 	and := And{[]Predicate{p, n}}
-	if got := and.Eval(e).Items(); !reflect.DeepEqual(got, want) {
+	if got := and.Eval(e).items(); !reflect.DeepEqual(got, want) {
 		t.Errorf("And.Eval = %v, want %v", got, want)
 	}
 	if got := evaluate(e, NewQuery(p, n)); !reflect.DeepEqual(got, want) {
@@ -181,11 +193,11 @@ func TestLazyNotClipsToUniverse(t *testing.T) {
 func TestAndOrPredicates(t *testing.T) {
 	e, _ := fixture()
 	and := And{[]Predicate{Property{pCuisine, greek}, Property{pIngredient, feta}}}
-	if got := and.Eval(e).Items(); !reflect.DeepEqual(got, []rdf.IRI{iri("r1"), iri("r3")}) {
+	if got := and.Eval(e).items(); !reflect.DeepEqual(got, []rdf.IRI{iri("r1"), iri("r3")}) {
 		t.Errorf("AND = %v", got)
 	}
 	or := Or{[]Predicate{Property{pIngredient, feta}, Property{pIngredient, walnut}}}
-	if got := or.Eval(e).Items(); len(got) != 4 {
+	if got := or.Eval(e).items(); len(got) != 4 {
 		t.Errorf("OR = %v", got)
 	}
 	// Empty And = universe; empty Or = nothing.
@@ -284,18 +296,20 @@ func TestDescriptions(t *testing.T) {
 
 func TestSetOperations(t *testing.T) {
 	e, _ := fixture()
-	a := e.NewSet(iri("r1"), iri("r2"))
-	b := e.NewSet(iri("r2"), iri("r3"))
-	if got := a.Intersect(b).Items(); !reflect.DeepEqual(got, []rdf.IRI{iri("r2")}) {
+	a := e.newSet(iri("r1"), iri("r2"))
+	b := e.newSet(iri("r2"), iri("r3"))
+	if got := a.Intersect(b).items(); !reflect.DeepEqual(got, []rdf.IRI{iri("r2")}) {
 		t.Errorf("Intersect = %v", got)
 	}
-	if got := a.Union(b).Items(); len(got) != 3 {
+	if got := a.Union(b).items(); len(got) != 3 {
 		t.Errorf("Union = %v", got)
 	}
-	if got := a.Minus(b).Items(); !reflect.DeepEqual(got, []rdf.IRI{iri("r1")}) {
+	if got := a.Minus(b).items(); !reflect.DeepEqual(got, []rdf.IRI{iri("r1")}) {
 		t.Errorf("Minus = %v", got)
 	}
-	if a.Has(iri("r3")) || !a.Has(iri("r1")) {
+	r1, _ := e.g.SubjectID(iri("r1"))
+	r3, _ := e.g.SubjectID(iri("r3"))
+	if a.IDs().Has(r3) || !a.IDs().Has(r1) {
 		t.Error("Has wrong")
 	}
 }
@@ -315,12 +329,12 @@ func TestPathPropertyPredicate(t *testing.T) {
 	e := NewEngine(g, sch, nil, g.SubjectIDsOf([]rdf.IRI{doc1, doc2}))
 
 	p := PathProperty{Path: []rdf.IRI{pAuthor, pField}, Value: ir}
-	if got := p.Eval(e).Items(); !reflect.DeepEqual(got, []rdf.IRI{doc1}) {
+	if got := p.Eval(e).items(); !reflect.DeepEqual(got, []rdf.IRI{doc1}) {
 		t.Errorf("PathProperty = %v", got)
 	}
 	// Length-1 path equals Property.
 	p1 := PathProperty{Path: []rdf.IRI{pAuthor}, Value: alice}
-	if got := p1.Eval(e).Items(); !reflect.DeepEqual(got, []rdf.IRI{doc1}) {
+	if got := p1.Eval(e).items(); !reflect.DeepEqual(got, []rdf.IRI{doc1}) {
 		t.Errorf("len-1 path = %v", got)
 	}
 	// Empty path and dead-end values match nothing.
@@ -339,7 +353,7 @@ func TestPathPropertyPredicate(t *testing.T) {
 func TestTermMatchPredicate(t *testing.T) {
 	e, _ := fixture()
 	// The index stems "Walnut" → "walnut"; TermMatch takes the stem as-is.
-	got := TermMatch{Term: "walnut", Field: "title"}.Eval(e).Items()
+	got := TermMatch{Term: "walnut", Field: "title"}.Eval(e).items()
 	if !reflect.DeepEqual(got, []rdf.IRI{iri("r2"), iri("r4")}) {
 		t.Errorf("TermMatch = %v", got)
 	}
@@ -366,12 +380,12 @@ type maxValues struct {
 
 func (m maxValues) Eval(e *Engine) Set {
 	var matched []rdf.IRI
-	for _, it := range e.Universe().Items() {
+	for _, it := range e.Universe().items() {
 		if e.g.ObjectCount(it, m.prop) <= m.max {
 			matched = append(matched, it)
 		}
 	}
-	return e.NewSet(matched...)
+	return e.newSet(matched...)
 }
 func (m maxValues) Describe(l Labeler) string {
 	return fmt.Sprintf("≤ %d %s values", m.max, l(m.prop))
@@ -407,11 +421,11 @@ func TestQuickBooleanAlgebra(t *testing.T) {
 		// ¬(p ∧ q) == ¬p ∪ ¬q
 		lhs := Not{And{[]Predicate{p, q}}}.Eval(e)
 		rhs := Or{[]Predicate{Not{p}, Not{q}}}.Eval(e)
-		if !reflect.DeepEqual(lhs.Items(), rhs.Items()) {
+		if !reflect.DeepEqual(lhs.items(), rhs.items()) {
 			return false
 		}
 		// ¬¬p == p
-		if !reflect.DeepEqual(Not{Not{p}}.Eval(e).Items(), p.Eval(e).Items()) {
+		if !reflect.DeepEqual(Not{Not{p}}.Eval(e).items(), p.Eval(e).items()) {
 			return false
 		}
 		// p ∧ ¬p == ∅

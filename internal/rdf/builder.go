@@ -89,17 +89,19 @@ func (b *Builder) Columns() GraphColumns {
 	var c GraphColumns
 	c.Triples = uint64(b.size)
 
-	// Subject IDs: the live subjects in lexical order.
+	// Subject IDs: the live subjects in lexical order, so the table's
+	// sorted permutation is the identity.
 	subjects := make([]IRI, 0, len(b.spo))
 	for s := range b.spo {
 		subjects = append(subjects, s)
 	}
 	sortIRIs(subjects)
-	in := ids.NewInterner[IRI]()
-	for _, s := range subjects {
-		in.Intern(s)
+	c.Subj = ids.Columns{Off: make([]uint32, 1, len(subjects)+1), Sorted: make([]uint32, len(subjects))}
+	for i, s := range subjects {
+		c.Subj.Blob = append(c.Subj.Blob, s...)
+		c.Subj.Off = append(c.Subj.Off, uint32(len(c.Subj.Blob)))
+		c.Subj.Sorted[i] = uint32(i)
 	}
-	c.Subj = in.Columns()
 
 	// Predicate and object-term tables, sorted.
 	predSet := make(map[IRI]bool)

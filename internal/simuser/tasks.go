@@ -182,7 +182,7 @@ func (e *studyEnv) task1(u *user, s *core.Session, complete bool) int {
 			if u.rng.Float64() < 0.75 {
 				s.Refine(nutExclusion(), blackboard.Exclude)
 			}
-			e.scanTask1(u, s.Items(), found, len(s.Items()), recogSimilar)
+			e.scanTask1(u, s.Items(), found, s.Current().Len(), recogSimilar)
 			return len(found)
 		}
 	}
@@ -204,7 +204,7 @@ func (e *studyEnv) task1(u *user, s *core.Session, complete bool) int {
 	// the empty result set."
 	s.Refine(nutExclusion(), blackboard.Exclude)
 
-	if len(s.Items()) == 0 {
+	if s.Current().Len() == 0 {
 		// Stuck. Recovery differs by system.
 		recovered := false
 		if complete {
@@ -213,7 +213,7 @@ func (e *studyEnv) task1(u *user, s *core.Session, complete bool) int {
 				apply(s, sg.Action)
 				// Clean up the now-redundant empty-set exclusion by
 				// removing the stale positive constraint if still present.
-				recovered = len(s.Items()) > 0
+				recovered = s.Current().Len() > 0
 			}
 		}
 		if !recovered && u.rng.Float64() < u.negationSkill {
@@ -229,7 +229,7 @@ func (e *studyEnv) task1(u *user, s *core.Session, complete bool) int {
 			}
 			fixed = fixed.With(query.Not{P: nutExclusion()})
 			apply(s, blackboard.ReplaceQuery{Query: fixed})
-			recovered = len(s.Items()) > 0
+			recovered = s.Current().Len() > 0
 		}
 		if !recovered {
 			// Flail: fall back to the cuisine collection alone and scan.
@@ -256,7 +256,7 @@ func (e *studyEnv) task1(u *user, s *core.Session, complete bool) int {
 			if u.rng.Float64() < 0.75 {
 				s.Refine(nutExclusion(), blackboard.Exclude)
 			}
-			e.scanTask1(u, s.Items(), found, len(s.Items()), recogSimilar)
+			e.scanTask1(u, s.Items(), found, s.Current().Len(), recogSimilar)
 		}
 	}
 	return len(found)

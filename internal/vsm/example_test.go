@@ -37,7 +37,7 @@ func Example() {
 	fmt.Printf("cobbler~salad %.2f\n", m.Similarity(cobbler, salad))
 
 	top := m.SimilarToItem(cobbler, 1)
-	fmt.Println("most similar to cobbler:", top[0].Item.LocalName())
+	fmt.Println("most similar to cobbler:", g.SubjectByID(top[0].ID).LocalName())
 	// Output:
 	// cobbler~pie   0.19
 	// cobbler~salad 0.00

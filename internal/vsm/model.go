@@ -422,20 +422,14 @@ func (m *Model) Similarity(a, b rdf.IRI) float64 {
 	return m.store.Similarity(ia, ib)
 }
 
-// ScoredItem pairs an item with a similarity score.
-type ScoredItem struct {
-	Item  rdf.IRI
-	Score float64
-}
-
 // SimilarToItem returns up to k items most similar to item, excluding the
-// item itself.
-func (m *Model) SimilarToItem(item rdf.IRI, k int) []ScoredItem {
+// item itself, as ranked item IDs.
+func (m *Model) SimilarToItem(item rdf.IRI, k int) []index.Scored {
 	id, ok := m.g.SubjectID(item)
 	if !ok {
 		return nil
 	}
-	return m.toScoredItems(m.store.SimilarToDoc(id, k))
+	return m.store.SimilarToDoc(id, k)
 }
 
 // Centroid returns the normalized "average member" vector of a collection
@@ -447,9 +441,9 @@ func (m *Model) Centroid(items itemset.Set) map[string]float64 {
 // SimilarToCollection returns up to k items most similar to the collection
 // centroid; members themselves are excluded when excludeMembers is true.
 // This backs the "Similar by Content (Overall)" advisor's collection
-// analyst (§4.1).
-func (m *Model) SimilarToCollection(items itemset.Set, k int, excludeMembers bool) []ScoredItem {
-	return m.toScoredItems(m.store.SimilarToCentroid(items, k, excludeMembers))
+// analyst (§4.1). The result is ranked item IDs.
+func (m *Model) SimilarToCollection(items itemset.Set, k int, excludeMembers bool) []index.Scored {
+	return m.store.SimilarToCentroid(items, k, excludeMembers)
 }
 
 // Scores returns the dot product of query with each item's vector, in
@@ -468,15 +462,6 @@ func (m *Model) Weights(item rdf.IRI) []index.TermWeight {
 		return nil
 	}
 	return m.store.Weights(id)
-}
-
-// toScoredItems rehydrates ranked item IDs to IRIs.
-func (m *Model) toScoredItems(scored []index.Scored) []ScoredItem {
-	out := make([]ScoredItem, len(scored))
-	for i, s := range scored {
-		out[i] = ScoredItem{Item: m.g.SubjectByID(s.ID), Score: s.Score}
-	}
-	return out
 }
 
 // WeightedCoord is a decoded coordinate with its centroid weight.

@@ -178,11 +178,11 @@ func TestSimilarityOrdering(t *testing.T) {
 			m.Similarity(cobbler, pie), m.Similarity(cobbler, salad))
 	}
 	sims := m.SimilarToItem(cobbler, 5)
-	if len(sims) == 0 || sims[0].Item != pie {
+	if len(sims) == 0 || m.g.SubjectByID(sims[0].ID) != pie {
 		t.Errorf("SimilarToItem = %v, want pie first", sims)
 	}
 	for _, s := range sims {
-		if s.Item == cobbler {
+		if m.g.SubjectByID(s.ID) == cobbler {
 			t.Error("item itself must be excluded")
 		}
 	}
@@ -195,7 +195,7 @@ func TestSimilarToCollection(t *testing.T) {
 	coll := []rdf.IRI{items[0], items[1]} // the two apple desserts
 	got := m.SimilarToCollection(m.g.SubjectIDsOf(coll), 5, true)
 	for _, s := range got {
-		if s.Item == items[0] || s.Item == items[1] {
+		if it := m.g.SubjectByID(s.ID); it == items[0] || it == items[1] {
 			t.Error("members must be excluded when excludeMembers")
 		}
 	}

@@ -358,12 +358,12 @@ func (s *Server) collectionData(sess *core.Session) collectionView {
 	for i, c := range pane.Constraints {
 		data.Constraints = append(data.Constraints, constraintView{i, c})
 	}
-	items := sess.Items()
-	data.Total = len(items)
-	if len(items) > 40 {
-		items = items[:40]
+	shown := sess.Current().Members()
+	data.Total = len(shown)
+	if len(shown) > 40 {
+		shown = shown[:40]
 	}
-	for _, it := range items {
+	for _, it := range s.m.Graph().SubjectsFromIDs(shown) {
 		data.Items = append(data.Items, itemLink{string(it), s.m.Label(it)})
 	}
 	for _, sec := range pane.Sections {
@@ -419,10 +419,11 @@ func (s *Server) itemData(sess *core.Session, item rdf.IRI) itemView {
 	// Similar items with inspectable explanations (the "Overall" fuzzy
 	// match, each annotated with its top shared coordinates).
 	for _, sc := range s.m.Model().SimilarToItem(item, 6) {
-		why := s.m.ExplainSimilarityText(item, sc.Item, 3)
+		sim := g.SubjectByID(sc.ID)
+		why := s.m.ExplainSimilarityText(item, sim, 3)
 		data.Similar = append(data.Similar, similarView{
-			IRI:   string(sc.Item),
-			Label: s.m.Label(sc.Item),
+			IRI:   string(sim),
+			Label: s.m.Label(sim),
 			Score: fmt.Sprintf("%.2f", sc.Score),
 			Why:   strings.Join(why, " · "),
 		})
@@ -452,7 +453,7 @@ type overviewView struct {
 
 func (s *Server) overviewData(sess *core.Session) overviewView {
 	fs := sess.Overview(8)
-	data := overviewView{Total: len(sess.Items())}
+	data := overviewView{Total: sess.Current().Len()}
 	for _, f := range fs {
 		fv := facetView{Label: f.Label, Distinct: f.Distinct}
 		if !f.Labeled {

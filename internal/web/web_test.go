@@ -1,18 +1,23 @@
 package web
 
 import (
+	"fmt"
+	"html"
 	"io"
 	"net/http"
 	"net/http/cookiejar"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 
 	"magnet/internal/core"
 	"magnet/internal/datasets/recipes"
 	"magnet/internal/datasets/states"
+	"magnet/internal/rdf"
 )
 
 // client wraps an httptest server with a cookie jar so a test acts like one
@@ -235,5 +240,68 @@ func TestBadRequests(t *testing.T) {
 	}
 	if code, _ := cl.get("/nosuchpage"); code != http.StatusNotFound {
 		t.Errorf("404 = %d", code)
+	}
+}
+
+// pageRows returns the item IRIs a collection page lists, in page order.
+func pageRows(t *testing.T, body string) []rdf.IRI {
+	t.Helper()
+	i := strings.Index(body, "<main>")
+	if i < 0 {
+		t.Fatalf("no <main> in:\n%.1000s", body)
+	}
+	var rows []rdf.IRI
+	for _, m := range rowLink.FindAllStringSubmatch(body[i:], -1) {
+		iri, err := url.QueryUnescape(html.UnescapeString(m[1]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, rdf.IRI(iri))
+	}
+	return rows
+}
+
+var rowLink = regexp.MustCompile(`<li><a href="/open\?item=([^"]+)">`)
+
+// The collection page shows the first 40 members in display order with
+// the full total; a similar-items view keeps the model's score order; the
+// overview counts the whole view.
+func TestCollectionPageRowsAndTotals(t *testing.T) {
+	m, cl := recipeServer(t)
+	body := cl.mustGet("/")
+	rows := pageRows(t, body)
+	if len(rows) != 40 {
+		t.Fatalf("home page lists %d rows, want 40", len(rows))
+	}
+	if !reflect.DeepEqual(rows, m.Items()[:40]) {
+		t.Errorf("home rows = %v, want the first 40 items %v", rows, m.Items()[:40])
+	}
+	if want := fmt.Sprintf("<h2>%d items</h2>", m.NumItems()); !strings.Contains(body, want) {
+		t.Errorf("home page lacks the total %q", want)
+	}
+
+	item := m.Graph().SubjectsOfType(recipes.ClassRecipe)[0]
+	cl.mustGet("/open?item=" + url.QueryEscape(string(item)))
+	body = cl.mustGet("/go?k=" + url.QueryEscape("simitem:"+string(item)))
+	rows = pageRows(t, body)
+	var want []rdf.IRI
+	for _, sc := range m.Model().SimilarToItem(item, len(rows)) {
+		want = append(want, m.Graph().SubjectByID(sc.ID))
+	}
+	if len(rows) < 2 || sort.SliceIsSorted(want, func(i, j int) bool { return want[i] < want[j] }) {
+		t.Fatalf("precondition: %d similar rows in lexical order cannot show the score order", len(rows))
+	}
+	if !reflect.DeepEqual(rows, want) {
+		t.Errorf("similar rows = %v, want SimilarToItem order %v", rows, want)
+	}
+	if ov := cl.mustGet("/overview"); !strings.Contains(ov, fmt.Sprintf("Overview of %d items", len(rows))) {
+		t.Errorf("similar-view overview lacks the total %d", len(rows))
+	}
+
+	cl.mustGet("/search?q=walnut")
+	s := m.NewSession()
+	s.Search("walnut")
+	if ov := cl.mustGet("/overview"); !strings.Contains(ov, fmt.Sprintf("Overview of %d items", s.Current().Len())) {
+		t.Errorf("walnut overview lacks the total %d", s.Current().Len())
 	}
 }
