@@ -70,10 +70,11 @@ race-par:
 # Observability gate: the flight-recorder and exposition goldens (ring
 # retention, Prometheus text format, /debug/traces JSON) plus the
 # recorder's concurrency tests under the race detector, and the
-# end-to-end slow-step capture through the web layer and the session.
+# end-to-end slow-step capture through the web layer and the session, and
+# the web layer's lock-wait and render stages.
 obs-check:
 	$(GO) test -race ./internal/obs/
-	$(GO) test -race -run 'FlightRecorder|SlowStep' ./internal/web/ ./internal/core/
+	$(GO) test -race -run 'FlightRecorder|SlowStep|WebStage' ./internal/web/ ./internal/core/
 
 # Behaviour contract: every magnet-eval experiment's render must hash to the
 # committed digest. A change that alters one rendered byte fails here; when

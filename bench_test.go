@@ -12,6 +12,7 @@ package magnet_test
 import (
 	"context"
 	"io"
+	"sort"
 	"sync"
 	"testing"
 
@@ -253,14 +254,14 @@ func BenchmarkFig7CardinalStates(b *testing.B) {
 // histogram plus outlier detection (Alaska).
 func BenchmarkFig8AreaOutliers(b *testing.B) {
 	m := statesMagnet()
-	items := m.Items()
+	items := m.ItemIDs()
 	b.ResetTimer()
 	var outliers int
 	for i := 0; i < b.N; i++ {
-		if _, ok := facets.NumericHistogram(m.Graph(), m.Graph().SubjectIDsOf(items), states.PropArea, 12); !ok {
+		if _, ok := facets.NumericHistogram(m.Graph(), items, states.PropArea, 12); !ok {
 			b.Fatal("no histogram")
 		}
-		outliers = len(facets.Outliers(m.Graph(), items, states.PropArea, 3))
+		outliers = facets.Outliers(m.Graph(), items, states.PropArea, 3).Len()
 	}
 	b.ReportMetric(float64(outliers), "outliers")
 }
@@ -375,7 +376,7 @@ func BenchmarkCentroidRefinement(b *testing.B) {
 		query.Property{Prop: recipes.PropCuisine, Value: recipes.Cuisine("Greek")}))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Model().RefinementCoords(ids, 40, nil)
+		m.Model().TopCoords(m.Model().Centroid(ids), 40)
 	}
 	b.ReportMetric(float64(ids.Len()), "collection")
 }
@@ -541,7 +542,7 @@ func BenchmarkAblationRefinementWeighting(b *testing.B) {
 	coll := m.Graph().SubjectsFromIDs(ids.Slice())
 	b.Run("tfidf", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			m.Model().RefinementCoords(ids, 20, nil)
+			m.Model().TopCoords(m.Model().Centroid(ids), 20)
 		}
 	})
 	b.Run("rawFrequency", func(b *testing.B) {
@@ -561,7 +562,17 @@ func rawFrequencyRefinements(m *core.Magnet, coll []rdf.IRI, k int) []index.Term
 			sums[term] += f
 		}
 	}
-	return index.TopTerms(sums, k, nil)
+	out := make([]index.TermWeight, 0, len(sums))
+	for term, f := range sums {
+		out = append(out, index.TermWeight{Term: term, Weight: f})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Weight != out[j].Weight {
+			return out[i].Weight > out[j].Weight
+		}
+		return out[i].Term < out[j].Term
+	})
+	return out[:min(k, len(out))]
 }
 
 func schemaOf(g *rdf.Graph) *schema.Store { return schema.NewStore(g) }

@@ -393,7 +393,7 @@ func fig8(int, int64) {
 			render.Histogram(os.Stdout, "area", act.Histogram)
 		}
 	}
-	outliers := facets.Outliers(m.Graph(), m.Items(), states.PropArea, 3)
+	outliers := m.Graph().SubjectsFromIDs(facets.Outliers(m.Graph(), m.ItemIDs(), states.PropArea, 3).Slice())
 	names := make([]string, len(outliers))
 	for i, o := range outliers {
 		if v, ok := m.Graph().Object(o, states.PropName); ok {
@@ -515,7 +515,7 @@ func autoAnnotateExp(int, int64) {
 			labeled++
 		}
 	}
-	outliers := facets.Outliers(m.Graph(), m.Items(), states.PropArea, 3)
+	outliers := facets.Outliers(m.Graph(), m.ItemIDs(), states.PropArea, 3)
 	fmt.Printf("CHECK autoann proposals=%d areaRange=%v labeledFacets=%d outliers=%d\n",
-		len(proposals), areaRange, labeled, len(outliers))
+		len(proposals), areaRange, labeled, outliers.Len())
 }

@@ -68,8 +68,8 @@ func main() {
 			render.Histogram(os.Stdout, "Area (sq mi)", act.Histogram)
 		}
 	}
-	outliers := facets.Outliers(m.Graph(), m.Items(), states.PropArea, 3)
-	for _, o := range outliers {
+	outliers := facets.Outliers(m.Graph(), m.ItemIDs(), states.PropArea, 3)
+	for _, o := range m.Graph().SubjectsFromIDs(outliers.Slice()) {
 		name, _ := m.Graph().Object(o, states.PropName)
 		fmt.Printf("area outlier: %s\n", name.(rdf.Literal).Lexical)
 	}

@@ -33,6 +33,13 @@ type Env struct {
 	LookupView func(key string) (blackboard.View, bool)
 }
 
+// centroid returns the view's centroid, computed once per blackboard run
+// and shared by the analysts that start from it: Refine Collections
+// (§5.3) and "similar by content" for a collection (§4.1).
+func (e *Env) centroid(v blackboard.View) index.Centroid {
+	return blackboard.Derive(v, "centroid", func() index.Centroid { return e.Model.Centroid(v.IDs) })
+}
+
 // Label renders a resource using the graph's labels.
 func (e *Env) Label(r rdf.IRI) string { return e.Graph.Label(r) }
 

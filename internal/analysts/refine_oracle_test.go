@@ -60,7 +60,7 @@ func oracleRefinements(env *analysts.Env, v blackboard.View, members []rdf.IRI) 
 	out = make(map[string]string)
 	counts := oracleMemberCounts(env, members)
 	n := len(members)
-	for _, wc := range env.Model.RefinementCoords(v.IDs, 40, nil) {
+	for _, wc := range env.Model.TopCoords(env.Model.Centroid(v.IDs), 40) {
 		c := wc.Coord
 		if c.Kind != vsm.CoordObject {
 			continue

@@ -136,7 +136,7 @@ func (*SimilarCollection) Triggered(v blackboard.View) bool {
 
 // Suggest implements blackboard.Analyst.
 func (s *SimilarCollection) Suggest(v blackboard.View, b *blackboard.Board) {
-	sims := s.env.Model.SimilarToCollection(v.IDs, s.k, true)
+	sims := s.env.Model.Nearest(s.env.centroid(v), s.k, v.IDs)
 	if len(sims) == 0 {
 		return
 	}

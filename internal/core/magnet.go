@@ -254,6 +254,9 @@ func (m *Magnet) TextIndex() *index.TextIndex { return m.text }
 // their IRIs).
 func (m *Magnet) Items() []rdf.IRI { return m.g.SubjectsFromIDs(m.itemIDs.Slice()) }
 
+// ItemIDs returns the indexed item universe as an ID set.
+func (m *Magnet) ItemIDs() itemset.Set { return m.itemIDs }
+
 // NumItems returns the size of the item universe without materializing it
 // (cheap even right after OpenSegments).
 func (m *Magnet) NumItems() int { return m.itemIDs.Len() }

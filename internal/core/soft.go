@@ -38,7 +38,7 @@ func (s *Session) softRefine(p query.Predicate, mode blackboard.RefineMode, prev
 		return false
 	}
 	centroid := s.m.model.Centroid(concept)
-	if len(centroid) == 0 {
+	if centroid.IsEmpty() {
 		return false
 	}
 

@@ -97,6 +97,10 @@ func summarize(ctx context.Context, g *rdf.Graph, sch *schema.Store, coll itemse
 	if n := coll.Len(); n > 0 {
 		maxID, _ = coll.Select(n - 1)
 	}
+	// The collection's membership bitmap, built once and read by every
+	// worker: most postings are counted by bit test against it.
+	member := itemset.NewBits(int(maxID) + 1)
+	member.AddSlice(coll.Slice())
 
 	// Spread per-predicate aggregation across the pool. Predicates() is
 	// sorted, results are index-addressed per predicate, and each chunk
@@ -112,7 +116,7 @@ func summarize(ctx context.Context, g *rdf.Graph, sch *schema.Store, coll itemse
 		var buf []uint32 // intersection scratch, reused across values
 		for i := lo; i < hi; i++ {
 			epoch++
-			results[i] = summarizeProp(g, sch, preds[i], coll, seen, epoch, &buf, opts)
+			results[i] = summarizeProp(g, sch, preds[i], coll, member, seen, epoch, &buf, opts)
 		}
 	})
 	var pe *par.PanicError
@@ -152,10 +156,15 @@ func sortFacets(facets []Facet) {
 }
 
 // summarizeProp aggregates one property over the collection, returning nil
-// for hidden, uncovered, or unshared-and-unpreferred properties. seen is
-// the caller's epoch-stamp array (epoch must be fresh for this call) and
-// buf its reusable intersection scratch — both owned by a single worker.
-func summarizeProp(g *rdf.Graph, sch *schema.Store, p rdf.IRI, coll itemset.Set, seen []uint32, epoch uint32, buf *[]uint32, opts Options) *Facet {
+// for hidden, uncovered, or unshared-and-unpreferred properties. member is
+// the collection's bitmap, seen the caller's epoch-stamp array (epoch must
+// be fresh for this call) and buf its reusable intersection scratch — the
+// last two owned by a single worker.
+//
+// Each value's posting is counted by bit test against member, in
+// O(posting). Only a posting at least itemset.SkewRatio times the
+// collection is galloped into it instead, in O(collection × log ratio).
+func summarizeProp(g *rdf.Graph, sch *schema.Store, p rdf.IRI, coll itemset.Set, member *itemset.Bits, seen []uint32, epoch uint32, buf *[]uint32, opts Options) *Facet {
 	if sch.Hidden(p) {
 		return nil
 	}
@@ -163,9 +172,14 @@ func summarizeProp(g *rdf.Graph, sch *schema.Store, p rdf.IRI, coll itemset.Set,
 	shared := false
 	var values []Value
 	g.ForEachValuePosting(p, func(o rdf.Term, subjects itemset.Set) bool {
-		inter := itemset.IntersectInto(*buf, subjects, coll)
-		*buf = inter.Buffer()[:0]
-		n := inter.Len()
+		var n, fresh int
+		if subjects.Len() >= itemset.SkewRatio*coll.Len() {
+			inter := itemset.IntersectInto(*buf, subjects, coll)
+			*buf = inter.Buffer()[:0]
+			n, fresh = inter.Len(), countCoverage(inter.Slice(), seen, epoch)
+		} else {
+			n, fresh = countMembers(subjects.Slice(), member, seen, epoch)
+		}
 		if n == 0 {
 			return true
 		}
@@ -173,7 +187,7 @@ func summarizeProp(g *rdf.Graph, sch *schema.Store, p rdf.IRI, coll itemset.Set,
 		if n >= 2 {
 			shared = true
 		}
-		coverage += countCoverage(inter.Slice(), seen, epoch)
+		coverage += fresh
 		if opts.MinCount > 1 && n < opts.MinCount {
 			return true
 		}
@@ -227,12 +241,33 @@ func countCoverage(members, seen []uint32, epoch uint32) int {
 	return n
 }
 
+// countMembers counts the posting's collection members by bit test and
+// stamps each into seen at epoch, returning the member count and how many
+// were newly stamped: countCoverage fused with the intersection, for
+// postings not much larger than the collection.
+//
+//magnet:hot
+func countMembers(posting []uint32, member *itemset.Bits, seen []uint32, epoch uint32) (n, fresh int) {
+	for _, id := range posting {
+		if !member.Has(id) {
+			continue
+		}
+		n++
+		if seen[id] != epoch {
+			seen[id] = epoch
+			fresh++
+		}
+	}
+	return n, fresh
+}
+
 // SummarizeContext computes facets for every navigation property occurring
 // in the collection (a view's IDs). Facets are ordered: preferred
 // (annotated) facets first, then by descending Score, ties alphabetical.
 //
 // Aggregation runs on the graph's dense-ID plane: each property's
-// per-value histogram is a sequence of posting-list intersections — no
+// per-value histogram counts every value's posting against the
+// collection's bitmap (or gallops a much larger posting into it) — no
 // per-item hashing, no per-value maps. When ctx carries a trace
 // (obs.StartTrace) the aggregation appears as a facets.summarize span
 // annotated with collection size and facet count.
@@ -314,13 +349,12 @@ func NumericHistogram(g *rdf.Graph, coll itemset.Set, prop rdf.IRI, nbuckets int
 	return h, true
 }
 
-// Outliers returns values more than k standard deviations from the mean of
-// prop over the collection (how the Figure 8 walkthrough "clearly shows one
-// state (Alaska) having a much larger area than the rest"). Items without
-// numeric values are skipped. Output follows the input order, and the
-// mean and variance sum in that order too.
-func Outliers(g *rdf.Graph, items []rdf.IRI, prop rdf.IRI, k float64) []rdf.IRI {
-	coll := g.SubjectIDsOf(items)
+// Outliers returns the members of coll whose value of prop lies more than
+// k standard deviations from the mean over the collection (how the
+// Figure 8 walkthrough "clearly shows one state (Alaska) having a much
+// larger area than the rest"). Members without numeric values are
+// skipped. The mean and variance sum in ascending ID order.
+func Outliers(g *rdf.Graph, coll itemset.Set, prop rdf.IRI, k float64) itemset.Set {
 	// value[i] is the numeric value of coll's i-th member; has marks the
 	// members that have one.
 	value := make([]float64, coll.Len())
@@ -331,43 +365,37 @@ func Outliers(g *rdf.Graph, items []rdf.IRI, prop rdf.IRI, k float64) []rdf.IRI 
 			value[i], has[i] = v, true
 		}
 	})
-	type pair struct {
-		item rdf.IRI
-		v    float64
-	}
-	var pairs []pair
+	n := 0
 	var sum float64
-	for _, it := range items {
-		id, ok := g.SubjectID(it)
-		if !ok {
-			continue
-		}
-		if i := coll.Rank(id); has[i] {
-			pairs = append(pairs, pair{it, value[i]})
+	for i, ok := range has {
+		if ok {
 			sum += value[i]
+			n++
 		}
 	}
-	if len(pairs) < 3 {
-		return nil
+	if n < 3 {
+		return itemset.Set{}
 	}
-	mean := sum / float64(len(pairs))
+	mean := sum / float64(n)
 	var varsum float64
-	for _, p := range pairs {
-		d := p.v - mean
-		varsum += d * d
+	for i, ok := range has {
+		if ok {
+			d := value[i] - mean
+			varsum += d * d
+		}
 	}
-	variance := varsum / float64(len(pairs))
+	variance := varsum / float64(n)
 	if variance == 0 {
-		return nil
+		return itemset.Set{}
 	}
 	std := math.Sqrt(variance)
-	var out []rdf.IRI
-	for _, p := range pairs {
-		if math.Abs(p.v-mean) > k*std {
-			out = append(out, p.item)
+	var out []uint32
+	for i, id := range coll.Slice() {
+		if has[i] && math.Abs(value[i]-mean) > k*std {
+			out = append(out, id)
 		}
 	}
-	return out
+	return itemset.FromSorted(out)
 }
 
 // firstNumeric is the one reader of items' numeric values. It walks prop's

@@ -209,12 +209,12 @@ func TestNumericHistogramDegenerate(t *testing.T) {
 func TestOutliersFindsAlaskaPattern(t *testing.T) {
 	g, _, items := fixture()
 	// r5's 5000 dwarfs the others — the Figure 8 Alaska pattern.
-	out := Outliers(g, items, pArea, 1.5)
+	out := outliersOf(g, items, pArea, 1.5)
 	if !reflect.DeepEqual(out, []rdf.IRI{rdf.IRI(ex + "r5")}) {
 		t.Errorf("Outliers = %v", out)
 	}
 	// Uniform values: no outliers.
-	if out := Outliers(g, items[:3], pCuisine, 1.5); out != nil {
+	if out := outliersOf(g, items[:3], pCuisine, 1.5); out != nil {
 		t.Errorf("non-numeric outliers = %v", out)
 	}
 }

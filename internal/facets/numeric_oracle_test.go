@@ -1,6 +1,7 @@
 package facets
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
@@ -8,6 +9,7 @@ import (
 
 	"magnet/internal/datasets/recipes"
 	"magnet/internal/rdf"
+	"magnet/internal/schema"
 )
 
 // oracleHistogram is NumericHistogram as it read values before the
@@ -84,6 +86,22 @@ func oracleOutliers(g *rdf.Graph, items []rdf.IRI, prop rdf.IRI, k float64) []rd
 	return out
 }
 
+// outliersOf runs Outliers over the items' ID set and rehydrates the
+// result, nil when empty, to compare with oracleOutliers over byID(items).
+func outliersOf(g *rdf.Graph, items []rdf.IRI, prop rdf.IRI, k float64) []rdf.IRI {
+	out := Outliers(g, g.SubjectIDsOf(items), prop, k)
+	if out.IsEmpty() {
+		return nil
+	}
+	return g.SubjectsFromIDs(out.Slice())
+}
+
+// byID returns the graph's subjects among items in ascending ID order,
+// the order Outliers reads a collection in.
+func byID(g *rdf.Graph, items []rdf.IRI) []rdf.IRI {
+	return g.SubjectsFromIDs(g.SubjectIDsOf(items).Slice())
+}
+
 // oracleValue is an item's first parseable numeric value of prop, by key.
 func oracleValue(g *rdf.Graph, it, prop rdf.IRI) (float64, bool) {
 	for _, o := range g.Objects(it, prop) {
@@ -117,7 +135,7 @@ func TestNumericFirstValueByKeyWins(t *testing.T) {
 		t.Errorf("histogram = %+v, oracle %+v", h, want)
 	}
 	// Outliers reads the same first value.
-	if got, want := Outliers(g, items, p, 1), oracleOutliers(g, items, p, 1); !reflect.DeepEqual(got, want) || len(got) != 1 || got[0] != a {
+	if got, want := outliersOf(g, items, p, 1), oracleOutliers(g, byID(g, items), p, 1); !reflect.DeepEqual(got, want) || len(got) != 1 || got[0] != a {
 		t.Errorf("Outliers = %v, oracle %v", got, want)
 	}
 }
@@ -126,8 +144,8 @@ func TestNumericFirstValueByKeyWins(t *testing.T) {
 // outliers with the item-by-item oracle on seeded random recipe
 // collections. Some recipes carry a second numeric value, a string value
 // or an IRI value on the same property, so the first-value rule and the
-// skipping of non-numeric values are exercised; collections are shuffled,
-// so Outliers must keep their order.
+// skipping of non-numeric values are exercised; collections are shuffled
+// and the oracle reads them in ID order, as Outliers does.
 func TestNumericMatchesOracle(t *testing.T) {
 	gb := recipes.Build(recipes.Config{Recipes: 400, Seed: 3})
 	all := gb.Freeze().SubjectsOfType(recipes.ClassRecipe)
@@ -166,8 +184,62 @@ func TestNumericMatchesOracle(t *testing.T) {
 				t.Fatalf("trial %d %s: histogram = %+v, %v; oracle %+v, %v", trial, p, got, gotOK, want, wantOK)
 			}
 			k := []float64{0.5, 1, 1.5, 2}[rng.Intn(4)]
-			if got, want := Outliers(g, items, p, k), oracleOutliers(g, items, p, k); !reflect.DeepEqual(got, want) {
+			if got, want := outliersOf(g, items, p, k), oracleOutliers(g, byID(g, items), p, k); !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d %s k=%v: Outliers = %v, oracle %v", trial, p, k, got, want)
+			}
+		}
+	}
+}
+
+// TestSummarizeCountsMatchOracle compares every facet's value counts,
+// coverage and distinct-value count with an item-by-item count over
+// Objects, on seeded random recipe collections from two items (where most
+// postings are 16 or more times the collection and are galloped) to the
+// whole corpus (where every posting is counted by bit test).
+func TestSummarizeCountsMatchOracle(t *testing.T) {
+	g := recipes.Build(recipes.Config{Recipes: 300, Seed: 5}).Freeze()
+	sch := schema.NewStore(g)
+	all := g.SubjectsOfType(recipes.ClassRecipe)
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 30; trial++ {
+		n := []int{2, 3, 5, 17, 60, len(all)}[trial%6]
+		items := make([]rdf.IRI, 0, n)
+		for _, j := range rng.Perm(len(all))[:n] {
+			items = append(items, all[j])
+		}
+		got := map[rdf.IRI]Facet{}
+		for _, f := range SummarizeContext(context.Background(), g, sch, g.SubjectIDsOf(items), Options{IncludeUnshared: true}) {
+			got[f.Prop] = f
+		}
+		for _, p := range g.Predicates() {
+			if sch.Hidden(p) {
+				continue
+			}
+			counts := map[string]int{}
+			coverage := 0
+			for _, it := range items {
+				objs := g.Objects(it, p)
+				if len(objs) > 0 {
+					coverage++
+				}
+				for _, o := range objs {
+					counts[o.Key()]++
+				}
+			}
+			f, ok := got[p]
+			if coverage == 0 {
+				if ok {
+					t.Fatalf("trial %d %s: facet for an uncovered property", trial, p)
+				}
+				continue
+			}
+			if !ok || f.Coverage != coverage || f.Distinct != len(counts) || len(f.Values) != len(counts) {
+				t.Fatalf("trial %d %s (n=%d): facet %+v, want coverage %d and %d distinct", trial, p, n, f, coverage, len(counts))
+			}
+			for _, v := range f.Values {
+				if v.Count != counts[v.Term.Key()] {
+					t.Fatalf("trial %d %s (n=%d) %s: count %d, want %d", trial, p, n, v.Term.Key(), v.Count, counts[v.Term.Key()])
+				}
 			}
 		}
 	}

@@ -12,7 +12,7 @@ import (
 	"magnet/internal/par"
 )
 
-// The kernel tests pin SimilarToDoc, SimilarToCentroid, Centroid,
+// The kernel tests pin SimilarToDoc, Nearest, Centroid, RankTerms,
 // Similarity, SharedTerms and ScoreDocs to a reference that works on
 // string-keyed vectors read from Weights, summing in ascending termnum
 // order with the centroid's fixed 256-item chunk shape over ascending
@@ -112,6 +112,39 @@ func refSimilarTo(v *VectorStore, query map[string]float64, k int, exclude map[u
 	return out
 }
 
+// refRanked returns vec's positively weighted terms by descending weight,
+// ties by ascending term, cut to k.
+func refRanked(vec map[string]float64, k int) []TermWeight {
+	var out []TermWeight
+	for term, w := range vec {
+		if w > 0 {
+			out = append(out, TermWeight{term, w})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Weight != out[j].Weight {
+			return out[i].Weight > out[j].Weight
+		}
+		return out[i].Term < out[j].Term
+	})
+	if len(out) > k {
+		out = out[:k]
+	}
+	return out
+}
+
+func sameRanked(t *testing.T, got, want []TermWeight) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("RankTerms: %d terms, want %d\n got %v\nwant %v", len(got), len(want), got, want)
+	}
+	for i := range want {
+		if got[i].Term != want[i].Term || math.Float64bits(got[i].Weight) != math.Float64bits(want[i].Weight) {
+			t.Fatalf("RankTerms[%d] = %v, want %v (bit-exact)", i, got[i], want[i])
+		}
+	}
+}
+
 func sameScored(t *testing.T, what string, got, want []Scored) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -142,17 +175,19 @@ func sameVector(t *testing.T, what string, got, want map[string]float64) {
 func checkKernel(t *testing.T, v *VectorStore, members itemset.Set, probes []uint32, k int) {
 	t.Helper()
 	want := refCentroid(v, members.Slice())
-	sameVector(t, "Centroid", v.Centroid(members), want)
+	sameVector(t, "Centroid", v.centroidVector(members), want)
+	c := v.Centroid(members)
+	sameRanked(t, v.rankedTerms(c, k), refRanked(want, k))
 
 	memberSet := make(map[uint32]bool, members.Len())
 	for _, id := range members.Slice() {
 		memberSet[id] = true
 	}
-	sameScored(t, "SimilarToCentroid", v.SimilarToCentroid(members, k, true), refSimilarTo(v, want, k, memberSet))
-	sameScored(t, "SimilarToCentroid(keep members)", v.SimilarToCentroid(members, k, false), refSimilarTo(v, want, k, nil))
+	sameScored(t, "Nearest", v.Nearest(c, k, members), refSimilarTo(v, want, k, memberSet))
+	sameScored(t, "Nearest(keep members)", v.Nearest(c, k, itemset.Set{}), refSimilarTo(v, want, k, nil))
 
 	probeSet := itemset.FromUnsorted(slices.Clone(probes))
-	scores := v.ScoreDocs(want, probeSet)
+	scores := v.ScoreDocs(c, probeSet)
 	for i, id := range probeSet.Slice() {
 		if r := refDot(v, want, v.vector(id)); math.Float64bits(scores[i]) != math.Float64bits(r) {
 			t.Fatalf("ScoreDocs[%d] = %v, want %v (bit-exact)", id, scores[i], r)
@@ -213,7 +248,8 @@ func TestVectorKernelEquivalence(t *testing.T) {
 		}
 	}
 	absent := itemset.FromSorted([]uint32{5000})
-	if got := b.Freeze(nil).ScoreDocs(map[string]float64{"t001": 1}, absent); got[0] != 0 {
+	v := b.Freeze(nil)
+	if got := v.ScoreDocs(v.Centroid(itemset.FromUnsorted(slices.Clone(ids[:5]))), absent); got[0] != 0 {
 		t.Errorf("ScoreDocs(absent) = %v, want 0", got[0])
 	}
 }
@@ -229,15 +265,15 @@ func TestVectorSumDeterminism(t *testing.T) {
 	ids := v.docIDs()
 	all := itemset.FromSorted(ids)
 	members := itemset.FromSorted(ids[:300])
-	centroid := v.Centroid(members)
-	scores := v.ScoreDocs(centroid, all)
+	centroid := v.centroidVector(members)
+	scores := v.ScoreDocs(v.Centroid(members), all)
 	sims := make([]float64, 50)
 	for i := range sims {
 		sims[i] = v.Similarity(ids[i], ids[i+50])
 	}
 	for round := 0; round < 20; round++ {
-		sameVector(t, "Centroid", v.Centroid(members), centroid)
-		for i, s := range v.ScoreDocs(centroid, all) {
+		sameVector(t, "Centroid", v.centroidVector(members), centroid)
+		for i, s := range v.ScoreDocs(v.Centroid(members), all) {
 			if math.Float64bits(s) != math.Float64bits(scores[i]) {
 				t.Fatalf("round %d: ScoreDocs[%d] = %v, was %v", round, ids[i], s, scores[i])
 			}

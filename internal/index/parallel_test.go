@@ -65,10 +65,10 @@ func TestCentroidBitIdentical(t *testing.T) {
 	for _, ndocs := range []int{10, 256, 257, 700} {
 		v := tieStore(ndocs, nil)
 		ids := itemset.FromSorted(v.docIDs())
-		want := v.Centroid(ids)
+		want := v.centroidVector(ids)
 		for _, width := range []int{1, 4, 8} {
 			pool := par.New(width)
-			got := tieStore(ndocs, pool).Centroid(ids)
+			got := tieStore(ndocs, pool).centroidVector(ids)
 			pool.Close()
 			if len(got) != len(want) {
 				t.Fatalf("ndocs=%d width=%d: term sets differ", ndocs, width)

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"magnet/internal/itemset"
 	"math"
 	"slices"
 
@@ -46,6 +47,48 @@ func (v *VectorStore) vector(id uint32) map[string]float64 {
 		m[tw.Term] = tw.Weight
 	}
 	return m
+}
+
+// centroidVector returns the centroid of members as a map, checking that
+// its termnums ascend strictly and its weights parallel them.
+func (v *VectorStore) centroidVector(members itemset.Set) map[string]float64 {
+	c := v.Centroid(members)
+	if len(c.row.terms) != len(c.row.w) {
+		panic("centroid terms and weights differ in length")
+	}
+	m := make(map[string]float64, len(c.row.terms))
+	for i, t := range c.row.terms {
+		if i > 0 && c.row.terms[i-1] >= t {
+			panic("centroid termnums do not ascend")
+		}
+		m[v.terms.Key(t)] = c.row.w[i]
+	}
+	return m
+}
+
+// centroidOf builds a centroid with the given term weights directly, for
+// tests of the readers.
+func (v *VectorStore) centroidOf(vec map[string]float64) Centroid {
+	var c Centroid
+	for _, term := range refTerms(v, vec) {
+		t, ok := v.terms.Lookup(term)
+		if !ok {
+			panic("centroidOf: unknown term " + term)
+		}
+		c.row.terms = append(c.row.terms, t)
+		c.row.w = append(c.row.w, vec[term])
+	}
+	return c
+}
+
+// rankedTerms collects RankTerms' visits, stopping after k.
+func (v *VectorStore) rankedTerms(c Centroid, k int) []TermWeight {
+	var out []TermWeight
+	v.RankTerms(c, func(term string, w float64) bool {
+		out = append(out, TermWeight{term, w})
+		return len(out) < k
+	})
+	return out
 }
 
 // postingOf returns term's document posting.

@@ -220,64 +220,87 @@ func accumulate(r vecRow, acc []float64, seen []bool, touched []uint32) []uint32
 // to one chunk reduce exactly like a plain serial loop.
 const centroidChunk = 256
 
-// centroid sums the rows of members into a dense vector with the fixed
-// chunk shape and normalizes it, summing squares in ascending termnum
-// order. It returns the vector, its touched list sorted; the caller
-// recycles it with putDense.
-func (v *VectorStore) centroid(members itemset.Set) *dense {
-	ids := members.Slice()
-	nterms := v.terms.Len()
+// centroidCount counts centroids computed: the work a collection pane
+// pays once per blackboard run (tests pin it exactly).
+var centroidCount = obs.NewCounter("index.centroid.count")
 
-	// Each chunk's partial sum becomes a row of its own (termnums sorted),
-	// and the partials are added in chunk order: per term, the same
-	// additions in the same order as a map-per-chunk reduction.
-	parts := make([]vecRow, (len(ids)+centroidChunk-1)/centroidChunk)
-	err := par.ForChunks(context.Background(), v.pool, len(ids), centroidChunk, func(lo, hi int) {
-		d := v.getDense(nterms)
-		for _, id := range ids[lo:hi] {
-			d.touched = accumulate(v.row(id), d.acc, d.seen, d.touched)
-		}
-		slices.Sort(d.touched)
-		part := vecRow{terms: slices.Clone(d.touched), w: make([]float64, len(d.touched))}
-		for i, t := range part.terms {
-			part.w[i] = d.acc[t]
-		}
-		v.putDense(d)
-		parts[lo/centroidChunk] = part
-	})
-	var pe *par.PanicError
-	if errors.As(err, &pe) {
-		panic(pe)
-	}
-	sum := v.getDense(nterms)
-	for _, part := range parts {
-		sum.touched = accumulate(part, sum.acc, sum.seen, sum.touched)
-	}
-	slices.Sort(sum.touched)
-	var norm float64
-	for _, t := range sum.touched {
-		norm += sum.acc[t] * sum.acc[t]
-	}
-	if norm > 0 {
-		norm = math.Sqrt(norm)
-		for _, t := range sum.touched {
-			sum.acc[t] /= norm
-		}
-	}
-	return sum
+// Centroid is a collection's normalized "average member" vector (§5.3):
+// its nonzero termnums ascending, weights parallel. It is computed once
+// per collection and read by the refinement ranking (RankTerms), the
+// similarity search (Nearest) and the soft-results scoring (ScoreDocs).
+type Centroid struct {
+	row vecRow
 }
+
+// IsEmpty reports whether the centroid has no terms (no member held a
+// document).
+func (c Centroid) IsEmpty() bool { return len(c.row.terms) == 0 }
 
 // Centroid returns the normalized sum of the members' vectors — the
 // "average member" of the collection the paper dots against (§5.3). IDs
 // without a document add nothing. The result has unit length unless empty.
-func (v *VectorStore) Centroid(members itemset.Set) map[string]float64 {
-	sum := v.centroid(members)
-	out := make(map[string]float64, len(sum.touched))
-	for _, t := range sum.touched {
-		out[v.terms.Key(t)] = sum.acc[t]
+//
+// Members are summed with the fixed chunk shape (centroidChunk). Per term,
+// the partial sums are added in chunk order, whatever order a chunk
+// touched its terms in, so no chunk sorts; only the normalization needs
+// ascending termnum order, and one sort of the final term list gives it.
+func (v *VectorStore) Centroid(members itemset.Set) Centroid {
+	centroidCount.Inc()
+	ids := members.Slice()
+	nterms := v.terms.Len()
+	sum := v.getDense(nterms)
+	defer v.putDense(sum)
+	if len(ids) <= centroidChunk {
+		// One chunk: its partial is the sum (0 + x is x).
+		for _, id := range ids {
+			sum.touched = accumulate(v.row(id), sum.acc, sum.seen, sum.touched)
+		}
+	} else {
+		parts := make([]vecRow, (len(ids)+centroidChunk-1)/centroidChunk)
+		err := par.ForChunks(context.Background(), v.pool, len(ids), centroidChunk, func(lo, hi int) {
+			d := v.getDense(nterms)
+			for _, id := range ids[lo:hi] {
+				d.touched = accumulate(v.row(id), d.acc, d.seen, d.touched)
+			}
+			part := vecRow{terms: slices.Clone(d.touched), w: make([]float64, len(d.touched))}
+			for i, t := range part.terms {
+				part.w[i] = d.acc[t]
+			}
+			v.putDense(d)
+			parts[lo/centroidChunk] = part
+		})
+		var pe *par.PanicError
+		if errors.As(err, &pe) {
+			panic(pe)
+		}
+		for _, part := range parts {
+			sum.touched = accumulate(part, sum.acc, sum.seen, sum.touched)
+		}
 	}
-	v.putDense(sum)
-	return out
+	c := Centroid{vecRow{terms: slices.Clone(sum.touched), w: make([]float64, len(sum.touched))}}
+	slices.Sort(c.row.terms)
+	var norm float64
+	for i, t := range c.row.terms {
+		c.row.w[i] = sum.acc[t]
+		norm += sum.acc[t] * sum.acc[t]
+	}
+	if norm > 0 {
+		norm = math.Sqrt(norm)
+		for i := range c.row.w {
+			c.row.w[i] /= norm
+		}
+	}
+	return c
+}
+
+// load sets row r's weights into d; termnums past d (a damaged image) are
+// skipped.
+func (d *dense) load(r vecRow) {
+	for j, t := range r.terms {
+		if int(t) < len(d.acc) {
+			d.set(t, r.w[j])
+		}
+	}
 }
 
 // candidates returns, in ID order, every document sharing one of terms,
@@ -413,47 +436,38 @@ func (v *VectorStore) SimilarToDoc(id uint32, k int) []Scored {
 	}
 	q := v.getDense(v.terms.Len())
 	defer v.putDense(q)
-	for j, t := range r.terms {
-		if int(t) < len(q.acc) {
-			q.set(t, r.w[j])
-		}
-	}
+	q.load(r)
 	self := itemset.NewBits(int(id) + 1)
 	self.Add(id)
 	return v.search(q, k, self)
 }
 
-// SimilarToCentroid returns up to k documents most similar to the centroid
-// of members (see Centroid), excluding the members themselves when
-// excludeMembers is set.
-func (v *VectorStore) SimilarToCentroid(members itemset.Set, k int, excludeMembers bool) []Scored {
-	if k <= 0 {
+// Nearest returns up to k documents most similar to the centroid c, in
+// descending score order (ties by ascending ID), skipping the IDs in
+// exclude (a collection's members, for "more items like these") and
+// documents with zero score.
+func (v *VectorStore) Nearest(c Centroid, k int, exclude itemset.Set) []Scored {
+	if k <= 0 || c.IsEmpty() {
 		return nil
 	}
-	q := v.centroid(members)
+	q := v.getDense(v.terms.Len())
 	defer v.putDense(q)
-	if len(q.touched) == 0 {
-		return nil
-	}
+	q.load(c.row)
 	var excl *itemset.Bits
-	if excludeMembers {
+	if !exclude.IsEmpty() {
 		excl = itemset.NewBits(v.docs())
-		excl.AddSliceBelow(members.Slice(), v.docs())
+		excl.AddSliceBelow(exclude.Slice(), v.docs())
 	}
 	return v.search(q, k, excl)
 }
 
-// ScoreDocs returns the dot product of the query vector with each member's
+// ScoreDocs returns the dot product of the centroid with each member's
 // vector, in ascending ID order (zero for IDs without a document), summed
 // like the similarity scans' scores.
-func (v *VectorStore) ScoreDocs(query map[string]float64, members itemset.Set) []float64 {
+func (v *VectorStore) ScoreDocs(c Centroid, members itemset.Set) []float64 {
 	q := v.getDense(v.terms.Len())
 	defer v.putDense(q)
-	for t, w := range query {
-		if tn, ok := v.terms.Lookup(t); ok {
-			q.set(tn, w)
-		}
-	}
+	q.load(c.row)
 	scores := make([]float64, members.Len())
 	v.scoreRows(q.acc, members.Slice(), scores)
 	return scores
@@ -465,35 +479,55 @@ type TermWeight struct {
 	Weight float64
 }
 
-// TopTerms returns the k highest-weighted terms of vec in descending weight
-// order (ties broken by term). This implements the paper's query-refinement
-// move (§5.3): "applying this technique involves just picking terms in the
-// average document having the largest normalized term weights". accept may
-// be nil; otherwise only terms it admits are returned.
-func TopTerms(vec map[string]float64, k int, accept func(string) bool) []TermWeight {
-	if k <= 0 {
-		return nil
-	}
-	out := make([]TermWeight, 0, len(vec))
-	for t, w := range vec {
-		if w <= 0 {
-			continue
+// RankTerms calls f with the centroid's positively weighted terms in
+// descending weight order, ties by ascending term, until f returns false.
+// This is the paper's query-refinement move (§5.3): "applying this
+// technique involves just picking terms in the average document having
+// the largest normalized term weights". A heap hands out the terms one at
+// a time, so a caller that stops after k pays O(n + k log n), and term
+// strings are compared only between equal weights.
+func (v *VectorStore) RankTerms(c Centroid, f func(term string, w float64) bool) {
+	h := make([]int32, 0, len(c.row.w))
+	for i, w := range c.row.w {
+		if w > 0 {
+			h = append(h, int32(i))
 		}
-		if accept != nil && !accept(t) {
-			continue
-		}
-		out = append(out, TermWeight{t, w})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Weight != out[j].Weight {
-			return out[i].Weight > out[j].Weight
+	before := func(a, b int32) bool {
+		wa, wb := c.row.w[a], c.row.w[b]
+		if wa != wb {
+			return wa > wb
 		}
-		return out[i].Term < out[j].Term
-	})
-	if len(out) > k {
-		out = out[:k]
+		return v.terms.Key(c.row.terms[a]) < v.terms.Key(c.row.terms[b])
 	}
-	return out
+	down := func(i int) {
+		for {
+			first := i
+			if l := 2*i + 1; l < len(h) && before(h[l], h[first]) {
+				first = l
+			}
+			if r := 2*i + 2; r < len(h) && before(h[r], h[first]) {
+				first = r
+			}
+			if first == i {
+				return
+			}
+			h[i], h[first] = h[first], h[i]
+			i = first
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	for len(h) > 0 {
+		top := h[0]
+		h[0] = h[len(h)-1]
+		h = h[:len(h)-1]
+		down(0)
+		if !f(v.terms.Key(c.row.terms[top]), c.row.w[top]) {
+			return
+		}
+	}
 }
 
 // Columns returns the store's columnar image (what magnet-build writes).

@@ -141,9 +141,10 @@ func TestCentroidIsUnitAndAveragesMembership(t *testing.T) {
 	b.Add(d2, map[string]float64{"b": 1, "c": 1})
 	b.Add(d3, map[string]float64{"x": 1, "y": 1})
 	v := b.Freeze(nil)
-	c := v.Centroid(itemset.FromSorted([]uint32{d1, d2}))
+	members := itemset.FromSorted([]uint32{d1, d2})
+	c := v.Centroid(members)
 	var norm float64
-	for _, w := range c {
+	for _, w := range v.centroidVector(members) {
 		norm += w * w
 	}
 	if !almostEqual(norm, 1) {
@@ -154,8 +155,18 @@ func TestCentroidIsUnitAndAveragesMembership(t *testing.T) {
 	if s := v.ScoreDocs(c, itemset.FromSorted([]uint32{d1, d3})); s[0] <= s[1] {
 		t.Error("centroid should prefer members over non-members")
 	}
-	if len(v.Centroid(itemset.Set{})) != 0 {
+	if !v.Centroid(itemset.Set{}).IsEmpty() {
 		t.Error("empty centroid should be empty")
+	}
+	if got := v.Nearest(v.Centroid(itemset.Set{}), 5, itemset.Set{}); got != nil {
+		t.Errorf("Nearest(empty centroid) = %v, want nil", got)
+	}
+	near := v.Nearest(c, 5, members)
+	if len(near) != 0 {
+		t.Errorf("Nearest excluding the members = %v, want none (d3 shares no term)", near)
+	}
+	if near := v.Nearest(c, 5, itemset.Set{}); len(near) != 2 || near[0].ID == d3 || near[1].ID == d3 {
+		t.Errorf("Nearest keeping the members = %v, want d1 and d2", near)
 	}
 }
 
@@ -189,27 +200,35 @@ func TestSimilarToRankingAndExclude(t *testing.T) {
 }
 
 func TestTopTerms(t *testing.T) {
-	vec := map[string]float64{"a": 0.1, "b": 0.9, "c": 0.5, "d": 0, "e": -1}
-	got := TopTerms(vec, 2, nil)
+	b := NewVectorBuilder()
+	b.Add(d1, map[string]float64{"a": 1, "b": 1, "c": 1, "d": 1, "e": 1})
+	v := b.Freeze(nil)
+	c := v.centroidOf(map[string]float64{"a": 0.1, "b": 0.9, "c": 0.5, "d": 0, "e": -1})
+	got := v.rankedTerms(c, 2)
 	want := []TermWeight{{"b", 0.9}, {"c", 0.5}}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("TopTerms = %v, want %v", got, want)
+		t.Errorf("top 2 = %v, want %v", got, want)
 	}
-	// accept filter
-	got = TopTerms(vec, 5, func(t string) bool { return t == "a" })
-	if len(got) != 1 || got[0].Term != "a" {
-		t.Errorf("filtered TopTerms = %v", got)
+	// Every positive term once, in order; zero and negative weights never.
+	got = v.rankedTerms(c, 10)
+	want = []TermWeight{{"b", 0.9}, {"c", 0.5}, {"a", 0.1}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("all ranked = %v, want %v", got, want)
 	}
-	if TopTerms(vec, 0, nil) != nil {
-		t.Error("k=0 should give nil")
-	}
+	v.RankTerms(Centroid{}, func(string, float64) bool {
+		t.Error("an empty centroid ranked a term")
+		return true
+	})
 }
 
 func TestTopTermsDeterministicTies(t *testing.T) {
-	vec := map[string]float64{"z": 0.5, "a": 0.5, "m": 0.5}
-	got := TopTerms(vec, 3, nil)
-	if got[0].Term != "a" || got[1].Term != "m" || got[2].Term != "z" {
-		t.Errorf("tie order = %v, want alphabetical", got)
+	b := NewVectorBuilder()
+	b.Add(d1, map[string]float64{"z": 1, "m": 1, "a": 1, "q": 1})
+	v := b.Freeze(nil)
+	c := v.centroidOf(map[string]float64{"z": 0.5, "a": 0.5, "m": 0.5, "q": 0.7})
+	got := v.rankedTerms(c, 4)
+	if len(got) != 4 || got[0].Term != "q" || got[1].Term != "a" || got[2].Term != "m" || got[3].Term != "z" {
+		t.Errorf("tie order = %v, want q then a, m, z alphabetical", got)
 	}
 }
 
@@ -348,7 +367,7 @@ func TestAddAfterQueryMatchesBatchBuild(t *testing.T) {
 		early.Weights(id)
 		early.SimilarToDoc(id, 3)
 	}
-	early.Centroid(ids)
+	early.centroidVector(ids)
 	last := docs[len(docs)-1]
 	gb.Add(last.id, last.freqs)
 	grown := gb.Freeze(nil)
@@ -382,7 +401,7 @@ func TestAddAfterQueryMatchesBatchBuild(t *testing.T) {
 			same(fmt.Sprintf("SimilarToDoc(%d)[%d]", id, expSim[i].ID), gotSim[i].Score, expSim[i].Score)
 		}
 	}
-	gotC, expC := grown.Centroid(ids), want.Centroid(ids)
+	gotC, expC := grown.centroidVector(ids), want.centroidVector(ids)
 	if len(gotC) != len(expC) {
 		t.Fatalf("Centroid = %v, want %v", gotC, expC)
 	}

@@ -125,6 +125,12 @@ func gallop(ids []uint32, from int, id uint32) int {
 	return lo + searchIDs(ids[lo:hi], id)
 }
 
+// SkewRatio is the size ratio at which a set operation stops walking
+// both sides and gallops the small side through the large one: at
+// len(large) ≥ SkewRatio × len(small), O(small × log(large/small)) probes
+// beat a merge over both.
+const SkewRatio = 16
+
 // Intersect returns s ∩ t.
 func (s Set) Intersect(t Set) Set { return IntersectInto(nil, s, t) }
 
@@ -143,7 +149,7 @@ func IntersectInto(dst []uint32, a, b Set) Set {
 		return Set{ids: dst}
 	}
 	// Skewed sizes: gallop through the large side.
-	if len(y) >= 16*len(x) {
+	if len(y) >= SkewRatio*len(x) {
 		j := 0
 		for _, id := range x {
 			j = gallop(y, j, id)
@@ -183,7 +189,7 @@ func (s Set) IntersectCount(t Set) int {
 		x, y = y, x
 	}
 	n := 0
-	if len(y) >= 16*len(x) {
+	if len(y) >= SkewRatio*len(x) {
 		j := 0
 		for _, id := range x {
 			j = gallop(y, j, id)

@@ -178,8 +178,8 @@ func readVectors(v *index.VectorStore) {
 		v.SharedTerms(id, 2)
 		v.SimilarToDoc(id, 2)
 	}
-	q := map[string]float64{"lemon": 0.6, "feta": 0.8, "num|x": 0.1}
-	v.Centroid(docs)
-	v.SimilarToCentroid(docs, 2, true)
-	v.ScoreDocs(q, docs)
+	c := v.Centroid(docs)
+	v.Nearest(c, 2, docs)
+	v.ScoreDocs(c, docs)
+	v.RankTerms(c, func(string, float64) bool { return true })
 }

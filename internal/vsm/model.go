@@ -434,24 +434,24 @@ func (m *Model) SimilarToItem(item rdf.IRI, k int) []index.Scored {
 
 // Centroid returns the normalized "average member" vector of a collection
 // (§5.3), summed in ascending item ID order.
-func (m *Model) Centroid(items itemset.Set) map[string]float64 {
+func (m *Model) Centroid(items itemset.Set) index.Centroid {
 	return m.store.Centroid(items)
 }
 
-// SimilarToCollection returns up to k items most similar to the collection
-// centroid; members themselves are excluded when excludeMembers is true.
-// This backs the "Similar by Content (Overall)" advisor's collection
-// analyst (§4.1). The result is ranked item IDs.
-func (m *Model) SimilarToCollection(items itemset.Set, k int, excludeMembers bool) []index.Scored {
-	return m.store.SimilarToCentroid(items, k, excludeMembers)
+// Nearest returns up to k items most similar to the centroid c, skipping
+// the items in exclude, as ranked item IDs. With a collection's centroid
+// and its members excluded, this backs the "Similar by Content" advisor's
+// collection analyst (§4.1).
+func (m *Model) Nearest(c index.Centroid, k int, exclude itemset.Set) []index.Scored {
+	return m.store.Nearest(c, k, exclude)
 }
 
-// Scores returns the dot product of query with each item's vector, in
-// ascending item ID order (zero for unindexed items), summed in the same
-// fixed order as the similarity rankings, so equal inputs always rank
-// alike.
-func (m *Model) Scores(query map[string]float64, items itemset.Set) []float64 {
-	return m.store.ScoreDocs(query, items)
+// Scores returns the dot product of the centroid c with each item's
+// vector, in ascending item ID order (zero for unindexed items), summed in
+// the same fixed order as the similarity rankings, so equal inputs always
+// rank alike.
+func (m *Model) Scores(c index.Centroid, items itemset.Set) []float64 {
+	return m.store.ScoreDocs(c, items)
 }
 
 // Weights returns the item's normalized tf·idf vector as (coordinate key,
@@ -470,28 +470,23 @@ type WeightedCoord struct {
 	Weight float64
 }
 
-// RefinementCoords implements the paper's query-refinement technique
-// (§5.3): "picking terms in the average document having the largest
-// normalized term weights". It returns the k highest-weighted object and
-// word coordinates of the collection centroid (numeric coordinates are
-// handled by the range analyst instead), optionally filtered by accept.
-func (m *Model) RefinementCoords(items itemset.Set, k int, accept func(Coord) bool) []WeightedCoord {
-	centroid := m.Centroid(items)
-	top := index.TopTerms(centroid, k, func(term string) bool {
-		c, ok := ParseCoord(term)
-		if !ok || c.Kind == CoordNumeric {
-			return false
-		}
-		if accept != nil && !accept(c) {
-			return false
-		}
-		return true
-	})
-	out := make([]WeightedCoord, 0, len(top))
-	for _, tw := range top {
-		c, _ := ParseCoord(tw.Term)
-		out = append(out, WeightedCoord{Coord: c, Weight: tw.Weight})
+// TopCoords implements the paper's query-refinement technique (§5.3):
+// "picking terms in the average document having the largest normalized
+// term weights". It returns the k highest-weighted object and word
+// coordinates of the centroid c, in descending weight order (ties by
+// coordinate key); numeric coordinates are handled by the range analyst
+// instead. Only the terms ranked until k are accepted are decoded.
+func (m *Model) TopCoords(c index.Centroid, k int) []WeightedCoord {
+	if k <= 0 {
+		return nil
 	}
+	out := make([]WeightedCoord, 0, k)
+	m.store.RankTerms(c, func(term string, w float64) bool {
+		if cd, ok := ParseCoord(term); ok && cd.Kind != CoordNumeric {
+			out = append(out, WeightedCoord{Coord: cd, Weight: w})
+		}
+		return len(out) < k
+	})
 	return out
 }
 

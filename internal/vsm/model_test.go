@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"magnet/internal/itemset"
 	"magnet/internal/rdf"
 	"magnet/internal/schema"
 )
@@ -193,13 +195,15 @@ func TestSimilarToCollection(t *testing.T) {
 	m := New(g, sch, Options{})
 	m.indexItems(items...)
 	coll := []rdf.IRI{items[0], items[1]} // the two apple desserts
-	got := m.SimilarToCollection(m.g.SubjectIDsOf(coll), 5, true)
+	ids := m.g.SubjectIDsOf(coll)
+	c := m.Centroid(ids)
+	got := m.Nearest(c, 5, ids)
 	for _, s := range got {
 		if it := m.g.SubjectByID(s.ID); it == items[0] || it == items[1] {
-			t.Error("members must be excluded when excludeMembers")
+			t.Error("members must be excluded when excluded")
 		}
 	}
-	withMembers := m.SimilarToCollection(m.g.SubjectIDsOf(coll), 5, false)
+	withMembers := m.Nearest(c, 5, itemset.Set{})
 	if len(withMembers) <= len(got) {
 		t.Error("including members should not shrink the result")
 	}
@@ -396,7 +400,8 @@ func TestRefinementCoords(t *testing.T) {
 	m := New(g, sch, Options{})
 	m.indexItems(all...)
 
-	coords := m.RefinementCoords(m.g.SubjectIDsOf(greek), 10, nil)
+	c := m.Centroid(m.g.SubjectIDsOf(greek))
+	coords := m.TopCoords(c, 10)
 	if len(coords) == 0 {
 		t.Fatal("no refinement coordinates")
 	}
@@ -416,12 +421,17 @@ func TestRefinementCoords(t *testing.T) {
 		t.Errorf("feta not among refinements: %v", coords)
 	}
 
-	// accept filter narrows to words only.
-	words := m.RefinementCoords(m.g.SubjectIDsOf(greek), 10, func(c Coord) bool { return c.Kind == CoordWord })
-	for _, wc := range words {
-		if wc.Coord.Kind != CoordWord {
-			t.Errorf("accept filter violated: %v", wc)
+	// Weights descend, and a smaller k takes a prefix of the ranking.
+	for i := 1; i < len(coords); i++ {
+		if coords[i].Weight > coords[i-1].Weight {
+			t.Errorf("coordinate %d outweighs its predecessor: %v", i, coords)
 		}
+	}
+	if top := m.TopCoords(c, 2); len(coords) < 2 || !reflect.DeepEqual(top, coords[:2]) {
+		t.Errorf("TopCoords(2) = %v, want the first two of %v", top, coords)
+	}
+	if m.TopCoords(c, 0) != nil {
+		t.Error("k=0 should give nil")
 	}
 }
 

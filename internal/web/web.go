@@ -9,6 +9,7 @@ package web
 
 import (
 	"bytes"
+	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
@@ -19,6 +20,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"magnet/internal/blackboard"
 	"magnet/internal/core"
@@ -88,7 +90,9 @@ const sessionCookie = "magnet_session"
 // server mutex: core.Session models a single user and is not concurrent.
 // The error path is a failing entropy source for new session IDs.
 func (s *Server) session(w http.ResponseWriter, r *http.Request) (*core.Session, error) {
+	st := startStage(r.Context(), "web.lock_wait", lockWaitNS)
 	s.mu.Lock()
+	st.end()
 	defer s.mu.Unlock()
 	if c, err := r.Cookie(sessionCookie); err == nil {
 		if sess, ok := s.sessions[c.Value]; ok {
@@ -106,6 +110,32 @@ func (s *Server) session(w http.ResponseWriter, r *http.Request) (*core.Session,
 	return sess, nil
 }
 
+// Serving-stage observability: the wait for the server lock and the
+// template execution, each a histogram always and a span when the request
+// carries a trace, so neither hides in the request's unattributed time.
+var (
+	lockWaitNS = obs.NewHistogram("web.lock_wait.ns")
+	renderNS   = obs.NewHistogram("web.render.ns")
+)
+
+// stage times one serving stage into its histogram and span.
+type stage struct {
+	sp    *obs.Span
+	ns    *obs.Histogram
+	start time.Time
+}
+
+// startStage starts timing the stage name, recorded into ns by end.
+func startStage(ctx context.Context, name string, ns *obs.Histogram) stage {
+	_, sp := obs.StartSpan(ctx, name)
+	return stage{sp: sp, ns: ns, start: time.Now()}
+}
+
+func (st stage) end() {
+	st.ns.ObserveSince(st.start)
+	st.sp.End()
+}
+
 // withSession runs fn on the request's session under the server lock, with
 // the request context installed on the session so the navigation step's
 // spans attach to the request's trace root. The deferred unlock resets the
@@ -120,7 +150,9 @@ func (s *Server) withSession(w http.ResponseWriter, r *http.Request, fn func(*co
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return false
 	}
+	st := startStage(r.Context(), "web.lock_wait", lockWaitNS)
 	s.mu.Lock()
+	st.end()
 	defer s.mu.Unlock()
 	sess.SetContext(r.Context())
 	defer sess.SetContext(nil)
@@ -504,7 +536,10 @@ var renderErrors = obs.NewCounter("web.render.errors")
 // logged under, instead of a silently truncated page.
 func (s *Server) render(w http.ResponseWriter, r *http.Request, t *template.Template, data any) {
 	var buf bytes.Buffer
-	if err := t.Execute(&buf, data); err != nil {
+	st := startStage(r.Context(), "web.render", renderNS)
+	err := t.Execute(&buf, data)
+	st.end()
+	if err != nil {
 		renderErrors.Inc()
 		id := RequestID(r.Context())
 		s.log.LogAttrs(r.Context(), slog.LevelError, "template render failed",
