@@ -37,7 +37,7 @@ type Env struct {
 // and shared by the analysts that start from it: Refine Collections
 // (§5.3) and "similar by content" for a collection (§4.1).
 func (e *Env) centroid(v blackboard.View) index.Centroid {
-	return blackboard.Derive(v, "centroid", func() index.Centroid { return e.Model.Centroid(v.IDs) })
+	return blackboard.Derive(v, func() index.Centroid { return e.Model.Centroid(v.IDs) })
 }
 
 // Label renders a resource using the graph's labels.

@@ -66,47 +66,51 @@ type View struct {
 	Fixed bool
 	// Name titles fixed collections and identifies them in history.
 	Name string
-	// run holds what the analysts of one blackboard run derive from the
-	// view (see Derive); RunContext sets it on its own copy, so it is nil
-	// on every stored view.
+	// run is the one value the analysts of a blackboard run derive from
+	// the view (see Derive); RunContext sets it on its own copy, so it is
+	// nil on every stored view.
 	run *runMemo
 }
 
-// runMemo holds the values derived from a view during one blackboard run.
+// runMemo is a run's derived value, computed at most once.
 type runMemo struct {
-	mu sync.Mutex
-	// vals maps a derived value's name to its slot; guarded by mu.
-	vals map[string]*derived
-}
-
-// derived is one value computed at most once per run.
-type derived struct {
 	once sync.Once
 	val  any
+	// panicked holds what f panicked with, for the analysts that waited.
+	panicked any
 }
 
-// Derive returns the value named key that f derives from v, computing it
-// at most once per blackboard run: RunContext hands every analyst of a run
-// the same memo, so analysts that start from one object — Refine
-// Collections and "similar by content" both start from the collection's
-// centroid (§5.3, §4.1) — share it. Outside a run, as when an analyst is
-// called directly, f runs on every call. Nothing outlives the run. An
-// analyst waiting for another's f cannot deadlock the pool: par is
+// Derive returns the value f derives from v, computing it at most once per
+// blackboard run: RunContext hands every analyst of a run the same memo,
+// so analysts that start from one object — Refine Collections and
+// "similar by content" both start from the collection's centroid (§5.3,
+// §4.1) — share it. A run holds one derived value, so every caller in a
+// run must derive the same thing. Outside a run, as when an analyst is
+// called directly, f runs on every call. Nothing outlives the run.
+//
+// An analyst waiting for another's f cannot deadlock the pool: par is
 // caller-runs, so the analyst computing f runs its own fan-out on its own
-// goroutine when no helper is free.
-func Derive[T any](v View, key string, f func() T) T {
-	if v.run == nil {
+// goroutine when no helper is free. If f panics, every analyst that
+// waited for it panics with the same value, so the run fails with the
+// real cause whichever analyst's panic is recorded first.
+func Derive[T any](v View, f func() T) T {
+	m := v.run
+	if m == nil {
 		return f()
 	}
-	v.run.mu.Lock()
-	d := v.run.vals[key]
-	if d == nil {
-		d = &derived{}
-		v.run.vals[key] = d
+	m.once.Do(func() {
+		defer func() {
+			if p := recover(); p != nil {
+				m.panicked = p
+				panic(p)
+			}
+		}()
+		m.val = f()
+	})
+	if m.panicked != nil {
+		panic(m.panicked)
 	}
-	v.run.mu.Unlock()
-	d.once.Do(func() { d.val = f() })
-	return d.val.(T)
+	return m.val.(T)
 }
 
 // ItemView returns a view of a single item; ids holds its dense ID.
@@ -453,12 +457,12 @@ func NewRegistry(pool *par.Pool, analysts ...Analyst) *Registry {
 // each run as one parallel wave: every analyst posts to a private board
 // and the private boards are merged in registration order, so the merged
 // board — suggestion order, dedup outcomes, per-analyst accepted counts —
-// is byte-identical to a serial run. Values the analysts derive from v
-// through Derive are computed once for the whole run.
+// is byte-identical to a serial run. The value the analysts derive from v
+// through Derive is computed once for the whole run.
 func (r *Registry) RunContext(ctx context.Context, v View) *Board {
 	ctx, sp := obs.StartSpan(ctx, "blackboard.run")
 	start := time.Now()
-	v.run = &runMemo{vals: make(map[string]*derived)}
+	v.run = &runMemo{}
 	b := NewBoard()
 	var triggered []int
 	for i, a := range r.analysts {

@@ -236,3 +236,38 @@ type panicAnalyst struct{}
 func (panicAnalyst) Name() string         { return "panics" }
 func (panicAnalyst) Triggered(View) bool  { return true }
 func (panicAnalyst) Suggest(View, *Board) { panic("analyst bug") }
+
+// TestDerivePanicReachesWaiters checks that when a run's derived value
+// panics, an analyst that waited for it panics with the same value rather
+// than a nil conversion that would hide the cause.
+func TestDerivePanicReachesWaiters(t *testing.T) {
+	v := View{run: &runMemo{}}
+	entered, release := make(chan struct{}), make(chan struct{})
+	recovered := func(f func()) (p any) {
+		defer func() { p = recover() }()
+		f()
+		return nil
+	}
+	computer := make(chan any)
+	go func() {
+		computer <- recovered(func() {
+			Derive(v, func() int {
+				close(entered)
+				<-release
+				panic("derive bug")
+			})
+		})
+	}()
+	<-entered
+	waiter := make(chan any)
+	go func() {
+		waiter <- recovered(func() { Derive(v, func() int { return 1 }) })
+	}()
+	close(release)
+	if p := <-computer; p != "derive bug" {
+		t.Errorf("computing analyst panicked with %v, want derive bug", p)
+	}
+	if p := <-waiter; p != "derive bug" {
+		t.Errorf("waiting analyst panicked with %v, want derive bug", p)
+	}
+}

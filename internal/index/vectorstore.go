@@ -250,32 +250,25 @@ func (v *VectorStore) Centroid(members itemset.Set) Centroid {
 	nterms := v.terms.Len()
 	sum := v.getDense(nterms)
 	defer v.putDense(sum)
-	if len(ids) <= centroidChunk {
-		// One chunk: its partial is the sum (0 + x is x).
-		for _, id := range ids {
-			sum.touched = accumulate(v.row(id), sum.acc, sum.seen, sum.touched)
+	parts := make([]vecRow, (len(ids)+centroidChunk-1)/centroidChunk)
+	err := par.ForChunks(context.Background(), v.pool, len(ids), centroidChunk, func(lo, hi int) {
+		d := v.getDense(nterms)
+		for _, id := range ids[lo:hi] {
+			d.touched = accumulate(v.row(id), d.acc, d.seen, d.touched)
 		}
-	} else {
-		parts := make([]vecRow, (len(ids)+centroidChunk-1)/centroidChunk)
-		err := par.ForChunks(context.Background(), v.pool, len(ids), centroidChunk, func(lo, hi int) {
-			d := v.getDense(nterms)
-			for _, id := range ids[lo:hi] {
-				d.touched = accumulate(v.row(id), d.acc, d.seen, d.touched)
-			}
-			part := vecRow{terms: slices.Clone(d.touched), w: make([]float64, len(d.touched))}
-			for i, t := range part.terms {
-				part.w[i] = d.acc[t]
-			}
-			v.putDense(d)
-			parts[lo/centroidChunk] = part
-		})
-		var pe *par.PanicError
-		if errors.As(err, &pe) {
-			panic(pe)
+		part := vecRow{terms: slices.Clone(d.touched), w: make([]float64, len(d.touched))}
+		for i, t := range part.terms {
+			part.w[i] = d.acc[t]
 		}
-		for _, part := range parts {
-			sum.touched = accumulate(part, sum.acc, sum.seen, sum.touched)
-		}
+		v.putDense(d)
+		parts[lo/centroidChunk] = part
+	})
+	var pe *par.PanicError
+	if errors.As(err, &pe) {
+		panic(pe)
+	}
+	for _, part := range parts {
+		sum.touched = accumulate(part, sum.acc, sum.seen, sum.touched)
 	}
 	c := Centroid{vecRow{terms: slices.Clone(sum.touched), w: make([]float64, len(sum.touched))}}
 	slices.Sort(c.row.terms)
