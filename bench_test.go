@@ -77,7 +77,7 @@ func engineOf(m *core.Magnet) *query.Engine {
 // evaluate runs q through e's instrumented path and returns the matching
 // item IDs.
 func evaluate(e *query.Engine, q query.Query) itemset.Set {
-	return e.EvalContext(context.Background(), q).IDs()
+	return e.EvalContext(context.Background(), q)
 }
 
 func inboxMagnet() *core.Magnet {

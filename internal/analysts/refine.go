@@ -68,7 +68,7 @@ func (r *Refinement) suggestObject(b *blackboard.Board, c vsm.Coord, weight floa
 		pp := query.PathProperty{Path: c.Path, Value: c.Value}
 		pred = pp
 		// Composed coordinates have no single posting; evaluate the path.
-		cnt = pp.Eval(r.env.Engine).IDs().IntersectCount(coll)
+		cnt = pp.Eval(r.env.Engine).IntersectCount(coll)
 	}
 	if cnt == 0 || cnt == n {
 		// Matches nothing or everything: no refinement value.

@@ -43,7 +43,7 @@ func oracleComposedCount(env *analysts.Env, pp query.PathProperty, items []rdf.I
 		members[it] = true
 	}
 	n := 0
-	for _, it := range env.Graph.SubjectsFromIDs(pp.Eval(env.Engine).IDs().Slice()) {
+	for _, it := range env.Graph.SubjectsFromIDs(pp.Eval(env.Engine).Slice()) {
 		if members[it] {
 			n++
 		}

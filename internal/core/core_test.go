@@ -33,7 +33,7 @@ func TestOpenIndexesTypedItems(t *testing.T) {
 		}
 	}
 	// Text index knows recipe titles.
-	if got := m.TextIndex().Matching("salad", index(m)); len(got) == 0 {
+	if got := m.TextIndex().Matching("salad", index(m)); got.IsEmpty() {
 		t.Error("titles not text-indexed")
 	}
 }

@@ -138,15 +138,13 @@ func (m *Magnet) compile(ctx context.Context, b *rdf.Builder) (*rdf.Graph, segme
 		d.Graph = g.Columns()
 	})
 	sch := schema.NewStore(g)
-	var items []rdf.IRI
 	component(ctx, "startup.items", startupItemsNS, func() {
-		ids := chooseItems(g, m.opts.IndexAllSubjects)
-		d.Items = ids.Slice()
-		items = g.SubjectsFromIDs(d.Items)
+		d.Items = chooseItems(g, m.opts.IndexAllSubjects).Slice()
 	})
 	component(ctx, "startup.text", startupTextNS, func() {
 		tb := index.NewTextBuilder(m.opts.VSM.Analyzer)
-		for _, it := range items {
+		for _, id := range d.Items {
+			it := g.SubjectByID(id)
 			for _, p := range g.PredicatesOf(it) {
 				if sch.Hidden(p) {
 					continue
@@ -156,7 +154,7 @@ func (m *Magnet) compile(ctx context.Context, b *rdf.Builder) (*rdf.Graph, segme
 					if !ok || (lit.Datatype != "" && lit.Datatype != rdf.XSDString) {
 						continue
 					}
-					tb.Index(string(it), string(p), lit.Lexical)
+					tb.Index(id, string(p), lit.Lexical)
 				}
 			}
 		}

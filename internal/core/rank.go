@@ -31,47 +31,47 @@ type RankOptions struct {
 // RankedItems returns the current collection reordered by relevance to the
 // query's text constraints. For queries without text constraints the items
 // are returned in their stable order (with the length prior still applied
-// when requested).
+// when requested). Scores accumulate into a dense column by subject ID.
 func (s *Session) RankedItems(opts RankOptions) []rdf.IRI { //magnet-vet:ignore deadcode // §6.2 reordering (DESIGN.md E15), a library feature no binary serves
-	items := s.Items()
-	if len(items) < 2 {
-		return items
+	members := s.current.Members()
+	if len(members) < 2 {
+		return s.Items()
 	}
-	scores := make(map[rdf.IRI]float64, len(items))
+	scores := make([]float64, s.m.g.SubjectTable().Len())
 	s.textScores(s.current.Query.Terms, scores)
 
 	if opts.LengthBias > 0 {
 		maxLen := 0.0
-		lengths := make(map[rdf.IRI]float64, len(items))
-		for _, it := range items {
-			l := float64(s.docLength(it))
-			lengths[it] = l
-			if l > maxLen {
-				maxLen = l
+		lengths := make([]float64, len(members))
+		for i, id := range members {
+			lengths[i] = float64(s.docLength(id))
+			if lengths[i] > maxLen {
+				maxLen = lengths[i]
 			}
 		}
 		if maxLen > 0 {
-			for _, it := range items {
-				scores[it] += opts.LengthBias * math.Log1p(lengths[it]) / math.Log1p(maxLen)
+			for i, id := range members {
+				scores[id] += opts.LengthBias * math.Log1p(lengths[i]) / math.Log1p(maxLen)
 			}
 		}
 	}
 
-	ranked := make([]rdf.IRI, len(items))
-	copy(ranked, items)
+	ranked := make([]uint32, len(members))
+	copy(ranked, members)
 	sort.SliceStable(ranked, func(i, j int) bool {
 		si, sj := scores[ranked[i]], scores[ranked[j]]
 		if !vsm.ApproxEqual(si, sj) {
 			return si > sj
 		}
-		return ranked[i] < ranked[j]
+		return ranked[i] < ranked[j] // IDs ascend with the IRIs
 	})
-	return ranked
+	return s.m.g.SubjectsFromIDs(ranked)
 }
 
 // textScores accumulates per-item text relevance from every text-bearing
-// predicate in the term list, recursing through boolean combinators.
-func (s *Session) textScores(terms []query.Predicate, scores map[rdf.IRI]float64) {
+// predicate in the term list, recursing through boolean combinators. IDs
+// past the score column read as absent.
+func (s *Session) textScores(terms []query.Predicate, scores []float64) {
 	if s.m.text == nil {
 		return
 	}
@@ -79,11 +79,15 @@ func (s *Session) textScores(terms []query.Predicate, scores map[rdf.IRI]float64
 		switch p := t.(type) {
 		case query.Keyword:
 			for _, hit := range s.m.text.Search(p.Text, p.Field, 0) {
-				scores[rdf.IRI(hit.ID)] += hit.Score
+				if int(hit.ID) < len(scores) {
+					scores[hit.ID] += hit.Score
+				}
 			}
 		case query.TermMatch:
-			for _, id := range s.m.text.MatchingTerm(p.Term, p.Field) {
-				scores[rdf.IRI(id)]++
+			for _, id := range s.m.text.MatchingTerm(p.Term, p.Field).Slice() {
+				if int(id) < len(scores) {
+					scores[id]++
+				}
 			}
 		case query.And:
 			s.textScores(p.Ps, scores)
@@ -97,13 +101,13 @@ func (s *Session) textScores(terms []query.Predicate, scores map[rdf.IRI]float64
 
 // docLength approximates document size as total indexed tokens across
 // fields.
-func (s *Session) docLength(it rdf.IRI) int {
+func (s *Session) docLength(id uint32) int {
 	if s.m.text == nil {
 		return 0
 	}
 	total := 0
-	for _, f := range s.m.text.Fields(string(it)) {
-		for _, c := range s.m.text.FieldTermCounts(string(it), f) {
+	for _, f := range s.m.text.Fields(id) {
+		for _, c := range s.m.text.FieldTermCounts(id, f) {
 			total += c
 		}
 	}

@@ -154,7 +154,7 @@ func (s *Session) goTo(v blackboard.View) {
 
 func (s *Session) goToQuery(q query.Query) {
 	ctx, st := s.startStep("session.query")
-	ids := s.m.eng.Rebase(s.m.eng.EvalContext(ctx, q))
+	ids := s.m.eng.EvalContext(ctx, q)
 	s.tracker.PushQuery(q)
 	s.goTo(blackboard.CollectionView(q, ids))
 	st.sp.SetInt("items", ids.Len())
@@ -214,7 +214,7 @@ func (s *Session) Refine(p query.Predicate, mode blackboard.RefineMode) {
 }
 
 func (s *Session) refineFixed(p query.Predicate, mode blackboard.RefineMode) {
-	matches := s.m.eng.Rebase(p.Eval(s.m.eng))
+	matches := p.Eval(s.m.eng)
 	var ids []uint32
 	if mode == blackboard.Expand {
 		// The members in display order, then the new matches ascending.
@@ -270,7 +270,7 @@ func (s *Session) Back() bool {
 	if !ok {
 		return false
 	}
-	s.goTo(blackboard.CollectionView(q, s.m.eng.Rebase(s.m.eng.EvalContext(s.ctx, q))))
+	s.goTo(blackboard.CollectionView(q, s.m.eng.EvalContext(s.ctx, q)))
 	return true
 }
 

@@ -31,7 +31,7 @@ func (s *Session) softRefine(p query.Predicate, mode blackboard.RefineMode, prev
 	if prev.IsEmpty() {
 		return false
 	}
-	concept := p.Eval(s.m.eng).IDs()
+	concept := p.Eval(s.m.eng)
 	if concept.IsEmpty() {
 		// The predicate matches nothing anywhere; there is no concept to be
 		// fuzzy about.

@@ -19,17 +19,17 @@ import (
 
 // --- TextBuilder ----------------------------------------------------------
 
-// posting is one term/field posting list: sorted dense docnums with
+// posting is one term/field posting list: sorted document IDs with
 // parallel term frequencies.
 type posting struct {
 	dns []uint32
 	tfs []int
 }
 
-// add accumulates c occurrences of the term for docnum dn.
-func (p *posting) add(dn uint32, c int) {
-	i := searchPost(p.dns, dn)
-	if i < len(p.dns) && p.dns[i] == dn {
+// add accumulates c occurrences of the term for document id.
+func (p *posting) add(id uint32, c int) {
+	i := searchPost(p.dns, id)
+	if i < len(p.dns) && p.dns[i] == id {
 		p.tfs[i] += c
 		return
 	}
@@ -37,7 +37,7 @@ func (p *posting) add(dn uint32, c int) {
 	p.tfs = append(p.tfs, 0)
 	copy(p.dns[i+1:], p.dns[i:])
 	copy(p.tfs[i+1:], p.tfs[i:])
-	p.dns[i] = dn
+	p.dns[i] = id
 	p.tfs[i] = c
 }
 
@@ -55,16 +55,18 @@ func searchPost(dns []uint32, dn uint32) int {
 	return lo
 }
 
-// TextBuilder is the write side of a TextIndex.
+// TextBuilder is the write side of a TextIndex: text keyed by
+// caller-chosen document IDs (Magnet's graph subject IDs).
 type TextBuilder struct {
 	analyzer *text.Analyzer
-	docs     *ids.Interner[string] // docID → dense docnum, append-only
 
 	// postings: term → field → posting list.
 	postings map[string]map[string]*posting
-	// docTerms: docID → field → term → tf.
-	docTerms map[string]map[string]map[string]int
-	// df: term → sorted docnums containing it in any field.
+	// docTerms, indexed by document ID: field → term → tf; nil for an ID
+	// that holds no document.
+	docTerms []map[string]map[string]int
+	docs     int // documents indexed
+	// df: term → sorted IDs of the documents containing it in any field.
 	df map[string][]uint32
 	// surfaces: analyzed term → raw token → count; tracks the most common
 	// pre-stemming surface form so suggestions can display "parsley" rather
@@ -80,17 +82,15 @@ func NewTextBuilder(a *text.Analyzer) *TextBuilder {
 	}
 	return &TextBuilder{
 		analyzer: a,
-		docs:     ids.NewInterner[string](),
 		postings: make(map[string]map[string]*posting),
-		docTerms: make(map[string]map[string]map[string]int),
 		df:       make(map[string][]uint32),
 		surfaces: make(map[string]map[string]int),
 	}
 }
 
-// Index adds the raw text under (docID, field), accumulating with any text
+// Index adds the raw text under (id, field), accumulating with any text
 // already indexed for that pair.
-func (ix *TextBuilder) Index(docID, field, raw string) {
+func (ix *TextBuilder) Index(id uint32, field, raw string) {
 	tokens := text.Tokenize(raw)
 	counts := make(map[string]int, len(tokens))
 	surf := make(map[string]map[string]int, len(tokens))
@@ -111,7 +111,6 @@ func (ix *TextBuilder) Index(docID, field, raw string) {
 	if len(counts) == 0 {
 		return
 	}
-	dn := ix.docs.Intern(docID)
 	for term, toks := range surf {
 		m := ix.surfaces[term]
 		if m == nil {
@@ -122,10 +121,14 @@ func (ix *TextBuilder) Index(docID, field, raw string) {
 			m[tok] += n
 		}
 	}
-	fields := ix.docTerms[docID]
+	for int(id) >= len(ix.docTerms) {
+		ix.docTerms = append(ix.docTerms, nil)
+	}
+	fields := ix.docTerms[id]
 	if fields == nil {
 		fields = make(map[string]map[string]int)
-		ix.docTerms[docID] = fields
+		ix.docTerms[id] = fields
+		ix.docs++
 	}
 	terms := fields[field]
 	if terms == nil {
@@ -144,20 +147,20 @@ func (ix *TextBuilder) Index(docID, field, raw string) {
 			p = &posting{}
 			byField[field] = p
 		}
-		p.add(dn, c)
-		ix.df[t] = insertDF(ix.df[t], dn)
+		p.add(id, c)
+		ix.df[t] = insertDF(ix.df[t], id)
 	}
 }
 
-// insertDF inserts dn into a sorted docnum slice if absent.
-func insertDF(dns []uint32, dn uint32) []uint32 {
-	i := searchPost(dns, dn)
-	if i < len(dns) && dns[i] == dn {
+// insertDF inserts id into a sorted ID slice if absent.
+func insertDF(dns []uint32, id uint32) []uint32 {
+	i := searchPost(dns, id)
+	if i < len(dns) && dns[i] == id {
 		return dns
 	}
 	dns = append(dns, 0)
 	copy(dns[i+1:], dns[i:])
-	dns[i] = dn
+	dns[i] = id
 	return dns
 }
 
@@ -177,11 +180,11 @@ func appendTable(off []uint32, blob []byte, key string) ([]uint32, []byte) {
 	return append(off, uint32(len(blob))), blob
 }
 
-// Columns compiles the index into its columnar image. Deterministic.
+// Columns compiles the index into its columnar image. The image depends
+// only on the set of Index calls, not on their order.
 func (ix *TextBuilder) Columns() TextColumns {
 	var c TextColumns
-	c.Docs = ix.docs.Columns()
-	c.Live = uint32(len(ix.docTerms))
+	c.Live = uint32(ix.docs)
 
 	// Term universe: postings ∪ df ∪ surfaces ∪ per-doc terms (the last two
 	// defensively; they are subsets in a consistent index).
@@ -260,12 +263,11 @@ func (ix *TextBuilder) Columns() TextColumns {
 		c.DFStart = append(c.DFStart, uint32(len(c.DFDNS)))
 	}
 
-	// Per-document rows over the full docnum range.
-	n := ix.docs.Len()
+	// Per-document rows up to the largest ID; IDs without a document get
+	// empty rows.
 	c.DocFieldStart = append(c.DocFieldStart, 0)
 	c.DocTermStart = append(c.DocTermStart, 0)
-	for dn := 0; dn < n; dn++ {
-		fieldsOf := ix.docTerms[ix.docs.Key(uint32(dn))]
+	for _, fieldsOf := range ix.docTerms {
 		fnames := make([]string, 0, len(fieldsOf))
 		for f := range fieldsOf {
 			fnames = append(fnames, f)

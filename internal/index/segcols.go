@@ -14,8 +14,9 @@ package index
 //   - All nested structures are offset-delimited runs over flat columns
 //     (run i of column C spans C[Start[i]:Start[i+1]]), so opening is O(1)
 //     in the corpus: no per-element decode, no slice-of-slices headers.
-//   - Document numbering preserves the builder's IDs verbatim, so posting
-//     lists serialize byte-for-byte as built.
+//   - Documents are numbered by the builder's IDs (Magnet's graph subject
+//     IDs), so posting lists serialize byte-for-byte as built and need no
+//     doc table.
 //   - Corrupt offsets read as empty runs (ids.Run), never panics.
 
 import (
@@ -26,10 +27,9 @@ import (
 	"magnet/internal/text"
 )
 
-// TextColumns is the flat columnar image of a TextIndex.
+// TextColumns is the flat columnar image of a TextIndex. Document IDs are
+// the builder's (Magnet's graph subject IDs).
 type TextColumns struct {
-	// Docs is the document interner table (dense docnum order).
-	Docs ids.Columns
 	// Live is the number of indexed documents.
 	Live uint32
 	// Term and field string tables, sorted.
@@ -49,12 +49,13 @@ type TextColumns struct {
 	PostStart      []uint32
 	PostDNS        []uint32
 	PostTFS        []uint32
-	// Document frequency. DFStart (T+1) delimits each term's sorted docnum
-	// run in DFDNS.
+	// Document frequency. DFStart (T+1) delimits each term's sorted
+	// document-ID run in DFDNS.
 	DFStart []uint32
 	DFDNS   []uint32
-	// Per-document columns. DocFieldStart (D+1, D = interner range)
-	// delimits each document's field run in DocField; DocTermStart
+	// Per-document columns. DocFieldStart (D+1, D one past the largest
+	// document ID) delimits each document's field run in DocField; IDs
+	// that hold no document have empty runs. DocTermStart
 	// (len(DocField)+1) delimits each (doc, field)'s term run in
 	// DocTerm/DocTF (term IDs ascending by lexical order).
 	DocFieldStart []uint32
@@ -72,16 +73,11 @@ func FromTextColumns(a *text.Analyzer, c TextColumns) (*TextIndex, error) {
 	if a == nil {
 		a = text.DefaultAnalyzer
 	}
-	docs, err := ids.FromColumns[string](c.Docs)
-	if err != nil {
-		return nil, fmt.Errorf("index: text doc table: %w", err)
-	}
-	if err := c.validate(docs.Len()); err != nil {
+	if err := c.validate(); err != nil {
 		return nil, err
 	}
 	return &TextIndex{
 		analyzer: a,
-		docs:     docs,
 		c:        c,
 		terms:    ids.NewStrings(c.TermOff, c.TermBlob),
 		fields:   ids.NewStrings(c.FieldOff, c.FieldBlob),
@@ -89,7 +85,7 @@ func FromTextColumns(a *text.Analyzer, c TextColumns) (*TextIndex, error) {
 	}, nil
 }
 
-func (c *TextColumns) validate(nDocs int) error {
+func (c *TextColumns) validate() error {
 	if len(c.TermOff) == 0 || len(c.FieldOff) == 0 {
 		return fmt.Errorf("index: text columns missing term or field table")
 	}
@@ -104,10 +100,10 @@ func (c *TextColumns) validate(nDocs int) error {
 		return fmt.Errorf("index: posting starts (%d) disagree with (term, field) pair count (%d)", len(c.PostStart), len(c.PostField))
 	}
 	if len(c.PostDNS) != len(c.PostTFS) {
-		return fmt.Errorf("index: posting docnum and tf columns disagree (%d vs %d)", len(c.PostDNS), len(c.PostTFS))
+		return fmt.Errorf("index: posting ID and tf columns disagree (%d vs %d)", len(c.PostDNS), len(c.PostTFS))
 	}
-	if len(c.DocFieldStart) != nDocs+1 {
-		return fmt.Errorf("index: per-doc rows (%d) disagree with document count (%d)", len(c.DocFieldStart), nDocs)
+	if len(c.DocFieldStart) == 0 {
+		return fmt.Errorf("index: text columns missing per-doc row starts")
 	}
 	if len(c.DocTermStart) != len(c.DocField)+1 {
 		return fmt.Errorf("index: per-doc term starts (%d) disagree with (doc, field) pair count (%d)", len(c.DocTermStart), len(c.DocField))

@@ -1,7 +1,9 @@
 package index
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -10,12 +12,12 @@ import (
 func segTestIndex(t *testing.T) *TextIndex {
 	t.Helper()
 	b := NewTextBuilder(nil)
-	b.Index("d1", "title", "Greek salad with parsley")
-	b.Index("d1", "body", "olives feta parsley lemon")
-	b.Index("d2", "title", "Italian pasta")
-	b.Index("d2", "body", "tomato basil parsley")
-	b.Index("d3", "title", "Walnut cake")
-	b.Index("d3", "body", "walnuts sugar butter")
+	b.Index(d1, "title", "Greek salad with parsley")
+	b.Index(d1, "body", "olives feta parsley lemon")
+	b.Index(d2, "title", "Italian pasta")
+	b.Index(d2, "body", "tomato basil parsley")
+	b.Index(d3, "title", "Walnut cake")
+	b.Index(d3, "body", "walnuts sugar butter")
 	return freezeText(b)
 }
 
@@ -49,39 +51,74 @@ func TestTextColumnsRoundTrip(t *testing.T) {
 					t.Errorf("Search(%q,%q)[%d] = %+v, want %+v", q, field, i, got[i], want[i])
 				}
 			}
-			gm, wm := r.Matching(q, field), ix.Matching(q, field)
-			if len(gm) != len(wm) {
+			if gm, wm := r.Matching(q, field).Slice(), ix.Matching(q, field).Slice(); !reflect.DeepEqual(gm, wm) {
 				t.Errorf("Matching(%q,%q) = %v, want %v", q, field, gm, wm)
-				continue
-			}
-			for i := range wm {
-				if gm[i] != wm[i] {
-					t.Errorf("Matching(%q,%q)[%d] = %q, want %q", q, field, i, gm[i], wm[i])
-				}
 			}
 		}
 	}
-	for _, doc := range []string{"d1", "d2", "d3", "never"} {
+	for _, doc := range []uint32{d1, d2, d3, missing} {
 		gf, wf := r.Fields(doc), ix.Fields(doc)
 		if len(gf) != len(wf) {
-			t.Errorf("Fields(%q) = %v, want %v", doc, gf, wf)
+			t.Errorf("Fields(%d) = %v, want %v", doc, gf, wf)
 			continue
 		}
 		for i := range wf {
 			if gf[i] != wf[i] {
-				t.Errorf("Fields(%q)[%d] = %q, want %q", doc, i, gf[i], wf[i])
+				t.Errorf("Fields(%d)[%d] = %q, want %q", doc, i, gf[i], wf[i])
 			}
 			gc, wc := r.FieldTermCounts(doc, wf[i]), ix.FieldTermCounts(doc, wf[i])
 			if len(gc) != len(wc) {
-				t.Errorf("FieldTermCounts(%q,%q) = %v, want %v", doc, wf[i], gc, wc)
+				t.Errorf("FieldTermCounts(%d,%q) = %v, want %v", doc, wf[i], gc, wc)
 				continue
 			}
 			for term, n := range wc {
 				if gc[term] != n {
-					t.Errorf("FieldTermCounts(%q,%q)[%q] = %d, want %d", doc, wf[i], term, gc[term], n)
+					t.Errorf("FieldTermCounts(%d,%q)[%q] = %d, want %d", doc, wf[i], term, gc[term], n)
 				}
 			}
 		}
+	}
+}
+
+// TestTextColumnsOrderFree: the compiled text image is a function of the
+// set of Index calls alone — deep-equal under every tried permutation of
+// their order, repeated (id, field) pairs and unindexed IDs included.
+func TestTextColumnsOrderFree(t *testing.T) {
+	type call struct {
+		id          uint32
+		field, text string
+	}
+	var calls []call
+	for i := 0; i < 30; i++ {
+		calls = append(calls, call{
+			id:    uint32((i * 7) % 13 * 2), // even IDs only: odd rows stay empty
+			field: []string{"title", "body", "note"}[i%3],
+			text:  fmt.Sprintf("walnut w%d parsley%s", i%4, []string{"", " olives", " olive oil"}[i%3]),
+		})
+	}
+	build := func(order []int) TextColumns {
+		b := NewTextBuilder(nil)
+		for _, i := range order {
+			b.Index(calls[i].id, calls[i].field, calls[i].text)
+		}
+		return b.Columns()
+	}
+	rng := rand.New(rand.NewSource(5))
+	want := build(rng.Perm(len(calls)))
+	for round := 0; round < 20; round++ {
+		if got := build(rng.Perm(len(calls))); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: the image depends on the Index order", round)
+		}
+	}
+	ix, err := FromTextColumns(nil, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ix.Matching("walnut", AnyField).Slice(); len(got) != 13 || got[0] != 0 || got[12] != 24 {
+		t.Errorf("Matching(walnut) = %v, want the 13 even IDs 0..24", got)
+	}
+	if got := ix.Fields(1); len(got) != 0 {
+		t.Errorf("Fields(1) = %v, want none: no document holds ID 1", got)
 	}
 }
 

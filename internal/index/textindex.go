@@ -2,7 +2,6 @@ package index
 
 import (
 	"math"
-	"sort"
 	"time"
 
 	"magnet/internal/ids"
@@ -43,14 +42,14 @@ const AnyField = ""
 // title, body); queries may be scoped to a field or span all of them.
 //
 // A TextBuilder collects the documents; the TextIndex reads the columnar
-// image it compiles (segcols.go). Documents are dense uint32 docnums;
-// posting lists are sorted docnum runs with parallel frequencies, so
-// boolean matching is merge-based set algebra and ranked retrieval
-// accumulates into a dense score column. The index never changes, so
-// reads take no locks.
+// image it compiles (segcols.go). Documents are the builder's uint32 IDs
+// (Magnet's graph subject IDs); posting lists are sorted ID runs with
+// parallel frequencies, so boolean matching is merge-based set algebra
+// whose results are already on the query engine's ID plane, and ranked
+// retrieval accumulates into a dense score column. The index never
+// changes, so reads take no locks.
 type TextIndex struct {
 	analyzer *text.Analyzer
-	docs     *ids.Table[string] // dense docnum → docID
 	//magnet:frozen
 	c      TextColumns
 	terms  *ids.Strings // sorted
@@ -112,7 +111,7 @@ func (ix *TextIndex) fieldPair(ti int, field string) (int, bool) {
 	return ix.findTermField(ti, uint32(fi))
 }
 
-// dfRow returns term ti's sorted docnum run.
+// dfRow returns term ti's sorted document-ID run.
 //
 //magnet:hot
 func (ix *TextIndex) dfRow(ti int) []uint32 {
@@ -120,15 +119,21 @@ func (ix *TextIndex) dfRow(ti int) []uint32 {
 	return ix.c.DFDNS[lo:hi]
 }
 
-// docFieldRun returns docnum dn's (doc, field) pair index range.
-func (ix *TextIndex) docFieldRun(dn uint32) (int, int) {
-	return ids.Run(ix.c.DocFieldStart, int(dn), len(ix.c.DocField))
+// rows returns one past the largest document ID the index holds a row
+// for: the size of the score column and of the AnyField union, which
+// drop posting IDs at or past it.
+func (ix *TextIndex) rows() int { return len(ix.c.DocFieldStart) - 1 }
+
+// docFieldRun returns document id's (doc, field) pair index range, empty
+// for an ID past the rows.
+func (ix *TextIndex) docFieldRun(id uint32) (int, int) {
+	return ids.Run(ix.c.DocFieldStart, int(id), len(ix.c.DocField))
 }
 
-// docnumsWithTerm returns the docnums containing one analyzed term in the
-// given field: a zero-copy posting for one field (or a term found in only
-// one), a bitmap union of the field postings for AnyField.
-func (ix *TextIndex) docnumsWithTerm(term, field string) itemset.Set {
+// idsWithTerm returns the IDs of the documents containing one analyzed
+// term in the given field: a zero-copy posting for one field (or a term
+// found in only one), a bitmap union of the field postings for AnyField.
+func (ix *TextIndex) idsWithTerm(term, field string) itemset.Set {
 	ti, ok := ix.terms.Find(term)
 	if !ok {
 		return itemset.Set{}
@@ -149,7 +154,7 @@ func (ix *TextIndex) docnumsWithTerm(term, field string) itemset.Set {
 		dns, _ := ix.postRow(lo)
 		return itemset.FromSorted(dns)
 	}
-	n := ix.docs.Len()
+	n := ix.rows()
 	b := itemset.NewBits(n)
 	for pair := lo; pair < hi; pair++ {
 		dns, _ := ix.postRow(pair)
@@ -158,80 +163,57 @@ func (ix *TextIndex) docnumsWithTerm(term, field string) itemset.Set {
 	return b.Extract()
 }
 
-// rehydrate converts a docnum set to sorted docID strings.
-func (ix *TextIndex) rehydrate(set itemset.Set) []string {
-	out := ix.docs.AppendKeys(make([]string, 0, set.Len()), set.Slice())
-	sort.Strings(out)
-	return out
-}
-
-// MatchingTerm returns the sorted IDs of documents containing one
+// MatchingTerm returns the IDs of documents containing one
 // already-analyzed term in the given field (AnyField spans all fields). No
 // analysis is applied to the input.
-func (ix *TextIndex) MatchingTerm(term, field string) []string {
+func (ix *TextIndex) MatchingTerm(term, field string) itemset.Set {
 	defer textTermObs.observe(time.Now())
-	return ix.rehydrate(ix.docnumsWithTerm(term, field))
+	return ix.idsWithTerm(term, field)
 }
 
 // Matching returns the IDs of documents containing every term of the
-// analyzed query in the given field (AnyField spans all fields), sorted.
-// This is the boolean-AND primitive the query engine's keyword predicate
-// resolves through.
-func (ix *TextIndex) Matching(query, field string) []string {
+// analyzed query in the given field (AnyField spans all fields). This is
+// the boolean-AND primitive the query engine's keyword predicate resolves
+// through.
+func (ix *TextIndex) Matching(query, field string) itemset.Set {
 	defer textMatchingObs.observe(time.Now())
-	terms := ix.analyzer.Terms(query)
-	if len(terms) == 0 {
-		return nil
-	}
 	var result itemset.Set
-	for i, t := range terms {
-		docs := ix.docnumsWithTerm(t, field)
+	for i, t := range ix.analyzer.Terms(query) {
+		docs := ix.idsWithTerm(t, field)
 		if i == 0 {
 			result = docs
 		} else {
 			result = result.Intersect(docs)
 		}
 		if result.IsEmpty() {
-			return nil
+			break
 		}
 	}
-	return ix.rehydrate(result)
-}
-
-// Hit pairs a text-index document ID with its retrieval score.
-type Hit struct {
-	ID    string
-	Score float64
+	return result
 }
 
 // Search ranks documents against the analyzed free-text query by tf·idf
 // (documents need not contain every term). Results are in descending score
 // order, ties by ascending ID, at most k (k ≤ 0 means unlimited). Scores
-// accumulate into a dense docnum-indexed column — no per-document hashing.
-func (ix *TextIndex) Search(query, field string, k int) []Hit {
+// accumulate into a dense ID-indexed column — no per-document hashing.
+func (ix *TextIndex) Search(query, field string, k int) []Scored {
 	defer textSearchObs.observe(time.Now())
 	terms := ix.analyzer.Terms(query)
 	if len(terms) == 0 {
 		return nil
 	}
 	n := float64(ix.c.Live)
-	scores := make([]float64, ix.docs.Len())
+	scores := make([]float64, ix.rows())
 	touched := itemset.NewBits(len(scores))
 	for _, t := range terms {
 		ix.score(t, field, n, scores, touched)
 	}
 	hits := touched.Extract()
-	docIDs := ix.docs.AppendKeys(make([]string, 0, hits.Len()), hits.Slice())
-	out := make([]Hit, 0, hits.Len())
-	for i, dn := range hits.Slice() {
-		out = append(out, Hit{docIDs[i], scores[dn]})
+	out := make([]Scored, 0, hits.Len())
+	for _, id := range hits.Slice() {
+		out = append(out, Scored{id, scores[id]})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].ID < out[j].ID
-	})
+	sortScored(out)
 	if k > 0 && len(out) > k {
 		out = out[:k]
 	}
@@ -239,7 +221,7 @@ func (ix *TextIndex) Search(query, field string, k int) []Hit {
 }
 
 // score accumulates one analyzed query term's tf·idf contributions into the
-// dense score column. Guarded against corrupt docnums rather than trusting
+// dense score column. Guarded against corrupt IDs rather than trusting
 // payload integrity.
 func (ix *TextIndex) score(term, field string, n float64, scores []float64, touched *itemset.Bits) {
 	ti, ok := ix.terms.Find(term)
@@ -253,12 +235,12 @@ func (ix *TextIndex) score(term, field string, n float64, scores []float64, touc
 	idf := math.Log(n/df) + 1 // +1 keeps single-term queries ranked by tf
 	apply := func(pair int) {
 		dns, tfs := ix.postRow(pair)
-		for i, dn := range dns {
-			if int(dn) >= len(scores) {
+		for i, id := range dns {
+			if int(id) >= len(scores) {
 				continue
 			}
-			scores[dn] += math.Log(float64(tfs[i])+1) * idf
-			touched.Add(dn)
+			scores[id] += math.Log(float64(tfs[i])+1) * idf
+			touched.Add(id)
 		}
 	}
 	if field == AnyField {
@@ -271,13 +253,10 @@ func (ix *TextIndex) score(term, field string, n float64, scores []float64, touc
 	}
 }
 
-// Fields returns the distinct field names indexed for docID, sorted.
-func (ix *TextIndex) Fields(docID string) []string {
-	dn, ok := ix.docs.Lookup(docID)
-	if !ok {
-		return []string{}
-	}
-	lo, hi := ix.docFieldRun(dn)
+// Fields returns the distinct field names indexed for document id,
+// sorted; empty for an ID without a row.
+func (ix *TextIndex) Fields(id uint32) []string {
+	lo, hi := ix.docFieldRun(id)
 	out := make([]string, 0, hi-lo)
 	for _, fi := range ix.c.DocField[lo:hi] {
 		out = append(out, ix.fields.At(int(fi)))
@@ -285,18 +264,14 @@ func (ix *TextIndex) Fields(docID string) []string {
 	return out // ascending field IDs are already lexical order
 }
 
-// FieldTermCounts returns the indexed term counts of (docID, field), in a
-// map the caller owns; nil when the document has no such field.
-func (ix *TextIndex) FieldTermCounts(docID, field string) map[string]int {
-	dn, ok := ix.docs.Lookup(docID)
-	if !ok {
-		return nil
-	}
+// FieldTermCounts returns the indexed term counts of (id, field), in a map
+// the caller owns; nil when the document has no such field.
+func (ix *TextIndex) FieldTermCounts(id uint32, field string) map[string]int {
 	fi, ok := ix.fields.Find(field)
 	if !ok {
 		return nil
 	}
-	lo, hi := ix.docFieldRun(dn)
+	lo, hi := ix.docFieldRun(id)
 	for pair := lo; pair < hi; pair++ {
 		if ix.c.DocField[pair] != uint32(fi) {
 			continue

@@ -63,6 +63,7 @@ func (s *System) Run() []Result {
 // keyword search over the external text index, with each hit mapped up to
 // its enclosing target-class element.
 func (s *System) runCO(t inex.Topic) []rdf.IRI {
+	g := s.M.Graph()
 	hits := s.M.TextIndex().Search(t.Text, "", 0)
 	cutoff := len(t.Relevant)
 	var out []rdf.IRI
@@ -71,7 +72,7 @@ func (s *System) runCO(t inex.Topic) []rdf.IRI {
 		if len(out) >= cutoff {
 			break
 		}
-		anc, ok := s.enclosing(rdf.IRI(h.ID), t.TargetClass)
+		anc, ok := s.enclosing(g.SubjectByID(h.ID), t.TargetClass)
 		if !ok || seen[anc] {
 			continue
 		}

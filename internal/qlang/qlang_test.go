@@ -23,7 +23,7 @@ func fixture(t *testing.T) (*rdf.Graph, *Resolver, *query.Engine) {
 
 // evaluate runs q through the engine and returns the sorted items.
 func evaluate(g *rdf.Graph, e *query.Engine, q query.Query) []rdf.IRI {
-	return g.SubjectsFromIDs(e.EvalContext(context.Background(), q).IDs().Slice())
+	return g.SubjectsFromIDs(e.EvalContext(context.Background(), q).Slice())
 }
 
 func parse(t *testing.T, r *Resolver, src string) query.Query {
@@ -111,8 +111,8 @@ func TestParsePrecedenceAndParens(t *testing.T) {
 	if set2.Len() == 0 || set1.Len() == 0 {
 		t.Error("empty evaluations")
 	}
-	for _, id := range set2.IDs().Slice() {
-		if !set1.IDs().Has(id) && set1.Len() > 0 {
+	for _, id := range set2.Slice() {
+		if !set1.Has(id) && set1.Len() > 0 {
 			// q2 ⊆ (Greek ∪ (Mexican ∧ Dessert)) need not hold; just sanity
 			// that both are non-crazy.
 			break

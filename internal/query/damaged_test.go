@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"magnet/internal/index"
 	"magnet/internal/itemset"
 	"magnet/internal/rdf"
 	"magnet/internal/schema"
@@ -62,12 +63,81 @@ func TestUnionsSkipDamagedPostingIDs(t *testing.T) {
 		AnyValueIn{Prop: pIngredient, Values: []rdf.IRI{feta, walnut}},
 	}
 	for _, p := range preds {
-		w, g := p.Eval(want).IDs().Slice(), p.Eval(got).IDs().Slice()
+		w, g := p.Eval(want).Slice(), p.Eval(got).Slice()
 		if len(w) == 0 {
 			t.Fatalf("%s: empty on the clean image; the case checks nothing", p.Key())
 		}
 		if !reflect.DeepEqual(g, w) {
 			t.Errorf("%s over damaged postings = %v, want %v", p.Key(), g, w)
 		}
+	}
+}
+
+// damagedText returns c with bad appended to every (term, field) posting:
+// a text image whose postings carry an ID past the subject table. bad is
+// the largest ID, so every posting stays sorted.
+func damagedText(c index.TextColumns, bad uint32) index.TextColumns {
+	dns := make([]uint32, 0, len(c.PostDNS)+len(c.PostField))
+	tfs := make([]uint32, 0, len(dns))
+	start := make([]uint32, 1, len(c.PostStart))
+	for i := 0; i+1 < len(c.PostStart); i++ {
+		lo, hi := c.PostStart[i], c.PostStart[i+1]
+		dns = append(append(dns, c.PostDNS[lo:hi]...), bad)
+		tfs = append(append(tfs, c.PostTFS[lo:hi]...), 1)
+		start = append(start, uint32(len(dns)))
+	}
+	c.PostDNS, c.PostTFS, c.PostStart = dns, tfs, start
+	return c
+}
+
+// TestTextSkipsDamagedPostingIDs evaluates the keyword predicates, and
+// reads the text index directly, over an image whose postings each carry
+// an ID past the subject table. Every result must equal the clean image's.
+// Two fields per item put AnyField matches on the bitmap-union path and
+// field-scoped ones on the zero-copy posting path.
+func TestTextSkipsDamagedPostingIDs(t *testing.T) {
+	e, _ := fixture()
+	g, universe := e.g, e.universe
+	b := index.NewTextBuilder(nil)
+	for _, id := range universe.Slice() {
+		title, _ := g.Object(g.SubjectByID(id), rdf.DCTitle)
+		b.Index(id, "title", title.(rdf.Literal).Lexical)
+		b.Index(id, "body", title.(rdf.Literal).Lexical)
+	}
+	open := func(c index.TextColumns) (*Engine, *index.TextIndex) {
+		tix, err := index.FromTextColumns(nil, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return NewEngine(g, e.sch, tix, universe), tix
+	}
+	bad := uint32(g.SubjectTable().Len() + 100)
+	clean, cleanIx := open(b.Columns())
+	got, tix := open(damagedText(b.Columns(), bad))
+
+	preds := []Predicate{
+		Keyword{Text: "walnut"},
+		Keyword{Text: "walnut", Field: "title"},
+		Keyword{Text: "greek salad"},
+		TermMatch{Term: "walnut", Field: "title"},
+		TermMatch{Term: "walnut"},
+	}
+	for _, p := range preds {
+		w, d := p.Eval(clean).Slice(), p.Eval(got).Slice()
+		if len(w) == 0 {
+			t.Fatalf("%s: empty on the clean image; the case checks nothing", p.Key())
+		}
+		if !reflect.DeepEqual(d, w) {
+			t.Errorf("%s over damaged postings = %v, want %v", p.Key(), d, w)
+		}
+	}
+	if g, w := tix.Search("walnut salad", index.AnyField, 0), cleanIx.Search("walnut salad", index.AnyField, 0); !reflect.DeepEqual(g, w) {
+		t.Errorf("Search over damaged postings = %v, want %v", g, w)
+	}
+	if f := tix.Fields(bad); len(f) != 0 {
+		t.Errorf("Fields(%d) = %v, want none", bad, f)
+	}
+	if c := tix.FieldTermCounts(bad, "title"); c != nil {
+		t.Errorf("FieldTermCounts(%d) = %v, want nil", bad, c)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"time"
 
+	"magnet/internal/itemset"
 	"magnet/internal/obs"
 )
 
@@ -71,7 +72,7 @@ var predInstruments = func() map[string]predInstrument {
 // (obs.StartTrace) it also emits a query.eval span tree. This is the
 // instrumented entry the session layer uses; Query.Eval remains the bare
 // path for predicate implementations composing other predicates.
-func (e *Engine) EvalContext(ctx context.Context, q Query) Set {
+func (e *Engine) EvalContext(ctx context.Context, q Query) itemset.Set {
 	ctx, sp := obs.StartSpan(ctx, "query.eval")
 	start := time.Now()
 	out := e.evalPred(ctx, And{Ps: q.Terms})
@@ -87,18 +88,18 @@ func (e *Engine) EvalContext(ctx context.Context, q Query) Set {
 // through the package's own composites so the span tree shows where a
 // conjunction's time went. Composite semantics are shared with the bare
 // Eval methods via evalAnd/evalOr.
-func (e *Engine) evalPred(ctx context.Context, p Predicate) Set {
+func (e *Engine) evalPred(ctx context.Context, p Predicate) itemset.Set {
 	kind := predKind(p)
 	ctx, sp := obs.StartSpan(ctx, "pred."+kind)
 	start := time.Now()
-	var out Set
+	var out itemset.Set
 	switch t := p.(type) {
 	case And:
 		out = evalAnd(e, t.Ps,
-			func(q Predicate) Set { return e.evalPred(ctx, q) },
-			func(n Not, acc Set) Set { return e.evalNotWithin(ctx, n, acc) })
+			func(q Predicate) itemset.Set { return e.evalPred(ctx, q) },
+			func(n Not, acc itemset.Set) itemset.Set { return e.evalNotWithin(ctx, n, acc) })
 	case Or:
-		out = evalOr(t.Ps, func(q Predicate) Set { return e.evalPred(ctx, q) })
+		out = evalOr(t.Ps, func(q Predicate) itemset.Set { return e.evalPred(ctx, q) })
 	case Not:
 		out = e.Universe().Minus(e.evalPred(ctx, t.P))
 	default:
@@ -115,7 +116,7 @@ func (e *Engine) evalPred(ctx context.Context, p Predicate) Set {
 // evalNotWithin is evalAnd's lazy negation under instrumentation: the
 // same pred.not counters and span as the eval path, but subtracting from
 // the conjunction's accumulated result instead of the whole universe.
-func (e *Engine) evalNotWithin(ctx context.Context, n Not, acc Set) Set {
+func (e *Engine) evalNotWithin(ctx context.Context, n Not, acc itemset.Set) itemset.Set {
 	ctx, sp := obs.StartSpan(ctx, "pred.not")
 	start := time.Now()
 	out := acc.Intersect(e.Universe()).Minus(e.evalPred(ctx, n.P))

@@ -18,93 +18,21 @@ import (
 	"strings"
 	"time"
 
-	"magnet/internal/ids"
 	"magnet/internal/index"
 	"magnet/internal/itemset"
 	"magnet/internal/rdf"
 	"magnet/internal/schema"
 )
 
-// Set is a set of items, backed by the dense-ID plane: an itemset over the
-// graph's frozen subject table. Set algebra is merge-based over sorted
-// uint32 postings — no hashing, no per-member allocation — and IRIs are
-// rehydrated only at the render boundary (Graph.SubjectsFromIDs over IDs).
-// The zero Set is empty.
-//
-// Sets produced by one Engine share that engine's subject table; mixing
-// sets from different engines still works — the receiver re-looks-up the
-// other side's members — but costs the rehydration it normally avoids.
-type Set struct {
-	in  *ids.Table[rdf.IRI]
-	set itemset.Set
-}
-
-// idsIn looks keys up in the subject table, skipping keys it has never
-// seen: such items carry no triples, so no engine set can hold them.
-func idsIn(in *ids.Table[rdf.IRI], keys []rdf.IRI) itemset.Set {
-	dense := make([]uint32, 0, len(keys))
-	for _, k := range keys {
-		if id, ok := in.Lookup(k); ok {
-			dense = append(dense, id)
-		}
-	}
-	return itemset.FromUnsorted(dense)
-}
-
-// setFromIDs wraps an itemset from the engine's ID space without copying.
-func (e *Engine) setFromIDs(s itemset.Set) Set {
-	return Set{in: e.g.SubjectTable(), set: s}
-}
-
-// Len returns the number of members.
-func (s Set) Len() int { return s.set.Len() }
-
-// IsEmpty reports whether the set has no members.
-func (s Set) IsEmpty() bool { return s.set.IsEmpty() }
-
-// IDs exposes the dense-ID view for layers that stay on the ID plane
-// (facets, vsm, advisors).
-func (s Set) IDs() itemset.Set { return s.set }
-
-// rebase returns t's itemset expressed in s's ID space, re-looking-up
-// t's members when the two sets come from different engines.
-func (s Set) rebase(t Set) itemset.Set {
-	if t.in == s.in || t.set.IsEmpty() {
-		return t.set
-	}
-	return idsIn(s.in, t.in.AppendKeys(make([]rdf.IRI, 0, t.set.Len()), t.set.Slice()))
-}
-
-// Intersect returns s ∩ t.
-func (s Set) Intersect(t Set) Set {
-	if s.in == nil || t.in == nil {
-		return Set{in: s.in}
-	}
-	return Set{in: s.in, set: s.set.Intersect(s.rebase(t))}
-}
-
-// Union returns s ∪ t.
-func (s Set) Union(t Set) Set {
-	if s.in == nil {
-		return t
-	}
-	return Set{in: s.in, set: s.set.Union(s.rebase(t))}
-}
-
-// Minus returns s \ t.
-func (s Set) Minus(t Set) Set {
-	if s.in == nil || t.in == nil || t.set.IsEmpty() {
-		return s
-	}
-	return Set{in: s.in, set: s.set.Minus(s.rebase(t))}
-}
-
 // Labeler renders resources for humans; the graph's Label method satisfies
 // it via a closure.
 type Labeler func(rdf.IRI) string
 
 // Engine evaluates predicates over a graph with its annotations, an
-// external text index, and a universe of queryable items.
+// external text index, and a universe of queryable items. Every result is
+// an itemset.Set of graph subject IDs: set algebra is merge-based over
+// sorted uint32 postings, and IRIs are rehydrated only at the render
+// boundary (Graph.SubjectsFromIDs).
 type Engine struct {
 	g    *rdf.Graph
 	sch  *schema.Store
@@ -121,22 +49,15 @@ func NewEngine(g *rdf.Graph, sch *schema.Store, text *index.TextIndex, universe 
 	return &Engine{g: g, sch: sch, text: text, universe: universe}
 }
 
-// Rebase expresses s on the engine's dense-ID plane, re-looking-up its
-// members when s came from a different engine; sets already in the
-// engine's space pass through unchanged.
-func (e *Engine) Rebase(s Set) itemset.Set {
-	return Set{in: e.g.SubjectTable()}.rebase(s)
-}
-
 // Universe returns the set of all queryable items.
-func (e *Engine) Universe() Set { return e.setFromIDs(e.universe) }
+func (e *Engine) Universe() itemset.Set { return e.universe }
 
 // Predicate is one query constraint. Implementations evaluate to the set of
 // matching items; new predicate kinds plug in by implementing this
 // interface (the §4.2 extension mechanism).
 type Predicate interface {
 	// Eval returns the items matching the predicate.
-	Eval(e *Engine) Set
+	Eval(e *Engine) itemset.Set
 	// Describe renders the constraint for the navigation pane.
 	Describe(l Labeler) string
 	// Key is a canonical identity used for de-duplication and history.
@@ -153,8 +74,8 @@ type Property struct {
 // view of the posting list.
 //
 //magnet:hot
-func (p Property) Eval(e *Engine) Set {
-	return e.setFromIDs(e.g.SubjectIDSet(p.Prop, p.Value))
+func (p Property) Eval(e *Engine) itemset.Set {
+	return e.g.SubjectIDSet(p.Prop, p.Value)
 }
 
 // Describe implements Predicate.
@@ -189,9 +110,9 @@ type PathProperty struct {
 
 // Eval implements Predicate by chasing the path backwards through the
 // reverse index: subjects(pₙ, value), then subjects(pₙ₋₁, ·) of those, ...
-func (p PathProperty) Eval(e *Engine) Set {
+func (p PathProperty) Eval(e *Engine) itemset.Set {
 	if len(p.Path) == 0 {
-		return Set{}
+		return itemset.Set{}
 	}
 	n := e.g.SubjectTable().Len()
 	frontier := e.g.SubjectIDSet(p.Path[len(p.Path)-1], p.Value)
@@ -206,7 +127,7 @@ func (p PathProperty) Eval(e *Engine) Set {
 			break
 		}
 	}
-	return e.setFromIDs(frontier)
+	return frontier
 }
 
 // Describe implements Predicate.
@@ -245,24 +166,26 @@ type Keyword struct {
 }
 
 // Eval implements Predicate through the external text index (§4.2).
-func (k Keyword) Eval(e *Engine) Set {
+func (k Keyword) Eval(e *Engine) itemset.Set {
 	if e.text == nil || strings.TrimSpace(k.Text) == "" {
-		return Set{}
+		return itemset.Set{}
 	}
-	return e.setFromDocIDs(e.text.Matching(k.Text, k.Field))
+	return e.subjects(e.text.Matching(k.Text, k.Field))
 }
 
-// setFromDocIDs maps text-index document IDs (which are item IRIs) into
-// the engine's dense space.
-func (e *Engine) setFromDocIDs(docs []string) Set {
-	in := e.g.SubjectTable()
-	dense := make([]uint32, 0, len(docs))
-	for _, id := range docs {
-		if n, ok := in.Lookup(rdf.IRI(id)); ok {
-			dense = append(dense, n)
+// subjects clips a text-index result to the subject table: the index is
+// keyed by subject ID, and a damaged posting ID past the table reads as
+// absent instead of joining the set.
+func (e *Engine) subjects(s itemset.Set) itemset.Set {
+	n := e.g.SubjectTable().Len()
+	for _, id := range s.Slice() {
+		if int(id) >= n {
+			b := itemset.NewBits(n)
+			b.AddSliceBelow(s.Slice(), n)
+			return b.Extract()
 		}
 	}
-	return Set{in: in, set: itemset.FromUnsorted(dense)}
+	return s
 }
 
 // Describe implements Predicate.
@@ -287,11 +210,11 @@ type TermMatch struct {
 }
 
 // Eval implements Predicate.
-func (m TermMatch) Eval(e *Engine) Set {
+func (m TermMatch) Eval(e *Engine) itemset.Set {
 	if e.text == nil || m.Term == "" {
-		return Set{}
+		return itemset.Set{}
 	}
-	return e.setFromDocIDs(e.text.MatchingTerm(m.Term, m.Field))
+	return e.subjects(e.text.MatchingTerm(m.Term, m.Field))
 }
 
 // Describe implements Predicate.
@@ -327,7 +250,7 @@ func AtMost(prop rdf.IRI, max float64) Range { return Range{Prop: prop, Max: &ma
 // Eval implements Predicate by walking the property's value domain (one
 // reverse-index probe per in-range value, never per item), unioning the
 // in-range posting lists through a bitmap.
-func (r Range) Eval(e *Engine) Set {
+func (r Range) Eval(e *Engine) itemset.Set {
 	n := e.g.SubjectTable().Len()
 	b := itemset.NewBits(n)
 	e.g.ForEachValuePosting(r.Prop, func(v rdf.Term, subjects itemset.Set) bool {
@@ -348,7 +271,7 @@ func (r Range) Eval(e *Engine) Set {
 		b.AddSliceBelow(subjects.Slice(), n)
 		return true
 	})
-	return e.setFromIDs(b.Extract())
+	return b.Extract()
 }
 
 // Describe implements Predicate.
@@ -392,7 +315,7 @@ type Not struct {
 }
 
 // Eval implements Predicate.
-func (n Not) Eval(e *Engine) Set {
+func (n Not) Eval(e *Engine) itemset.Set {
 	return e.Universe().Minus(n.P.Eval(e))
 }
 
@@ -408,10 +331,10 @@ type And struct {
 }
 
 // Eval implements Predicate.
-func (a And) Eval(e *Engine) Set {
+func (a And) Eval(e *Engine) itemset.Set {
 	return evalAnd(e, a.Ps,
-		func(p Predicate) Set { return p.Eval(e) },
-		func(n Not, acc Set) Set {
+		func(p Predicate) itemset.Set { return p.Eval(e) },
+		func(n Not, acc itemset.Set) itemset.Set {
 			return acc.Intersect(e.Universe()).Minus(n.P.Eval(e))
 		})
 }
@@ -424,7 +347,7 @@ func (a And) Eval(e *Engine) Set {
 // acc ∩ (U \ E), so the full universe complement that Not.Eval would
 // materialize is never built on the conjunction path. A leading Not still
 // takes the eval path (there is no accumulator to subtract from yet).
-func evalAnd(e *Engine, ps []Predicate, eval func(Predicate) Set, evalNot func(Not, Set) Set) Set {
+func evalAnd(e *Engine, ps []Predicate, eval func(Predicate) itemset.Set, evalNot func(Not, itemset.Set) itemset.Set) itemset.Set {
 	if len(ps) == 0 {
 		return e.Universe()
 	}
@@ -455,14 +378,14 @@ type Or struct {
 }
 
 // Eval implements Predicate.
-func (o Or) Eval(e *Engine) Set {
-	return evalOr(o.Ps, func(p Predicate) Set { return p.Eval(e) })
+func (o Or) Eval(e *Engine) itemset.Set {
+	return evalOr(o.Ps, func(p Predicate) itemset.Set { return p.Eval(e) })
 }
 
 // evalOr is the disjunction loop shared by Or.Eval and the instrumented
 // Engine.EvalContext path.
-func evalOr(ps []Predicate, eval func(Predicate) Set) Set {
-	var out Set
+func evalOr(ps []Predicate, eval func(Predicate) itemset.Set) itemset.Set {
+	var out itemset.Set
 	for _, p := range ps {
 		out = out.Union(eval(p))
 	}

@@ -33,7 +33,7 @@ var (
 // fixture: 5 recipes with cuisines, ingredients, servings, dates and text.
 func fixture() (*Engine, []rdf.IRI) {
 	gb := rdf.NewBuilder()
-	tb := index.NewTextBuilder(nil)
+	titles := map[rdf.IRI]string{}
 
 	add := func(id string, cuisine rdf.IRI, servings int64, day int, title string, ingredients ...rdf.IRI) rdf.IRI {
 		it := rdf.IRI(ex + id)
@@ -45,7 +45,7 @@ func fixture() (*Engine, []rdf.IRI) {
 		for _, ing := range ingredients {
 			gb.Add(it, pIngredient, ing)
 		}
-		tb.Index(string(it), "title", title)
+		titles[it] = title
 		return it
 	}
 	items := []rdf.IRI{
@@ -56,6 +56,11 @@ func fixture() (*Engine, []rdf.IRI) {
 		add("r5", mexican, 4, 20, "Bean Tacos"),
 	}
 	g := gb.Freeze()
+	tb := index.NewTextBuilder(nil)
+	for it, title := range titles {
+		id, _ := g.SubjectID(it)
+		tb.Index(id, "title", title)
+	}
 	tix, err := index.FromTextColumns(nil, tb.Columns())
 	if err != nil {
 		panic(err)
@@ -70,25 +75,23 @@ func iri(id string) rdf.IRI { return rdf.IRI(ex + id) }
 // between builds a two-sided range.
 func between(prop rdf.IRI, min, max float64) Range { return Range{Prop: prop, Min: &min, Max: &max} }
 
-// evaluate runs q through the instrumented path and returns the sorted
-// items.
-// items rehydrates the members in ascending ID order, which is lexical.
-func (s Set) items() []rdf.IRI {
-	if s.set.IsEmpty() {
-		return []rdf.IRI{}
-	}
-	return s.in.AppendKeys(make([]rdf.IRI, 0, s.set.Len()), s.set.Slice())
+// items rehydrates the members of s in ascending ID order, which is
+// lexical.
+func (e *Engine) items(s itemset.Set) []rdf.IRI {
+	return e.g.SubjectTable().AppendKeys(make([]rdf.IRI, 0, s.Len()), s.Slice())
 }
 
 // newSet builds a set from items in the engine's ID space, skipping items
 // the graph has never seen.
-func (e *Engine) newSet(items ...rdf.IRI) Set { return e.setFromIDs(e.g.SubjectIDsOf(items)) }
+func (e *Engine) newSet(items ...rdf.IRI) itemset.Set { return e.g.SubjectIDsOf(items) }
 
-func evaluate(e *Engine, q Query) []rdf.IRI { return e.EvalContext(context.Background(), q).items() }
+// evaluate runs q through the instrumented path and returns the sorted
+// items.
+func evaluate(e *Engine, q Query) []rdf.IRI { return e.items(e.EvalContext(context.Background(), q)) }
 
 func TestPropertyPredicate(t *testing.T) {
 	e, _ := fixture()
-	got := Property{pCuisine, greek}.Eval(e).items()
+	got := e.items(Property{pCuisine, greek}.Eval(e))
 	want := []rdf.IRI{iri("r1"), iri("r2"), iri("r3")}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("greek = %v", got)
@@ -103,7 +106,7 @@ func TestPropertyPredicate(t *testing.T) {
 
 func TestKeywordPredicate(t *testing.T) {
 	e, _ := fixture()
-	got := Keyword{Text: "walnut"}.Eval(e).items()
+	got := e.items(Keyword{Text: "walnut"}.Eval(e))
 	want := []rdf.IRI{iri("r2"), iri("r4")}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("keyword walnut = %v", got)
@@ -128,15 +131,15 @@ func TestKeywordWithoutTextIndex(t *testing.T) {
 
 func TestRangePredicate(t *testing.T) {
 	e, _ := fixture()
-	got := between(pServings, 4, 6).Eval(e).items()
+	got := e.items(between(pServings, 4, 6).Eval(e))
 	want := []rdf.IRI{iri("r1"), iri("r4"), iri("r5")}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("servings 4..6 = %v", got)
 	}
-	if got := AtLeast(pServings, 8).Eval(e).items(); !reflect.DeepEqual(got, []rdf.IRI{iri("r2")}) {
+	if got := e.items(AtLeast(pServings, 8).Eval(e)); !reflect.DeepEqual(got, []rdf.IRI{iri("r2")}) {
 		t.Errorf("servings ≥ 8 = %v", got)
 	}
-	if got := AtMost(pServings, 2).Eval(e).items(); !reflect.DeepEqual(got, []rdf.IRI{iri("r3")}) {
+	if got := e.items(AtMost(pServings, 2).Eval(e)); !reflect.DeepEqual(got, []rdf.IRI{iri("r3")}) {
 		t.Errorf("servings ≤ 2 = %v", got)
 	}
 }
@@ -145,7 +148,7 @@ func TestTimeRangePredicate(t *testing.T) {
 	e, _ := fixture()
 	from := time.Date(2003, 7, 4, 0, 0, 0, 0, time.UTC)
 	to := time.Date(2003, 7, 12, 0, 0, 0, 0, time.UTC)
-	got := between(pSent, float64(from.Unix()), float64(to.Unix())).Eval(e).items()
+	got := e.items(between(pSent, float64(from.Unix()), float64(to.Unix())).Eval(e))
 	want := []rdf.IRI{iri("r2"), iri("r3")}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("date window = %v", got)
@@ -162,7 +165,7 @@ func TestRangeSkipsNonNumeric(t *testing.T) {
 
 func TestNotPredicate(t *testing.T) {
 	e, _ := fixture()
-	got := Not{Property{pIngredient, walnut}}.Eval(e).items()
+	got := e.items(Not{Property{pIngredient, walnut}}.Eval(e))
 	want := []rdf.IRI{iri("r1"), iri("r3"), iri("r5")}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("NOT walnut = %v", got)
@@ -175,14 +178,14 @@ func TestNotPredicate(t *testing.T) {
 // even when earlier conjuncts match items outside it.
 func TestLazyNotClipsToUniverse(t *testing.T) {
 	full, items := fixture()
-	e := NewEngine(full.g, full.sch, full.text, full.newSet(items[:3]...).IDs())
+	e := NewEngine(full.g, full.sch, full.text, full.newSet(items[:3]...))
 	p, n := Property{pServings, rdf.NewInteger(4)}, Not{Property{pIngredient, walnut}}
-	want := p.Eval(e).Intersect(n.Eval(e)).items()
-	if len(want) == 0 || len(p.Eval(e).items()) == len(want) {
+	want := e.items(p.Eval(e).Intersect(n.Eval(e)))
+	if len(want) == 0 || p.Eval(e).Len() == len(want) {
 		t.Fatalf("fixture: %v checks no clipping", want)
 	}
 	and := And{[]Predicate{p, n}}
-	if got := and.Eval(e).items(); !reflect.DeepEqual(got, want) {
+	if got := e.items(and.Eval(e)); !reflect.DeepEqual(got, want) {
 		t.Errorf("And.Eval = %v, want %v", got, want)
 	}
 	if got := evaluate(e, NewQuery(p, n)); !reflect.DeepEqual(got, want) {
@@ -193,11 +196,11 @@ func TestLazyNotClipsToUniverse(t *testing.T) {
 func TestAndOrPredicates(t *testing.T) {
 	e, _ := fixture()
 	and := And{[]Predicate{Property{pCuisine, greek}, Property{pIngredient, feta}}}
-	if got := and.Eval(e).items(); !reflect.DeepEqual(got, []rdf.IRI{iri("r1"), iri("r3")}) {
+	if got := e.items(and.Eval(e)); !reflect.DeepEqual(got, []rdf.IRI{iri("r1"), iri("r3")}) {
 		t.Errorf("AND = %v", got)
 	}
 	or := Or{[]Predicate{Property{pIngredient, feta}, Property{pIngredient, walnut}}}
-	if got := or.Eval(e).items(); len(got) != 4 {
+	if got := e.items(or.Eval(e)); len(got) != 4 {
 		t.Errorf("OR = %v", got)
 	}
 	// Empty And = universe; empty Or = nothing.
@@ -298,18 +301,18 @@ func TestSetOperations(t *testing.T) {
 	e, _ := fixture()
 	a := e.newSet(iri("r1"), iri("r2"))
 	b := e.newSet(iri("r2"), iri("r3"))
-	if got := a.Intersect(b).items(); !reflect.DeepEqual(got, []rdf.IRI{iri("r2")}) {
+	if got := e.items(a.Intersect(b)); !reflect.DeepEqual(got, []rdf.IRI{iri("r2")}) {
 		t.Errorf("Intersect = %v", got)
 	}
-	if got := a.Union(b).items(); len(got) != 3 {
+	if got := e.items(a.Union(b)); len(got) != 3 {
 		t.Errorf("Union = %v", got)
 	}
-	if got := a.Minus(b).items(); !reflect.DeepEqual(got, []rdf.IRI{iri("r1")}) {
+	if got := e.items(a.Minus(b)); !reflect.DeepEqual(got, []rdf.IRI{iri("r1")}) {
 		t.Errorf("Minus = %v", got)
 	}
 	r1, _ := e.g.SubjectID(iri("r1"))
 	r3, _ := e.g.SubjectID(iri("r3"))
-	if a.IDs().Has(r3) || !a.IDs().Has(r1) {
+	if a.Has(r3) || !a.Has(r1) {
 		t.Error("Has wrong")
 	}
 }
@@ -329,12 +332,12 @@ func TestPathPropertyPredicate(t *testing.T) {
 	e := NewEngine(g, sch, nil, g.SubjectIDsOf([]rdf.IRI{doc1, doc2}))
 
 	p := PathProperty{Path: []rdf.IRI{pAuthor, pField}, Value: ir}
-	if got := p.Eval(e).items(); !reflect.DeepEqual(got, []rdf.IRI{doc1}) {
+	if got := e.items(p.Eval(e)); !reflect.DeepEqual(got, []rdf.IRI{doc1}) {
 		t.Errorf("PathProperty = %v", got)
 	}
 	// Length-1 path equals Property.
 	p1 := PathProperty{Path: []rdf.IRI{pAuthor}, Value: alice}
-	if got := p1.Eval(e).items(); !reflect.DeepEqual(got, []rdf.IRI{doc1}) {
+	if got := e.items(p1.Eval(e)); !reflect.DeepEqual(got, []rdf.IRI{doc1}) {
 		t.Errorf("len-1 path = %v", got)
 	}
 	// Empty path and dead-end values match nothing.
@@ -353,7 +356,7 @@ func TestPathPropertyPredicate(t *testing.T) {
 func TestTermMatchPredicate(t *testing.T) {
 	e, _ := fixture()
 	// The index stems "Walnut" → "walnut"; TermMatch takes the stem as-is.
-	got := TermMatch{Term: "walnut", Field: "title"}.Eval(e).items()
+	got := e.items(TermMatch{Term: "walnut", Field: "title"}.Eval(e))
 	if !reflect.DeepEqual(got, []rdf.IRI{iri("r2"), iri("r4")}) {
 		t.Errorf("TermMatch = %v", got)
 	}
@@ -378,9 +381,9 @@ type maxValues struct {
 	max  int
 }
 
-func (m maxValues) Eval(e *Engine) Set {
+func (m maxValues) Eval(e *Engine) itemset.Set {
 	var matched []rdf.IRI
-	for _, it := range e.Universe().items() {
+	for _, it := range e.items(e.Universe()) {
 		if e.g.ObjectCount(it, m.prop) <= m.max {
 			matched = append(matched, it)
 		}
@@ -421,11 +424,11 @@ func TestQuickBooleanAlgebra(t *testing.T) {
 		// ¬(p ∧ q) == ¬p ∪ ¬q
 		lhs := Not{And{[]Predicate{p, q}}}.Eval(e)
 		rhs := Or{[]Predicate{Not{p}, Not{q}}}.Eval(e)
-		if !reflect.DeepEqual(lhs.items(), rhs.items()) {
+		if !reflect.DeepEqual(e.items(lhs), e.items(rhs)) {
 			return false
 		}
 		// ¬¬p == p
-		if !reflect.DeepEqual(Not{Not{p}}.Eval(e).items(), p.Eval(e).items()) {
+		if !reflect.DeepEqual(e.items(Not{Not{p}}.Eval(e)), e.items(p.Eval(e))) {
 			return false
 		}
 		// p ∧ ¬p == ∅

@@ -24,13 +24,13 @@ type AnyValueIn struct {
 
 // Eval implements Predicate via one reverse-index probe per value; the
 // posting lists are unioned through a bitmap.
-func (p AnyValueIn) Eval(e *Engine) Set {
+func (p AnyValueIn) Eval(e *Engine) itemset.Set {
 	n := e.g.SubjectTable().Len()
 	b := itemset.NewBits(n)
 	for _, v := range p.Values {
 		b.AddSliceBelow(e.g.SubjectIDSet(p.Prop, v).Slice(), n)
 	}
-	return e.setFromIDs(b.Extract())
+	return b.Extract()
 }
 
 // Describe implements Predicate.
@@ -65,7 +65,7 @@ type AllValuesIn struct {
 // Eval implements Predicate: candidates come from the reverse index (they
 // must have at least one value in the set), then each candidate's full
 // value list is checked for containment.
-func (p AllValuesIn) Eval(e *Engine) Set {
+func (p AllValuesIn) Eval(e *Engine) itemset.Set {
 	allowed := make([]string, len(p.Values))
 	for i, v := range p.Values {
 		allowed[i] = v.Key()
@@ -77,7 +77,7 @@ func (p AllValuesIn) Eval(e *Engine) Set {
 	}
 	candidates := AnyValueIn{Prop: p.Prop, Values: p.Values}.Eval(e)
 	kept := make([]uint32, 0, candidates.Len())
-	candidates.IDs().ForEach(func(id uint32) bool {
+	candidates.ForEach(func(id uint32) bool {
 		it := e.g.SubjectByID(id)
 		for _, v := range e.g.Objects(it, p.Prop) {
 			if !inAllowed(v.Key()) {
@@ -87,7 +87,7 @@ func (p AllValuesIn) Eval(e *Engine) Set {
 		kept = append(kept, id)
 		return true
 	})
-	return e.setFromIDs(itemset.FromSorted(kept))
+	return itemset.FromSorted(kept)
 }
 
 // Describe implements Predicate.

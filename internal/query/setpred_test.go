@@ -31,7 +31,7 @@ func setFixture() *Engine {
 func TestAnyValueIn(t *testing.T) {
 	e := setFixture()
 	p := AnyValueIn{Prop: pIngredient, Values: []rdf.IRI{iri("beans"), iri("corn")}}
-	got := p.Eval(e).items()
+	got := e.items(p.Eval(e))
 	want := []rdf.IRI{iri("r1"), iri("r2"), iri("r3")}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("AnyValueIn = %v", got)
@@ -44,7 +44,7 @@ func TestAnyValueIn(t *testing.T) {
 func TestAllValuesIn(t *testing.T) {
 	e := setFixture()
 	p := AllValuesIn{Prop: pIngredient, Values: []rdf.IRI{iri("beans"), iri("corn")}}
-	got := p.Eval(e).items()
+	got := e.items(p.Eval(e))
 	// r1 (beans+corn) and r2 (beans) qualify; r3 has feta too; r5 has no
 	// ingredient at all and must not match.
 	want := []rdf.IRI{iri("r1"), iri("r2")}

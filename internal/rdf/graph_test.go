@@ -278,9 +278,9 @@ func TestForEachValuePostingConcurrentReaders(t *testing.T) {
 	}
 	textIndex := func() *index.TextIndex {
 		b := index.NewTextBuilder(nil)
-		b.Index(ex+"r1", "title", "Greek salad with feta")
-		b.Index(ex+"r2", "title", "Feta pie")
-		b.Index(ex+"r3", "title", "Mexican beans")
+		b.Index(0, "title", "Greek salad with feta")
+		b.Index(1, "title", "Feta pie")
+		b.Index(2, "title", "Mexican beans")
 		ix, err := index.FromTextColumns(nil, b.Columns())
 		if err != nil {
 			t.Fatal(err)

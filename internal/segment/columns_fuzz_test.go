@@ -29,16 +29,15 @@ func fuzzImage() Data {
 	add("dead", "title", rdf.NewString("gone"))
 	b.Remove(rdf.IRI(ns+"dead"), rdf.IRI(ns+"title"), rdf.NewString("gone"))
 
-	tb := index.NewTextBuilder(nil)
-	tb.Index(ns+"a", "title", "lemon feta salad")
-	tb.Index(ns+"a", "body", "whisk the lemons")
-	tb.Index(ns+"b", "title", "olive bread")
-
 	g := b.Freeze()
 	id := func(s string) uint32 {
 		n, _ := g.SubjectID(rdf.IRI(ns + s))
 		return n
 	}
+	tb := index.NewTextBuilder(nil)
+	tb.Index(id("a"), "title", "lemon feta salad")
+	tb.Index(id("a"), "body", "whisk the lemons")
+	tb.Index(id("b"), "title", "olive bread")
 	vb := index.NewVectorBuilder()
 	vb.PinnedPrefix = "num|"
 	vb.Add(id("a"), map[string]float64{"feta": 2, "lemon": 1, "num|x": 0.5})
@@ -163,15 +162,19 @@ func readText(ix *index.TextIndex) {
 		}
 		ix.Surface(q)
 	}
-	for _, doc := range []string{"urn:x:a", "urn:x:b", "urn:x:none"} {
+	for _, doc := range docIDs {
 		for _, field := range append(ix.Fields(doc), "none") {
 			ix.FieldTermCounts(doc, field)
 		}
 	}
 }
 
+// docIDs are the document IDs the readers probe: every row of the fuzz
+// image's stores and IDs past the last row.
+var docIDs = []uint32{0, 1, 2, 3, 4, 1 << 20}
+
 func readVectors(v *index.VectorStore) {
-	docs := itemset.FromSorted([]uint32{0, 1, 2, 3, 4, 1 << 20})
+	docs := itemset.FromSorted(docIDs)
 	for _, id := range docs.Slice() {
 		v.Weights(id)
 		v.Similarity(id, 1)

@@ -33,8 +33,10 @@ const (
 	Magic = "MAGSEG\x00\x01"
 	// Version is the current segment format version. Version 2 numbers
 	// subjects lexically and stores compiled tf·idf rows keyed by subject
-	// ID; version 1 sets must be rebuilt.
-	Version = 2
+	// ID; version 3 keys the text postings and per-document rows by
+	// subject ID too and drops the text doc table. Version 1 and 2 sets
+	// must be rebuilt.
+	Version = 3
 	// ManifestName is the manifest file inside a segment directory.
 	ManifestName = "MANIFEST.json"
 	// headerSize is the fixed on-disk header: magic[8] version[4] flags[4]

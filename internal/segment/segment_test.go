@@ -2,6 +2,7 @@ package segment
 
 import (
 	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -153,28 +154,34 @@ func TestWrongVersion(t *testing.T) {
 	}
 }
 
-// oldManifest is a manifest of the previous format (version 1: subjects in
-// first-insertion order, lazily derived vector rows); it is also a
-// FuzzManifest seed.
-var oldManifest = []byte(`{"format":1,"tool":"magnet-build","dataset":"recipes","items":495,"triples":3731,"files":[]}`)
+// oldManifest and format2Manifest are manifests of earlier formats
+// (version 1: subjects in first-insertion order, lazily derived vector
+// rows; version 2: a text doc table of IRI strings); both are also
+// FuzzManifest seeds.
+var (
+	oldManifest     = []byte(`{"format":1,"tool":"magnet-build","dataset":"recipes","items":495,"triples":3731,"files":[]}`)
+	format2Manifest = []byte(`{"format":2,"tool":"magnet-build","dataset":"recipes","params":{"recipes":200,"seed":1},"indexAllSubjects":false,"items":495,"triples":3731,"files":[{"name":"graph.seg","bytes":143744,"crc32c":4012441468}]}`)
+)
 
-// TestOldFormatSaysRebuild: a version-1 segment header and a version-1
-// manifest are rejected with the way to recover.
+// TestOldFormatSaysRebuild: version-1 and version-2 segment headers and
+// manifests are rejected with the way to recover.
 func TestOldFormatSaysRebuild(t *testing.T) {
 	path, _, _, _ := writeTestFile(t)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	binary.LittleEndian.PutUint32(raw[8:], 1)
-	binary.LittleEndian.PutUint32(raw[36:], Checksum(raw[:36]))
-	_, err = openBytes(raw)
-	if err == nil || !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "rebuild the set with magnet-build") {
-		t.Errorf("version-1 header: err = %v, want a rebuild hint", err)
-	}
-	_, err = ParseManifest(oldManifest)
-	if err == nil || !strings.Contains(err.Error(), "format 1") || !strings.Contains(err.Error(), "rebuild the set with magnet-build") {
-		t.Errorf("format-1 manifest: err = %v, want a rebuild hint", err)
+	for version, manifest := range map[uint32][]byte{1: oldManifest, 2: format2Manifest} {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint32(raw[8:], version)
+		binary.LittleEndian.PutUint32(raw[36:], Checksum(raw[:36]))
+		_, err = openBytes(raw)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", version)) || !strings.Contains(err.Error(), "rebuild the set with magnet-build") {
+			t.Errorf("version-%d header: err = %v, want a rebuild hint", version, err)
+		}
+		_, err = ParseManifest(manifest)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("format %d", version)) || !strings.Contains(err.Error(), "rebuild the set with magnet-build") {
+			t.Errorf("format-%d manifest: err = %v, want a rebuild hint", version, err)
+		}
 	}
 }
 
@@ -207,10 +214,10 @@ func TestParseManifestRejects(t *testing.T) {
 		"empty":         "",
 		"not json":      "{",
 		"wrong format":  `{"format": 99, "files": []}`,
-		"unknown field": `{"format": 2, "surprise": true}`,
-		"negative":      `{"format": 2, "items": -1}`,
-		"dup file":      `{"format": 2, "files": [{"name":"a","bytes":1,"crc32c":0},{"name":"a","bytes":2,"crc32c":0}]}`,
-		"nameless file": `{"format": 2, "files": [{"name":"","bytes":1,"crc32c":0}]}`,
+		"unknown field": `{"format": 3, "surprise": true}`,
+		"negative":      `{"format": 3, "items": -1}`,
+		"dup file":      `{"format": 3, "files": [{"name":"a","bytes":1,"crc32c":0},{"name":"a","bytes":2,"crc32c":0}]}`,
+		"nameless file": `{"format": 3, "files": [{"name":"","bytes":1,"crc32c":0}]}`,
 	}
 	for name, in := range cases {
 		if _, err := ParseManifest([]byte(in)); err == nil {

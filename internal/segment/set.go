@@ -136,7 +136,6 @@ func addGraph(w *Writer, c rdf.GraphColumns) {
 }
 
 func addText(w *Writer, c index.TextColumns) {
-	addInterner(w, "docs", c.Docs)
 	w.AddU32("live", []uint32{c.Live})
 	w.AddU32("term.off", c.TermOff)
 	w.AddBytes("term.blob", c.TermBlob)
@@ -267,7 +266,6 @@ func OpenDir(dir string) (*Set, error) {
 		return nil, err
 	}
 	t := &s.Data.Text
-	t.Docs = r.interner("docs")
 	if live := r.u32("live"); len(live) == 1 {
 		t.Live = live[0]
 	} else if r.err == nil {

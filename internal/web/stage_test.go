@@ -3,6 +3,7 @@ package web
 import (
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"testing"
 	"time"
 
@@ -11,11 +12,12 @@ import (
 	"magnet/internal/obs"
 )
 
-// TestWebStageTimings checks that a page request names the two serving
-// stages that would otherwise hide in its unattributed time: the wait for
-// the server lock (web.lock_wait, once to find the session and once to
-// run the step) and template execution (web.render). Each lands in its
-// histogram and as a child span of the request's trace.
+// TestWebStageTimings checks that page requests name the serving stages
+// that would otherwise hide in their unattributed time: the wait for the
+// server lock (web.lock_wait, once to find the session and once to run the
+// step), template execution (web.render), and on the item page the
+// similar-item search with its explanations (web.item_similar). Each lands
+// in its histogram and as a child span of the request's trace.
 func TestWebStageTimings(t *testing.T) {
 	old := obs.Records.SlowThreshold()
 	obs.Records.SetSlowThreshold(time.Nanosecond) // retain every trace
@@ -26,33 +28,56 @@ func TestWebStageTimings(t *testing.T) {
 	srv := httptest.NewServer(NewServer(m))
 	t.Cleanup(srv.Close)
 
-	lockBefore, renderBefore := lockWaitNS.Snapshot().Count, renderNS.Snapshot().Count
-	resp, err := srv.Client().Get(srv.URL + "/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET / = %d", resp.StatusCode)
-	}
-	if n := lockWaitNS.Snapshot().Count - lockBefore; n != 2 {
-		t.Errorf("web.lock_wait.ns observed %d waits, want 2", n)
-	}
-	if n := renderNS.Snapshot().Count - renderBefore; n != 1 {
-		t.Errorf("web.render.ns observed %d renders, want 1", n)
+	// get requests path and returns the stage histograms' new observations
+	// with the request's child spans.
+	get := func(path string) (lock, similar, render uint64, children map[string]int) {
+		t.Helper()
+		lockBefore, similarBefore, renderBefore := lockWaitNS.Snapshot().Count, itemSimilarNS.Snapshot().Count, renderNS.Snapshot().Count
+		sent := time.Now()
+		resp, err := srv.Client().Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s = %d", path, resp.StatusCode)
+		}
+		// The trace is recorded after the response is written; wait for
+		// the one that started with this request.
+		var trace *obs.TraceRecord
+		for deadline := time.Now().Add(5 * time.Second); trace == nil; {
+			if traces := obs.Records.Traces(obs.TraceFilter{SlowOnly: true, Name: "web.request"}); len(traces) > 0 && traces[0].Start.After(sent) {
+				trace = traces[0]
+			} else if time.Now().After(deadline) {
+				t.Fatalf("GET %s: request trace not retained", path)
+			} else {
+				time.Sleep(time.Millisecond)
+			}
+		}
+		children = map[string]int{}
+		for _, sp := range trace.Spans {
+			if sp.Depth == 1 {
+				children[sp.Name]++
+			}
+		}
+		return lockWaitNS.Snapshot().Count - lockBefore, itemSimilarNS.Snapshot().Count - similarBefore,
+			renderNS.Snapshot().Count - renderBefore, children
 	}
 
-	traces := obs.Records.Traces(obs.TraceFilter{SlowOnly: true, Name: "web.request"})
-	if len(traces) == 0 {
-		t.Fatal("request trace not retained")
+	lock, similar, render, children := get("/")
+	if lock != 2 || similar != 0 || render != 1 {
+		t.Errorf("GET /: observed %d lock waits, %d similar searches, %d renders; want 2, 0, 1", lock, similar, render)
 	}
-	children := map[string]int{}
-	for _, sp := range traces[0].Spans {
-		if sp.Depth == 1 {
-			children[sp.Name]++
-		}
+	if children["web.lock_wait"] != 2 || children["web.item_similar"] != 0 || children["web.render"] != 1 {
+		t.Errorf("GET /: child spans = %v, want web.lock_wait twice and web.render once", children)
 	}
-	if children["web.lock_wait"] != 2 || children["web.render"] != 1 {
-		t.Errorf("request's child spans = %v, want web.lock_wait twice and web.render once", children)
+
+	item := m.Graph().SubjectsOfType(recipes.ClassRecipe)[0]
+	lock, similar, render, children = get("/open?item=" + url.QueryEscape(string(item)))
+	if lock != 2 || similar != 1 || render != 1 {
+		t.Errorf("GET /open: observed %d lock waits, %d similar searches, %d renders; want 2, 1, 1", lock, similar, render)
+	}
+	if children["web.lock_wait"] != 2 || children["web.item_similar"] != 1 || children["web.render"] != 1 {
+		t.Errorf("GET /open: child spans = %v, want web.lock_wait twice, web.item_similar and web.render once", children)
 	}
 }

@@ -110,12 +110,14 @@ func (s *Server) session(w http.ResponseWriter, r *http.Request) (*core.Session,
 	return sess, nil
 }
 
-// Serving-stage observability: the wait for the server lock and the
-// template execution, each a histogram always and a span when the request
-// carries a trace, so neither hides in the request's unattributed time.
+// Serving-stage observability: the wait for the server lock, the item
+// page's similar-item search with its explanations, and the template
+// execution, each a histogram always and a span when the request carries a
+// trace, so none hides in the request's unattributed time.
 var (
-	lockWaitNS = obs.NewHistogram("web.lock_wait.ns")
-	renderNS   = obs.NewHistogram("web.render.ns")
+	lockWaitNS    = obs.NewHistogram("web.lock_wait.ns")
+	itemSimilarNS = obs.NewHistogram("web.item_similar.ns")
+	renderNS      = obs.NewHistogram("web.render.ns")
 )
 
 // stage times one serving stage into its histogram and span.
@@ -200,7 +202,7 @@ func (s *Server) handleOpen(w http.ResponseWriter, r *http.Request) {
 	var data itemView
 	if s.withSession(w, r, func(sess *core.Session) {
 		sess.OpenItem(item)
-		data = s.itemData(sess, item)
+		data = s.itemData(r.Context(), item)
 	}) {
 		s.render(w, r, itemTemplate, data)
 	}
@@ -434,7 +436,7 @@ type itemView struct {
 	Similar    []similarView
 }
 
-func (s *Server) itemData(sess *core.Session, item rdf.IRI) itemView {
+func (s *Server) itemData(ctx context.Context, item rdf.IRI) itemView {
 	g := s.m.Graph()
 	data := itemView{Label: s.m.Label(item), IRI: string(item)}
 	for _, p := range g.PredicatesOf(item) {
@@ -450,6 +452,8 @@ func (s *Server) itemData(sess *core.Session, item rdf.IRI) itemView {
 	}
 	// Similar items with inspectable explanations (the "Overall" fuzzy
 	// match, each annotated with its top shared coordinates).
+	st := startStage(ctx, "web.item_similar", itemSimilarNS)
+	defer st.end()
 	for _, sc := range s.m.Model().SimilarToItem(item, 6) {
 		sim := g.SubjectByID(sc.ID)
 		why := s.m.ExplainSimilarityText(item, sim, 3)
