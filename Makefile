@@ -58,6 +58,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzManifest -fuzztime=$(FUZZTIME) ./internal/segment/
 	$(GO) test -run='^$$' -fuzz=FuzzColumnImage -fuzztime=$(FUZZTIME) ./internal/segment/
 	$(GO) test -run='^$$' -fuzz=FuzzVectorKernel -fuzztime=$(FUZZTIME) ./internal/index/
+	$(GO) test -run='^$$' -fuzz=FuzzPageWriters -fuzztime=$(FUZZTIME) ./internal/web/
 
 # Focused race pass over the parallel pipeline: the internal/par pool
 # stress tests, every serial-vs-parallel equivalence/determinism test, and

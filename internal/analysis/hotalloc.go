@@ -12,7 +12,8 @@ import (
 // HotDirective marks a function whose body — and everything it transitively
 // calls — must not allocate. It is seeded onto the engine's per-step inner
 // loops: itemset set algebra, query predicate evaluation, obs recording,
-// index posting/vector lookups, and the facet-summarization kernel.
+// index posting/vector lookups, the facet-summarization kernel, and the
+// web page writers.
 const HotDirective = "//magnet:hot"
 
 // HotFact is recorded on every function reachable from a //magnet:hot seed.

@@ -2,59 +2,59 @@ package web
 
 import (
 	"bytes"
-	"context"
-	"errors"
-	"html/template"
 	"log/slog"
+	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 )
 
-// TestRenderErrorReturns500 pins the failure mode of a template render:
-// a 500 carrying the request ID (not a silently truncated page), the error
-// logged under the same ID, and the web.render.errors counter bumped.
-func TestRenderErrorReturns500(t *testing.T) {
+// TestRenderPanicReturns500 pins the failure mode of a page writer that
+// panics halfway through its page: observe answers with a 500 carrying
+// the request ID, none of the bytes already written reach the client (no
+// truncated page passes as complete), the panic is logged under the same
+// ID, and web.request.status.5xx is bumped.
+func TestRenderPanicReturns500(t *testing.T) {
 	var logBuf bytes.Buffer
 	s := &Server{log: slog.New(slog.NewTextHandler(&logBuf, nil))}
-
-	tpl := template.Must(template.New("boom").Parse(`ok {{call .F}}`))
-	data := struct{ F func() (string, error) }{
-		F: func() (string, error) { return "", errors.New("kaboom") },
-	}
-	req := httptest.NewRequest("GET", "/", nil)
-	req = req.WithContext(context.WithValue(req.Context(), requestIDKey{}, "req-42"))
+	h := s.observe(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		s.render(w, r, func(b []byte) []byte {
+			b = append(b, "<!doctype html><title>half a page"...)
+			panic("writer bug")
+		})
+	}))
 	rec := httptest.NewRecorder()
+	before := reqStatusClass[5].Value()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
 
-	before := renderErrors.Value()
-	s.render(rec, req, tpl, data)
-
-	if rec.Code != 500 {
+	if rec.Code != http.StatusInternalServerError {
 		t.Errorf("status = %d, want 500", rec.Code)
 	}
-	if body := rec.Body.String(); !strings.Contains(body, "req-42") {
-		t.Errorf("error page does not carry the request ID: %q", body)
+	body := rec.Body.String()
+	id := regexp.MustCompile(`request ([0-9a-f]+-[0-9]+)`).FindStringSubmatch(body)
+	if id == nil {
+		t.Fatalf("error page does not carry the request ID: %q", body)
 	}
-	if body := rec.Body.String(); strings.Contains(body, "ok ") {
-		t.Errorf("partial template output leaked to the client: %q", body)
+	if strings.Contains(body, "half a page") {
+		t.Errorf("partial page leaked to the client: %q", body)
 	}
-	if got := renderErrors.Value(); got != before+1 {
-		t.Errorf("web.render.errors = %d, want %d", got, before+1)
+	if got := reqStatusClass[5].Value(); got != before+1 {
+		t.Errorf("web.request.status.5xx = %d, want %d", got, before+1)
 	}
 	logged := logBuf.String()
-	if !strings.Contains(logged, "req-42") || !strings.Contains(logged, "kaboom") {
-		t.Errorf("log entry missing request ID or error: %q", logged)
+	if !strings.Contains(logged, "id="+id[1]) || !strings.Contains(logged, "writer bug") {
+		t.Errorf("log entry missing request ID or panic: %q", logged)
 	}
 }
 
-// TestRenderSuccess pins the happy path: buffered output is flushed with
-// the HTML content type and a 200.
+// TestRenderSuccess pins the happy path: the written page is sent with the
+// HTML content type and a 200.
 func TestRenderSuccess(t *testing.T) {
 	s := &Server{log: slog.New(slog.NewTextHandler(&bytes.Buffer{}, nil))}
-	tpl := template.Must(template.New("page").Parse(`hello {{.}}`))
 	req := httptest.NewRequest("GET", "/", nil)
 	rec := httptest.NewRecorder()
-	s.render(rec, req, tpl, "magnet")
+	s.render(rec, req, func(b []byte) []byte { return append(b, "hello magnet"...) })
 	if rec.Code != 200 {
 		t.Errorf("status = %d, want 200", rec.Code)
 	}

@@ -3,20 +3,17 @@
 // single page with the keyword toolbar, the current query's constraint list
 // (each removable and negatable), the result collection, and the advisors'
 // navigation pane; plus the large-collection overview (Figure 2), item
-// cards, and range widgets (Figure 5). Handlers are plain net/http and
-// html/template, one browsing session per cookie.
+// cards, and range widgets (Figure 5). Handlers are plain net/http, pages
+// are written by hand (pages.go), one browsing session per cookie.
 package web
 
 import (
-	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
-	"html/template"
 	"log/slog"
 	"net/http"
-	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -111,8 +108,8 @@ func (s *Server) session(w http.ResponseWriter, r *http.Request) (*core.Session,
 }
 
 // Serving-stage observability: the wait for the server lock, the item
-// page's similar-item search with its explanations, and the template
-// execution, each a histogram always and a span when the request carries a
+// page's similar-item search with its explanations, and the page
+// writing, each a histogram always and a span when the request carries a
 // trace, so none hides in the request's unattributed time.
 var (
 	lockWaitNS    = obs.NewHistogram("web.lock_wait.ns")
@@ -204,7 +201,7 @@ func (s *Server) handleOpen(w http.ResponseWriter, r *http.Request) {
 		sess.OpenItem(item)
 		data = s.itemData(r.Context(), item)
 	}) {
-		s.render(w, r, itemTemplate, data)
+		s.render(w, r, data.appendPage)
 	}
 }
 
@@ -270,7 +267,7 @@ func (s *Server) applySuggestion(w http.ResponseWriter, r *http.Request, sess *c
 		action = act
 	case blackboard.ShowRange:
 		data := s.rangeData(found.Title, act)
-		return func() { s.render(w, r, rangeTemplate, data) }
+		return func() { s.render(w, r, data.appendPage) }
 	case blackboard.ShowSearch:
 		return func() { http.Redirect(w, r, "/#search", http.StatusSeeOther) }
 	case blackboard.ShowOverview:
@@ -330,7 +327,7 @@ func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleOverview(w http.ResponseWriter, r *http.Request) {
 	var data overviewView
 	if s.withSession(w, r, func(sess *core.Session) { data = s.overviewData(sess) }) {
-		s.render(w, r, overviewTemplate, data)
+		s.render(w, r, data.appendPage)
 	}
 }
 
@@ -341,7 +338,7 @@ func (s *Server) handleCollection(w http.ResponseWriter, r *http.Request) {
 	}
 	var data collectionView
 	if s.withSession(w, r, func(sess *core.Session) { data = s.collectionData(sess) }) {
-		s.render(w, r, collectionTemplate, data)
+		s.render(w, r, data.appendPage)
 	}
 }
 
@@ -531,37 +528,26 @@ func (s *Server) rangeData(title string, act blackboard.ShowRange) rangeView {
 	}
 }
 
-// renderErrors counts template render failures — the observable face of the
-// 500s below.
-var renderErrors = obs.NewCounter("web.render.errors")
+// pageBufs holds render buffers for reuse: a page is tens of kilobytes,
+// and growing a fresh buffer to that size on every request costs more than
+// writing the page.
+var pageBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// render executes the template into a buffer so a failure can still become a
-// proper 500 (headers not yet written) carrying the request ID the error was
-// logged under, instead of a silently truncated page.
-func (s *Server) render(w http.ResponseWriter, r *http.Request, t *template.Template, data any) {
-	var buf bytes.Buffer
+// render writes the page into a buffer and sends it only once it is whole.
+// A writer that panics halfway has sent nothing, so observe can still
+// answer with a 500 carrying the request ID instead of a truncated page.
+func (s *Server) render(w http.ResponseWriter, r *http.Request, page func([]byte) []byte) {
+	bp := pageBufs.Get().(*[]byte)
 	st := startStage(r.Context(), "web.render", renderNS)
-	err := t.Execute(&buf, data)
+	buf := page((*bp)[:0])
 	st.end()
-	if err != nil {
-		renderErrors.Inc()
-		id := RequestID(r.Context())
-		s.log.LogAttrs(r.Context(), slog.LevelError, "template render failed",
-			slog.String("id", id),
-			slog.String("template", t.Name()),
-			slog.String("err", err.Error()),
-		)
-		http.Error(w, "internal error (request "+id+")", http.StatusInternalServerError)
-		return
-	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	if _, err := buf.WriteTo(w); err != nil {
+	if _, err := w.Write(buf); err != nil {
 		s.log.LogAttrs(r.Context(), slog.LevelWarn, "response write failed",
 			slog.String("id", RequestID(r.Context())),
 			slog.String("err", err.Error()),
 		)
 	}
+	*bp = buf
+	pageBufs.Put(bp)
 }
-
-// escape helps templates build URLs.
-func escape(s string) string { return url.QueryEscape(s) }
