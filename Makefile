@@ -65,7 +65,7 @@ fuzz:
 # concurrent first reads of freshly frozen stores (lazy key strings, the
 # graph's term table and the vector store's scratch vectors).
 race-par:
-	$(GO) test -race -run 'Pool|Batch|Panic|Cancel|Nested|Parallel|Equiv|Determinism|Merge|ByAdvisor|Centroid|ConcurrentReaders' \
+	$(GO) test -race -run 'Pool|Batch|Panic|Cancel|Nested|Parallel|Equiv|Determinism|Merge|ByAdvisor|Centroid|ConcurrentReaders|SharingNoTerm' \
 		./internal/par/ ./internal/blackboard/ ./internal/facets/ ./internal/index/ ./internal/vsm/ ./internal/rdf/
 
 # Observability gate: the flight-recorder and exposition goldens (ring

@@ -6,7 +6,6 @@ import (
 	"magnet/internal/blackboard"
 	"magnet/internal/itemset"
 	"magnet/internal/query"
-	"magnet/internal/rdf"
 	"magnet/internal/vsm"
 )
 
@@ -43,13 +42,17 @@ func (r *Refinement) Suggest(v blackboard.View, b *blackboard.Board) {
 	}
 	n := v.Len()
 	maxW := coords[0].Weight
+	// The view's bitmap, built once for every coordinate's count.
+	last, _ := v.IDs.Select(n - 1)
+	member := itemset.NewBits(int(last) + 1)
+	member.AddSlice(v.IDs.Slice())
 
 	for _, wc := range coords {
 		c := wc.Coord
 		weight := wc.Weight / maxW
 		switch c.Kind {
 		case vsm.CoordObject:
-			r.suggestObject(b, c, weight, v.IDs, n)
+			r.suggestObject(b, c, weight, v.IDs, member)
 		case vsm.CoordWord:
 			r.suggestWord(b, c, weight)
 		}
@@ -58,18 +61,19 @@ func (r *Refinement) Suggest(v blackboard.View, b *blackboard.Board) {
 
 // suggestObject posts one attribute/value refinement with its "n of N"
 // detail: the coordinate's posting intersected with the collection.
-func (r *Refinement) suggestObject(b *blackboard.Board, c vsm.Coord, weight float64, coll itemset.Set, n int) {
+func (r *Refinement) suggestObject(b *blackboard.Board, c vsm.Coord, weight float64, coll itemset.Set, member *itemset.Bits) {
 	var pred query.Predicate
 	var cnt int
 	if len(c.Path) == 1 {
 		pred = query.Property{Prop: c.Path[0], Value: c.Value}
-		cnt = postingCount(r.env.Graph, c.Path[0], c.Value, coll)
+		cnt = countMembers(r.env.Graph.SubjectIDSet(c.Path[0], c.Value), coll, member)
 	} else {
 		pp := query.PathProperty{Path: c.Path, Value: c.Value}
 		pred = pp
 		// Composed coordinates have no single posting; evaluate the path.
-		cnt = pp.Eval(r.env.Engine).IntersectCount(coll)
+		cnt = countMembers(pp.Eval(r.env.Engine), coll, member)
 	}
+	n := coll.Len()
 	if cnt == 0 || cnt == n {
 		// Matches nothing or everything: no refinement value.
 		return
@@ -87,12 +91,24 @@ func (r *Refinement) suggestObject(b *blackboard.Board, c vsm.Coord, weight floa
 	})
 }
 
-// postingCount returns how many collection members carry value v of
-// property p: the (p, v) posting intersected with the collection.
+// countMembers returns how many of the collection's members (coll, and
+// member its bitmap) the posting holds. Each posting ID is counted by bit
+// test, in O(posting); only a posting at least itemset.SkewRatio times the
+// collection gallops the collection through it instead, the rule the
+// overview's facet counts use.
 //
 //magnet:hot
-func postingCount(g *rdf.Graph, p rdf.IRI, v rdf.Term, coll itemset.Set) int {
-	return g.SubjectIDSet(p, v).IntersectCount(coll)
+func countMembers(posting, coll itemset.Set, member *itemset.Bits) int {
+	if posting.Len() >= itemset.SkewRatio*coll.Len() {
+		return posting.IntersectCount(coll)
+	}
+	n := 0
+	for _, id := range posting.Slice() {
+		if member.Has(id) {
+			n++
+		}
+	}
+	return n
 }
 
 func (r *Refinement) suggestWord(b *blackboard.Board, c vsm.Coord, weight float64) {

@@ -10,6 +10,7 @@ import (
 	"magnet/internal/blackboard"
 	"magnet/internal/core"
 	"magnet/internal/datasets/recipes"
+	"magnet/internal/itemset"
 	"magnet/internal/query"
 	"magnet/internal/rdf"
 	"magnet/internal/schema"
@@ -51,13 +52,21 @@ func oracleComposedCount(env *analysts.Env, pp query.PathProperty, items []rdf.I
 	return n
 }
 
+// coordTally counts the object coordinates the model ranked on the
+// checked views: composed ones, direct ones on a hidden predicate, and
+// how many postings the analyst counts by galloping (at least
+// itemset.SkewRatio times the view) or by bit test.
+type coordTally struct {
+	composed, hidden   int
+	galloped, bitTests int
+}
+
 // oracleRefinements returns the attribute/value refinements, key → "n of
 // N" detail, the analyst should post on v (whose members are given as
-// IRIs), computed with the old counts.
-// It also reports how many posted or skipped coordinates were composed,
-// and how many were direct coordinates on a hidden predicate.
-func oracleRefinements(env *analysts.Env, v blackboard.View, members []rdf.IRI) (out map[string]string, composed, hidden int) {
-	out = make(map[string]string)
+// IRIs), computed with the old counts, and tallies the coordinates into
+// tl.
+func oracleRefinements(env *analysts.Env, v blackboard.View, members []rdf.IRI, tl *coordTally) map[string]string {
+	out := make(map[string]string)
 	counts := oracleMemberCounts(env, members)
 	n := len(members)
 	for _, wc := range env.Model.TopCoords(env.Model.Centroid(v.IDs), 40) {
@@ -67,23 +76,31 @@ func oracleRefinements(env *analysts.Env, v blackboard.View, members []rdf.IRI) 
 		}
 		var pred query.Predicate
 		var cnt int
+		var posting itemset.Set
 		if len(c.Path) == 1 {
 			pred = query.Property{Prop: c.Path[0], Value: c.Value}
 			cnt = counts[string(c.Path[0])+"\x00"+c.Value.Key()]
+			posting = env.Graph.SubjectIDSet(c.Path[0], c.Value)
 			if env.Schema.Hidden(c.Path[0]) {
-				hidden++
+				tl.hidden++
 			}
 		} else {
 			pp := query.PathProperty{Path: c.Path, Value: c.Value}
 			pred = pp
 			cnt = oracleComposedCount(env, pp, members)
-			composed++
+			posting = pp.Eval(env.Engine)
+			tl.composed++
+		}
+		if posting.Len() >= itemset.SkewRatio*n {
+			tl.galloped++
+		} else {
+			tl.bitTests++
 		}
 		if cnt > 0 && cnt < n {
 			out["refine:"+pred.Key()] = fmt.Sprintf("%d of %d", cnt, n)
 		}
 	}
-	return out, composed, hidden
+	return out
 }
 
 // postedRefinements runs the analyst on v and returns its attribute/value
@@ -147,9 +164,8 @@ func sampleViews(t *testing.T, m *core.Magnet, rounds int) []blackboard.View {
 }
 
 // checkViews compares the posted refinements with the oracle on every
-// view and returns how many composed and hidden-predicate coordinates the
-// model ranked.
-func checkViews(t *testing.T, m *core.Magnet, views []blackboard.View) (composed, hidden int) {
+// view and tallies the coordinates the model ranked.
+func checkViews(t *testing.T, m *core.Magnet, views []blackboard.View) (tl coordTally) {
 	t.Helper()
 	env := &analysts.Env{Graph: m.Graph(), Schema: m.Schema(), Model: m.Model(), Engine: query.NewEngine(m.Graph(), m.Schema(), m.TextIndex(), m.Graph().SubjectIDsOf(m.Items())), Text: m.TextIndex()}
 	for i, v := range views {
@@ -160,18 +176,18 @@ func checkViews(t *testing.T, m *core.Magnet, views []blackboard.View) (composed
 		if v.Len() < 2 {
 			continue
 		}
-		want, c, h := oracleRefinements(env, v, members)
-		composed += c
-		hidden += h
+		want := oracleRefinements(env, v, members, &tl)
 		if got := postedRefinements(env, v); !reflect.DeepEqual(got, want) {
 			t.Fatalf("view %d (%s, %d items): posted %v, oracle %v", i, v.Key(), v.Len(), got, want)
 		}
 	}
-	return composed, hidden
+	return tl
 }
 
 // TestRefinementCountsMatchOracle compares the posting-intersection counts
-// with the brute-force member walk on seeded random recipe views. A second
+// with the brute-force member walk on seeded random recipe views, which
+// must reach both counting branches: bit tests against the view's bitmap
+// and galloping the view through a much larger posting. A second
 // instance hides the ingredient property before it is frozen: the vector
 // space model then never ranks a coordinate on it, so the analyst needs
 // no hidden-predicate guard of its own.
@@ -179,9 +195,14 @@ func TestRefinementCountsMatchOracle(t *testing.T) {
 	gb := recipes.Build(recipes.Config{Recipes: 600, Seed: 5})
 	m := core.Open(gb, core.Options{})
 	defer m.Close()
-	if composed, _ := checkViews(t, m, sampleViews(t, m, 24)); composed == 0 {
+	tl := checkViews(t, m, sampleViews(t, m, 24))
+	if tl.composed == 0 {
 		t.Fatal("no composed coordinate was ranked; the composed count went untested")
 	}
+	if tl.galloped == 0 || tl.bitTests == 0 {
+		t.Fatalf("%d galloped and %d bit-tested counts; both branches must be checked", tl.galloped, tl.bitTests)
+	}
+	t.Logf("%d coordinates counted by bit test, %d by galloping (%d composed)", tl.bitTests, tl.galloped, tl.composed)
 
 	schema.SetHidden(gb, recipes.PropIngredient)
 	hid := core.Open(gb, core.Options{})
@@ -189,7 +210,7 @@ func TestRefinementCountsMatchOracle(t *testing.T) {
 	if !hid.Schema().Hidden(recipes.PropIngredient) {
 		t.Fatal("ingredient not hidden after the builder annotation")
 	}
-	if _, hidden := checkViews(t, hid, sampleViews(t, hid, 9)); hidden != 0 {
-		t.Fatalf("%d coordinates on a hidden predicate were ranked", hidden)
+	if tl := checkViews(t, hid, sampleViews(t, hid, 9)); tl.hidden != 0 {
+		t.Fatalf("%d coordinates on a hidden predicate were ranked", tl.hidden)
 	}
 }

@@ -191,7 +191,7 @@ func summarizeProp(g *rdf.Graph, sch *schema.Store, p rdf.IRI, coll itemset.Set,
 		if opts.MinCount > 1 && n < opts.MinCount {
 			return true
 		}
-		values = append(values, Value{Term: o, Label: g.TermLabel(o), Count: n})
+		values = append(values, Value{Term: o, Count: n})
 		return true
 	})
 	if coverage == 0 {
@@ -214,6 +214,10 @@ func summarizeProp(g *rdf.Graph, sch *schema.Store, p rdf.IRI, coll itemset.Set,
 	}
 	if !shared && !opts.IncludeUnshared && !f.Preferred {
 		return nil
+	}
+	// Label only the values of a kept facet; the sort reads the labels.
+	for i := range f.Values {
+		f.Values[i].Label = g.TermLabel(f.Values[i].Term)
 	}
 	sortValues(f.Values, opts.ByCount)
 	if opts.MaxValues > 0 && len(f.Values) > opts.MaxValues {

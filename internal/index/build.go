@@ -397,14 +397,12 @@ func (v *VectorBuilder) Freeze(pool *par.Pool) *VectorStore {
 }
 
 // Columns compiles the vectors into their columnar image: each document's
-// normalized tf·idf row, and the retrieval postings. Weights are
-// normalized by the row's length, summed in ascending termnum order.
-// Deterministic.
+// normalized tf·idf row. Weights are normalized by the row's length,
+// summed in ascending termnum order. Deterministic.
 func (v *VectorBuilder) Columns() VectorColumns {
 	var c VectorColumns
 	c.Terms = v.terms.Columns()
 	c.RowStart = append(make([]uint32, 0, len(v.docTerms)+1), 0)
-	post := make([][]uint32, v.terms.Len())
 	for dn, ts := range v.docTerms {
 		fs := v.docFreqs[dn]
 		row := len(c.RowWeight)
@@ -430,14 +428,6 @@ func (v *VectorBuilder) Columns() VectorColumns {
 			}
 		}
 		c.RowStart = append(c.RowStart, uint32(len(c.RowTerm)))
-		for _, t := range ts {
-			post[t] = append(post[t], uint32(dn))
-		}
-	}
-	c.PostStart = append(make([]uint32, 0, len(post)+1), 0)
-	for _, dns := range post {
-		c.PostDNS = append(c.PostDNS, dns...)
-		c.PostStart = append(c.PostStart, uint32(len(c.PostDNS)))
 	}
 	return c
 }

@@ -93,11 +93,12 @@ func refCentroid(v *VectorStore, ids []uint32) map[string]float64 {
 	return sum
 }
 
-// refSimilarTo scores every stored document against query and keeps the
-// top k under (score desc, ID asc).
+// refSimilarTo scores every document ID against query and keeps the
+// positive scores' top k under (score desc, ID asc).
 func refSimilarTo(v *VectorStore, query map[string]float64, k int, exclude map[uint32]bool) []Scored {
 	var out []Scored
-	for _, id := range v.docIDs() {
+	for i := 0; i < v.docs(); i++ {
+		id := uint32(i)
 		if exclude[id] {
 			continue
 		}
@@ -218,7 +219,7 @@ func checkKernel(t *testing.T, v *VectorStore, members itemset.Set, probes []uin
 func TestVectorKernelEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	b := kernelBuilder(rng, 700, 90)
-	ids := b.Freeze(nil).docIDs()
+	ids := b.docIDs()
 	rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
 	probes := ids[:8]
 	for _, width := range []int{0, 1, 4} {
@@ -261,8 +262,9 @@ func TestVectorKernelEquivalence(t *testing.T) {
 // low bits.
 func TestVectorSumDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	v := kernelBuilder(rng, 400, 60).Freeze(nil)
-	ids := v.docIDs()
+	b := kernelBuilder(rng, 400, 60)
+	v := b.Freeze(nil)
+	ids := b.docIDs()
 	all := itemset.FromSorted(ids)
 	members := itemset.FromSorted(ids[:300])
 	centroid := v.centroidVector(members)
@@ -325,4 +327,103 @@ func FuzzVectorKernel(f *testing.F) {
 			checkKernel(t, s, itemset.FromSorted(names), names, 3)
 		}
 	})
+}
+
+// TestSearchDropsRowsSharingNoTerm pins what the similarity scan relies on
+// instead of a candidate list: a row sharing no term with the query scores
+// zero and is dropped. Even IDs hold words a0…a5, odd IDs words b0…b5 plus
+// pinned coordinates whose weights are negated in the image, so a query
+// from the even group meets them only as negative-times-zero products.
+// ID 40, past a run of empty rows, holds a word no other document has;
+// ID 41 too, with its weight made NaN as in a damaged image, which must
+// not cut the scan's top k.
+func TestSearchDropsRowsSharingNoTerm(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	b := NewVectorBuilder()
+	b.PinnedPrefix = "num|"
+	for id := uint32(0); id < 20; id++ {
+		freqs := make(map[string]float64)
+		group := "a"
+		if id%2 == 1 {
+			group = "b"
+			freqs["num|x"] = 0.25 + rng.Float64()
+			freqs["num|y"] = 0.25 + rng.Float64()
+		}
+		for n := 2 + rng.Intn(3); n > 0; n-- {
+			freqs[fmt.Sprintf("%s%d", group, rng.Intn(6))] = float64(1 + rng.Intn(3))
+		}
+		b.Add(id, freqs)
+	}
+	const loner = 40
+	b.Add(loner, map[string]float64{"solo": 1})
+	b.Add(loner+1, map[string]float64{"damaged": 1})
+
+	c := b.Columns()
+	for i, term := range c.RowTerm {
+		switch b.terms.Key(term) {
+		case "num|x", "num|y":
+			c.RowWeight[i] = -c.RowWeight[i]
+		case "damaged":
+			c.RowWeight[i] = math.NaN()
+		}
+	}
+	ids := b.docIDs()
+	all := itemset.FromSorted(ids)
+	for _, width := range []int{0, 3} {
+		var pool *par.Pool
+		if width > 0 {
+			pool = par.New(width)
+		}
+		v, err := FromVectorColumns(c, pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameGroup := func(what string, from uint32, got []Scored) {
+			t.Helper()
+			if len(got) == 0 {
+				t.Fatalf("w%d %s: nothing found", width, what)
+			}
+			for _, s := range got {
+				if s.ID%2 != from%2 || s.ID >= 20 {
+					t.Fatalf("w%d %s: found %d, across the groups: %v", width, what, s.ID, got)
+				}
+			}
+		}
+		for _, id := range ids[:20] {
+			for _, k := range []int{3, 30} {
+				got := v.SimilarToDoc(id, k)
+				what := fmt.Sprintf("SimilarToDoc(%d, %d)", id, k)
+				sameScored(t, fmt.Sprintf("w%d %s", width, what), got, refSimilarTo(v, v.vector(id), k, map[uint32]bool{id: true}))
+				sameGroup(what, id, got)
+			}
+		}
+		if got := v.SimilarToDoc(loner, 30); len(got) != 0 {
+			t.Fatalf("w%d SimilarToDoc(%d) = %v, want nothing: no other document shares its word", width, loner, got)
+		}
+		for _, group := range []uint32{0, 1} {
+			var members []uint32
+			excl := make(map[uint32]bool)
+			for _, id := range ids[:20] {
+				if id%2 == group && id%4 < 2 {
+					members = append(members, id)
+					excl[id] = true
+				}
+			}
+			set := itemset.FromSorted(members)
+			cen := v.Centroid(set)
+			what := fmt.Sprintf("Nearest(group %d)", group)
+			got := v.Nearest(cen, 30, set)
+			sameScored(t, fmt.Sprintf("w%d %s", width, what), got, refSimilarTo(v, v.centroidVector(set), 30, excl))
+			sameGroup(what, group, got)
+			kept := v.Nearest(cen, 30, itemset.Set{})
+			sameScored(t, fmt.Sprintf("w%d %s keeping members", width, what), kept, refSimilarTo(v, v.centroidVector(set), 30, nil))
+			sameGroup(what+" keeping members", group, kept)
+			if got := v.Nearest(cen, 30, all); len(got) != 0 {
+				t.Fatalf("w%d %s excluding every document = %v, want nothing", width, what, got)
+			}
+		}
+		if pool != nil {
+			pool.Close()
+		}
+	}
 }

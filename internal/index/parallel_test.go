@@ -14,6 +14,11 @@ import (
 // ID tie-break orders them. Chunk boundaries fall inside blocks, which is
 // exactly where a schedule-dependent merge would go wrong.
 func tieStore(ndocs int, pool *par.Pool) *VectorStore {
+	return tieBuilder(ndocs).Freeze(pool)
+}
+
+// tieBuilder holds tieStore's documents, IDs 0..ndocs-1.
+func tieBuilder(ndocs int) *VectorBuilder {
 	b := NewVectorBuilder()
 	for i := 0; i < ndocs; i++ {
 		block := i / 7 % 5
@@ -22,7 +27,7 @@ func tieStore(ndocs int, pool *par.Pool) *VectorStore {
 			fmt.Sprintf("b%d", block): 2,
 		})
 	}
-	return b.Freeze(pool)
+	return b
 }
 
 // TestSimilarToSerialParallelEquivalence checks top-k lists are identical
@@ -64,7 +69,7 @@ func TestSimilarToParallelOnSharedStore(t *testing.T) {
 func TestCentroidBitIdentical(t *testing.T) {
 	for _, ndocs := range []int{10, 256, 257, 700} {
 		v := tieStore(ndocs, nil)
-		ids := itemset.FromSorted(v.docIDs())
+		ids := itemset.FromSorted(tieBuilder(ndocs).docIDs())
 		want := v.centroidVector(ids)
 		for _, width := range []int{1, 4, 8} {
 			pool := par.New(width)

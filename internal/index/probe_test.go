@@ -1,15 +1,14 @@
 package index
 
 import (
-	"magnet/internal/itemset"
 	"math"
-	"slices"
 
-	"magnet/internal/ids"
+	"magnet/internal/itemset"
 )
 
-// Test-side readers over the frozen stores: the document-frequency, IDF
-// and membership probes the round-trip and equivalence tests compare.
+// Test-side readers over the frozen stores, and the document-frequency,
+// IDF and membership probes over a vector builder (the store keeps only
+// the compiled rows).
 
 // freezeText compiles a text builder through its columnar image, the path
 // core.Open takes.
@@ -91,33 +90,29 @@ func (v *VectorStore) rankedTerms(c Centroid, k int) []TermWeight {
 	return out
 }
 
-// postingOf returns term's document posting.
-func (v *VectorStore) postingOf(term string) []uint32 {
+// docFreqOf returns the number of documents holding term.
+func (v *VectorBuilder) docFreqOf(term string) int {
 	t, ok := v.terms.Lookup(term)
 	if !ok {
-		return nil
+		return 0
 	}
-	lo, hi := ids.Run(v.c.PostStart, int(t), len(v.c.PostDNS))
-	return v.c.PostDNS[lo:hi]
+	return v.df[t]
 }
 
-// docFreqOf returns the number of documents containing term.
-func (v *VectorStore) docFreqOf(term string) int { return len(v.postingOf(term)) }
-
-// docIDs returns the ID of every document holding a term, ascending: the
-// union of the postings.
-func (v *VectorStore) docIDs() []uint32 {
+// docIDs returns the ID of every document holding a term, ascending.
+func (v *VectorBuilder) docIDs() []uint32 {
 	var out []uint32
-	for t := 0; t < v.terms.Len(); t++ {
-		out = append(out, v.postingOf(v.terms.Key(uint32(t)))...)
+	for id, ts := range v.docTerms {
+		if len(ts) > 0 {
+			out = append(out, uint32(id))
+		}
 	}
-	slices.Sort(out)
-	return slices.Compact(out)
+	return out
 }
 
 // idfOf returns term's inverse document frequency, log(N/df) over the
 // documents holding a term (0 when unknown).
-func (v *VectorStore) idfOf(term string) float64 {
+func (v *VectorBuilder) idfOf(term string) float64 {
 	df := v.docFreqOf(term)
 	if df == 0 {
 		return 0

@@ -35,13 +35,12 @@ func TestConcurrentVectorStore(t *testing.T) {
 				_ = v.Weights(id)
 				_ = v.Similarity(id, 0)
 				_ = v.SimilarToDoc(id, 3)
-				_ = v.idfOf("alpha")
 				_ = v.Centroid(itemset.FromSorted([]uint32{id}))
 			}
 		}(w)
 	}
 	wg.Wait()
-	if n := len(v.docIDs()); n != workers*iters {
+	if n := len(b.docIDs()); n != workers*iters {
 		t.Errorf("%d documents, want %d", n, workers*iters)
 	}
 }

@@ -126,10 +126,6 @@ type VectorColumns struct {
 	RowStart  []uint32
 	RowTerm   []uint32
 	RowWeight []float64
-	// Retrieval postings: PostStart (T+1) delimits each term's sorted
-	// document posting in PostDNS.
-	PostStart []uint32
-	PostDNS   []uint32
 }
 
 // FromVectorColumns returns the frozen vector store over a columnar image,
@@ -146,9 +142,6 @@ func FromVectorColumns(c VectorColumns, pool *par.Pool) (*VectorStore, error) {
 	}
 	if len(c.RowTerm) != len(c.RowWeight) {
 		return nil, fmt.Errorf("index: vector term and weight columns disagree (%d vs %d)", len(c.RowTerm), len(c.RowWeight))
-	}
-	if len(c.PostStart) != terms.Len()+1 {
-		return nil, fmt.Errorf("index: vector posting starts (%d) disagree with term count (%d)", len(c.PostStart), terms.Len())
 	}
 	return &VectorStore{terms: terms, c: c, pool: pool}, nil
 }

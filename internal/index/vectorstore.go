@@ -58,10 +58,11 @@ func sortScored(s []Scored) {
 //
 // followed by normalization to length one, "to give objects equal
 // importance rather than giving more importance to items with more
-// metadata". Retrieval candidates come from the per-term postings.
-// Similarity and centroid kernels read rows straight from the columns and
-// sum in ascending termnum order, so every result is deterministic to the
-// bit.
+// metadata". Similarity search scans every row: a row sharing no term
+// with the query scores zero and is dropped, so no per-term postings are
+// kept. Similarity and centroid kernels read rows straight from the
+// columns and sum in ascending termnum order, so every result is
+// deterministic to the bit.
 type VectorStore struct {
 	terms *ids.Table[string] // dense termnum → term
 	//magnet:frozen
@@ -296,45 +297,27 @@ func (d *dense) load(r vecRow) {
 	}
 }
 
-// candidates returns, in ID order, every document sharing one of terms,
-// skipping the IDs in exclude (may be nil).
-func (v *VectorStore) candidates(terms []uint32, exclude *itemset.Bits) []uint32 {
-	n := v.docs()
-	b := itemset.NewBits(n)
-	for _, t := range terms {
-		lo, hi := ids.Run(v.c.PostStart, int(t), len(v.c.PostDNS))
-		b.AddSliceBelow(v.c.PostDNS[lo:hi], n)
-	}
-	cands := b.Extract().Slice()
-	if exclude == nil {
-		return cands
-	}
-	kept := make([]uint32, 0, len(cands))
-	for _, dn := range cands {
-		if !exclude.Has(dn) {
-			kept = append(kept, dn)
-		}
-	}
-	return kept
-}
-
-// search scores the candidates of the dense query q (its nonzero termnums
-// listed in q.touched) and returns the top k, skipping excluded IDs.
-func (v *VectorStore) search(q *dense, k int, exclude *itemset.Bits) []Scored {
+// search scores every document row against the dense query q and returns
+// the top k, skipping the IDs in exclude. A row that shares no term with q
+// sums only zero products from +0, so it scores +0 and topScored drops it
+// with the other non-positive scores: no candidate list is needed.
+func (v *VectorStore) search(q *dense, k int, exclude itemset.Set) []Scored {
 	defer vectorSearchObs.observe(time.Now())
-	dns := v.candidates(q.touched, exclude)
+	n := v.docs()
+	excl := exclude.Slice()
 
-	// Chunk the candidate range across the pool; each chunk keeps only its
-	// local top-k, and the merged list re-sorts under the same total order
+	// Chunk the ID range across the pool; each chunk keeps only its local
+	// top-k, and the merged list re-sorts under the same total order
 	// (score desc, ID asc). IDs are unique, so the order is total and the
-	// global top-k is identical however the candidates were chunked.
-	chunk := par.ChunkFor(v.pool, len(dns))
-	nchunks := (len(dns) + chunk - 1) / chunk
+	// global top-k is identical however the range was chunked.
+	chunk := par.ChunkFor(v.pool, n)
+	nchunks := (n + chunk - 1) / chunk
 	parts := make([][]Scored, nchunks)
-	err := par.ForChunks(context.Background(), v.pool, len(dns), chunk, func(lo, hi int) {
+	err := par.ForChunks(context.Background(), v.pool, n, chunk, func(lo, hi int) {
 		scores := make([]float64, hi-lo)
-		v.scoreRows(q.acc, dns[lo:hi], scores)
-		parts[lo/chunk] = topScored(scores, dns[lo:hi], k)
+		from, _ := slices.BinarySearch(excl, uint32(lo))
+		v.scoreRange(q.acc, uint32(lo), excl[from:], scores)
+		parts[lo/chunk] = topScored(scores, uint32(lo), k)
 	})
 	var pe *par.PanicError
 	if errors.As(err, &pe) {
@@ -355,35 +338,47 @@ func (v *VectorStore) search(q *dense, k int, exclude *itemset.Bits) []Scored {
 	return scores
 }
 
-// scoreRows dots each document's row against the dense query q, summing in
-// ascending termnum order. Terms the query lacks add a zero product, which
-// leaves the sum unchanged, so each score equals the sum over shared terms
-// alone. An absent document scores zero; termnums past q (a damaged image)
-// are skipped.
+// scoreRange dots the rows of IDs lo, lo+1, … against the dense query q
+// into out, one per ID, leaving an excluded ID's score zero. excl lists
+// the excluded IDs from lo on, ascending.
 //
 //magnet:hot
-func (v *VectorStore) scoreRows(q []float64, dns []uint32, out []float64) {
-	for i, dn := range dns {
-		r := v.row(dn)
-		var s float64
-		for j, t := range r.terms {
-			if int(t) < len(q) {
-				s += r.w[j] * q[t]
-			}
+func (v *VectorStore) scoreRange(q []float64, lo uint32, excl []uint32, out []float64) {
+	for i := range out {
+		id := lo + uint32(i)
+		if len(excl) > 0 && excl[0] == id {
+			excl = excl[1:]
+			continue
 		}
-		out[i] = s
+		out[i] = dot(q, v.row(id))
 	}
+}
+
+// dot sums row r against the dense query q in ascending termnum order.
+// Terms the query lacks add a zero product, which leaves the sum
+// unchanged, so the score equals the sum over shared terms alone. An empty
+// row scores zero; termnums past q (a damaged image) are skipped.
+//
+//magnet:hot
+func dot(q []float64, r vecRow) float64 {
+	var s float64
+	for j, t := range r.terms {
+		if int(t) < len(q) {
+			s += r.w[j] * q[t]
+		}
+	}
+	return s
 }
 
 // topScored returns the positively scored documents that can still reach
 // the top k: every score below the k-th largest is dropped, and ties at the
-// cut are kept for the ID tie-break.
-func topScored(scores []float64, dns []uint32, k int) []Scored {
+// cut are kept for the ID tie-break. scores[i] is document lo+i's.
+func topScored(scores []float64, lo uint32, k int) []Scored {
 	cut := kthLargest(scores, k)
 	var local []Scored
 	for i, s := range scores {
 		if s > 0 && s >= cut {
-			local = append(local, Scored{dns[i], s})
+			local = append(local, Scored{lo + uint32(i), s})
 		}
 	}
 	if len(local) > k {
@@ -394,11 +389,11 @@ func topScored(scores []float64, dns []uint32, k int) []Scored {
 }
 
 // kthLargest returns the k-th largest positive score, or 0 when fewer than
-// k scores are positive.
+// k scores are positive. A NaN (a damaged image's weight) is not positive.
 func kthLargest(scores []float64, k int) float64 {
 	top := make([]float64, 0, min(k, len(scores))) // descending
 	for _, s := range scores {
-		if s <= 0 || (len(top) == k && s <= top[k-1]) {
+		if !(s > 0) || (len(top) == k && s <= top[k-1]) {
 			continue
 		}
 		i := len(top)
@@ -430,9 +425,7 @@ func (v *VectorStore) SimilarToDoc(id uint32, k int) []Scored {
 	q := v.getDense(v.terms.Len())
 	defer v.putDense(q)
 	q.load(r)
-	self := itemset.NewBits(int(id) + 1)
-	self.Add(id)
-	return v.search(q, k, self)
+	return v.search(q, k, itemset.FromSorted([]uint32{id}))
 }
 
 // Nearest returns up to k documents most similar to the centroid c, in
@@ -446,12 +439,7 @@ func (v *VectorStore) Nearest(c Centroid, k int, exclude itemset.Set) []Scored {
 	q := v.getDense(v.terms.Len())
 	defer v.putDense(q)
 	q.load(c.row)
-	var excl *itemset.Bits
-	if !exclude.IsEmpty() {
-		excl = itemset.NewBits(v.docs())
-		excl.AddSliceBelow(exclude.Slice(), v.docs())
-	}
-	return v.search(q, k, excl)
+	return v.search(q, k, exclude)
 }
 
 // ScoreDocs returns the dot product of the centroid with each member's
@@ -462,7 +450,9 @@ func (v *VectorStore) ScoreDocs(c Centroid, members itemset.Set) []float64 {
 	defer v.putDense(q)
 	q.load(c.row)
 	scores := make([]float64, members.Len())
-	v.scoreRows(q.acc, members.Slice(), scores)
+	for i, id := range members.Slice() {
+		scores[i] = dot(q.acc, v.row(id))
+	}
 	return scores
 }
 

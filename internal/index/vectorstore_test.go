@@ -29,12 +29,11 @@ func TestVectorStoreAdd(t *testing.T) {
 	b := NewVectorBuilder()
 	b.Add(d1, map[string]float64{"a": 1, "b": 2})
 	b.Add(d2, map[string]float64{"b": 1, "c": 1})
-	v := b.Freeze(nil)
-	if got := v.docIDs(); !reflect.DeepEqual(got, []uint32{d1, d2}) {
+	if got := b.docIDs(); !reflect.DeepEqual(got, []uint32{d1, d2}) {
 		t.Fatalf("documents = %v", got)
 	}
-	if v.docFreqOf("b") != 2 || v.docFreqOf("a") != 1 || v.docFreqOf("z") != 0 {
-		t.Errorf("DocFreq wrong: b=%d a=%d z=%d", v.docFreqOf("b"), v.docFreqOf("a"), v.docFreqOf("z"))
+	if b.docFreqOf("b") != 2 || b.docFreqOf("a") != 1 || b.docFreqOf("z") != 0 {
+		t.Errorf("DocFreq wrong: b=%d a=%d z=%d", b.docFreqOf("b"), b.docFreqOf("a"), b.docFreqOf("z"))
 	}
 }
 
@@ -51,17 +50,15 @@ func TestVectorStoreAddTwicePanics(t *testing.T) {
 		}()
 		b.Add(d1, map[string]float64{"b": 1})
 	}()
-	v := b.Freeze(nil)
-	if n := len(v.docIDs()); n != 1 || v.docFreqOf("a") != 1 || v.docFreqOf("b") != 0 {
-		t.Errorf("after the rejected Add: %d documents, df(a)=%d df(b)=%d", n, v.docFreqOf("a"), v.docFreqOf("b"))
+	if n := len(b.docIDs()); n != 1 || b.docFreqOf("a") != 1 || b.docFreqOf("b") != 0 {
+		t.Errorf("after the rejected Add: %d documents, df(a)=%d df(b)=%d", n, b.docFreqOf("a"), b.docFreqOf("b"))
 	}
 }
 
 func TestVectorStoreDropsNonPositive(t *testing.T) {
 	b := NewVectorBuilder()
 	b.Add(d1, map[string]float64{"a": 0, "b": -1, "c": 2})
-	v := b.Freeze(nil)
-	if v.docFreqOf("a") != 0 || v.docFreqOf("b") != 0 || v.docFreqOf("c") != 1 {
+	if b.docFreqOf("a") != 0 || b.docFreqOf("b") != 0 || b.docFreqOf("c") != 1 {
 		t.Error("non-positive frequencies should be dropped")
 	}
 }
@@ -237,12 +234,8 @@ func TestIDsSorted(t *testing.T) {
 	for _, id := range []uint32{7, 1, 4} {
 		b.Add(id, map[string]float64{"t": 1})
 	}
-	v := b.Freeze(nil)
-	if got := v.docIDs(); !reflect.DeepEqual(got, []uint32{1, 4, 7}) {
+	if got := b.docIDs(); !reflect.DeepEqual(got, []uint32{1, 4, 7}) {
 		t.Errorf("IDs = %v", got)
-	}
-	if got := v.postingOf("t"); !reflect.DeepEqual(got, []uint32{1, 4, 7}) {
-		t.Errorf("posting = %v", got)
 	}
 }
 
@@ -267,7 +260,7 @@ func TestVectorStoreConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if n := len(v.docIDs()); n != 600 {
+	if n := len(b.docIDs()); n != 600 {
 		t.Errorf("%d documents, want 600", n)
 	}
 }
@@ -287,7 +280,7 @@ func TestQuickVectorsUnitNorm(t *testing.T) {
 			b.Add(uint32(i), freqs)
 		}
 		v := b.Freeze(nil)
-		for _, id := range v.docIDs() {
+		for _, id := range b.docIDs() {
 			var norm float64
 			for _, w := range v.vector(id) {
 				norm += w * w
@@ -317,7 +310,7 @@ func TestQuickSimilarityBounds(t *testing.T) {
 			b.Add(uint32(i), freqs)
 		}
 		v := b.Freeze(nil)
-		ids := v.docIDs()
+		ids := b.docIDs()
 		for _, a := range ids {
 			for _, b := range ids {
 				s := v.Similarity(a, b)
@@ -409,6 +402,6 @@ func TestAddAfterQueryMatchesBatchBuild(t *testing.T) {
 		same("Centroid["+term+"]", gotC[term], w)
 	}
 	for _, term := range []string{"a", "b", "c", "d", "e", "num|x"} {
-		same("IDF("+term+")", grown.idfOf(term), want.idfOf(term))
+		same("IDF("+term+")", gb.idfOf(term), builder(len(docs)).idfOf(term))
 	}
 }

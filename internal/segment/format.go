@@ -11,7 +11,7 @@
 //	MANIFEST.json   format version, dataset identity, file checksums
 //	graph.seg       RDF graph columns (interners, SPO/POS indexes)
 //	text.seg        text-index columns (postings, doc fields, surfaces)
-//	vectors.seg     vector-store columns (tf·idf rows, postings)
+//	vectors.seg     vector-store columns (tf·idf rows)
 //	meta.seg        item universe, numeric-range statistics
 //
 // Each .seg file is a fixed binary header, 8-byte-aligned typed sections,
@@ -34,9 +34,9 @@ const (
 	// Version is the current segment format version. Version 2 numbers
 	// subjects lexically and stores compiled tf·idf rows keyed by subject
 	// ID; version 3 keys the text postings and per-document rows by
-	// subject ID too and drops the text doc table. Version 1 and 2 sets
-	// must be rebuilt.
-	Version = 3
+	// subject ID too and drops the text doc table; version 4 drops the
+	// vector store's per-term postings. Version 1–3 sets must be rebuilt.
+	Version = 4
 	// ManifestName is the manifest file inside a segment directory.
 	ManifestName = "MANIFEST.json"
 	// headerSize is the fixed on-disk header: magic[8] version[4] flags[4]

@@ -9,7 +9,7 @@ package segment
 //	MANIFEST.json  what was compiled, parameters, per-file checksums
 //	graph.seg      triple store: interners, POS and SPO indexes
 //	text.seg       inverted text index: postings, df, surfaces, doc columns
-//	vectors.seg    vector store: tf·idf rows, retrieval postings
+//	vectors.seg    vector store: tf·idf rows
 //	meta.seg       item universe posting, numeric range statistics
 //
 // BuildDir writes all four files plus the manifest; OpenDir maps them and
@@ -162,8 +162,6 @@ func addVectors(w *Writer, c index.VectorColumns) {
 	w.AddU32("row.start", c.RowStart)
 	w.AddU32("row.term", c.RowTerm)
 	w.AddF64("row.weight", c.RowWeight)
-	w.AddU32("post.start", c.PostStart)
-	w.AddU32("post.dns", c.PostDNS)
 }
 
 func addMeta(w *Writer, d Data) error {
@@ -303,8 +301,6 @@ func OpenDir(dir string) (*Set, error) {
 	if r.err == nil {
 		v.RowWeight, r.err = r.f.F64("row.weight")
 	}
-	v.PostStart = r.u32("post.start")
-	v.PostDNS = r.u32("post.dns")
 	if r.err != nil {
 		return fail(VectorsSeg, r.err)
 	}
