@@ -66,7 +66,7 @@ fuzz:
 # graph's term table and the vector store's scratch vectors).
 race-par:
 	$(GO) test -race -run 'Pool|Batch|Panic|Cancel|Nested|Parallel|Equiv|Determinism|Merge|ByAdvisor|Centroid|ConcurrentReaders|SharingNoTerm' \
-		./internal/par/ ./internal/blackboard/ ./internal/facets/ ./internal/index/ ./internal/vsm/ ./internal/rdf/
+		./internal/par/ ./internal/blackboard/ ./internal/facets/ ./internal/index/ ./internal/vsm/ ./internal/rdf/ ./internal/schema/
 
 # Observability gate: the flight-recorder and exposition goldens (ring
 # retention, Prometheus text format, /debug/traces JSON) plus the

@@ -199,7 +199,7 @@ func BenchmarkFig5RangeQuery(b *testing.B) {
 	b.ResetTimer()
 	var matched int
 	for i := 0; i < b.N; i++ {
-		h, ok := facets.NumericHistogram(m.Graph(), s.Current().IDs, inbox.PropSent, 24)
+		h, ok := facets.NumericHistogram(m.Schema(), s.Current().IDs, inbox.PropSent, 24)
 		if !ok {
 			b.Fatal("no histogram")
 		}
@@ -258,10 +258,10 @@ func BenchmarkFig8AreaOutliers(b *testing.B) {
 	b.ResetTimer()
 	var outliers int
 	for i := 0; i < b.N; i++ {
-		if _, ok := facets.NumericHistogram(m.Graph(), items, states.PropArea, 12); !ok {
+		if _, ok := facets.NumericHistogram(m.Schema(), items, states.PropArea, 12); !ok {
 			b.Fatal("no histogram")
 		}
-		outliers = facets.Outliers(m.Graph(), items, states.PropArea, 3).Len()
+		outliers = facets.Outliers(m.Schema(), items, states.PropArea, 3).Len()
 	}
 	b.ReportMetric(float64(outliers), "outliers")
 }

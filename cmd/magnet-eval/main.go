@@ -291,7 +291,7 @@ func fig5(int, int64) {
 	apply(s, blackboard.ReplaceQuery{Query: query.NewQuery(query.Or{Ps: []query.Predicate{
 		query.TypeIs(inbox.ClassMessage), query.TypeIs(inbox.ClassNewsItem),
 	}})})
-	h, ok := facets.NumericHistogram(m.Graph(), s.Current().IDs, inbox.PropSent, 24)
+	h, ok := facets.NumericHistogram(m.Schema(), s.Current().IDs, inbox.PropSent, 24)
 	if !ok {
 		fmt.Println("CHECK fig5 histogram=MISSING")
 		return
@@ -393,7 +393,7 @@ func fig8(int, int64) {
 			render.Histogram(os.Stdout, "area", act.Histogram)
 		}
 	}
-	outliers := m.Graph().SubjectsFromIDs(facets.Outliers(m.Graph(), m.ItemIDs(), states.PropArea, 3).Slice())
+	outliers := m.Graph().SubjectsFromIDs(facets.Outliers(m.Schema(), m.ItemIDs(), states.PropArea, 3).Slice())
 	names := make([]string, len(outliers))
 	for i, o := range outliers {
 		if v, ok := m.Graph().Object(o, states.PropName); ok {
@@ -515,7 +515,7 @@ func autoAnnotateExp(int, int64) {
 			labeled++
 		}
 	}
-	outliers := facets.Outliers(m.Graph(), m.ItemIDs(), states.PropArea, 3)
+	outliers := facets.Outliers(m.Schema(), m.ItemIDs(), states.PropArea, 3)
 	fmt.Printf("CHECK autoann proposals=%d areaRange=%v labeledFacets=%d outliers=%d\n",
 		len(proposals), areaRange, labeled, outliers.Len())
 }

@@ -68,7 +68,7 @@ func main() {
 			render.Histogram(os.Stdout, "Area (sq mi)", act.Histogram)
 		}
 	}
-	outliers := facets.Outliers(m.Graph(), m.ItemIDs(), states.PropArea, 3)
+	outliers := facets.Outliers(m.Schema(), m.ItemIDs(), states.PropArea, 3)
 	for _, o := range m.Graph().SubjectsFromIDs(outliers.Slice()) {
 		name, _ := m.Graph().Object(o, states.PropName)
 		fmt.Printf("area outlier: %s\n", name.(rdf.Literal).Lexical)

@@ -74,7 +74,7 @@ func (*RangeWidget) Triggered(v blackboard.View) bool {
 func (r *RangeWidget) Suggest(v blackboard.View, b *blackboard.Board) {
 	n := v.Len()
 	for _, p := range r.env.Schema.NumericProperties() {
-		h, ok := facets.NumericHistogram(r.env.Graph, v.IDs, p, r.buckets)
+		h, ok := facets.NumericHistogram(r.env.Schema, v.IDs, p, r.buckets)
 		if !ok {
 			continue
 		}

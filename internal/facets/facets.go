@@ -10,6 +10,7 @@ import (
 	"errors"
 	"math"
 	"sort"
+	"sync"
 	"time"
 
 	"magnet/internal/itemset"
@@ -27,6 +28,9 @@ var (
 	summarizeCount  = obs.NewCounter("facets.summarize.count")
 	summarizeNS     = obs.NewHistogram("facets.summarize.ns")
 	summarizeFacets = obs.NewHistogram("facets.summarize.facets")
+	// labelCount counts value labels looked up (TermLabel): the work the
+	// overview's cut saves, which tests pin exactly.
+	labelCount = obs.NewCounter("facets.labels.count")
 )
 
 // Value is one attribute value with its occurrence count in the collection.
@@ -104,20 +108,17 @@ func summarize(ctx context.Context, g *rdf.Graph, sch *schema.Store, coll itemse
 
 	// Spread per-predicate aggregation across the pool. Predicates() is
 	// sorted, results are index-addressed per predicate, and each chunk
-	// carries its own scratch (stamp array + intersection buffer), so the
-	// collected table is identical to a serial pass. With a nil/serial
-	// pool ChunkFor yields one chunk: one scratch allocation, exactly the
-	// old loop.
+	// carries its own scratch, so the collected table is identical to a
+	// serial pass. With a nil/serial pool ChunkFor yields one chunk: one
+	// scratch, exactly the serial loop.
 	preds := g.Predicates()
 	results := make([]*Facet, len(preds))
 	err := par.ForChunks(ctx, opts.Pool, len(preds), par.ChunkFor(opts.Pool, len(preds)), func(lo, hi int) {
-		seen := make([]uint32, int(maxID)+1)
-		var epoch uint32
-		var buf []uint32 // intersection scratch, reused across values
+		sc := getScratch(int(maxID) + 1)
 		for i := lo; i < hi; i++ {
-			epoch++
-			results[i] = summarizeProp(g, sch, preds[i], coll, member, seen, epoch, &buf, opts)
+			results[i] = summarizeProp(g, sch, preds[i], coll, member, sc, opts)
 		}
+		scratches.Put(sc)
 	})
 	var pe *par.PanicError
 	if errors.As(err, &pe) {
@@ -155,30 +156,62 @@ func sortFacets(facets []Facet) {
 	})
 }
 
+// scratch is one worker's state for summarizeProp, reused across the
+// predicates it aggregates and, through scratches, across summaries.
+type scratch struct {
+	seen  []uint32 // coverage stamps by item ID; a predicate's pass stamps epoch
+	epoch uint32
+	buf   []uint32 // intersection scratch
+	vals  []Value  // the current predicate's counted values, unlabeled
+	top   []int    // kthLargestCount's selection
+}
+
+// scratches recycles worker scratch across summaries, so a steady stream
+// of overviews allocates little more than the facets it returns.
+var scratches sync.Pool
+
+// getScratch returns a recycled or new scratch whose stamp array covers
+// item IDs below universe.
+func getScratch(universe int) *scratch {
+	sc, _ := scratches.Get().(*scratch)
+	if sc == nil {
+		sc = &scratch{}
+	}
+	if len(sc.seen) < universe {
+		sc.seen, sc.epoch = make([]uint32, universe), 0
+	}
+	return sc
+}
+
 // summarizeProp aggregates one property over the collection, returning nil
 // for hidden, uncovered, or unshared-and-unpreferred properties. member is
-// the collection's bitmap, seen the caller's epoch-stamp array (epoch must
-// be fresh for this call) and buf its reusable intersection scratch — the
-// last two owned by a single worker.
+// the collection's bitmap and sc the calling worker's scratch.
 //
 // Each value's posting is counted by bit test against member, in
 // O(posting). Only a posting at least itemset.SkewRatio times the
 // collection is galloped into it instead, in O(collection × log ratio).
-func summarizeProp(g *rdf.Graph, sch *schema.Store, p rdf.IRI, coll itemset.Set, member *itemset.Bits, seen []uint32, epoch uint32, buf *[]uint32, opts Options) *Facet {
+// Only the values that can be shown are labelled, and only those shown
+// are copied out (see shownValues).
+func summarizeProp(g *rdf.Graph, sch *schema.Store, p rdf.IRI, coll itemset.Set, member *itemset.Bits, sc *scratch, opts Options) *Facet {
 	if sch.Hidden(p) {
 		return nil
 	}
+	sc.epoch++
+	if sc.epoch == 0 { // wrapped: an old stamp could equal a new epoch
+		clear(sc.seen)
+		sc.epoch = 1
+	}
+	sc.vals = sc.vals[:0]
 	coverage, distinct := 0, 0
 	shared := false
-	var values []Value
 	g.ForEachValuePosting(p, func(o rdf.Term, subjects itemset.Set) bool {
 		var n, fresh int
 		if subjects.Len() >= itemset.SkewRatio*coll.Len() {
-			inter := itemset.IntersectInto(*buf, subjects, coll)
-			*buf = inter.Buffer()[:0]
-			n, fresh = inter.Len(), countCoverage(inter.Slice(), seen, epoch)
+			inter := itemset.IntersectInto(sc.buf, subjects, coll)
+			sc.buf = inter.Buffer()[:0]
+			n, fresh = inter.Len(), countCoverage(inter.Slice(), sc.seen, sc.epoch)
 		} else {
-			n, fresh = countMembers(subjects.Slice(), member, seen, epoch)
+			n, fresh = countMembers(subjects.Slice(), member, sc.seen, sc.epoch)
 		}
 		if n == 0 {
 			return true
@@ -191,7 +224,7 @@ func summarizeProp(g *rdf.Graph, sch *schema.Store, p rdf.IRI, coll itemset.Set,
 		if opts.MinCount > 1 && n < opts.MinCount {
 			return true
 		}
-		values = append(values, Value{Term: o, Count: n})
+		sc.vals = append(sc.vals, Value{Term: o, Count: n})
 		return true
 	})
 	if coverage == 0 {
@@ -202,7 +235,6 @@ func summarizeProp(g *rdf.Graph, sch *schema.Store, p rdf.IRI, coll itemset.Set,
 		Label:     sch.Label(p),
 		Labeled:   sch.HasLabel(p),
 		ValueType: sch.ValueType(p),
-		Values:    values,
 		Distinct:  distinct,
 		Coverage:  coverage,
 		Preferred: sch.IsFacet(p),
@@ -215,15 +247,67 @@ func summarizeProp(g *rdf.Graph, sch *schema.Store, p rdf.IRI, coll itemset.Set,
 	if !shared && !opts.IncludeUnshared && !f.Preferred {
 		return nil
 	}
-	// Label only the values of a kept facet; the sort reads the labels.
-	for i := range f.Values {
-		f.Values[i].Label = g.TermLabel(f.Values[i].Term)
-	}
-	sortValues(f.Values, opts.ByCount)
-	if opts.MaxValues > 0 && len(f.Values) > opts.MaxValues {
-		f.Values = f.Values[:opts.MaxValues]
-	}
+	f.Values = shownValues(g, sc, opts)
 	return &f
+}
+
+// shownValues labels, sorts and truncates sc.vals in place and copies out
+// what is shown: nil when nothing is. Ordered by count with a MaxValues
+// limit, only the values whose count is at least the MaxValues-th largest
+// (the cut) are labelled and sorted. That loses nothing: the display order
+// (count desc, label asc, key asc) is total and keys are unique, so the
+// top MaxValues are unique and each has a count at least the cut. Ties at
+// the cut stay, for the label and key tie-breaks.
+func shownValues(g *rdf.Graph, sc *scratch, opts Options) []Value {
+	vs := sc.vals
+	if opts.ByCount && opts.MaxValues > 0 && len(vs) > opts.MaxValues {
+		cut := kthLargestCount(vs, opts.MaxValues, &sc.top)
+		n := 0
+		for _, v := range vs {
+			if v.Count >= cut {
+				vs[n] = v
+				n++
+			}
+		}
+		vs = vs[:n]
+	}
+	for i := range vs {
+		vs[i].Label = g.TermLabel(vs[i].Term)
+	}
+	labelCount.Add(uint64(len(vs)))
+	sortValues(vs, opts.ByCount)
+	if opts.MaxValues > 0 && len(vs) > opts.MaxValues {
+		vs = vs[:opts.MaxValues]
+	}
+	if len(vs) == 0 {
+		return nil
+	}
+	return append([]Value(nil), vs...)
+}
+
+// kthLargestCount returns the k-th largest count in vs, which must hold at
+// least k values, by insertion into a descending selection of k counts
+// (held in *top, reused across calls): O(len(vs) × k), no sort.
+func kthLargestCount(vs []Value, k int, top *[]int) int {
+	t := (*top)[:0]
+	for _, v := range vs {
+		c := v.Count
+		if len(t) == k && c <= t[k-1] {
+			continue
+		}
+		i := len(t)
+		if i < k {
+			t = append(t, c)
+		} else {
+			i = k - 1
+		}
+		for ; i > 0 && t[i-1] < c; i-- {
+			t[i] = t[i-1]
+		}
+		t[i] = c
+	}
+	*top = t
+	return t[k-1]
 }
 
 // countCoverage stamps each member into seen at epoch and returns how many
@@ -309,71 +393,85 @@ type Histogram struct {
 
 // NumericHistogram summarizes prop's numeric values over the collection in
 // nbuckets equal-width buckets. Each item contributes its first parseable
-// numeric value by key (see firstNumeric); items without one are skipped.
-// ok is false when fewer than two items contribute (no range to select).
-func NumericHistogram(g *rdf.Graph, coll itemset.Set, prop rdf.IRI, nbuckets int) (Histogram, bool) {
+// numeric value by key, read from the store's column (schema.Numbers);
+// items without one are skipped. ok is false when fewer than two items
+// contribute (no range to select).
+func NumericHistogram(sch *schema.Store, coll itemset.Set, prop rdf.IRI, nbuckets int) (Histogram, bool) {
 	if nbuckets <= 0 {
 		nbuckets = 10
 	}
 	// The histogram depends only on min, max and per-bucket counts, so each
-	// value is kept once with the number of items it reaches.
-	type run struct {
-		v float64
-		n int
-	}
-	var runs []run
-	count := 0
-	firstNumeric(g, coll, prop, func(v float64, members []uint32) {
-		runs = append(runs, run{v, len(members)})
-		count += len(members)
-	})
+	// distinct value is counted once with the number of items it reaches,
+	// and read in ascending rank (key) order.
+	nums := sch.Numbers(prop)
+	vals := nums.Values()
+	perRank := make([]int, len(vals))
+	count := countRanks(coll.Slice(), nums, perRank)
 	if count < 2 {
 		return Histogram{Prop: prop}, false
 	}
-	h := Histogram{Prop: prop, Min: runs[0].v, Max: runs[0].v, Buckets: make([]int, nbuckets), Count: count}
-	for _, r := range runs {
-		if r.v < h.Min {
-			h.Min = r.v
+	h := Histogram{Prop: prop, Buckets: make([]int, nbuckets), Count: count}
+	first := true
+	for r, n := range perRank {
+		if n == 0 {
+			continue
 		}
-		if r.v > h.Max {
-			h.Max = r.v
+		v := vals[r]
+		if first {
+			h.Min, h.Max, first = v, v, false
+		}
+		if v < h.Min {
+			h.Min = v
+		}
+		if v > h.Max {
+			h.Max = v
 		}
 	}
 	if h.Max == h.Min {
 		h.Buckets[0] = count
 		return h, true
 	}
-	for _, r := range runs {
-		b := int(float64(nbuckets) * (r.v - h.Min) / (h.Max - h.Min))
+	for r, n := range perRank {
+		if n == 0 {
+			continue
+		}
+		b := int(float64(nbuckets) * (vals[r] - h.Min) / (h.Max - h.Min))
 		if b == nbuckets {
 			b--
 		}
-		h.Buckets[b] += r.n
+		h.Buckets[b] += n
 	}
 	return h, true
+}
+
+// countRanks adds one to perRank[r-1] for each member whose first numeric
+// value has rank r, and returns how many members have one.
+//
+//magnet:hot
+func countRanks(members []uint32, nums *schema.Numbers, perRank []int) int {
+	count := 0
+	for _, id := range members {
+		if r := nums.Rank(id); r > 0 {
+			perRank[r-1]++
+			count++
+		}
+	}
+	return count
 }
 
 // Outliers returns the members of coll whose value of prop lies more than
 // k standard deviations from the mean over the collection (how the
 // Figure 8 walkthrough "clearly shows one state (Alaska) having a much
-// larger area than the rest"). Members without numeric values are
-// skipped. The mean and variance sum in ascending ID order.
-func Outliers(g *rdf.Graph, coll itemset.Set, prop rdf.IRI, k float64) itemset.Set {
-	// value[i] is the numeric value of coll's i-th member; has marks the
-	// members that have one.
-	value := make([]float64, coll.Len())
-	has := make([]bool, coll.Len())
-	firstNumeric(g, coll, prop, func(v float64, members []uint32) {
-		for _, id := range members {
-			i := coll.Rank(id)
-			value[i], has[i] = v, true
-		}
-	})
+// larger area than the rest"). Each member's value is its first numeric
+// value by key (schema.Numbers); members without one are skipped. The
+// mean and variance sum in ascending ID order.
+func Outliers(sch *schema.Store, coll itemset.Set, prop rdf.IRI, k float64) itemset.Set {
+	nums := sch.Numbers(prop)
 	n := 0
 	var sum float64
-	for i, ok := range has {
-		if ok {
-			sum += value[i]
+	for _, id := range coll.Slice() {
+		if v, ok := nums.Value(id); ok {
+			sum += v
 			n++
 		}
 	}
@@ -382,9 +480,9 @@ func Outliers(g *rdf.Graph, coll itemset.Set, prop rdf.IRI, k float64) itemset.S
 	}
 	mean := sum / float64(n)
 	var varsum float64
-	for i, ok := range has {
-		if ok {
-			d := value[i] - mean
+	for _, id := range coll.Slice() {
+		if v, ok := nums.Value(id); ok {
+			d := v - mean
 			varsum += d * d
 		}
 	}
@@ -394,60 +492,10 @@ func Outliers(g *rdf.Graph, coll itemset.Set, prop rdf.IRI, k float64) itemset.S
 	}
 	std := math.Sqrt(variance)
 	var out []uint32
-	for i, id := range coll.Slice() {
-		if has[i] && math.Abs(value[i]-mean) > k*std {
+	for _, id := range coll.Slice() {
+		if v, ok := nums.Value(id); ok && math.Abs(v-mean) > k*std {
 			out = append(out, id)
 		}
 	}
 	return itemset.FromSorted(out)
-}
-
-// firstNumeric is the one reader of items' numeric values. It walks prop's
-// values in key order, the order Objects returns an item's values in, and
-// calls f with each parseable numeric value and the collection members it
-// is the first such value of. An item with several numeric values is
-// handed only its least one by key, and each member is handed at most
-// once. The members slice is reused and valid only during the call.
-func firstNumeric(g *rdf.Graph, coll itemset.Set, prop rdf.IRI, f func(v float64, members []uint32)) {
-	n := coll.Len()
-	if n == 0 {
-		return
-	}
-	maxID, _ := coll.Select(n - 1)
-	claimed := itemset.NewBits(int(maxID) + 1)
-	var buf []uint32
-	g.ForEachValuePosting(prop, func(o rdf.Term, subjects itemset.Set) bool {
-		lit, ok := o.(rdf.Literal)
-		if !ok {
-			return true
-		}
-		v, ok := lit.Float()
-		if !ok {
-			return true
-		}
-		fresh := unclaimed(buf, subjects, coll, claimed)
-		buf = fresh[:0]
-		if len(fresh) > 0 {
-			claimed.AddSlice(fresh)
-			f(v, fresh)
-		}
-		return claimed.Count() < n
-	})
-}
-
-// unclaimed returns the members of subjects ∩ coll not yet in claimed,
-// written into dst's backing array: the per-value inner loop of
-// firstNumeric. The caller claims them.
-//
-//magnet:hot
-func unclaimed(dst []uint32, subjects, coll itemset.Set, claimed *itemset.Bits) []uint32 {
-	ids := itemset.IntersectInto(dst, subjects, coll).Buffer()
-	n := 0
-	for _, id := range ids {
-		if !claimed.Has(id) {
-			ids[n] = id
-			n++
-		}
-	}
-	return ids[:n]
 }

@@ -164,8 +164,8 @@ func TestFacetLabeledFlag(t *testing.T) {
 }
 
 func TestNumericHistogram(t *testing.T) {
-	g, _, items := fixture()
-	h, ok := NumericHistogram(g, g.SubjectIDsOf(items), pArea, 5)
+	g, sch, items := fixture()
+	h, ok := NumericHistogram(sch, g.SubjectIDsOf(items), pArea, 5)
 	if !ok {
 		t.Fatal("histogram failed")
 	}
@@ -192,29 +192,30 @@ func TestNumericHistogramDegenerate(t *testing.T) {
 	gb.Add(a, p, rdf.NewInteger(7))
 	gb.Add(b, p, rdf.NewInteger(7))
 	g := gb.Freeze()
-	h, ok := NumericHistogram(g, g.SubjectIDsOf([]rdf.IRI{a, b}), p, 4)
+	sch := schema.NewStore(g)
+	h, ok := NumericHistogram(sch, g.SubjectIDsOf([]rdf.IRI{a, b}), p, 4)
 	if !ok || h.Buckets[0] != 2 {
 		t.Errorf("degenerate histogram = %+v, %v", h, ok)
 	}
 	// One item only → not enough for a range.
-	if _, ok := NumericHistogram(g, g.SubjectIDsOf([]rdf.IRI{a}), p, 4); ok {
+	if _, ok := NumericHistogram(sch, g.SubjectIDsOf([]rdf.IRI{a}), p, 4); ok {
 		t.Error("single item should not produce a histogram")
 	}
 	// Non-numeric property.
-	if _, ok := NumericHistogram(g, g.SubjectIDsOf([]rdf.IRI{a}), rdf.IRI(ex+"absent"), 4); ok {
+	if _, ok := NumericHistogram(sch, g.SubjectIDsOf([]rdf.IRI{a}), rdf.IRI(ex+"absent"), 4); ok {
 		t.Error("absent property should not produce a histogram")
 	}
 }
 
 func TestOutliersFindsAlaskaPattern(t *testing.T) {
-	g, _, items := fixture()
+	g, sch, items := fixture()
 	// r5's 5000 dwarfs the others — the Figure 8 Alaska pattern.
-	out := outliersOf(g, items, pArea, 1.5)
+	out := outliersOf(g, sch, items, pArea, 1.5)
 	if !reflect.DeepEqual(out, []rdf.IRI{rdf.IRI(ex + "r5")}) {
 		t.Errorf("Outliers = %v", out)
 	}
 	// Uniform values: no outliers.
-	if out := outliersOf(g, items[:3], pCuisine, 1.5); out != nil {
+	if out := outliersOf(g, sch, items[:3], pCuisine, 1.5); out != nil {
 		t.Errorf("non-numeric outliers = %v", out)
 	}
 }

@@ -88,8 +88,8 @@ func oracleOutliers(g *rdf.Graph, items []rdf.IRI, prop rdf.IRI, k float64) []rd
 
 // outliersOf runs Outliers over the items' ID set and rehydrates the
 // result, nil when empty, to compare with oracleOutliers over byID(items).
-func outliersOf(g *rdf.Graph, items []rdf.IRI, prop rdf.IRI, k float64) []rdf.IRI {
-	out := Outliers(g, g.SubjectIDsOf(items), prop, k)
+func outliersOf(g *rdf.Graph, sch *schema.Store, items []rdf.IRI, prop rdf.IRI, k float64) []rdf.IRI {
+	out := Outliers(sch, g.SubjectIDsOf(items), prop, k)
 	if out.IsEmpty() {
 		return nil
 	}
@@ -127,7 +127,8 @@ func TestNumericFirstValueByKeyWins(t *testing.T) {
 	gb.Add(c, p, rdf.NewInteger(2))
 	items := []rdf.IRI{a, b, c}
 	g := gb.Freeze()
-	h, ok := NumericHistogram(g, g.SubjectIDsOf(items), p, 3)
+	sch := schema.NewStore(g)
+	h, ok := NumericHistogram(sch, g.SubjectIDsOf(items), p, 3)
 	if !ok || h.Count != 3 || h.Min != 1 || h.Max != 10 {
 		t.Fatalf("histogram = %+v, %v; want 3 items over [1, 10]", h, ok)
 	}
@@ -135,7 +136,7 @@ func TestNumericFirstValueByKeyWins(t *testing.T) {
 		t.Errorf("histogram = %+v, oracle %+v", h, want)
 	}
 	// Outliers reads the same first value.
-	if got, want := outliersOf(g, items, p, 1), oracleOutliers(g, byID(g, items), p, 1); !reflect.DeepEqual(got, want) || len(got) != 1 || got[0] != a {
+	if got, want := outliersOf(g, sch, items, p, 1), oracleOutliers(g, byID(g, items), p, 1); !reflect.DeepEqual(got, want) || len(got) != 1 || got[0] != a {
 		t.Errorf("Outliers = %v, oracle %v", got, want)
 	}
 }
@@ -163,6 +164,7 @@ func TestNumericMatchesOracle(t *testing.T) {
 		}
 	}
 	g := gb.Freeze()
+	sch := schema.NewStore(g)
 	absent := rdf.IRI(ex + "not-in-graph")
 	for trial := 0; trial < 60; trial++ {
 		n := 1 + rng.Intn(len(all))
@@ -178,13 +180,13 @@ func TestNumericMatchesOracle(t *testing.T) {
 		}
 		for _, p := range []rdf.IRI{recipes.PropPrepTime, recipes.PropServings, recipes.PropCuisine} {
 			nb := 1 + rng.Intn(24)
-			got, gotOK := NumericHistogram(g, g.SubjectIDsOf(items), p, nb)
+			got, gotOK := NumericHistogram(sch, g.SubjectIDsOf(items), p, nb)
 			want, wantOK := oracleHistogram(g, items, p, nb)
 			if gotOK != wantOK || !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d %s: histogram = %+v, %v; oracle %+v, %v", trial, p, got, gotOK, want, wantOK)
 			}
 			k := []float64{0.5, 1, 1.5, 2}[rng.Intn(4)]
-			if got, want := outliersOf(g, items, p, k), oracleOutliers(g, byID(g, items), p, k); !reflect.DeepEqual(got, want) {
+			if got, want := outliersOf(g, sch, items, p, k), oracleOutliers(g, byID(g, items), p, k); !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d %s k=%v: Outliers = %v, oracle %v", trial, p, k, got, want)
 			}
 		}

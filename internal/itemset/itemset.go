@@ -73,10 +73,6 @@ func (s Set) Has(id uint32) bool {
 	return i < len(s.ids) && s.ids[i] == id
 }
 
-// Rank returns the number of members strictly less than id (the position
-// id would occupy).
-func (s Set) Rank(id uint32) int { return searchIDs(s.ids, id) }
-
 // Select returns the i-th smallest member and whether i is in range.
 func (s Set) Select(i int) (uint32, bool) {
 	if i < 0 || i >= len(s.ids) {

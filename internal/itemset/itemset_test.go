@@ -34,17 +34,8 @@ func TestBasics(t *testing.T) {
 	}
 }
 
-func TestRankSelect(t *testing.T) {
+func TestSelect(t *testing.T) {
 	s := setOf(10, 20, 30)
-	if r := s.Rank(20); r != 1 {
-		t.Errorf("Rank(20) = %d, want 1", r)
-	}
-	if r := s.Rank(25); r != 2 {
-		t.Errorf("Rank(25) = %d, want 2", r)
-	}
-	if r := s.Rank(5); r != 0 {
-		t.Errorf("Rank(5) = %d, want 0", r)
-	}
 	if id, ok := s.Select(2); !ok || id != 30 {
 		t.Errorf("Select(2) = %d,%v", id, ok)
 	}
@@ -54,11 +45,10 @@ func TestRankSelect(t *testing.T) {
 	if _, ok := s.Select(-1); ok {
 		t.Error("Select(-1) should be out of range")
 	}
-	// Rank/Select are inverse on valid positions.
-	for i := 0; i < s.Len(); i++ {
-		id, _ := s.Select(i)
-		if s.Rank(id) != i {
-			t.Errorf("Rank(Select(%d)) = %d", i, s.Rank(id))
+	// Select reads the i-th member of the ascending slice.
+	for i, want := range s.Slice() {
+		if id, ok := s.Select(i); !ok || id != want {
+			t.Errorf("Select(%d) = %d,%v, want %d", i, id, ok, want)
 		}
 	}
 }

@@ -163,6 +163,28 @@ func TestRangeSkipsNonNumeric(t *testing.T) {
 	}
 }
 
+// TestRangeMatchesAnyValue pins the range rule: an item matches when any
+// of its values falls inside the range, not only its first by key (the
+// value range previews read). An item with servings 5 and 50 is in both
+// [40, 60] and [0, 10].
+func TestRangeMatchesAnyValue(t *testing.T) {
+	gb := rdf.NewBuilder()
+	x, y := iri("x"), iri("y")
+	gb.Add(x, pServings, rdf.NewInteger(5))
+	gb.Add(x, pServings, rdf.NewInteger(50))
+	gb.Add(y, pServings, rdf.NewInteger(20))
+	g := gb.Freeze()
+	e := NewEngine(g, schema.NewStore(g), nil, g.SubjectIDsOf([]rdf.IRI{x, y}))
+	for _, r := range []Range{between(pServings, 40, 60), between(pServings, 0, 10)} {
+		if got := e.items(r.Eval(e)); !reflect.DeepEqual(got, []rdf.IRI{x}) {
+			t.Errorf("%s = %v, want [%s]", r.Key(), got, x)
+		}
+	}
+	if got := e.items(between(pServings, 0, 60).Eval(e)); !reflect.DeepEqual(got, []rdf.IRI{x, y}) {
+		t.Errorf("servings 0..60 = %v", got)
+	}
+}
+
 func TestNotPredicate(t *testing.T) {
 	e, _ := fixture()
 	got := e.items(Not{Property{pIngredient, walnut}}.Eval(e))

@@ -268,6 +268,17 @@ func (g *Graph) Predicates() []IRI {
 	return out
 }
 
+// PredicateCount returns the number of distinct predicates, the length of
+// Predicates().
+func (g *Graph) PredicateCount() int { return g.preds.Len() }
+
+// PredicateIndex returns p's position in Predicates(), and whether p occurs
+// in the graph. Stores that keep one slot per predicate index them by it.
+func (g *Graph) PredicateIndex(p IRI) (int, bool) {
+	i, ok := g.findPred(p)
+	return int(i), ok
+}
+
 // ObjectsOf returns the distinct object terms appearing with predicate p,
 // sorted by key. This enumerates the value domain of an attribute (used to
 // build facet histograms and range widgets).

@@ -90,22 +90,38 @@ func (vt ValueType) Numeric() bool {
 // datasetNode is the well-known subject carrying graph-level annotations.
 const datasetNode = rdf.IRI(rdf.NSMagnet + "dataset")
 
-// Store reads schema annotations from a frozen graph. Value-type
-// inference is memoized, since it scans a property's value domain; the
-// graph never changes, so the memo never goes stale.
+// Store reads schema annotations from a frozen graph, and the facts it
+// derives from the graph once per predicate: the inferred value type and
+// the first-numeric column (Numbers). Each predicate has a slot, fixed at
+// NewStore and filled on first use; the graph never changes, so a filled
+// slot never goes stale. The Store holds no lock of its own.
 type Store struct {
-	g *rdf.Graph
-
-	mu       sync.Mutex
-	inferred map[rdf.IRI]ValueType // guarded by mu
+	g     *rdf.Graph
+	preds []predSlot // by graph predicate index
 }
 
-// NewStore returns an annotation store over g.
+// predSlot holds one predicate's derived facts, each computed once.
+type predSlot struct {
+	typeOnce sync.Once
+	inferred ValueType
+
+	numsOnce sync.Once
+	nums     Numbers
+}
+
+// NewStore returns an annotation store over g. It derives nothing yet:
+// opening a store costs one slot per predicate.
 func NewStore(g *rdf.Graph) *Store {
-	return &Store{
-		g:        g,
-		inferred: make(map[rdf.IRI]ValueType),
+	return &Store{g: g, preds: make([]predSlot, g.PredicateCount())}
+}
+
+// slot returns p's slot, nil when p does not occur in the graph.
+func (s *Store) slot(p rdf.IRI) *predSlot {
+	i, ok := s.g.PredicateIndex(p)
+	if !ok {
+		return nil
 	}
+	return &s.preds[i]
 }
 
 // SetLabel annotates property p with a display label.
@@ -158,14 +174,12 @@ func (s *Store) ValueType(p rdf.IRI) ValueType {
 	if vt := s.AnnotatedValueType(p); vt != Unknown {
 		return vt
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if vt, ok := s.inferred[p]; ok {
-		return vt
+	sl := s.slot(p)
+	if sl == nil {
+		return Unknown // p has no values to infer from
 	}
-	vt := s.inferValueType(p)
-	s.inferred[p] = vt
-	return vt
+	sl.typeOnce.Do(func() { sl.inferred = s.inferValueType(p) })
+	return sl.inferred
 }
 
 func (s *Store) inferValueType(p rdf.IRI) ValueType {

@@ -2,6 +2,8 @@ package schema
 
 import (
 	"reflect"
+	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -193,5 +195,94 @@ func TestNumericAndNavigationProperties(t *testing.T) {
 	nums := s.NumericProperties()
 	if !reflect.DeepEqual(nums, []rdf.IRI{rdf.IRI(ex + "servings")}) {
 		t.Errorf("NumericProperties = %v", nums)
+	}
+}
+
+// TestNumbersFirstValueByKey: the column gives each subject its first
+// parseable numeric value by key, skipping IRIs and unparseable literals,
+// reads no value type (a plain-string area has a column), and answers
+// "none" for subjects without a value, IDs past the subject table and
+// predicates absent from the graph.
+func TestNumbersFirstValueByKey(t *testing.T) {
+	b := rdf.NewBuilder()
+	p := rdf.IRI(ex + "n")
+	a, c, d, e := rdf.IRI(ex+"a"), rdf.IRI(ex+"c"), rdf.IRI(ex+"d"), rdf.IRI(ex+"e")
+	b.Add(a, p, rdf.NewInteger(9))
+	b.Add(a, p, rdf.NewInteger(10)) // "10" sorts before "9"
+	b.Add(c, p, rdf.IRI(ex+"many"))
+	b.Add(c, p, rdf.Literal{Lexical: "x", Datatype: rdf.XSDInteger})
+	b.Add(c, p, rdf.NewString("570641"))
+	b.Add(d, p, rdf.IRI(ex+"few"))
+	b.Add(e, rdf.Type, rdf.IRI(ex+"Thing"))
+	g := b.Freeze()
+	s := NewStore(g)
+	nums := s.Numbers(p)
+	want := map[rdf.IRI]float64{a: 10, c: 570641}
+	for _, it := range []rdf.IRI{a, c, d, e} {
+		id, _ := g.SubjectID(it)
+		v, ok := nums.Value(id)
+		if w, has := want[it]; ok != has || v != w {
+			t.Errorf("Value(%s) = %v, %v; want %v, %v", it.LocalName(), v, ok, w, has)
+		}
+	}
+	if got := nums.Values(); !reflect.DeepEqual(got, []float64{10, 570641}) {
+		t.Errorf("Values = %v, want the first values in key order", got)
+	}
+	if _, ok := nums.Value(uint32(g.SubjectTable().Len()) + 7); ok {
+		t.Error("an ID past the subject table has a value")
+	}
+	if s.Numbers(p) != nums {
+		t.Error("a second read compiled a second column")
+	}
+	if absent := s.Numbers(rdf.IRI(ex + "absent")); absent.Rank(0) != 0 || len(absent.Values()) != 0 {
+		t.Error("an absent predicate has values")
+	}
+}
+
+// TestSlotsConcurrentReaders reads a fresh store's derived facts — value
+// types and first-numeric columns — from 8 goroutines at once; each must
+// see what a serial read of another fresh store sees.
+func TestSlotsConcurrentReaders(t *testing.T) {
+	b := rdf.NewBuilder()
+	props := []rdf.IRI{rdf.IRI(ex + "n"), rdf.IRI(ex + "s"), rdf.IRI(ex + "absent")}
+	for i := 0; i < 200; i++ {
+		it := rdf.IRI(ex + "item/" + strconv.Itoa(i))
+		b.Add(it, props[0], rdf.NewInteger(int64(i%17)))
+		b.Add(it, props[1], rdf.NewString(strconv.Itoa(i%5)))
+	}
+	g := b.Freeze()
+	type facts struct {
+		vt   ValueType
+		vals []float64
+		rank []uint32
+	}
+	read := func(s *Store) []facts {
+		var out []facts
+		for _, p := range props {
+			nums := s.Numbers(p)
+			f := facts{vt: s.ValueType(p), vals: nums.Values()}
+			for id := 0; id < g.SubjectTable().Len(); id++ {
+				f.rank = append(f.rank, nums.Rank(uint32(id)))
+			}
+			out = append(out, f)
+		}
+		return out
+	}
+	want := read(NewStore(g))
+	s := NewStore(g)
+	got := make([][]facts, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = read(s)
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if !reflect.DeepEqual(got[i], want) {
+			t.Errorf("reader %d saw different facts", i)
+		}
 	}
 }
