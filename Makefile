@@ -6,7 +6,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet magnet-vet vet-budget fuzz race-par obs-check contract bench-smoke segments segments-check check
+.PHONY: build test race vet magnet-vet vet-budget fuzz race-par obs-check contract build-contract bench-smoke segments segments-check check
 
 build:
 	$(GO) build ./...
@@ -90,6 +90,27 @@ contract:
 	fi; \
 	echo "contract: magnet-eval -exp all sha256 $$got"
 
+# Build contract: magnet-build's output — all five files of a segment set —
+# must hash to the committed digests for a 500-recipe corpus, the inbox
+# (whose body property composes) and the courses catalogue (which hides a
+# predicate). A change that moves one segment byte fails here; when the new
+# bytes are intended, rewrite the digest file with the change that explains
+# them (run the target and copy its got file over $(BUILD_CONTRACT)).
+BUILD_CONTRACT := cmd/magnet-build/testdata/segments.sha256
+BUILD_CONTRACT_DIR ?= /tmp/magnet-build-contract
+build-contract:
+	@rm -rf $(BUILD_CONTRACT_DIR) && set -e; \
+	$(GO) build -o $(BUILD_CONTRACT_DIR)/magnet-build ./cmd/magnet-build; \
+	$(BUILD_CONTRACT_DIR)/magnet-build -out $(BUILD_CONTRACT_DIR)/recipes-500 -recipes 500 > /dev/null; \
+	$(BUILD_CONTRACT_DIR)/magnet-build -out $(BUILD_CONTRACT_DIR)/inbox -dataset inbox > /dev/null; \
+	$(BUILD_CONTRACT_DIR)/magnet-build -out $(BUILD_CONTRACT_DIR)/courses -dataset courses > /dev/null; \
+	(cd $(BUILD_CONTRACT_DIR) && sha256sum recipes-500/* inbox/* courses/*) > $(BUILD_CONTRACT_DIR)/got.sha256; \
+	if ! diff -u $(BUILD_CONTRACT) $(BUILD_CONTRACT_DIR)/got.sha256 >&2; then \
+		echo "build-contract: magnet-build output differs from $(BUILD_CONTRACT) (got $(BUILD_CONTRACT_DIR)/got.sha256)" >&2; exit 1; \
+	fi; \
+	echo "build-contract: $$(wc -l < $(BUILD_CONTRACT)) segment files match $(BUILD_CONTRACT)"; \
+	rm -rf $(BUILD_CONTRACT_DIR)
+
 # Every benchmark, run once: keeps each one compiling and running without
 # the cost of a timed run, and writes no file. Performance is measured
 # end to end through HTTP by clickbench (clickbench/README.md).
@@ -123,4 +144,4 @@ segments-check:
 	echo "segments-check: segment-backed render byte-identical"; \
 	rm -rf /tmp/magnet-segcheck /tmp/magnet-segcheck-mem.txt /tmp/magnet-segcheck-seg.txt
 
-check: build vet vet-budget test race race-par obs-check fuzz segments-check contract bench-smoke
+check: build vet vet-budget test race race-par obs-check fuzz segments-check contract build-contract bench-smoke
