@@ -12,7 +12,6 @@ package magnet_test
 import (
 	"context"
 	"io"
-	"sort"
 	"sync"
 	"testing"
 
@@ -177,19 +176,6 @@ func BenchmarkPaneAllItems(b *testing.B) {
 	b.ReportMetric(float64(suggestions), "suggestions")
 }
 
-// BenchmarkFig4Vectorize (E3): building one item's semistructured vector
-// (Figure 3's graph → Figure 4's vector).
-func BenchmarkFig4Vectorize(b *testing.B) {
-	m := recipeMagnet()
-	item := m.Graph().SubjectsOfType(recipes.ClassRecipe)[0]
-	b.ResetTimer()
-	var coords int
-	for i := 0; i < b.N; i++ {
-		coords = len(m.Model().Vectorize(item))
-	}
-	b.ReportMetric(float64(coords), "coords")
-}
-
 // BenchmarkFig5RangeQuery (E4): the Figure 5 date-range selection — build
 // the preview histogram and evaluate the range predicate.
 func BenchmarkFig5RangeQuery(b *testing.B) {
@@ -352,6 +338,7 @@ func BenchmarkIndexAll(b *testing.B) {
 	m := recipeMagnet()
 	items := m.Graph().SubjectIDsOf(m.Items())
 	b.ResetTimer()
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		m.Model().IndexAll(items)
 	}
@@ -530,49 +517,6 @@ func BenchmarkAblationTreeComposition(b *testing.B) {
 		}
 		b.ReportMetric(r, "meanRecall")
 	})
-}
-
-// BenchmarkAblationRefinementWeighting compares §5.3 tf·idf refinement
-// ranking against raw-frequency ranking (which lets universal coordinates
-// like type=Recipe dominate).
-func BenchmarkAblationRefinementWeighting(b *testing.B) {
-	m := recipeMagnet()
-	ids := evaluate(engineOf(m), query.NewQuery(
-		query.Property{Prop: recipes.PropCuisine, Value: recipes.Cuisine("Greek")}))
-	coll := m.Graph().SubjectsFromIDs(ids.Slice())
-	b.Run("tfidf", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m.Model().TopCoords(m.Model().Centroid(ids), 20)
-		}
-	})
-	b.Run("rawFrequency", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			rawFrequencyRefinements(m, coll, 20)
-		}
-	})
-}
-
-// rawFrequencyRefinements is the ablated §5.3: sum raw coordinate
-// frequencies over the collection and take the top terms — no idf, no
-// normalization.
-func rawFrequencyRefinements(m *core.Magnet, coll []rdf.IRI, k int) []index.TermWeight {
-	sums := make(map[string]float64)
-	for _, it := range coll {
-		for term, f := range m.Model().Vectorize(it) {
-			sums[term] += f
-		}
-	}
-	out := make([]index.TermWeight, 0, len(sums))
-	for term, f := range sums {
-		out = append(out, index.TermWeight{Term: term, Weight: f})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Weight != out[j].Weight {
-			return out[i].Weight > out[j].Weight
-		}
-		return out[i].Term < out[j].Term
-	})
-	return out[:min(k, len(out))]
 }
 
 func schemaOf(g *rdf.Graph) *schema.Store { return schema.NewStore(g) }

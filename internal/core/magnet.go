@@ -142,19 +142,22 @@ func (m *Magnet) compile(ctx context.Context, b *rdf.Builder) (*rdf.Graph, segme
 		d.Items = chooseItems(g, m.opts.IndexAllSubjects).Slice()
 	})
 	component(ctx, "startup.text", startupTextNS, func() {
+		// Each item's visible text literals, read from its forward rows.
 		tb := index.NewTextBuilder(m.opts.VSM.Analyzer)
 		for _, id := range d.Items {
-			it := g.SubjectByID(id)
-			for _, p := range g.PredicatesOf(it) {
-				if sch.Hidden(p) {
+			lo, hi := g.SubjectPairs(id)
+			for pair := lo; pair < hi; pair++ {
+				pi := g.PairPredicate(pair)
+				if sch.FactsAt(pi).Hidden {
 					continue
 				}
-				for _, o := range g.Objects(it, p) {
-					lit, ok := o.(rdf.Literal)
+				field := string(g.PredicateAt(pi))
+				for _, t := range g.PairObjects(pair) {
+					lit, ok := g.TermAt(t).(rdf.Literal)
 					if !ok || (lit.Datatype != "" && lit.Datatype != rdf.XSDString) {
 						continue
 					}
-					tb.Index(id, string(p), lit.Lexical)
+					tb.Index(id, field, lit.Lexical)
 				}
 			}
 		}

@@ -148,36 +148,29 @@ func walkOutliers(g *rdf.Graph, coll itemset.Set, prop rdf.IRI, k float64) items
 	return itemset.FromSorted(out)
 }
 
-// histResult is one histogram call's outcome, a panic included: a view
-// whose first values include NaN or ±Inf (with distinct others) buckets at
-// int(NaN), and both readers must fail alike there.
+// histResult is one histogram call's outcome.
 type histResult struct {
-	h        Histogram
-	ok       bool
-	panicked bool
+	h  Histogram
+	ok bool
 }
 
 func histOf(f func() (Histogram, bool)) (r histResult) {
-	defer func() {
-		if recover() != nil {
-			r = histResult{panicked: true}
-		}
-	}()
 	r.h, r.ok = f()
 	return r
 }
 
 // sameHistogram compares two results exactly, Min and Max by bits (so
-// -0 ≠ +0 and NaN = NaN).
+// -0 ≠ +0).
 func sameHistogram(a, b histResult) bool {
-	return a.panicked == b.panicked && a.ok == b.ok && a.h.Prop == b.h.Prop && a.h.Count == b.h.Count &&
+	return a.ok == b.ok && a.h.Prop == b.h.Prop && a.h.Count == b.h.Count &&
 		math.Float64bits(a.h.Min) == math.Float64bits(b.h.Min) &&
 		math.Float64bits(a.h.Max) == math.Float64bits(b.h.Max) &&
 		slices.Equal(a.h.Buckets, b.h.Buckets)
 }
 
 // numericPool is the literal mix numericGraph draws values from:
-// integers, decimals, doubles incl. NaN and both zeros, numeric plain
+// integers, decimals, doubles incl. both zeros and the non-finite forms
+// (which read as non-numeric), numeric plain
 // strings, malformed numerals, dates and a malformed date, booleans and
 // IRIs. Lexical forms share prefixes ("1", "10", "1e1") so key order and
 // numeric order disagree.
@@ -187,7 +180,7 @@ func numericPool() []rdf.Term {
 	for _, v := range []int64{-7, 0, 1, 2, 3, 9, 10, 11, 25, 100, 400} {
 		pool = append(pool, rdf.NewInteger(v))
 	}
-	for _, lex := range []string{"0", "-0", "0.0", "1e1", "2.5", "-3.25", "NaN"} {
+	for _, lex := range []string{"0", "-0", "0.0", "1e1", "2.5", "-3.25", "NaN", "Inf", "-Inf"} {
 		pool = append(pool, rdf.Literal{Lexical: lex, Datatype: rdf.XSDDouble})
 	}
 	pool = append(pool,
@@ -207,9 +200,10 @@ func numericPool() []rdf.Term {
 }
 
 // numericGraph builds a seeded random graph over n subjects: each carries
-// 0–3 values of p drawn from numericPool (the NaN literal only when
-// withNaN), and every subject carries a type, so some have no value of p.
-func numericGraph(rng *rand.Rand, n int, p rdf.IRI, withNaN bool) *rdf.Graph {
+// 0–3 values of p drawn from numericPool (the non-finite literals only
+// when nonFinite), and every subject carries a type, so some have no value
+// of p.
+func numericGraph(rng *rand.Rand, n int, p rdf.IRI, nonFinite bool) *rdf.Graph {
 	gb := rdf.NewBuilder()
 	pool := numericPool()
 	for i := 0; i < n; i++ {
@@ -217,7 +211,7 @@ func numericGraph(rng *rand.Rand, n int, p rdf.IRI, withNaN bool) *rdf.Graph {
 		gb.Add(it, rdf.Type, rdf.IRI(ex+"Thing"))
 		for j := rng.Intn(4); j > 0; j-- {
 			o := pool[rng.Intn(len(pool))]
-			if lit, ok := o.(rdf.Literal); ok && lit.Lexical == "NaN" && !withNaN {
+			if lit, ok := o.(rdf.Literal); ok && !nonFinite && (lit.Lexical == "NaN" || lit.Lexical == "Inf" || lit.Lexical == "-Inf") {
 				continue
 			}
 			gb.Add(it, p, o)
@@ -229,12 +223,12 @@ func numericGraph(rng *rand.Rand, n int, p rdf.IRI, withNaN bool) *rdf.Graph {
 // TestNumericColumnMatchesPostingWalk compares NumericHistogram and
 // Outliers, which read the store's first-numeric column, with the posting
 // walk they replaced, on seeded random graphs: multi-valued properties,
-// malformed and temporal literals, IRI values, NaN and both zeros,
+// malformed and temporal literals, IRI values, NaN, ±Inf and both zeros,
 // subjects without a value, and views holding IDs past the subject table.
+// Every call compares: no reader panics, whatever literals the view holds.
 func TestNumericColumnMatchesPostingWalk(t *testing.T) {
 	p := rdf.IRI(ex + "n")
 	rng := rand.New(rand.NewSource(11))
-	compared := 0
 	for graph := 0; graph < 12; graph++ {
 		n := 20 + rng.Intn(300)
 		g := numericGraph(rng, n, p, graph%3 == 2)
@@ -258,18 +252,12 @@ func TestNumericColumnMatchesPostingWalk(t *testing.T) {
 				if !sameHistogram(got, want) {
 					t.Fatalf("graph %d trial %d %s: histogram = %+v; posting walk %+v", graph, trial, prop, got, want)
 				}
-				if !got.panicked {
-					compared++
-				}
 				k := []float64{0.5, 1, 1.5, 2}[rng.Intn(4)]
 				if got, want := Outliers(sch, coll, prop, k), walkOutliers(g, coll, prop, k); !slices.Equal(got.Slice(), want.Slice()) {
 					t.Fatalf("graph %d trial %d %s k=%v: Outliers = %v; posting walk %v", graph, trial, prop, k, got.Slice(), want.Slice())
 				}
 			}
 		}
-	}
-	if compared < 1000 {
-		t.Fatalf("only %d histograms compared without a panic", compared)
 	}
 }
 
@@ -281,7 +269,7 @@ func TestNumericColumnConcurrentReaders(t *testing.T) {
 	g := numericGraph(rand.New(rand.NewSource(5)), 400, p, false)
 	coll := g.AllSubjectIDs()
 	want := histOf(func() (Histogram, bool) { return NumericHistogram(schema.NewStore(g), coll, p, 12) })
-	if want.panicked || !want.ok {
+	if !want.ok {
 		t.Fatalf("serial histogram = %+v", want)
 	}
 	compiles := obs.Default.Counter("schema.numbers.compile.count")

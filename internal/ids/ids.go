@@ -89,14 +89,6 @@ func (in *Interner[K]) Intern(k K) uint32 {
 	return id
 }
 
-// Lookup returns the ID of k without interning, and whether k is known.
-func (in *Interner[K]) Lookup(k K) (uint32, bool) {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	id, ok := in.ids[k]
-	return id, ok
-}
-
 // Key returns the key behind a dense ID. IDs must come from this interner;
 // unknown IDs return the zero key.
 func (in *Interner[K]) Key(id uint32) K {

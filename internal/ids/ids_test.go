@@ -27,10 +27,10 @@ func TestInternStable(t *testing.T) {
 	if in.keyCount() != 2 {
 		t.Fatalf("Len = %d, want 2", in.keyCount())
 	}
-	if id, ok := in.Lookup("b"); !ok || id != b {
+	if id, ok := lookup(in, "b"); !ok || id != b {
 		t.Fatalf("Lookup(b) = %d,%v", id, ok)
 	}
-	if _, ok := in.Lookup("c"); ok {
+	if _, ok := lookup(in, "c"); ok {
 		t.Fatal("Lookup(c) found unknown key")
 	}
 	if in.Key(a) != "a" || in.Key(b) != "b" {
@@ -81,7 +81,7 @@ func TestConcurrentIntern(t *testing.T) {
 				k := fmt.Sprintf("key-%d", i%100)
 				id := in.Intern(k)
 				ids[w] = append(ids[w], id)
-				if got, ok := in.Lookup(k); !ok || got != id {
+				if got, ok := lookup(in, k); !ok || got != id {
 					t.Errorf("Lookup(%s) = %d,%v after Intern = %d", k, got, ok, id)
 					return
 				}
@@ -100,7 +100,7 @@ func TestConcurrentIntern(t *testing.T) {
 	// All workers must agree on every key's ID.
 	for i := 0; i < 100; i++ {
 		k := fmt.Sprintf("key-%d", i)
-		id, ok := in.Lookup(k)
+		id, ok := lookup(in, k)
 		if !ok {
 			t.Fatalf("key %s lost", k)
 		}
@@ -115,4 +115,12 @@ func min(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// lookup returns the ID of k without interning, and whether k is known.
+func lookup[K ~string](in *Interner[K], k K) (uint32, bool) {
+	in.mu.RLock()
+	defer in.mu.RUnlock()
+	id, ok := in.ids[k]
+	return id, ok
 }

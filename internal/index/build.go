@@ -296,8 +296,9 @@ func (ix *TextBuilder) Columns() TextColumns {
 
 // VectorBuilder is the write side of a VectorStore: raw term-frequency
 // vectors keyed by caller-chosen document IDs (Magnet's graph subject
-// IDs), compiled into normalized tf·idf rows. Terms are interned to dense
-// numbers in Add order.
+// IDs), compiled into normalized tf·idf rows. The caller numbers its terms
+// (coordinates) itself and names each one once; the builder interns term
+// names to dense termnums in Add order.
 type VectorBuilder struct {
 	// PinnedPrefix, when non-empty, marks terms whose stored frequency is
 	// used directly as the (pre-normalization) weight, bypassing the
@@ -309,6 +310,8 @@ type VectorBuilder struct {
 	PinnedPrefix string
 
 	terms *ids.Interner[string] // term → dense termnum, append-only
+	// ext maps the caller's term numbers to termnums.
+	ext map[uint64]uint32
 
 	// Per-document state, indexed by document ID: sorted termnums with
 	// parallel raw frequencies; nil for an ID never added.
@@ -319,11 +322,21 @@ type VectorBuilder struct {
 	// Per-term state, indexed by termnum.
 	df     []int  // document frequency
 	pinned []bool // term carries PinnedPrefix
+
+	// fresh is Add's scratch for terms new to the builder.
+	fresh []freshTerm
+}
+
+// freshTerm is a term new to the builder, met in one Add.
+type freshTerm struct {
+	name string
+	ext  uint64
+	i    int // index in the Add's row
 }
 
 // NewVectorBuilder returns an empty vector-store builder.
 func NewVectorBuilder() *VectorBuilder {
-	return &VectorBuilder{terms: ids.NewInterner[string]()}
+	return &VectorBuilder{terms: ids.NewInterner[string](), ext: make(map[uint64]uint32)}
 }
 
 // termnum interns term and grows the per-term columns to cover it.
@@ -336,46 +349,57 @@ func (v *VectorBuilder) termnum(term string) uint32 {
 	return t
 }
 
-// Add stores the raw term-frequency vector of document id; adding an ID
-// the builder already holds panics. Frequencies must be positive;
-// non-positive entries are dropped.
-func (v *VectorBuilder) Add(id uint32, freqs map[string]float64) {
+// Add stores the raw term-frequency vector of document id: terms[i] is
+// the caller's number for a term and freqs[i] its frequency, each term at
+// most once. name(t) names term t the first time this builder meets t;
+// distinct numbers must have distinct names. Adding an ID the builder
+// already holds panics. Frequencies must be positive; non-positive entries
+// are dropped.
+func (v *VectorBuilder) Add(id uint32, terms []uint64, freqs []float64, name func(uint64) string) {
 	if int(id) < len(v.docTerms) && v.docTerms[id] != nil {
 		panic(fmt.Sprintf("index: vector store already holds document %d", id))
 	}
-	terms := make([]uint32, 0, len(freqs)) // non-nil: marks id as added
-	var fresh []string
-	for term, f := range freqs {
-		if f <= 0 {
+	row := make([]termFreq, 0, len(terms))
+	fresh := v.fresh[:0]
+	for i, c := range terms {
+		if freqs[i] <= 0 {
 			continue
 		}
-		if t, ok := v.terms.Lookup(term); ok {
-			terms = append(terms, t)
+		if t, ok := v.ext[c]; ok {
+			row = append(row, termFreq{t, freqs[i]})
 		} else {
-			fresh = append(fresh, term)
+			fresh = append(fresh, freshTerm{name(c), c, i})
 		}
 	}
 	// New terms intern in lexical order, so the numbering — and with it
 	// every kernel's summation order — depends only on the sequence of
-	// Adds, never on map iteration.
-	sort.Strings(fresh)
-	for _, term := range fresh {
-		terms = append(terms, v.termnum(term))
+	// Adds, never on the caller's numbering or row order.
+	sort.Slice(fresh, func(i, j int) bool { return fresh[i].name < fresh[j].name })
+	for _, f := range fresh {
+		t := v.termnum(f.name)
+		v.ext[f.ext] = t
+		row = append(row, termFreq{t, freqs[f.i]})
 	}
-	for _, t := range terms {
-		v.df[t]++
-	}
-	sort.Slice(terms, func(i, j int) bool { return terms[i] < terms[j] })
-	fs := make([]float64, len(terms))
-	for i, t := range terms {
-		fs[i] = freqs[v.terms.Key(t)]
+	v.fresh = fresh[:0]
+	sort.Slice(row, func(i, j int) bool { return row[i].t < row[j].t })
+	ts := make([]uint32, len(row)) // non-nil: marks id as added
+	fs := make([]float64, len(row))
+	for i, tf := range row {
+		ts[i], fs[i] = tf.t, tf.f
+		v.df[tf.t]++
 	}
 	for int(id) >= len(v.docTerms) {
 		v.docTerms = append(v.docTerms, nil)
 		v.docFreqs = append(v.docFreqs, nil)
 	}
-	v.docTerms[id], v.docFreqs[id] = terms, fs
+	v.docTerms[id], v.docFreqs[id] = ts, fs
 	v.docs++
+}
+
+// termFreq is one row entry of Add: a termnum and its raw frequency.
+type termFreq struct {
+	t uint32
+	f float64
 }
 
 // idf returns termnum t's inverse document frequency, log(N/df).

@@ -32,7 +32,7 @@ func kernelBuilder(rng *rand.Rand, ndocs, nterms int) *VectorBuilder {
 		if rng.Intn(3) == 0 {
 			freqs["num|a"] = 0.5 + rng.Float64()
 		}
-		b.Add(uint32(d), freqs)
+		b.addFreqs(uint32(d), freqs)
 	}
 	return b
 }
@@ -315,7 +315,7 @@ func FuzzVectorKernel(f *testing.F) {
 		}
 		slices.Sort(names)
 		for _, d := range names {
-			b.Add(d, docs[d])
+			b.addFreqs(d, docs[d])
 		}
 		if len(names) == 0 {
 			return
@@ -352,11 +352,11 @@ func TestSearchDropsRowsSharingNoTerm(t *testing.T) {
 		for n := 2 + rng.Intn(3); n > 0; n-- {
 			freqs[fmt.Sprintf("%s%d", group, rng.Intn(6))] = float64(1 + rng.Intn(3))
 		}
-		b.Add(id, freqs)
+		b.addFreqs(id, freqs)
 	}
 	const loner = 40
-	b.Add(loner, map[string]float64{"solo": 1})
-	b.Add(loner+1, map[string]float64{"damaged": 1})
+	b.addFreqs(loner, map[string]float64{"solo": 1})
+	b.addFreqs(loner+1, map[string]float64{"damaged": 1})
 
 	c := b.Columns()
 	for i, term := range c.RowTerm {

@@ -22,7 +22,7 @@ func tieBuilder(ndocs int) *VectorBuilder {
 	b := NewVectorBuilder()
 	for i := 0; i < ndocs; i++ {
 		block := i / 7 % 5
-		b.Add(uint32(i), map[string]float64{
+		b.addFreqs(uint32(i), map[string]float64{
 			"common":                  1,
 			fmt.Sprintf("b%d", block): 2,
 		})

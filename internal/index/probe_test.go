@@ -2,6 +2,7 @@ package index
 
 import (
 	"math"
+	"sync"
 
 	"magnet/internal/itemset"
 )
@@ -92,11 +93,12 @@ func (v *VectorStore) rankedTerms(c Centroid, k int) []TermWeight {
 
 // docFreqOf returns the number of documents holding term.
 func (v *VectorBuilder) docFreqOf(term string) int {
-	t, ok := v.terms.Lookup(term)
-	if !ok {
-		return 0
+	for t := range v.df {
+		if v.terms.Key(uint32(t)) == term {
+			return v.df[t]
+		}
 	}
-	return v.df[t]
+	return 0
 }
 
 // docIDs returns the ID of every document holding a term, ascending.
@@ -118,4 +120,45 @@ func (v *VectorBuilder) idfOf(term string) float64 {
 		return 0
 	}
 	return math.Log(float64(len(v.docIDs())) / float64(df))
+}
+
+// testTerms numbers the term names tests write vectors with, one number
+// per name across every builder, as Magnet numbers its coordinates.
+var testTerms struct {
+	sync.Mutex
+	num   map[string]uint64
+	names []string
+}
+
+func testTermNum(name string) uint64 {
+	testTerms.Lock()
+	defer testTerms.Unlock()
+	if n, ok := testTerms.num[name]; ok {
+		return n
+	}
+	if testTerms.num == nil {
+		testTerms.num = make(map[string]uint64)
+	}
+	n := uint64(len(testTerms.names))
+	testTerms.num[name] = n
+	testTerms.names = append(testTerms.names, name)
+	return n
+}
+
+func testTermName(n uint64) string {
+	testTerms.Lock()
+	defer testTerms.Unlock()
+	return testTerms.names[n]
+}
+
+// addFreqs adds document id's raw vector given as term name → frequency,
+// the shape tests write vectors in.
+func (v *VectorBuilder) addFreqs(id uint32, freqs map[string]float64) {
+	terms := make([]uint64, 0, len(freqs))
+	fs := make([]float64, 0, len(freqs))
+	for name, f := range freqs {
+		terms = append(terms, testTermNum(name))
+		fs = append(fs, f)
+	}
+	v.Add(id, terms, fs, testTermName)
 }

@@ -17,7 +17,7 @@ func TestConcurrentVectorStore(t *testing.T) {
 	b := NewVectorBuilder()
 	for w := 0; w < workers; w++ {
 		for i := 0; i < iters; i++ {
-			b.Add(uint32(w*iters+i), map[string]float64{
+			b.addFreqs(uint32(w*iters+i), map[string]float64{
 				"alpha":                     1,
 				fmt.Sprintf("term-%d", w):   2,
 				fmt.Sprintf("term-%d", i%5): 1,

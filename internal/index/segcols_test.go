@@ -128,12 +128,12 @@ func segTestVectors(t *testing.T) *VectorStore {
 	t.Helper()
 	b := NewVectorBuilder()
 	b.PinnedPrefix = "num|"
-	b.Add(d1, map[string]float64{"parsley": 2, "feta": 1, "olive": 3})
-	b.Add(d2, map[string]float64{"parsley": 1, "basil": 2, "tomato": 2})
-	b.Add(d3, map[string]float64{"walnut": 4, "sugar": 1})
+	b.addFreqs(d1, map[string]float64{"parsley": 2, "feta": 1, "olive": 3})
+	b.addFreqs(d2, map[string]float64{"parsley": 1, "basil": 2, "tomato": 2})
+	b.addFreqs(d3, map[string]float64{"walnut": 4, "sugar": 1})
 	// A doc carrying a pinned coordinate term: its stored frequency is the
 	// weight before normalization, compiled into the row.
-	b.Add(d4, map[string]float64{"num|servings=4": 0.5, "parsley": 1})
+	b.addFreqs(d4, map[string]float64{"num|servings=4": 0.5, "parsley": 1})
 	return b.Freeze(nil)
 }
 

@@ -27,8 +27,8 @@ const (
 
 func TestVectorStoreAdd(t *testing.T) {
 	b := NewVectorBuilder()
-	b.Add(d1, map[string]float64{"a": 1, "b": 2})
-	b.Add(d2, map[string]float64{"b": 1, "c": 1})
+	b.addFreqs(d1, map[string]float64{"a": 1, "b": 2})
+	b.addFreqs(d2, map[string]float64{"b": 1, "c": 1})
 	if got := b.docIDs(); !reflect.DeepEqual(got, []uint32{d1, d2}) {
 		t.Fatalf("documents = %v", got)
 	}
@@ -41,14 +41,14 @@ func TestVectorStoreAdd(t *testing.T) {
 // first vector in place.
 func TestVectorStoreAddTwicePanics(t *testing.T) {
 	b := NewVectorBuilder()
-	b.Add(d1, map[string]float64{"a": 1})
+	b.addFreqs(d1, map[string]float64{"a": 1})
 	func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("second Add of the same ID did not panic")
 			}
 		}()
-		b.Add(d1, map[string]float64{"b": 1})
+		b.addFreqs(d1, map[string]float64{"b": 1})
 	}()
 	if n := len(b.docIDs()); n != 1 || b.docFreqOf("a") != 1 || b.docFreqOf("b") != 0 {
 		t.Errorf("after the rejected Add: %d documents, df(a)=%d df(b)=%d", n, b.docFreqOf("a"), b.docFreqOf("b"))
@@ -57,7 +57,7 @@ func TestVectorStoreAddTwicePanics(t *testing.T) {
 
 func TestVectorStoreDropsNonPositive(t *testing.T) {
 	b := NewVectorBuilder()
-	b.Add(d1, map[string]float64{"a": 0, "b": -1, "c": 2})
+	b.addFreqs(d1, map[string]float64{"a": 0, "b": -1, "c": 2})
 	if b.docFreqOf("a") != 0 || b.docFreqOf("b") != 0 || b.docFreqOf("c") != 1 {
 		t.Error("non-positive frequencies should be dropped")
 	}
@@ -65,9 +65,9 @@ func TestVectorStoreDropsNonPositive(t *testing.T) {
 
 func TestVectorUnitNorm(t *testing.T) {
 	b := NewVectorBuilder()
-	b.Add(d1, map[string]float64{"a": 3, "b": 1})
-	b.Add(d2, map[string]float64{"a": 1, "c": 1})
-	b.Add(d3, map[string]float64{"c": 5})
+	b.addFreqs(d1, map[string]float64{"a": 3, "b": 1})
+	b.addFreqs(d2, map[string]float64{"a": 1, "c": 1})
+	b.addFreqs(d3, map[string]float64{"c": 5})
 	v := b.Freeze(nil)
 	vec := v.vector(d1)
 	var norm float64
@@ -83,8 +83,8 @@ func TestVectorUnitNorm(t *testing.T) {
 // appears in every document gets idf 0 and vanishes from all vectors.
 func TestUniversalTermVanishes(t *testing.T) {
 	b := NewVectorBuilder()
-	b.Add(d1, map[string]float64{"type": 1, "a": 1})
-	b.Add(d2, map[string]float64{"type": 1, "b": 1})
+	b.addFreqs(d1, map[string]float64{"type": 1, "a": 1})
+	b.addFreqs(d2, map[string]float64{"type": 1, "b": 1})
 	v := b.Freeze(nil)
 	if _, ok := v.vector(d1)["type"]; ok {
 		t.Error("universal term should have zero weight and be omitted")
@@ -97,10 +97,10 @@ func TestUniversalTermVanishes(t *testing.T) {
 func TestPaperWeightFormula(t *testing.T) {
 	// 4 docs; term x in d1 with freq 3, df(x)=2.
 	b := NewVectorBuilder()
-	b.Add(d1, map[string]float64{"x": 3, "y": 1})
-	b.Add(d2, map[string]float64{"x": 1, "z": 1})
-	b.Add(d3, map[string]float64{"z": 2})
-	b.Add(d4, map[string]float64{"w": 1})
+	b.addFreqs(d1, map[string]float64{"x": 3, "y": 1})
+	b.addFreqs(d2, map[string]float64{"x": 1, "z": 1})
+	b.addFreqs(d3, map[string]float64{"z": 2})
+	b.addFreqs(d4, map[string]float64{"w": 1})
 
 	wx := math.Log(3+1) * math.Log(4.0/2.0)
 	wy := math.Log(1+1) * math.Log(4.0/1.0)
@@ -114,9 +114,9 @@ func TestPaperWeightFormula(t *testing.T) {
 
 func TestSimilaritySymmetricAndSelfMax(t *testing.T) {
 	b := NewVectorBuilder()
-	b.Add(d1, map[string]float64{"a": 2, "b": 1})
-	b.Add(d2, map[string]float64{"a": 1, "c": 4})
-	b.Add(d3, map[string]float64{"z": 1})
+	b.addFreqs(d1, map[string]float64{"a": 2, "b": 1})
+	b.addFreqs(d2, map[string]float64{"a": 1, "c": 4})
+	b.addFreqs(d3, map[string]float64{"z": 1})
 	v := b.Freeze(nil)
 	if !almostEqual(v.Similarity(d1, d2), v.Similarity(d2, d1)) {
 		t.Error("similarity not symmetric")
@@ -134,9 +134,9 @@ func TestSimilaritySymmetricAndSelfMax(t *testing.T) {
 
 func TestCentroidIsUnitAndAveragesMembership(t *testing.T) {
 	b := NewVectorBuilder()
-	b.Add(d1, map[string]float64{"a": 1, "c": 1})
-	b.Add(d2, map[string]float64{"b": 1, "c": 1})
-	b.Add(d3, map[string]float64{"x": 1, "y": 1})
+	b.addFreqs(d1, map[string]float64{"a": 1, "c": 1})
+	b.addFreqs(d2, map[string]float64{"b": 1, "c": 1})
+	b.addFreqs(d3, map[string]float64{"x": 1, "y": 1})
 	v := b.Freeze(nil)
 	members := itemset.FromSorted([]uint32{d1, d2})
 	c := v.Centroid(members)
@@ -170,10 +170,10 @@ func TestCentroidIsUnitAndAveragesMembership(t *testing.T) {
 func TestSimilarToRankingAndExclude(t *testing.T) {
 	const q, close, far, none = 3, 1, 0, 2
 	b := NewVectorBuilder()
-	b.Add(q, map[string]float64{"a": 1, "b": 1})
-	b.Add(close, map[string]float64{"a": 1, "b": 1, "c": 1})
-	b.Add(far, map[string]float64{"a": 1, "z": 5})
-	b.Add(none, map[string]float64{"z": 1})
+	b.addFreqs(q, map[string]float64{"a": 1, "b": 1})
+	b.addFreqs(close, map[string]float64{"a": 1, "b": 1, "c": 1})
+	b.addFreqs(far, map[string]float64{"a": 1, "z": 5})
+	b.addFreqs(none, map[string]float64{"z": 1})
 
 	v := b.Freeze(nil)
 	got := v.SimilarToDoc(q, 10)
@@ -198,7 +198,7 @@ func TestSimilarToRankingAndExclude(t *testing.T) {
 
 func TestTopTerms(t *testing.T) {
 	b := NewVectorBuilder()
-	b.Add(d1, map[string]float64{"a": 1, "b": 1, "c": 1, "d": 1, "e": 1})
+	b.addFreqs(d1, map[string]float64{"a": 1, "b": 1, "c": 1, "d": 1, "e": 1})
 	v := b.Freeze(nil)
 	c := v.centroidOf(map[string]float64{"a": 0.1, "b": 0.9, "c": 0.5, "d": 0, "e": -1})
 	got := v.rankedTerms(c, 2)
@@ -220,7 +220,7 @@ func TestTopTerms(t *testing.T) {
 
 func TestTopTermsDeterministicTies(t *testing.T) {
 	b := NewVectorBuilder()
-	b.Add(d1, map[string]float64{"z": 1, "m": 1, "a": 1, "q": 1})
+	b.addFreqs(d1, map[string]float64{"z": 1, "m": 1, "a": 1, "q": 1})
 	v := b.Freeze(nil)
 	c := v.centroidOf(map[string]float64{"z": 0.5, "a": 0.5, "m": 0.5, "q": 0.7})
 	got := v.rankedTerms(c, 4)
@@ -232,7 +232,7 @@ func TestTopTermsDeterministicTies(t *testing.T) {
 func TestIDsSorted(t *testing.T) {
 	b := NewVectorBuilder()
 	for _, id := range []uint32{7, 1, 4} {
-		b.Add(id, map[string]float64{"t": 1})
+		b.addFreqs(id, map[string]float64{"t": 1})
 	}
 	if got := b.docIDs(); !reflect.DeepEqual(got, []uint32{1, 4, 7}) {
 		t.Errorf("IDs = %v", got)
@@ -242,7 +242,7 @@ func TestIDsSorted(t *testing.T) {
 func TestVectorStoreConcurrent(t *testing.T) {
 	b := NewVectorBuilder()
 	for i := 0; i < 600; i++ {
-		b.Add(uint32(i), map[string]float64{fmt.Sprintf("t%d", i%7): 1, "common": 1})
+		b.addFreqs(uint32(i), map[string]float64{fmt.Sprintf("t%d", i%7): 1, "common": 1})
 	}
 	v := b.Freeze(nil)
 	var wg sync.WaitGroup
@@ -277,7 +277,7 @@ func TestQuickVectorsUnitNorm(t *testing.T) {
 			for j := 0; j < rng.Intn(6)+1; j++ {
 				freqs[fmt.Sprintf("t%d", rng.Intn(10))] = float64(rng.Intn(5) + 1)
 			}
-			b.Add(uint32(i), freqs)
+			b.addFreqs(uint32(i), freqs)
 		}
 		v := b.Freeze(nil)
 		for _, id := range b.docIDs() {
@@ -307,7 +307,7 @@ func TestQuickSimilarityBounds(t *testing.T) {
 			for j := 0; j < rng.Intn(5)+1; j++ {
 				freqs[fmt.Sprintf("t%d", rng.Intn(6))] = float64(rng.Intn(4) + 1)
 			}
-			b.Add(uint32(i), freqs)
+			b.addFreqs(uint32(i), freqs)
 		}
 		v := b.Freeze(nil)
 		ids := b.docIDs()
@@ -347,7 +347,7 @@ func TestAddAfterQueryMatchesBatchBuild(t *testing.T) {
 		b := NewVectorBuilder()
 		b.PinnedPrefix = "num|"
 		for _, d := range docs[:n] {
-			b.Add(d.id, d.freqs)
+			b.addFreqs(d.id, d.freqs)
 		}
 		return b
 	}
@@ -362,7 +362,7 @@ func TestAddAfterQueryMatchesBatchBuild(t *testing.T) {
 	}
 	early.centroidVector(ids)
 	last := docs[len(docs)-1]
-	gb.Add(last.id, last.freqs)
+	gb.addFreqs(last.id, last.freqs)
 	grown := gb.Freeze(nil)
 
 	want := build(len(docs))

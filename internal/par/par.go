@@ -8,14 +8,14 @@
 // Design: helpers are spawned on demand, bounded by a semaphore of
 // size−1 tokens, and the submitting goroutine always participates in its
 // own batch (caller-runs). That makes every fan-out deadlock-free under
-// nesting — an analyst running on a pool helper may itself call par.Map;
+// nesting — an analyst running on a pool helper may itself call par.ForN;
 // if no token is free, the inner call simply degrades to a serial loop on
 // the helper's own goroutine. A pool of width 1 (or a nil pool) is the
 // serial oracle: the same code path, no goroutines, used by the
 // equivalence tests.
 //
 // Tasks are panic-safe: a panicking task is converted to a *PanicError
-// returned from Map/ForN/ForChunks (first failure wins), never a crashed
+// returned from ForN/ForChunks (first failure wins), never a crashed
 // worker. Context cancellation stops a batch between tasks; completed
 // results are kept, unclaimed tasks are skipped, and the context error is
 // returned.
@@ -268,16 +268,6 @@ func serialRun(ctx context.Context, n int, fn func(i int)) error {
 		}
 	}
 	return nil
-}
-
-// Map applies fn to every element of in, concurrently when the pool
-// allows, and returns the results in input order. On error the returned
-// slice holds results only for tasks that completed (zero values
-// elsewhere).
-func Map[T, R any](ctx context.Context, p *Pool, in []T, fn func(i int, v T) R) ([]R, error) {
-	out := make([]R, len(in))
-	err := ForN(ctx, p, len(in), func(i int) { out[i] = fn(i, in[i]) })
-	return out, err
 }
 
 // ForChunks partitions [0, n) into contiguous chunks of the given size

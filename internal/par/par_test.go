@@ -10,15 +10,13 @@ import (
 	"testing"
 )
 
-// TestMapOrder checks Map returns results in input order at every width.
-func TestMapOrder(t *testing.T) {
-	in := make([]int, 1000)
-	for i := range in {
-		in[i] = i
-	}
+// TestForNRunsEachIndexOnce checks ForN runs every index exactly once at
+// every width, so results written to out[i] come back in input order.
+func TestForNRunsEachIndexOnce(t *testing.T) {
 	for _, width := range []int{1, 2, 4, 16} {
 		p := New(width)
-		out, err := Map(context.Background(), p, in, func(i, v int) int { return v * v })
+		out := make([]int, 1000)
+		err := ForN(context.Background(), p, len(out), func(i int) { out[i] += i * i })
 		if err != nil {
 			t.Fatalf("width %d: %v", width, err)
 		}
@@ -212,9 +210,9 @@ func TestConcurrentBatches(t *testing.T) {
 			for i := range in {
 				in[i] = w*1000 + i
 			}
-			out, err := Map(context.Background(), p, in, func(i, v int) int { return v + 1 })
-			if err != nil {
-				t.Errorf("Map: %v", err)
+			out := make([]int, len(in))
+			if err := ForN(context.Background(), p, len(in), func(i int) { out[i] = in[i] + 1 }); err != nil {
+				t.Errorf("ForN: %v", err)
 				return
 			}
 			for i, v := range out {

@@ -24,7 +24,6 @@ package qlang
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"magnet/internal/query"
@@ -374,8 +373,8 @@ func (p *parser) propertyAtom(first string) (query.Predicate, error) {
 		if len(path) > 1 {
 			return nil, fmt.Errorf("qlang: range comparisons do not support composed paths")
 		}
-		f, err := strconv.ParseFloat(val.text, 64)
-		if err != nil {
+		f, ok := rdf.Literal{Lexical: val.text, Datatype: rdf.XSDDouble}.Float()
+		if !ok {
 			return nil, fmt.Errorf("qlang: %q is not a number", val.text)
 		}
 		// Ranges are inclusive; strict bounds step by the property's grain

@@ -34,6 +34,11 @@ type Graph struct {
 	// terms is the object-term table, decoded from keys once on first use.
 	termsOnce sync.Once
 	terms     []Term
+
+	// termSubj maps object term IDs to 1 + the subject ID of the same IRI
+	// (0 when the term is no subject), compiled once on first use.
+	termSubjOnce sync.Once
+	termSubj     []uint32
 }
 
 // Len returns the number of triples in the graph.
@@ -272,6 +277,9 @@ func (g *Graph) Predicates() []IRI {
 // Predicates().
 func (g *Graph) PredicateCount() int { return g.preds.Len() }
 
+// PredicateAt returns the predicate at index i of Predicates().
+func (g *Graph) PredicateAt(i int) IRI { return g.predIRI(uint32(i)) }
+
 // PredicateIndex returns p's position in Predicates(), and whether p occurs
 // in the graph. Stores that keep one slot per predicate index them by it.
 func (g *Graph) PredicateIndex(p IRI) (int, bool) {
@@ -396,6 +404,63 @@ func (g *Graph) SubjectsFromIDs(ids []uint32) []IRI {
 		return nil
 	}
 	return g.subj.AppendKeys(make([]IRI, 0, len(ids)), ids)
+}
+
+// --- Forward rows ---------------------------------------------------------
+
+// SubjectPairs returns subject sid's forward row as a range [lo, hi) of
+// absolute pair indexes, one (s, p) pair per distinct predicate in
+// ascending predicate index (Predicates order). PairPredicate and
+// PairObjects read each pair. An unknown ID has an empty row.
+//
+//magnet:hot
+func (g *Graph) SubjectPairs(sid uint32) (lo, hi int) { return g.pairRun(sid) }
+
+// PairPredicate returns the predicate index (PredicateIndex) of the pair at
+// absolute index i, which must come from SubjectPairs.
+//
+//magnet:hot
+func (g *Graph) PairPredicate(i int) int { return int(g.c.SpoPred[i]) }
+
+// PairObjects returns the object term IDs of the pair at absolute index i,
+// ascending (object-key order). Callers must not modify it.
+//
+//magnet:hot
+func (g *Graph) PairObjects(i int) []uint32 { return g.pairObjs(i) }
+
+// TermAt returns object term tid; nil for an out-of-range or corrupt
+// entry (callers skip it, as Objects does).
+//
+//magnet:hot
+func (g *Graph) TermAt(tid uint32) Term { return g.term(tid) }
+
+// TermCount returns the number of object terms: term IDs are [0, n).
+func (g *Graph) TermCount() int { return g.keys.Len() }
+
+// TermSubject returns the subject ID of object term tid when the term is
+// an IRI that is also a subject: the hop a composed attribute path takes
+// from a value to that value's own forward row.
+//
+//magnet:hot
+func (g *Graph) TermSubject(tid uint32) (uint32, bool) {
+	g.termSubjOnce.Do(g.compileTermSubjects)
+	if int(tid) >= len(g.termSubj) || g.termSubj[tid] == 0 {
+		return 0, false
+	}
+	return g.termSubj[tid] - 1, true
+}
+
+func (g *Graph) compileTermSubjects() {
+	g.termsOnce.Do(g.decodeTerms)
+	ts := make([]uint32, len(g.terms))
+	for i, t := range g.terms {
+		if iri, ok := t.(IRI); ok {
+			if sid, ok := g.subj.Lookup(iri); ok {
+				ts[i] = sid + 1
+			}
+		}
+	}
+	g.termSubj = ts
 }
 
 // subjectStatements calls f for each triple of subject sid, in predicate

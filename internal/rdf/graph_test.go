@@ -289,9 +289,11 @@ func TestForEachValuePostingConcurrentReaders(t *testing.T) {
 	}
 	vectors := func() *index.VectorStore {
 		b := index.NewVectorBuilder()
-		b.Add(0, map[string]float64{"greek": 1, "feta": 2, "parsley": 1})
-		b.Add(1, map[string]float64{"greek": 1, "feta": 1})
-		b.Add(2, map[string]float64{"mexican": 1})
+		terms := []string{"greek", "feta", "parsley", "mexican"}
+		name := func(t uint64) string { return terms[t] }
+		b.Add(0, []uint64{0, 1, 2}, []float64{1, 2, 1}, name)
+		b.Add(1, []uint64{0, 1}, []float64{1, 1}, name)
+		b.Add(2, []uint64{3}, []float64{1}, name)
 		return b.Freeze(nil)
 	}
 	wantSearch := fmt.Sprint(textIndex().Search("feta", "", 0))

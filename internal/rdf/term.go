@@ -8,6 +8,7 @@ package rdf
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -172,7 +173,10 @@ func (l Literal) Int() (int64, bool) {
 // Float returns the literal parsed as a float. Integer, decimal, double and
 // date/dateTime literals (as Unix seconds) all yield floats, which is how the
 // query engine and the vector space model obtain a single numeric axis for
-// continuous-valued attributes (paper §5.4).
+// continuous-valued attributes (paper §5.4). A numeric literal is a finite
+// float: "NaN", "Inf" and other non-finite lexical forms read as
+// non-numeric, like a malformed numeral, so no range, histogram or vector
+// coordinate ever sees one.
 func (l Literal) Float() (float64, bool) {
 	if l.IsTemporal() {
 		t, ok := l.Time()
@@ -182,7 +186,10 @@ func (l Literal) Float() (float64, bool) {
 		return float64(t.Unix()), true
 	}
 	v, err := strconv.ParseFloat(l.Lexical, 64)
-	return v, err == nil
+	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, false
+	}
+	return v, true
 }
 
 // Bool returns the literal parsed as a boolean.

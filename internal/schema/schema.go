@@ -91,22 +91,86 @@ func (vt ValueType) Numeric() bool {
 const datasetNode = rdf.IRI(rdf.NSMagnet + "dataset")
 
 // Store reads schema annotations from a frozen graph, and the facts it
-// derives from the graph once per predicate: the inferred value type and
-// the first-numeric column (Numbers). Each predicate has a slot, fixed at
-// NewStore and filled on first use; the graph never changes, so a filled
-// slot never goes stale. The Store holds no lock of its own.
+// derives from the graph once per predicate: the annotation facts, the
+// inferred value type and the first-numeric column (Numbers). Each
+// predicate has a slot, fixed at NewStore and filled on first use; the
+// graph never changes, so a filled slot never goes stale. The Store holds
+// no lock of its own.
 type Store struct {
 	g     *rdf.Graph
 	preds []predSlot // by graph predicate index
+
+	treeOnce sync.Once
+	tree     bool
 }
 
 // predSlot holds one predicate's derived facts, each computed once.
 type predSlot struct {
+	factsOnce sync.Once
+	facts     Facts
+
 	typeOnce sync.Once
 	inferred ValueType
 
 	numsOnce sync.Once
 	nums     Numbers
+}
+
+// Facts are one property's annotations, as Hidden, Composable, IsFacet and
+// AnnotatedValueType report them.
+type Facts struct {
+	Hidden, Composable, Facet bool
+	// Annotated is the annotated value type; Unknown when unannotated.
+	Annotated ValueType
+}
+
+// FactsAt returns the annotation facts of the predicate at graph index i
+// (rdf.Graph.PredicateIndex, rdf.Graph.PairPredicate), read from the graph
+// once per Store. It is how ID-plane loops ask about a predicate without
+// its IRI.
+func (s *Store) FactsAt(i int) Facts {
+	sl := &s.preds[i]
+	sl.factsOnce.Do(func() { sl.facts = s.readFacts(s.g.PredicateAt(i)) })
+	return sl.facts
+}
+
+// facts returns p's annotation facts: from p's slot when p occurs as a
+// predicate, otherwise read from the graph (an annotated property no item
+// uses).
+func (s *Store) facts(p rdf.IRI) Facts {
+	if i, ok := s.g.PredicateIndex(p); ok {
+		return s.FactsAt(i)
+	}
+	return s.readFacts(p)
+}
+
+// readFacts reads p's annotation triples from the graph.
+func (s *Store) readFacts(p rdf.IRI) Facts {
+	f := Facts{
+		Hidden:     builtinHidden(p) || s.flag(p, rdf.AnnHidden),
+		Composable: s.flag(p, rdf.AnnCompose),
+		Facet:      s.flag(p, rdf.AnnFacet),
+	}
+	if o, ok := s.g.Object(p, rdf.AnnValueType); ok {
+		if l, isLit := o.(rdf.Literal); isLit {
+			f.Annotated = ParseValueType(l.Lexical)
+		}
+	}
+	return f
+}
+
+// flag reports whether s carries ann with a true boolean literal.
+func (s *Store) flag(subj, ann rdf.IRI) bool {
+	o, ok := s.g.Object(subj, ann)
+	if !ok {
+		return false
+	}
+	l, isLit := o.(rdf.Literal)
+	if !isLit {
+		return false
+	}
+	b, _ := l.Bool()
+	return b
 }
 
 // NewStore returns an annotation store over g. It derives nothing yet:
@@ -152,14 +216,7 @@ func SetValueType(b *rdf.Builder, p rdf.IRI, vt ValueType) {
 
 // AnnotatedValueType returns p's annotated value type, or Unknown when no
 // annotation exists.
-func (s *Store) AnnotatedValueType(p rdf.IRI) ValueType {
-	if o, ok := s.g.Object(p, rdf.AnnValueType); ok {
-		if l, isLit := o.(rdf.Literal); isLit {
-			return ParseValueType(l.Lexical)
-		}
-	}
-	return Unknown
-}
+func (s *Store) AnnotatedValueType(p rdf.IRI) ValueType { return s.facts(p).Annotated }
 
 // inferSample bounds how many values are inspected when inferring a type.
 const inferSample = 64
@@ -171,14 +228,20 @@ const inferSample = 64
 // the paper's observation (§6.1) that unannotated data behaves like strings
 // until a schema expert adds a value-type annotation (Figure 7 → Figure 8).
 func (s *Store) ValueType(p rdf.IRI) ValueType {
-	if vt := s.AnnotatedValueType(p); vt != Unknown {
+	i, ok := s.g.PredicateIndex(p)
+	if !ok {
+		return s.readFacts(p).Annotated // p has no values to infer from
+	}
+	return s.ValueTypeAt(i)
+}
+
+// ValueTypeAt is ValueType for the predicate at graph index i.
+func (s *Store) ValueTypeAt(i int) ValueType {
+	if vt := s.FactsAt(i).Annotated; vt != Unknown {
 		return vt
 	}
-	sl := s.slot(p)
-	if sl == nil {
-		return Unknown // p has no values to infer from
-	}
-	sl.typeOnce.Do(func() { sl.inferred = s.inferValueType(p) })
+	sl := &s.preds[i]
+	sl.typeOnce.Do(func() { sl.inferred = s.inferValueType(s.g.PredicateAt(i)) })
 	return sl.inferred
 }
 
@@ -248,18 +311,7 @@ func SetCompose(b *rdf.Builder, p rdf.IRI) {
 }
 
 // Composable reports whether p carries the composition annotation.
-func (s *Store) Composable(p rdf.IRI) bool {
-	o, ok := s.g.Object(p, rdf.AnnCompose)
-	if !ok {
-		return false
-	}
-	l, isLit := o.(rdf.Literal)
-	if !isLit {
-		return false
-	}
-	b, _ := l.Bool()
-	return b
-}
+func (s *Store) Composable(p rdf.IRI) bool { return s.facts(p).Composable }
 
 // SetHidden suppresses p from navigation suggestions (paper §6.1: "Magnet
 // does provide custom annotations to hide such attributes").
@@ -270,22 +322,17 @@ func SetHidden(b *rdf.Builder, p rdf.IRI) {
 // Hidden reports whether p is suppressed from navigation suggestions.
 // Magnet's own annotation vocabulary and rdfs:label are always hidden —
 // they are metadata about metadata, never navigation axes.
-func (s *Store) Hidden(p rdf.IRI) bool {
+func (s *Store) Hidden(p rdf.IRI) bool { return s.facts(p).Hidden }
+
+// builtinHidden reports whether p is always hidden: Magnet's own
+// annotation vocabulary, rdfs:label and rdfs:comment.
+func builtinHidden(p rdf.IRI) bool {
 	switch p {
 	case rdf.AnnLabel, rdf.AnnValueType, rdf.AnnCompose, rdf.AnnHidden,
 		rdf.AnnFacet, rdf.AnnTreeShaped, rdf.Label, rdf.Comment:
 		return true
 	}
-	o, ok := s.g.Object(p, rdf.AnnHidden)
-	if !ok {
-		return false
-	}
-	l, isLit := o.(rdf.Literal)
-	if !isLit {
-		return false
-	}
-	b, _ := l.Bool()
-	return b
+	return false
 }
 
 // SetFacet marks p as a preferred faceting axis, giving it priority in the
@@ -295,18 +342,7 @@ func SetFacet(b *rdf.Builder, p rdf.IRI) {
 }
 
 // IsFacet reports whether p carries the facet-preference annotation.
-func (s *Store) IsFacet(p rdf.IRI) bool {
-	o, ok := s.g.Object(p, rdf.AnnFacet)
-	if !ok {
-		return false
-	}
-	l, isLit := o.(rdf.Literal)
-	if !isLit {
-		return false
-	}
-	b, _ := l.Bool()
-	return b
-}
+func (s *Store) IsFacet(p rdf.IRI) bool { return s.facts(p).Facet }
 
 // SetTreeShaped records that the dataset is a finite tree (e.g. an XML
 // import), licensing deeper composition chains (paper §6.2: "Telling Magnet
@@ -316,18 +352,11 @@ func SetTreeShaped(b *rdf.Builder) {
 	b.Add(datasetNode, rdf.AnnTreeShaped, rdf.NewBool(true))
 }
 
-// TreeShaped reports whether the dataset carries the tree-shape annotation.
+// TreeShaped reports whether the dataset carries the tree-shape
+// annotation, read from the graph once per Store.
 func (s *Store) TreeShaped() bool {
-	o, ok := s.g.Object(datasetNode, rdf.AnnTreeShaped)
-	if !ok {
-		return false
-	}
-	l, isLit := o.(rdf.Literal)
-	if !isLit {
-		return false
-	}
-	b, _ := l.Bool()
-	return b
+	s.treeOnce.Do(func() { s.tree = s.flag(datasetNode, rdf.AnnTreeShaped) })
+	return s.tree
 }
 
 // NumericProperties returns every property whose effective value type is

@@ -40,9 +40,11 @@ func fuzzImage() Data {
 	tb.Index(id("b"), "title", "olive bread")
 	vb := index.NewVectorBuilder()
 	vb.PinnedPrefix = "num|"
-	vb.Add(id("a"), map[string]float64{"feta": 2, "lemon": 1, "num|x": 0.5})
-	vb.Add(id("b"), map[string]float64{"olive": 1, "lemon": 3})
-	vb.Add(id("c"), map[string]float64{"rice": 1, "num|x": 0.25})
+	terms := []string{"feta", "lemon", "num|x", "olive", "rice"}
+	name := func(t uint64) string { return terms[t] }
+	vb.Add(id("a"), []uint64{0, 1, 2}, []float64{2, 1, 0.5}, name)
+	vb.Add(id("b"), []uint64{3, 1}, []float64{1, 3}, name)
+	vb.Add(id("c"), []uint64{4, 2}, []float64{1, 0.25}, name)
 	return Data{Graph: g.Columns(), Text: tb.Columns(), Vectors: vb.Columns()}
 }
 

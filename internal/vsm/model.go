@@ -70,6 +70,21 @@ func (r *Range) observe(v float64) {
 	r.Count++
 }
 
+// merge folds in a range observed over later values: the result is the
+// range of observing both value sequences in order.
+func (r *Range) merge(o Range) {
+	if o.Count == 0 {
+		return
+	}
+	if r.Count == 0 || o.Min < r.Min {
+		r.Min = o.Min
+	}
+	if r.Count == 0 || o.Max > r.Max {
+		r.Max = o.Max
+	}
+	r.Count += o.Count
+}
+
 // theta maps v into [0, π/2], clamping values outside the observed range
 // (items vectorized outside the IndexAll set may exceed it).
 func (r *Range) theta(v float64) float64 {
@@ -154,260 +169,55 @@ func (m *Model) Ranges() map[string]Range {
 func (m *Model) Store() *index.VectorStore { return m.store }
 
 // IndexAll indexes the given items (graph subject IDs) into a freshly
-// built and frozen vector store, replacing the previous one: a first pass
-// gathers numeric range statistics (the unit-circle encoding needs each
-// attribute's observed range), a second pass builds each item's vector in
-// parallel — vectorization only reads the graph and the completed
-// statistics — and stores it under the item's ID. This is the paper's
-// "indexing the data in advance" (§5.2).
+// built and frozen vector store, replacing the previous one. This is the
+// paper's "indexing the data in advance" (§5.2). It walks every item on
+// the ID plane in parallel (walk.go) — the walk only reads the graph — and
+// gathers each numeric path's observed range as it goes. The unit-circle
+// encoding needs the complete ranges, so numeric coordinates are finished
+// afterwards, and the rows are stored serially in ascending ID order:
+// term interning order (and thus the store's summation order) is
+// deterministic at every pool width.
 func (m *Model) IndexAll(items itemset.Set) {
-	iris := make([]rdf.IRI, items.Len())
-	for i, id := range items.Slice() {
-		iris[i] = m.g.SubjectByID(id)
-	}
-	m.stats = make(map[string]*Range)
-	for _, it := range iris {
-		m.walk(it, nil, m.statsVisitor())
-	}
-
-	// Vectorize on the pool — it only reads the graph and the completed
-	// statistics — then store serially in ascending ID order, so term
-	// interning order (and thus the store's summation order) is
-	// deterministic at every pool width.
-	vecs, err := par.Map(context.Background(), m.pool, iris, func(i int, it rdf.IRI) map[string]float64 {
-		return m.Vectorize(it)
+	w := m.newWalker()
+	ids := items.Slice()
+	rows := make([]itemRow, len(ids))
+	err := par.ForChunks(context.Background(), m.pool, len(ids), par.ChunkFor(m.pool, len(ids)), func(lo, hi int) {
+		sc := w.newScratch()
+		for i := lo; i < hi; i++ {
+			rows[i] = w.vectorize(sc, ids[i])
+		}
 	})
 	var pe *par.PanicError
 	if errors.As(err, &pe) {
 		panic(pe)
 	}
+
+	// Merge the per-item ranges in item order: the same Min, Max and Count
+	// as observing every value in walk order.
+	ranges := make([]Range, w.pathCount())
+	seen := make([]bool, len(ranges))
+	for i := range rows {
+		for _, pr := range rows[i].ranges {
+			ranges[pr.path].merge(pr.r)
+			seen[pr.path] = true
+		}
+	}
+	m.stats = make(map[string]*Range)
+	for p, ok := range seen {
+		if ok {
+			m.stats[w.pathKey(uint32(p))] = &ranges[p]
+		}
+	}
+
 	b := index.NewVectorBuilder()
 	b.PinnedPrefix = PinnedPrefix
-	for i, id := range items.Slice() {
-		b.Add(id, vecs[i])
+	rangeOf := func(p uint32) *Range { return &ranges[p] }
+	for i, id := range ids {
+		w.finish(&rows[i], rangeOf)
+		b.Add(id, rows[i].coords, rows[i].freqs, w.key)
+		rows[i] = itemRow{}
 	}
 	m.store = b.Freeze(m.pool)
-}
-
-// visitor receives each coordinate contribution during a traversal.
-type visitor func(path []rdf.IRI, vt schema.ValueType, values []rdf.Term, weight float64, out map[string]float64)
-
-func (m *Model) statsVisitor() visitor {
-	return func(path []rdf.IRI, vt schema.ValueType, values []rdf.Term, _ float64, _ map[string]float64) {
-		if !vt.Numeric() {
-			return
-		}
-		key := PathKey(path)
-		r := m.stats[key]
-		if r == nil {
-			r = &Range{}
-			m.stats[key] = r
-		}
-		for _, v := range values {
-			if lit, ok := v.(rdf.Literal); ok {
-				if f, ok := lit.Float(); ok {
-					r.observe(f)
-				}
-			}
-		}
-	}
-}
-
-// Vectorize builds the raw coordinate-frequency map for an item (the input
-// to the store's tf·idf weighting). Exposed for tests and the Figure 3→4
-// experiment.
-func (m *Model) Vectorize(item rdf.IRI) map[string]float64 {
-	out := make(map[string]float64)
-	m.walk(item, nil, m.coordVisitor(out))
-	return out
-}
-
-func (m *Model) coordVisitor(out map[string]float64) visitor {
-	return func(path []rdf.IRI, vt schema.ValueType, values []rdf.Term, weight float64, _ map[string]float64) {
-		m.emit(path, vt, values, weight, out)
-	}
-}
-
-// walk traverses the item's attributes (and composed attributes) calling v
-// for every (path, values) pair.
-func (m *Model) walk(node rdf.IRI, prefix []rdf.IRI, v visitor) {
-	m.walkRec(node, prefix, make([]rdf.IRI, 0, 8), 1, v)
-}
-
-// onPath is the stack of nodes on the current recursion path (cycle guard);
-// composition depth is small, so a linear scan beats hashing every node.
-func onPathContains(onPath []rdf.IRI, node rdf.IRI) bool {
-	for _, n := range onPath {
-		if n == node {
-			return true
-		}
-	}
-	return false
-}
-
-func (m *Model) walkRec(node rdf.IRI, prefix, onPath []rdf.IRI, weight float64, v visitor) {
-	onPath = append(onPath, node)
-
-	tree := m.sch.TreeShaped()
-	maxDepth := m.opts.maxDepth(tree)
-	for _, p := range m.g.PredicatesOf(node) {
-		if m.sch.Hidden(p) {
-			continue
-		}
-		values := m.g.Objects(node, p)
-		if len(values) == 0 {
-			continue
-		}
-		path := append(append([]rdf.IRI{}, prefix...), p)
-		vt := m.sch.ValueType(p)
-		v(path, vt, values, weight, nil)
-
-		// Composition (§5.1): follow resource values one more level when
-		// the property is annotated composable, or the dataset is
-		// tree-shaped, within the depth bound.
-		if m.opts.DisableCompositions || len(path) >= maxDepth {
-			continue
-		}
-		if !m.sch.Composable(p) && !tree {
-			continue
-		}
-		childWeight := weight
-		if !m.opts.DisablePerAttributeNorm {
-			childWeight = weight / float64(len(values))
-		}
-		for _, val := range values {
-			obj, ok := val.(rdf.IRI)
-			if !ok || onPathContains(onPath, obj) {
-				continue
-			}
-			m.walkRec(obj, path, onPath, childWeight, v)
-		}
-	}
-}
-
-// emit converts one (path, values) attribute into coordinate frequencies.
-//
-// Per-attribute normalization (§5.2, "first divide each term frequency by
-// the number of values for the attributes"): each attribute contributes
-// total mass `weight` regardless of how many values (or, for text, how many
-// words) it carries — "for an email, the importance of the subject is the
-// same as the importance of the body".
-func (m *Model) emit(path []rdf.IRI, vt schema.ValueType, values []rdf.Term, weight float64, out map[string]float64) {
-	if vt.Numeric() && !m.opts.RawNumeric {
-		m.emitUnitCircle(path, values, weight, out)
-		return
-	}
-	if vt.Numeric() && m.opts.RawNumeric {
-		m.emitRawNumeric(path, values, weight, out)
-		return
-	}
-
-	norm := !m.opts.DisablePerAttributeNorm
-
-	// First pass over values: collect text token counts and object values.
-	tokenCounts := make(map[string]int)
-	totalTokens := 0
-	var objects []rdf.Term
-	for _, val := range values {
-		switch tv := val.(type) {
-		case rdf.Literal:
-			if tv.Datatype == "" || tv.Datatype == rdf.XSDString {
-				for _, tok := range m.an.Terms(tv.Lexical) {
-					tokenCounts[tok]++
-					totalTokens++
-				}
-				continue
-			}
-			// Non-text literals (booleans, typed numbers on a property whose
-			// *effective* type is not numeric, e.g. mixed bags) are treated
-			// by identity.
-			objects = append(objects, tv)
-		default:
-			objects = append(objects, tv)
-		}
-	}
-
-	// Objects: identity coordinates.
-	for _, o := range objects {
-		c := Coord{Kind: CoordObject, Path: path, Value: o}
-		f := 1.0
-		if norm {
-			f = weight / float64(len(values))
-		}
-		out[c.Key()] += f
-	}
-	// Text: word coordinates. Under per-attribute normalization the word
-	// mass of this attribute sums to weight × (textValues/len(values)).
-	if totalTokens > 0 {
-		textValues := len(values) - len(objects)
-		for tok, cnt := range tokenCounts {
-			c := Coord{Kind: CoordWord, Path: path, Word: tok}
-			f := float64(cnt)
-			if norm {
-				f = weight * (float64(textValues) / float64(len(values))) * float64(cnt) / float64(totalTokens)
-			}
-			out[c.Key()] += f
-		}
-	}
-}
-
-// emitUnitCircle implements §5.4: map the attribute's numeric value into
-// [0, π/2] over the corpus range and contribute the (cos θ, sin θ) pair,
-// whose norm is always 1 — "all values have the same norm but different
-// values have small dot product". Multiple values average first.
-func (m *Model) emitUnitCircle(path []rdf.IRI, values []rdf.Term, weight float64, out map[string]float64) {
-	f, ok := averageNumeric(values)
-	if !ok {
-		return
-	}
-	r := m.stats[PathKey(path)]
-	if r == nil {
-		// Item indexed without prior IndexAll stats: a local single-value
-		// range (θ = 0) keeps the coordinate present without mutating
-		// shared statistics — Vectorize must stay read-only so IndexAll can
-		// run it concurrently.
-		local := &Range{}
-		local.observe(f)
-		r = local
-	}
-	theta := r.theta(f)
-	w := weight
-	if m.opts.DisablePerAttributeNorm {
-		w = 1
-	}
-	out[Coord{Kind: CoordNumeric, Path: path, Axis: "cos"}.Key()] += w * math.Cos(theta)
-	out[Coord{Kind: CoordNumeric, Path: path, Axis: "sin"}.Key()] += w * math.Sin(theta)
-}
-
-// emitRawNumeric is the §5.4 ablation: a single coordinate carrying the raw
-// value, which lets large magnitudes swamp every other coordinate after
-// document normalization.
-func (m *Model) emitRawNumeric(path []rdf.IRI, values []rdf.Term, weight float64, out map[string]float64) {
-	f, ok := averageNumeric(values)
-	if !ok {
-		return
-	}
-	if f < 0 {
-		f = -f
-	}
-	out[Coord{Kind: CoordNumeric, Path: path, Axis: "cos"}.Key()] += weight * f
-}
-
-func averageNumeric(values []rdf.Term) (float64, bool) {
-	var sum float64
-	n := 0
-	for _, v := range values {
-		if lit, ok := v.(rdf.Literal); ok {
-			if f, ok := lit.Float(); ok {
-				sum += f
-				n++
-			}
-		}
-	}
-	if n == 0 {
-		return 0, false
-	}
-	return sum / float64(n), true
 }
 
 // Similarity returns the cosine similarity of two items (§5.3: "a

@@ -71,7 +71,7 @@ func TestVectorizeFigure4Shape(t *testing.T) {
 	m := New(g, sch, Options{})
 	m.indexItems(items...)
 
-	raw := m.Vectorize(items[0])
+	raw := m.rawVector(items[0])
 
 	// Object coordinates for each attribute/value pair.
 	wantObj := []Coord{
@@ -109,7 +109,7 @@ func TestPerAttributeNormalization(t *testing.T) {
 	g, sch, items := figure3Graph()
 	m := New(g, sch, Options{})
 	m.indexItems(items...)
-	raw := m.Vectorize(items[0])
+	raw := m.rawVector(items[0])
 
 	// Three ingredients: each contributes 1/3.
 	ing := Coord{Kind: CoordObject, Path: []rdf.IRI{pIngredient}, Value: rdf.IRI(ex + "Apple")}
@@ -137,7 +137,7 @@ func TestPerAttributeNormalizationAblation(t *testing.T) {
 	g, sch, items := figure3Graph()
 	m := New(g, sch, Options{DisablePerAttributeNorm: true})
 	m.indexItems(items...)
-	raw := m.Vectorize(items[0])
+	raw := m.rawVector(items[0])
 	ing := Coord{Kind: CoordObject, Path: []rdf.IRI{pIngredient}, Value: rdf.IRI(ex + "Apple")}
 	if w := raw[ing.Key()]; w != 1 {
 		t.Errorf("raw count = %v, want 1 (no division)", w)
@@ -298,7 +298,7 @@ func TestCompositionAnnotation(t *testing.T) {
 	sch := schema.NewStore(g)
 	m := New(g, sch, Options{})
 	m.indexItems(doc)
-	if raw := m.Vectorize(doc); raw[composed.Key()] != 0 {
+	if raw := m.rawVector(doc); raw[composed.Key()] != 0 {
 		t.Error("composition should require an annotation")
 	}
 
@@ -307,14 +307,14 @@ func TestCompositionAnnotation(t *testing.T) {
 	sch = schema.NewStore(g)
 	m = New(g, sch, Options{})
 	m.indexItems(doc)
-	if raw := m.Vectorize(doc); raw[composed.Key()] == 0 {
+	if raw := m.rawVector(doc); raw[composed.Key()] == 0 {
 		t.Error("annotated composition missing from vector")
 	}
 
 	// Ablation switch suppresses it even when annotated.
 	m2 := New(g, sch, Options{DisableCompositions: true})
 	m2.indexItems(doc)
-	if raw := m2.Vectorize(doc); raw[composed.Key()] != 0 {
+	if raw := m2.rawVector(doc); raw[composed.Key()] != 0 {
 		t.Error("DisableCompositions should suppress composed coordinates")
 	}
 }
@@ -335,7 +335,7 @@ func TestTreeShapedDeepComposition(t *testing.T) {
 	sch := schema.NewStore(g)
 	m := New(g, sch, Options{})
 	m.indexItems(a)
-	if raw := m.Vectorize(a); raw[deep.Key()] != 0 {
+	if raw := m.rawVector(a); raw[deep.Key()] != 0 {
 		t.Error("deep composition should not happen on general graphs")
 	}
 
@@ -343,7 +343,7 @@ func TestTreeShapedDeepComposition(t *testing.T) {
 	g = gb.Freeze()
 	m = New(g, schema.NewStore(g), Options{})
 	m.indexItems(a)
-	if raw := m.Vectorize(a); raw[deep.Key()] == 0 {
+	if raw := m.rawVector(a); raw[deep.Key()] == 0 {
 		t.Error("tree-shaped dataset should follow multiple steps")
 	}
 }
@@ -450,7 +450,7 @@ func TestVectorizeBeyondIndexAllClampsRange(t *testing.T) {
 	m := New(g, sch, Options{})
 	m.indexItems(a, b)
 
-	vec := m.Vectorize(c)
+	vec := m.rawVector(c)
 	sinKey := Coord{Kind: CoordNumeric, Path: []rdf.IRI{pN}, Axis: "sin"}.Key()
 	cosKey := Coord{Kind: CoordNumeric, Path: []rdf.IRI{pN}, Axis: "cos"}.Key()
 	if vec[sinKey] == 0 {
@@ -589,8 +589,8 @@ func TestQuickModelInvariants(t *testing.T) {
 			if len(m.vector(it)) > 0 && math.Abs(norm-1) > 1e-6 {
 				return false
 			}
-			a := m.Vectorize(it)
-			b := m.Vectorize(it)
+			a := m.rawVector(it)
+			b := m.rawVector(it)
 			if len(a) != len(b) {
 				return false
 			}

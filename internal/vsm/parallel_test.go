@@ -39,7 +39,7 @@ func TestIndexAllSerialParallelEquivalence(t *testing.T) {
 		m.SetPool(pool)
 		m.indexItems(items...)
 		for _, it := range items {
-			if !reflect.DeepEqual(m.Vectorize(it), serial.Vectorize(it)) {
+			if !reflect.DeepEqual(m.rawVector(it), serial.rawVector(it)) {
 				t.Fatalf("width %d: vector for %s differs", width, it)
 			}
 		}

@@ -286,8 +286,10 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 		if v == "" {
 			return nil, true
 		}
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
+		// A bound is a numeric literal: finite, by the rule every numeric
+		// reader shares.
+		f, ok := rdf.Literal{Lexical: v, Datatype: rdf.XSDDouble}.Float()
+		if !ok {
 			return nil, false
 		}
 		return &f, true
