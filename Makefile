@@ -63,9 +63,10 @@ fuzz:
 # Focused race pass over the parallel pipeline: the internal/par pool
 # stress tests, every serial-vs-parallel equivalence/determinism test, and
 # concurrent first reads of freshly frozen stores (lazy key strings, the
-# graph's term table and the vector store's scratch vectors).
+# graph's term table, the schema store's annotation slots and the vector
+# store's scratch vectors).
 race-par:
-	$(GO) test -race -run 'Pool|Batch|Panic|Cancel|Nested|Parallel|Equiv|Determinism|Merge|ByAdvisor|Centroid|ConcurrentReaders|SharingNoTerm' \
+	$(GO) test -race -run 'Pool|Batch|Panic|Cancel|Nested|Parallel|Equiv|Determinism|Merge|ByAdvisor|Centroid|ConcurrentReaders|AnnotationFacts|SharingNoTerm' \
 		./internal/par/ ./internal/blackboard/ ./internal/facets/ ./internal/index/ ./internal/vsm/ ./internal/rdf/ ./internal/schema/
 
 # Observability gate: the flight-recorder and exposition goldens (ring

@@ -7,8 +7,10 @@ package index
 // concurrent use.
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -374,14 +376,14 @@ func (v *VectorBuilder) Add(id uint32, terms []uint64, freqs []float64, name fun
 	// New terms intern in lexical order, so the numbering — and with it
 	// every kernel's summation order — depends only on the sequence of
 	// Adds, never on the caller's numbering or row order.
-	sort.Slice(fresh, func(i, j int) bool { return fresh[i].name < fresh[j].name })
+	slices.SortFunc(fresh, func(a, b freshTerm) int { return strings.Compare(a.name, b.name) })
 	for _, f := range fresh {
 		t := v.termnum(f.name)
 		v.ext[f.ext] = t
 		row = append(row, termFreq{t, freqs[f.i]})
 	}
 	v.fresh = fresh[:0]
-	sort.Slice(row, func(i, j int) bool { return row[i].t < row[j].t })
+	slices.SortFunc(row, func(a, b termFreq) int { return cmp.Compare(a.t, b.t) })
 	ts := make([]uint32, len(row)) // non-nil: marks id as added
 	fs := make([]float64, len(row))
 	for i, tf := range row {
@@ -427,6 +429,13 @@ func (v *VectorBuilder) Columns() VectorColumns {
 	var c VectorColumns
 	c.Terms = v.terms.Columns()
 	c.RowStart = append(make([]uint32, 0, len(v.docTerms)+1), 0)
+	n := 0
+	for _, ts := range v.docTerms {
+		n += len(ts)
+	}
+	if n > 0 {
+		c.RowTerm, c.RowWeight = make([]uint32, 0, n), make([]float64, 0, n)
+	}
 	for dn, ts := range v.docTerms {
 		fs := v.docFreqs[dn]
 		row := len(c.RowWeight)

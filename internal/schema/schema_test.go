@@ -286,3 +286,106 @@ func TestSlotsConcurrentReaders(t *testing.T) {
 		}
 	}
 }
+
+// graphFacts reads p's annotation facts from the graph by IRI, the way the
+// Store answered before its slots held them.
+func graphFacts(g *rdf.Graph, p rdf.IRI) Facts {
+	flag := func(ann rdf.IRI) bool {
+		o, ok := g.Object(p, ann)
+		if !ok {
+			return false
+		}
+		l, isLit := o.(rdf.Literal)
+		if !isLit {
+			return false
+		}
+		b, _ := l.Bool()
+		return b
+	}
+	var f Facts
+	switch p {
+	case rdf.AnnLabel, rdf.AnnValueType, rdf.AnnCompose, rdf.AnnHidden,
+		rdf.AnnFacet, rdf.AnnTreeShaped, rdf.Label, rdf.Comment:
+		f.Hidden = true
+	default:
+		f.Hidden = flag(rdf.AnnHidden)
+	}
+	f.Composable = flag(rdf.AnnCompose)
+	f.Facet = flag(rdf.AnnFacet)
+	if o, ok := g.Object(p, rdf.AnnValueType); ok {
+		if l, isLit := o.(rdf.Literal); isLit {
+			f.Annotated = ParseValueType(l.Lexical)
+		}
+	}
+	return f
+}
+
+// TestAnnotationFactsMatchGraph checks Hidden, Composable, IsFacet and
+// AnnotatedValueType, which answer from a predicate's slot, against a read
+// of the annotation triples: for every predicate (annotated true, false,
+// with a non-literal or malformed value, Magnet's own vocabulary), and for
+// annotated and unannotated IRIs that no triple uses as a predicate. Eight
+// goroutines read a fresh store at once.
+func TestAnnotationFactsMatchGraph(t *testing.T) {
+	b := rdf.NewBuilder()
+	p := func(s string) rdf.IRI { return rdf.IRI(ex + "p/" + s) }
+	used := []rdf.IRI{p("hidden"), p("shown"), p("compose"), p("facet"), p("typed"), p("odd"), p("plain"), rdf.Label, rdf.Comment}
+	for i, pred := range used {
+		it := rdf.IRI(ex + "item/" + strconv.Itoa(i))
+		b.Add(it, pred, rdf.NewString("v"))
+		b.Add(it, rdf.Type, rdf.IRI(ex+"Thing"))
+	}
+	SetHidden(b, p("hidden"))
+	b.Add(p("shown"), rdf.AnnHidden, rdf.NewBool(false))
+	SetCompose(b, p("compose"))
+	SetFacet(b, p("facet"))
+	SetValueType(b, p("typed"), Date)
+	b.Add(p("odd"), rdf.AnnHidden, rdf.IRI(ex+"yes"))
+	b.Add(p("odd"), rdf.AnnCompose, rdf.NewString("maybe"))
+	b.Add(p("odd"), rdf.AnnValueType, rdf.NewString("nonsense"))
+	ghost := p("ghost") // annotated, never a predicate
+	SetHidden(b, ghost)
+	SetCompose(b, ghost)
+	SetFacet(b, ghost)
+	SetValueType(b, ghost, Integer)
+	g := b.Freeze()
+
+	probe := append(g.Predicates(), ghost, p("nowhere"), rdf.AnnFacet)
+	read := func(s *Store) []Facts {
+		out := make([]Facts, len(probe))
+		for i, q := range probe {
+			out[i] = Facts{Hidden: s.Hidden(q), Composable: s.Composable(q), Facet: s.IsFacet(q), Annotated: s.AnnotatedValueType(q)}
+		}
+		return out
+	}
+	want := make([]Facts, len(probe))
+	for i, q := range probe {
+		want[i] = graphFacts(g, q)
+	}
+	if !want[len(probe)-3].Hidden || !want[len(probe)-3].Facet || want[len(probe)-3].Annotated != Integer {
+		t.Fatalf("graph read of the unused annotated IRI = %+v", want[len(probe)-3])
+	}
+	s := NewStore(g)
+	got := make([][]Facts, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = read(s)
+		}()
+	}
+	wg.Wait()
+	for r := range got {
+		for i, q := range probe {
+			if got[r][i] != want[i] {
+				t.Errorf("reader %d: %s facts = %+v, graph read %+v", r, q, got[r][i], want[i])
+			}
+		}
+	}
+	for i := range g.Predicates() {
+		if f := s.FactsAt(i); f != want[i] {
+			t.Errorf("FactsAt(%d) = %+v, graph read %+v", i, f, want[i])
+		}
+	}
+}

@@ -113,6 +113,9 @@ type scratch struct {
 	words map[string]uint32
 	// acc maps a coordinate to its index in the current item's row.
 	acc map[uint64]int
+	// coords and freqs are the current item's row as it grows.
+	coords []uint64
+	freqs  []float64
 	// wordCount and counted tally one attribute's words.
 	wordCount []int
 	counted   []uint32
@@ -284,9 +287,13 @@ func (row *itemRow) add(sc *scratch, c uint64, f float64) {
 
 // vectorize walks item sid's attributes (and composed attributes).
 func (w *walker) vectorize(sc *scratch, sid uint32) itemRow {
-	var row itemRow
+	row := itemRow{coords: sc.coords[:0], freqs: sc.freqs[:0]}
 	clear(sc.acc)
 	w.walk(sc, &row, sid, 0, 1, 1, sc.onPath[:0])
+	sc.coords, sc.freqs = row.coords, row.freqs
+	n := len(row.coords) + 2*len(row.nums) // room for finish
+	row.coords = append(make([]uint64, 0, n), row.coords...)
+	row.freqs = append(make([]float64, 0, n), row.freqs...)
 	return row
 }
 
