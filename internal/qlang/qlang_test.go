@@ -199,6 +199,9 @@ func TestParseErrors(t *testing.T) {
 		`(cuisine = Greek`,
 		`cuisine = Greek )`,
 		`servings >= soon`,
+		`servings >= NaN`,
+		`servings < Inf`,
+		`servings > -Inf`,
 		`"unterminated`,
 		`ingredient.group : word`,
 		`ingredient.group > 4`,

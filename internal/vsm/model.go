@@ -194,7 +194,7 @@ func (m *Model) IndexAll(items itemset.Set) {
 
 	// Merge the per-item ranges in item order: the same Min, Max and Count
 	// as observing every value in walk order.
-	ranges := make([]Range, w.pathCount())
+	ranges := make([]Range, len(w.paths))
 	seen := make([]bool, len(ranges))
 	for i := range rows {
 		for _, pr := range rows[i].ranges {

@@ -186,10 +186,6 @@ func (w *walker) literalWords(sc *scratch, tid uint32, lexical string) []uint32 
 	return ws
 }
 
-// pathCount returns the number of path IDs handed out, the empty path
-// included.
-func (w *walker) pathCount() int { return len(w.paths) }
-
 // pathKey returns path p's PathKey, built once per path. Not safe for
 // concurrent use.
 func (w *walker) pathKey(p uint32) string {

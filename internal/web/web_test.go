@@ -232,8 +232,10 @@ func TestBadRequests(t *testing.T) {
 	if code, _ := cl.get("/rm?i=notanumber"); code != http.StatusBadRequest {
 		t.Errorf("bad rm = %d", code)
 	}
-	if code, _ := cl.get("/range?prop=x&lo=abc"); code != http.StatusBadRequest {
-		t.Errorf("bad range = %d", code)
+	for _, q := range []string{"lo=abc", "lo=NaN", "hi=Inf", "lo=-Inf&hi=4", "lo=1e400"} {
+		if code, _ := cl.get("/range?prop=x&" + q); code != http.StatusBadRequest {
+			t.Errorf("bad range %s = %d", q, code)
+		}
 	}
 	if code, _ := cl.get("/go?k=doesnotexist"); code != http.StatusGone {
 		t.Errorf("expired suggestion = %d", code)
