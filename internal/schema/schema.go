@@ -159,7 +159,7 @@ func (s *Store) readFacts(p rdf.IRI) Facts {
 	return f
 }
 
-// flag reports whether s carries ann with a true boolean literal.
+// flag reports whether subj carries ann with a true boolean literal.
 func (s *Store) flag(subj, ann rdf.IRI) bool {
 	o, ok := s.g.Object(subj, ann)
 	if !ok {
