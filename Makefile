@@ -98,7 +98,7 @@ contract:
 # bytes are intended, rewrite the digest file with the change that explains
 # them (run the target and copy its got file over $(BUILD_CONTRACT)).
 BUILD_CONTRACT := cmd/magnet-build/testdata/segments.sha256
-BUILD_CONTRACT_DIR ?= /tmp/magnet-build-contract
+BUILD_CONTRACT_DIR := /tmp/magnet-build-contract
 build-contract:
 	@rm -rf $(BUILD_CONTRACT_DIR) && set -e; \
 	$(GO) build -o $(BUILD_CONTRACT_DIR)/magnet-build ./cmd/magnet-build; \

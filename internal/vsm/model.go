@@ -108,8 +108,8 @@ type Model struct {
 	an    *text.Analyzer
 	opts  Options
 
-	// stats holds numeric range statistics per property path, populated by
-	// IndexAll's first pass.
+	// stats holds numeric range statistics per property path, merged by
+	// IndexAll from the ranges its parallel walk observes per item.
 	stats map[string]*Range
 
 	// pool bounds IndexAll's parallel vectorization; nil indexes serially.

@@ -456,17 +456,11 @@ func (w *walker) emitNumeric(sc *scratch, row *itemRow, path uint32, objs []uint
 // attribute's average maps into [0, π/2] over its path's range and
 // contributes the (cos θ, sin θ) pair, whose norm is always 1 — "all
 // values have the same norm but different values have small dot product".
-// rangeOf returns a path's range over the indexed items; nil for a path
-// they never reach, which encodes as a single-value range (θ = 0).
+// rangeOf returns a path's range over the indexed items.
 func (w *walker) finish(row *itemRow, rangeOf func(path uint32) *Range) {
 	base := len(row.coords)
 	for _, na := range row.nums {
-		r := rangeOf(na.path)
-		if r == nil {
-			r = &Range{}
-			r.observe(na.v)
-		}
-		theta := r.theta(na.v)
+		theta := rangeOf(na.path).theta(na.v)
 		row.addNumeric(base, pack(packNumeric, na.path, axisCos), na.w*math.Cos(theta))
 		row.addNumeric(base, pack(packNumeric, na.path, axisSin), na.w*math.Sin(theta))
 	}

@@ -20,14 +20,27 @@ import (
 // included), with the model's current numeric ranges: a path they lack
 // encodes as a single-value range. An unknown item has none.
 func (m *Model) rawVector(item rdf.IRI) map[string]float64 {
+	w := m.newWalker()
+	return m.rawVectorWith(w, w.newScratch(), item)
+}
+
+// rawVectorWith is rawVector on a walker and scratch the caller reuses
+// across items, as IndexAll does.
+func (m *Model) rawVectorWith(w *walker, sc *scratch, item rdf.IRI) map[string]float64 {
 	out := make(map[string]float64)
 	sid, ok := m.g.SubjectID(item)
 	if !ok {
 		return out
 	}
-	w := m.newWalker()
-	row := w.vectorize(w.newScratch(), sid)
-	w.finish(&row, func(p uint32) *Range { return m.stats[w.pathKey(p)] })
+	row := w.vectorize(sc, sid)
+	w.finish(&row, func(p uint32) *Range {
+		if r := m.stats[w.pathKey(p)]; r != nil {
+			return r
+		}
+		// An empty range maps every value to θ = 0, as a single-value
+		// range does.
+		return &Range{}
+	})
 	for i, c := range row.coords {
 		out[w.key(c)] = row.freqs[i]
 	}
