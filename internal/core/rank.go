@@ -44,7 +44,7 @@ func (s *Session) RankedItems(opts RankOptions) []rdf.IRI { //magnet-vet:ignore 
 		maxLen := 0.0
 		lengths := make([]float64, len(members))
 		for i, id := range members {
-			lengths[i] = float64(s.docLength(id))
+			lengths[i] = float64(s.m.text.DocLength(id))
 			if lengths[i] > maxLen {
 				maxLen = lengths[i]
 			}
@@ -97,19 +97,4 @@ func (s *Session) textScores(terms []query.Predicate, scores []float64) {
 			// Negated text contributes nothing positive.
 		}
 	}
-}
-
-// docLength approximates document size as total indexed tokens across
-// fields.
-func (s *Session) docLength(id uint32) int {
-	if s.m.text == nil {
-		return 0
-	}
-	total := 0
-	for _, f := range s.m.text.Fields(id) {
-		for _, c := range s.m.text.FieldTermCounts(id, f) {
-			total += c
-		}
-	}
-	return total
 }

@@ -1,7 +1,7 @@
 package index
 
 // The write sides of the text index and the vector store. A builder
-// collects documents in maps, then Columns compiles them into the columnar
+// collects documents, then Columns compiles them into the columnar
 // image (segcols.go) the frozen reader serves from — the same image
 // persistent segments store. Builders offer no reads and are not safe for
 // concurrent use.
@@ -28,11 +28,11 @@ type posting struct {
 	tfs []int
 }
 
-// add accumulates c occurrences of the term for document id.
-func (p *posting) add(id uint32, c int) {
+// add counts one occurrence of the term in document id.
+func (p *posting) add(id uint32) {
 	i := searchPost(p.dns, id)
 	if i < len(p.dns) && p.dns[i] == id {
-		p.tfs[i] += c
+		p.tfs[i]++
 		return
 	}
 	p.dns = append(p.dns, 0)
@@ -40,7 +40,7 @@ func (p *posting) add(id uint32, c int) {
 	copy(p.dns[i+1:], p.dns[i:])
 	copy(p.tfs[i+1:], p.tfs[i:])
 	p.dns[i] = id
-	p.tfs[i] = c
+	p.tfs[i] = 1
 }
 
 //magnet:hot
@@ -64,12 +64,9 @@ type TextBuilder struct {
 
 	// postings: term → field → posting list.
 	postings map[string]map[string]*posting
-	// docTerms, indexed by document ID: field → term → tf; nil for an ID
-	// that holds no document.
-	docTerms []map[string]map[string]int
-	docs     int // documents indexed
-	// df: term → sorted IDs of the documents containing it in any field.
-	df map[string][]uint32
+	// docLen, indexed by document ID: accepted tokens across all fields;
+	// zero for an ID that holds no document.
+	docLen []uint32
 	// surfaces: analyzed term → raw token → count; tracks the most common
 	// pre-stemming surface form so suggestions can display "parsley" rather
 	// than the stem "parslei".
@@ -85,7 +82,6 @@ func NewTextBuilder(a *text.Analyzer) *TextBuilder {
 	return &TextBuilder{
 		analyzer: a,
 		postings: make(map[string]map[string]*posting),
-		df:       make(map[string][]uint32),
 		surfaces: make(map[string]map[string]int),
 	}
 }
@@ -93,87 +89,38 @@ func NewTextBuilder(a *text.Analyzer) *TextBuilder {
 // Index adds the raw text under (id, field), accumulating with any text
 // already indexed for that pair.
 func (ix *TextBuilder) Index(id uint32, field, raw string) {
-	tokens := text.Tokenize(raw)
-	counts := make(map[string]int, len(tokens))
-	surf := make(map[string]map[string]int, len(tokens))
-	for _, tok := range tokens {
-		analyzed := ix.analyzer.Terms(tok)
-		if len(analyzed) != 1 {
+	n := 0
+	for _, tok := range text.Tokenize(raw) {
+		term, ok := ix.analyzer.Term(tok)
+		if !ok {
 			continue
 		}
-		term := analyzed[0]
-		counts[term]++
-		m := surf[term]
-		if m == nil {
-			m = make(map[string]int)
-			surf[term] = m
-		}
-		m[tok]++
-	}
-	if len(counts) == 0 {
-		return
-	}
-	for term, toks := range surf {
-		m := ix.surfaces[term]
-		if m == nil {
-			m = make(map[string]int)
-			ix.surfaces[term] = m
-		}
-		for tok, n := range toks {
-			m[tok] += n
-		}
-	}
-	for int(id) >= len(ix.docTerms) {
-		ix.docTerms = append(ix.docTerms, nil)
-	}
-	fields := ix.docTerms[id]
-	if fields == nil {
-		fields = make(map[string]map[string]int)
-		ix.docTerms[id] = fields
-		ix.docs++
-	}
-	terms := fields[field]
-	if terms == nil {
-		terms = make(map[string]int)
-		fields[field] = terms
-	}
-	for t, c := range counts {
-		terms[t] += c
-		byField := ix.postings[t]
+		n++
+		byField := ix.postings[term]
 		if byField == nil {
 			byField = make(map[string]*posting)
-			ix.postings[t] = byField
+			ix.postings[term] = byField
 		}
 		p := byField[field]
 		if p == nil {
 			p = &posting{}
 			byField[field] = p
 		}
-		p.add(id, c)
-		ix.df[t] = insertDF(ix.df[t], id)
+		p.add(id)
+		surf := ix.surfaces[term]
+		if surf == nil {
+			surf = make(map[string]int)
+			ix.surfaces[term] = surf
+		}
+		surf[tok]++
 	}
-}
-
-// insertDF inserts id into a sorted ID slice if absent.
-func insertDF(dns []uint32, id uint32) []uint32 {
-	i := searchPost(dns, id)
-	if i < len(dns) && dns[i] == id {
-		return dns
+	if n == 0 {
+		return
 	}
-	dns = append(dns, 0)
-	copy(dns[i+1:], dns[i:])
-	dns[i] = id
-	return dns
-}
-
-// sortedKeys returns the sorted keys of a string set.
-func sortedKeys(set map[string]bool) []string {
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
+	for int(id) >= len(ix.docLen) {
+		ix.docLen = append(ix.docLen, 0)
 	}
-	sort.Strings(out)
-	return out
+	ix.docLen[id] += uint32(n)
 }
 
 // appendTable appends key to an offset/blob table.
@@ -186,40 +133,30 @@ func appendTable(off []uint32, blob []byte, key string) ([]uint32, []byte) {
 // only on the set of Index calls, not on their order.
 func (ix *TextBuilder) Columns() TextColumns {
 	var c TextColumns
-	c.Live = uint32(ix.docs)
-
-	// Term universe: postings ∪ df ∪ surfaces ∪ per-doc terms (the last two
-	// defensively; they are subsets in a consistent index).
-	tset := make(map[string]bool)
-	for t := range ix.postings {
-		tset[t] = true
-	}
-	for t := range ix.df {
-		tset[t] = true
-	}
-	for t := range ix.surfaces {
-		tset[t] = true
-	}
-	fset := make(map[string]bool)
-	for _, fields := range ix.docTerms {
-		for f, terms := range fields {
-			fset[f] = true
-			for t := range terms {
-				tset[t] = true
-			}
+	for _, n := range ix.docLen {
+		if n > 0 {
+			c.Live++
 		}
 	}
-	for _, byField := range ix.postings {
+
+	// Every accepted token adds to a posting and a surface count, so the
+	// postings name every term and field.
+	terms := make([]string, 0, len(ix.postings))
+	fset := make(map[string]bool)
+	for t, byField := range ix.postings {
+		terms = append(terms, t)
 		for f := range byField {
 			fset[f] = true
 		}
 	}
-	terms := sortedKeys(tset)
-	fields := sortedKeys(fset)
+	fields := make([]string, 0, len(fset))
+	for f := range fset {
+		fields = append(fields, f)
+	}
+	sort.Strings(terms)
+	sort.Strings(fields)
 	c.TermOff, c.FieldOff, c.SurfOff = []uint32{0}, []uint32{0}, []uint32{0}
-	termID := make(map[string]uint32, len(terms))
-	for i, t := range terms {
-		termID[t] = uint32(i)
+	for _, t := range terms {
 		c.TermOff, c.TermBlob = appendTable(c.TermOff, c.TermBlob, t)
 	}
 	fieldID := make(map[string]uint32, len(fields))
@@ -229,7 +166,7 @@ func (ix *TextBuilder) Columns() TextColumns {
 	}
 
 	// Best surface per term: highest count, ties to the lexically smallest
-	// token, the term itself when nothing was recorded.
+	// token.
 	for _, t := range terms {
 		best, bestN := t, 0
 		for tok, n := range ix.surfaces[t] {
@@ -240,11 +177,14 @@ func (ix *TextBuilder) Columns() TextColumns {
 		c.SurfOff, c.SurfBlob = appendTable(c.SurfOff, c.SurfBlob, best)
 	}
 
-	// Postings and df, in term order.
+	// Postings and document frequencies, in term order. A term's DF is the
+	// size of the union of its field postings: seen holds, per document
+	// ID, the term index + 1 that last counted it.
 	c.PostFieldStart = append(c.PostFieldStart, 0)
 	c.PostStart = append(c.PostStart, 0)
-	c.DFStart = append(c.DFStart, 0)
-	for _, t := range terms {
+	c.DF = make([]uint32, len(terms))
+	seen := make([]uint32, len(ix.docLen))
+	for ti, t := range terms {
 		byField := ix.postings[t]
 		fnames := make([]string, 0, len(byField))
 		for f := range byField {
@@ -255,42 +195,18 @@ func (ix *TextBuilder) Columns() TextColumns {
 			p := byField[f]
 			c.PostField = append(c.PostField, fieldID[f])
 			c.PostDNS = append(c.PostDNS, p.dns...)
-			for _, tf := range p.tfs {
-				c.PostTFS = append(c.PostTFS, uint32(tf))
+			for i, id := range p.dns {
+				c.PostTFS = append(c.PostTFS, uint32(p.tfs[i]))
+				if seen[id] != uint32(ti+1) {
+					seen[id] = uint32(ti + 1)
+					c.DF[ti]++
+				}
 			}
 			c.PostStart = append(c.PostStart, uint32(len(c.PostDNS)))
 		}
 		c.PostFieldStart = append(c.PostFieldStart, uint32(len(c.PostField)))
-		c.DFDNS = append(c.DFDNS, ix.df[t]...)
-		c.DFStart = append(c.DFStart, uint32(len(c.DFDNS)))
 	}
-
-	// Per-document rows up to the largest ID; IDs without a document get
-	// empty rows.
-	c.DocFieldStart = append(c.DocFieldStart, 0)
-	c.DocTermStart = append(c.DocTermStart, 0)
-	for _, fieldsOf := range ix.docTerms {
-		fnames := make([]string, 0, len(fieldsOf))
-		for f := range fieldsOf {
-			fnames = append(fnames, f)
-		}
-		sort.Strings(fnames)
-		for _, f := range fnames {
-			tcounts := fieldsOf[f]
-			tnames := make([]string, 0, len(tcounts))
-			for t := range tcounts {
-				tnames = append(tnames, t)
-			}
-			sort.Strings(tnames)
-			c.DocField = append(c.DocField, fieldID[f])
-			for _, t := range tnames {
-				c.DocTerm = append(c.DocTerm, termID[t])
-				c.DocTF = append(c.DocTF, uint32(tcounts[t]))
-			}
-			c.DocTermStart = append(c.DocTermStart, uint32(len(c.DocTerm)))
-		}
-		c.DocFieldStart = append(c.DocFieldStart, uint32(len(c.DocField)))
-	}
+	c.DocLen = slices.Clone(ix.docLen)
 	return c
 }
 

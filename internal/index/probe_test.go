@@ -32,7 +32,7 @@ func (ix *TextIndex) docFreq(term string) int {
 	if !ok {
 		return 0
 	}
-	return len(ix.dfRow(ti))
+	return int(ix.c.DF[ti])
 }
 
 // vector returns document id's normalized tf·idf vector as a term-keyed

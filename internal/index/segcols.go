@@ -49,20 +49,13 @@ type TextColumns struct {
 	PostStart      []uint32
 	PostDNS        []uint32
 	PostTFS        []uint32
-	// Document frequency. DFStart (T+1) delimits each term's sorted
-	// document-ID run in DFDNS.
-	DFStart []uint32
-	DFDNS   []uint32
-	// Per-document columns. DocFieldStart (D+1, D one past the largest
-	// document ID) delimits each document's field run in DocField; IDs
-	// that hold no document have empty runs. DocTermStart
-	// (len(DocField)+1) delimits each (doc, field)'s term run in
-	// DocTerm/DocTF (term IDs ascending by lexical order).
-	DocFieldStart []uint32
-	DocField      []uint32
-	DocTermStart  []uint32
-	DocTerm       []uint32
-	DocTF         []uint32
+	// DF (T) is each term's document frequency: the number of documents
+	// holding it in any field.
+	DF []uint32
+	// DocLen (D, D one past the largest document ID) is each document's
+	// accepted-token count across its fields; zero for IDs that hold no
+	// document.
+	DocLen []uint32
 }
 
 // FromTextColumns returns the frozen text index over a columnar image,
@@ -93,23 +86,14 @@ func (c *TextColumns) validate() error {
 	if len(c.SurfOff) != len(c.TermOff) {
 		return fmt.Errorf("index: surface table (%d) disagrees with term table (%d)", len(c.SurfOff)-1, t)
 	}
-	if len(c.PostFieldStart) != t+1 || len(c.DFStart) != t+1 {
-		return fmt.Errorf("index: posting/df starts disagree with term count %d", t)
+	if len(c.PostFieldStart) != t+1 || len(c.DF) != t {
+		return fmt.Errorf("index: posting starts/document frequencies disagree with term count %d", t)
 	}
 	if len(c.PostStart) != len(c.PostField)+1 {
 		return fmt.Errorf("index: posting starts (%d) disagree with (term, field) pair count (%d)", len(c.PostStart), len(c.PostField))
 	}
 	if len(c.PostDNS) != len(c.PostTFS) {
 		return fmt.Errorf("index: posting ID and tf columns disagree (%d vs %d)", len(c.PostDNS), len(c.PostTFS))
-	}
-	if len(c.DocFieldStart) == 0 {
-		return fmt.Errorf("index: text columns missing per-doc row starts")
-	}
-	if len(c.DocTermStart) != len(c.DocField)+1 {
-		return fmt.Errorf("index: per-doc term starts (%d) disagree with (doc, field) pair count (%d)", len(c.DocTermStart), len(c.DocField))
-	}
-	if len(c.DocTerm) != len(c.DocTF) {
-		return fmt.Errorf("index: per-doc term and tf columns disagree (%d vs %d)", len(c.DocTerm), len(c.DocTF))
 	}
 	return nil
 }

@@ -56,26 +56,12 @@ func TestTextColumnsRoundTrip(t *testing.T) {
 			}
 		}
 	}
+	if !reflect.DeepEqual(r.c.DF, ix.c.DF) {
+		t.Errorf("DF = %v, want %v", r.c.DF, ix.c.DF)
+	}
 	for _, doc := range []uint32{d1, d2, d3, missing} {
-		gf, wf := r.Fields(doc), ix.Fields(doc)
-		if len(gf) != len(wf) {
-			t.Errorf("Fields(%d) = %v, want %v", doc, gf, wf)
-			continue
-		}
-		for i := range wf {
-			if gf[i] != wf[i] {
-				t.Errorf("Fields(%d)[%d] = %q, want %q", doc, i, gf[i], wf[i])
-			}
-			gc, wc := r.FieldTermCounts(doc, wf[i]), ix.FieldTermCounts(doc, wf[i])
-			if len(gc) != len(wc) {
-				t.Errorf("FieldTermCounts(%d,%q) = %v, want %v", doc, wf[i], gc, wc)
-				continue
-			}
-			for term, n := range wc {
-				if gc[term] != n {
-					t.Errorf("FieldTermCounts(%d,%q)[%q] = %d, want %d", doc, wf[i], term, gc[term], n)
-				}
-			}
+		if got, want := r.DocLength(doc), ix.DocLength(doc); got != want || (doc != missing && want == 0) {
+			t.Errorf("DocLength(%d) = %d, want %d", doc, got, want)
 		}
 	}
 }
@@ -117,8 +103,8 @@ func TestTextColumnsOrderFree(t *testing.T) {
 	if got := ix.Matching("walnut", AnyField).Slice(); len(got) != 13 || got[0] != 0 || got[12] != 24 {
 		t.Errorf("Matching(walnut) = %v, want the 13 even IDs 0..24", got)
 	}
-	if got := ix.Fields(1); len(got) != 0 {
-		t.Errorf("Fields(1) = %v, want none: no document holds ID 1", got)
+	if got := ix.DocLength(1); got != 0 {
+		t.Errorf("DocLength(1) = %d, want 0: no document holds ID 1", got)
 	}
 }
 

@@ -111,24 +111,10 @@ func (ix *TextIndex) fieldPair(ti int, field string) (int, bool) {
 	return ix.findTermField(ti, uint32(fi))
 }
 
-// dfRow returns term ti's sorted document-ID run.
-//
-//magnet:hot
-func (ix *TextIndex) dfRow(ti int) []uint32 {
-	lo, hi := ids.Run(ix.c.DFStart, ti, len(ix.c.DFDNS))
-	return ix.c.DFDNS[lo:hi]
-}
-
 // rows returns one past the largest document ID the index holds a row
 // for: the size of the score column and of the AnyField union, which
 // drop posting IDs at or past it.
-func (ix *TextIndex) rows() int { return len(ix.c.DocFieldStart) - 1 }
-
-// docFieldRun returns document id's (doc, field) pair index range, empty
-// for an ID past the rows.
-func (ix *TextIndex) docFieldRun(id uint32) (int, int) {
-	return ids.Run(ix.c.DocFieldStart, int(id), len(ix.c.DocField))
-}
+func (ix *TextIndex) rows() int { return len(ix.c.DocLen) }
 
 // idsWithTerm returns the IDs of the documents containing one analyzed
 // term in the given field: a zero-copy posting for one field (or a term
@@ -228,7 +214,7 @@ func (ix *TextIndex) score(term, field string, n float64, scores []float64, touc
 	if !ok {
 		return
 	}
-	df := float64(len(ix.dfRow(ti)))
+	df := float64(ix.c.DF[ti])
 	if df == 0 {
 		return
 	}
@@ -253,38 +239,11 @@ func (ix *TextIndex) score(term, field string, n float64, scores []float64, touc
 	}
 }
 
-// Fields returns the distinct field names indexed for document id,
-// sorted; empty for an ID without a row.
-func (ix *TextIndex) Fields(id uint32) []string {
-	lo, hi := ix.docFieldRun(id)
-	out := make([]string, 0, hi-lo)
-	for _, fi := range ix.c.DocField[lo:hi] {
-		out = append(out, ix.fields.At(int(fi)))
+// DocLength returns the number of tokens indexed for document id across
+// its fields, after analysis; 0 for an ID that holds no document.
+func (ix *TextIndex) DocLength(id uint32) int {
+	if int(id) >= len(ix.c.DocLen) {
+		return 0
 	}
-	return out // ascending field IDs are already lexical order
-}
-
-// FieldTermCounts returns the indexed term counts of (id, field), in a map
-// the caller owns; nil when the document has no such field.
-func (ix *TextIndex) FieldTermCounts(id uint32, field string) map[string]int {
-	fi, ok := ix.fields.Find(field)
-	if !ok {
-		return nil
-	}
-	lo, hi := ix.docFieldRun(id)
-	for pair := lo; pair < hi; pair++ {
-		if ix.c.DocField[pair] != uint32(fi) {
-			continue
-		}
-		tlo, thi := ids.Run(ix.c.DocTermStart, pair, len(ix.c.DocTerm))
-		if thi > len(ix.c.DocTF) {
-			return nil
-		}
-		m := make(map[string]int, thi-tlo)
-		for i := tlo; i < thi; i++ {
-			m[ix.terms.At(int(ix.c.DocTerm[i]))] = int(ix.c.DocTF[i])
-		}
-		return m
-	}
-	return nil
+	return int(ix.c.DocLen[id])
 }

@@ -4,8 +4,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-
-	"magnet/internal/text"
 )
 
 func sampleTextIndex() *TextIndex {
@@ -95,17 +93,21 @@ func TestSearchPartialMatchRanked(t *testing.T) {
 	}
 }
 
-func TestFieldsAndTermCounts(t *testing.T) {
+func TestDocLengthAndDF(t *testing.T) {
 	ix := sampleTextIndex()
-	if got := ix.Fields(d1); !reflect.DeepEqual(got, []string{"body", "title"}) {
-		t.Errorf("Fields = %v", got)
+	// d1: "greek salad" + "feta chees oliv parslei oliv oil" ("and" dropped).
+	if got := ix.DocLength(d1); got != 8 {
+		t.Errorf("DocLength(d1) = %d, want 8", got)
 	}
-	if got := ix.Fields(missing); len(got) != 0 {
-		t.Errorf("Fields(missing) = %v, want none", got)
+	if got := ix.DocLength(missing); got != 0 {
+		t.Errorf("DocLength(missing) = %d, want 0", got)
 	}
-	counts := ix.FieldTermCounts(d1, "body")
-	if counts[text.Stem("olives")] == 0 {
-		t.Errorf("term counts = %v, want stemmed olives present", counts)
+	// A term in two fields of one document counts that document once; a
+	// term twice in one field counts it once.
+	for term, want := range map[string]int{"walnut": 2, "greek": 2, "olive": 1, "anchovy": 0} {
+		if got := ix.docFreq(term); got != want {
+			t.Errorf("docFreq(%q) = %d, want %d", term, got, want)
+		}
 	}
 }
 
@@ -114,9 +116,19 @@ func TestIndexAccumulates(t *testing.T) {
 	b.Index(d1, "body", "butter")
 	b.Index(d1, "body", "butter again")
 	ix := freezeText(b)
-	counts := ix.FieldTermCounts(d1, "body")
-	if counts["butter"] != 2 {
-		t.Errorf("accumulated count = %d, want 2", counts["butter"])
+	ti, _ := ix.terms.Find("butter")
+	pair, ok := ix.fieldPair(ti, "body")
+	if !ok {
+		t.Fatal("no body posting for butter")
+	}
+	if _, tfs := ix.postRow(pair); len(tfs) != 1 || tfs[0] != 2 {
+		t.Errorf("accumulated tfs = %v, want [2]", tfs)
+	}
+	if got := ix.DocLength(d1); got != 3 {
+		t.Errorf("DocLength = %d, want 3", got)
+	}
+	if ix.c.Live != 1 {
+		t.Errorf("live documents = %d, want 1", ix.c.Live)
 	}
 }
 

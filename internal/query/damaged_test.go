@@ -134,10 +134,7 @@ func TestTextSkipsDamagedPostingIDs(t *testing.T) {
 	if g, w := tix.Search("walnut salad", index.AnyField, 0), cleanIx.Search("walnut salad", index.AnyField, 0); !reflect.DeepEqual(g, w) {
 		t.Errorf("Search over damaged postings = %v, want %v", g, w)
 	}
-	if f := tix.Fields(bad); len(f) != 0 {
-		t.Errorf("Fields(%d) = %v, want none", bad, f)
-	}
-	if c := tix.FieldTermCounts(bad, "title"); c != nil {
-		t.Errorf("FieldTermCounts(%d) = %v, want nil", bad, c)
+	if n := tix.DocLength(bad); n != 0 {
+		t.Errorf("DocLength(%d) = %d, want 0", bad, n)
 	}
 }

@@ -165,9 +165,7 @@ func readText(ix *index.TextIndex) {
 		ix.Surface(q)
 	}
 	for _, doc := range docIDs {
-		for _, field := range append(ix.Fields(doc), "none") {
-			ix.FieldTermCounts(doc, field)
-		}
+		ix.DocLength(doc)
 	}
 }
 

@@ -1,16 +1,16 @@
 // Package segment implements Magnet's persistent immutable index segments:
 // a versioned, checksummed, mmap-ready on-disk columnar format holding the
 // engine's full dense-ID plane — interner string tables, per-predicate
-// sorted posting lists, text-index postings and per-document term columns,
-// and per-attribute vector columns — written once by magnet-build and
-// opened read-only with O(1) work (no per-element decode; sections are
-// direct slice casts into the mapped file).
+// sorted posting lists, text-index postings, document frequencies and
+// document lengths, and per-attribute vector columns — written once by
+// magnet-build and opened read-only with O(1) work (no per-element decode;
+// sections are direct slice casts into the mapped file).
 //
 // A segment set is a directory:
 //
 //	MANIFEST.json   format version, dataset identity, file checksums
 //	graph.seg       RDF graph columns (interners, SPO/POS indexes)
-//	text.seg        text-index columns (postings, doc fields, surfaces)
+//	text.seg        text-index columns (postings, df, doc lengths, surfaces)
 //	vectors.seg     vector-store columns (tf·idf rows)
 //	meta.seg        item universe, numeric-range statistics
 //
@@ -35,8 +35,11 @@ const (
 	// subjects lexically and stores compiled tf·idf rows keyed by subject
 	// ID; version 3 keys the text postings and per-document rows by
 	// subject ID too and drops the text doc table; version 4 drops the
-	// vector store's per-term postings. Version 1–3 sets must be rebuilt.
-	Version = 4
+	// vector store's per-term postings; version 5 stores one document
+	// frequency per term and one token count per document in place of the
+	// text index's DF runs and per-document term rows. Version 1–4 sets
+	// must be rebuilt.
+	Version = 5
 	// ManifestName is the manifest file inside a segment directory.
 	ManifestName = "MANIFEST.json"
 	// headerSize is the fixed on-disk header: magic[8] version[4] flags[4]

@@ -154,21 +154,23 @@ func TestWrongVersion(t *testing.T) {
 	}
 }
 
-// oldManifest, format2Manifest and format3Manifest are manifests of
+// oldManifest and format2Manifest–format4Manifest are manifests of
 // earlier formats (version 1: subjects in first-insertion order, lazily
 // derived vector rows; version 2: a text doc table of IRI strings;
-// version 3: per-term vector postings); all are also FuzzManifest seeds.
+// version 3: per-term vector postings; version 4: text DF runs and
+// per-document term rows); all are also FuzzManifest seeds.
 var (
 	oldManifest     = []byte(`{"format":1,"tool":"magnet-build","dataset":"recipes","items":495,"triples":3731,"files":[]}`)
 	format2Manifest = []byte(`{"format":2,"tool":"magnet-build","dataset":"recipes","params":{"recipes":200,"seed":1},"indexAllSubjects":false,"items":495,"triples":3731,"files":[{"name":"graph.seg","bytes":143744,"crc32c":4012441468}]}`)
 	format3Manifest = []byte(`{"format":3,"tool":"magnet-build","dataset":"recipes","params":{"recipes":200,"seed":1},"indexAllSubjects":false,"items":495,"triples":3731,"files":[{"name":"graph.seg","bytes":143744,"crc32c":4012441468}]}`)
+	format4Manifest = []byte(`{"format":4,"tool":"magnet-build","dataset":"recipes","params":{"recipes":200,"seed":1},"indexAllSubjects":false,"items":495,"triples":3731,"files":[{"name":"graph.seg","bytes":143744,"crc32c":4012441468}]}`)
 )
 
-// TestOldFormatSaysRebuild: version-1, version-2 and version-3 segment
-// headers and manifests are rejected with the way to recover.
+// TestOldFormatSaysRebuild: version-1 to version-4 segment headers and
+// manifests are rejected with the way to recover.
 func TestOldFormatSaysRebuild(t *testing.T) {
 	path, _, _, _ := writeTestFile(t)
-	for version, manifest := range map[uint32][]byte{1: oldManifest, 2: format2Manifest, 3: format3Manifest} {
+	for version, manifest := range map[uint32][]byte{1: oldManifest, 2: format2Manifest, 3: format3Manifest, 4: format4Manifest} {
 		raw, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -215,10 +217,10 @@ func TestParseManifestRejects(t *testing.T) {
 		"empty":         "",
 		"not json":      "{",
 		"wrong format":  `{"format": 99, "files": []}`,
-		"unknown field": `{"format": 4, "surprise": true}`,
-		"negative":      `{"format": 4, "items": -1}`,
-		"dup file":      `{"format": 4, "files": [{"name":"a","bytes":1,"crc32c":0},{"name":"a","bytes":2,"crc32c":0}]}`,
-		"nameless file": `{"format": 4, "files": [{"name":"","bytes":1,"crc32c":0}]}`,
+		"unknown field": `{"format": 5, "surprise": true}`,
+		"negative":      `{"format": 5, "items": -1}`,
+		"dup file":      `{"format": 5, "files": [{"name":"a","bytes":1,"crc32c":0},{"name":"a","bytes":2,"crc32c":0}]}`,
+		"nameless file": `{"format": 5, "files": [{"name":"","bytes":1,"crc32c":0}]}`,
 	}
 	for name, in := range cases {
 		if _, err := ParseManifest([]byte(in)); err == nil {

@@ -8,7 +8,7 @@ package segment
 //
 //	MANIFEST.json  what was compiled, parameters, per-file checksums
 //	graph.seg      triple store: interners, POS and SPO indexes
-//	text.seg       inverted text index: postings, df, surfaces, doc columns
+//	text.seg       inverted text index: postings, df, surfaces, doc lengths
 //	vectors.seg    vector store: tf·idf rows
 //	meta.seg       item universe posting, numeric range statistics
 //
@@ -148,13 +148,8 @@ func addText(w *Writer, c index.TextColumns) {
 	w.AddU32("post.start", c.PostStart)
 	w.AddU32("post.dns", c.PostDNS)
 	w.AddU32("post.tfs", c.PostTFS)
-	w.AddU32("df.start", c.DFStart)
-	w.AddU32("df.dns", c.DFDNS)
-	w.AddU32("doc.fieldstart", c.DocFieldStart)
-	w.AddU32("doc.field", c.DocField)
-	w.AddU32("doc.termstart", c.DocTermStart)
-	w.AddU32("doc.term", c.DocTerm)
-	w.AddU32("doc.tf", c.DocTF)
+	w.AddU32("df", c.DF)
+	w.AddU32("doc.len", c.DocLen)
 }
 
 func addVectors(w *Writer, c index.VectorColumns) {
@@ -280,13 +275,8 @@ func OpenDir(dir string) (*Set, error) {
 	t.PostStart = r.u32("post.start")
 	t.PostDNS = r.u32("post.dns")
 	t.PostTFS = r.u32("post.tfs")
-	t.DFStart = r.u32("df.start")
-	t.DFDNS = r.u32("df.dns")
-	t.DocFieldStart = r.u32("doc.fieldstart")
-	t.DocField = r.u32("doc.field")
-	t.DocTermStart = r.u32("doc.termstart")
-	t.DocTerm = r.u32("doc.term")
-	t.DocTF = r.u32("doc.tf")
+	t.DF = r.u32("df")
+	t.DocLen = r.u32("doc.len")
 	if r.err != nil {
 		return fail(TextSeg, r.err)
 	}

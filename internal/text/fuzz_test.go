@@ -43,6 +43,12 @@ func FuzzTokenize(f *testing.F) {
 			if len(again) != 1 || again[0] != tok {
 				t.Fatalf("Tokenize not idempotent: Tokenize(%q) = %v", tok, again)
 			}
+			// Term is Terms' per-token step: analyzing the token alone
+			// agrees with analyzing it through Terms.
+			term, ok := DefaultAnalyzer.Term(tok)
+			if terms := DefaultAnalyzer.Terms(tok); ok != (len(terms) == 1) || (ok && terms[0] != term) {
+				t.Fatalf("Term(%q) = %q, %v; Terms = %v", tok, term, ok, terms)
+			}
 		}
 		// Joining the tokens and re-tokenizing must reproduce them: the
 		// pipeline is stable under its own output.

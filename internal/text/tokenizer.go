@@ -91,16 +91,25 @@ func (a *Analyzer) Terms(s string) []string {
 	toks := Tokenize(s)
 	out := toks[:0]
 	for _, tok := range toks {
-		if !a.KeepStopWords && IsStopWord(tok) {
-			continue
+		if term, ok := a.Term(tok); ok {
+			out = append(out, term)
 		}
-		if !a.NoStem {
-			tok = Stem(tok)
-		}
-		if a.MinLength > 0 && len([]rune(tok)) < a.MinLength {
-			continue
-		}
-		out = append(out, tok)
 	}
 	return out
+}
+
+// Term runs the pipeline's per-token steps over one token Tokenize
+// returned: it drops a stop word, stems, and drops a term shorter than
+// MinLength. ok is false when the token is dropped.
+func (a *Analyzer) Term(tok string) (term string, ok bool) {
+	if !a.KeepStopWords && IsStopWord(tok) {
+		return "", false
+	}
+	if !a.NoStem {
+		tok = Stem(tok)
+	}
+	if a.MinLength > 0 && len([]rune(tok)) < a.MinLength {
+		return "", false
+	}
+	return tok, true
 }
