@@ -1,6 +1,6 @@
-// Parallel-pipeline benchmarks: the fan-out seams (facet overview,
-// similarity scan, batch indexing, navigation pane) measured at fixed
-// worker counts. Run with:
+// Parallel-pipeline benchmarks: the pool's seams (similarity scan, batch
+// indexing, and the navigation pane's centroid) measured at fixed worker
+// counts. Run with:
 //
 //	go test -bench='^BenchmarkParallel' -benchmem .
 //
@@ -82,25 +82,6 @@ func parallelInboxMagnet(w int) *core.Magnet {
 	return m
 }
 
-// BenchmarkParallelFacetOverview: E2's facet overview (pooled
-// per-attribute aggregation) per worker count.
-func BenchmarkParallelFacetOverview(b *testing.B) {
-	for _, w := range workerCounts() {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			m := parallelRecipeMagnet(w)
-			s := m.NewSession()
-			s.Apply(blackboard.ReplaceQuery{Query: query.NewQuery(query.TypeIs(recipes.ClassRecipe))})
-			b.ResetTimer()
-			var nf int
-			for i := 0; i < b.N; i++ {
-				nf = len(s.Overview(6))
-			}
-			b.ReportMetric(float64(nf), "facets")
-			reportEnv(b)
-		})
-	}
-}
-
 // BenchmarkParallelSimilarToItem: P2's top-20 neighbour scan (chunked
 // candidate scoring) per worker count.
 func BenchmarkParallelSimilarToItem(b *testing.B) {
@@ -134,8 +115,8 @@ func BenchmarkParallelIndexAll(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelInboxPane: E5's navigation pane (parallel analyst
-// waves) per worker count.
+// BenchmarkParallelInboxPane: E5's navigation pane (analysts in order,
+// the collection centroid's chunks on the pool) per worker count.
 func BenchmarkParallelInboxPane(b *testing.B) {
 	for _, w := range workerCounts() {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {

@@ -121,7 +121,7 @@ func main() {
 	nRecipes := flag.Int("recipes", 6444, "recipe corpus size")
 	seed := flag.Int64("seed", 1, "dataset seed")
 	trace := flag.Bool("trace", false, "trace one navigation step (-exp P5 or fig2) and print its span tree")
-	flag.IntVar(&parallelism, "parallelism", 0, "worker pool size for the navigation pipeline (0 = GOMAXPROCS, 1 = serial)")
+	flag.IntVar(&parallelism, "parallelism", 0, "worker pool size for vector scans and batch indexing (0 = GOMAXPROCS, 1 = serial)")
 	flag.StringVar(&segmentsDir, "segments", "", "run against a precompiled segment set (fig1, fig2, fig5, fig6 only)")
 	flag.Parse()
 

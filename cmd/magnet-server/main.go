@@ -52,7 +52,7 @@ func main() {
 	useBaseline := flag.Bool("baseline", false, "use the Flamenco-like baseline advisor set")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
 	withPprof := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-	parallelism := flag.Int("parallelism", 0, "worker pool size for the navigation pipeline (0 = GOMAXPROCS, 1 = serial)")
+	parallelism := flag.Int("parallelism", 0, "worker pool size for vector scans and batch indexing (0 = GOMAXPROCS, 1 = serial)")
 	traceSlow := flag.Duration("trace-slow", 250*time.Millisecond, "flight recorder: tail-sample every trace at least this slow")
 	traceSample := flag.Int("trace-sample", 16, "flight recorder: head-sample 1 in N completed traces (1 = all)")
 	flag.Parse()

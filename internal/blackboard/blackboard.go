@@ -12,7 +12,6 @@ package blackboard
 
 import (
 	"context"
-	"errors"
 	"sort"
 	"strings"
 	"sync"
@@ -21,7 +20,6 @@ import (
 	"magnet/internal/facets"
 	"magnet/internal/itemset"
 	"magnet/internal/obs"
-	"magnet/internal/par"
 	"magnet/internal/query"
 	"magnet/internal/rdf"
 )
@@ -72,12 +70,10 @@ type View struct {
 	run *runMemo
 }
 
-// runMemo is a run's derived value, computed at most once.
+// runMemo is a run's one derived value slot.
 type runMemo struct {
-	once sync.Once
+	done bool
 	val  any
-	// panicked holds what f panicked with, for the analysts that waited.
-	panicked any
 }
 
 // Derive returns the value f derives from v, computing it at most once per
@@ -88,27 +84,16 @@ type runMemo struct {
 // run must derive the same thing. Outside a run, as when an analyst is
 // called directly, f runs on every call. Nothing outlives the run.
 //
-// An analyst waiting for another's f cannot deadlock the pool: par is
-// caller-runs, so the analyst computing f runs its own fan-out on its own
-// goroutine when no helper is free. If f panics, every analyst that
-// waited for it panics with the same value, so the run fails with the
-// real cause whichever analyst's panic is recorded first.
+// A run's analysts run one after another on one goroutine, so the slot
+// needs no lock. If f panics the slot stays empty and the panic fails the
+// run.
 func Derive[T any](v View, f func() T) T {
 	m := v.run
 	if m == nil {
 		return f()
 	}
-	m.once.Do(func() {
-		defer func() {
-			if p := recover(); p != nil {
-				m.panicked = p
-				panic(p)
-			}
-		}()
-		m.val = f()
-	})
-	if m.panicked != nil {
-		panic(m.panicked)
+	if !m.done {
+		m.val, m.done = f(), true
 	}
 	return m.val.(T)
 }
@@ -288,32 +273,6 @@ func (b *Board) Post(s Suggestion) {
 	b.byAdvisor = nil
 }
 
-// Merge posts src's suggestions onto b in src's posting order, applying
-// b's dedup (first-merged poster wins), and reports how many were
-// accepted. Merging per-analyst private boards in registration order
-// reproduces a serial run's board exactly, whatever schedule produced the
-// private boards.
-func (b *Board) Merge(src *Board) int {
-	ss := src.Suggestions()
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	accepted := 0
-	for _, s := range ss {
-		if s.Key != "" {
-			if b.seen[s.Key] {
-				continue
-			}
-			b.seen[s.Key] = true
-		}
-		b.suggestions = append(b.suggestions, s)
-		accepted++
-	}
-	if accepted > 0 {
-		b.byAdvisor = nil
-	}
-	return accepted
-}
-
 // Suggestions returns a copy of everything posted, in posting order.
 func (b *Board) Suggestions() []Suggestion {
 	b.mu.Lock()
@@ -430,17 +389,13 @@ type Registry struct {
 	analysts []Analyst
 	// instruments holds per-analyst metric handles, parallel to analysts.
 	instruments []analystInstrument
-	// pool bounds analyst fan-out; nil runs every wave serially.
-	pool *par.Pool
 }
 
 // NewRegistry returns a registry running analysts (the "easily extensible
 // manner to allow schema experts to support new search activities", §4.1)
-// with waves fanned out on pool. A nil pool runs every wave serially;
-// either way the board output is identical — parallel waves post to
-// private boards merged in registration order.
-func NewRegistry(pool *par.Pool, analysts ...Analyst) *Registry {
-	r := &Registry{analysts: analysts, pool: pool}
+// in registration order.
+func NewRegistry(analysts ...Analyst) *Registry {
+	r := &Registry{analysts: analysts}
 	for _, a := range analysts {
 		r.instruments = append(r.instruments, newAnalystInstrument(a.Name()))
 	}
@@ -453,12 +408,11 @@ func NewRegistry(pool *par.Pool, analysts ...Analyst) *Registry {
 // the primary and reactor rounds are counted separately (the §4.3
 // "triggered by results from other analysts" round).
 //
-// When the registry has a pool, the primary round and the reactor round
-// each run as one parallel wave: every analyst posts to a private board
-// and the private boards are merged in registration order, so the merged
-// board — suggestion order, dedup outcomes, per-analyst accepted counts —
-// is byte-identical to a serial run. The value the analysts derive from v
-// through Derive is computed once for the whole run.
+// The triggered analysts run in registration order on one board, then the
+// reactors among them, so the first-registered poster of a key wins. The
+// value the analysts derive from v through Derive is computed once for the
+// whole run. Once ctx is cancelled no further analyst starts, and the
+// board keeps what was posted so far.
 func (r *Registry) RunContext(ctx context.Context, v View) *Board {
 	ctx, sp := obs.StartSpan(ctx, "blackboard.run")
 	start := time.Now()
@@ -470,7 +424,7 @@ func (r *Registry) RunContext(ctx context.Context, v View) *Board {
 			triggered = append(triggered, i)
 		}
 	}
-	r.runWave(ctx, "analyst.", v, nil, triggered, b)
+	r.runRound(ctx, "analyst.", v, nil, triggered, b)
 	primaryRounds.Inc()
 	if len(triggered) > 0 {
 		var reactors []int
@@ -481,7 +435,7 @@ func (r *Registry) RunContext(ctx context.Context, v View) *Board {
 		}
 		if len(reactors) > 0 {
 			posted := b.Suggestions()
-			r.runWave(ctx, "react.", v, posted, reactors, b)
+			r.runRound(ctx, "react.", v, posted, reactors, b)
 			reactorRounds.Inc()
 		}
 	}
@@ -496,51 +450,33 @@ func (r *Registry) RunContext(ctx context.Context, v View) *Board {
 	return b
 }
 
-// runWave runs one round of analysts — concurrently when the pool allows —
-// each posting to a private board, then merges the private boards into dst
-// in registration order. A non-nil posted slice selects the reactor round
-// (every idx entry must then be a Reactor) and carries the pre-round
-// snapshot. Per-analyst accepted counts (metric and span attr) are
-// recorded at merge time, so dedup races cannot skew them. An analyst
-// panic propagates as *par.PanicError, preserving the serial contract
-// that a broken analyst fails the whole run; on context cancellation the
-// wave merges what completed and returns.
-func (r *Registry) runWave(ctx context.Context, spanPrefix string, v View, posted []Suggestion, idx []int, dst *Board) {
-	if len(idx) == 0 {
-		return
-	}
-	boards := make([]*Board, len(idx))
-	spans := make([]*obs.Span, len(idx))
-	err := par.ForN(ctx, r.pool, len(idx), func(k int) {
-		i := idx[k]
+// runRound runs one round of analysts on b in registration order,
+// stopping before the next analyst once ctx is cancelled. A non-nil posted
+// slice selects the reactor round (every idx entry must then be a Reactor)
+// and carries the pre-round snapshot. An analyst panic fails the whole
+// run.
+func (r *Registry) runRound(ctx context.Context, spanPrefix string, v View, posted []Suggestion, idx []int, b *Board) {
+	for _, i := range idx {
+		if ctx.Err() != nil {
+			return
+		}
 		a := r.analysts[i]
 		_, asp := obs.StartSpan(ctx, spanPrefix+a.Name())
-		priv := NewBoard()
+		before := b.Len()
 		start := time.Now()
 		if posted == nil {
-			a.Suggest(v, priv)
+			a.Suggest(v, b)
 		} else {
-			a.(Reactor).React(v, posted, priv)
+			a.(Reactor).React(v, posted, b)
 		}
 		r.instruments[i].runs.Inc()
 		r.instruments[i].ns.ObserveSince(start)
-		asp.End()
-		boards[k] = priv
-		spans[k] = asp
-	})
-	for k, priv := range boards {
-		if priv == nil {
-			continue
-		}
-		accepted := dst.Merge(priv)
+		accepted := b.Len() - before
 		if accepted > 0 {
-			r.instruments[idx[k]].suggestions.Add(uint64(accepted))
+			r.instruments[i].suggestions.Add(uint64(accepted))
 		}
-		spans[k].SetInt("suggestions", accepted)
-	}
-	var pe *par.PanicError
-	if errors.As(err, &pe) {
-		panic(pe)
+		asp.SetInt("suggestions", accepted)
+		asp.End()
 	}
 }
 

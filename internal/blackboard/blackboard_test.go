@@ -102,7 +102,7 @@ func (r stubReactor) React(v View, posted []Suggestion, b *Board) {
 
 func TestRegistryTriggering(t *testing.T) {
 	itemCount, collCount := 0, 0
-	r := NewRegistry(nil,
+	r := NewRegistry(
 		stubAnalyst{name: "itemAnalyst", wantItem: true, suggested: &itemCount},
 		stubAnalyst{name: "collAnalyst", wantItem: false, suggested: &collCount},
 	)
@@ -121,7 +121,7 @@ func TestRegistryTriggering(t *testing.T) {
 
 func TestReactorRunsAfterPrimaryRound(t *testing.T) {
 	n1, n2, reacted := 0, 0, 0
-	r := NewRegistry(nil,
+	r := NewRegistry(
 		stubReactor{stubAnalyst{name: "reactor", wantItem: true, suggested: &n1}, &reacted},
 		stubAnalyst{name: "plain", wantItem: true, suggested: &n2},
 	)

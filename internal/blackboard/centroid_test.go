@@ -14,8 +14,9 @@ import (
 // centroid readers share one centroid per run, on a width-2 pool and a
 // width-1 pool: the boards must be identical on every view — all items
 // (more than one centroid chunk), a keyword result, a refinement and a
-// two-item fixed collection. Under -race (make race-par) the width-2 run
-// also checks the shared value's publication between analysts.
+// two-item fixed collection. The centroid still sums its chunks on the
+// pool, so under -race (make race-par) the width-2 run also checks the
+// chunks' publication to the analysts that read the sum.
 func TestSharedCentroidDeterminism(t *testing.T) {
 	open := func(width int) *core.Session {
 		m := core.Open(recipes.Build(recipes.Config{Recipes: 300, Seed: 1}), core.Options{Parallelism: width})

@@ -8,13 +8,12 @@ import (
 	"testing"
 
 	"magnet/internal/itemset"
-	"magnet/internal/par"
 	"magnet/internal/rdf"
 )
 
 // slowAnalyst posts a few suggestions, some with keys that collide across
-// analysts so the dedup outcome depends on merge order, and spins a little
-// so parallel schedules actually interleave.
+// analysts so the dedup outcome depends on posting order, and spins a
+// little so concurrent runs actually interleave.
 type slowAnalyst struct {
 	name  string
 	posts []Suggestion
@@ -76,7 +75,7 @@ func buildAnalysts() []Analyst {
 			name: "beta",
 			posts: []Suggestion{
 				// Collides with alpha's key: only the first-registered
-				// analyst's copy may survive, at every pool width.
+				// analyst's copy may survive.
 				mk(AdvisorRelated, "shared tag (beta)", "dup:shared", 9),
 				mk(AdvisorRelated, "similar text", "related:text", 4),
 				mk(AdvisorQuery, "keyword", "", 0), // empty key: never deduped
@@ -93,18 +92,18 @@ func buildAnalysts() []Analyst {
 	}
 }
 
-func runOnce(pool *par.Pool) *Board {
-	r := NewRegistry(pool, buildAnalysts()...)
+func runOnce() *Board {
+	r := NewRegistry(buildAnalysts()...)
 	return r.RunContext(context.Background(), ItemView(rdf.IRI("urn:item:1"), itemset.Set{}))
 }
 
-// TestSerialParallelDeterminism is the tentpole equivalence check: the
-// board from a width-8 parallel run must be byte-identical — order, dedup
-// winners, every field — to the serial oracle, across repeated runs.
+// TestSerialParallelDeterminism checks the board of a run: the
+// first-registered poster wins every key collision, in the primary and
+// the reactor round, and repeated runs post the same board.
 func TestSerialParallelDeterminism(t *testing.T) {
-	serial := runOnce(nil).Suggestions()
+	serial := runOnce().Suggestions()
 	if len(serial) == 0 {
-		t.Fatal("serial run posted nothing")
+		t.Fatal("run posted nothing")
 	}
 	// The dedup winner must be the first-registered poster.
 	for _, s := range serial {
@@ -115,17 +114,9 @@ func TestSerialParallelDeterminism(t *testing.T) {
 			t.Fatalf("dup:modify won by %q, want alpha", s.Analyst)
 		}
 	}
-	width1 := par.New(1)
-	defer width1.Close()
-	if got := runOnce(width1).Suggestions(); !reflect.DeepEqual(got, serial) {
-		t.Fatalf("width-1 pool differs from nil pool:\n got %+v\nwant %+v", got, serial)
-	}
-	pool := par.New(8)
-	defer pool.Close()
 	for round := 0; round < 50; round++ {
-		got := runOnce(pool).Suggestions()
-		if !reflect.DeepEqual(got, serial) {
-			t.Fatalf("round %d: parallel board differs from serial:\n got %+v\nwant %+v", round, got, serial)
+		if got := runOnce().Suggestions(); !reflect.DeepEqual(got, serial) {
+			t.Fatalf("round %d: board differs from the first run:\n got %+v\nwant %+v", round, got, serial)
 		}
 	}
 }
@@ -134,10 +125,8 @@ func TestSerialParallelDeterminism(t *testing.T) {
 // way concurrent steps may: it is fixed at construction and holds no lock,
 // so every run must still produce the serial board.
 func TestRegistryConcurrentRuns(t *testing.T) {
-	serial := runOnce(nil).Suggestions()
-	pool := par.New(4)
-	defer pool.Close()
-	r := NewRegistry(pool, buildAnalysts()...)
+	serial := runOnce().Suggestions()
+	r := NewRegistry(buildAnalysts()...)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -153,6 +142,17 @@ func TestRegistryConcurrentRuns(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestRunStopsOnCancelledContext checks a run on a cancelled context
+// starts no analyst, so nothing is posted in either round.
+func TestRunStopsOnCancelledContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	r := NewRegistry(buildAnalysts()...)
+	if got := r.RunContext(ctx, ItemView(rdf.IRI("urn:item:1"), itemset.Set{})).Suggestions(); len(got) != 0 {
+		t.Fatalf("cancelled run posted %+v, want nothing", got)
+	}
 }
 
 // TestByAdvisorMemoized checks the grouping is consistent before and
@@ -186,49 +186,19 @@ func TestByAdvisorMemoized(t *testing.T) {
 	}
 }
 
-// TestMergeDedup checks Merge applies first-merged-wins dedup and counts
-// only accepted suggestions.
-func TestMergeDedup(t *testing.T) {
-	dst := NewBoard()
-	dst.Post(Suggestion{Title: "have", Key: "k"})
-	src := NewBoard()
-	src.Post(Suggestion{Title: "lose", Key: "k"})
-	src.Post(Suggestion{Title: "new", Key: "n"})
-	src.Post(Suggestion{Title: "anon"})
-	if got := dst.Merge(src); got != 2 {
-		t.Fatalf("Merge accepted %d, want 2", got)
-	}
-	ss := dst.Suggestions()
-	want := []string{"have", "new", "anon"}
-	if len(ss) != len(want) {
-		t.Fatalf("suggestions = %+v", ss)
-	}
-	for i, s := range ss {
-		if s.Title != want[i] {
-			t.Fatalf("suggestions[%d] = %q, want %q", i, s.Title, want[i])
-		}
-	}
-}
-
-// TestAnalystPanicPropagates checks the serial contract survives
-// parallelization: a panicking analyst fails the whole run, surfaced as a
-// *par.PanicError panic at every width.
+// TestAnalystPanicPropagates checks that a panicking analyst fails the
+// whole run with its own panic value.
 func TestAnalystPanicPropagates(t *testing.T) {
-	for _, pool := range []*par.Pool{nil, par.New(4)} {
-		r := NewRegistry(pool,
-			&slowAnalyst{name: "ok", posts: []Suggestion{{Advisor: "A", Title: "t"}}},
-			&panicAnalyst{},
-		)
-		func() {
-			defer func() {
-				if _, ok := recover().(*par.PanicError); !ok {
-					t.Errorf("width %d: expected *par.PanicError panic", pool.Width())
-				}
-			}()
-			r.RunContext(context.Background(), ItemView(rdf.IRI("urn:item:1"), itemset.Set{}))
-		}()
-		pool.Close()
-	}
+	r := NewRegistry(
+		&slowAnalyst{name: "ok", posts: []Suggestion{{Advisor: "A", Title: "t"}}},
+		&panicAnalyst{},
+	)
+	defer func() {
+		if p := recover(); p != "analyst bug" {
+			t.Errorf("run panicked with %v, want analyst bug", p)
+		}
+	}()
+	r.RunContext(context.Background(), ItemView(rdf.IRI("urn:item:1"), itemset.Set{}))
 }
 
 type panicAnalyst struct{}
@@ -236,38 +206,3 @@ type panicAnalyst struct{}
 func (panicAnalyst) Name() string         { return "panics" }
 func (panicAnalyst) Triggered(View) bool  { return true }
 func (panicAnalyst) Suggest(View, *Board) { panic("analyst bug") }
-
-// TestDerivePanicReachesWaiters checks that when a run's derived value
-// panics, an analyst that waited for it panics with the same value rather
-// than a nil conversion that would hide the cause.
-func TestDerivePanicReachesWaiters(t *testing.T) {
-	v := View{run: &runMemo{}}
-	entered, release := make(chan struct{}), make(chan struct{})
-	recovered := func(f func()) (p any) {
-		defer func() { p = recover() }()
-		f()
-		return nil
-	}
-	computer := make(chan any)
-	go func() {
-		computer <- recovered(func() {
-			Derive(v, func() int {
-				close(entered)
-				<-release
-				panic("derive bug")
-			})
-		})
-	}()
-	<-entered
-	waiter := make(chan any)
-	go func() {
-		waiter <- recovered(func() { Derive(v, func() int { return 1 }) })
-	}()
-	close(release)
-	if p := <-computer; p != "derive bug" {
-		t.Errorf("computing analyst panicked with %v, want derive bug", p)
-	}
-	if p := <-waiter; p != "derive bug" {
-		t.Errorf("waiting analyst panicked with %v, want derive bug", p)
-	}
-}

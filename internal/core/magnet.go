@@ -74,11 +74,12 @@ type Options struct {
 	// "modify the queries to perform more fuzzily in the case when zero
 	// results would have been returned otherwise").
 	SoftEmptyResults bool
-	// Parallelism sizes the instance's shared worker pool: analyst waves,
-	// facet summarizing, similarity scans and batch indexing all fan out on
+	// Parallelism sizes the instance's shared worker pool: the vector
+	// store's centroid and nearest-row scans and batch indexing fan out on
 	// this one pool, so concurrent sessions (magnet-server) compose with
-	// per-request parallelism instead of oversubscribing. 0 means
-	// runtime.GOMAXPROCS(0); 1 runs the whole pipeline serially.
+	// per-request parallelism instead of oversubscribing. A step's analysts
+	// and facets run in order on the calling goroutine. 0 means
+	// runtime.GOMAXPROCS(0); 1 runs everything serially.
 	Parallelism int
 }
 

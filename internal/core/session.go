@@ -109,7 +109,7 @@ func (m *Magnet) NewSession() *Session {
 	if build == nil {
 		build = analysts.DefaultSet
 	}
-	s.registry = blackboard.NewRegistry(m.pool, build(env)...)
+	s.registry = blackboard.NewRegistry(build(env)...)
 	s.goToQuery(query.NewQuery())
 	return s
 }
@@ -326,7 +326,6 @@ func (s *Session) Overview(maxValues int) []facets.Facet {
 	opts := facets.Options{
 		MaxValues: maxValues,
 		ByCount:   true,
-		Pool:      s.m.pool,
 	}
 	fs := facets.SummarizeContext(ctx, s.m.g, s.m.sch, s.current.IDs, opts)
 	st.sp.SetInt("facets", len(fs))

@@ -7,7 +7,6 @@ package facets
 
 import (
 	"context"
-	"errors"
 	"math"
 	"sort"
 	"sync"
@@ -15,7 +14,6 @@ import (
 
 	"magnet/internal/itemset"
 	"magnet/internal/obs"
-	"magnet/internal/par"
 	"magnet/internal/rdf"
 	"magnet/internal/schema"
 )
@@ -86,51 +84,36 @@ type Options struct {
 	// IncludeUnshared keeps facets where every value is distinct (normally
 	// useless for refinement and skipped).
 	IncludeUnshared bool
-	// Pool spreads per-property aggregation across workers; nil aggregates
-	// serially. Output is identical either way: properties are
-	// index-addressed into per-predicate slots, so the facet table never
-	// depends on schedule.
-	Pool *par.Pool
 }
 
 func summarize(ctx context.Context, g *rdf.Graph, sch *schema.Store, coll itemset.Set, opts Options) []Facet {
 	start := time.Now()
 	// Every intersection result is a subset of coll, so coll's max ID bounds
-	// each worker's epoch-stamp array.
+	// the scratch's epoch-stamp array.
 	var maxID uint32
 	if n := coll.Len(); n > 0 {
 		maxID, _ = coll.Select(n - 1)
 	}
-	// The collection's membership bitmap, built once and read by every
-	// worker: most postings are counted by bit test against it.
+	// The collection's membership bitmap, built once and read for every
+	// predicate: most postings are counted by bit test against it.
 	member := itemset.NewBits(int(maxID) + 1)
 	member.AddSlice(coll.Slice())
 
-	// Spread per-predicate aggregation across the pool. Predicates() is
-	// sorted, results are index-addressed per predicate, and each chunk
-	// carries its own scratch, so the collected table is identical to a
-	// serial pass. With a nil/serial pool ChunkFor yields one chunk: one
-	// scratch, exactly the serial loop.
+	// Predicates() is sorted, so facets enter sortFacets in property order.
+	// Once ctx is cancelled no further predicate is summarized, and the
+	// facets found so far are returned.
 	preds := g.Predicates()
-	results := make([]*Facet, len(preds))
-	err := par.ForChunks(ctx, opts.Pool, len(preds), par.ChunkFor(opts.Pool, len(preds)), func(lo, hi int) {
-		sc := getScratch(int(maxID) + 1)
-		for i := lo; i < hi; i++ {
-			results[i] = summarizeProp(g, sch, preds[i], coll, member, sc, opts)
+	sc := getScratch(int(maxID) + 1)
+	facets := make([]Facet, 0, len(preds))
+	for _, p := range preds {
+		if ctx.Err() != nil {
+			break
 		}
-		scratches.Put(sc)
-	})
-	var pe *par.PanicError
-	if errors.As(err, &pe) {
-		panic(pe)
-	}
-
-	facets := make([]Facet, 0, len(results))
-	for _, f := range results {
-		if f != nil {
+		if f := summarizeProp(g, sch, p, coll, member, sc, opts); f != nil {
 			facets = append(facets, *f)
 		}
 	}
+	scratches.Put(sc)
 	sortFacets(facets)
 	summarizeCount.Inc()
 	summarizeNS.ObserveSince(start)
@@ -156,7 +139,7 @@ func sortFacets(facets []Facet) {
 	})
 }
 
-// scratch is one worker's state for summarizeProp, reused across the
+// scratch is one summary's state for summarizeProp, reused across the
 // predicates it aggregates and, through scratches, across summaries.
 type scratch struct {
 	seen  []uint32 // coverage stamps by item ID; a predicate's pass stamps epoch
@@ -166,7 +149,7 @@ type scratch struct {
 	top   []int    // kthLargestCount's selection
 }
 
-// scratches recycles worker scratch across summaries, so a steady stream
+// scratches recycles scratch across summaries, so a steady stream
 // of overviews allocates little more than the facets it returns.
 var scratches sync.Pool
 
@@ -185,7 +168,7 @@ func getScratch(universe int) *scratch {
 
 // summarizeProp aggregates one property over the collection, returning nil
 // for hidden, uncovered, or unshared-and-unpreferred properties. member is
-// the collection's bitmap and sc the calling worker's scratch.
+// the collection's bitmap and sc the summary's scratch.
 //
 // Each value's posting is counted by bit test against member, in
 // O(posting). Only a posting at least itemset.SkewRatio times the

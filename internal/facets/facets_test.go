@@ -105,6 +105,20 @@ func TestSummarizeByCountOrder(t *testing.T) {
 	}
 }
 
+// TestSummarizeStopsOnCancelledContext checks a summary on a cancelled
+// context summarizes no predicate.
+func TestSummarizeStopsOnCancelledContext(t *testing.T) {
+	g, sch, items := fixture()
+	if fs := summarizeItems(g, sch, items, Options{}); len(fs) == 0 {
+		t.Fatal("fixture has no facets")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if fs := SummarizeContext(ctx, g, sch, g.SubjectIDsOf(items), Options{}); len(fs) != 0 {
+		t.Fatalf("cancelled summary returned %+v, want no facets", fs)
+	}
+}
+
 func TestSummarizeMaxValuesAndMinCount(t *testing.T) {
 	g, sch, items := fixture()
 	fs := summarizeItems(g, sch, items, Options{MaxValues: 1})

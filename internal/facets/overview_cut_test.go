@@ -9,7 +9,6 @@ import (
 
 	"magnet/internal/itemset"
 	"magnet/internal/obs"
-	"magnet/internal/par"
 	"magnet/internal/rdf"
 	"magnet/internal/schema"
 )
@@ -75,11 +74,41 @@ func fullSortValues(g *rdf.Graph, p rdf.IRI, coll itemset.Set, opts Options) []V
 	return vs
 }
 
+// bigFixture builds a graph with many predicates and many values: 200
+// items over 30 properties of varying value cardinality and coverage.
+func bigFixture() (*rdf.Graph, *schema.Store, []rdf.IRI) {
+	gb := rdf.NewBuilder()
+	var items []rdf.IRI
+	for i := 0; i < 200; i++ {
+		it := rdf.IRI(fmt.Sprintf("%sitem/%03d", ex, i))
+		items = append(items, it)
+		gb.Add(it, rdf.Type, rdf.IRI(ex+"Thing"))
+		for p := 0; p < 30; p++ {
+			prop := rdf.IRI(fmt.Sprintf("%sprop/%02d", ex, p))
+			// Value cardinality varies per property: some shared heavily,
+			// some nearly distinct, some absent for most items.
+			switch {
+			case p%5 == 4 && i%7 != 0:
+				// sparse property
+			case p%3 == 0:
+				gb.Add(it, prop, rdf.IRI(fmt.Sprintf("%sval/%d", ex, i%4)))
+			case p%3 == 1:
+				gb.Add(it, prop, rdf.NewString(fmt.Sprintf("v%d", i%(p+2))))
+			default:
+				gb.Add(it, prop, rdf.NewInteger(int64(i%(p+5))))
+			}
+		}
+	}
+	g := gb.Freeze()
+	sch := schema.NewStore(g)
+	return g, sch, items
+}
+
 // TestOverviewTopValuesMatchFullSort compares every facet's values in the
 // overview (by count, cut before labelling) with a full label-sort-
 // truncate, for MaxValues from 1 to one past the most values a facet has:
 // on the tie fixture (equal counts at every cut, equal labels with
-// different keys) and on bigFixture's 30 properties, serially and pooled.
+// different keys) and on bigFixture's 30 properties.
 func TestOverviewTopValuesMatchFullSort(t *testing.T) {
 	tg, tsch, tcoll := tieFixture()
 	bg, bsch, bitems := bigFixture()
@@ -93,8 +122,6 @@ func TestOverviewTopValuesMatchFullSort(t *testing.T) {
 		{"big", bg, bsch, bg.SubjectIDsOf(bitems)},
 		{"big-half", bg, bsch, bg.SubjectIDsOf(bitems[:100])},
 	}
-	pool := par.New(2)
-	defer pool.Close()
 	for _, c := range cases {
 		most := 0
 		for _, f := range SummarizeContext(context.Background(), c.g, c.sch, c.coll, Options{ByCount: true}) {
@@ -105,16 +132,14 @@ func TestOverviewTopValuesMatchFullSort(t *testing.T) {
 		}
 		for k := 1; k <= most+1; k++ {
 			for _, minCount := range []int{0, 2} {
-				for _, p := range []*par.Pool{nil, pool} {
-					opts := Options{ByCount: true, MaxValues: k, MinCount: minCount, Pool: p}
-					fs := SummarizeContext(context.Background(), c.g, c.sch, c.coll, opts)
-					if len(fs) == 0 {
-						t.Fatalf("%s k=%d: no facets", c.name, k)
-					}
-					for _, f := range fs {
-						if want := fullSortValues(c.g, f.Prop, c.coll, opts); !reflect.DeepEqual(f.Values, want) {
-							t.Fatalf("%s k=%d min=%d pooled=%v %s:\n got %+v\nwant %+v", c.name, k, minCount, p != nil, f.Prop, f.Values, want)
-						}
+				opts := Options{ByCount: true, MaxValues: k, MinCount: minCount}
+				fs := SummarizeContext(context.Background(), c.g, c.sch, c.coll, opts)
+				if len(fs) == 0 {
+					t.Fatalf("%s k=%d: no facets", c.name, k)
+				}
+				for _, f := range fs {
+					if want := fullSortValues(c.g, f.Prop, c.coll, opts); !reflect.DeepEqual(f.Values, want) {
+						t.Fatalf("%s k=%d min=%d %s:\n got %+v\nwant %+v", c.name, k, minCount, f.Prop, f.Values, want)
 					}
 				}
 			}

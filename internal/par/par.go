@@ -1,14 +1,14 @@
 // Package par is Magnet's bounded worker pool: the one place in internal/
 // allowed to spawn goroutines (the gohygiene analyzer enforces this). The
-// blackboard's analyst waves, the facet summarizer's per-attribute chunks
-// and the vector store's similarity scans all fan out through it, so the
-// whole navigation pipeline shares a single concurrency budget instead of
-// oversubscribing the machine when many sessions run at once.
+// vector store's centroid and similarity scans and the model's batch
+// indexing fan out through it, so they share a single concurrency budget
+// instead of oversubscribing the machine when many sessions run at once.
+// A step's analysts and facets run in order on the calling goroutine.
 //
 // Design: helpers are spawned on demand, bounded by a semaphore of
 // size−1 tokens, and the submitting goroutine always participates in its
 // own batch (caller-runs). That makes every fan-out deadlock-free under
-// nesting — an analyst running on a pool helper may itself call par.ForN;
+// nesting — a task running on a pool helper may itself call par.ForN;
 // if no token is free, the inner call simply degrades to a serial loop on
 // the helper's own goroutine. A pool of width 1 (or a nil pool) is the
 // serial oracle: the same code path, no goroutines, used by the
