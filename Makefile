@@ -62,12 +62,13 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzPageWriters -fuzztime=$(FUZZTIME) ./internal/web/
 
 # Focused race pass over the worker pool and the seams left on it (the
-# vector store's centroid and nearest-row scans, and batch indexing): the
-# internal/par pool stress tests, the serial-vs-parallel equivalence and
-# determinism tests of those seams, the shared centroid read by a session's
-# analysts, and concurrent first reads of freshly frozen stores (lazy key
+# vector store's centroid sums, and batch indexing): the internal/par pool
+# stress tests, the serial-vs-parallel equivalence and determinism tests of
+# those seams, the shared centroid read by a session's analysts, concurrent
+# similarity searches on one store (its recycled score arrays and scratch
+# vectors), and concurrent first reads of freshly frozen stores (lazy key
 # strings, the graph's term table, the schema store's annotation slots and
-# numeric columns, and the vector store's scratch vectors).
+# numeric columns).
 race-par:
 	$(GO) test -race -run 'Pool|Batch|Panic|Cancel|Nested|Parallel|Equiv|Determinism|Centroid|ConcurrentReaders|AnnotationFacts|SharingNoTerm' \
 		./internal/par/ ./internal/blackboard/ ./internal/facets/ ./internal/index/ ./internal/vsm/ ./internal/rdf/ ./internal/schema/

@@ -368,6 +368,34 @@ func BenchmarkCentroidRefinement(b *testing.B) {
 	b.ReportMetric(float64(ids.Len()), "collection")
 }
 
+// BenchmarkNearest (P3b): the top 20 non-members nearest a collection's
+// centroid, as the collection pane's "similar by content" asks, on the
+// Figure 1 view (Greek recipes with parsley), the Mexican recipes, and all
+// items. All items excludes nearly every row, so that search scans the
+// few rows left instead of walking the centroid's postings.
+func BenchmarkNearest(b *testing.B) {
+	m := recipeMagnet()
+	e := engineOf(m)
+	mexican := query.NewQuery(query.TypeIs(recipes.ClassRecipe),
+		query.Property{Prop: recipes.PropCuisine, Value: recipes.Cuisine("Mexican")})
+	for _, view := range []struct {
+		name    string
+		members itemset.Set
+	}{
+		{"greek-parsley", evaluate(e, greekParsleyQuery())},
+		{"mexican", evaluate(e, mexican)},
+		{"all-items", m.ItemIDs()},
+	} {
+		c := m.Model().Centroid(view.members)
+		b.Run(view.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				m.Model().Nearest(c, 20, view.members)
+			}
+			b.ReportMetric(float64(view.members.Len()), "members")
+		})
+	}
+}
+
 // BenchmarkQueryConjunction (P4): three-constraint conjunctive evaluation.
 func BenchmarkQueryConjunction(b *testing.B) {
 	e := engineOf(recipeMagnet())

@@ -75,10 +75,10 @@ type Options struct {
 	// results would have been returned otherwise").
 	SoftEmptyResults bool
 	// Parallelism sizes the instance's shared worker pool: the vector
-	// store's centroid and nearest-row scans and batch indexing fan out on
-	// this one pool, so concurrent sessions (magnet-server) compose with
-	// per-request parallelism instead of oversubscribing. A step's analysts
-	// and facets run in order on the calling goroutine. 0 means
+	// store's centroid sums and batch indexing fan out on this one pool,
+	// so concurrent sessions (magnet-server) compose with per-request
+	// parallelism instead of oversubscribing. A step's analysts, facets
+	// and similarity searches run on the calling goroutine. 0 means
 	// runtime.GOMAXPROCS(0); 1 runs everything serially.
 	Parallelism int
 }

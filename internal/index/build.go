@@ -328,8 +328,8 @@ func (v *VectorBuilder) idf(t uint32) float64 {
 	return math.Log(float64(v.docs) / float64(v.df[t]))
 }
 
-// Freeze compiles the builder into a frozen VectorStore whose similarity
-// and centroid scans fan out on pool (nil scans serially).
+// Freeze compiles the builder into a frozen VectorStore whose centroid
+// sums fan out on pool (nil sums serially).
 func (v *VectorBuilder) Freeze(pool *par.Pool) *VectorStore {
 	r, err := FromVectorColumns(v.Columns(), pool)
 	if err != nil {
@@ -339,8 +339,9 @@ func (v *VectorBuilder) Freeze(pool *par.Pool) *VectorStore {
 }
 
 // Columns compiles the vectors into their columnar image: each document's
-// normalized tf·idf row. Weights are normalized by the row's length,
-// summed in ascending termnum order. Deterministic.
+// normalized tf·idf row, and the rows transposed into per-term postings.
+// Weights are normalized by the row's length, summed in ascending termnum
+// order. Deterministic.
 func (v *VectorBuilder) Columns() VectorColumns {
 	var c VectorColumns
 	c.Terms = v.terms.Columns()
@@ -378,5 +379,29 @@ func (v *VectorBuilder) Columns() VectorColumns {
 		}
 		c.RowStart = append(c.RowStart, uint32(len(c.RowTerm)))
 	}
+	c.PostStart, c.PostDoc, c.PostWeight = transpose(c.RowStart, c.RowTerm, c.RowWeight, len(v.df))
 	return c
+}
+
+// transpose turns rows (RowStart, RowTerm, RowWeight) over nterms terms into
+// per-term postings: PostStart (nterms+1) delimits each term's document IDs,
+// ascending, and the weights those rows give it.
+func transpose(rowStart, rowTerm []uint32, rowWeight []float64, nterms int) (start, docs []uint32, ws []float64) {
+	start = make([]uint32, nterms+1)
+	for _, t := range rowTerm {
+		start[t+1]++
+	}
+	for t := 0; t < nterms; t++ {
+		start[t+1] += start[t]
+	}
+	docs, ws = make([]uint32, len(rowTerm)), make([]float64, len(rowTerm))
+	next := slices.Clone(start[:nterms])
+	for id := 0; id+1 < len(rowStart); id++ {
+		for i := rowStart[id]; i < rowStart[id+1]; i++ {
+			t := rowTerm[i]
+			docs[next[t]], ws[next[t]] = uint32(id), rowWeight[i]
+			next[t]++
+		}
+	}
+	return start, docs, ws
 }

@@ -171,8 +171,25 @@ func sameVector(t *testing.T, what string, got, want map[string]float64) {
 	}
 }
 
+// excludeAllBut returns every document ID of v outside keep, as the set a
+// search excludes and as the reference's exclusion map.
+func excludeAllBut(v *VectorStore, keep []uint32) (itemset.Set, map[uint32]bool) {
+	var ids []uint32
+	set := make(map[uint32]bool)
+	for id := uint32(0); int(id) < v.docs(); id++ {
+		if !slices.Contains(keep, id) {
+			ids = append(ids, id)
+			set[id] = true
+		}
+	}
+	return itemset.FromSorted(ids), set
+}
+
 // checkKernel compares every kernel entry point against the reference on
-// one store, with the given members and probe documents.
+// one store, with the given members and probe documents. Nearest runs
+// excluding the members and excluding nothing, which read postings on the
+// test stores, and excluding every ID but the probes, which scans their
+// few rows.
 func checkKernel(t *testing.T, v *VectorStore, members itemset.Set, probes []uint32, k int) {
 	t.Helper()
 	want := refCentroid(v, members.Slice())
@@ -186,6 +203,8 @@ func checkKernel(t *testing.T, v *VectorStore, members itemset.Set, probes []uin
 	}
 	sameScored(t, "Nearest", v.Nearest(c, k, members), refSimilarTo(v, want, k, memberSet))
 	sameScored(t, "Nearest(keep members)", v.Nearest(c, k, itemset.Set{}), refSimilarTo(v, want, k, nil))
+	others, otherSet := excludeAllBut(v, probes)
+	sameScored(t, "Nearest(probes only)", v.Nearest(c, k, others), refSimilarTo(v, want, k, otherSet))
 
 	probeSet := itemset.FromUnsorted(slices.Clone(probes))
 	scores := v.ScoreDocs(c, probeSet)
@@ -252,6 +271,50 @@ func TestVectorKernelEquivalence(t *testing.T) {
 	v := b.Freeze(nil)
 	if got := v.ScoreDocs(v.Centroid(itemset.FromUnsorted(slices.Clone(ids[:5]))), absent); got[0] != 0 {
 		t.Errorf("ScoreDocs(absent) = %v, want 0", got[0])
+	}
+}
+
+// TestSearchKernelChoice pins the work each search does: it reads the
+// query terms' postings or the rows of the IDs not excluded, whichever
+// holds fewer elements, and counts exactly those elements. SimilarToDoc
+// reads the postings of the document's terms; a Nearest that excludes all
+// but two rows reads those two rows. Both agree with the reference.
+func TestSearchKernelChoice(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	v := kernelBuilder(rng, 300, 40).Freeze(nil)
+	c := v.Columns()
+	elems := func(search func() []Scored) ([]Scored, uint64) {
+		before := searchElems.Value()
+		got := search()
+		return got, searchElems.Value() - before
+	}
+	for _, id := range []uint32{0, 17, 123, 299} {
+		df := 0
+		for _, term := range v.row(id).terms {
+			df += int(c.PostStart[term+1] - c.PostStart[term])
+		}
+		if rest := len(c.RowTerm) - len(v.row(id).terms); df >= rest {
+			t.Fatalf("doc %d: posting mass %d not below the other rows' %d; the store no longer tests the choice", id, df, rest)
+		}
+		got, n := elems(func() []Scored { return v.SimilarToDoc(id, 10) })
+		if n != uint64(df) {
+			t.Errorf("SimilarToDoc(%d) read %d elements, want its terms' posting mass %d", id, n, df)
+		}
+		sameScored(t, fmt.Sprintf("SimilarToDoc(%d)", id), got, refSimilarTo(v, v.vector(id), 10, map[uint32]bool{id: true}))
+	}
+
+	members := itemset.FromSorted([]uint32{3, 4, 5, 6, 7, 8})
+	cen := v.Centroid(members)
+	keep := []uint32{40, 250}
+	excl, exclSet := excludeAllBut(v, keep)
+	rows := len(v.row(keep[0]).terms) + len(v.row(keep[1]).terms)
+	got, n := elems(func() []Scored { return v.Nearest(cen, 10, excl) })
+	if n != uint64(rows) {
+		t.Errorf("Nearest keeping rows %v read %d elements, want their lengths' sum %d", keep, n, rows)
+	}
+	sameScored(t, "Nearest(two rows)", got, refSimilarTo(v, v.centroidVector(members), 10, exclSet))
+	if len(got) == 0 {
+		t.Error("Nearest(two rows) found nothing; pick rows sharing a term with the centroid")
 	}
 }
 
@@ -336,7 +399,8 @@ func FuzzVectorKernel(f *testing.F) {
 // from the even group meets them only as negative-times-zero products.
 // ID 40, past a run of empty rows, holds a word no other document has;
 // ID 41 too, with its weight made NaN as in a damaged image, which must
-// not cut the scan's top k.
+// not cut the top k. Each weight is forged alike in the rows and in the
+// postings, so the image stays consistent and either kernel meets it.
 func TestSearchDropsRowsSharingNoTerm(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	b := NewVectorBuilder()
@@ -359,12 +423,20 @@ func TestSearchDropsRowsSharingNoTerm(t *testing.T) {
 	b.addFreqs(loner+1, map[string]float64{"damaged": 1})
 
 	c := b.Columns()
-	for i, term := range c.RowTerm {
+	forge := func(term uint32, w *float64) {
 		switch b.terms.Key(term) {
 		case "num|x", "num|y":
-			c.RowWeight[i] = -c.RowWeight[i]
+			*w = -*w
 		case "damaged":
-			c.RowWeight[i] = math.NaN()
+			*w = math.NaN()
+		}
+	}
+	for i, term := range c.RowTerm {
+		forge(term, &c.RowWeight[i])
+	}
+	for term := 0; term+1 < len(c.PostStart); term++ {
+		for i := c.PostStart[term]; i < c.PostStart[term+1]; i++ {
+			forge(uint32(term), &c.PostWeight[i])
 		}
 	}
 	ids := b.docIDs()

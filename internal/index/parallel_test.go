@@ -3,6 +3,7 @@ package index
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"magnet/internal/itemset"
@@ -30,35 +31,73 @@ func tieBuilder(ndocs int) *VectorBuilder {
 	return b
 }
 
-// TestSimilarToSerialParallelEquivalence checks top-k lists are identical
-// at every pool width, across k values that cut through tie blocks.
-func TestSimilarToSerialParallelEquivalence(t *testing.T) {
-	serialStore := tieStore(500, nil)
-	for _, k := range []int{1, 3, 10, 50, 499, 1000} {
-		want := serialStore.SimilarToDoc(0, k)
-		for _, width := range []int{1, 2, 4, 8} {
-			pool := par.New(width)
-			v := tieStore(500, pool)
-			got := v.SimilarToDoc(0, k)
-			pool.Close()
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("k=%d width=%d: top-k differs\n got %v\nwant %v", k, width, got, want)
-			}
+// tieSearches are similarity searches on a tie store of n documents, each
+// cutting through tie blocks at its k, with the reference's answer: every
+// k for SimilarToDoc(0), and Nearest on block 0's centroid excluding the
+// block's first members (a posting walk) or every row but a few from
+// blocks 0 and 1 (a row scan).
+func tieSearches(v *VectorStore, n int) (run []func() []Scored, want [][]Scored) {
+	for _, k := range []int{1, 3, 10, 50, n - 1, 2 * n} {
+		run = append(run, func() []Scored { return v.SimilarToDoc(0, k) })
+		want = append(want, refSimilarTo(v, v.vector(0), k, map[uint32]bool{0: true}))
+	}
+	members := itemset.FromSorted([]uint32{0, 1, 2})
+	cen := v.Centroid(members)
+	var keep []uint32
+	for id := uint32(0); int(id) < n; id++ {
+		if id%70 <= 8 {
+			keep = append(keep, id)
 		}
+	}
+	rest, restSet := excludeAllBut(v, keep)
+	for _, k := range []int{2, 5, 30} {
+		run = append(run, func() []Scored { return v.Nearest(cen, k, members) })
+		want = append(want, refSimilarTo(v, v.centroidVector(members), k, map[uint32]bool{0: true, 1: true, 2: true}))
+		run = append(run, func() []Scored { return v.Nearest(cen, k, rest) })
+		want = append(want, refSimilarTo(v, v.centroidVector(members), k, restSet))
+	}
+	return run, want
+}
+
+// TestSimilarToTieBlockCuts checks top-k lists against the reference where
+// k cuts through blocks of exactly tied scores, so only the ID tie-break
+// orders the cut, on both the posting walk and the row scan.
+func TestSimilarToTieBlockCuts(t *testing.T) {
+	v := tieStore(500, nil)
+	run, want := tieSearches(v, 500)
+	for i := range run {
+		sameScored(t, fmt.Sprintf("search %d", i), run[i](), want[i])
 	}
 }
 
-// TestSimilarToParallelOnSharedStore checks repeated pooled scans on one
-// store instance match the serial scan of the same image.
+// TestSimilarToParallelOnSharedStore runs the tie searches from several
+// goroutines on one store at once, so the race detector checks the
+// recycled score arrays and scratch vectors they share, and every result
+// must still match the reference.
 func TestSimilarToParallelOnSharedStore(t *testing.T) {
-	want := tieStore(300, nil).SimilarToDoc(42, 25)
-	pool := par.New(8)
-	defer pool.Close()
-	v := tieStore(300, pool)
-	for round := 0; round < 10; round++ {
-		if got := v.SimilarToDoc(42, 25); !reflect.DeepEqual(got, want) {
-			t.Fatalf("round %d: parallel scan differs\n got %v\nwant %v", round, got, want)
-		}
+	v := tieStore(300, nil)
+	run, want := tieSearches(v, 300)
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 5; round++ {
+				for i := range run {
+					j := (i + g) % len(run)
+					if got := run[j](); !reflect.DeepEqual(got, want[j]) {
+						errs <- fmt.Sprintf("goroutine %d round %d: search %d = %v, want %v", g, round, j, got, want[j])
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }
 

@@ -110,12 +110,18 @@ type VectorColumns struct {
 	RowStart  []uint32
 	RowTerm   []uint32
 	RowWeight []float64
+	// Postings: the rows transposed. PostStart (T+1) delimits each term's
+	// posting in PostDoc (document IDs ascending) and PostWeight (the
+	// rows' weights, parallel), so a search reads only its query's terms.
+	PostStart  []uint32
+	PostDoc    []uint32
+	PostWeight []float64
 }
 
 // FromVectorColumns returns the frozen vector store over a columnar image,
-// its similarity and centroid scans fanning out on pool (nil scans
-// serially). Construction is O(1) in the corpus size: rows are read
-// straight from the columns.
+// its centroid sums fanning out on pool (nil sums serially). Construction
+// is O(1) in the corpus size: rows and postings are read straight from the
+// columns, and only the column lengths are checked.
 func FromVectorColumns(c VectorColumns, pool *par.Pool) (*VectorStore, error) {
 	terms, err := ids.FromColumns[string](c.Terms)
 	if err != nil {
@@ -126,6 +132,12 @@ func FromVectorColumns(c VectorColumns, pool *par.Pool) (*VectorStore, error) {
 	}
 	if len(c.RowTerm) != len(c.RowWeight) {
 		return nil, fmt.Errorf("index: vector term and weight columns disagree (%d vs %d)", len(c.RowTerm), len(c.RowWeight))
+	}
+	if len(c.PostStart) != terms.Len()+1 {
+		return nil, fmt.Errorf("index: vector posting starts (%d) disagree with term count %d", len(c.PostStart), terms.Len())
+	}
+	if len(c.PostDoc) != len(c.RowTerm) || len(c.PostWeight) != len(c.RowTerm) {
+		return nil, fmt.Errorf("index: vector postings (%d IDs, %d weights) disagree with rows (%d)", len(c.PostDoc), len(c.PostWeight), len(c.RowTerm))
 	}
 	return &VectorStore{terms: terms, c: c, pool: pool}, nil
 }

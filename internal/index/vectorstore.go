@@ -23,8 +23,13 @@ import (
 	"magnet/internal/par"
 )
 
-// Vector-store observability: similarity retrieval timing.
-var vectorSearchObs = opObs{obs.NewCounter("index.vector.search.count"), obs.NewHistogram("index.vector.search.ns")}
+// Vector-store observability: similarity retrieval timing, and the work
+// each search does — the posting or row elements it reads, added once per
+// search (tests pin it exactly).
+var (
+	vectorSearchObs = opObs{obs.NewCounter("index.vector.search.count"), obs.NewHistogram("index.vector.search.ns")}
+	searchElems     = obs.NewCounter("index.vector.search.elems")
+)
 
 // Scored pairs a document ID with a similarity or retrieval score.
 type Scored struct {
@@ -58,24 +63,25 @@ func sortScored(s []Scored) {
 //
 // followed by normalization to length one, "to give objects equal
 // importance rather than giving more importance to items with more
-// metadata". Similarity search scans every row: a row sharing no term
-// with the query scores zero and is dropped, so no per-term postings are
-// kept. Similarity and centroid kernels read rows straight from the
+// metadata". The rows are also stored transposed, as per-term postings,
+// so a similarity search reads only its query's terms, as the paper's
+// Lucene does. Similarity and centroid kernels read straight from the
 // columns and sum in ascending termnum order, so every result is
 // deterministic to the bit.
 type VectorStore struct {
 	terms *ids.Table[string] // dense termnum → term
 	//magnet:frozen
 	c VectorColumns
-	// pool chunks similarity/centroid scans across workers; nil scans
-	// serially. Results are identical either way: top-k selection uses a
-	// total order (score desc, ID asc) and the centroid reduction's chunk
-	// shape is fixed independent of pool width.
+	// pool chunks centroid sums across workers; nil sums serially. The
+	// result is identical either way: the reduction's chunk shape is fixed
+	// independent of pool width.
 	pool *par.Pool
 
 	// scratch recycles the termnum-indexed accumulators of similarity and
-	// centroid scans (*dense).
+	// centroid scans (*dense); scores recycles the ID-indexed score arrays
+	// of similarity searches (*[]float64, zeroed).
 	scratch sync.Pool
+	scores  sync.Pool
 }
 
 // vecRow is one document's normalized tf·idf vector: termnums ascending,
@@ -222,8 +228,12 @@ func accumulate(r vecRow, acc []float64, seen []bool, touched []uint32) []uint32
 const centroidChunk = 256
 
 // centroidCount counts centroids computed: the work a collection pane
-// pays once per blackboard run (tests pin it exactly).
-var centroidCount = obs.NewCounter("index.centroid.count")
+// pays once per blackboard run; centroidRows counts the member rows they
+// sum (tests pin both exactly).
+var (
+	centroidCount = obs.NewCounter("index.centroid.count")
+	centroidRows  = obs.NewCounter("index.centroid.rows")
+)
 
 // Centroid is a collection's normalized "average member" vector (§5.3):
 // its nonzero termnums ascending, weights parallel. It is computed once
@@ -248,6 +258,7 @@ func (c Centroid) IsEmpty() bool { return len(c.row.terms) == 0 }
 func (v *VectorStore) Centroid(members itemset.Set) Centroid {
 	centroidCount.Inc()
 	ids := members.Slice()
+	centroidRows.Add(uint64(len(ids)))
 	nterms := v.terms.Len()
 	sum := v.getDense(nterms)
 	defer v.putDense(sum)
@@ -297,55 +308,103 @@ func (d *dense) load(r vecRow) {
 	}
 }
 
-// search scores every document row against the dense query q and returns
-// the top k, skipping the IDs in exclude. A row that shares no term with q
-// sums only zero products from +0, so it scores +0 and topScored drops it
-// with the other non-positive scores: no candidate list is needed.
-func (v *VectorStore) search(q *dense, k int, exclude itemset.Set) []Scored {
+// search returns the top k documents by their dot product with the query
+// row q (termnums ascending), skipping the IDs in exclude. It reads
+// whichever is smaller, counted exactly before either is read: the
+// postings of q's terms, or the rows of the IDs not excluded. Both sum a
+// document's products in ascending termnum order from +0 — a row's terms
+// outside q add only zero products, which leave the sum unchanged — so
+// either way a score is the sum over shared terms, bit for bit, and a
+// document sharing no term with q scores +0 and is dropped by topScored
+// with the other non-positive scores.
+func (v *VectorStore) search(q vecRow, k int, exclude itemset.Set) []Scored {
 	defer vectorSearchObs.observe(time.Now())
-	n := v.docs()
 	excl := exclude.Slice()
-
-	// Chunk the ID range across the pool; each chunk keeps only its local
-	// top-k, and the merged list re-sorts under the same total order
-	// (score desc, ID asc). IDs are unique, so the order is total and the
-	// global top-k is identical however the range was chunked.
-	chunk := par.ChunkFor(v.pool, n)
-	nchunks := (n + chunk - 1) / chunk
-	parts := make([][]Scored, nchunks)
-	err := par.ForChunks(context.Background(), v.pool, n, chunk, func(lo, hi int) {
-		scores := make([]float64, hi-lo)
-		from, _ := slices.BinarySearch(excl, uint32(lo))
-		v.scoreRange(q.acc, uint32(lo), excl[from:], scores)
-		parts[lo/chunk] = topScored(scores, uint32(lo), k)
-	})
-	var pe *par.PanicError
-	if errors.As(err, &pe) {
-		panic(pe)
-	}
-	var scores []Scored
-	if nchunks == 1 {
-		scores = parts[0]
-	} else {
-		for _, part := range parts {
-			scores = append(scores, part...)
+	buf := v.getScores()
+	defer v.putScores(buf)
+	scores := *buf
+	if posted, scanned := v.postingMass(q), v.rowMass(excl); posted <= scanned {
+		searchElems.Add(uint64(posted))
+		v.scorePostings(q, scores)
+		for _, id := range excl {
+			if int(id) < len(scores) {
+				scores[id] = 0
+			}
 		}
+	} else {
+		searchElems.Add(uint64(scanned))
+		d := v.getDense(v.terms.Len())
+		defer v.putDense(d)
+		d.load(q)
+		v.scoreRange(d.acc, excl, scores)
 	}
-	sortScored(scores)
-	if len(scores) > k {
-		scores = scores[:k]
-	}
-	return scores
+	return topScored(scores, k)
 }
 
-// scoreRange dots the rows of IDs lo, lo+1, … against the dense query q
-// into out, one per ID, leaving an excluded ID's score zero. excl lists
-// the excluded IDs from lo on, ascending.
+// getScores returns a zeroed score array covering every document ID.
+func (v *VectorStore) getScores() *[]float64 {
+	s, _ := v.scores.Get().(*[]float64)
+	if s == nil {
+		s = new([]float64)
+		*s = make([]float64, v.docs())
+	}
+	return s
+}
+
+// putScores zeroes s and recycles it.
+func (v *VectorStore) putScores(s *[]float64) {
+	clear(*s)
+	v.scores.Put(s)
+}
+
+// postingMass returns the number of posting elements the query row q's
+// terms hold: what scorePostings reads.
+func (v *VectorStore) postingMass(q vecRow) int {
+	n := 0
+	for _, t := range q.terms {
+		lo, hi := ids.Run(v.c.PostStart, int(t), len(v.c.PostDoc))
+		n += hi - lo
+	}
+	return n
+}
+
+// rowMass returns the number of row elements outside the excluded IDs
+// (sorted): what scoreRange reads over the whole ID range.
+func (v *VectorStore) rowMass(excl []uint32) int {
+	n := len(v.c.RowTerm)
+	for _, id := range excl {
+		lo, hi := ids.Run(v.c.RowStart, int(id), len(v.c.RowTerm))
+		n -= hi - lo
+	}
+	return max(n, 0)
+}
+
+// scorePostings adds each posting weight of the query row q's terms, times
+// the term's query weight, into its document's score, term by term in q's
+// order. Termnums past the postings and document IDs past scores (a
+// damaged image) are skipped.
 //
 //magnet:hot
-func (v *VectorStore) scoreRange(q []float64, lo uint32, excl []uint32, out []float64) {
+func (v *VectorStore) scorePostings(q vecRow, scores []float64) {
+	for j, t := range q.terms {
+		lo, hi := ids.Run(v.c.PostStart, int(t), len(v.c.PostDoc))
+		docs, ws, qw := v.c.PostDoc[lo:hi], v.c.PostWeight[lo:hi], q.w[j]
+		for i, d := range docs {
+			if int(d) < len(scores) {
+				scores[d] += ws[i] * qw
+			}
+		}
+	}
+}
+
+// scoreRange dots the rows of IDs 0, 1, … against the dense query q into
+// out, one per ID, leaving an excluded ID's score zero. excl lists the
+// excluded IDs, ascending.
+//
+//magnet:hot
+func (v *VectorStore) scoreRange(q []float64, excl []uint32, out []float64) {
 	for i := range out {
-		id := lo + uint32(i)
+		id := uint32(i)
 		if len(excl) > 0 && excl[0] == id {
 			excl = excl[1:]
 			continue
@@ -370,22 +429,23 @@ func dot(q []float64, r vecRow) float64 {
 	return s
 }
 
-// topScored returns the positively scored documents that can still reach
-// the top k: every score below the k-th largest is dropped, and ties at the
-// cut are kept for the ID tie-break. scores[i] is document lo+i's.
-func topScored(scores []float64, lo uint32, k int) []Scored {
+// topScored returns the top k positively scored documents in descending
+// score order, ties by ascending ID: every score below the k-th largest is
+// dropped, and ties at the cut are kept for the ID tie-break. scores[i] is
+// document i's.
+func topScored(scores []float64, k int) []Scored {
 	cut := kthLargest(scores, k)
-	var local []Scored
+	var top []Scored
 	for i, s := range scores {
 		if s > 0 && s >= cut {
-			local = append(local, Scored{lo + uint32(i), s})
+			top = append(top, Scored{uint32(i), s})
 		}
 	}
-	if len(local) > k {
-		sortScored(local)
-		local = local[:k]
+	sortScored(top)
+	if len(top) > k {
+		top = top[:k]
 	}
-	return local
+	return top
 }
 
 // kthLargest returns the k-th largest positive score, or 0 when fewer than
@@ -415,17 +475,13 @@ func kthLargest(scores []float64, k int) float64 {
 
 // SimilarToDoc returns up to k documents most similar to document id, in
 // descending score order (ties by ascending ID), skipping id itself and
-// documents with zero score. The query is id's row, read straight into the
-// dense accumulator.
+// documents with zero score. The query is id's row.
 func (v *VectorStore) SimilarToDoc(id uint32, k int) []Scored {
 	r := v.row(id)
 	if k <= 0 || len(r.terms) == 0 {
 		return nil
 	}
-	q := v.getDense(v.terms.Len())
-	defer v.putDense(q)
-	q.load(r)
-	return v.search(q, k, itemset.FromSorted([]uint32{id}))
+	return v.search(r, k, itemset.FromSorted([]uint32{id}))
 }
 
 // Nearest returns up to k documents most similar to the centroid c, in
@@ -436,10 +492,7 @@ func (v *VectorStore) Nearest(c Centroid, k int, exclude itemset.Set) []Scored {
 	if k <= 0 || c.IsEmpty() {
 		return nil
 	}
-	q := v.getDense(v.terms.Len())
-	defer v.putDense(q)
-	q.load(c.row)
-	return v.search(q, k, exclude)
+	return v.search(c.row, k, exclude)
 }
 
 // ScoreDocs returns the dot product of the centroid with each member's

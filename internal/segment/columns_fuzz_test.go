@@ -92,12 +92,25 @@ func flip(cols []reflect.Value, ops []byte) {
 // FuzzColumnImage flips bytes in a compiled graph, text and vector image,
 // opens it with FromColumns, and drives every read accessor. Corrupt
 // offsets and IDs must surface as absent data: opening may fail, reading
-// must never panic.
+// must never panic. Seeds also damage each vector posting column: a
+// posting start, a posting's document ID and a posting weight.
 func FuzzColumnImage(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0xff})
 	f.Add([]byte{3, 0, 1, 3, 0x80, 9, 0, 2, 0, 0x7f})
 	f.Add([]byte{17, 0, 0, 1, 0x10, 30, 0, 3, 7, 0xff, 41, 0, 1, 0, 0x01})
 	base := fuzzImage()
+	probe := base
+	cols := imageColumns(&probe)
+	for i, col := range cols {
+		switch col.Pointer() {
+		case reflect.ValueOf(probe.Vectors.PostStart).Pointer():
+			f.Add([]byte{byte(i), 0, 1, 0, 0xff})
+		case reflect.ValueOf(probe.Vectors.PostDoc).Pointer():
+			f.Add([]byte{byte(i), 0, 2, 3, 0x80})
+		case reflect.ValueOf(probe.Vectors.PostWeight).Pointer():
+			f.Add([]byte{byte(i), 0, 0, 7, 0x7f})
+		}
+	}
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		d := base
 		cols := imageColumns(&d)
@@ -183,6 +196,8 @@ func readVectors(v *index.VectorStore) {
 	}
 	c := v.Centroid(docs)
 	v.Nearest(c, 2, docs)
+	v.Nearest(c, 2, itemset.Set{})
+	v.Nearest(c, 2, itemset.FromSorted(docIDs[:1]))
 	v.ScoreDocs(c, docs)
 	v.RankTerms(c, func(string, float64) bool { return true })
 }

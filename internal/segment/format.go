@@ -11,7 +11,7 @@
 //	MANIFEST.json   format version, dataset identity, file checksums
 //	graph.seg       RDF graph columns (interners, SPO/POS indexes)
 //	text.seg        text-index columns (postings, df, doc lengths, surfaces)
-//	vectors.seg     vector-store columns (tf·idf rows)
+//	vectors.seg     vector-store columns (tf·idf rows, per-term postings)
 //	meta.seg        item universe, numeric-range statistics
 //
 // Each .seg file is a fixed binary header, 8-byte-aligned typed sections,
@@ -37,9 +37,11 @@ const (
 	// subject ID too and drops the text doc table; version 4 drops the
 	// vector store's per-term postings; version 5 stores one document
 	// frequency per term and one token count per document in place of the
-	// text index's DF runs and per-document term rows. Version 1–4 sets
-	// must be rebuilt.
-	Version = 5
+	// text index's DF runs and per-document term rows; version 6 stores
+	// the vector rows transposed, as per-term postings with their weights,
+	// for term-at-a-time similarity search. Version 1–5 sets must be
+	// rebuilt.
+	Version = 6
 	// ManifestName is the manifest file inside a segment directory.
 	ManifestName = "MANIFEST.json"
 	// headerSize is the fixed on-disk header: magic[8] version[4] flags[4]

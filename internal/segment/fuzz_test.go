@@ -65,7 +65,8 @@ func FuzzSegmentHeader(f *testing.F) {
 // FuzzManifest feeds arbitrary bytes through the manifest parser: clean
 // error or valid manifest, never a panic.
 func FuzzManifest(f *testing.F) {
-	f.Add([]byte(`{"format":5,"tool":"magnet-build","dataset":"recipes","params":{"recipes":200,"seed":1},"indexAllSubjects":false,"items":495,"triples":3731,"files":[{"name":"graph.seg","bytes":143744,"crc32c":4012441468}]}`))
+	f.Add([]byte(`{"format":6,"tool":"magnet-build","dataset":"recipes","params":{"recipes":200,"seed":1},"indexAllSubjects":false,"items":495,"triples":3731,"files":[{"name":"graph.seg","bytes":143744,"crc32c":4012441468}]}`))
+	f.Add(format5Manifest)
 	f.Add(format4Manifest)
 	f.Add(format3Manifest)
 	f.Add(format2Manifest)

@@ -9,7 +9,7 @@ package segment
 //	MANIFEST.json  what was compiled, parameters, per-file checksums
 //	graph.seg      triple store: interners, POS and SPO indexes
 //	text.seg       inverted text index: postings, df, surfaces, doc lengths
-//	vectors.seg    vector store: tf·idf rows
+//	vectors.seg    vector store: tf·idf rows and their per-term postings
 //	meta.seg       item universe posting, numeric range statistics
 //
 // BuildDir writes all four files plus the manifest; OpenDir maps them and
@@ -157,6 +157,9 @@ func addVectors(w *Writer, c index.VectorColumns) {
 	w.AddU32("row.start", c.RowStart)
 	w.AddU32("row.term", c.RowTerm)
 	w.AddF64("row.weight", c.RowWeight)
+	w.AddU32("post.start", c.PostStart)
+	w.AddU32("post.doc", c.PostDoc)
+	w.AddF64("post.weight", c.PostWeight)
 }
 
 func addMeta(w *Writer, d Data) error {
@@ -183,6 +186,15 @@ func (r *sectionReader) u32(name string) []uint32 {
 		return nil
 	}
 	s, err := r.f.U32(name)
+	r.err = err
+	return s
+}
+
+func (r *sectionReader) f64(name string) []float64 {
+	if r.err != nil {
+		return nil
+	}
+	s, err := r.f.F64(name)
 	r.err = err
 	return s
 }
@@ -288,9 +300,10 @@ func OpenDir(dir string) (*Set, error) {
 	v.Terms = r.interner("terms")
 	v.RowStart = r.u32("row.start")
 	v.RowTerm = r.u32("row.term")
-	if r.err == nil {
-		v.RowWeight, r.err = r.f.F64("row.weight")
-	}
+	v.RowWeight = r.f64("row.weight")
+	v.PostStart = r.u32("post.start")
+	v.PostDoc = r.u32("post.doc")
+	v.PostWeight = r.f64("post.weight")
 	if r.err != nil {
 		return fail(VectorsSeg, r.err)
 	}
