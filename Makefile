@@ -6,7 +6,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet magnet-vet vet-budget fuzz race-par obs-check contract build-contract bench-smoke segments segments-check check
+.PHONY: build test race vet magnet-vet vet-budget fuzz obs-check contract build-contract bench-smoke segments segments-check check
 
 build:
 	$(GO) build ./...
@@ -60,18 +60,6 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzVectorKernel -fuzztime=$(FUZZTIME) ./internal/index/
 	$(GO) test -run='^$$' -fuzz=FuzzVectorRowsFinite -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzPageWriters -fuzztime=$(FUZZTIME) ./internal/web/
-
-# Focused race pass over the worker pool and the seams left on it (the
-# vector store's centroid sums, and batch indexing): the internal/par pool
-# stress tests, the serial-vs-parallel equivalence and determinism tests of
-# those seams, the shared centroid read by a session's analysts, concurrent
-# similarity searches on one store (its recycled score arrays and scratch
-# vectors), and concurrent first reads of freshly frozen stores (lazy key
-# strings, the graph's term table, the schema store's annotation slots and
-# numeric columns).
-race-par:
-	$(GO) test -race -run 'Pool|Batch|Panic|Cancel|Nested|Parallel|Equiv|Determinism|Centroid|ConcurrentReaders|AnnotationFacts|SharingNoTerm' \
-		./internal/par/ ./internal/blackboard/ ./internal/facets/ ./internal/index/ ./internal/vsm/ ./internal/rdf/ ./internal/schema/
 
 # Observability gate: the flight-recorder and exposition goldens (ring
 # retention, Prometheus text format, /debug/traces JSON) plus the
@@ -149,4 +137,4 @@ segments-check:
 	echo "segments-check: segment-backed render byte-identical"; \
 	rm -rf /tmp/magnet-segcheck /tmp/magnet-segcheck-mem.txt /tmp/magnet-segcheck-seg.txt
 
-check: build vet vet-budget test race race-par obs-check fuzz segments-check contract build-contract bench-smoke
+check: build vet vet-budget test race obs-check fuzz segments-check contract build-contract bench-smoke

@@ -65,26 +65,16 @@ func apply(s *core.Session, a blackboard.Action) {
 	}
 }
 
-// parallelism is the -parallelism flag value, applied to every Magnet the
-// experiments open. segmentsDir is the -segments flag value; when set, the
-// single-dataset experiments open the precompiled set instead of building.
-var (
-	parallelism int
-	segmentsDir string
-)
-
-// open builds a Magnet with the run's parallelism setting applied.
-func open(g *rdf.Builder, opts core.Options) *core.Magnet {
-	opts.Parallelism = parallelism
-	return core.Open(g, opts)
-}
+// segmentsDir is the -segments flag value; when set, the single-dataset
+// experiments open the precompiled set instead of building.
+var segmentsDir string
 
 // openDataset opens the named dataset for an experiment: from -segments
 // when set (after checking the set's manifest matches the dataset and
 // parameters the experiment asked for), otherwise by building it in memory.
 // Callers must Close the result.
 func openDataset(ctx context.Context, dataset string, n int, seed int64) *core.Magnet {
-	opts := core.Options{Parallelism: parallelism}
+	var opts core.Options
 	if segmentsDir == "" {
 		g, allSubjects, err := dataload.Load(dataload.Spec{Dataset: dataset, Recipes: n, Seed: seed})
 		if err != nil {
@@ -121,7 +111,6 @@ func main() {
 	nRecipes := flag.Int("recipes", 6444, "recipe corpus size")
 	seed := flag.Int64("seed", 1, "dataset seed")
 	trace := flag.Bool("trace", false, "trace one navigation step (-exp P5 or fig2) and print its span tree")
-	flag.IntVar(&parallelism, "parallelism", 0, "worker pool size for vector scans and batch indexing (0 = GOMAXPROCS, 1 = serial)")
 	flag.StringVar(&segmentsDir, "segments", "", "run against a precompiled segment set (fig1, fig2, fig5, fig6 only)")
 	flag.Parse()
 
@@ -348,7 +337,7 @@ func fig6(int, int64) {
 func fig7(int, int64) {
 	header("E6 / Figure 7 — 50 states as given (no annotations)")
 	g := statesGraph()
-	m := open(g, core.Options{IndexAllSubjects: true})
+	m := core.Open(g, core.Options{IndexAllSubjects: true})
 	s := m.NewSession()
 	fs := s.Overview(4)
 	render.Overview(os.Stdout, fs, s.Current().Len())
@@ -381,7 +370,7 @@ func fig8(int, int64) {
 	header("E7 / Figure 8 — 50 states with label and value-type annotations")
 	g := statesGraph()
 	states.Annotate(g)
-	m := open(g, core.Options{IndexAllSubjects: true})
+	m := core.Open(g, core.Options{IndexAllSubjects: true})
 	s := m.NewSession()
 	fs := s.Overview(4)
 	render.Overview(os.Stdout, fs, s.Current().Len())
@@ -409,7 +398,7 @@ func factbookExp(int, int64) {
 	header("E8 — CIA factbook: shared currency / independence day")
 	g := factbook.Build(factbook.Config{})
 	factbook.Annotate(g)
-	m := open(g, core.Options{})
+	m := core.Open(g, core.Options{})
 	s := m.NewSession()
 	s.OpenItem(factbook.Country(0))
 	render.Item(os.Stdout, m.Graph(), factbook.Country(0))
@@ -443,7 +432,7 @@ func coursesExp(int, int64) {
 	header("E8b — course catalog: opaque attribute until hidden")
 	countCatKey := func(hide bool) int {
 		g := courses.Build(courses.Config{HideCatalogKey: hide})
-		m := open(g, core.Options{})
+		m := core.Open(g, core.Options{})
 		s := m.NewSession()
 		apply(s, blackboard.ReplaceQuery{Query: query.NewQuery(query.TypeIs(courses.ClassCourse))})
 		n := 0
@@ -501,7 +490,7 @@ func autoAnnotateExp(int, int64) {
 	}
 	annotate.Apply(b, proposals)
 
-	m := open(b, core.Options{IndexAllSubjects: true})
+	m := core.Open(b, core.Options{IndexAllSubjects: true})
 	s := m.NewSession()
 	var areaRange bool
 	for _, sg := range s.Board().Suggestions() {

@@ -52,7 +52,6 @@ func main() {
 	useBaseline := flag.Bool("baseline", false, "use the Flamenco-like baseline advisor set")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
 	withPprof := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-	parallelism := flag.Int("parallelism", 0, "worker pool size for vector scans and batch indexing (0 = GOMAXPROCS, 1 = serial)")
 	traceSlow := flag.Duration("trace-slow", 250*time.Millisecond, "flight recorder: tail-sample every trace at least this slow")
 	traceSample := flag.Int("trace-sample", 16, "flight recorder: head-sample 1 in N completed traces (1 = all)")
 	flag.Parse()
@@ -70,7 +69,7 @@ func main() {
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 	slog.SetDefault(logger)
 
-	opts := core.Options{SoftEmptyResults: true, Parallelism: *parallelism}
+	opts := core.Options{SoftEmptyResults: true}
 	if *useBaseline {
 		opts.Analysts = analysts.BaselineSet
 	}

@@ -99,23 +99,6 @@ func TestDeadCode(t *testing.T)    { runFixture(t, DeadCode(), "deadcode") }
 // of used, stale, and undecidable: only the stale ones are findings.
 func TestUnusedIgnore(t *testing.T) { runFixture(t, FloatEq(), "unusedignore") }
 
-// TestGoHygieneExemptsPar checks the one sanctioned goroutine spawner: the
-// same fixture loaded under an internal/par import path reports nothing.
-func TestGoHygieneExemptsPar(t *testing.T) {
-	dir := filepath.Join("testdata", "src", "gohygiene")
-	l, err := NewLoader(dir)
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
-	pkg, err := l.LoadDir(dir, "magnet/internal/par")
-	if err != nil {
-		t.Fatalf("LoadDir: %v", err)
-	}
-	if diags := Run([]*Package{pkg}, []*Analyzer{GoHygiene()}); len(diags) != 0 {
-		t.Errorf("gohygiene flagged internal/par: %v", diags)
-	}
-}
-
 // TestScopeRestrictsFiles checks that a scoped analyzer skips packages
 // outside its path scope entirely.
 func TestScopeRestrictsFiles(t *testing.T) {

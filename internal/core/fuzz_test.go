@@ -34,7 +34,7 @@ func FuzzVectorRowsFinite(f *testing.F) {
 		if err != nil {
 			return
 		}
-		m := core.Open(b, core.Options{IndexAllSubjects: true, Parallelism: 1})
+		m := core.Open(b, core.Options{IndexAllSubjects: true})
 		defer m.Close()
 		for i, w := range m.Model().Store().Columns().RowWeight {
 			if math.IsNaN(w) || math.IsInf(w, 0) {

@@ -22,7 +22,6 @@ import (
 	"magnet/internal/index"
 	"magnet/internal/itemset"
 	"magnet/internal/obs"
-	"magnet/internal/par"
 	"magnet/internal/query"
 	"magnet/internal/rdf"
 	"magnet/internal/schema"
@@ -54,7 +53,8 @@ func component(ctx context.Context, name string, g *obs.Gauge, f func()) {
 	sp.End()
 }
 
-// Options configures a Magnet instance.
+// Options configures a Magnet instance. An instance starts no goroutines:
+// its build and every session step run on the caller's goroutine.
 type Options struct {
 	// VSM tunes the vector space model (ablation switches included).
 	VSM vsm.Options
@@ -74,13 +74,6 @@ type Options struct {
 	// "modify the queries to perform more fuzzily in the case when zero
 	// results would have been returned otherwise").
 	SoftEmptyResults bool
-	// Parallelism sizes the instance's shared worker pool: the vector
-	// store's centroid sums and batch indexing fan out on this one pool,
-	// so concurrent sessions (magnet-server) compose with per-request
-	// parallelism instead of oversubscribing. A step's analysts, facets
-	// and similarity searches run on the calling goroutine. 0 means
-	// runtime.GOMAXPROCS(0); 1 runs everything serially.
-	Parallelism int
 }
 
 // Magnet is an instance of the navigation system over one repository.
@@ -94,9 +87,6 @@ type Magnet struct {
 	// itemIDs is the item universe on the dense-ID plane; the query
 	// engine's universe (Not, empty queries) reads it without rehydration.
 	itemIDs itemset.Set
-	// pool is the instance's one concurrency budget (Options.Parallelism),
-	// shared by every session.
-	pool *par.Pool
 
 	// set is the backing segment set when the instance was opened with
 	// OpenSegments; nil for instances compiled in memory by Open.
@@ -119,7 +109,7 @@ func Open(b *rdf.Builder, opts Options) *Magnet {
 func OpenContext(ctx context.Context, b *rdf.Builder, opts Options) *Magnet {
 	start := time.Now()
 	ctx, sp := obs.StartSpan(ctx, "startup.load")
-	m := &Magnet{opts: opts, pool: par.New(opts.Parallelism)}
+	m := &Magnet{opts: opts}
 	g, d := m.compile(ctx, b)
 	if err := m.assemble(ctx, g, &d); err != nil {
 		panic("core: compiled image rejected: " + err.Error())
@@ -166,7 +156,6 @@ func (m *Magnet) compile(ctx context.Context, b *rdf.Builder) (*rdf.Graph, segme
 	})
 	component(ctx, "startup.vectors", startupVectorsNS, func() {
 		model := vsm.New(g, sch, m.opts.VSM)
-		model.SetPool(m.pool)
 		model.IndexAll(itemset.FromSorted(d.Items))
 		d.Vectors = model.Store().Columns()
 		d.Ranges = numericRanges(model.Ranges())
@@ -183,7 +172,7 @@ func (m *Magnet) assemble(ctx context.Context, g *rdf.Graph, d *segment.Data) er
 	if err != nil {
 		return err
 	}
-	store, err := index.FromVectorColumns(d.Vectors, m.pool)
+	store, err := index.FromVectorColumns(d.Vectors)
 	if err != nil {
 		return err
 	}
@@ -195,7 +184,6 @@ func (m *Magnet) assemble(ctx context.Context, g *rdf.Graph, d *segment.Data) er
 	m.sch = schema.NewStore(g)
 	m.text = text
 	m.model = vsm.FromStore(g, m.sch, store, ranges, m.opts.VSM)
-	m.model.SetPool(m.pool)
 	m.itemIDs = itemset.FromSorted(d.Items)
 	component(ctx, "startup.engine", startupEngineNS, m.buildEngine)
 	return nil
@@ -229,12 +217,10 @@ func chooseItems(g *rdf.Graph, allSubjects bool) itemset.Set {
 	return g.AllSubjectIDs()
 }
 
-// Close releases the instance's worker pool and, for segment-backed
-// instances, unmaps the segment files. Sessions keep working after Close —
-// every parallel seam degrades to its serial path — but segment-backed
-// indexes must not be consulted after their mappings are gone.
+// Close unmaps a segment-backed instance's segment files; segment-backed
+// indexes must not be consulted after their mappings are gone. It does
+// nothing for an instance compiled in memory.
 func (m *Magnet) Close() {
-	m.pool.Close()
 	if m.set != nil {
 		_ = m.set.Close()
 	}

@@ -35,7 +35,7 @@ func TestNonFiniteLiteralsAreNotNumeric(t *testing.T) {
 			b.Add(item(19), pSize, rdf.Literal{Lexical: odd, Datatype: rdf.XSDDouble})
 		}
 		schema.SetValueType(b, pSize, schema.Float)
-		return core.Open(b, core.Options{Parallelism: 1})
+		return core.Open(b, core.Options{})
 	}
 	clean := build("")
 	for _, odd := range []string{"NaN", "Inf", "-Inf", "+Inf", "infinity"} {

@@ -13,7 +13,7 @@ import (
 // over a few opens.
 func openSegmentsBytes(t *testing.T, n int) uint64 {
 	t.Helper()
-	m := core.Open(recipes.Build(recipes.Config{Recipes: n, Seed: 1}), core.Options{Parallelism: 1})
+	m := core.Open(recipes.Build(recipes.Config{Recipes: n, Seed: 1}), core.Options{})
 	dir := t.TempDir()
 	if _, err := m.WriteSegments(dir, "recipes", nil); err != nil {
 		t.Fatal(err)
@@ -23,7 +23,7 @@ func openSegmentsBytes(t *testing.T, n int) uint64 {
 	for i := 0; i < 5; i++ {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		s, err := core.OpenSegments(dir, core.Options{Parallelism: 1})
+		s, err := core.OpenSegments(dir, core.Options{})
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)

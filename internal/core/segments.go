@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"magnet/internal/obs"
-	"magnet/internal/par"
 	"magnet/internal/rdf"
 	"magnet/internal/segment"
 	"magnet/internal/vsm"
@@ -39,14 +38,13 @@ func OpenSegmentsContext(ctx context.Context, dir string, opts Options) (*Magnet
 	if err != nil {
 		return nil, err
 	}
-	m := &Magnet{opts: opts, pool: par.New(opts.Parallelism), set: set}
+	m := &Magnet{opts: opts, set: set}
 	g, err := rdf.FromColumns(set.Data.Graph)
 	if err == nil {
 		err = m.assemble(ctx, g, &set.Data)
 	}
 	if err != nil {
 		_ = set.Close()
-		m.pool.Close()
 		return nil, err
 	}
 	sp.End()

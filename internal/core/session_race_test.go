@@ -12,7 +12,7 @@ import (
 
 // TestConcurrentSessions stresses the serving contract below the web
 // layer (internal/web's TestReplaySessions covers it through the
-// handlers): one shared Magnet (with its one worker pool), many concurrent
+// handlers): one shared Magnet, many concurrent
 // Sessions each doing a full navigation loop — search, refine, pane,
 // overview, back, refine, remove a constraint. Sessions alternate between
 // two cuisines that both keep some of the search's soups, so concurrent
@@ -24,7 +24,7 @@ import (
 // its variant, regardless of interleaving.
 func TestConcurrentSessions(t *testing.T) {
 	gb := recipes.Build(recipes.Config{Recipes: 300, Seed: 1})
-	m := Open(gb, Options{Parallelism: 4})
+	m := Open(gb, Options{})
 	defer m.Close()
 
 	const sessions = 32

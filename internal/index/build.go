@@ -15,7 +15,6 @@ import (
 	"strings"
 
 	"magnet/internal/ids"
-	"magnet/internal/par"
 	"magnet/internal/text"
 )
 
@@ -328,10 +327,9 @@ func (v *VectorBuilder) idf(t uint32) float64 {
 	return math.Log(float64(v.docs) / float64(v.df[t]))
 }
 
-// Freeze compiles the builder into a frozen VectorStore whose centroid
-// sums fan out on pool (nil sums serially).
-func (v *VectorBuilder) Freeze(pool *par.Pool) *VectorStore {
-	r, err := FromVectorColumns(v.Columns(), pool)
+// Freeze compiles the builder into a frozen VectorStore.
+func (v *VectorBuilder) Freeze() *VectorStore {
+	r, err := FromVectorColumns(v.Columns())
 	if err != nil {
 		panic("index: compiled vector columns rejected: " + err.Error())
 	}

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"magnet/internal/itemset"
-	"magnet/internal/par"
 )
 
 // The kernel tests pin SimilarToDoc, Nearest, Centroid, RankTerms,
@@ -233,42 +232,46 @@ func checkKernel(t *testing.T, v *VectorStore, members itemset.Set, probes []uin
 
 // TestVectorKernelEquivalence runs the kernel against the reference on a
 // freshly built store ("memory") and one opened from its columns
-// ("segment"), at pool widths nil, 1 and 4, with member sets under and
-// over one centroid chunk.
+// ("segment"), with member sets under and over one centroid chunk. Each
+// pair of stores is new for each warm-up count w: before the checks, the
+// stores serve w rounds of every member set's centroid and search, so the
+// recycled accumulators and score arrays must come back clean (w0 checks
+// a store whose scratch is still empty).
 func TestVectorKernelEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	b := kernelBuilder(rng, 700, 90)
 	ids := b.docIDs()
 	rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
 	probes := ids[:8]
-	for _, width := range []int{0, 1, 4} {
-		var pool *par.Pool
-		if width > 0 {
-			pool = par.New(width)
-		}
-		seg, err := FromVectorColumns(b.Columns(), pool)
+	var sets []itemset.Set
+	for _, n := range []int{1, 256, 257, 600} {
+		sets = append(sets, itemset.FromUnsorted(slices.Clone(ids[:n])))
+	}
+	for _, warm := range []int{0, 1, 4} {
+		seg, err := FromVectorColumns(b.Columns())
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, backing := range []struct {
 			name string
 			v    *VectorStore
-		}{{"memory", b.Freeze(pool)}, {"segment", seg}} {
-			for _, n := range []int{1, 256, 257, 600} {
-				members := itemset.FromUnsorted(slices.Clone(ids[:n]))
+		}{{"memory", b.Freeze()}, {"segment", seg}} {
+			for range warm {
+				for _, members := range sets {
+					backing.v.Nearest(backing.v.Centroid(members), 50, members)
+				}
+			}
+			for _, members := range sets {
 				for _, k := range []int{6, 50} {
-					t.Run(fmt.Sprintf("%s/w%d/n%d/k%d", backing.name, width, n, k), func(t *testing.T) {
+					t.Run(fmt.Sprintf("%s/w%d/n%d/k%d", backing.name, warm, members.Len(), k), func(t *testing.T) {
 						checkKernel(t, backing.v, members, probes, k)
 					})
 				}
 			}
 		}
-		if pool != nil {
-			pool.Close()
-		}
 	}
 	absent := itemset.FromSorted([]uint32{5000})
-	v := b.Freeze(nil)
+	v := b.Freeze()
 	if got := v.ScoreDocs(v.Centroid(itemset.FromUnsorted(slices.Clone(ids[:5]))), absent); got[0] != 0 {
 		t.Errorf("ScoreDocs(absent) = %v, want 0", got[0])
 	}
@@ -281,7 +284,7 @@ func TestVectorKernelEquivalence(t *testing.T) {
 // but two rows reads those two rows. Both agree with the reference.
 func TestSearchKernelChoice(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	v := kernelBuilder(rng, 300, 40).Freeze(nil)
+	v := kernelBuilder(rng, 300, 40).Freeze()
 	c := v.Columns()
 	elems := func(search func() []Scored) ([]Scored, uint64) {
 		before := searchElems.Value()
@@ -326,7 +329,7 @@ func TestSearchKernelChoice(t *testing.T) {
 func TestVectorSumDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	b := kernelBuilder(rng, 400, 60)
-	v := b.Freeze(nil)
+	v := b.Freeze()
 	ids := b.docIDs()
 	all := itemset.FromSorted(ids)
 	members := itemset.FromSorted(ids[:300])
@@ -353,7 +356,7 @@ func TestVectorSumDeterminism(t *testing.T) {
 
 // FuzzVectorKernel builds a small store from the fuzz input — each byte
 // pair adds one (document, term) frequency — and checks the kernel against
-// the reference, serially and on a pool.
+// the reference.
 func FuzzVectorKernel(f *testing.F) {
 	f.Add([]byte{0x01, 0x12, 0x23, 0x31, 0x44, 0x15, 0x26, 0x07})
 	f.Add([]byte("similar by content"))
@@ -383,12 +386,9 @@ func FuzzVectorKernel(f *testing.F) {
 		if len(names) == 0 {
 			return
 		}
-		pool := par.New(2)
-		defer pool.Close()
-		for _, s := range []*VectorStore{b.Freeze(nil), b.Freeze(pool)} {
-			checkKernel(t, s, itemset.FromSorted(names[:len(names)/2+1]), names, 3)
-			checkKernel(t, s, itemset.FromSorted(names), names, 3)
-		}
+		v := b.Freeze()
+		checkKernel(t, v, itemset.FromSorted(names[:len(names)/2+1]), names, 3)
+		checkKernel(t, v, itemset.FromSorted(names), names, 3)
 	})
 }
 
@@ -441,61 +441,52 @@ func TestSearchDropsRowsSharingNoTerm(t *testing.T) {
 	}
 	ids := b.docIDs()
 	all := itemset.FromSorted(ids)
-	for _, width := range []int{0, 3} {
-		var pool *par.Pool
-		if width > 0 {
-			pool = par.New(width)
+	v, err := FromVectorColumns(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameGroup := func(what string, from uint32, got []Scored) {
+		t.Helper()
+		if len(got) == 0 {
+			t.Fatalf("%s: nothing found", what)
 		}
-		v, err := FromVectorColumns(c, pool)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameGroup := func(what string, from uint32, got []Scored) {
-			t.Helper()
-			if len(got) == 0 {
-				t.Fatalf("w%d %s: nothing found", width, what)
-			}
-			for _, s := range got {
-				if s.ID%2 != from%2 || s.ID >= 20 {
-					t.Fatalf("w%d %s: found %d, across the groups: %v", width, what, s.ID, got)
-				}
+		for _, s := range got {
+			if s.ID%2 != from%2 || s.ID >= 20 {
+				t.Fatalf("%s: found %d, across the groups: %v", what, s.ID, got)
 			}
 		}
+	}
+	for _, id := range ids[:20] {
+		for _, k := range []int{3, 30} {
+			got := v.SimilarToDoc(id, k)
+			what := fmt.Sprintf("SimilarToDoc(%d, %d)", id, k)
+			sameScored(t, fmt.Sprintf("%s", what), got, refSimilarTo(v, v.vector(id), k, map[uint32]bool{id: true}))
+			sameGroup(what, id, got)
+		}
+	}
+	if got := v.SimilarToDoc(loner, 30); len(got) != 0 {
+		t.Fatalf("SimilarToDoc(%d) = %v, want nothing: no other document shares its word", loner, got)
+	}
+	for _, group := range []uint32{0, 1} {
+		var members []uint32
+		excl := make(map[uint32]bool)
 		for _, id := range ids[:20] {
-			for _, k := range []int{3, 30} {
-				got := v.SimilarToDoc(id, k)
-				what := fmt.Sprintf("SimilarToDoc(%d, %d)", id, k)
-				sameScored(t, fmt.Sprintf("w%d %s", width, what), got, refSimilarTo(v, v.vector(id), k, map[uint32]bool{id: true}))
-				sameGroup(what, id, got)
+			if id%2 == group && id%4 < 2 {
+				members = append(members, id)
+				excl[id] = true
 			}
 		}
-		if got := v.SimilarToDoc(loner, 30); len(got) != 0 {
-			t.Fatalf("w%d SimilarToDoc(%d) = %v, want nothing: no other document shares its word", width, loner, got)
-		}
-		for _, group := range []uint32{0, 1} {
-			var members []uint32
-			excl := make(map[uint32]bool)
-			for _, id := range ids[:20] {
-				if id%2 == group && id%4 < 2 {
-					members = append(members, id)
-					excl[id] = true
-				}
-			}
-			set := itemset.FromSorted(members)
-			cen := v.Centroid(set)
-			what := fmt.Sprintf("Nearest(group %d)", group)
-			got := v.Nearest(cen, 30, set)
-			sameScored(t, fmt.Sprintf("w%d %s", width, what), got, refSimilarTo(v, v.centroidVector(set), 30, excl))
-			sameGroup(what, group, got)
-			kept := v.Nearest(cen, 30, itemset.Set{})
-			sameScored(t, fmt.Sprintf("w%d %s keeping members", width, what), kept, refSimilarTo(v, v.centroidVector(set), 30, nil))
-			sameGroup(what+" keeping members", group, kept)
-			if got := v.Nearest(cen, 30, all); len(got) != 0 {
-				t.Fatalf("w%d %s excluding every document = %v, want nothing", width, what, got)
-			}
-		}
-		if pool != nil {
-			pool.Close()
+		set := itemset.FromSorted(members)
+		cen := v.Centroid(set)
+		what := fmt.Sprintf("Nearest(group %d)", group)
+		got := v.Nearest(cen, 30, set)
+		sameScored(t, fmt.Sprintf("%s", what), got, refSimilarTo(v, v.centroidVector(set), 30, excl))
+		sameGroup(what, group, got)
+		kept := v.Nearest(cen, 30, itemset.Set{})
+		sameScored(t, fmt.Sprintf("%s keeping members", what), kept, refSimilarTo(v, v.centroidVector(set), 30, nil))
+		sameGroup(what+" keeping members", group, kept)
+		if got := v.Nearest(cen, 30, all); len(got) != 0 {
+			t.Fatalf("%s excluding every document = %v, want nothing", what, got)
 		}
 	}
 }

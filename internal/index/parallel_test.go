@@ -2,24 +2,18 @@ package index
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
 
 	"magnet/internal/itemset"
-	"magnet/internal/par"
 )
 
 // tieStore builds a store whose similarity scan produces many exact score
-// ties: blocks of documents share identical term vectors, so only the
-// ID tie-break orders them. Chunk boundaries fall inside blocks, which is
-// exactly where a schedule-dependent merge would go wrong.
-func tieStore(ndocs int, pool *par.Pool) *VectorStore {
-	return tieBuilder(ndocs).Freeze(pool)
-}
-
-// tieBuilder holds tieStore's documents, IDs 0..ndocs-1.
-func tieBuilder(ndocs int) *VectorBuilder {
+// ties: blocks of documents (IDs 0..ndocs-1) share identical term vectors,
+// so only the ID tie-break orders them.
+func tieStore(ndocs int) *VectorStore {
 	b := NewVectorBuilder()
 	for i := 0; i < ndocs; i++ {
 		block := i / 7 % 5
@@ -28,7 +22,23 @@ func tieBuilder(ndocs int) *VectorBuilder {
 			fmt.Sprintf("b%d", block): 2,
 		})
 	}
-	return b
+	return b.Freeze()
+}
+
+// spreadStore builds a store of ndocs documents (IDs 0..ndocs-1) whose
+// weights differ from document to document, so the order of a centroid's
+// float additions shows in its bits.
+func spreadStore(ndocs int) *VectorStore {
+	b := NewVectorBuilder()
+	for i := 0; i < ndocs; i++ {
+		b.addFreqs(uint32(i), map[string]float64{
+			"common":                    float64(1 + i%3),
+			fmt.Sprintf("b%d", i%5):     float64(2 + i%11),
+			fmt.Sprintf("t%d", i%13):    float64(1 + i%7),
+			fmt.Sprintf("u%d", i/100%4): 1,
+		})
+	}
+	return b.Freeze()
 }
 
 // tieSearches are similarity searches on a tie store of n documents, each
@@ -63,7 +73,7 @@ func tieSearches(v *VectorStore, n int) (run []func() []Scored, want [][]Scored)
 // k cuts through blocks of exactly tied scores, so only the ID tie-break
 // orders the cut, on both the posting walk and the row scan.
 func TestSimilarToTieBlockCuts(t *testing.T) {
-	v := tieStore(500, nil)
+	v := tieStore(500)
 	run, want := tieSearches(v, 500)
 	for i := range run {
 		sameScored(t, fmt.Sprintf("search %d", i), run[i](), want[i])
@@ -75,7 +85,7 @@ func TestSimilarToTieBlockCuts(t *testing.T) {
 // recycled score arrays and scratch vectors they share, and every result
 // must still match the reference.
 func TestSimilarToParallelOnSharedStore(t *testing.T) {
-	v := tieStore(300, nil)
+	v := tieStore(300)
 	run, want := tieSearches(v, 300)
 	var wg sync.WaitGroup
 	errs := make(chan string, 8)
@@ -101,26 +111,25 @@ func TestSimilarToParallelOnSharedStore(t *testing.T) {
 	}
 }
 
-// TestCentroidBitIdentical checks the centroid is bit-for-bit identical
-// at every pool width — the fixed chunk shape makes the float reduction
-// order independent of schedule — on collections both under and well over
-// one chunk.
+// TestCentroidBitIdentical checks the centroid bit for bit against the
+// chunked map reference (refCentroid), on collections under, at and over one chunk,
+// whose members' weights differ, so a different float association (a
+// plain running sum, or partials added out of chunk order) changes bits.
 func TestCentroidBitIdentical(t *testing.T) {
 	for _, ndocs := range []int{10, 256, 257, 700} {
-		v := tieStore(ndocs, nil)
-		ids := itemset.FromSorted(tieBuilder(ndocs).docIDs())
-		want := v.centroidVector(ids)
-		for _, width := range []int{1, 4, 8} {
-			pool := par.New(width)
-			got := tieStore(ndocs, pool).centroidVector(ids)
-			pool.Close()
-			if len(got) != len(want) {
-				t.Fatalf("ndocs=%d width=%d: term sets differ", ndocs, width)
-			}
-			for term, w := range want {
-				if got[term] != w {
-					t.Fatalf("ndocs=%d width=%d: centroid[%q] = %v, want %v (bit-exact)", ndocs, width, term, got[term], w)
-				}
+		v := spreadStore(ndocs)
+		ids := make([]uint32, ndocs)
+		for i := range ids {
+			ids[i] = uint32(i)
+		}
+		got := v.centroidVector(itemset.FromSorted(ids))
+		want := refCentroid(v, ids)
+		if len(got) != len(want) {
+			t.Fatalf("ndocs=%d: %d terms, want %d", ndocs, len(got), len(want))
+		}
+		for term, w := range want {
+			if math.Float64bits(got[term]) != math.Float64bits(w) {
+				t.Fatalf("ndocs=%d: centroid[%q] = %v, want %v (bit-exact)", ndocs, term, got[term], w)
 			}
 		}
 	}

@@ -24,7 +24,7 @@ func TestConcurrentVectorStore(t *testing.T) {
 			})
 		}
 	}
-	v := b.Freeze(nil)
+	v := b.Freeze()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)

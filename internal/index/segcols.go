@@ -23,7 +23,6 @@ import (
 	"fmt"
 
 	"magnet/internal/ids"
-	"magnet/internal/par"
 	"magnet/internal/text"
 )
 
@@ -118,11 +117,10 @@ type VectorColumns struct {
 	PostWeight []float64
 }
 
-// FromVectorColumns returns the frozen vector store over a columnar image,
-// its centroid sums fanning out on pool (nil sums serially). Construction
-// is O(1) in the corpus size: rows and postings are read straight from the
-// columns, and only the column lengths are checked.
-func FromVectorColumns(c VectorColumns, pool *par.Pool) (*VectorStore, error) {
+// FromVectorColumns returns the frozen vector store over a columnar image.
+// Construction is O(1) in the corpus size: rows and postings are read
+// straight from the columns, and only the column lengths are checked.
+func FromVectorColumns(c VectorColumns) (*VectorStore, error) {
 	terms, err := ids.FromColumns[string](c.Terms)
 	if err != nil {
 		return nil, fmt.Errorf("index: vector term table: %w", err)
@@ -139,5 +137,5 @@ func FromVectorColumns(c VectorColumns, pool *par.Pool) (*VectorStore, error) {
 	if len(c.PostDoc) != len(c.RowTerm) || len(c.PostWeight) != len(c.RowTerm) {
 		return nil, fmt.Errorf("index: vector postings (%d IDs, %d weights) disagree with rows (%d)", len(c.PostDoc), len(c.PostWeight), len(c.RowTerm))
 	}
-	return &VectorStore{terms: terms, c: c, pool: pool}, nil
+	return &VectorStore{terms: terms, c: c}, nil
 }

@@ -120,12 +120,12 @@ func segTestVectors(t *testing.T) *VectorStore {
 	// A doc carrying a pinned coordinate term: its stored frequency is the
 	// weight before normalization, compiled into the row.
 	b.addFreqs(d4, map[string]float64{"num|servings=4": 0.5, "parsley": 1})
-	return b.Freeze(nil)
+	return b.Freeze()
 }
 
 func TestVectorColumnsRoundTrip(t *testing.T) {
 	v := segTestVectors(t)
-	r, err := FromVectorColumns(v.Columns(), nil)
+	r, err := FromVectorColumns(v.Columns())
 	if err != nil {
 		t.Fatalf("FromVectorColumns: %v", err)
 	}

@@ -9,8 +9,6 @@
 package index
 
 import (
-	"context"
-	"errors"
 	"math"
 	"slices"
 	"sort"
@@ -20,7 +18,6 @@ import (
 	"magnet/internal/ids"
 	"magnet/internal/itemset"
 	"magnet/internal/obs"
-	"magnet/internal/par"
 )
 
 // Vector-store observability: similarity retrieval timing, and the work
@@ -65,17 +62,13 @@ func sortScored(s []Scored) {
 // importance rather than giving more importance to items with more
 // metadata". The rows are also stored transposed, as per-term postings,
 // so a similarity search reads only its query's terms, as the paper's
-// Lucene does. Similarity and centroid kernels read straight from the
-// columns and sum in ascending termnum order, so every result is
-// deterministic to the bit.
+// Lucene does. Similarity and centroid kernels run on the caller's
+// goroutine, read straight from the columns and sum in a fixed order, so
+// every result is deterministic to the bit.
 type VectorStore struct {
 	terms *ids.Table[string] // dense termnum → term
 	//magnet:frozen
 	c VectorColumns
-	// pool chunks centroid sums across workers; nil sums serially. The
-	// result is identical either way: the reduction's chunk shape is fixed
-	// independent of pool width.
-	pool *par.Pool
 
 	// scratch recycles the termnum-indexed accumulators of similarity and
 	// centroid scans (*dense); scores recycles the ID-indexed score arrays
@@ -191,13 +184,18 @@ func (v *VectorStore) getDense(n int) *dense {
 	return d
 }
 
-// putDense zeroes d's touched entries and recycles it.
-func (v *VectorStore) putDense(d *dense) {
+// reset zeroes d's touched entries.
+func (d *dense) reset() {
 	for _, t := range d.touched {
 		d.acc[t] = 0
 		d.seen[t] = false
 	}
 	d.touched = d.touched[:0]
+}
+
+// putDense resets d and recycles it.
+func (v *VectorStore) putDense(d *dense) {
+	d.reset()
 	v.scratch.Put(d)
 }
 
@@ -221,10 +219,11 @@ func accumulate(r vecRow, acc []float64, seen []bool, touched []uint32) []uint32
 
 // centroidChunk is the fixed reduction shape for Centroid: members are
 // summed in ascending ID order, in chunks of this size, and the per-chunk
-// partials merged in chunk order. The shape depends only on the member
-// count — never on pool width — so the float-addition association, and
-// therefore every output bit, is identical at every width. Collections up
-// to one chunk reduce exactly like a plain serial loop.
+// partials added into the total in chunk order. The shape depends only on
+// the member count, so the float-addition association, and therefore
+// every output bit, is fixed by the members alone; the committed renders
+// were recorded with it. Collections up to one chunk reduce exactly like
+// a plain running sum.
 const centroidChunk = 256
 
 // centroidCount counts centroids computed: the work a collection pane
@@ -251,10 +250,11 @@ func (c Centroid) IsEmpty() bool { return len(c.row.terms) == 0 }
 // "average member" of the collection the paper dots against (§5.3). IDs
 // without a document add nothing. The result has unit length unless empty.
 //
-// Members are summed with the fixed chunk shape (centroidChunk). Per term,
-// the partial sums are added in chunk order, whatever order a chunk
-// touched its terms in, so no chunk sorts; only the normalization needs
-// ascending termnum order, and one sort of the final term list gives it.
+// Members are summed with the fixed chunk shape (centroidChunk): each
+// chunk sums into one recycled accumulator, which is then added into the
+// total term by term and reset, so per term the partial sums are added in
+// chunk order and no chunk sorts. Only the normalization needs ascending
+// termnum order, and one sort of the final term list gives it.
 func (v *VectorStore) Centroid(members itemset.Set) Centroid {
 	centroidCount.Inc()
 	ids := members.Slice()
@@ -262,25 +262,20 @@ func (v *VectorStore) Centroid(members itemset.Set) Centroid {
 	nterms := v.terms.Len()
 	sum := v.getDense(nterms)
 	defer v.putDense(sum)
-	parts := make([]vecRow, (len(ids)+centroidChunk-1)/centroidChunk)
-	err := par.ForChunks(context.Background(), v.pool, len(ids), centroidChunk, func(lo, hi int) {
-		d := v.getDense(nterms)
-		for _, id := range ids[lo:hi] {
-			d.touched = accumulate(v.row(id), d.acc, d.seen, d.touched)
+	part := v.getDense(nterms)
+	defer v.putDense(part)
+	for lo := 0; lo < len(ids); lo += centroidChunk {
+		for _, id := range ids[lo:min(lo+centroidChunk, len(ids))] {
+			part.touched = accumulate(v.row(id), part.acc, part.seen, part.touched)
 		}
-		part := vecRow{terms: slices.Clone(d.touched), w: make([]float64, len(d.touched))}
-		for i, t := range part.terms {
-			part.w[i] = d.acc[t]
+		for _, t := range part.touched {
+			if !sum.seen[t] {
+				sum.seen[t] = true
+				sum.touched = append(sum.touched, t)
+			}
+			sum.acc[t] += part.acc[t]
 		}
-		v.putDense(d)
-		parts[lo/centroidChunk] = part
-	})
-	var pe *par.PanicError
-	if errors.As(err, &pe) {
-		panic(pe)
-	}
-	for _, part := range parts {
-		sum.touched = accumulate(part, sum.acc, sum.seen, sum.touched)
+		part.reset()
 	}
 	c := Centroid{vecRow{terms: slices.Clone(sum.touched), w: make([]float64, len(sum.touched))}}
 	slices.Sort(c.row.terms)

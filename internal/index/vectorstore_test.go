@@ -68,7 +68,7 @@ func TestVectorUnitNorm(t *testing.T) {
 	b.addFreqs(d1, map[string]float64{"a": 3, "b": 1})
 	b.addFreqs(d2, map[string]float64{"a": 1, "c": 1})
 	b.addFreqs(d3, map[string]float64{"c": 5})
-	v := b.Freeze(nil)
+	v := b.Freeze()
 	vec := v.vector(d1)
 	var norm float64
 	for _, w := range vec {
@@ -85,7 +85,7 @@ func TestUniversalTermVanishes(t *testing.T) {
 	b := NewVectorBuilder()
 	b.addFreqs(d1, map[string]float64{"type": 1, "a": 1})
 	b.addFreqs(d2, map[string]float64{"type": 1, "b": 1})
-	v := b.Freeze(nil)
+	v := b.Freeze()
 	if _, ok := v.vector(d1)["type"]; ok {
 		t.Error("universal term should have zero weight and be omitted")
 	}
@@ -105,7 +105,7 @@ func TestPaperWeightFormula(t *testing.T) {
 	wx := math.Log(3+1) * math.Log(4.0/2.0)
 	wy := math.Log(1+1) * math.Log(4.0/1.0)
 	norm := math.Sqrt(wx*wx + wy*wy)
-	v := b.Freeze(nil)
+	v := b.Freeze()
 	vec := v.vector(d1)
 	if !almostEqual(vec["x"], wx/norm) || !almostEqual(vec["y"], wy/norm) {
 		t.Errorf("vector = %v, want x=%v y=%v", vec, wx/norm, wy/norm)
@@ -117,7 +117,7 @@ func TestSimilaritySymmetricAndSelfMax(t *testing.T) {
 	b.addFreqs(d1, map[string]float64{"a": 2, "b": 1})
 	b.addFreqs(d2, map[string]float64{"a": 1, "c": 4})
 	b.addFreqs(d3, map[string]float64{"z": 1})
-	v := b.Freeze(nil)
+	v := b.Freeze()
 	if !almostEqual(v.Similarity(d1, d2), v.Similarity(d2, d1)) {
 		t.Error("similarity not symmetric")
 	}
@@ -137,7 +137,7 @@ func TestCentroidIsUnitAndAveragesMembership(t *testing.T) {
 	b.addFreqs(d1, map[string]float64{"a": 1, "c": 1})
 	b.addFreqs(d2, map[string]float64{"b": 1, "c": 1})
 	b.addFreqs(d3, map[string]float64{"x": 1, "y": 1})
-	v := b.Freeze(nil)
+	v := b.Freeze()
 	members := itemset.FromSorted([]uint32{d1, d2})
 	c := v.Centroid(members)
 	var norm float64
@@ -175,7 +175,7 @@ func TestSimilarToRankingAndExclude(t *testing.T) {
 	b.addFreqs(far, map[string]float64{"a": 1, "z": 5})
 	b.addFreqs(none, map[string]float64{"z": 1})
 
-	v := b.Freeze(nil)
+	v := b.Freeze()
 	got := v.SimilarToDoc(q, 10)
 	if len(got) < 2 || got[0].ID != close {
 		t.Fatalf("SimilarToDoc = %v, want close first", got)
@@ -199,7 +199,7 @@ func TestSimilarToRankingAndExclude(t *testing.T) {
 func TestTopTerms(t *testing.T) {
 	b := NewVectorBuilder()
 	b.addFreqs(d1, map[string]float64{"a": 1, "b": 1, "c": 1, "d": 1, "e": 1})
-	v := b.Freeze(nil)
+	v := b.Freeze()
 	c := v.centroidOf(map[string]float64{"a": 0.1, "b": 0.9, "c": 0.5, "d": 0, "e": -1})
 	got := v.rankedTerms(c, 2)
 	want := []TermWeight{{"b", 0.9}, {"c", 0.5}}
@@ -221,7 +221,7 @@ func TestTopTerms(t *testing.T) {
 func TestTopTermsDeterministicTies(t *testing.T) {
 	b := NewVectorBuilder()
 	b.addFreqs(d1, map[string]float64{"z": 1, "m": 1, "a": 1, "q": 1})
-	v := b.Freeze(nil)
+	v := b.Freeze()
 	c := v.centroidOf(map[string]float64{"z": 0.5, "a": 0.5, "m": 0.5, "q": 0.7})
 	got := v.rankedTerms(c, 4)
 	if len(got) != 4 || got[0].Term != "q" || got[1].Term != "a" || got[2].Term != "m" || got[3].Term != "z" {
@@ -244,7 +244,7 @@ func TestVectorStoreConcurrent(t *testing.T) {
 	for i := 0; i < 600; i++ {
 		b.addFreqs(uint32(i), map[string]float64{fmt.Sprintf("t%d", i%7): 1, "common": 1})
 	}
-	v := b.Freeze(nil)
+	v := b.Freeze()
 	var wg sync.WaitGroup
 	for w := 0; w < 6; w++ {
 		wg.Add(1)
@@ -279,7 +279,7 @@ func TestQuickVectorsUnitNorm(t *testing.T) {
 			}
 			b.addFreqs(uint32(i), freqs)
 		}
-		v := b.Freeze(nil)
+		v := b.Freeze()
 		for _, id := range b.docIDs() {
 			var norm float64
 			for _, w := range v.vector(id) {
@@ -309,7 +309,7 @@ func TestQuickSimilarityBounds(t *testing.T) {
 			}
 			b.addFreqs(uint32(i), freqs)
 		}
-		v := b.Freeze(nil)
+		v := b.Freeze()
 		ids := b.docIDs()
 		for _, a := range ids {
 			for _, b := range ids {
@@ -351,11 +351,11 @@ func TestAddAfterQueryMatchesBatchBuild(t *testing.T) {
 		}
 		return b
 	}
-	build := func(n int) *VectorStore { return builder(n).Freeze(nil) }
+	build := func(n int) *VectorStore { return builder(n).Freeze() }
 	ids := itemset.FromSorted([]uint32{d1, d2, d3, d4})
 
 	gb := builder(len(docs) - 1)
-	early := gb.Freeze(nil)
+	early := gb.Freeze()
 	for _, id := range ids.Slice() {
 		early.Weights(id)
 		early.SimilarToDoc(id, 3)
@@ -363,7 +363,7 @@ func TestAddAfterQueryMatchesBatchBuild(t *testing.T) {
 	early.centroidVector(ids)
 	last := docs[len(docs)-1]
 	gb.addFreqs(last.id, last.freqs)
-	grown := gb.Freeze(nil)
+	grown := gb.Freeze()
 
 	want := build(len(docs))
 	same := func(what string, got, exp float64) {

@@ -294,7 +294,7 @@ func TestForEachValuePostingConcurrentReaders(t *testing.T) {
 		b.Add(0, []uint64{0, 1, 2}, []float64{1, 2, 1}, name)
 		b.Add(1, []uint64{0, 1}, []float64{1, 1}, name)
 		b.Add(2, []uint64{3}, []float64{1}, name)
-		return b.Freeze(nil)
+		return b.Freeze()
 	}
 	wantSearch := fmt.Sprint(textIndex().Search("feta", "", 0))
 	wantSimilar := fmt.Sprint(vectors().SimilarToDoc(0, 2))

@@ -123,7 +123,7 @@ func FuzzColumnImage(f *testing.F) {
 		if ix, err := index.FromTextColumns(nil, d.Text); err == nil {
 			readText(ix)
 		}
-		if v, err := index.FromVectorColumns(d.Vectors, nil); err == nil {
+		if v, err := index.FromVectorColumns(d.Vectors); err == nil {
 			readVectors(v)
 		}
 	})

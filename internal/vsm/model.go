@@ -1,14 +1,11 @@
 package vsm
 
 import (
-	"context"
-	"errors"
 	"math"
 	"sort"
 
 	"magnet/internal/index"
 	"magnet/internal/itemset"
-	"magnet/internal/par"
 	"magnet/internal/rdf"
 	"magnet/internal/schema"
 	"magnet/internal/text"
@@ -109,17 +106,9 @@ type Model struct {
 	opts  Options
 
 	// stats holds numeric range statistics per property path, merged by
-	// IndexAll from the ranges its parallel walk observes per item.
+	// IndexAll from the ranges its walk observes per item.
 	stats map[string]*Range
-
-	// pool bounds IndexAll's parallel vectorization; nil indexes serially.
-	pool *par.Pool
 }
-
-// SetPool sets the worker pool for batch indexing; the store IndexAll
-// freezes scans on it too. A nil pool (the default) keeps everything
-// serial.
-func (m *Model) SetPool(p *par.Pool) { m.pool = p }
 
 // New returns a model over g with annotations from sch.
 func New(g *rdf.Graph, sch *schema.Store, opts Options) *Model {
@@ -130,7 +119,7 @@ func New(g *rdf.Graph, sch *schema.Store, opts Options) *Model {
 	return &Model{
 		g:     g,
 		sch:   sch,
-		store: index.NewVectorBuilder().Freeze(nil),
+		store: index.NewVectorBuilder().Freeze(),
 		an:    an,
 		opts:  opts,
 		stats: make(map[string]*Range),
@@ -171,25 +160,18 @@ func (m *Model) Store() *index.VectorStore { return m.store }
 // IndexAll indexes the given items (graph subject IDs) into a freshly
 // built and frozen vector store, replacing the previous one. This is the
 // paper's "indexing the data in advance" (§5.2). It walks every item on
-// the ID plane in parallel (walk.go) — the walk only reads the graph — and
-// gathers each numeric path's observed range as it goes. The unit-circle
-// encoding needs the complete ranges, so numeric coordinates are finished
-// afterwards, and the rows are stored serially in ascending ID order:
-// term interning order (and thus the store's summation order) is
-// deterministic at every pool width.
+// the ID plane in ascending ID order (walk.go), gathering each numeric
+// path's observed range as it goes. The unit-circle encoding needs the
+// complete ranges, so numeric coordinates are finished in a second pass,
+// which stores the rows in the same order: term interning order (and thus
+// the store's summation order) is deterministic.
 func (m *Model) IndexAll(items itemset.Set) {
 	w := m.newWalker()
 	ids := items.Slice()
 	rows := make([]itemRow, len(ids))
-	err := par.ForChunks(context.Background(), m.pool, len(ids), par.ChunkFor(m.pool, len(ids)), func(lo, hi int) {
-		sc := w.newScratch()
-		for i := lo; i < hi; i++ {
-			rows[i] = w.vectorize(sc, ids[i])
-		}
-	})
-	var pe *par.PanicError
-	if errors.As(err, &pe) {
-		panic(pe)
+	sc := w.newScratch()
+	for i, id := range ids {
+		rows[i] = w.vectorize(sc, id)
 	}
 
 	// Merge the per-item ranges in item order: the same Min, Max and Count
@@ -217,7 +199,7 @@ func (m *Model) IndexAll(items itemset.Set) {
 		b.Add(id, rows[i].coords, rows[i].freqs, w.key)
 		rows[i] = itemRow{}
 	}
-	m.store = b.Freeze(m.pool)
+	m.store = b.Freeze()
 }
 
 // Similarity returns the cosine similarity of two items (§5.3: "a

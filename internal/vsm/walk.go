@@ -4,8 +4,6 @@ import (
 	"math"
 	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"magnet/internal/rdf"
 	"magnet/internal/schema"
@@ -57,9 +55,8 @@ type pathStep struct {
 	pred   int
 }
 
-// walker holds one build's shared walk state. The path and word tables
-// are interned under mu, behind per-chunk caches (scratch), so their IDs
-// depend on the schedule; nothing is ordered by them — the vector builder
+// walker holds one build's walk state: the path and word tables, interned
+// in walk order. Nothing is ordered by their IDs; the vector builder
 // numbers terms by key.
 type walker struct {
 	g        *rdf.Graph
@@ -70,16 +67,15 @@ type walker struct {
 	maxDepth int
 
 	// lits caches each text literal's analyzed word IDs, by term ID.
-	lits []atomic.Pointer[[]uint32]
+	lits []*[]uint32
 
-	mu    sync.Mutex
 	paths []pathStep // by path ID; 0 is the empty path
 	// pathIDs: parent path ID << 32 | predicate index → path ID.
 	pathIDs map[uint64]uint32
 	words   []string
 	wordIDs map[string]uint32
 
-	// pathKeys caches PathKey by path ID; filled serially after the walk.
+	// pathKeys caches PathKey by path ID; filled after the walk.
 	pathKeys []string
 }
 
@@ -90,7 +86,7 @@ func (m *Model) newWalker() *walker {
 		opts:    m.opts,
 		preds:   make([]predFacts, m.g.PredicateCount()),
 		tree:    m.sch.TreeShaped(),
-		lits:    make([]atomic.Pointer[[]uint32], m.g.TermCount()),
+		lits:    make([]*[]uint32, m.g.TermCount()),
 		paths:   []pathStep{{}},
 		pathIDs: make(map[uint64]uint32),
 		wordIDs: make(map[string]uint32),
@@ -106,11 +102,8 @@ func (m *Model) newWalker() *walker {
 	return w
 }
 
-// scratch is one chunk's walk state: caches in front of the shared tables
-// and the current item's accumulators.
+// scratch is the current item's accumulators, reused from item to item.
 type scratch struct {
-	paths map[uint64]uint32
-	words map[string]uint32
 	// acc maps a coordinate to its index in the current item's row.
 	acc map[uint64]int
 	// coords and freqs are the current item's row as it grows.
@@ -124,70 +117,53 @@ type scratch struct {
 
 func (w *walker) newScratch() *scratch {
 	return &scratch{
-		paths:  make(map[uint64]uint32),
-		words:  make(map[string]uint32),
 		acc:    make(map[uint64]int),
 		onPath: make([]uint32, 0, 8),
 	}
 }
 
 // child returns the ID of path parent extended by predicate index pred.
-func (w *walker) child(sc *scratch, parent uint32, pred int) uint32 {
+func (w *walker) child(parent uint32, pred int) uint32 {
 	k := uint64(parent)<<32 | uint64(pred)
-	if p, ok := sc.paths[k]; ok {
-		return p
-	}
-	w.mu.Lock()
 	p, ok := w.pathIDs[k]
 	if !ok {
 		p = uint32(len(w.paths))
 		if p >= maxPaths {
-			w.mu.Unlock()
 			panic("vsm: too many property paths")
 		}
 		w.paths = append(w.paths, pathStep{parent, pred})
 		w.pathIDs[k] = p
 	}
-	w.mu.Unlock()
-	sc.paths[k] = p
 	return p
 }
 
 // word returns the ID of an analyzed word.
-func (w *walker) word(sc *scratch, s string) uint32 {
-	if id, ok := sc.words[s]; ok {
-		return id
-	}
-	w.mu.Lock()
+func (w *walker) word(s string) uint32 {
 	id, ok := w.wordIDs[s]
 	if !ok {
 		id = uint32(len(w.words))
 		w.words = append(w.words, s)
 		w.wordIDs[s] = id
 	}
-	w.mu.Unlock()
-	sc.words[s] = id
 	return id
 }
 
 // literalWords returns text literal tid's analyzed words as word IDs, in
-// order with duplicates; each literal is analyzed once per build (two
-// chunks meeting it at once may both analyze it, to the same result).
-func (w *walker) literalWords(sc *scratch, tid uint32, lexical string) []uint32 {
-	if ws := w.lits[tid].Load(); ws != nil {
+// order with duplicates; each literal is analyzed once per build.
+func (w *walker) literalWords(tid uint32, lexical string) []uint32 {
+	if ws := w.lits[tid]; ws != nil {
 		return *ws
 	}
 	terms := w.an.Terms(lexical)
 	ws := make([]uint32, len(terms))
 	for i, t := range terms {
-		ws[i] = w.word(sc, t)
+		ws[i] = w.word(t)
 	}
-	w.lits[tid].Store(&ws)
+	w.lits[tid] = &ws
 	return ws
 }
 
-// pathKey returns path p's PathKey, built once per path. Not safe for
-// concurrent use.
+// pathKey returns path p's PathKey, built once per path.
 func (w *walker) pathKey(p uint32) string {
 	for len(w.pathKeys) < len(w.paths) {
 		w.pathKeys = append(w.pathKeys, "")
@@ -317,7 +293,7 @@ func (w *walker) walk(sc *scratch, row *itemRow, node, prefix uint32, depth int,
 		if n == 0 {
 			continue
 		}
-		path := w.child(sc, prefix, pi)
+		path := w.child(prefix, pi)
 		w.emit(sc, row, path, f.vt, objs, n, weight)
 
 		// Composition (§5.1): follow resource values one more level when
@@ -379,7 +355,7 @@ func (w *walker) emit(sc *scratch, row *itemRow, path uint32, vt schema.ValueTyp
 			continue
 		case rdf.Literal:
 			if tv.Datatype == "" || tv.Datatype == rdf.XSDString {
-				for _, wd := range w.literalWords(sc, t, tv.Lexical) {
+				for _, wd := range w.literalWords(t, tv.Lexical) {
 					for int(wd) >= len(sc.wordCount) {
 						sc.wordCount = append(sc.wordCount, 0)
 					}

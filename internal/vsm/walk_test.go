@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"magnet/internal/index"
-	"magnet/internal/par"
 	"magnet/internal/rdf"
 	"magnet/internal/schema"
 	"magnet/internal/text"
@@ -359,8 +358,6 @@ func TestWalkMatchesIRIOracle(t *testing.T) {
 		{RawNumeric: true, MaxDepth: 3},
 	}
 	rng := rand.New(rand.NewSource(31))
-	pool := par.New(3)
-	defer pool.Close()
 	for graph := 0; graph < 30; graph++ {
 		g, items := randomGraph(rng)
 		ids := g.SubjectIDsOf(items)
@@ -371,9 +368,6 @@ func TestWalkMatchesIRIOracle(t *testing.T) {
 			want := o.index(sorted)
 
 			m := New(g, sch, opts)
-			if graph%2 == 1 {
-				m.SetPool(pool)
-			}
 			m.IndexAll(ids)
 			where := fmt.Sprintf("graph %d %+v", graph, opts)
 
